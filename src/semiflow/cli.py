@@ -4,8 +4,8 @@ One subcommand per experiment; a JSON config file fixes the ceiling and the
 experiment parameters, and ``--set key=value`` overrides individual entries.
 Reports are emitted in a canonical byte-stable form, so identical configs in
 the deterministic (lattice) modes reproduce identical bytes across runs and
-worker counts.  Exit codes: 0 success, 1 parse or validation failure,
-2 resource limit, 3 numerical failure.
+worker counts.  Exit codes: 0 success, 1 parse, validation or other input
+failure, 2 resource limit, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -558,6 +558,9 @@ def main(argv=None) -> int:
         doc = {"error": "numerical-failure", "message": str(exc), **exc.details}
         print(canonical_json(doc), file=sys.stdout)
         return 3
+    except SemiflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     data = emit(report, args.format, include_timing=args.timing)
     if cfg.out in ("-", None):

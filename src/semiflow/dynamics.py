@@ -110,9 +110,12 @@ class Branch:
     cone: Cone
 
 
-def validate_point(f: TrigPolynomial, z: FlowPoint) -> None:
-    if not (0.0 <= z.s < f(z.x) + ROOF_TOL):
+def validate_point(f: TrigPolynomial, z: FlowPoint) -> float:
+    """Raise DomainViolation unless 0 <= s < f(x); returns the height f(x)."""
+    fx = f(z.x)
+    if not (0.0 <= z.s < fx + ROOF_TOL):
         raise DomainViolation(f"point (x={z.x}, s={z.s}) is outside the region under the ceiling")
+    return fx
 
 
 def word_interval(a: Word):
@@ -253,26 +256,26 @@ def _max_admissible_t(f: TrigPolynomial, s: float, cap: int) -> float:
 
 def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
                  cap: int = DEFAULT_BRANCH_CAP) -> _BranchTable:
-    """Enumerate every inverse branch by a vectorized level scan.
+    """Enumerate every time-t inverse branch at z by a pruned level scan.
 
-    Level n holds the ell^n candidate words; the little-endian word index k
-    gives the prefix of length i as k mod ell^i, so partial Birkhoff sums
-    and slopes tile from one level to the next.  A word is a branch iff its
-    flow defect d = s + S_n - t lies in [0, f(y)) and its parent's defect is
-    still negative; defects increase along a chain, so the parent test alone
-    settles all ancestors.  Produces exactly the same branch set as the
-    depth-first enumeration in ``inverse_branches``.
+    A word is a branch iff its flow defect d = s + S_n - t lies in [0, f(y))
+    and its parent's defect is still negative.  Defects grow along a chain,
+    so the scan keeps only the open words (d < 0) as the frontier and builds
+    level n from their children k + j*ell^(n-1); the little-endian word
+    index keeps every level sorted by k.  Raises DomainViolation when z lies
+    outside the region under the ceiling, and ResourceLimit when one level
+    would hold more than ``cap`` candidate words.
     """
     if t < 0:
         raise InvalidArgument(f"t must be >= 0, got {t}")
     ell = f.ell
     x, s = z.x, z.s
+    fx = validate_point(f, z)
 
     levels, indices, points, s_values, slopes = [], {}, {}, {}, {}
 
     # level 0: the empty word
     d0 = s - t
-    fx = f(x)
     if -ROOF_TOL <= d0 < fx - ROOF_TOL:
         levels.append(0)
         indices[0] = np.array([0], dtype=np.int64)
@@ -282,92 +285,53 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
     if d0 >= -ROOF_TOL:
         return _BranchTable(levels, indices, points, s_values, slopes, ell)
 
-    S_prev = np.zeros(1)          # Birkhoff sums of the parents
-    slope_prev = np.zeros(1)
+    # the frontier: index, Birkhoff sum and slope of every open word
+    k = np.zeros(1, dtype=np.int64)
+    S = np.zeros(1)
+    sl = np.zeros(1)
     n = 0
-    while True:
+    while len(k):
         n += 1
-        size = ell ** n
-        if size > cap:
+        if len(k) * ell > cap:
             raise ResourceLimit(
                 f"branch enumeration at t={t} would exceed the cap of {cap} words per level",
                 t_limit=_max_admissible_t(f, s, cap), cap=cap)
-        k = np.arange(size, dtype=np.int64)
-        y = (x + k) / size
-        S = np.tile(S_prev, ell) + f(y)
-        sl = np.tile(slope_prev, ell) + ell ** float(-n) * f(y, 1)
-        d = s + S - t
-        d_parent = s + np.tile(S_prev, ell) - t
+        k = (k + ell ** (n - 1) * np.arange(ell, dtype=np.int64)[:, None]).ravel()
+        y = (x + k) / ell ** n
         fy = f(y)
-        valid = (d_parent < -ROOF_TOL) & (d >= -ROOF_TOL) & (d < fy - ROOF_TOL)
+        S = np.tile(S, ell) + fy
+        sl = np.tile(sl, ell) + ell ** float(-n) * f(y, 1)
+        d = s + S - t
+        valid = (d >= -ROOF_TOL) & (d < fy - ROOF_TOL)
         if np.any(valid):
             levels.append(n)
             indices[n] = k[valid]
             points[n] = y[valid]
             s_values[n] = np.maximum(d[valid], 0.0)
             slopes[n] = sl[valid]
-        if np.min(d) >= -ROOF_TOL:
-            break
-        S_prev, slope_prev = S, sl
+        open_ = d < -ROOF_TOL
+        k, S, sl = k[open_], S[open_], sl[open_]
     return _BranchTable(levels, indices, points, s_values, slopes, ell)
 
 
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float, theta: float,
                      cap: int = DEFAULT_BRANCH_CAP) -> list:
-    """All time-t inverse branches of the flow at z, as Branch records.
-
-    Depth-first search over words: a prefix whose flow defect
-    d = s + S_k - t is still negative is extended letter by letter; once
-    d >= 0 the subtree closes, because defects only grow deeper.  A prefix
-    is recorded when d lies in [0, f(y)) (with roof points assigned to the
-    shallower representative, which the roof tolerance makes automatic).
-    The branch list comes out sorted lexicographically by word.
+    """All time-t inverse branches of the flow at z, as Branch records sorted
+    lexicographically by word: a view over ``branch_table``.
 
     theta sets the cone aperture at level 0; level-n branches carry cones of
     half-width theta * ell^(-n).
     """
-    if t < 0:
-        raise InvalidArgument(f"t must be >= 0, got {t}")
     if theta < 0:
         raise InvalidArgument(f"theta must be >= 0, got {theta}")
-    validate_point(f, z)
-    ell = f.ell
-    x, s = z.x, z.s
+    table = branch_table(f, z, t, cap=cap)
+    ell = table.ell
     out = []
-    visited = 0
-
-    # iterative DFS; stack entries: (letters, y, birkhoff_sum, slope)
-    stack = [((), x, 0.0, 0.0)]
-    while stack:
-        letters, y, S, slope = stack.pop()
-        visited += 1
-        if visited > 2 * cap + 2:
-            raise ResourceLimit(
-                f"branch enumeration at t={t} exceeded the cap of {cap}",
-                t_limit=_max_admissible_t(f, s, cap), cap=cap)
-        n = len(letters)
-        d = s + S - t
-        if d >= -ROOF_TOL:
-            fy = f(y)
-            if d < fy - ROOF_TOL:
-                word = Word(letters, ell)
-                out.append(Branch(
-                    word=word,
-                    preimage=FlowPoint(float(y), float(max(d, 0.0))),
-                    expansion=float(ell) ** n,
-                    slope=float(slope),
-                    level=n,
-                    cone=Cone(float(slope), theta * float(ell) ** -n),
-                ))
-            continue
-        # push children in reverse letter order so they pop lexicographically
-        for letter in range(ell, 0, -1):
-            y_child = (y + (letter - 1)) / ell
-            stack.append((
-                letters + (letter,),
-                y_child,
-                S + f(y_child),
-                slope + ell ** float(-(n + 1)) * f(y_child, 1),
-            ))
+    for n in table.levels:
+        for k, y, s_prime, slope in zip(table.indices[n].tolist(), table.points[n].tolist(),
+                                        table.s_values[n].tolist(), table.slopes[n].tolist()):
+            out.append(Branch(word=Word.from_index(k, n, ell), preimage=FlowPoint(y, s_prime),
+                              expansion=float(ell) ** n, slope=slope, level=n,
+                              cone=Cone(slope, theta * float(ell) ** -n)))
     out.sort(key=lambda b: b.word.letters)
     return out

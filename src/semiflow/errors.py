@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: parse/validation problems exit 1,
-resource limits exit 2, numerical failures exit 3.
+The CLI maps these onto exit codes: resource limits exit 2, numerical
+failures exit 3, and every other error (parse, validation, invalid
+argument, domain) exits 1.
 """
 
 

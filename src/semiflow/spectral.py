@@ -77,7 +77,6 @@ class SpectrumReport:
     multiplicities: tuple
     t: float
     ceiling_key: str
-    essential_bound: float | None = None
     caveats: tuple = (DISCRETIZED_SPECTRUM_CAVEAT,)
 
 

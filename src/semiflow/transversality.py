@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import CeilingClass, TrigPolynomial, classify
-from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, branch_table
+from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, advance, branch_table
 from .errors import InvalidArgument, ResourceLimit
 
 GRID_LOWER_BOUND_CAVEAT = "grid lower bound"
@@ -37,7 +37,6 @@ class TransversalityEstimate:
     t: float
     m_value: float
     m_upper: float
-    n_value: float | None
     grid: tuple
     slack: float
     argmax_x: float = 0.0
@@ -134,7 +133,7 @@ def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True
     else:
         m_upper = m_value
     return TransversalityEstimate(
-        t=float(t), m_value=m_value, m_upper=m_upper, n_value=None,
+        t=float(t), m_value=m_value, m_upper=m_upper,
         grid=(nx, ns, 0), slack=(widen if certified else 0.0),
         argmax_x=argmax[0], argmax_s=argmax[1],
         argmax_on_section=(argmax[1] == 0.0),
@@ -222,18 +221,7 @@ def lambda_min(f: TrigPolynomial, method: str, horizon: float,
     ell = f.ell
     if method == "grid":
         t = float(horizon)
-        xs = np.arange(nx) / nx
-        S = np.zeros(nx)
-        counts = np.zeros(nx, dtype=int)
-        cur = xs.copy()
-        while True:
-            fx = f(cur)
-            cross = S + fx <= t + 1e-12
-            if not np.any(cross):
-                break
-            S = np.where(cross, S + fx, S)
-            counts = counts + cross
-            cur = np.where(cross, (ell * cur) % 1.0, cur)
+        _, _, counts = advance(f, np.arange(nx) / nx, t)
         n_min = int(counts.min())
         if n_min == 0:
             return LambdaMinEstimate("grid", 1.0, t, float("inf"))

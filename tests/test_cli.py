@@ -211,6 +211,17 @@ def test_cli_main_parse_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["branches", "--set", "params.s=5.0"],
+    ["genericity", "--set", "params.cluster_word=[3]"],
+    ["norms", "--set", "params.slope_margin=3"],
+])
+def test_cli_main_runner_error_exit_code(argv, capsys):
+    # errors raised inside a runner end in a message, not a traceback
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_main_writes_output(tmp_path):
     cfg = _config()
     path = tmp_path / "cfg.json"

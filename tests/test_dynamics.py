@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      Word, birkhoff, branch_point, branch_table, classify,
-                      flow_count, inverse_branches, time_t_map, word_interval)
+                      TrigPolynomial, Word, birkhoff, branch_point, branch_table,
+                      classify, flow_count, inverse_branches, time_t_map,
+                      word_interval)
 from semiflow.dynamics import Cone
 
 from conftest import random_positive_ceiling
@@ -220,14 +221,42 @@ def test_branches_match_flat_enumeration_oracle(f_sin, f_generic):
             assert b.slope == pytest.approx(sl, abs=1e-10)
 
 
-def test_branch_table_agrees_with_dfs(f_generic):
-    z = FlowPoint(0.11, 0.3)
-    t = 6.5
-    table = branch_table(f_generic, z, t)
-    branches = inverse_branches(f_generic, z, t, 0.0)
-    flat = {(n, int(k)) for n in table.levels for k in table.indices[n]}
-    assert flat == {(b.level, b.word.index) for b in branches}
-    assert table.weight_sum() == pytest.approx(1.0, abs=1e-10)
+def _table_columns(table):
+    return {(n, int(k)): (y, sp, sl) for n in table.levels
+            for k, y, sp, sl in zip(table.indices[n].tolist(), table.points[n].tolist(),
+                                    table.s_values[n].tolist(), table.slopes[n].tolist())}
+
+
+def test_branch_table_matches_flat_enumeration_oracle(f_generic):
+    gen3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
+    for f, z, t in [(f_generic, FlowPoint(0.11, 0.3), 6.5),
+                    (gen3, FlowPoint(0.42, 0.0), 4.0),
+                    (gen3, FlowPoint(0.7, 0.6), 3.5)]:
+        table = branch_table(f, z, t)
+        got = _table_columns(table)
+        want = {(n, k): (y, sp, sl) for n, k, y, sp, sl in enumerate_branches(f, z.x, z.s, t)}
+        assert got.keys() == want.keys()
+        for key, values in got.items():
+            assert values == pytest.approx(want[key], abs=1e-12)
+        assert table.weight_sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_inverse_branches_carry_table_values(f_sin):
+    z, t = FlowPoint(0.3, 0.1), 7.0
+    cols = _table_columns(branch_table(f_sin, z, t))
+    branches = inverse_branches(f_sin, z, t, 0.5)
+    assert len(branches) == len(cols)
+    for b in branches:
+        assert (b.preimage.x, b.preimage.s, b.slope) == cols[(b.level, b.word.index)]
+        assert b.cone == Cone(b.slope, 0.5 * 2.0 ** -b.level)
+
+
+def test_branch_enumeration_rejects_target_above_roof(f_sin):
+    z = FlowPoint(0.3, 5.0)
+    with pytest.raises(DomainViolation):
+        branch_table(f_sin, z, 4.0)
+    with pytest.raises(DomainViolation):
+        inverse_branches(f_sin, z, 4.0, 0.5)
 
 
 def test_branches_sorted_lexicographically(f_sin):

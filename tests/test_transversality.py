@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import (FlowPoint, InvalidArgument, ResourceLimit, classify,
-                      exponent_fit, lambda_min, line_mass, m_of_t, m_sum_at,
-                      n_of_t)
+from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
+                      classify, exponent_fit, lambda_min, line_mass, m_of_t,
+                      m_sum_at, n_of_t)
 from semiflow.transversality import GRID_LOWER_BOUND_CAVEAT
 
 from oracles import (enumerate_branches, line_scan_n, pair_scan_m,
@@ -14,6 +14,14 @@ from oracles import (enumerate_branches, line_scan_n, pair_scan_m,
 
 def test_m_sum_constant_is_one(f_const):
     assert m_sum_at(f_const, FlowPoint(0.3, 0.2), 2.5, 0.0) == 1.0
+
+
+def test_target_above_roof_raises(f_sin):
+    z = FlowPoint(0.3, 5.0)  # f(0.3) < 1.2
+    with pytest.raises(DomainViolation):
+        m_sum_at(f_sin, z, 4.0, 0.5)
+    with pytest.raises(DomainViolation):
+        line_mass(f_sin, z, 4.0, 0.0, 0.5)
 
 
 def test_m_sum_coboundary_is_one(f_cob):
