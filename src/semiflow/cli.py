@@ -167,11 +167,14 @@ def _validate_params(exp: str, p: dict) -> list:
         if not cond:
             problems.append(msg)
 
+    if exp in ("transversality", "correlations"):
+        ts = p["t_values"]
+        # the chained comparison also refuses nan, inf and ints too big for a float
+        need(isinstance(ts, list) and ts and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool)
+            and 0 <= t <= sys.float_info.max for t in ts),
+            "t_values must be a nonempty list of finite numbers >= 0")
     if exp == "transversality":
-        need(isinstance(p["t_values"], list) and len(p["t_values"]) >= 1,
-             "t_values must be a nonempty list")
-        need(all(isinstance(t, (int, float)) and t >= 0 for t in p["t_values"]),
-             "t_values must be nonnegative numbers")
         need(p["nx"] >= 8, "nx must be >= 8")
         need(p["ns"] >= 8, "ns must be >= 8")
         need(p["nL"] >= 8, "nL must be >= 8")
@@ -189,7 +192,6 @@ def _validate_params(exp: str, p: dict) -> list:
         need(1 <= p["k"] <= 32, "k must be in 1..32")
         need(p["mode"] in ("lattice", "monte-carlo"), "mode must be lattice or monte-carlo")
     elif exp == "correlations":
-        need(isinstance(p["t_values"], list) and p["t_values"], "t_values must be a nonempty list")
         need(p["nx"] >= 8 and p["ns"] >= 1, "nx must be >= 8 and ns >= 1")
         for name in ("psi", "phi"):
             try:

@@ -201,6 +201,29 @@ def advance(f: TrigPolynomial, x, total):
     return x, rem, n
 
 
+def advance_through(f: TrigPolynomial, x, s, times, step=advance):
+    """Sample the flow of the points (x, s) at several times.
+
+    Yields (t, x_t, s_t) once per distinct time, in increasing order; each
+    state is moved from the previous sample by the time difference, so the
+    roof crossings cost O(T) in total rather than O(T^2).  Callers that need
+    the samples in their own order (or with repeats) key them by t.  ``step``
+    is the advance function to use; callers pass their own module's binding
+    of ``advance`` so a wrapper placed on it sees every step.
+    """
+    t_arr = np.asarray(times, dtype=float).ravel()
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0.0)):
+        raise InvalidArgument(f"times must be finite and >= 0, got {times}")
+
+    def samples(x, s):
+        t_prev = 0.0
+        for t in np.unique(t_arr).tolist():
+            x, s, _ = step(f, x, s + (t - t_prev))
+            t_prev = t
+            yield t, x, s
+    return samples(x, s)
+
+
 def flow_count(f: TrigPolynomial, x: float, T: float) -> int:
     """Largest n with Birkhoff sum f^(n)(x) <= T (number of roof crossings
     accumulated by flow time T starting from the base)."""

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .ceiling import TrigPolynomial
-from .dynamics import advance
+from .dynamics import advance, advance_through
 from .errors import InvalidArgument, PreconditionViolation, ResourceLimit
 
 PREIMAGE_CAP = 2 ** 24
@@ -216,7 +216,8 @@ def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial,
     """Defect of the candidate eigenfunction Phi(x,s) =
     exp((2 pi i / c)(Psi(x) + s)) under the flow:
     max |Phi(T^t z) - exp(2 pi i t / c) Phi(z)| over a grid of points and
-    the given times.  Only meaningful when the residual is small."""
+    the given times, sampled in increasing time, each from the previous one
+    (``advance_through``).  Only meaningful when the residual is small."""
     if report.residual_sup is None:
         raise PreconditionViolation("run cocycle_residual before eigenfunction_check")
     if tol_strict is None:
@@ -240,8 +241,7 @@ def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial,
     Psi_at = eval_periodic_samples(report.Psi, pts_x)
     phi0 = np.exp(2j * np.pi / c * (Psi_at + pts_s))
     defect = 0.0
-    for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):
-        x1, s1, _ = advance(f, pts_x, pts_s + t)
+    for t, x1, s1 in advance_through(f, pts_x, pts_s, t_samples, step=advance):
         Psi1 = eval_periodic_samples(report.Psi, x1)
         phi1 = np.exp(2j * np.pi / c * (Psi1 + s1))
         defect = max(defect, float(np.max(np.abs(phi1 - np.exp(2j * np.pi * t / c) * phi0))))

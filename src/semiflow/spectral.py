@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .ceiling import TrigPolynomial, _certified_extrema
-from .dynamics import advance
+from .dynamics import advance, advance_through
 from .errors import InvalidArgument, NumericalFailure, ResourceLimit
 from .smooth import step
 from .transversality import TransversalityEstimate, exponent_fit
@@ -198,7 +198,10 @@ def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
 
     Small problems go through the dense LAPACK path; larger ones use the
     implicitly restarted Arnoldi iteration with a fixed start vector, so the
-    result is deterministic given the matrix.
+    result is deterministic given the matrix.  Arnoldi runs on a sparse (CSR)
+    view of the matrix: a column is nonzero only in the few boxes its lattice
+    points land in, so a matrix-vector product costs O(nonzeros), not
+    O(dim^2).
     """
     if k > 32:
         raise InvalidArgument(f"k must be <= 32, got {k}")
@@ -209,7 +212,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
             vals = scipy.sparse.linalg.eigs(
-                op.matrix, k=min(k + 2, dim - 2), which="LM",
+                scipy.sparse.csr_array(op.matrix), k=min(k + 2, dim - 2), which="LM",
                 v0=v0, return_eigenvectors=False)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalFailure(
@@ -249,21 +252,25 @@ def _quadrature_nodes(f: TrigPolynomial, nx: int, ns: int):
 def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
                 t_list, nx: int, ns: int) -> CorrelationCurve:
     """Correlation of two observables along the flow by midpoint quadrature
-    on the box grid."""
+    on the box grid.
+
+    The nodes are sampled in increasing time, each sample flowed on from the
+    previous one (``advance_through``); the curve lists the samples in the
+    order, and with the repeats, of ``t_list``.
+    """
     x, s, fx, w = _quadrature_nodes(f, nx, ns)
     f_min = _certified_extrema(f, 0, np.arange(4096) / 4096)[0]
     margin = CUTOFF_MARGIN_FRACTION * f_min
     psi_vals = psi.values(x, s, fx, margin)
     mean_psi = float(np.sum(w * psi_vals))
-    samples = []
-    for t in t_list:
-        x1, s1, _ = advance(f, x, s + float(t))
+    cor_at = {}
+    for t, x1, s1 in advance_through(f, x, s, t_list, step=advance):
         fx1 = np.asarray(f(x1), dtype=float)
         phi_vals = phi.values(x1, s1, fx1, margin)
         mean_phi = float(np.sum(w * phi_vals))
-        cor = float(np.sum(w * psi_vals * phi_vals) - mean_phi * mean_psi)
-        samples.append((float(t), cor))
-    return CorrelationCurve(samples=tuple(samples), psi_id=psi.id, phi_id=phi.id,
+        cor_at[t] = float(np.sum(w * psi_vals * phi_vals) - mean_phi * mean_psi)
+    samples = tuple((float(t), cor_at[float(t)]) for t in t_list)
+    return CorrelationCurve(samples=samples, psi_id=psi.id, phi_id=phi.id,
                             ceiling_key=f.key())
 
 

@@ -34,6 +34,40 @@ def crossing_simulation(f, x, s, t):
         n += 1
 
 
+def flow_points(f, x, s, t):
+    """crossing_simulation for arrays of points: every point flows for time
+    t from (x, s), one roof crossing per pass."""
+    x = np.array(x, dtype=float)
+    s = np.array(s, dtype=float)
+    remaining = np.full(x.shape, float(t))
+    while True:
+        gap = f(x) - s
+        cross = remaining >= gap - ROOF_TOL
+        if not np.any(cross):
+            return x, s + remaining
+        remaining = np.where(cross, remaining - gap, remaining)
+        x = np.where(cross, (f.ell * x) % 1.0, x)
+        s = np.where(cross, 0.0, s)
+
+
+def correlation_from_zero(f, psi, phi, t_list, nx, ns, margin):
+    """Midpoint-quadrature correlation curve with every node flowed from
+    time 0 to each sample time; returns [(t, value)] in the order of t_list."""
+    mids = (np.arange(nx) + 0.5) / nx
+    fx = np.repeat(f(mids), ns)
+    x = np.repeat(mids, ns)
+    s = np.tile((np.arange(ns) + 0.5) / ns, nx) * fx
+    w = fx / fx.sum()
+    psi_vals = psi.values(x, s, fx, margin)
+    out = []
+    for t in t_list:
+        x1, s1 = flow_points(f, x, s, t)
+        phi_vals = phi.values(x1, s1, f(x1), margin)
+        cor = np.sum(w * psi_vals * phi_vals) - np.sum(w * phi_vals) * np.sum(w * psi_vals)
+        out.append((float(t), float(cor)))
+    return out
+
+
 def enumerate_branches(f, x, s, t, n_max=40):
     """Every inverse branch by flat enumeration: for each level n and word
     index k, the preimage is (x+k)/ell^n, the roof sum is accumulated along

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -255,6 +258,36 @@ def test_worker_env_var_override(monkeypatch):
     assert worker_count(1) == 3
     monkeypatch.delenv("SEMIFLOW_WORKERS")
     assert worker_count(2) == 2
+
+
+def test_worker_env_var_not_an_integer(monkeypatch, capsys):
+    from semiflow.parallel import worker_count
+    monkeypatch.setenv("SEMIFLOW_WORKERS", "x")
+    with pytest.raises(InvalidArgument, match="SEMIFLOW_WORKERS"):
+        worker_count(1)
+    assert main(["transversality"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SEMIFLOW_WORKERS" in err
+
+
+@pytest.mark.parametrize("experiment", ["transversality", "correlations"])
+@pytest.mark.parametrize("t_values", ['[0,1,"a"]', "[]", "[true]", "[-1.0]", '"3"',
+                                      "[Infinity]", "[NaN]", "[1" + "0" * 400 + "]"])
+def test_cli_main_bad_t_values(experiment, t_values, capsys):
+    assert main([experiment, "--set", f"params.t_values={t_values}"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: t_values" in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "semiflow", "spectrum"],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert "eigenvalues" in json.loads(proc.stdout)["payload"]
 
 
 def test_cli_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

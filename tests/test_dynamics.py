@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      TrigPolynomial, Word, birkhoff, branch_point, branch_table,
-                      classify, flow_count, inverse_branches, time_t_map,
-                      word_interval)
+                      TrigPolynomial, Word, advance_through, birkhoff,
+                      branch_point, branch_table, classify, flow_count,
+                      inverse_branches, time_t_map, word_interval)
 from semiflow.dynamics import Cone
 
 from conftest import random_positive_ceiling
@@ -152,6 +152,27 @@ def test_flow_count_bounds(f_generic):
         for T in (1.0, 5.0, 11.0):
             n = flow_count(f_generic, x, T)
             assert T / cls.f_max - 1 <= n <= T / cls.f_min
+
+
+def test_advance_through_matches_crossing_simulation(f_sin):
+    rng = np.random.default_rng(5)
+    x = rng.random(240)
+    s = rng.random(240) * f_sin(x)
+    times = [4.5, 0.0, 1.25, 4.5, 0.0, 9.0, 2.75]
+    seen = []
+    for t, xt, st in advance_through(f_sin, x, s, times):
+        seen.append(t)
+        for i in range(x.size):
+            xr, sr, _ = crossing_simulation(f_sin, x[i], s[i], t)
+            assert abs(xt[i] - xr) <= 1e-12
+            assert abs(st[i] - sr) <= 1e-12
+    assert seen == sorted(set(times))
+
+
+def test_advance_through_rejects_negative_time(f_sin):
+    for times in ([1.0, -0.5], [float("nan")], [float("inf")]):
+        with pytest.raises(InvalidArgument):
+            advance_through(f_sin, [0.3], [0.0], times)
 
 
 def test_semigroup_property(f_sin):

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from semiflow import InvalidArgument, ResourceLimit, m_of_t
-from semiflow.spectral import (DISCRETIZED_SPECTRUM_CAVEAT, BoxPartition,
+from semiflow import InvalidArgument, ResourceLimit, TrigPolynomial, m_of_t
+from semiflow.spectral import (CUTOFF_MARGIN_FRACTION,
+                               DISCRETIZED_SPECTRUM_CAVEAT, BoxPartition,
                                Observable, build_ulam, correlation, decay_fit,
                                resonance_compare, spectrum)
+
+from oracles import correlation_from_zero
+
+# 1.3 + 0.3 sin 2 pi x + 0.1 cos 4 pi x + 0.05 (cos + sin) 6 pi x, ell = 3
+F_GEN3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
 
 
 def test_partition_measure(f_generic):
@@ -92,6 +99,26 @@ def test_spectrum_matches_dense_oracle(f_sin):
     assert DISCRETIZED_SPECTRUM_CAVEAT in rep.caveats
 
 
+def _multiplicities(vals, tol=1e-8):
+    return [sum(abs(w - v) <= tol * max(1.0, abs(v)) for w in vals) for v in vals]
+
+
+@pytest.mark.parametrize("ceiling", ["sin", "gen3"])
+@pytest.mark.parametrize("nx, ns", [(64, 8), (128, 8)])
+def test_sparse_arnoldi_matches_dense_eigvals(ceiling, nx, ns, f_sin):
+    f = f_sin if ceiling == "sin" else F_GEN3
+    op = build_ulam(f, 2.0 if ceiling == "sin" else 1.0, nx, ns, 64)
+    rep = spectrum(op, 8)
+    dense = scipy.linalg.eigvals(op.matrix)
+    top = dense[np.argsort(-np.abs(dense), kind="stable")][:8]
+    # conjugate pairs tie in modulus, so match the values as sets
+    for v in rep.eigenvalues:
+        assert np.min(np.abs(top - v)) <= 1e-10
+    for v in top:
+        assert min(abs(w - v) for w in rep.eigenvalues) <= 1e-10
+    assert list(rep.multiplicities) == _multiplicities(list(top))
+
+
 def test_spectrum_k_cap(f_sin):
     op = build_ulam(f_sin, 1.0, 8, 2, 16)
     with pytest.raises(InvalidArgument):
@@ -118,6 +145,25 @@ def test_correlation_periodic_nondecay_constant(f_const):
     m_early = max(abs(v) for _, v in early.samples)
     m_late = max(abs(v) for _, v in late.samples)
     assert m_late >= 0.9 * m_early
+
+
+@pytest.mark.parametrize("cutoff", [True, False])
+def test_correlation_matches_from_zero_oracle(cutoff, f_sin):
+    psi = Observable(x_wave=("cos", 1), s_wave=("cos", 1.0), cutoff=cutoff)
+    phi = Observable(x_wave=("sin", 2), s_wave=("cos", 0.5), cutoff=cutoff)
+    t_list = [3.0, 0.0, 1.5, 3.0, 0.25, 7.5, 0.0]
+    curve = correlation(f_sin, psi, phi, t_list, 64, 8)
+    margin = CUTOFF_MARGIN_FRACTION * 0.8    # min f_sin = f_sin(3/4)
+    ref = correlation_from_zero(f_sin, psi, phi, t_list, 64, 8, margin)
+    assert [t for t, _ in curve.samples] == t_list
+    for (_, v), (_, r) in zip(curve.samples, ref):
+        assert abs(v - r) <= 1e-12
+
+
+def test_correlation_rejects_negative_time(f_sin):
+    psi = Observable(s_wave=("cos", 1.0))
+    with pytest.raises(InvalidArgument):
+        correlation(f_sin, psi, psi, [0.5, -1.0], 16, 4)
 
 
 def test_correlation_weakly_mixing_decays(f_sin):
