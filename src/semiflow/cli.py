@@ -11,7 +11,6 @@ failure, 2 resource limit, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import sys
@@ -26,7 +25,7 @@ from .ceiling import TrigPolynomial, ceiling_from_config, classify
 from .dynamics import FlowPoint, Word, inverse_branches
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
-from .parallel import pmap, worker_count
+from .parallel import worker_count
 
 EXPERIMENTS = ("transversality", "mixing", "spectrum", "correlations",
                "norms", "genericity", "branches")
@@ -240,24 +239,18 @@ def _observable_from_spec(spec: dict) -> spectral.Observable:
 # experiment payloads
 
 
-def _transversality_record(f, gamma0, nx, ns, nL, certified, t):
-    cls = classify(f, gamma0)
-    est = transversality.m_of_t(f, t, nx, ns, certified=certified, cls=cls)
-    nv = transversality.n_of_t(f, t, nx, ns, nL, cls=cls)
-    return {
-        "t": est.t, "m_value": est.m_value, "m_upper": est.m_upper,
-        "n_value": nv, "grid": [nx, ns, nL], "slack": est.slack,
-        "argmax": {"x": est.argmax_x, "s": est.argmax_s,
-                   "on_section": est.argmax_on_section},
-    }
-
-
 def _run_transversality(cfg: ExperimentConfig):
     p = cfg.params
-    task = functools.partial(_transversality_record, cfg.ceiling, cfg.gamma0,
-                             p["nx"], p["ns"], p["nL"], p["certified"])
-    records = pmap(task, [float(t) for t in p["t_values"]],
-                   worker_count(cfg.workers))
+    estimates = transversality.grid_estimates(
+        cfg.ceiling, [float(t) for t in p["t_values"]], p["nx"], p["ns"],
+        certified=p["certified"], cls=classify(cfg.ceiling, cfg.gamma0),
+        workers=worker_count(cfg.workers))
+    records = [{
+        "t": est.t, "m_value": est.m_value, "m_upper": est.m_upper,
+        "n_value": nv, "grid": [p["nx"], p["ns"], p["nL"]], "slack": est.slack,
+        "argmax": {"x": est.argmax_x, "s": est.argmax_s,
+                   "on_section": est.argmax_on_section},
+    } for est, nv in estimates]
     fitted_rate = None
     fit_residual = None
     positive = [(r["t"], r["m_value"]) for r in records if r["m_value"] > 0]

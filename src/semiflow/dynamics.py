@@ -33,6 +33,10 @@ ROOF_TOL = 1e-12
 
 DEFAULT_BRANCH_CAP = 2 ** 24
 
+# Word indices are int64, so a level n needs ell^n <= MAX_WORD_INDEX; every
+# sum of branch weights counted in units of ell^-n_max then fits too.
+MAX_WORD_INDEX = 2 ** 63 - 1
+
 
 @dataclass(frozen=True)
 class Word:
@@ -277,38 +281,93 @@ def _max_admissible_t(f: TrigPolynomial, s: float, cap: int) -> float:
     return s + depth * f_min
 
 
-def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
-                 cap: int = DEFAULT_BRANCH_CAP) -> _BranchTable:
-    """Enumerate every time-t inverse branch at z by a pruned level scan.
+class _ColumnScan:
+    """Every word of one fiber column that some (s, t) pair of a grid can take
+    as a branch, from one pruned level scan (see ``column_scan``).
 
-    A word is a branch iff its flow defect d = s + S_n - t lies in [0, f(y))
-    and its parent's defect is still negative.  Defects grow along a chain,
-    so the scan keeps only the open words (d < 0) as the frontier and builds
-    level n from their children k + j*ell^(n-1); the little-endian word
-    index keeps every level sorted by k.  Raises DomainViolation when z lies
-    outside the region under the ceiling, and ResourceLimit when one level
-    would hold more than ``cap`` candidate words.
+    Flat arrays, one entry per kept word, grouped by level (``levels[i]``
+    owns ``starts[i]:starts[i+1]``) and sorted by word index k within a
+    level: k, the preimage y, the height f(y), the Birkhoff sum S, the
+    parent's sum and the slope.  Level 0 is the empty word; its parent sum
+    is -inf, so its parent test always passes.  ``by_slope`` reorders the
+    words by slope within each level, and ``sorted_slopes`` is the slope
+    column in that order.
     """
-    if t < 0:
-        raise InvalidArgument(f"t must be >= 0, got {t}")
+
+    __slots__ = ("ell", "levels", "starts", "k", "y", "fy", "S", "S_parent", "slopes",
+                 "by_slope", "sorted_slopes")
+
+    def __init__(self, ell, levels, blocks):
+        self.ell = ell
+        self.levels = levels
+        sizes = [len(block[0]) for block in blocks]
+        self.starts = np.cumsum([0] + sizes)
+        self.k, self.y, self.fy, self.S, self.S_parent, self.slopes = (
+            np.concatenate(column) for column in zip(*blocks))
+        self.by_slope = np.lexsort((self.slopes, np.repeat(np.arange(len(sizes)), sizes)))
+        self.sorted_slopes = self.slopes[self.by_slope]
+
+    def _valid(self, s: float, t: float):
+        """The words that are time-t branches at (x, s): flow defect
+        d = s + S - t in [0, f(y)) and the parent's defect still negative,
+        in the float operations of a scan at (s, t) alone.  Returns the mask
+        and d."""
+        d = s + self.S - t
+        return (d >= -ROOF_TOL) & (d < self.fy - ROOF_TOL) & (s + self.S_parent - t < -ROOF_TOL), d
+
+    def table(self, s: float, t: float) -> _BranchTable:
+        """The branch table at (x, s) for time t, as ``branch_table`` builds it."""
+        valid, d = self._valid(s, t)
+        levels, indices, points, s_values, slopes = [], {}, {}, {}, {}
+        for n, a, b in zip(self.levels, self.starts[:-1], self.starts[1:]):
+            v = valid[a:b]
+            if np.any(v):
+                levels.append(n)
+                indices[n] = self.k[a:b][v]
+                points[n] = self.y[a:b][v]
+                s_values[n] = np.maximum(d[a:b][v], 0.0)
+                slopes[n] = self.slopes[a:b][v]
+        return _BranchTable(levels, indices, points, s_values, slopes, self.ell)
+
+    def slope_profile(self, s: float, t: float) -> tuple:
+        """(levels, branch count per level, slopes) of the table at (s, t):
+        the slopes of each level in ascending order, levels concatenated."""
+        valid = self._valid(s, t)[0][self.by_slope]
+        counts = np.add.reduceat(valid, self.starts[:-1], dtype=np.int64).tolist()
+        levels = [n for n, c in zip(self.levels, counts) if c]
+        return levels, [c for c in counts if c], self.sorted_slopes[valid]
+
+
+def column_scan(f: TrigPolynomial, x: float, s_values, t_values,
+                cap: int = DEFAULT_BRANCH_CAP) -> _ColumnScan:
+    """One pruned level scan of the column over x, shared by every pair
+    (s, t) with s in ``s_values`` and t in ``t_values``.
+
+    A word's index, preimage, Birkhoff sum S and slope depend on x alone;
+    s and t enter only through its flow defect d = s + S - t, which grows
+    along a chain.  The scan therefore runs at the most permissive pair
+    (smallest s, largest t): its frontier holds the words still open there
+    (d < 0), and level n is built from their children k + j*ell^(n-1), so
+    the little-endian word index keeps every level sorted by k.  A level
+    keeps only the words that some t can accept: d >= 0 at the largest s and
+    the parent open at the smallest s.  Float addition is monotone, so these
+    tests are exact supersets of every pair's own.  Raises ResourceLimit,
+    naming the largest t, when one level would hold more than ``cap``
+    candidate words or words too long for an int64 index.
+    """
+    ts = np.asarray(t_values, dtype=float).ravel()
+    if np.any(ts < 0):
+        raise InvalidArgument(f"t must be >= 0, got {t_values}")
+    s_lo, s_hi = float(min(s_values)), float(max(s_values))
+    t_hi = float(ts.max())
     ell = f.ell
-    x, s = z.x, z.s
-    fx = validate_point(f, z)
+    levels = [0]
+    blocks = [(np.array([0], dtype=np.int64), np.array([x]), np.array([f(x)]),
+               np.array([0.0]), np.array([-np.inf]), np.array([0.0]))]
+    if s_lo - t_hi >= -ROOF_TOL:
+        return _ColumnScan(ell, levels, blocks)
 
-    levels, indices, points, s_values, slopes = [], {}, {}, {}, {}
-
-    # level 0: the empty word
-    d0 = s - t
-    if -ROOF_TOL <= d0 < fx - ROOF_TOL:
-        levels.append(0)
-        indices[0] = np.array([0], dtype=np.int64)
-        points[0] = np.array([x])
-        s_values[0] = np.array([max(d0, 0.0)])
-        slopes[0] = np.array([0.0])
-    if d0 >= -ROOF_TOL:
-        return _BranchTable(levels, indices, points, s_values, slopes, ell)
-
-    # the frontier: index, Birkhoff sum and slope of every open word
+    # the frontier: index, Birkhoff sum and slope of every word open at (s_lo, t_hi)
     k = np.zeros(1, dtype=np.int64)
     S = np.zeros(1)
     sl = np.zeros(1)
@@ -317,24 +376,44 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
         n += 1
         if len(k) * ell > cap:
             raise ResourceLimit(
-                f"branch enumeration at t={t} would exceed the cap of {cap} words per level",
-                t_limit=_max_admissible_t(f, s, cap), cap=cap)
+                f"branch enumeration at t={t_hi} would exceed the cap of {cap} words per level",
+                t_limit=_max_admissible_t(f, s_lo, cap), cap=cap)
+        if ell ** n > MAX_WORD_INDEX:
+            raise ResourceLimit(
+                f"branch enumeration at t={t_hi} would need words of more than {n - 1} "
+                f"letters, beyond 64-bit word indices",
+                t_limit=_max_admissible_t(f, s_lo, cap), max_length=n - 1)
         k = (k + ell ** (n - 1) * np.arange(ell, dtype=np.int64)[:, None]).ravel()
         y = (x + k) / ell ** n
         fy = f(y)
-        S = np.tile(S, ell) + fy
+        S_parent = np.tile(S, ell)
+        S = S_parent + fy
         sl = np.tile(sl, ell) + ell ** float(-n) * f(y, 1)
-        d = s + S - t
-        valid = (d >= -ROOF_TOL) & (d < fy - ROOF_TOL)
-        if np.any(valid):
+        keep = np.any((s_hi + S - ts[:, None] >= -ROOF_TOL)
+                      & (s_lo + S_parent - ts[:, None] < -ROOF_TOL), axis=0)
+        if np.any(keep):
             levels.append(n)
-            indices[n] = k[valid]
-            points[n] = y[valid]
-            s_values[n] = np.maximum(d[valid], 0.0)
-            slopes[n] = sl[valid]
-        open_ = d < -ROOF_TOL
+            blocks.append((k[keep], y[keep], fy[keep], S[keep], S_parent[keep], sl[keep]))
+        open_ = s_lo + S - t_hi < -ROOF_TOL
         k, S, sl = k[open_], S[open_], sl[open_]
-    return _BranchTable(levels, indices, points, s_values, slopes, ell)
+    return _ColumnScan(ell, levels, blocks)
+
+
+def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
+                 cap: int = DEFAULT_BRANCH_CAP) -> _BranchTable:
+    """Every time-t inverse branch at z: the single-pair case of
+    ``column_scan``.
+
+    A word is a branch iff its flow defect d = s + S_n - t lies in [0, f(y))
+    and its parent's defect is still negative.  Raises DomainViolation when
+    z lies outside the region under the ceiling, and ResourceLimit when one
+    level would hold more than ``cap`` candidate words or words too long for
+    an int64 index.
+    """
+    if t < 0:
+        raise InvalidArgument(f"t must be >= 0, got {t}")
+    validate_point(f, z)
+    return column_scan(f, z.x, [z.s], [t], cap=cap).table(z.s, t)
 
 
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float, theta: float,

@@ -15,17 +15,26 @@ functions of closed slope intervals, so its exact maximum is attained at an
 interval boundary; the sweep below computes it exactly, which makes the
 candidate-slope list (cone centers, boundaries, and nL extra samples) a
 guaranteed superset of the argmax.
+
+Grid maxima come from one pass (``grid_estimates``; ``m_of_t`` and
+``n_of_t`` are views over it): each fiber column is scanned once by
+``dynamics.column_scan`` for every (s, t) of the run, and each grid point's
+table is a mask over that scan.  Branch weights ell^-n are summed as exact
+integer multiples of ell^-n_max and divided once, so m and n are correctly
+rounded and the identity n <= 1 holds in floating point too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ceiling import CeilingClass, TrigPolynomial, classify
-from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, advance, branch_table
+from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, advance, branch_table, column_scan
 from .errors import InvalidArgument, ResourceLimit
+from .parallel import pmap
 
 GRID_LOWER_BOUND_CAVEAT = "grid lower bound"
 
@@ -54,26 +63,46 @@ class LambdaMinEstimate:
     beta_max: float
 
 
-def _overlap_maxima(table, theta: float, widen: float = 0.0) -> float:
-    """max over reference branches of the 1/E-weighted count of branches
-    whose cone overlaps the reference cone (self-term included)."""
+def _weight_units(ell: int, levels) -> tuple:
+    """Exact branch weights: a level-n branch weighs ell^(n_max - n) units of
+    ell^-n_max.  Returns the unit weight of each level and the denominator
+    ell^n_max.  Branches form a prefix-free word set, so any sum of their
+    weights is at most ell^n_max units, which the scan keeps within int64."""
+    n_max = max(levels)
+    return [ell ** (n_max - n) for n in levels], ell ** n_max
+
+
+def _slope_profile(table) -> tuple:
+    """(levels, branch count per level, slopes) of a branch table: the
+    slopes of each level in ascending order, levels concatenated."""
     levels = table.levels
+    return (levels, [len(table.slopes[n]) for n in levels],
+            np.concatenate([np.sort(table.slopes[n]) for n in levels] or [np.zeros(0)]))
+
+
+def _overlap_maxima(ell: int, levels, counts, slopes, theta: float,
+                    widen: float = 0.0) -> float:
+    """max over reference branches of the 1/E-weighted count of branches
+    whose cone overlaps the reference cone (self-term included).
+
+    ``levels``, ``counts`` and ``slopes`` form a slope profile (see
+    ``_slope_profile``).  One pass per target level n2 counts, for every
+    reference at once, the level-n2 slopes within the pair threshold
+    theta*(ell^-n1 + ell^-n2); the counts are summed in exact integer weight
+    units and divided once."""
     if not levels:
         return 0.0
-    ell = float(table.ell)
-    sorted_slopes = {n: np.sort(table.slopes[n]) for n in levels}
-    best = 0.0
-    for n1 in levels:
-        w = sorted_slopes[n1]
-        sums = np.zeros(len(w))
-        for n2 in levels:
-            thr = theta * (ell ** -n1 + ell ** -n2) + widen
-            a = sorted_slopes[n2]
-            hi = np.searchsorted(a, w + thr, side="right")
-            lo = np.searchsorted(a, w - thr, side="left")
-            sums += (hi - lo) * ell ** -n2
-        best = max(best, float(sums.max()))
-    return best
+    units, denom = _weight_units(ell, levels)
+    el = float(ell)
+    ends = np.cumsum(counts).tolist()
+    sums = np.zeros(len(slopes), dtype=np.int64)
+    for n2, end, count, unit in zip(levels, ends, counts, units):
+        a = slopes[end - count:end]
+        thr = np.repeat([theta * (el ** -n1 + el ** -n2) + widen for n1 in levels], counts)
+        hits = (np.searchsorted(a, slopes + thr, side="right")
+                - np.searchsorted(a, slopes - thr, side="left"))
+        sums += hits * unit
+    return int(sums.max()) / denom
 
 
 def m_sum_at(f: TrigPolynomial, z: FlowPoint, t: float, theta_f: float,
@@ -86,17 +115,44 @@ def m_sum_at(f: TrigPolynomial, z: FlowPoint, t: float, theta_f: float,
     per-reference sums reduce to sorted range counts.
     """
     table = branch_table(f, z, t, cap=cap)
-    return _overlap_maxima(table, theta_f, widen)
+    return _overlap_maxima(table.ell, *_slope_profile(table), theta_f, widen)
 
 
-def _fiber_grid(f: TrigPolynomial, nx: int, ns: int):
-    """Grid of target points: nx base points, ns flow coordinates scaled per
-    fiber, always including the base section s = 0."""
-    xs = np.arange(nx) / nx
-    for x in xs:
-        height = f(float(x))
-        for j in range(ns):
-            yield FlowPoint(float(x), j * height / ns)
+def line_mass(f: TrigPolynomial, z: FlowPoint, t: float, sigma: float,
+              aperture: float, cap: int = DEFAULT_BRANCH_CAP) -> float:
+    """Weight 1/E of the branches whose cone of half-width
+    aperture*ell^(-n) contains the direction of slope sigma."""
+    table = branch_table(f, z, t, cap=cap)
+    if not table.levels:
+        return 0.0
+    units, denom = _weight_units(table.ell, table.levels)
+    ell = float(table.ell)
+    total = 0
+    for n, unit in zip(table.levels, units):
+        w = aperture * ell ** -n
+        total += unit * int(np.count_nonzero(np.abs(table.slopes[n] - sigma) <= w))
+    return total / denom
+
+
+def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
+    """Exact maximum over all direction slopes of the stabbed branch weight.
+
+    Standard interval-stabbing sweep: weights enter at interval left ends
+    and leave at right ends; starts are processed before ends at equal
+    coordinates so closed intervals touch.  The slope profile lists each
+    level's slopes in ascending order, so the event list is a few sorted
+    runs, and the running weight is an exact integer count of weight units."""
+    if not levels:
+        return 0.0
+    units, denom = _weight_units(ell, levels)
+    el = float(ell)
+    half = np.repeat([aperture * el ** -n for n in levels], counts)
+    wt = np.repeat(np.array(units, dtype=np.int64), counts)
+    # a stable sort keeps every start (the first half) ahead of an end at
+    # the same coordinate
+    order = np.argsort(np.concatenate([slopes - half, slopes + half]), kind="stable")
+    running = np.cumsum(np.concatenate([wt, -wt])[order])
+    return int(running.max()) / denom
 
 
 def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True,
@@ -105,80 +161,13 @@ def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True
     """Grid maximum of ``m_sum_at`` over target points in the flow domain.
 
     m_value is the plain grid maximum (a lower bound); when ``certified``,
-    m_upper repeats the scan with every overlap test widened by
+    m_upper repeats the overlap test with every threshold widened by
     2*theta_K*h (h the base-grid spacing), exploiting that branch slopes are
-    theta_K-Lipschitz in the target point.
+    theta_K-Lipschitz in the target point.  The single-t case of
+    ``grid_estimates``.
     """
-    if nx < 1 or ns < 1:
-        raise InvalidArgument("grid sizes must be >= 1")
-    if cls is None:
-        cls = classify(f, gamma0)
-    h = 1.0 / nx
-    widen = 2.0 * cls.theta_K * h
-    m_value = 0.0
-    m_upper = 0.0
-    argmax = (0.0, 0.0)
-    for z in _fiber_grid(f, nx, ns):
-        table = branch_table(f, z, t, cap=cap)
-        v = _overlap_maxima(table, cls.theta_f, 0.0)
-        if v > m_value:
-            m_value = v
-            argmax = (z.x, z.s)
-        if certified:
-            m_upper = max(m_upper, _overlap_maxima(table, cls.theta_f, widen))
-    if certified:
-        # the branch-sum identity caps the true maximum at 1, so the widened
-        # value can be clamped without losing the upper-bound property
-        m_upper = min(m_upper, 1.0)
-    else:
-        m_upper = m_value
-    return TransversalityEstimate(
-        t=float(t), m_value=m_value, m_upper=m_upper,
-        grid=(nx, ns, 0), slack=(widen if certified else 0.0),
-        argmax_x=argmax[0], argmax_s=argmax[1],
-        argmax_on_section=(argmax[1] == 0.0),
-        ceiling_key=f.key(),
-    )
-
-
-def line_mass(f: TrigPolynomial, z: FlowPoint, t: float, sigma: float,
-              aperture: float, cap: int = DEFAULT_BRANCH_CAP) -> float:
-    """Weight 1/E of the branches whose cone of half-width
-    aperture*ell^(-n) contains the direction of slope sigma."""
-    table = branch_table(f, z, t, cap=cap)
-    total = 0.0
-    ell = float(table.ell)
-    for n in table.levels:
-        w = aperture * ell ** -n
-        total += ell ** -n * int(np.count_nonzero(np.abs(table.slopes[n] - sigma) <= w))
-    return total
-
-
-def _sweep_max(table, aperture: float) -> float:
-    """Exact maximum over all direction slopes of the stabbed branch weight.
-
-    Standard interval-stabbing sweep: weights enter at interval left ends
-    and leave at right ends; starts are processed before ends at equal
-    coordinates so closed intervals touch."""
-    ell = float(table.ell)
-    los, his, wts = [], [], []
-    for n in table.levels:
-        w = aperture * ell ** -n
-        sl = table.slopes[n]
-        los.append(sl - w)
-        his.append(sl + w)
-        wts.append(np.full(len(sl), ell ** -n))
-    if not los:
-        return 0.0
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
-    wt = np.concatenate(wts)
-    coords = np.concatenate([lo, hi])
-    kinds = np.concatenate([np.zeros(len(lo), dtype=int), np.ones(len(hi), dtype=int)])
-    deltas = np.concatenate([wt, -wt])
-    order = np.lexsort((kinds, coords))
-    running = np.cumsum(deltas[order])
-    return float(running.max())
+    return _grid_pass(f, [t], nx, ns, cls, gamma0, certified, with_m=True, with_n=False,
+                      cap=cap)[0][0]
 
 
 def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, nL: int = 16,
@@ -190,17 +179,92 @@ def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, nL: int = 16,
     The per-point maximum over slopes is computed exactly by an interval
     sweep, which coincides with evaluating at every cone center and
     boundary; nL only controls extra recorded candidates and can never
-    change the result (max monotonicity).
+    change the result (max monotonicity).  The single-t case of
+    ``grid_estimates``.
     """
     if nL < 8:
         raise InvalidArgument(f"nL must be >= 8, got {nL}")
+    return _grid_pass(f, [t], nx, ns, cls, gamma0, False, with_m=False, with_n=True,
+                      cap=cap)[0][1]
+
+
+def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, certified: bool = True,
+                   cls: CeilingClass | None = None, gamma0: float = 0.9, workers: int = 1,
+                   cap: int = DEFAULT_BRANCH_CAP) -> list:
+    """``(TransversalityEstimate, n_value)`` for every t of ``t_values``, in
+    their order: what ``m_of_t`` and ``n_of_t`` give for that t, from one
+    grid pass that scans each fiber column once, for all (s, t) pairs.
+
+    The columns are split into contiguous chunks mapped over ``workers``
+    processes; chunks are reduced in column order, so the results and the
+    argmax tie-breaking do not depend on the worker count.
+    """
+    return _grid_pass(f, t_values, nx, ns, cls, gamma0, certified, with_m=True, with_n=True,
+                      workers=workers, cap=cap)
+
+
+def _grid_pass(f, t_values, nx, ns, cls, gamma0, certified, with_m, with_n, workers=1,
+               cap=DEFAULT_BRANCH_CAP) -> list:
+    """[(TransversalityEstimate, n_value)] per t; the parts not asked for
+    (``with_m``, ``with_n``) stay at 0."""
+    if nx < 1 or ns < 1:
+        raise InvalidArgument("grid sizes must be >= 1")
     if cls is None:
         cls = classify(f, gamma0)
+    ts = [float(t) for t in t_values]
+    if not ts:
+        return []
+    widen = 2.0 * cls.theta_K * (1.0 / nx) if certified else None
+    task = functools.partial(_column_maxima, f, ts, nx, ns, cls, widen, with_m, with_n, cap)
+    chunks = min(max(1, workers), nx)
+    parts = pmap(task, [range(i * nx // chunks, (i + 1) * nx // chunks)
+                        for i in range(chunks)], chunks)
+    best = parts[0]
+    for part in parts[1:]:
+        for b, p in zip(best, part):
+            _absorb(b, *p)
+    out = []
+    for t, (m_value, x, s, m_upper, n_value) in zip(ts, best):
+        # the branch-sum identity caps the true maximum at 1, so the widened
+        # value can be clamped without losing the upper-bound property
+        m_upper = min(m_upper, 1.0) if certified else m_value
+        est = TransversalityEstimate(
+            t=t, m_value=m_value, m_upper=m_upper, grid=(nx, ns, 0),
+            slack=(widen if certified else 0.0), argmax_x=x, argmax_s=s,
+            argmax_on_section=(s == 0.0), ceiling_key=f.key())
+        out.append((est, n_value))
+    return out
+
+
+def _absorb(best: list, m_value, x, s, m_upper, n_value) -> None:
+    """Fold one later grid point (or chunk) into a running maximum; the
+    strict > keeps the first argmax in column order."""
+    if m_value > best[0]:
+        best[0], best[1], best[2] = m_value, x, s
+    best[3] = max(best[3], m_upper)
+    best[4] = max(best[4], n_value)
+
+
+def _column_maxima(f, ts, nx, ns, cls, widen, with_m, with_n, cap, columns) -> list:
+    """Per t, [m_value, argmax x, argmax s, widened m, n_value] over the grid
+    points of the given columns: x = i/nx and ns flow coordinates scaled
+    to the fiber, always including the base section s = 0."""
     aperture = 2.0 * cls.theta_f
-    best = 0.0
-    for z in _fiber_grid(f, nx, ns):
-        table = branch_table(f, z, t, cap=cap)
-        best = max(best, _sweep_max(table, aperture))
+    best = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ts]
+    for i in columns:
+        x = i / nx
+        height = f(x)
+        s_values = [j * height / ns for j in range(ns)]
+        scan = column_scan(f, x, s_values, ts, cap=cap)
+        for s in s_values:
+            for b, t in zip(best, ts):
+                profile = scan.slope_profile(s, t)
+                m_value = (_overlap_maxima(scan.ell, *profile, cls.theta_f)
+                           if with_m else 0.0)
+                m_upper = (_overlap_maxima(scan.ell, *profile, cls.theta_f, widen)
+                           if widen is not None else 0.0)
+                n_value = _sweep_max(scan.ell, *profile, aperture) if with_n else 0.0
+                _absorb(b, m_value, x, s, m_upper, n_value)
     return best
 
 

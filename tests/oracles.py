@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's computational paths:
 branches are enumerated by flat integer indexing with forward orbit sums,
 pair sums are full quadratic scans, the flow is simulated crossing by
-crossing, and extrema come from dense grids.
+crossing, and extrema come from dense grids.  ``per_point_grid`` is the one
+exception: it keeps the per-point loop that the shared column scan replaced
+(one branch table per grid point, read by the library's per-table passes),
+so the grid pass's sharing and reduction can be pinned exactly.
 """
 
 from __future__ import annotations
@@ -158,3 +161,28 @@ def window_cluster_scan(slopes, window):
     for v in svals:
         best = max(best, int(np.count_nonzero((svals >= v) & (svals <= v + window))))
     return best
+
+
+def per_point_grid(f, t, nx, ns, cls, certified):
+    """Transversality grid maxima with one ``branch_table`` per grid point,
+    visited column by column: (m_value, m_upper, n_value, argmax x,
+    argmax s), the first strict maximum winning ties."""
+    from semiflow import FlowPoint, branch_table
+    from semiflow.transversality import _overlap_maxima, _slope_profile, _sweep_max
+
+    widen = 2.0 * cls.theta_K * (1.0 / nx)
+    m_value = m_upper = n_value = 0.0
+    argmax = (0.0, 0.0)
+    for x in (np.arange(nx) / nx).tolist():
+        height = f(x)
+        for j in range(ns):
+            z = FlowPoint(x, j * height / ns)
+            table = branch_table(f, z, t)
+            profile = _slope_profile(table)
+            v = _overlap_maxima(table.ell, *profile, cls.theta_f)
+            if v > m_value:
+                m_value, argmax = v, (z.x, z.s)
+            m_upper = max(m_upper, _overlap_maxima(table.ell, *profile, cls.theta_f, widen))
+            n_value = max(n_value, _sweep_max(table.ell, *profile, 2.0 * cls.theta_f))
+    m_upper = min(m_upper, 1.0) if certified else m_value
+    return m_value, m_upper, n_value, argmax[0], argmax[1]

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -160,6 +161,21 @@ def test_determinism_across_worker_counts():
     assert one == two
 
 
+@pytest.mark.parametrize("harmonics", [[], [[1, 0.0, 0.2]]])
+def test_transversality_bytes_independent_of_worker_count(harmonics):
+    # nx = 9 columns split into chunks of 4 and 5; on the constant ceiling
+    # every grid point ties and the argmax must stay at the first one
+    base = _config(ceiling={"ell": 2, "mean": 1.0, "harmonics": harmonics},
+                   experiment="transversality",
+                   params={"t_values": [2.0, 3.5, 5.0], "nx": 9, "ns": 8, "nL": 8})
+    one = emit(run(parse_config(json.dumps(dict(base, workers=1)))), "json")
+    two = emit(run(parse_config(json.dumps(dict(base, workers=2)))), "json")
+    assert one == two
+    if not harmonics:
+        for rec in json.loads(one)["payload"]["records"]:
+            assert rec["argmax"] == {"x": 0.0, "s": 0.0, "on_section": True}
+
+
 def test_caveat_strings_appear_verbatim():
     spec_cfg = _config(experiment="spectrum",
                        params={"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 32,
@@ -196,6 +212,26 @@ def test_cli_main_resource_limit_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "t_limit" in captured.out
+
+
+def test_cli_main_resource_limit_names_largest_t(monkeypatch, capsys):
+    from semiflow import transversality
+    monkeypatch.setattr(transversality, "grid_estimates",
+                        functools.partial(transversality.grid_estimates, cap=2 ** 12))
+    assert main(["transversality", "--set", "params.t_values=[3.0,40.0,5.0]"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "resource-limit" and doc["cap"] == 2 ** 12
+    assert "t_limit" in doc and "at t=40.0 " in doc["message"]
+
+
+def test_cli_main_word_length_limit_exit_code(capsys):
+    # f(0) = 0.05: the branches at x = 0, t = 3.5 need words longer than an
+    # int64 index can hold; that ends in exit 2, not a traceback
+    argv = ["branches", "--set", 'ceiling={"ell": 2, "mean": 1.0, "harmonics": [[1, -0.95, 0.0]]}',
+            "--set", "params.x=0.0", "--set", "params.t=3.5"]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "resource-limit" and doc["max_length"] == 62
 
 
 def test_cli_main_validation_exit_code(tmp_path, capsys):

@@ -7,7 +7,7 @@ from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit
                       TrigPolynomial, Word, advance_through, birkhoff,
                       branch_point, branch_table, classify, flow_count,
                       inverse_branches, time_t_map, word_interval)
-from semiflow.dynamics import Cone
+from semiflow.dynamics import Cone, column_scan
 
 from conftest import random_positive_ceiling
 from oracles import crossing_simulation, enumerate_branches
@@ -262,6 +262,34 @@ def test_branch_table_matches_flat_enumeration_oracle(f_generic):
         assert table.weight_sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
+    # every (s, t) table of one shared column scan is the single-pair table
+    # bit for bit, at s = 0, just under the roof and at t == s (the level-0
+    # branch); the slope profile is the same table's slopes sorted per level
+    rng = np.random.default_rng(11)
+    gen3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
+    for f in [f_sin, f_generic, gen3] + [random_positive_ceiling(rng) for _ in range(3)]:
+        for x in (0.0, 0.37, float(rng.random())):
+            height = f(x)
+            s_values = [0.0, 0.4 * height, float(np.nextafter(height, 0.0))]
+            t_values = [1.5, 3.0, 4.5] + s_values
+            scan = column_scan(f, x, s_values, t_values)
+            for s in s_values:
+                for t in t_values:
+                    got = scan.table(s, t)
+                    want = branch_table(f, FlowPoint(x, s), t)
+                    assert got.levels == want.levels
+                    for name in ("indices", "points", "s_values", "slopes"):
+                        for n in want.levels:
+                            a, b = getattr(got, name)[n], getattr(want, name)[n]
+                            assert a.dtype == b.dtype and np.array_equal(a, b)
+                    levels, counts, slopes = scan.slope_profile(s, t)
+                    assert levels == want.levels
+                    assert counts == [len(want.slopes[n]) for n in want.levels]
+                    assert np.array_equal(slopes, np.concatenate(
+                        [np.sort(want.slopes[n]) for n in want.levels] or [np.zeros(0)]))
+
+
 def test_inverse_branches_carry_table_values(f_sin):
     z, t = FlowPoint(0.3, 0.1), 7.0
     cols = _table_columns(branch_table(f_sin, z, t))
@@ -323,6 +351,16 @@ def test_branch_cap_raises(f_sin):
     assert "t_limit" in info.value.details
     with pytest.raises(ResourceLimit):
         branch_table(f_sin, FlowPoint(0.2, 0.0), 40.0, cap=2 ** 12)
+
+
+def test_branch_word_length_limit_raises():
+    # f(0) = 0.05, so the chain 11...1 at x = 0 is still open at level 63,
+    # whose word indices no longer fit in int64
+    f = TrigPolynomial(1.0, ((1, -0.95, 0.0),), 2)
+    with pytest.raises(ResourceLimit, match="64-bit word indices") as info:
+        branch_table(f, FlowPoint(0.0, 0.0), 3.5)
+    assert info.value.details["max_length"] == 62
+    assert "t_limit" in info.value.details
 
 
 def test_cone_intersection_rule():

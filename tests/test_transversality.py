@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      classify, exponent_fit, lambda_min, line_mass, m_of_t,
-                      m_sum_at, n_of_t)
-from semiflow.transversality import GRID_LOWER_BOUND_CAVEAT
+                      TrigPolynomial, branch_table, classify, exponent_fit, lambda_min, line_mass,
+                      m_of_t, m_sum_at, n_of_t, transversality)
+from semiflow.transversality import GRID_LOWER_BOUND_CAVEAT, grid_estimates
 
+from conftest import random_positive_ceiling
 from oracles import (enumerate_branches, line_scan_n, pair_scan_m,
-                     periodic_beta_max)
+                     per_point_grid, periodic_beta_max)
+
+GEN3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
 
 
 def test_m_sum_constant_is_one(f_const):
@@ -273,3 +276,55 @@ def test_n_value_never_exceeds_one(f_sin, f_generic):
     for f in (f_sin, f_generic):
         for t in (3.0, 5.0):
             assert n_of_t(f, t, 10, 6, 8) <= 1.0 + 1e-12
+
+
+def test_grid_pass_equals_per_point_oracle(f_const, f_sin, f_generic):
+    # one shared scan per column gives exactly the per-point maxima and the
+    # first argmax, for every t of the list; m_of_t and n_of_t agree too
+    rng = np.random.default_rng(5)
+    t_values = [2.0, 3.5, 5.0]
+    for f in (f_const, f_sin, f_generic, GEN3, random_positive_ceiling(rng)):
+        cls = classify(f, 0.9)
+        for certified in (True, False):
+            got = grid_estimates(f, t_values, 5, 3, certified=certified, cls=cls)
+            for t, (est, n_value) in zip(t_values, got):
+                want = per_point_grid(f, t, 5, 3, cls, certified)
+                assert (est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s) == want
+                single = m_of_t(f, t, 5, 3, certified=certified, cls=cls)
+                assert (single.m_value, single.m_upper, single.argmax_x, single.argmax_s) == \
+                    want[:2] + want[3:]
+                assert n_of_t(f, t, 5, 3, 8, cls=cls) == want[2]
+
+
+def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
+    # each column is scanned once, at the largest t, before any of its
+    # tables: an over-cap t stops the pass at the first column's scan
+    scanned, tables = [], []
+    scan = transversality.column_scan
+    monkeypatch.setattr(transversality, "column_scan",
+                        lambda f, x, *args, **kw: scanned.append(x) or scan(f, x, *args, **kw))
+    monkeypatch.setattr(transversality, "_absorb", lambda *args: tables.append(args))
+    with pytest.raises(ResourceLimit, match=r"at t=40\.0 ") as info:
+        grid_estimates(f_sin, [3.0, 40.0, 5.0], 8, 8, cap=2 ** 12)
+    assert scanned == [0.0] and tables == []
+    assert info.value.details["cap"] == 2 ** 12
+    assert "t_limit" in info.value.details
+
+
+def test_n_value_exact_for_base_three():
+    # weights 3^-n summed in floating point gave n = 1.0000000000000002 here
+    assert n_of_t(GEN3, 3.0, 16, 8, 8) == 1.0
+    assert m_of_t(GEN3, 4.0, 16, 8, certified=False).m_value == 17 / 27
+
+
+def test_weight_sums_exact_over_sixty_levels():
+    # branches on levels 3..60: every cone overlaps, so each sum is the whole
+    # branch weight, 1 exactly, counted in units of 2^-60 within int64
+    f = TrigPolynomial(1.0, ((1, -0.95, 0.0),), 2)
+    z = FlowPoint(0.0, 0.0)
+    table = branch_table(f, z, 3.0)
+    assert max(table.levels) == 60
+    assert m_sum_at(f, z, 3.0, 1e9) == 1.0
+    assert line_mass(f, z, 3.0, 0.0, 1e9) == 1.0
+    profile = transversality._slope_profile(table)
+    assert transversality._sweep_max(table.ell, *profile, 1e9) == 1.0
