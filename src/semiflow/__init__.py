@@ -19,8 +19,8 @@ from .mixing import (CoboundaryReport, Verdict, cobounding_potential,
                      cocycle_residual, eigenfunction_check, unstable_slope,
                      weak_mixing_test)
 from .transversality import (LambdaMinEstimate, TransversalityEstimate,
-                             exponent_fit, grid_estimates, lambda_min, line_mass,
-                             m_of_t, m_sum_at, n_of_t)
+                             exponent_fit, lambda_min, line_mass, m_of_t,
+                             m_sum_at, n_of_t)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -251,18 +251,20 @@ class _BranchTable:
 
     Columns (parallel arrays): level n, word index k (little-endian), the
     preimage base point y, the flow coordinate s', and the slope.  Grouped
-    by level; within a level the word index enumerates the branch.
+    by level; within a level the word index enumerates the branch.  ``scan``
+    is the column scan the table was masked from.
     """
 
-    __slots__ = ("levels", "indices", "points", "s_values", "slopes", "ell")
+    __slots__ = ("levels", "indices", "points", "s_values", "slopes", "ell", "scan")
 
-    def __init__(self, levels, indices, points, s_values, slopes, ell):
+    def __init__(self, levels, indices, points, s_values, slopes, ell, scan):
         self.levels = levels
         self.indices = indices
         self.points = points
         self.s_values = s_values
         self.slopes = slopes
         self.ell = ell
+        self.scan = scan
 
     @property
     def count(self) -> int:
@@ -283,29 +285,26 @@ def _max_admissible_t(f: TrigPolynomial, s: float, cap: int) -> float:
 
 class _ColumnScan:
     """Every word of one fiber column that some (s, t) pair of a grid can take
-    as a branch, from one pruned level scan (see ``column_scan``).
+    as a branch, from one pruned level scan (see ``_column_scan``).
 
     Flat arrays, one entry per kept word, grouped by level (``levels[i]``
     owns ``starts[i]:starts[i+1]``) and sorted by word index k within a
     level: k, the preimage y, the height f(y), the Birkhoff sum S, the
     parent's sum and the slope.  Level 0 is the empty word; its parent sum
-    is -inf, so its parent test always passes.  ``by_slope`` reorders the
-    words by slope within each level, and ``sorted_slopes`` is the slope
-    column in that order.
+    is -inf, so its parent test always passes.  The slope order within each
+    level, which only ``slope_profile`` reads, is sorted on its first call.
     """
 
     __slots__ = ("ell", "levels", "starts", "k", "y", "fy", "S", "S_parent", "slopes",
-                 "by_slope", "sorted_slopes")
+                 "_by_slope", "_sorted_slopes")
 
     def __init__(self, ell, levels, blocks):
         self.ell = ell
         self.levels = levels
-        sizes = [len(block[0]) for block in blocks]
-        self.starts = np.cumsum([0] + sizes)
+        self.starts = np.cumsum([0] + [len(block[0]) for block in blocks])
         self.k, self.y, self.fy, self.S, self.S_parent, self.slopes = (
             np.concatenate(column) for column in zip(*blocks))
-        self.by_slope = np.lexsort((self.slopes, np.repeat(np.arange(len(sizes)), sizes)))
-        self.sorted_slopes = self.slopes[self.by_slope]
+        self._by_slope = self._sorted_slopes = None
 
     def _valid(self, s: float, t: float):
         """The words that are time-t branches at (x, s): flow defect
@@ -327,21 +326,24 @@ class _ColumnScan:
                 points[n] = self.y[a:b][v]
                 s_values[n] = np.maximum(d[a:b][v], 0.0)
                 slopes[n] = self.slopes[a:b][v]
-        return _BranchTable(levels, indices, points, s_values, slopes, self.ell)
+        return _BranchTable(levels, indices, points, s_values, slopes, self.ell, self)
 
     def slope_profile(self, s: float, t: float) -> tuple:
         """(levels, branch count per level, slopes) of the table at (s, t):
         the slopes of each level in ascending order, levels concatenated."""
-        valid = self._valid(s, t)[0][self.by_slope]
+        if self._by_slope is None:
+            level_of = np.repeat(np.arange(len(self.levels)), np.diff(self.starts))
+            self._by_slope = np.lexsort((self.slopes, level_of))
+            self._sorted_slopes = self.slopes[self._by_slope]
+        valid = self._valid(s, t)[0][self._by_slope]
         counts = np.add.reduceat(valid, self.starts[:-1], dtype=np.int64).tolist()
         levels = [n for n, c in zip(self.levels, counts) if c]
-        return levels, [c for c in counts if c], self.sorted_slopes[valid]
+        return levels, [c for c in counts if c], self._sorted_slopes[valid]
 
 
-def column_scan(f: TrigPolynomial, x: float, s_values, t_values,
-                cap: int = DEFAULT_BRANCH_CAP) -> _ColumnScan:
+def _column_scan(f: TrigPolynomial, x: float, s_values, ts, cap: int) -> _ColumnScan:
     """One pruned level scan of the column over x, shared by every pair
-    (s, t) with s in ``s_values`` and t in ``t_values``.
+    (s, t) with s in ``s_values`` and t in ``ts``.
 
     A word's index, preimage, Birkhoff sum S and slope depend on x alone;
     s and t enter only through its flow defect d = s + S - t, which grows
@@ -355,9 +357,7 @@ def column_scan(f: TrigPolynomial, x: float, s_values, t_values,
     naming the largest t, when one level would hold more than ``cap``
     candidate words or words too long for an int64 index.
     """
-    ts = np.asarray(t_values, dtype=float).ravel()
-    if np.any(ts < 0):
-        raise InvalidArgument(f"t must be >= 0, got {t_values}")
+    ts = np.asarray(ts, dtype=float)
     s_lo, s_hi = float(min(s_values)), float(max(s_values))
     t_hi = float(ts.max())
     ell = f.ell
@@ -400,20 +400,29 @@ def column_scan(f: TrigPolynomial, x: float, s_values, t_values,
 
 
 def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
-                 cap: int = DEFAULT_BRANCH_CAP) -> _BranchTable:
-    """Every time-t inverse branch at z: the single-pair case of
-    ``column_scan``.
+                 cap: int = DEFAULT_BRANCH_CAP, *, s_values=(), t_values=()) -> _BranchTable:
+    """Every time-t inverse branch at z.
 
     A word is a branch iff its flow defect d = s + S_n - t lies in [0, f(y))
-    and its parent's defect is still negative.  Raises DomainViolation when
-    z lies outside the region under the ceiling, and ResourceLimit when one
-    level would hold more than ``cap`` candidate words or words too long for
-    an int64 index.
+    and its parent's defect is still negative.  The table is a mask over one
+    pruned level scan of z's fiber column, kept as ``table.scan``.  By
+    default the scan serves (z.s, t) alone; ``s_values`` and ``t_values``
+    add flow coordinates and times of the same column, and then
+    ``table.scan.table(s, t)`` and ``table.scan.slope_profile(s, t)`` give
+    the table of every pair (s, t) of the grid without a second scan, bit
+    for bit as a scan at that pair alone.  Raises DomainViolation when z or
+    an added s lies outside the region under the ceiling, and ResourceLimit,
+    naming the largest t, when one level would hold more than ``cap``
+    candidate words or words too long for an int64 index.
     """
-    if t < 0:
-        raise InvalidArgument(f"t must be >= 0, got {t}")
-    validate_point(f, z)
-    return column_scan(f, z.x, [z.s], [t], cap=cap).table(z.s, t)
+    ts = [float(t), *map(float, t_values)]
+    if min(ts) < 0:
+        raise InvalidArgument(f"t must be >= 0, got {min(ts)}")
+    height = validate_point(f, z)
+    for s in s_values:
+        if not 0.0 <= s < height + ROOF_TOL:
+            raise DomainViolation(f"point (x={z.x}, s={s}) is outside the region under the ceiling")
+    return _column_scan(f, z.x, [z.s, *s_values], ts, cap).table(z.s, t)
 
 
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float, theta: float,

@@ -17,9 +17,9 @@ candidate-slope list (cone centers, boundaries, and nL extra samples) a
 guaranteed superset of the argmax.
 
 Grid maxima come from one pass (``grid_estimates``; ``m_of_t`` and
-``n_of_t`` are views over it): each fiber column is scanned once by
-``dynamics.column_scan`` for every (s, t) of the run, and each grid point's
-table is a mask over that scan.  Branch weights ell^-n are summed as exact
+``n_of_t`` are views over it): each fiber column is scanned once, by one
+``branch_table`` call that serves every (s, t) of the run, and each grid
+point's table is a mask over that scan.  Branch weights ell^-n are summed as exact
 integer multiples of ell^-n_max and divided once, so m and n are correctly
 rounded and the identity n <= 1 holds in floating point too.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import CeilingClass, TrigPolynomial, classify
-from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, advance, branch_table, column_scan
+from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, advance, branch_table
 from .errors import InvalidArgument, ResourceLimit
 from .parallel import pmap
 
@@ -250,12 +250,16 @@ def _column_maxima(f, ts, nx, ns, cls, widen, with_m, with_n, cap, columns) -> l
     points of the given columns: x = i/nx and ns flow coordinates scaled
     to the fiber, always including the base section s = 0."""
     aperture = 2.0 * cls.theta_f
+    t_hi = max(ts)
     best = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ts]
     for i in columns:
         x = i / nx
         height = f(x)
         s_values = [j * height / ns for j in range(ns)]
-        scan = column_scan(f, x, s_values, ts, cap=cap)
+        # the table at the most permissive pair (s = 0, largest t), whose
+        # scan serves every (s, t) of the column
+        scan = branch_table(f, FlowPoint(x, 0.0), t_hi, cap=cap, s_values=s_values,
+                            t_values=ts).scan
         for s in s_values:
             for b, t in zip(best, ts):
                 profile = scan.slope_profile(s, t)

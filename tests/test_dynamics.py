@@ -7,7 +7,7 @@ from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit
                       TrigPolynomial, Word, advance_through, birkhoff,
                       branch_point, branch_table, classify, flow_count,
                       inverse_branches, time_t_map, word_interval)
-from semiflow.dynamics import Cone, column_scan
+from semiflow.dynamics import Cone
 
 from conftest import random_positive_ceiling
 from oracles import crossing_simulation, enumerate_branches
@@ -263,9 +263,10 @@ def test_branch_table_matches_flat_enumeration_oracle(f_generic):
 
 
 def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
-    # every (s, t) table of one shared column scan is the single-pair table
-    # bit for bit, at s = 0, just under the roof and at t == s (the level-0
-    # branch); the slope profile is the same table's slopes sorted per level
+    # every (s, t) table of one scan shared by a grid is the single-pair
+    # table bit for bit, at s = 0, just under the roof and at t == s (the
+    # level-0 branch); the slope profile is the same table's slopes sorted
+    # per level
     rng = np.random.default_rng(11)
     gen3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
     for f in [f_sin, f_generic, gen3] + [random_positive_ceiling(rng) for _ in range(3)]:
@@ -273,7 +274,8 @@ def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
             height = f(x)
             s_values = [0.0, 0.4 * height, float(np.nextafter(height, 0.0))]
             t_values = [1.5, 3.0, 4.5] + s_values
-            scan = column_scan(f, x, s_values, t_values)
+            scan = branch_table(f, FlowPoint(x, 0.0), 4.5, s_values=s_values,
+                                t_values=t_values).scan
             for s in s_values:
                 for t in t_values:
                     got = scan.table(s, t)
@@ -288,6 +290,18 @@ def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
                     assert counts == [len(want.slopes[n]) for n in want.levels]
                     assert np.array_equal(slopes, np.concatenate(
                         [np.sort(want.slopes[n]) for n in want.levels] or [np.zeros(0)]))
+
+
+def test_branch_table_grid_pairs_validated(f_sin):
+    # the added flow coordinates must lie under the roof of z's column, and
+    # the added times must be >= 0, as for z and t themselves
+    z = FlowPoint(0.3, 0.0)
+    with pytest.raises(DomainViolation):
+        branch_table(f_sin, z, 3.0, s_values=[0.5, f_sin(0.3) + 0.1])
+    with pytest.raises(InvalidArgument):
+        branch_table(f_sin, z, 3.0, t_values=[2.0, -1.0])
+    single = branch_table(f_sin, z, 3.0)
+    assert single.scan.table(0.0, 3.0).levels == single.levels
 
 
 def test_inverse_branches_carry_table_values(f_sin):

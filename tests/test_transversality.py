@@ -300,9 +300,9 @@ def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
     # each column is scanned once, at the largest t, before any of its
     # tables: an over-cap t stops the pass at the first column's scan
     scanned, tables = [], []
-    scan = transversality.column_scan
-    monkeypatch.setattr(transversality, "column_scan",
-                        lambda f, x, *args, **kw: scanned.append(x) or scan(f, x, *args, **kw))
+    scan = transversality.branch_table
+    monkeypatch.setattr(transversality, "branch_table",
+                        lambda f, z, *args, **kw: scanned.append(z.x) or scan(f, z, *args, **kw))
     monkeypatch.setattr(transversality, "_absorb", lambda *args: tables.append(args))
     with pytest.raises(ResourceLimit, match=r"at t=40\.0 ") as info:
         grid_estimates(f_sin, [3.0, 40.0, 5.0], 8, 8, cap=2 ** 12)
