@@ -285,36 +285,47 @@ def _top_band(grid: GridFunction2D) -> int:
     return max(1, math.ceil(math.log2(xi_max))) + 1
 
 
-def partition_defect(theta: Polarization, grid: GridFunction2D) -> float:
-    """max over grid frequencies of |sum of all masks - 1|."""
+def mask_bank(theta: Polarization, grid: GridFunction2D) -> tuple:
+    """Every mask psi_{n,sigma} on the grid's frequency lattice, as
+    ((n, sigma), mask) pairs: n ascending, '+' before '-'.
+
+    The norms, the partition defect and the paired inner products all read
+    the same masks, so a caller evaluating many functions on one grid builds
+    the bank once and passes it as ``bank=``; a bank holds only for the
+    polarization and the grid size it was built for.
+    """
     xi1, xi2 = grid.freqs()
-    total = np.zeros_like(xi1)
-    for n in range(_top_band(grid) + 1):
-        for sigma in ("+", "-"):
-            total += _mask_values(theta, n, sigma, xi1, xi2)
+    return tuple(((n, sigma), _mask_values(theta, n, sigma, xi1, xi2))
+                 for n in range(_top_band(grid) + 1) for sigma in ("+", "-"))
+
+
+def partition_defect(theta: Polarization, grid: GridFunction2D, bank=None) -> float:
+    """max over grid frequencies of |sum of all masks - 1|."""
+    if bank is None:
+        bank = mask_bank(theta, grid)
+    total = np.zeros((grid.N, grid.N))
+    for _, m in bank:
+        total += m
     return float(np.max(np.abs(total - 1.0)))
 
 
-def band_norms(u: GridFunction2D, theta: Polarization) -> dict:
+def band_norms(u: GridFunction2D, theta: Polarization, bank=None) -> dict:
     """Squared L2 norms of every masked dyadic piece of u, keyed (n, sigma)."""
     if u.domain != "space":
         raise InvalidArgument("band_norms expects a space-side grid function")
+    if bank is None:
+        bank = mask_bank(theta, u)
     F = u.fft()
-    xi1, xi2 = u.freqs()
     scale = (u.spacing ** 2) / (u.N ** 2)  # discrete Parseval factor
-    out = {}
-    for n in range(_top_band(u) + 1):
-        for sigma in ("+", "-"):
-            m = _mask_values(theta, n, sigma, xi1, xi2)
-            out[(n, sigma)] = float(np.sum(np.abs(m * F) ** 2)) * scale
-    return out
+    return {key: float(np.sum(np.abs(m * F) ** 2)) * scale for key, m in bank}
 
 
-def aniso_norm(u: GridFunction2D, theta: Polarization, params: NormParams) -> float:
+def aniso_norm(u: GridFunction2D, theta: Polarization, params: NormParams,
+               bank=None) -> float:
     """The anisotropic norm of u for the given polarization and weights."""
     if not _support_ok(u):
         raise DomainViolation("function is not supported in the designated rectangle")
-    pieces = band_norms(u, theta)
+    pieces = band_norms(u, theta, bank=bank)
     total = 0.0
     for (n, sigma), sq in pieces.items():
         w = 2.0 ** (2.0 * params.p * n) if sigma == "+" else 2.0 ** (2.0 * params.q * n)
@@ -322,13 +333,13 @@ def aniso_norm(u: GridFunction2D, theta: Polarization, params: NormParams) -> fl
     return math.sqrt(total)
 
 
-def embedding_check(u: GridFunction2D, theta: Polarization) -> float:
+def embedding_check(u: GridFunction2D, theta: Polarization, bank=None) -> float:
     """Ratio of the plain L2 norm to the strong anisotropic norm; bounded by
     sqrt(6), the intersection multiplicity of the mask supports."""
     l2 = u.l2_norm()
     if l2 == 0.0:
         raise InvalidArgument("embedding_check needs a nonzero function")
-    return l2 / aniso_norm(u, theta, NormParams.strong())
+    return l2 / aniso_norm(u, theta, NormParams.strong(), bank=bank)
 
 
 def cone_filter(u: GridFunction2D, cone: ConeSpec) -> GridFunction2D:
@@ -346,15 +357,17 @@ def cone_filter(u: GridFunction2D, cone: ConeSpec) -> GridFunction2D:
 
 
 def paired_band_inner(u: GridFunction2D, v: GridFunction2D,
-                      theta_hat: Polarization) -> float:
+                      theta_hat: Polarization, bank=None) -> float:
     """max over n of |(psi_{n,-}(D)u, psi_{n,-}(D)v)_{L2}|, frequency-side."""
+    if bank is None:
+        bank = mask_bank(theta_hat, u)
     Fu = u.fft()
     Fv = v.fft()
-    xi1, xi2 = u.freqs()
     scale = (u.spacing ** 2) / (u.N ** 2)
     best = 0.0
-    for n in range(_top_band(u) + 1):
-        m = _mask_values(theta_hat, n, "-", xi1, xi2)
+    for (_, sigma), m in bank:
+        if sigma != "-":
+            continue
         inner = np.sum(m * Fu * np.conj(m * Fv)) * scale
         best = max(best, float(abs(inner)))
     return best

@@ -199,21 +199,42 @@ def _validate_params(exp: str, p: dict) -> list:
                 problems.append(f"bad {name}: {exc}")
     elif exp == "norms":
         g = p["grid_n"]
-        need(isinstance(g, int) and g >= 32 and g & (g - 1) == 0,
+        need(_is_int(g) and g >= 32 and g & (g - 1) == 0,
              "grid_n must be a power of two >= 32")
-        need(p["num_functions"] >= 1, "num_functions must be >= 1")
+        need(_is_int(p["num_functions"]) and p["num_functions"] >= 1,
+             "num_functions must be an integer >= 1")
+        need(_is_number(p["slope_margin"]), "slope_margin must be a finite number")
     elif exp == "genericity":
-        need(all(isinstance(n, int) and 1 <= n <= 20 for n in p["cluster_n_values"]),
-             "cluster_n_values must be integers in 1..20")
-        need(isinstance(p["cluster_word"], list) and p["cluster_word"],
-             "cluster_word must be a nonempty list of letters")
-        need(p["window_factor"] > 0, "window_factor must be positive")
-        need(p["probe_samples"] >= 1, "probe_samples must be >= 1")
+        ns = p["cluster_n_values"]
+        need(isinstance(ns, list) and all(_is_int(n) and 1 <= n <= 20 for n in ns),
+             "cluster_n_values must be a list of integers in 1..20")
+        word = p["cluster_word"]
+        need(isinstance(word, list) and word and all(_is_int(a) for a in word),
+             "cluster_word must be a nonempty list of integer letters")
+        need(_is_number(p["window_factor"]) and p["window_factor"] > 0,
+             "window_factor must be a positive number")
+        need(isinstance(p["probe"], bool), "probe must be true or false")
+        ns = p["probe_n_values"]
+        need(isinstance(ns, list) and all(_is_int(n) and n >= 1 for n in ns),
+             "probe_n_values must be a list of integers >= 1")
+        for key in ("probe_samples", "probe_combos"):
+            need(_is_int(p[key]) and p[key] >= 1, f"{key} must be an integer >= 1")
     elif exp == "branches":
         need(0 <= p["x"] < 1, "x must lie in [0, 1)")
         need(p["s"] >= 0, "s must be >= 0")
         need(p["t"] >= 0, "t must be >= 0")
     return problems
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite real number; refuses bools, strings, nan and ints too big
+    for a float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 def _observable_from_spec(spec: dict) -> spectral.Observable:
@@ -326,6 +347,7 @@ def _run_norms(cfg: ExperimentConfig):
     p = cfg.params
     theta = _default_polarization(p["slope_margin"])
     grid = aniso.make_grid(1.0, 1.0, p["grid_n"])
+    bank = aniso.mask_bank(theta, grid)
     rng = np.random.default_rng(cfg.seed)
     X, Y = grid.coords()
     envelope = smooth.plateau(X, 0.5, 0.95) * smooth.plateau(Y, 0.5, 0.95)
@@ -335,16 +357,16 @@ def _run_norms(cfg: ExperimentConfig):
         u = aniso.GridFunction2D(
             values=envelope * np.cos(2 * np.pi * (k1 * X + k2 * Y) + rng.random()),
             spacing=grid.spacing, rect=grid.rect)
-        strong = aniso.aniso_norm(u, theta, aniso.NormParams.strong())
-        weak = aniso.aniso_norm(u, theta, aniso.NormParams.weak())
+        strong = aniso.aniso_norm(u, theta, aniso.NormParams.strong(), bank=bank)
+        weak = aniso.aniso_norm(u, theta, aniso.NormParams.weak(), bank=bank)
         rows.append({
             "id": f"mode_{i}_({k1},{k2})",
             "strong_norm": strong, "weak_norm": weak,
-            "embedding_ratio": aniso.embedding_check(u, theta),
+            "embedding_ratio": aniso.embedding_check(u, theta, bank=bank),
             "weak_le_strong": bool(weak <= strong + 1e-12),
         })
     payload = {
-        "partition_defect": aniso.partition_defect(theta, grid),
+        "partition_defect": aniso.partition_defect(theta, grid, bank=bank),
         "functions": rows,
     }
     return payload, []
@@ -369,7 +391,7 @@ def _run_genericity(cfg: ExperimentConfig):
         family = _default_probe_family(f)
         for n in p["probe_n_values"]:
             res = genericity.bad_set_probe(family, n, p["probe_samples"], params,
-                                           cfg.seed, combos=p["probe_combos"])
+                                           cfg.seed, combos=p["probe_combos"], cls=cls)
             records.append({
                 "kind": "probe", "n": n, "fraction": res.fraction,
                 "ci_low": res.ci_low, "ci_high": res.ci_high,

@@ -149,13 +149,16 @@ def branch_point(a: Word, x):
     return y
 
 
-def _prefix_points(a: Word, x) -> list:
-    """Prefix points [a]_i(x) for i = 1..n."""
-    pts = []
-    y = x
-    for letter in a.letters:
-        y = (y + (letter - 1)) / a.ell
-        pts.append(y)
+def _prefix_points(words: list, x: float) -> np.ndarray:
+    """Prefix points [a]_i(x), i = 1..n, of equal-length words over one
+    alphabet: one row per word, by the recurrence of ``branch_point``."""
+    n = len(words[0])
+    letters = np.array([a.letters for a in words], dtype=np.int64).reshape(len(words), n)
+    pts = np.empty(letters.shape)
+    y = np.full(len(words), float(x))
+    for i in range(n):
+        y = (y + (letters[:, i] - 1)) / words[0].ell
+        pts[:, i] = y
     return pts
 
 
@@ -172,7 +175,7 @@ def birkhoff(f: TrigPolynomial, a: Word, x: float, order: int = 0) -> float:
     if a.ell != f.ell:
         raise InvalidArgument("word and ceiling use different ell")
     total = 0.0
-    for i, y in enumerate(_prefix_points(a, x), start=1):
+    for i, y in enumerate(_prefix_points([a], x)[0].tolist(), start=1):
         total += f.ell ** (-order * i) * f(y, order)
     return total
 

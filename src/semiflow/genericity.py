@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import CeilingClass, TrigPolynomial, classify
-from .dynamics import Word, birkhoff, word_interval
+from .dynamics import MAX_WORD_INDEX, Word, _prefix_points, word_interval
 from .errors import DomainViolation, InvalidArgument, ResourceLimit
 from .smooth import flat_bump, plateau
 
@@ -194,11 +194,19 @@ def default_params(ell: int, rho: float = 2.0, gamma: float | None = None,
 
 @dataclass(frozen=True)
 class SlopeClusterReport:
+    """The maximal cluster as sorted little-endian word indices; the words
+    themselves are built only when ``cluster_words`` is read."""
+
     n: int
     base_word: Word
     window: float
     max_cluster: int
-    cluster_words: tuple
+    members: tuple
+
+    @property
+    def cluster_words(self) -> tuple:
+        ell = self.base_word.ell
+        return tuple(Word.from_index(k, self.n, ell) for k in self.members)
 
 
 def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
@@ -222,6 +230,8 @@ def slope_clusters(f: TrigPolynomial, n: int, c: Word,
     if f.ell ** n > MAX_CLUSTER_WORDS:
         raise ResourceLimit(f"ell^n = {f.ell}^{n} exceeds the cluster cap {MAX_CLUSTER_WORDS}",
                             max_words=MAX_CLUSTER_WORDS)
+    if c.ell != f.ell:
+        raise InvalidArgument("base word and ceiling use different ell")
     if cls is None:
         cls = classify(f, gamma0)
     x_c, _ = word_interval(c)
@@ -233,10 +243,9 @@ def slope_clusters(f: TrigPolynomial, n: int, c: Word,
     counts = hi - np.arange(len(sorted_slopes))
     best = int(np.argmax(counts))
     max_cluster = int(counts[best])
-    members = order[best:best + max_cluster]
-    words = tuple(Word.from_index(int(k), n, f.ell) for k in sorted(members))
+    members = tuple(np.sort(order[best:best + max_cluster]).tolist())
     return SlopeClusterReport(n=n, base_word=c, window=window,
-                              max_cluster=max_cluster, cluster_words=words)
+                              max_cluster=max_cluster, members=members)
 
 
 def prefix_refinement(report: SlopeClusterReport, p: int) -> list:
@@ -259,7 +268,8 @@ def g_matrix(x: float, sigma, family: PerturbationFamily) -> np.ndarray:
 
     Rows follow sigma[1:], the reference word is sigma[0]; entry (i, j) is
     sum_k ell^(-k) (phi_j'(prefix_k of b_i) - phi_j'(prefix_k of b_0)).
-    Independent of the base ceiling by construction.
+    Independent of the base ceiling by construction.  Each direction's
+    derivative is evaluated once, on the array of every word's prefix points.
     """
     words = list(sigma)
     if len({len(w) for w in words}) != 1:
@@ -267,20 +277,21 @@ def g_matrix(x: float, sigma, family: PerturbationFamily) -> np.ndarray:
     n = len(words[0])
     if n < family.nu:
         raise InvalidArgument(f"word length {n} below the family separation order {family.nu}")
-    ell = words[0].ell
+    prefixes = _prefix_points(words, x)
+    sums = np.zeros((len(words), family.m))
+    for j, d in enumerate(family.directions):
+        derivs = np.broadcast_to(d.deriv(prefixes), prefixes.shape)
+        sums[:, j] = _weighted_sum(derivs, words[0].ell)
+    return sums[1:] - sums[0]
 
-    def weighted_prefix_derivs(word: Word) -> np.ndarray:
-        out = np.zeros(family.m)
-        y = x
-        for k, letter in enumerate(word.letters, start=1):
-            y = (y + (letter - 1)) / ell
-            for j, d in enumerate(family.directions):
-                out[j] += ell ** float(-k) * float(d.deriv(y))
-        return out
 
-    base_row = weighted_prefix_derivs(words[0])
-    rows = [weighted_prefix_derivs(w) - base_row for w in words[1:]]
-    return np.asarray(rows)
+def _weighted_sum(values: np.ndarray, ell: int) -> np.ndarray:
+    """sum_k ell^(-k) values[:, k-1] per row, added in the order k = 1..n
+    as the scalar Birkhoff sums add."""
+    total = np.zeros(values.shape[0])
+    for k in range(values.shape[1]):
+        total += ell ** float(-(k + 1)) * values[:, k]
+    return total
 
 
 def jacobian(L: np.ndarray) -> float:
@@ -297,11 +308,6 @@ def jacobian(L: np.ndarray) -> float:
     if s[-1] <= 1e-12 * max(1.0, s[0]):
         return 0.0
     return float(np.prod(s))
-
-
-def _circle_distance(a, b):
-    d = abs((a - b + 0.5) % 1.0 - 0.5)
-    return d
 
 
 @dataclass(frozen=True)
@@ -426,7 +432,7 @@ def _wilson_interval(k: int, n: int, z: float = 1.96) -> tuple:
 
 def bad_set_probe(family: PerturbationFamily, n: int, samples: int,
                   params: GenericityParams, seed: int, combos: int = 64,
-                  gamma0: float = 0.9) -> ProbeResult:
+                  gamma0: float = 0.9, cls: CeilingClass | None = None) -> ProbeResult:
     """Monte Carlo measure of the degenerate parameter set.
 
     Draws random (word, sigma) combinations at level n, keeps those whose
@@ -435,18 +441,27 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int,
     the fraction of parameters t whose perturbed ceiling keeps all sigma
     slope differences inside the window 10 * theta_K * ell^(-n).  Reported
     with a 95% Wilson interval.  Full enumeration of all combinations is
-    out of computational reach; only the measure trend is probed.
+    out of computational reach; only the measure trend is probed.  ``cls``
+    is the base ceiling's class; it is classified at gamma0 when not given.
     """
     f = family.base
     ell = f.ell
-    cls = classify(f, gamma0)
-    window = 10.0 * cls.theta_K * ell ** float(-n)
-    rng = np.random.default_rng([seed, n, family.m])
     p = params.p
     if 0 < family.m < p:
         raise InvalidArgument(
             f"family provides {family.m} directions but the chain needs p = {p}; "
             "no slope-difference map can reach Jacobian 1")
+    if n < 1 or ell ** n < p + 1:
+        raise InvalidArgument(
+            f"probe level n = {n} gives fewer than the p + 1 = {p + 1} distinct "
+            f"words a combination needs (ell = {ell})")
+    if ell ** n > MAX_WORD_INDEX:
+        raise InvalidArgument(
+            f"probe level n = {n}: ell^n = {ell}^{n} words exceed the int64 word index")
+    if cls is None:
+        cls = classify(f, gamma0)
+    window = 10.0 * cls.theta_K * ell ** float(-n)
+    rng = np.random.default_rng([seed, n, family.m])
 
     events = []
     attempts = 0
@@ -463,10 +478,8 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int,
                 continue
         else:
             G = np.zeros((p, 0))
-        d0 = np.array([
-            birkhoff(f, b, x_c, 1) - birkhoff(f, sigma[0], x_c, 1)
-            for b in sigma[1:]
-        ])
+        slopes = _weighted_sum(f(_prefix_points(sigma, x_c), 1), ell)
+        d0 = slopes[1:] - slopes[0]
         events.append((G, d0))
 
     if family.m == 0:

@@ -7,6 +7,9 @@ crossing, and extrema come from dense grids.  ``per_point_grid`` is the one
 exception: it keeps the per-point loop that the shared column scan replaced
 (one branch table per grid point, read by the library's per-table passes),
 so the grid pass's sharing and reduction can be pinned exactly.
+``per_letter_g_matrix`` likewise keeps the scalar loop that the array
+evaluation of ``g_matrix`` replaced, one derivative call per word, letter
+and direction, so the two can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -186,3 +189,22 @@ def per_point_grid(f, t, nx, ns, cls, certified):
             n_value = max(n_value, _sweep_max(table.ell, *profile, 2.0 * cls.theta_f))
     m_upper = min(m_upper, 1.0) if certified else m_value
     return m_value, m_upper, n_value, argmax[0], argmax[1]
+
+
+def per_letter_g_matrix(x, sigma, family):
+    """Slope-difference matrix of ``genericity.g_matrix``, one scalar
+    ``deriv`` call per (word, letter, direction)."""
+    words = list(sigma)
+    ell = words[0].ell
+
+    def weighted_prefix_derivs(word):
+        out = np.zeros(family.m)
+        y = x
+        for k, letter in enumerate(word.letters, start=1):
+            y = (y + (letter - 1)) / ell
+            for j, d in enumerate(family.directions):
+                out[j] += ell ** float(-k) * float(d.deriv(y))
+        return out
+
+    base_row = weighted_prefix_derivs(words[0])
+    return np.asarray([weighted_prefix_derivs(w) - base_row for w in words[1:]])

@@ -7,7 +7,7 @@ from semiflow.aniso import (ConeSpec, DomainViolation, GridFunction2D,
                             InvalidArgument, NormParams, Polarization,
                             PreconditionViolation, aniso_norm, band_norms,
                             cone_filter, dyadic_mask, embedding_check,
-                            make_grid, mask_value, paired_band_inner,
+                            make_grid, mask_bank, mask_value, paired_band_inner,
                             partition_defect, strictly_precedes,
                             transversal_orthogonality)
 from semiflow.smooth import plateau
@@ -250,3 +250,31 @@ def test_mask_squares_parseval_diagnostic(theta, grid):
     normalized = sum(p for p in pieces)
     direct = np.sum(np.abs(F) ** 2 * sq_total) * u.spacing ** 2 / u.N ** 2
     assert normalized == pytest.approx(direct, rel=1e-12)
+
+
+def test_mask_bank_order_and_values(theta, grid):
+    bank = mask_bank(theta, grid)
+    keys = [key for key, _ in bank]
+    top = max(n for n, _ in keys)
+    assert keys == [(n, sigma) for n in range(top + 1) for sigma in ("+", "-")]
+    for (n, sigma), m in bank:
+        if n >= 1 and 2.0 ** n > grid.nyquist():
+            continue
+        assert np.array_equal(m, dyadic_mask(theta, n, sigma, grid).values)
+
+
+def test_shared_bank_gives_identical_results(theta, grid):
+    # one bank serves every function on the grid, bit for bit
+    rng = np.random.default_rng(5)
+    bank = mask_bank(theta, grid)
+    assert partition_defect(theta, grid, bank=bank) == partition_defect(theta, grid)
+    for _ in range(3):
+        u = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
+        v = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
+        shared = band_norms(u, theta, bank=bank)
+        own = band_norms(u, theta)
+        assert list(shared) == list(own) and shared == own
+        assert paired_band_inner(u, v, theta, bank=bank) == paired_band_inner(u, v, theta)
+        for params in (NormParams.strong(), NormParams.weak()):
+            assert aniso_norm(u, theta, params, bank=bank) == aniso_norm(u, theta, params)
+        assert embedding_check(u, theta, bank=bank) == embedding_check(u, theta)

@@ -261,6 +261,65 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["norms", "--set", 'params.num_functions="2"'], "validation error: num_functions"),
+    (["norms", "--set", "params.num_functions=1.5"], "validation error: num_functions"),
+    (["norms", "--set", 'params.slope_margin="a"'], "validation error: slope_margin"),
+    (["genericity", "--set", 'params.probe_samples="4"'], "validation error: probe_samples"),
+    (["genericity", "--set", 'params.window_factor="8"'], "validation error: window_factor"),
+    (["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[0]"],
+     "validation error: probe_n_values"),
+    (["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[1]"],
+     "error: probe level n = 1 "),
+    (["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[70]"],
+     "error: probe level n = 70:"),
+])
+def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def test_norms_run_builds_each_mask_once(monkeypatch, capsys):
+    from semiflow import aniso
+    calls = []
+    real = aniso._mask_values
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(aniso, "_mask_values", counting)
+    top = aniso._top_band(aniso.make_grid(1.0, 1.0, 32))
+    for num_functions in (1, 3):
+        calls.clear()
+        argv = ["norms", "--set", "params.grid_n=32",
+                "--set", f"params.num_functions={num_functions}"]
+        assert main(argv) == 0
+        assert len(calls) == 2 * (top + 1)
+        assert len(set(calls)) == len(calls)
+    capsys.readouterr()
+
+
+def test_genericity_run_classifies_once(monkeypatch, capsys):
+    from semiflow import cli, genericity
+    calls = []
+    real = cli.classify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    monkeypatch.setattr(genericity, "classify", counting)
+    argv = ["genericity", "--set", "params.probe=true", "--set", "params.cluster_n_values=[4,6]",
+            "--set", "params.probe_n_values=[4,6]", "--set", "params.probe_samples=20"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_cli_main_writes_output(tmp_path):
     cfg = _config()
     path = tmp_path / "cfg.json"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from semiflow import InvalidArgument, ResourceLimit, TrigPolynomial, Word, classify
+from semiflow import (InvalidArgument, ResourceLimit, TrigPolynomial, Word, classify,
+                      word_interval)
 from semiflow.genericity import (BumpDirection, PerturbationFamily, bad_set_probe,
                                  bump_family, default_mu, default_params,
                                  g_matrix, jacobian, slope_clusters)
 
-from oracles import window_cluster_scan
+from oracles import per_letter_g_matrix, window_cluster_scan
 
 GENERIC_Y = 0.3183098861837907  # irrational, keeps the orbit order trivial
 
@@ -69,6 +70,30 @@ def test_cluster_monotone_in_window(f_generic):
     assert narrow.max_cluster <= wide.max_cluster
 
 
+def test_cluster_members_are_sorted_word_indices(f_generic, monkeypatch):
+    import semiflow.genericity as genericity
+    calls = []
+    real = genericity.Word.from_index.__func__
+
+    def counting(cls, k, n, ell):
+        calls.append(k)
+        return real(cls, k, n, ell)
+
+    monkeypatch.setattr(genericity.Word, "from_index", classmethod(counting))
+    rep = slope_clusters(f_generic, 10, Word((1,), 2), window_factor=2.0)
+    assert calls == []  # no word is built until cluster_words is read
+    assert list(rep.members) == sorted(rep.members)
+    assert len(rep.members) == rep.max_cluster
+    words = rep.cluster_words
+    assert [w.index for w in words] == list(rep.members)
+    assert all(len(w) == 10 and w.ell == 2 for w in words)
+
+
+def test_clusters_reject_base_word_of_other_ell(f_generic):
+    with pytest.raises(InvalidArgument):
+        slope_clusters(f_generic, 4, Word((1,), 3))
+
+
 def test_cluster_cap():
     f = TrigPolynomial(1.0, (), 2)
     with pytest.raises(ResourceLimit):
@@ -102,6 +127,66 @@ def test_g_matrix_base_independence(f_const, f_generic):
                               epsilon=1e-7, nu=fam_data.nu)
     words = [Word((1, 1, 1, 2, 1), 2), Word((2, 1, 2, 1, 2), 2)]
     assert np.array_equal(g_matrix(0.31, words, fam1), g_matrix(0.31, words, fam2))
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_g_matrix_equals_per_letter_oracle(ell):
+    rng = np.random.default_rng(ell)
+    base = TrigPolynomial(1.0, (), ell)
+    centers = rng.random(5)
+    dirs = tuple(BumpDirection(center=float(c), radius=0.12, deriv_plateau=20.0)
+                 for c in centers)
+    fam = PerturbationFamily(base=base, directions=dirs, epsilon=0.0)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        size = int(rng.integers(2, 8))
+        sigma = [Word(tuple(rng.integers(1, ell + 1, size=n)), ell) for _ in range(size)]
+        x = float(rng.random())
+        G = g_matrix(x, sigma, fam)
+        assert G.shape == (size - 1, len(dirs))
+        assert np.array_equal(G, per_letter_g_matrix(x, sigma, fam))
+    # word-interval endpoints, as the probe uses them
+    for k in range(ell ** 3):
+        x, _ = word_interval(Word.from_index(k, 3, ell))
+        sigma = [Word.from_index(int(j), 6, ell) for j in rng.choice(ell ** 6, 4, replace=False)]
+        assert np.array_equal(g_matrix(x, sigma, fam), per_letter_g_matrix(x, sigma, fam))
+    # a lone reference word gives an empty p x m matrix with p = 0
+    assert g_matrix(0.3, [Word((1, 2), ell)], fam).shape == (0, len(dirs))
+
+
+def test_probe_slopes_equal_birkhoff_sums(f_generic):
+    # the probe's base slope differences, read from one array of prefix
+    # points, match the scalar Birkhoff sums bit for bit
+    from semiflow import birkhoff
+    from semiflow.dynamics import _prefix_points
+    from semiflow.genericity import _weighted_sum
+    rng = np.random.default_rng(11)
+    f3 = TrigPolynomial(1.3, ((1, 0.1, 0.05), (2, 0.02, -0.03)), 3)
+    for f in (f_generic, f3):
+        for _ in range(20):
+            n = int(rng.integers(1, 12))
+            words = [Word(tuple(rng.integers(1, f.ell + 1, size=n)), f.ell) for _ in range(6)]
+            x = float(rng.random())
+            slopes = _weighted_sum(f(_prefix_points(words, x), 1), f.ell)
+            assert slopes.tolist() == [birkhoff(f, w, x, 1) for w in words]
+
+
+def test_g_matrix_calls_each_deriv_once(f_const):
+    class Counting:
+        def __init__(self, d):
+            self.d = d
+            self.calls = 0
+
+        def deriv(self, x):
+            self.calls += 1
+            return self.d.deriv(x)
+
+    dirs = tuple(Counting(BumpDirection(center=c, radius=0.05, deriv_plateau=8.0))
+                 for c in (0.1, 0.4, 0.7))
+    fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.0)
+    sigma = [Word.from_index(k, 7, 2) for k in (3, 50, 77, 101, 127)]
+    g_matrix(0.25, sigma, fam)
+    assert [d.calls for d in dirs] == [1, 1, 1]
 
 
 def test_g_matrix_rejects_mixed_lengths(f_const):
@@ -200,6 +285,31 @@ def test_probe_trend_and_frozen_fractions(f_const):
     assert fracs[6] == pytest.approx(0.965, abs=1e-12)
     assert fracs[8] == pytest.approx(0.135, abs=1e-12)
     assert fracs[4] >= fracs[6] >= fracs[8]
+
+
+def test_probe_shared_class_gives_same_result(f_sin, monkeypatch):
+    import semiflow.genericity as genericity
+    params = default_params(2)
+    dirs = tuple(BumpDirection(center=c, radius=0.055, deriv_plateau=20.0)
+                 for c in (0.05, 0.21, 0.37, 0.53, 0.69, 0.85))
+    fam = PerturbationFamily(base=f_sin, directions=dirs, epsilon=0.05)
+    own = bad_set_probe(fam, 6, 200, params, seed=3, combos=8)
+    cls = classify(f_sin, 0.9)
+    monkeypatch.setattr(genericity, "classify", None)  # a shared class is not recomputed
+    assert bad_set_probe(fam, 6, 200, params, seed=3, combos=8, cls=cls) == own
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 70])
+def test_probe_rejects_levels_without_room_for_a_combination(f_const, n):
+    # ell = 2, p = 5: a combination needs ell^n >= 6 words, and word
+    # indices are int64
+    params = default_params(2)
+    assert params.p == 5
+    dirs = tuple(BumpDirection(center=c, radius=0.05, deriv_plateau=8.0)
+                 for c in np.linspace(0.1, 0.9, 6))
+    fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.01)
+    with pytest.raises(InvalidArgument, match=f"probe level n = {n}"):
+        bad_set_probe(fam, n, 10, params, seed=0, combos=1)
 
 
 def test_probe_zero_directions(f_const):
