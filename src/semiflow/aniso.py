@@ -285,26 +285,50 @@ def _top_band(grid: GridFunction2D) -> int:
     return max(1, math.ceil(math.log2(xi_max))) + 1
 
 
-def mask_bank(theta: Polarization, grid: GridFunction2D) -> tuple:
-    """Every mask psi_{n,sigma} on the grid's frequency lattice, as
-    ((n, sigma), mask) pairs: n ascending, '+' before '-'.
+class MaskBank:
+    """Every mask psi_{n,sigma} of one polarization on the frequency lattice
+    of one grid size and spacing; iterating yields ((n, sigma), mask) pairs,
+    n ascending, '+' before '-'.
 
-    The norms, the partition defect and the paired inner products all read
-    the same masks, so a caller evaluating many functions on one grid builds
-    the bank once and passes it as ``bank=``; a bank holds only for the
-    polarization and the grid size it was built for.
+    The masks are evaluated on the first iteration and kept, so a caller
+    evaluating many functions on one grid builds the bank once and passes it
+    as ``bank=``.  A bank is refused on any other polarization or grid.
     """
-    xi1, xi2 = grid.freqs()
-    return tuple(((n, sigma), _mask_values(theta, n, sigma, xi1, xi2))
-                 for n in range(_top_band(grid) + 1) for sigma in ("+", "-"))
+
+    def __init__(self, theta: Polarization, grid: GridFunction2D):
+        self.theta = theta
+        self.N = grid.N
+        self.spacing = grid.spacing
+        self._grid = grid
+        self._pairs = None
+
+    def __iter__(self):
+        if self._pairs is None:
+            xi1, xi2 = self._grid.freqs()
+            self._pairs = tuple(
+                ((n, sigma), _mask_values(self.theta, n, sigma, xi1, xi2))
+                for n in range(_top_band(self._grid) + 1) for sigma in ("+", "-"))
+        return iter(self._pairs)
+
+
+def mask_bank(theta: Polarization, grid: GridFunction2D) -> MaskBank:
+    """The bank of every mask of theta on the grid's frequency lattice."""
+    return MaskBank(theta, grid)
+
+
+def _bank_for(theta: Polarization, grid: GridFunction2D, bank) -> MaskBank:
+    if bank is None:
+        return MaskBank(theta, grid)
+    if bank.theta != theta or bank.N != grid.N or bank.spacing != grid.spacing:
+        raise InvalidArgument(
+            "mask bank was built for another polarization, grid size or spacing")
+    return bank
 
 
 def partition_defect(theta: Polarization, grid: GridFunction2D, bank=None) -> float:
     """max over grid frequencies of |sum of all masks - 1|."""
-    if bank is None:
-        bank = mask_bank(theta, grid)
     total = np.zeros((grid.N, grid.N))
-    for _, m in bank:
+    for _, m in _bank_for(theta, grid, bank):
         total += m
     return float(np.max(np.abs(total - 1.0)))
 
@@ -313,8 +337,7 @@ def band_norms(u: GridFunction2D, theta: Polarization, bank=None) -> dict:
     """Squared L2 norms of every masked dyadic piece of u, keyed (n, sigma)."""
     if u.domain != "space":
         raise InvalidArgument("band_norms expects a space-side grid function")
-    if bank is None:
-        bank = mask_bank(theta, u)
+    bank = _bank_for(theta, u, bank)
     F = u.fft()
     scale = (u.spacing ** 2) / (u.N ** 2)  # discrete Parseval factor
     return {key: float(np.sum(np.abs(m * F) ** 2)) * scale for key, m in bank}
@@ -357,17 +380,15 @@ def cone_filter(u: GridFunction2D, cone: ConeSpec) -> GridFunction2D:
 
 
 def paired_band_inner(u: GridFunction2D, v: GridFunction2D,
-                      theta_hat: Polarization, bank=None) -> float:
+                      theta_hat: Polarization) -> float:
     """max over n of |(psi_{n,-}(D)u, psi_{n,-}(D)v)_{L2}|, frequency-side."""
-    if bank is None:
-        bank = mask_bank(theta_hat, u)
     Fu = u.fft()
     Fv = v.fft()
+    xi1, xi2 = u.freqs()
     scale = (u.spacing ** 2) / (u.N ** 2)
     best = 0.0
-    for (_, sigma), m in bank:
-        if sigma != "-":
-            continue
+    for n in range(_top_band(u) + 1):
+        m = _mask_values(theta_hat, n, "-", xi1, xi2)
         inner = np.sum(m * Fu * np.conj(m * Fv)) * scale
         best = max(best, float(abs(inner)))
     return best

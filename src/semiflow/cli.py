@@ -168,20 +168,17 @@ def _validate_params(exp: str, p: dict) -> list:
 
     if exp in ("transversality", "correlations"):
         ts = p["t_values"]
-        # the chained comparison also refuses nan, inf and ints too big for a float
-        need(isinstance(ts, list) and ts and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool)
-            and 0 <= t <= sys.float_info.max for t in ts),
-            "t_values must be a nonempty list of finite numbers >= 0")
+        need(isinstance(ts, list) and ts and all(_is_number(t) and t >= 0 for t in ts),
+             "t_values must be a nonempty list of finite numbers >= 0")
     if exp == "transversality":
         need(p["nx"] >= 8, "nx must be >= 8")
         need(p["ns"] >= 8, "ns must be >= 8")
         need(p["nL"] >= 8, "nL must be >= 8")
     elif exp == "mixing":
         g = p["grid"]
-        need(isinstance(g, int) and g >= 256 and g & (g - 1) == 0,
+        need(_is_int(g) and g >= 256 and g & (g - 1) == 0,
              "grid must be a power of two >= 256")
-        need(isinstance(p["depth"], int) and p["depth"] >= 1, "depth must be an integer >= 1")
+        need(_is_int(p["depth"]) and p["depth"] >= 1, "depth must be an integer >= 1")
         if p["tol_strict"] is not None and p["tol_clear"] is not None:
             need(p["tol_strict"] < p["tol_clear"], "tol_strict must be < tol_clear")
     elif exp == "spectrum":

@@ -270,11 +270,42 @@ def test_shared_bank_gives_identical_results(theta, grid):
     assert partition_defect(theta, grid, bank=bank) == partition_defect(theta, grid)
     for _ in range(3):
         u = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
-        v = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
         shared = band_norms(u, theta, bank=bank)
         own = band_norms(u, theta)
         assert list(shared) == list(own) and shared == own
-        assert paired_band_inner(u, v, theta, bank=bank) == paired_band_inner(u, v, theta)
         for params in (NormParams.strong(), NormParams.weak()):
             assert aniso_norm(u, theta, params, bank=bank) == aniso_norm(u, theta, params)
         assert embedding_check(u, theta, bank=bank) == embedding_check(u, theta)
+
+
+def test_mask_bank_evaluates_masks_once_on_first_use(theta, grid, monkeypatch):
+    from semiflow import aniso
+    calls = []
+    real = aniso._mask_values
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(aniso, "_mask_values", counting)
+    bank = mask_bank(theta, grid)
+    assert calls == []
+    first = list(bank)
+    assert len(calls) == len(first)
+    again = list(bank)
+    assert len(calls) == len(first)
+    assert all(a[1] is b[1] for a, b in zip(first, again))
+
+
+def test_bank_refused_on_another_grid_or_polarization(theta, grid):
+    bank = mask_bank(theta, grid)
+    other_theta = Polarization(ConeSpec(0.0, 0.5), ConeSpec(2.0, 2.5))
+    finer = make_grid(1.0, 1.0, 128)
+    wider = make_grid(2.0, 2.0, 64)
+    for g in (finer, wider):
+        with pytest.raises(InvalidArgument):
+            partition_defect(theta, g, bank=bank)
+        with pytest.raises(InvalidArgument):
+            band_norms(g, theta, bank=bank)
+    with pytest.raises(InvalidArgument):
+        partition_defect(other_theta, grid, bank=bank)

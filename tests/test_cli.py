@@ -281,6 +281,11 @@ def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_main_mixing_refuses_bool_depth(capsys):
+    assert main(["mixing", "--set", "params.depth=true"]) == 1
+    assert capsys.readouterr().err.startswith("validation error: depth")
+
+
 def test_norms_run_builds_each_mask_once(monkeypatch, capsys):
     from semiflow import aniso
     calls = []
@@ -318,6 +323,24 @@ def test_genericity_run_classifies_once(monkeypatch, capsys):
     assert main(argv) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_genericity_probe_window_uses_config_gamma0(capsys):
+    # the probe classifies with the run's gamma0, not a fixed 0.9: at 0.7
+    # theta_K of the constant ceiling is twice its value at 0.9
+    from semiflow.ceiling import TrigPolynomial, classify
+    argv = ["genericity", "--set", "gamma0=0.7", "--set", "params.probe=true",
+            "--set", "params.cluster_n_values=[4]", "--set", "params.probe_n_values=[4,6]",
+            "--set", "params.probe_samples=10"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    probes = [r for r in map(json.loads, lines) if r["kind"] == "probe"]
+    f = TrigPolynomial(1.0, (), 2)
+    theta_k = classify(f, 0.7).theta_K
+    assert theta_k != classify(f, 0.9).theta_K
+    assert [r["n"] for r in probes] == [4, 6]
+    for r in probes:
+        assert r["window"] == 10.0 * theta_k * 2 ** float(-r["n"])
 
 
 def test_cli_main_writes_output(tmp_path):
