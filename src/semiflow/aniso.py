@@ -285,7 +285,7 @@ def _top_band(grid: GridFunction2D) -> int:
     return max(1, math.ceil(math.log2(xi_max))) + 1
 
 
-class MaskBank:
+class _MaskBank:
     """Every mask psi_{n,sigma} of one polarization on the frequency lattice
     of one grid size and spacing; iterating yields ((n, sigma), mask) pairs,
     n ascending, '+' before '-'.
@@ -311,14 +311,14 @@ class MaskBank:
         return iter(self._pairs)
 
 
-def mask_bank(theta: Polarization, grid: GridFunction2D) -> MaskBank:
+def mask_bank(theta: Polarization, grid: GridFunction2D) -> _MaskBank:
     """The bank of every mask of theta on the grid's frequency lattice."""
-    return MaskBank(theta, grid)
+    return _MaskBank(theta, grid)
 
 
-def _bank_for(theta: Polarization, grid: GridFunction2D, bank) -> MaskBank:
+def _bank_for(theta: Polarization, grid: GridFunction2D, bank) -> _MaskBank:
     if bank is None:
-        return MaskBank(theta, grid)
+        return _MaskBank(theta, grid)
     if bank.theta != theta or bank.N != grid.N or bank.spacing != grid.spacing:
         raise InvalidArgument(
             "mask bank was built for another polarization, grid size or spacing")
