@@ -17,6 +17,7 @@ apertures and slope Lipschitz bounds everywhere else in the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +198,35 @@ def classify(f: TrigPolynomial, gamma0: float, grid_size: int = 4096,
     )
 
 
+def is_number(v) -> bool:
+    """A finite real number; refuses bools, strings, nan and ints too big
+    for a float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+def is_int(v) -> bool:
+    """An integer that is also a finite number, so never a bool."""
+    return isinstance(v, int) and is_number(v)
+
+
 def ceiling_from_config(spec: dict) -> TrigPolynomial:
-    """Build a ceiling from its serialized form: keys ell, mean, harmonics
-    (a list of [k, cos, sin] triples)."""
-    harmonics = tuple((k, c, s) for k, c, s in spec.get("harmonics", ()))
-    return TrigPolynomial(mean_coeff=spec["mean"], harmonics=harmonics, ell=spec["ell"])
+    """Build a ceiling from its serialized form: keys ell, mean and harmonics
+    (a list of [k, cos, sin] triples).  Each entry's type is checked before
+    it is used; a malformed spec raises InvalidArgument naming the entry."""
+    if not isinstance(spec, dict):
+        raise InvalidArgument(f"ceiling must be an object, got {spec!r}")
+    for key in spec:
+        if key not in ("ell", "mean", "harmonics"):
+            raise InvalidArgument(f"unknown key {key!r}")
+    ell, mean, harmonics = spec.get("ell"), spec.get("mean"), spec.get("harmonics", [])
+    if not is_int(ell):
+        raise InvalidArgument(f"ell must be an integer >= 2, got {ell!r}")
+    if not is_number(mean):
+        raise InvalidArgument(f"mean must be a number, got {mean!r}")
+    if not (isinstance(harmonics, (list, tuple)) and all(
+            isinstance(h, (list, tuple)) and len(h) == 3 and is_int(h[0])
+            and is_number(h[1]) and is_number(h[2]) for h in harmonics)):
+        raise InvalidArgument(
+            f"harmonics must be a list of [integer, number, number], got {harmonics!r}")
+    return TrigPolynomial(mean_coeff=mean, harmonics=tuple(map(tuple, harmonics)), ell=ell)

@@ -13,15 +13,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import aniso, ceiling, genericity, mixing, smooth, spectral, transversality
 from .canon import canonical_csv, canonical_json
-from .ceiling import TrigPolynomial, ceiling_from_config, classify
+from .ceiling import TrigPolynomial, ceiling_from_config, classify, is_int, is_number
 from .dynamics import FlowPoint, Word, inverse_branches
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
@@ -30,34 +32,104 @@ from .parallel import worker_count
 EXPERIMENTS = ("transversality", "mixing", "spectrum", "correlations",
                "norms", "genericity", "branches")
 
-_TOP_KEYS = {"ceiling", "gamma0", "experiment", "params", "seed", "workers", "out"}
 
-_PARAM_KEYS = {
-    "transversality": {"t_values", "nx", "ns", "nL", "certified"},
-    "mixing": {"grid", "depth", "tol_strict", "tol_clear", "eigenfunction_times"},
-    "spectrum": {"t", "nx", "ns", "points_per_box", "k", "mode", "with_bound",
-                 "bound_nx", "bound_ns"},
-    "correlations": {"t_values", "nx", "ns", "psi", "phi"},
-    "norms": {"grid_n", "num_functions", "slope_margin"},
-    "genericity": {"cluster_n_values", "cluster_word", "window_factor",
-                   "probe", "probe_n_values", "probe_samples", "probe_combos"},
-    "branches": {"x", "s", "t", "theta"},
+class Param(NamedTuple):
+    """One config entry of a schema table."""
+
+    default: object
+    kind: str          # a key of _KINDS
+    bounds: str = ""   # comparisons joined by " and ", met by the value or by each list item
+
+    @property
+    def rule(self) -> str:
+        return f"{self.kind} {self.bounds}".rstrip()
+
+
+def _list_of(test, min_len=0):
+    return lambda v: isinstance(v, list) and len(v) >= min_len and all(map(test, v))
+
+
+_KINDS = {
+    "an integer": is_int,
+    "a power of two": lambda v: is_int(v) and v > 0 and v & (v - 1) == 0,
+    "a number": is_number,
+    "null or a number": lambda v: v is None or is_number(v),
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of integers": _list_of(is_int),
+    "a nonempty list of integers": _list_of(is_int, 1),
+    "a list of numbers": _list_of(is_number),
+    "a nonempty list of numbers": _list_of(is_number, 1),
+    "lattice or monte-carlo": lambda v: v in ("lattice", "monte-carlo"),
+    "one of " + ", ".join(EXPERIMENTS): lambda v: v in EXPERIMENTS,
 }
 
-_DEFAULT_PARAMS = {
-    "transversality": {"t_values": [4.0, 6.0, 8.0], "nx": 16, "ns": 8,
-                       "nL": 16, "certified": True},
-    "mixing": {"grid": 4096, "depth": 24, "tol_strict": None, "tol_clear": None,
-               "eigenfunction_times": [0.7, 1.3]},
-    "spectrum": {"t": 2.0, "nx": 32, "ns": 4, "points_per_box": 64, "k": 8,
-                 "mode": "lattice", "with_bound": False, "bound_nx": 16, "bound_ns": 4},
-    "correlations": {"t_values": [float(t) / 2 for t in range(0, 17)], "nx": 1024,
-                     "ns": 8, "psi": {"s": ["cos", 1.0]}, "phi": {"s": ["cos", 1.0]}},
-    "norms": {"grid_n": 64, "num_functions": 6, "slope_margin": 0.5},
-    "genericity": {"cluster_n_values": [6, 8, 10], "cluster_word": [1],
-                   "window_factor": 8.0, "probe": False,
-                   "probe_n_values": [4, 6, 8], "probe_samples": 400, "probe_combos": 8},
-    "branches": {"x": 0.3, "s": 0.0, "t": 5.0, "theta": None},
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+_TOP = {
+    "ceiling": Param({"ell": 2, "mean": 1.0, "harmonics": []}, "an object"),
+    "gamma0": Param(0.9, "a number"),
+    "experiment": Param(None, "one of " + ", ".join(EXPERIMENTS)),
+    "params": Param({}, "an object"),
+    "seed": Param(0, "an integer", ">= 0"),
+    "workers": Param(1, "an integer", ">= 1"),
+    "out": Param("-", "a string"),
+}
+
+# experiment -> parameter -> Param: the one description of every parameter
+_SCHEMA = {
+    "transversality": {
+        "t_values": Param([4.0, 6.0, 8.0], "a nonempty list of numbers", ">= 0"),
+        "nx": Param(16, "an integer", ">= 8"),
+        "ns": Param(8, "an integer", ">= 8"),
+        "certified": Param(True, "true or false"),
+    },
+    "mixing": {
+        "grid": Param(4096, "a power of two", ">= 256"),
+        "depth": Param(24, "an integer", ">= 1"),
+        "tol_strict": Param(None, "null or a number"),
+        "tol_clear": Param(None, "null or a number"),
+        "eigenfunction_times": Param([0.7, 1.3], "a list of numbers", ">= 0"),
+    },
+    "spectrum": {
+        "t": Param(2.0, "a number", ">= 0"),
+        "nx": Param(32, "an integer", ">= 1"),
+        "ns": Param(4, "an integer", ">= 1"),
+        "points_per_box": Param(64, "an integer", ">= 16"),
+        "k": Param(8, "an integer", ">= 1 and <= 32"),
+        "mode": Param("lattice", "lattice or monte-carlo"),
+        "with_bound": Param(False, "true or false"),
+        "bound_nx": Param(16, "an integer", ">= 1"),
+        "bound_ns": Param(4, "an integer", ">= 1"),
+    },
+    "correlations": {
+        "t_values": Param([t / 2 for t in range(17)], "a nonempty list of numbers", ">= 0"),
+        "nx": Param(1024, "an integer", ">= 8"),
+        "ns": Param(8, "an integer", ">= 1"),
+        "psi": Param({"s": ["cos", 1.0]}, "an object"),
+        "phi": Param({"s": ["cos", 1.0]}, "an object"),
+    },
+    "norms": {
+        "grid_n": Param(64, "a power of two", ">= 32"),
+        "num_functions": Param(6, "an integer", ">= 1"),
+        "slope_margin": Param(0.5, "a number"),
+    },
+    "genericity": {
+        "cluster_n_values": Param([6, 8, 10], "a list of integers", ">= 1 and <= 20"),
+        "cluster_word": Param([1], "a nonempty list of integers"),
+        "window_factor": Param(8.0, "a number", "> 0"),
+        "probe": Param(False, "true or false"),
+        "probe_n_values": Param([4, 6, 8], "a list of integers", ">= 1"),
+        "probe_samples": Param(400, "an integer", ">= 1"),
+        "probe_combos": Param(8, "an integer", ">= 1"),
+    },
+    "branches": {
+        "x": Param(0.3, "a number", ">= 0 and < 1"),
+        "s": Param(0.0, "a number", ">= 0"),
+        "t": Param(5.0, "a number", ">= 0"),
+        "theta": Param(None, "null or a number", ">= 0"),
+    },
 }
 
 
@@ -82,175 +154,102 @@ class RunReport:
     wall_time_s: float
 
 
-def _merged_params(experiment: str, given: dict) -> dict:
-    merged = dict(_DEFAULT_PARAMS[experiment])
-    merged.update(given)
-    return merged
+def _checked(table: dict, given: dict, what: str, problems: list) -> dict:
+    """The table's defaults updated from ``given``, keeping the entries that
+    pass their check: the kind first, then the bounds, so that no bound meets
+    a value of another type.  Each violation, and each unknown key, is
+    appended to ``problems``."""
+    problems.extend(f"unknown {what} {key!r}" for key in given if key not in table)
+    values = {}
+    for key, param in table.items():
+        value = given.get(key, param.default)
+        items = value if isinstance(value, list) else [value]
+        if _KINDS[param.kind](value) and all(
+                _COMPARE[op](v, float(limit)) for v in items if v is not None
+                for op, limit in (c.split() for c in param.bounds.split(" and ") if c)):
+            values[key] = value
+        else:
+            problems.append(f"{key} must be {param.rule}, got {value!r}")
+    return values
 
 
-def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
-    """Parse and fully validate a JSON config, collecting every violation."""
+def _json_object(text) -> dict:
+    """The JSON object in ``text`` (str or bytes); anything else is a ParseError."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # undecodable bytes, or an integer literal too long
+        raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object")
+    return raw
 
+
+def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
+    """Parse and fully validate a JSON config, collecting every violation."""
+    raw = _json_object(text)
     problems = []
-    for key in raw:
-        if key not in _TOP_KEYS:
-            problems.append(f"unknown key {key!r}")
-
-    exp = raw.get("experiment", experiment)
-    if experiment is not None and "experiment" in raw and raw["experiment"] != experiment:
-        problems.append(
-            f"config experiment {raw['experiment']!r} does not match subcommand {experiment!r}")
-    if exp is None:
-        problems.append("missing experiment")
-    elif exp not in EXPERIMENTS:
-        problems.append(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
+    top = _checked(_TOP, {"experiment": experiment, **raw}, "key", problems)
+    if experiment is not None and raw.get("experiment", experiment) != experiment:
+        problems.append(f"experiment {raw['experiment']!r} does not match subcommand {experiment!r}")
 
     ceiling = None
-    cspec = raw.get("ceiling")
-    if not isinstance(cspec, dict):
-        problems.append("missing or malformed ceiling section")
-    else:
-        for key in cspec:
-            if key not in {"ell", "mean", "harmonics"}:
-                problems.append(f"unknown ceiling key {key!r}")
+    if "ceiling" in top:
         try:
-            ceiling = ceiling_from_config(cspec)
-        except (KeyError, TypeError, ValueError, SemiflowError) as exc:
+            ceiling = ceiling_from_config(top["ceiling"])
+        except InvalidArgument as exc:
             problems.append(f"bad ceiling: {exc}")
-        if ceiling is not None:
-            grid = np.arange(1024) / 1024
-            if float(np.min(ceiling(grid))) <= 0.0:
-                problems.append("ceiling violates positivity: it must be strictly positive")
-                ceiling = None
-
-    gamma0 = raw.get("gamma0", 0.9)
-    if ceiling is not None and not (1.0 / ceiling.ell < gamma0 < 1.0):
+    # nan fails the comparison too
+    if ceiling is not None and not float(np.min(ceiling(np.arange(1024) / 1024))) > 0.0:
+        problems.append("ceiling violates positivity: it must be strictly positive")
+        ceiling = None
+    gamma0 = top.get("gamma0")
+    if ceiling is not None and gamma0 is not None and not 1.0 / ceiling.ell < gamma0 < 1.0:
         problems.append(f"gamma0 must lie in (1/ell, 1) = (1/{ceiling.ell}, 1), got {gamma0}")
 
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        problems.append("params must be an object")
-        params = {}
-    elif exp in _PARAM_KEYS:
-        for key in params:
-            if key not in _PARAM_KEYS[exp]:
-                problems.append(f"unknown {exp} parameter {key!r}")
-        params = _merged_params(exp, params)
-        problems.extend(_validate_params(exp, params))
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        problems.append(f"seed must be a nonnegative integer, got {seed!r}")
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        problems.append(f"workers must be a positive integer, got {workers!r}")
-    out = raw.get("out", "-")
+    exp = top.get("experiment")
+    p = {}
+    if exp is not None and "params" in top:
+        p = _checked(_SCHEMA[exp], top["params"], f"{exp} parameter", problems)
+    # the rules that relate two values or parse a nested spec, once their inputs passed
+    if p.get("tol_strict") is not None and p.get("tol_clear") is not None \
+            and not p["tol_strict"] < p["tol_clear"]:
+        problems.append("tol_strict must be < tol_clear")
+    if exp == "spectrum" and "nx" in p and "ns" in p and p["nx"] * p["ns"] > spectral.MAX_DIM:
+        problems.append(f"nx*ns must be <= {spectral.MAX_DIM}")
+    for name in ("psi", "phi"):
+        if name in p:
+            try:
+                _observable_from_spec(p[name])
+            except InvalidArgument as exc:
+                problems.append(f"bad {name}: {exc}")
 
     if problems:
         raise ValidationError(problems)
-    return ExperimentConfig(ceiling=ceiling, gamma0=float(gamma0), experiment=exp,
-                            params=params, seed=seed, workers=workers, out=out, raw=raw)
-
-
-def _validate_params(exp: str, p: dict) -> list:
-    problems = []
-
-    def need(cond, msg):
-        if not cond:
-            problems.append(msg)
-
-    if exp in ("transversality", "correlations"):
-        ts = p["t_values"]
-        need(isinstance(ts, list) and ts and all(_is_number(t) and t >= 0 for t in ts),
-             "t_values must be a nonempty list of finite numbers >= 0")
-    if exp == "transversality":
-        need(p["nx"] >= 8, "nx must be >= 8")
-        need(p["ns"] >= 8, "ns must be >= 8")
-        need(p["nL"] >= 8, "nL must be >= 8")
-    elif exp == "mixing":
-        g = p["grid"]
-        need(_is_int(g) and g >= 256 and g & (g - 1) == 0,
-             "grid must be a power of two >= 256")
-        need(_is_int(p["depth"]) and p["depth"] >= 1, "depth must be an integer >= 1")
-        if p["tol_strict"] is not None and p["tol_clear"] is not None:
-            need(p["tol_strict"] < p["tol_clear"], "tol_strict must be < tol_clear")
-    elif exp == "spectrum":
-        need(p["t"] >= 0, "t must be >= 0")
-        need(p["nx"] * p["ns"] <= spectral.MAX_DIM, f"nx*ns must be <= {spectral.MAX_DIM}")
-        need(p["points_per_box"] >= 16, "points_per_box must be >= 16")
-        need(1 <= p["k"] <= 32, "k must be in 1..32")
-        need(p["mode"] in ("lattice", "monte-carlo"), "mode must be lattice or monte-carlo")
-    elif exp == "correlations":
-        need(p["nx"] >= 8 and p["ns"] >= 1, "nx must be >= 8 and ns >= 1")
-        for name in ("psi", "phi"):
-            try:
-                _observable_from_spec(p[name])
-            except SemiflowError as exc:
-                problems.append(f"bad {name}: {exc}")
-    elif exp == "norms":
-        g = p["grid_n"]
-        need(_is_int(g) and g >= 32 and g & (g - 1) == 0,
-             "grid_n must be a power of two >= 32")
-        need(_is_int(p["num_functions"]) and p["num_functions"] >= 1,
-             "num_functions must be an integer >= 1")
-        need(_is_number(p["slope_margin"]), "slope_margin must be a finite number")
-    elif exp == "genericity":
-        ns = p["cluster_n_values"]
-        need(isinstance(ns, list) and all(_is_int(n) and 1 <= n <= 20 for n in ns),
-             "cluster_n_values must be a list of integers in 1..20")
-        word = p["cluster_word"]
-        need(isinstance(word, list) and word and all(_is_int(a) for a in word),
-             "cluster_word must be a nonempty list of integer letters")
-        need(_is_number(p["window_factor"]) and p["window_factor"] > 0,
-             "window_factor must be a positive number")
-        need(isinstance(p["probe"], bool), "probe must be true or false")
-        ns = p["probe_n_values"]
-        need(isinstance(ns, list) and all(_is_int(n) and n >= 1 for n in ns),
-             "probe_n_values must be a list of integers >= 1")
-        for key in ("probe_samples", "probe_combos"):
-            need(_is_int(p[key]) and p[key] >= 1, f"{key} must be an integer >= 1")
-    elif exp == "branches":
-        need(0 <= p["x"] < 1, "x must lie in [0, 1)")
-        need(p["s"] >= 0, "s must be >= 0")
-        need(p["t"] >= 0, "t must be >= 0")
-    return problems
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    """A finite real number; refuses bools, strings, nan and ints too big
-    for a float."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and -sys.float_info.max <= v <= sys.float_info.max)
+    return ExperimentConfig(ceiling=ceiling, gamma0=float(gamma0), experiment=exp, params=p,
+                            seed=top["seed"], workers=top["workers"], out=top["out"], raw=raw)
 
 
 def _observable_from_spec(spec: dict) -> spectral.Observable:
-    if not isinstance(spec, dict):
-        raise InvalidArgument("observable spec must be an object")
     for key in spec:
-        if key not in {"x", "s", "cutoff"}:
+        if key not in ("x", "s", "cutoff"):
             raise InvalidArgument(f"unknown observable key {key!r}")
+    cutoff = spec.get("cutoff", True)
+    if not isinstance(cutoff, bool):
+        raise InvalidArgument(f"cutoff must be true or false, got {cutoff!r}")
 
-    def wave(entry):
+    def wave(name):
+        entry = spec.get(name)
         if entry is None:
             return None
-        kind, freq = entry
-        if kind not in ("cos", "sin"):
-            raise InvalidArgument(f"wave kind must be cos or sin, got {kind!r}")
-        return (kind, float(freq))
+        if not (isinstance(entry, list) and len(entry) == 2
+                and entry[0] in ("cos", "sin") and is_number(entry[1])):
+            raise InvalidArgument(f'{name} must be null or ["cos" or "sin", number], got {entry!r}')
+        return (entry[0], float(entry[1]))
 
-    return spectral.Observable(x_wave=wave(spec.get("x")), s_wave=wave(spec.get("s")),
-                               cutoff=bool(spec.get("cutoff", True)))
+    return spectral.Observable(x_wave=wave("x"), s_wave=wave("s"), cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +264,11 @@ def _run_transversality(cfg: ExperimentConfig):
         workers=worker_count(cfg.workers))
     records = [{
         "t": est.t, "m_value": est.m_value, "m_upper": est.m_upper,
-        "n_value": nv, "grid": [p["nx"], p["ns"], p["nL"]], "slack": est.slack,
+        "n_value": nv, "grid": [p["nx"], p["ns"]], "slack": est.slack,
         "argmax": {"x": est.argmax_x, "s": est.argmax_s,
                    "on_section": est.argmax_on_section},
     } for est, nv in estimates]
-    fitted_rate = None
-    fit_residual = None
+    fitted_rate = fit_residual = None
     positive = [(r["t"], r["m_value"]) for r in records if r["m_value"] > 0]
     if len(positive) >= 3:
         fitted_rate, fit_residual = transversality.exponent_fit(positive)
@@ -494,30 +492,41 @@ def emit(report: RunReport, format: str = "json", include_timing: bool = False) 
     raise InvalidArgument(f"unsupported format {format!r}")
 
 
-def _apply_overrides(raw: dict, overrides) -> dict:
+def _apply_overrides(raw: dict, overrides) -> None:
     for item in overrides or ():
         if "=" not in item:
             raise ParseError(f"override {item!r} is not of the form key=value")
         path, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:
             parsed = value
         node = raw
         keys = path.split(".")
         for key in keys[:-1]:
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ParseError(f"override {item!r} reaches into {key!r}, which is not an object")
         node[keys[-1]] = parsed
-    return raw
+
+
+def _help(heading: str, table: dict) -> str:
+    """A --help epilog: each entry of a schema table with its rule and default."""
+    width = max(map(len, table))
+    return "\n".join([heading + "; a value's type is checked before its range:"] + [
+        f"  {key:<{width}}  {param.rule}; default {json.dumps(param.default)}"
+        for key, param in table.items()])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="semiflow",
-        description="numerical experiments on suspension semi-flows of angle-multiplying maps")
+        prog="semiflow", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="numerical experiments on suspension semi-flows of angle-multiplying maps",
+        epilog=_help("config keys (an omitted experiment is the subcommand)", _TOP))
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        s = sub.add_parser(name)
+        s = sub.add_parser(name, formatter_class=argparse.RawDescriptionHelpFormatter,
+                           epilog=_help("parameters (--set params.NAME=VALUE)", _SCHEMA[name]))
         s.add_argument("config", nargs="?", help="JSON config file (defaults used if omitted)")
         s.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE",
                        help="override a config entry (dotted path, JSON value)")
@@ -530,29 +539,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw_text = None
+        base = {}
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw_text = fh.read()
-        base = json.loads(raw_text) if raw_text else {}
-        if not isinstance(base, dict):
-            raise ParseError("config must be a JSON object")
-    except json.JSONDecodeError as exc:
-        print(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 1
-
-    base.setdefault("ceiling", {"ell": 2, "mean": 1.0, "harmonics": []})
-    try:
+            with open(args.config, "rb") as fh:
+                base = _json_object(fh.read() or b"{}")
+        base.setdefault("ceiling", dict(_TOP["ceiling"].default))
         _apply_overrides(base, args.overrides)
         if args.workers is not None:
             base["workers"] = args.workers
         if args.out is not None:
             base["out"] = args.out
         cfg = parse_config(json.dumps(base), experiment=args.experiment)
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return 1
     except ParseError as exc:
         where = f" at line {exc.line}, column {exc.column}" if exc.line else ""
         print(f"parse error{where}: {exc}", file=sys.stderr)
@@ -564,6 +564,14 @@ def main(argv=None) -> int:
 
     try:
         report = run(cfg)
+        data = emit(report, args.format, include_timing=args.timing)
+        if cfg.out == "-":
+            sys.stdout.buffer.write(data)
+        else:
+            with open(cfg.out, "wb") as fh:
+                fh.write(data)
+            print(f"wrote {cfg.out} ({len(data)} bytes) in {report.wall_time_s:.2f}s",
+                  file=sys.stderr)
     except ResourceLimit as exc:
         doc = {"error": "resource-limit", "message": str(exc), **exc.details}
         print(canonical_json(doc), file=sys.stdout)
@@ -572,18 +580,9 @@ def main(argv=None) -> int:
         doc = {"error": "numerical-failure", "message": str(exc), **exc.details}
         print(canonical_json(doc), file=sys.stdout)
         return 3
-    except SemiflowError as exc:
+    except (SemiflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    data = emit(report, args.format, include_timing=args.timing)
-    if cfg.out in ("-", None):
-        sys.stdout.buffer.write(data)
-    else:
-        with open(cfg.out, "wb") as fh:
-            fh.write(data)
-        print(f"wrote {cfg.out} ({len(data)} bytes) in {report.wall_time_s:.2f}s",
-              file=sys.stderr)
     return 0
 
 

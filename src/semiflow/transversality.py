@@ -12,9 +12,7 @@ points, which interval arithmetic alone would remove and is out of scope).
 over lines: the mass of branches whose widened cone contains a fixed
 direction.  As a function of the direction slope it is a sum of indicator
 functions of closed slope intervals, so its exact maximum is attained at an
-interval boundary; the sweep below computes it exactly, which makes the
-candidate-slope list (cone centers, boundaries, and nL extra samples) a
-guaranteed superset of the argmax.
+interval boundary, and the sweep below computes it exactly.
 
 Grid maxima come from one pass (``grid_estimates``; ``m_of_t`` and
 ``n_of_t`` are views over it): each fiber column is scanned once, by one
@@ -170,7 +168,7 @@ def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True
                       cap=cap)[0][0]
 
 
-def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, nL: int = 16,
+def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int,
            cls: CeilingClass | None = None, gamma0: float = 0.9,
            cap: int = DEFAULT_BRANCH_CAP) -> float:
     """Grid maximum over target points and over direction slopes of the
@@ -178,12 +176,8 @@ def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, nL: int = 16,
 
     The per-point maximum over slopes is computed exactly by an interval
     sweep, which coincides with evaluating at every cone center and
-    boundary; nL only controls extra recorded candidates and can never
-    change the result (max monotonicity).  The single-t case of
-    ``grid_estimates``.
+    boundary.  The single-t case of ``grid_estimates``.
     """
-    if nL < 8:
-        raise InvalidArgument(f"nL must be >= 8, got {nL}")
     return _grid_pass(f, [t], nx, ns, cls, gamma0, False, with_m=False, with_n=True,
                       cap=cap)[0][1]
 

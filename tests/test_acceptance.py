@@ -150,7 +150,7 @@ def test_acceptance_6_cross_bound():
         for t in (4.0, 6.0):
             s = (cls.f_max / cls.f_min) * t + cls.f_max
             m_val = m_of_t(f, s, 12, 8, certified=False, cls=cls).m_value
-            n_val = n_of_t(f, t, 16, 8, 8, cls=cls)
+            n_val = n_of_t(f, t, 16, 8, cls=cls)
             assert m_val <= n_val + slack
             margins.append(n_val + slack - m_val)
     print(f"\nACCEPTANCE 6 PASS: cross-bound, min margin {min(margins):.4f} >= 0")
@@ -285,7 +285,7 @@ def test_acceptance_10_determinism():
     trans_cfg = {
         "ceiling": {"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
         "experiment": "transversality",
-        "params": {"t_values": [3.0, 4.5], "nx": 8, "ns": 8, "nL": 8},
+        "params": {"t_values": [3.0, 4.5], "nx": 8, "ns": 8},
         "workers": 1,
     }
     one = emit(run(parse_config(json.dumps(trans_cfg))), "json")

@@ -1,11 +1,15 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semiflow import cli
 from semiflow.canon import canonical_csv, canonical_json
 from semiflow.cli import (ParseError, ValidationError, emit, main,
                           parse_config, run)
@@ -155,7 +159,7 @@ def test_determinism_byte_identical():
 
 def test_determinism_across_worker_counts():
     base = _config(experiment="transversality",
-                   params={"t_values": [3.0, 4.0], "nx": 8, "ns": 8, "nL": 8})
+                   params={"t_values": [3.0, 4.0], "nx": 8, "ns": 8})
     one = emit(run(parse_config(json.dumps(dict(base, workers=1)))), "json")
     two = emit(run(parse_config(json.dumps(dict(base, workers=2)))), "json")
     assert one == two
@@ -167,7 +171,7 @@ def test_transversality_bytes_independent_of_worker_count(harmonics):
     # every grid point ties and the argmax must stay at the first one
     base = _config(ceiling={"ell": 2, "mean": 1.0, "harmonics": harmonics},
                    experiment="transversality",
-                   params={"t_values": [2.0, 3.5, 5.0], "nx": 9, "ns": 8, "nL": 8})
+                   params={"t_values": [2.0, 3.5, 5.0], "nx": 9, "ns": 8})
     one = emit(run(parse_config(json.dumps(dict(base, workers=1)))), "json")
     two = emit(run(parse_config(json.dumps(dict(base, workers=2)))), "json")
     assert one == two
@@ -186,8 +190,7 @@ def test_caveat_strings_appear_verbatim():
     assert "grid lower bound" in report.caveats
 
     trans_cfg = _config(experiment="transversality",
-                        params={"t_values": [3.0, 4.0, 5.0], "nx": 8, "ns": 8,
-                                "nL": 8})
+                        params={"t_values": [3.0, 4.0, 5.0], "nx": 8, "ns": 8})
     report = run(parse_config(json.dumps(trans_cfg)))
     assert "grid lower bound" in report.caveats
 
@@ -195,17 +198,18 @@ def test_caveat_strings_appear_verbatim():
 def test_transversality_records_schema():
     cfg = parse_config(json.dumps(_config(
         experiment="transversality",
-        params={"t_values": [2.5, 3.5, 4.5], "nx": 8, "ns": 8, "nL": 8})))
+        params={"t_values": [2.5, 3.5, 4.5], "nx": 8, "ns": 8})))
     report = run(cfg)
     for rec in report.payload["records"]:
         assert set(rec) >= {"t", "m_value", "m_upper", "n_value", "grid",
                             "slack", "fitted_rate"}
+        assert rec["grid"] == [8, 8]
     assert report.payload["fitted_rate"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cli_main_resource_limit_exit_code(tmp_path, capsys):
     cfg = _config(experiment="transversality",
-                  params={"t_values": [60.0], "nx": 8, "ns": 8, "nL": 8})
+                  params={"t_values": [60.0], "nx": 8, "ns": 8})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = main(["transversality", str(path)])
@@ -273,12 +277,102 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
      "error: probe level n = 1 "),
     (["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[70]"],
      "error: probe level n = 70:"),
+    (["transversality", "--set", 'params.nx="16"'], "validation error: nx"),
+    (["spectrum", "--set", "params.nx=1.5"], "validation error: nx"),
+    (["spectrum", "--set", "params.k=2.5"], "validation error: k"),
+    (["branches", "--set", 'params.x="a"'], "validation error: x"),
+    (["mixing", "--set", 'params.tol_strict="a"'], "validation error: tol_strict"),
+    (["branches", "--set", 'gamma0="0.9"'], "validation error: gamma0"),
+    (["branches", "--set", "out=7"], "validation error: out"),
+    (["transversality", "--set", 'params.certified="no"'], "validation error: certified"),
+    (["branches", "--set", "seed=true"], "validation error: seed"),
+    (["branches", "--set", "workers=true"], "validation error: workers"),
+    (["branches", "--set", "params.theta=true"], "validation error: theta"),
+    (["mixing", "--set", "params.eigenfunction_times=5"],
+     "validation error: eigenfunction_times"),
+    (["correlations", "--set", 'params.psi.s=["cos","a"]'], "validation error: bad psi: "),
+    (["correlations", "--set", 'params.psi.s=["cos"]'], "validation error: bad psi: "),
+    (["correlations", "--set", 'params.psi.cutoff="no"'], "validation error: bad psi: "),
+    (["branches", "--set", "ceiling.ell=true"], "validation error: bad ceiling: "),
+    (["branches", "--set", 'ceiling.mean="1"'], "validation error: bad ceiling: "),
+    (["branches", "--set", 'ceiling.harmonics=[[1,"a",0]]'], "validation error: bad ceiling: "),
+    (["branches", "--set", "ceiling.harmonics=[[1.5,0,0.1]]"], "validation error: bad ceiling: "),
+    (["transversality", "--set", "params.nL=8"],
+     "validation error: unknown transversality parameter 'nL'"),
+    (["branches", "--set", "experiment=[1]"], "validation error: experiment"),
+    (["branches", "--set", "ceiling.mean.x=1"], "parse error: override 'ceiling.mean.x=1'"),
+    (["branches", "--set", "params.x=1" + "0" * 5000], "validation error: x"),
+    (["mixing", "--set", "params.grid=256", "--format", "jsonl"],
+     "error: payload has no record section"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"[1]", b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff{}"],
+                         ids=["not-an-object", "integer-too-long", "not-utf-8"])
+def test_cli_main_unparsable_config_file(content, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["branches", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error")
+
+
+def test_cli_main_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["branches", "--set", "params.t=2.0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10)
+
+
+def _of_kind(value, kind) -> bool:
+    """Whether ``value`` has the Python type a schema kind names; bools are
+    never numbers."""
+    def number(v):
+        return type(v) in (int, float) and math.isfinite(v)
+    if "list" in kind:
+        item = (lambda v: type(v) is int) if "integers" in kind else number
+        return type(value) is list and all(map(item, value))
+    if kind == "null or a number":
+        return value is None or number(value)
+    if kind in ("an integer", "a power of two"):
+        return type(value) is int
+    return {"a number": number, "true or false": lambda v: type(v) is bool,
+            "an object": lambda v: type(v) is dict}.get(kind, lambda v: type(v) is str)(value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(value=_JSON_VALUES)
+def test_parse_config_any_value_in_any_key(value):
+    # every key of every table, and every key of the nested ceiling and
+    # observable specs, gets the value; parse_config either refuses it with
+    # its own errors or accepts it, and then a table's key has its kind
+    ceiling = {"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}
+    for experiment in cli.EXPERIMENTS:
+        cases = [({"ceiling": ceiling, key: value}, param.kind)
+                 for key, param in cli._TOP.items()]
+        cases += [({"ceiling": ceiling, "params": {key: value}}, param.kind)
+                  for key, param in cli._SCHEMA[experiment].items()]
+        cases += [({"ceiling": dict(ceiling, **{key: value})}, None) for key in ceiling]
+        if experiment == "correlations":
+            cases += [({"ceiling": ceiling, "params": {"psi": {key: value}}}, None)
+                      for key in ("x", "s", "cutoff")]
+        for config, kind in cases:
+            try:
+                cfg = cli.parse_config(json.dumps(config), experiment)
+            except (ParseError, ValidationError):
+                continue
+            assert cfg.experiment == experiment
+            assert kind is None or _of_kind(value, kind), (experiment, config)
 
 
 def test_cli_main_mixing_refuses_bool_depth(capsys):
@@ -426,7 +520,7 @@ def test_cli_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_emit_jsonl_record_lines():
     cfg = parse_config(json.dumps(_config(
         experiment="transversality",
-        params={"t_values": [2.5, 3.5, 4.5], "nx": 8, "ns": 8, "nL": 8})))
+        params={"t_values": [2.5, 3.5, 4.5], "nx": 8, "ns": 8})))
     report = run(cfg)
     lines = emit(report, "jsonl").decode().splitlines()
     assert len(lines) == 3

@@ -99,7 +99,7 @@ def test_m_of_t_matches_oracle_on_grid_sample(f_sin):
 
 def test_n_of_t_constant_is_one(f_const):
     for t in (2.5, 4.0, 7.5):
-        assert n_of_t(f_const, t, 8, 8, 8) == pytest.approx(1.0, abs=1e-12)
+        assert n_of_t(f_const, t, 8, 8) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_n_of_t_matches_line_scan_oracle(f_sin):
@@ -113,7 +113,7 @@ def test_n_of_t_matches_line_scan_oracle(f_sin):
             s = j * f_sin(x) / ns
             branches = enumerate_branches(f_sin, x, s, t)
             best = max(best, line_scan_n(branches, cls.theta_f, f_sin.ell))
-    got = n_of_t(f_sin, t, nx, ns, 8, cls=cls)
+    got = n_of_t(f_sin, t, nx, ns, cls=cls)
     assert got == pytest.approx(best, abs=1e-12)
 
 
@@ -129,20 +129,15 @@ def test_n_of_t_candidate_monotonicity(f_sin):
     best_small = max(line_mass(f_sin, z, t, s, aperture) for s in small)
     best_large = max(line_mass(f_sin, z, t, s, aperture) for s in large)
     assert best_large >= best_small
-    assert n_of_t(f_sin, t, 1, 1, 8, cls=cls) >= best_large - 1e-12
-
-
-def test_n_of_t_rejects_small_nl(f_sin):
-    with pytest.raises(InvalidArgument):
-        n_of_t(f_sin, 4.0, 8, 4, 4)
+    assert n_of_t(f_sin, t, 1, 1, cls=cls) >= best_large - 1e-12
 
 
 def test_submultiplicativity_with_slack(f_sin, f_generic):
     slack = 0.05
     for f in (f_sin, f_generic):
-        n4 = n_of_t(f, 4.0, 12, 6, 8)
-        n8 = n_of_t(f, 8.0, 12, 6, 8)
-        n12 = n_of_t(f, 12.0, 12, 6, 8)
+        n4 = n_of_t(f, 4.0, 12, 6)
+        n8 = n_of_t(f, 8.0, 12, 6)
+        n12 = n_of_t(f, 12.0, 12, 6)
         assert n8 <= n4 * n4 + slack
         assert n12 <= n4 * n8 + slack
 
@@ -154,7 +149,7 @@ def test_cross_bound_with_slack(f_sin, f_generic):
         for t in (4.0, 6.0):
             s = (cls.f_max / cls.f_min) * t + cls.f_max
             m_est = m_of_t(f, s, 12, 8, certified=False, cls=cls)
-            n_val = n_of_t(f, t, 16, 8, 8, cls=cls)
+            n_val = n_of_t(f, t, 16, 8, cls=cls)
             assert m_est.m_value <= n_val + slack
 
 
@@ -269,13 +264,13 @@ def test_m_and_n_oracle_base_three():
             s = j * f3(x) / 3
             bs = enumerate_branches(f3, x, s, 4.0)
             best = max(best, line_scan_n(bs, cls.theta_f, 3))
-    assert n_of_t(f3, 4.0, 6, 3, 8, cls=cls) == pytest.approx(best, abs=1e-12)
+    assert n_of_t(f3, 4.0, 6, 3, cls=cls) == pytest.approx(best, abs=1e-12)
 
 
 def test_n_value_never_exceeds_one(f_sin, f_generic):
     for f in (f_sin, f_generic):
         for t in (3.0, 5.0):
-            assert n_of_t(f, t, 10, 6, 8) <= 1.0 + 1e-12
+            assert n_of_t(f, t, 10, 6) <= 1.0 + 1e-12
 
 
 def test_grid_pass_equals_per_point_oracle(f_const, f_sin, f_generic):
@@ -293,7 +288,7 @@ def test_grid_pass_equals_per_point_oracle(f_const, f_sin, f_generic):
                 single = m_of_t(f, t, 5, 3, certified=certified, cls=cls)
                 assert (single.m_value, single.m_upper, single.argmax_x, single.argmax_s) == \
                     want[:2] + want[3:]
-                assert n_of_t(f, t, 5, 3, 8, cls=cls) == want[2]
+                assert n_of_t(f, t, 5, 3, cls=cls) == want[2]
 
 
 def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
@@ -313,7 +308,7 @@ def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
 
 def test_n_value_exact_for_base_three():
     # weights 3^-n summed in floating point gave n = 1.0000000000000002 here
-    assert n_of_t(GEN3, 3.0, 16, 8, 8) == 1.0
+    assert n_of_t(GEN3, 3.0, 16, 8) == 1.0
     assert m_of_t(GEN3, 4.0, 16, 8, certified=False).m_value == 17 / 27
 
 
