@@ -9,9 +9,9 @@ perturbation-family genericity diagnostics.
 """
 
 from .ceiling import CeilingClass, TrigPolynomial, ceiling_from_config, classify
-from .dynamics import (Branch, Cone, FlowPoint, Word, advance, advance_through,
-                       birkhoff, branch_point, branch_table, flow_count,
-                       inverse_branches, time_t_map, word_interval)
+from .dynamics import (Branch, FlowPoint, Word, advance, advance_through, birkhoff,
+                       branch_point, branch_table, flow_count, inverse_branches,
+                       time_t_map, word_interval)
 from .errors import (DomainViolation, InvalidArgument, NumericalFailure,
                      ParseError, PreconditionViolation, ResourceLimit,
                      SemiflowError, ValidationError)

@@ -240,27 +240,30 @@ def _support_ok(u: GridFunction2D, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(u.values[outside]), initial=0.0)) <= tol * amax
 
 
-def _mask_values(theta: Polarization, n: int, sigma: str,
-                 xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-    """psi_{Theta,n,sigma} on the frequency lattice.
+def _polar(theta: Polarization, xi1, xi2) -> tuple:
+    """(|xi|, plus profile at the direction of xi) on a frequency lattice:
+    the parts every mask of theta shares."""
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    return np.hypot(xi1, xi2), theta.phi_plus(np.arctan2(xi2, xi1) % _PI)
 
-    n = 0: chi(|xi|)/2 for each sign; n >= 1: angular profile times the
-    dyadic annulus bump chi(2^-n |xi|) - chi(2^-n+1 |xi|).  The angular
-    factor at the origin is irrelevant because the annulus bump vanishes
-    there.
+
+def _mask_values(n: int, sigma: str, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """psi_{Theta,n,sigma} from the polar parts (r, phi) of ``_polar``.
+
+    n = 0: chi(|xi|)/2 for each sign; n >= 1: angular profile (phi, or
+    1 - phi for the minus sign) times the dyadic annulus bump
+    chi(2^-n |xi|) - chi(2^-n+1 |xi|).  The angular factor at the origin is
+    irrelevant because the annulus bump vanishes there.
     """
-    r = np.hypot(xi1, xi2)
     if n == 0:
         return chi(r) / 2.0
     radial = chi(r * 2.0 ** -n) - chi(r * 2.0 ** (-n + 1))
-    beta = np.arctan2(xi2, xi1) % _PI
-    return theta.angular(sigma, beta) * radial
+    return (phi if sigma == "+" else 1.0 - phi) * radial
 
 
 def mask_value(theta: Polarization, n: int, sigma: str, xi1, xi2):
     """Pointwise mask evaluation at arbitrary frequencies."""
-    return _mask_values(theta, n, sigma,
-                        np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float))
+    return _mask_values(n, sigma, *_polar(theta, xi1, xi2))
 
 
 def dyadic_mask(theta: Polarization, n: int, sigma: str,
@@ -273,8 +276,7 @@ def dyadic_mask(theta: Polarization, n: int, sigma: str,
     if n >= 1 and 2.0 ** n > grid.nyquist():
         raise InvalidArgument(
             f"annulus scale 2^{n} exceeds the grid Nyquist frequency {grid.nyquist():.3g}")
-    xi1, xi2 = grid.freqs()
-    vals = _mask_values(theta, n, sigma, xi1, xi2)
+    vals = _mask_values(n, sigma, *_polar(theta, *grid.freqs()))
     return GridFunction2D(values=vals, spacing=grid.spacing, rect=grid.rect,
                           domain="frequency")
 
@@ -304,10 +306,9 @@ class _MaskBank:
 
     def __iter__(self):
         if self._pairs is None:
-            xi1, xi2 = self._grid.freqs()
-            self._pairs = tuple(
-                ((n, sigma), _mask_values(self.theta, n, sigma, xi1, xi2))
-                for n in range(_top_band(self._grid) + 1) for sigma in ("+", "-"))
+            polar = _polar(self.theta, *self._grid.freqs())
+            self._pairs = tuple(((n, sigma), _mask_values(n, sigma, *polar))
+                                for n in range(_top_band(self._grid) + 1) for sigma in ("+", "-"))
         return iter(self._pairs)
 
 
@@ -384,11 +385,11 @@ def paired_band_inner(u: GridFunction2D, v: GridFunction2D,
     """max over n of |(psi_{n,-}(D)u, psi_{n,-}(D)v)_{L2}|, frequency-side."""
     Fu = u.fft()
     Fv = v.fft()
-    xi1, xi2 = u.freqs()
+    polar = _polar(theta_hat, *u.freqs())
     scale = (u.spacing ** 2) / (u.N ** 2)
     best = 0.0
     for n in range(_top_band(u) + 1):
-        m = _mask_values(theta_hat, n, "-", xi1, xi2)
+        m = _mask_values(n, "-", *polar)
         inner = np.sum(m * Fu * np.conj(m * Fv)) * scale
         best = max(best, float(abs(inner)))
     return best

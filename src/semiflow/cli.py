@@ -86,7 +86,7 @@ _SCHEMA = {
         "certified": Param(True, "true or false"),
     },
     "mixing": {
-        "grid": Param(4096, "a power of two", ">= 256"),
+        "grid": Param(4096, "a power of two", ">= 256 and <= 65536"),
         "depth": Param(24, "an integer", ">= 1"),
         "tol_strict": Param(None, "null or a number"),
         "tol_clear": Param(None, "null or a number"),
@@ -111,7 +111,7 @@ _SCHEMA = {
         "phi": Param({"s": ["cos", 1.0]}, "an object"),
     },
     "norms": {
-        "grid_n": Param(64, "a power of two", ">= 32"),
+        "grid_n": Param(64, "a power of two", ">= 32 and <= 1024"),
         "num_functions": Param(6, "an integer", ">= 1"),
         "slope_margin": Param(0.5, "a number"),
     },
@@ -128,7 +128,6 @@ _SCHEMA = {
         "x": Param(0.3, "a number", ">= 0 and < 1"),
         "s": Param(0.0, "a number", ">= 0"),
         "t": Param(5.0, "a number", ">= 0"),
-        "theta": Param(None, "null or a number", ">= 0"),
     },
 }
 
@@ -240,16 +239,18 @@ def _observable_from_spec(spec: dict) -> spectral.Observable:
     if not isinstance(cutoff, bool):
         raise InvalidArgument(f"cutoff must be true or false, got {cutoff!r}")
 
-    def wave(name):
+    def wave(name, is_frequency, kind):
         entry = spec.get(name)
         if entry is None:
             return None
         if not (isinstance(entry, list) and len(entry) == 2
-                and entry[0] in ("cos", "sin") and is_number(entry[1])):
-            raise InvalidArgument(f'{name} must be null or ["cos" or "sin", number], got {entry!r}')
+                and entry[0] in ("cos", "sin") and is_frequency(entry[1])):
+            raise InvalidArgument(f'{name} must be null or ["cos" or "sin", {kind}], got {entry!r}')
         return (entry[0], float(entry[1]))
 
-    return spectral.Observable(x_wave=wave("x"), s_wave=wave("s"), cutoff=cutoff)
+    # the x wave lives on the circle, so only an integer frequency is continuous there
+    return spectral.Observable(x_wave=wave("x", is_int, "integer"),
+                               s_wave=wave("s", is_number, "number"), cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +408,7 @@ def _default_probe_family(f: TrigPolynomial):
 
 def _run_branches(cfg: ExperimentConfig):
     p = cfg.params
-    theta = p["theta"]
-    if theta is None:
-        theta = classify(cfg.ceiling, cfg.gamma0).theta_f
-    branches = inverse_branches(cfg.ceiling, FlowPoint(p["x"], p["s"]), p["t"], theta)
+    branches = inverse_branches(cfg.ceiling, FlowPoint(p["x"], p["s"]), p["t"])
     rows = [{
         "word": str(b.word), "n": b.level, "y": b.preimage.x,
         "s_prime": b.preimage.s, "E": b.expansion, "slope": b.slope,

@@ -87,22 +87,6 @@ class FlowPoint:
 
 
 @dataclass(frozen=True)
-class Cone:
-    """Slope cone {(xi, eta): |eta - center*xi| <= width*|xi|}."""
-
-    center_slope: float
-    half_width: float
-
-    def intersects(self, other: "Cone") -> bool:
-        """Two such cones share a nonzero vector iff the center distance is
-        at most the sum of the widths."""
-        return abs(self.center_slope - other.center_slope) <= self.half_width + other.half_width
-
-    def contains_slope(self, sigma: float) -> bool:
-        return abs(sigma - self.center_slope) <= self.half_width
-
-
-@dataclass(frozen=True)
 class Branch:
     """One time-t inverse branch of the flow at a target point."""
 
@@ -111,7 +95,6 @@ class Branch:
     expansion: float
     slope: float
     level: int
-    cone: Cone
 
 
 def validate_point(f: TrigPolynomial, z: FlowPoint) -> float:
@@ -252,29 +235,27 @@ def time_t_map(f: TrigPolynomial, z: FlowPoint, t: float) -> FlowPoint:
 class _BranchTable:
     """Flat arrays describing every time-t inverse branch at one target.
 
-    Columns (parallel arrays): level n, word index k (little-endian), the
-    preimage base point y, the flow coordinate s', and the slope.  Grouped
-    by level; within a level the word index enumerates the branch.  ``scan``
-    is the column scan the table was masked from.
+    Parallel arrays, one entry per branch, level ascending and then word
+    index: the level ``n``, the word index ``k`` (little-endian), the
+    preimage base point ``y``, its flow coordinate ``s`` and the slope.
+    ``scan`` is the column scan the table was masked from.
     """
 
-    __slots__ = ("levels", "indices", "points", "s_values", "slopes", "ell", "scan")
+    __slots__ = ("n", "k", "y", "s", "slopes", "ell", "scan")
 
-    def __init__(self, levels, indices, points, s_values, slopes, ell, scan):
-        self.levels = levels
-        self.indices = indices
-        self.points = points
-        self.s_values = s_values
-        self.slopes = slopes
+    def __init__(self, n, k, y, s, slopes, ell, scan):
+        self.n, self.k, self.y, self.s, self.slopes = n, k, y, s, slopes
         self.ell = ell
         self.scan = scan
 
     @property
-    def count(self) -> int:
-        return sum(len(ix) for ix in self.indices.values())
+    def levels(self) -> list:
+        """The levels holding a branch, ascending."""
+        return np.unique(self.n).tolist()
 
-    def weight_sum(self) -> float:
-        return sum(float(self.ell) ** -n * len(self.indices[n]) for n in self.levels)
+    @property
+    def count(self) -> int:
+        return len(self.n)
 
 
 def _max_admissible_t(f: TrigPolynomial, s: float, cap: int) -> float:
@@ -292,19 +273,21 @@ class _ColumnScan:
 
     Flat arrays, one entry per kept word, grouped by level (``levels[i]``
     owns ``starts[i]:starts[i+1]``) and sorted by word index k within a
-    level: k, the preimage y, the height f(y), the Birkhoff sum S, the
-    parent's sum and the slope.  Level 0 is the empty word; its parent sum
-    is -inf, so its parent test always passes.  The slope order within each
-    level, which only ``slope_profile`` reads, is sorted on its first call.
+    level: the level n, k, the preimage y, the height f(y), the Birkhoff
+    sum S, the parent's sum and the slope.  Level 0 is the empty word; its
+    parent sum is -inf, so its parent test always passes.  The slope order
+    within each level, which only ``slope_profile`` reads, is sorted on its
+    first call.
     """
 
-    __slots__ = ("ell", "levels", "starts", "k", "y", "fy", "S", "S_parent", "slopes",
+    __slots__ = ("ell", "levels", "starts", "n", "k", "y", "fy", "S", "S_parent", "slopes",
                  "_by_slope", "_sorted_slopes")
 
     def __init__(self, ell, levels, blocks):
         self.ell = ell
         self.levels = levels
         self.starts = np.cumsum([0] + [len(block[0]) for block in blocks])
+        self.n = np.repeat(np.array(levels, dtype=np.int64), np.diff(self.starts))
         self.k, self.y, self.fy, self.S, self.S_parent, self.slopes = (
             np.concatenate(column) for column in zip(*blocks))
         self._by_slope = self._sorted_slopes = None
@@ -320,23 +303,14 @@ class _ColumnScan:
     def table(self, s: float, t: float) -> _BranchTable:
         """The branch table at (x, s) for time t, as ``branch_table`` builds it."""
         valid, d = self._valid(s, t)
-        levels, indices, points, s_values, slopes = [], {}, {}, {}, {}
-        for n, a, b in zip(self.levels, self.starts[:-1], self.starts[1:]):
-            v = valid[a:b]
-            if np.any(v):
-                levels.append(n)
-                indices[n] = self.k[a:b][v]
-                points[n] = self.y[a:b][v]
-                s_values[n] = np.maximum(d[a:b][v], 0.0)
-                slopes[n] = self.slopes[a:b][v]
-        return _BranchTable(levels, indices, points, s_values, slopes, self.ell, self)
+        return _BranchTable(self.n[valid], self.k[valid], self.y[valid],
+                            np.maximum(d[valid], 0.0), self.slopes[valid], self.ell, self)
 
     def slope_profile(self, s: float, t: float) -> tuple:
         """(levels, branch count per level, slopes) of the table at (s, t):
         the slopes of each level in ascending order, levels concatenated."""
         if self._by_slope is None:
-            level_of = np.repeat(np.arange(len(self.levels)), np.diff(self.starts))
-            self._by_slope = np.lexsort((self.slopes, level_of))
+            self._by_slope = np.lexsort((self.slopes, self.n))
             self._sorted_slopes = self.slopes[self._by_slope]
         valid = self._valid(s, t)[0][self._by_slope]
         counts = np.add.reduceat(valid, self.starts[:-1], dtype=np.int64).tolist()
@@ -428,24 +402,16 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
     return _column_scan(f, z.x, [z.s, *s_values], ts, cap).table(z.s, t)
 
 
-def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float, theta: float,
+def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float,
                      cap: int = DEFAULT_BRANCH_CAP) -> list:
     """All time-t inverse branches of the flow at z, as Branch records sorted
-    lexicographically by word: a view over ``branch_table``.
-
-    theta sets the cone aperture at level 0; level-n branches carry cones of
-    half-width theta * ell^(-n).
-    """
-    if theta < 0:
-        raise InvalidArgument(f"theta must be >= 0, got {theta}")
+    lexicographically by word: a view over ``branch_table``."""
     table = branch_table(f, z, t, cap=cap)
     ell = table.ell
-    out = []
-    for n in table.levels:
-        for k, y, s_prime, slope in zip(table.indices[n].tolist(), table.points[n].tolist(),
-                                        table.s_values[n].tolist(), table.slopes[n].tolist()):
-            out.append(Branch(word=Word.from_index(k, n, ell), preimage=FlowPoint(y, s_prime),
-                              expansion=float(ell) ** n, slope=slope, level=n,
-                              cone=Cone(slope, theta * float(ell) ** -n)))
+    out = [Branch(word=Word.from_index(k, n, ell), preimage=FlowPoint(y, s_prime),
+                  expansion=float(ell) ** n, slope=slope, level=n)
+           for n, k, y, s_prime, slope in zip(table.n.tolist(), table.k.tolist(),
+                                              table.y.tolist(), table.s.tolist(),
+                                              table.slopes.tolist())]
     out.sort(key=lambda b: b.word.letters)
     return out

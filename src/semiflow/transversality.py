@@ -70,12 +70,13 @@ def _weight_units(ell: int, levels) -> tuple:
     return [ell ** (n_max - n) for n in levels], ell ** n_max
 
 
-def _slope_profile(table) -> tuple:
-    """(levels, branch count per level, slopes) of a branch table: the
-    slopes of each level in ascending order, levels concatenated."""
-    levels = table.levels
-    return (levels, [len(table.slopes[n]) for n in levels],
-            np.concatenate([np.sort(table.slopes[n]) for n in levels] or [np.zeros(0)]))
+def _cones(ell: int, levels, counts, aperture: float) -> tuple:
+    """Per branch of a level-grouped set, the cone half-width
+    aperture*ell^-n and the exact weight in units; and the denominator."""
+    units, denom = _weight_units(ell, levels)
+    el = float(ell)
+    half = np.repeat([aperture * el ** -n for n in levels], counts)
+    return half, np.repeat(np.array(units, dtype=np.int64), counts), denom
 
 
 def _overlap_maxima(ell: int, levels, counts, slopes, theta: float,
@@ -84,8 +85,8 @@ def _overlap_maxima(ell: int, levels, counts, slopes, theta: float,
     whose cone overlaps the reference cone (self-term included).
 
     ``levels``, ``counts`` and ``slopes`` form a slope profile (see
-    ``_slope_profile``).  One pass per target level n2 counts, for every
-    reference at once, the level-n2 slopes within the pair threshold
+    ``_ColumnScan.slope_profile``).  One pass per target level n2 counts, for
+    every reference at once, the level-n2 slopes within the pair threshold
     theta*(ell^-n1 + ell^-n2); the counts are summed in exact integer weight
     units and divided once."""
     if not levels:
@@ -113,7 +114,7 @@ def m_sum_at(f: TrigPolynomial, z: FlowPoint, t: float, theta_f: float,
     per-reference sums reduce to sorted range counts.
     """
     table = branch_table(f, z, t, cap=cap)
-    return _overlap_maxima(table.ell, *_slope_profile(table), theta_f, widen)
+    return _overlap_maxima(table.ell, *table.scan.slope_profile(z.s, t), theta_f, widen)
 
 
 def line_mass(f: TrigPolynomial, z: FlowPoint, t: float, sigma: float,
@@ -121,15 +122,11 @@ def line_mass(f: TrigPolynomial, z: FlowPoint, t: float, sigma: float,
     """Weight 1/E of the branches whose cone of half-width
     aperture*ell^(-n) contains the direction of slope sigma."""
     table = branch_table(f, z, t, cap=cap)
-    if not table.levels:
+    if not table.count:
         return 0.0
-    units, denom = _weight_units(table.ell, table.levels)
-    ell = float(table.ell)
-    total = 0
-    for n, unit in zip(table.levels, units):
-        w = aperture * ell ** -n
-        total += unit * int(np.count_nonzero(np.abs(table.slopes[n] - sigma) <= w))
-    return total / denom
+    levels, counts = np.unique(table.n, return_counts=True)
+    half, wt, denom = _cones(table.ell, levels.tolist(), counts, aperture)
+    return int(wt[np.abs(table.slopes - sigma) <= half].sum()) / denom
 
 
 def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
@@ -142,10 +139,7 @@ def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
     runs, and the running weight is an exact integer count of weight units."""
     if not levels:
         return 0.0
-    units, denom = _weight_units(ell, levels)
-    el = float(ell)
-    half = np.repeat([aperture * el ** -n for n in levels], counts)
-    wt = np.repeat(np.array(units, dtype=np.int64), counts)
+    half, wt, denom = _cones(ell, levels, counts, aperture)
     # a stable sort keeps every start (the first half) ahead of an end at
     # the same coordinate
     order = np.argsort(np.concatenate([slopes - half, slopes + half]), kind="stable")
@@ -164,8 +158,8 @@ def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True
     theta_K-Lipschitz in the target point.  The single-t case of
     ``grid_estimates``.
     """
-    return _grid_pass(f, [t], nx, ns, cls, gamma0, certified, with_m=True, with_n=False,
-                      cap=cap)[0][0]
+    return grid_estimates(f, [t], nx, ns, certified=certified, cls=cls, gamma0=gamma0,
+                          cap=cap)[0][0]
 
 
 def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int,
@@ -178,8 +172,8 @@ def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int,
     sweep, which coincides with evaluating at every cone center and
     boundary.  The single-t case of ``grid_estimates``.
     """
-    return _grid_pass(f, [t], nx, ns, cls, gamma0, False, with_m=False, with_n=True,
-                      cap=cap)[0][1]
+    return grid_estimates(f, [t], nx, ns, certified=False, cls=cls, gamma0=gamma0,
+                          cap=cap)[0][1]
 
 
 def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, certified: bool = True,
@@ -193,14 +187,6 @@ def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, certified: boo
     processes; chunks are reduced in column order, so the results and the
     argmax tie-breaking do not depend on the worker count.
     """
-    return _grid_pass(f, t_values, nx, ns, cls, gamma0, certified, with_m=True, with_n=True,
-                      workers=workers, cap=cap)
-
-
-def _grid_pass(f, t_values, nx, ns, cls, gamma0, certified, with_m, with_n, workers=1,
-               cap=DEFAULT_BRANCH_CAP) -> list:
-    """[(TransversalityEstimate, n_value)] per t; the parts not asked for
-    (``with_m``, ``with_n``) stay at 0."""
     if nx < 1 or ns < 1:
         raise InvalidArgument("grid sizes must be >= 1")
     if cls is None:
@@ -209,7 +195,7 @@ def _grid_pass(f, t_values, nx, ns, cls, gamma0, certified, with_m, with_n, work
     if not ts:
         return []
     widen = 2.0 * cls.theta_K * (1.0 / nx) if certified else None
-    task = functools.partial(_column_maxima, f, ts, nx, ns, cls, widen, with_m, with_n, cap)
+    task = functools.partial(_column_maxima, f, ts, nx, ns, cls, widen, cap)
     chunks = min(max(1, workers), nx)
     parts = pmap(task, [range(i * nx // chunks, (i + 1) * nx // chunks)
                         for i in range(chunks)], chunks)
@@ -223,7 +209,7 @@ def _grid_pass(f, t_values, nx, ns, cls, gamma0, certified, with_m, with_n, work
         # value can be clamped without losing the upper-bound property
         m_upper = min(m_upper, 1.0) if certified else m_value
         est = TransversalityEstimate(
-            t=t, m_value=m_value, m_upper=m_upper, grid=(nx, ns, 0),
+            t=t, m_value=m_value, m_upper=m_upper, grid=(nx, ns),
             slack=(widen if certified else 0.0), argmax_x=x, argmax_s=s,
             argmax_on_section=(s == 0.0), ceiling_key=f.key())
         out.append((est, n_value))
@@ -239,7 +225,7 @@ def _absorb(best: list, m_value, x, s, m_upper, n_value) -> None:
     best[4] = max(best[4], n_value)
 
 
-def _column_maxima(f, ts, nx, ns, cls, widen, with_m, with_n, cap, columns) -> list:
+def _column_maxima(f, ts, nx, ns, cls, widen, cap, columns) -> list:
     """Per t, [m_value, argmax x, argmax s, widened m, n_value] over the grid
     points of the given columns: x = i/nx and ns flow coordinates scaled
     to the fiber, always including the base section s = 0."""
@@ -257,12 +243,10 @@ def _column_maxima(f, ts, nx, ns, cls, widen, with_m, with_n, cap, columns) -> l
         for s in s_values:
             for b, t in zip(best, ts):
                 profile = scan.slope_profile(s, t)
-                m_value = (_overlap_maxima(scan.ell, *profile, cls.theta_f)
-                           if with_m else 0.0)
                 m_upper = (_overlap_maxima(scan.ell, *profile, cls.theta_f, widen)
                            if widen is not None else 0.0)
-                n_value = _sweep_max(scan.ell, *profile, aperture) if with_n else 0.0
-                _absorb(b, m_value, x, s, m_upper, n_value)
+                _absorb(b, _overlap_maxima(scan.ell, *profile, cls.theta_f), x, s, m_upper,
+                        _sweep_max(scan.ell, *profile, aperture))
     return best
 
 

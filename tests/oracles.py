@@ -171,7 +171,7 @@ def per_point_grid(f, t, nx, ns, cls, certified):
     visited column by column: (m_value, m_upper, n_value, argmax x,
     argmax s), the first strict maximum winning ties."""
     from semiflow import FlowPoint, branch_table
-    from semiflow.transversality import _overlap_maxima, _slope_profile, _sweep_max
+    from semiflow.transversality import _overlap_maxima, _sweep_max
 
     widen = 2.0 * cls.theta_K * (1.0 / nx)
     m_value = m_upper = n_value = 0.0
@@ -181,7 +181,7 @@ def per_point_grid(f, t, nx, ns, cls, certified):
         for j in range(ns):
             z = FlowPoint(x, j * height / ns)
             table = branch_table(f, z, t)
-            profile = _slope_profile(table)
+            profile = table.scan.slope_profile(z.s, t)
             v = _overlap_maxima(table.ell, *profile, cls.theta_f)
             if v > m_value:
                 m_value, argmax = v, (z.x, z.s)

@@ -52,7 +52,7 @@ def test_acceptance_1_branch_sum_identity():
         x = float(rng.random())
         s = float(rng.uniform(0, f(x)))
         t = float(rng.uniform(0.5, max(0.6, t_cap)))
-        branches = inverse_branches(f, FlowPoint(x, s), t, 0.0)
+        branches = inverse_branches(f, FlowPoint(x, s), t)
         assert len(branches) <= 2 ** 16
         defect = abs(sum(1.0 / b.expansion for b in branches) - 1.0)
         worst = max(worst, defect)

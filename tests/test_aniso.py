@@ -284,7 +284,7 @@ def test_mask_bank_evaluates_masks_once_on_first_use(theta, grid, monkeypatch):
     real = aniso._mask_values
 
     def counting(*args):
-        calls.append(args[1:3])
+        calls.append(args[:2])
         return real(*args)
 
     monkeypatch.setattr(aniso, "_mask_values", counting)

@@ -287,7 +287,8 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["transversality", "--set", 'params.certified="no"'], "validation error: certified"),
     (["branches", "--set", "seed=true"], "validation error: seed"),
     (["branches", "--set", "workers=true"], "validation error: workers"),
-    (["branches", "--set", "params.theta=true"], "validation error: theta"),
+    (["branches", "--set", "params.theta=true"],
+     "validation error: unknown branches parameter 'theta'"),
     (["mixing", "--set", "params.eigenfunction_times=5"],
      "validation error: eigenfunction_times"),
     (["correlations", "--set", 'params.psi.s=["cos","a"]'], "validation error: bad psi: "),
@@ -304,6 +305,9 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["branches", "--set", "params.x=1" + "0" * 5000], "validation error: x"),
     (["mixing", "--set", "params.grid=256", "--format", "jsonl"],
      "error: payload has no record section"),
+    (["mixing", "--set", "params.grid=1099511627776"], "validation error: grid"),
+    (["norms", "--set", "params.grid_n=1048576"], "validation error: grid_n"),
+    (["correlations", "--set", 'params.psi.x=["cos",0.5]'], "validation error: bad psi: "),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
@@ -386,7 +390,7 @@ def test_norms_run_builds_each_mask_once(monkeypatch, capsys):
     real = aniso._mask_values
 
     def counting(*args):
-        calls.append(args[1:3])
+        calls.append(args[:2])
         return real(*args)
 
     monkeypatch.setattr(aniso, "_mask_values", counting)

@@ -7,7 +7,6 @@ from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit
                       TrigPolynomial, Word, advance_through, birkhoff,
                       branch_point, branch_table, classify, flow_count,
                       inverse_branches, time_t_map, word_interval)
-from semiflow.dynamics import Cone
 
 from conftest import random_positive_ceiling
 from oracles import crossing_simulation, enumerate_branches
@@ -195,7 +194,7 @@ def test_semigroup_property(f_sin):
 
 
 def test_branches_constant_t25(f_const):
-    branches = inverse_branches(f_const, FlowPoint(0.2, 0.0), 2.5, 0.0)
+    branches = inverse_branches(f_const, FlowPoint(0.2, 0.0), 2.5)
     assert len(branches) == 8
     assert {b.level for b in branches} == {3}
     assert all(b.expansion == 8.0 for b in branches)
@@ -206,7 +205,7 @@ def test_branches_constant_t25(f_const):
 
 def test_branches_level_zero_when_s_exceeds_t(f_generic):
     z = FlowPoint(0.4, 0.9)
-    branches = inverse_branches(f_generic, z, 0.5, 1.0)
+    branches = inverse_branches(f_generic, z, 0.5)
     level0 = [b for b in branches if b.level == 0]
     assert len(level0) == 1
     assert level0[0].expansion == 1.0
@@ -216,7 +215,7 @@ def test_branches_level_zero_when_s_exceeds_t(f_generic):
 def test_branches_forward_verification(f_sin):
     z = FlowPoint(0.3, 0.0)
     t = 8.0
-    branches = inverse_branches(f_sin, z, t, 1.0)
+    branches = inverse_branches(f_sin, z, t)
     assert abs(sum(1.0 / b.expansion for b in branches) - 1.0) <= 1e-10
     for b in branches:
         fwd = time_t_map(f_sin, b.preimage, t)
@@ -228,7 +227,7 @@ def test_branches_forward_verification(f_sin):
 def test_branches_match_flat_enumeration_oracle(f_sin, f_generic):
     for f, z, t in [(f_sin, FlowPoint(0.3, 0.0), 6.0),
                     (f_generic, FlowPoint(0.77, 0.5), 5.0)]:
-        got = inverse_branches(f, z, t, 0.5)
+        got = inverse_branches(f, z, t)
         want = enumerate_branches(f, z.x, z.s, t)
         assert len(got) == len(want)
         want_set = {(n, k) for n, k, _, _, _ in want}
@@ -242,10 +241,12 @@ def test_branches_match_flat_enumeration_oracle(f_sin, f_generic):
             assert b.slope == pytest.approx(sl, abs=1e-10)
 
 
+_TABLE_COLUMNS = ("n", "k", "y", "s", "slopes")
+
+
 def _table_columns(table):
-    return {(n, int(k)): (y, sp, sl) for n in table.levels
-            for k, y, sp, sl in zip(table.indices[n].tolist(), table.points[n].tolist(),
-                                    table.s_values[n].tolist(), table.slopes[n].tolist())}
+    return {(n, k): (y, sp, sl) for n, k, y, sp, sl in
+            zip(*(getattr(table, name).tolist() for name in _TABLE_COLUMNS))}
 
 
 def test_branch_table_matches_flat_enumeration_oracle(f_generic):
@@ -253,13 +254,17 @@ def test_branch_table_matches_flat_enumeration_oracle(f_generic):
     for f, z, t in [(f_generic, FlowPoint(0.11, 0.3), 6.5),
                     (gen3, FlowPoint(0.42, 0.0), 4.0),
                     (gen3, FlowPoint(0.7, 0.6), 3.5)]:
+        # the table lists its branches level ascending, then by word index,
+        # in the oracle's order
         table = branch_table(f, z, t)
         got = _table_columns(table)
         want = {(n, k): (y, sp, sl) for n, k, y, sp, sl in enumerate_branches(f, z.x, z.s, t)}
-        assert got.keys() == want.keys()
+        assert list(got) == list(want)
         for key, values in got.items():
             assert values == pytest.approx(want[key], abs=1e-12)
-        assert table.weight_sum() == pytest.approx(1.0, abs=1e-10)
+        assert table.count == len(want)
+        assert table.levels == sorted({n for n, _ in want})
+        assert sum(float(f.ell) ** -n for n in table.n.tolist()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
@@ -281,15 +286,15 @@ def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
                     got = scan.table(s, t)
                     want = branch_table(f, FlowPoint(x, s), t)
                     assert got.levels == want.levels
-                    for name in ("indices", "points", "s_values", "slopes"):
-                        for n in want.levels:
-                            a, b = getattr(got, name)[n], getattr(want, name)[n]
-                            assert a.dtype == b.dtype and np.array_equal(a, b)
+                    for name in _TABLE_COLUMNS:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
                     levels, counts, slopes = scan.slope_profile(s, t)
                     assert levels == want.levels
-                    assert counts == [len(want.slopes[n]) for n in want.levels]
+                    assert counts == [int(np.sum(want.n == n)) for n in want.levels]
                     assert np.array_equal(slopes, np.concatenate(
-                        [np.sort(want.slopes[n]) for n in want.levels] or [np.zeros(0)]))
+                        [np.sort(want.slopes[want.n == n]) for n in want.levels]
+                        or [np.zeros(0)]))
 
 
 def test_branch_table_grid_pairs_validated(f_sin):
@@ -307,11 +312,10 @@ def test_branch_table_grid_pairs_validated(f_sin):
 def test_inverse_branches_carry_table_values(f_sin):
     z, t = FlowPoint(0.3, 0.1), 7.0
     cols = _table_columns(branch_table(f_sin, z, t))
-    branches = inverse_branches(f_sin, z, t, 0.5)
+    branches = inverse_branches(f_sin, z, t)
     assert len(branches) == len(cols)
     for b in branches:
         assert (b.preimage.x, b.preimage.s, b.slope) == cols[(b.level, b.word.index)]
-        assert b.cone == Cone(b.slope, 0.5 * 2.0 ** -b.level)
 
 
 def test_branch_enumeration_rejects_target_above_roof(f_sin):
@@ -319,22 +323,20 @@ def test_branch_enumeration_rejects_target_above_roof(f_sin):
     with pytest.raises(DomainViolation):
         branch_table(f_sin, z, 4.0)
     with pytest.raises(DomainViolation):
-        inverse_branches(f_sin, z, 4.0, 0.5)
+        inverse_branches(f_sin, z, 4.0)
 
 
 def test_branches_sorted_lexicographically(f_sin):
-    branches = inverse_branches(f_sin, FlowPoint(0.4, 0.1), 4.0, 0.5)
+    branches = inverse_branches(f_sin, FlowPoint(0.4, 0.1), 4.0)
     letters = [b.word.letters for b in branches]
     assert letters == sorted(letters)
 
 
-def test_branch_slope_bound_and_cone_width(f_generic):
+def test_branch_slope_bound(f_generic):
     cls = classify(f_generic, 0.9)
-    theta = cls.theta_f
     bound = cls.max_abs_f1 / (f_generic.ell - 1)
-    for b in inverse_branches(f_generic, FlowPoint(0.25, 0.2), 5.0, theta):
+    for b in inverse_branches(f_generic, FlowPoint(0.25, 0.2), 5.0):
         assert abs(b.slope) <= bound + 1e-12
-        assert b.cone.half_width == theta * f_generic.ell ** -b.level
 
 
 def test_coboundary_slope_identity(f_cob):
@@ -343,7 +345,7 @@ def test_coboundary_slope_identity(f_cob):
         return 0.1 * math.pi * math.cos(2 * math.pi * x)
 
     z = FlowPoint(0.35, 0.0)
-    for b in inverse_branches(f_cob, z, 6.0, 1.0):
+    for b in inverse_branches(f_cob, z, 6.0):
         expect = dpsi(z.x) - f_cob.ell ** float(-b.level) * dpsi(b.preimage.x)
         assert b.slope == pytest.approx(expect, abs=1e-9)
 
@@ -355,13 +357,13 @@ def test_branch_sum_identity_random(f_const):
         x = float(rng.random())
         s = float(rng.uniform(0, f(x)))
         t = float(rng.uniform(0.5, 5.0))
-        branches = inverse_branches(f, FlowPoint(x, s), t, 0.0)
+        branches = inverse_branches(f, FlowPoint(x, s), t)
         assert abs(sum(1.0 / b.expansion for b in branches) - 1.0) <= 1e-10
 
 
 def test_branch_cap_raises(f_sin):
     with pytest.raises(ResourceLimit) as info:
-        inverse_branches(f_sin, FlowPoint(0.2, 0.0), 40.0, 0.0, cap=2 ** 12)
+        inverse_branches(f_sin, FlowPoint(0.2, 0.0), 40.0, cap=2 ** 12)
     assert "t_limit" in info.value.details
     with pytest.raises(ResourceLimit):
         branch_table(f_sin, FlowPoint(0.2, 0.0), 40.0, cap=2 ** 12)
@@ -377,20 +379,10 @@ def test_branch_word_length_limit_raises():
     assert "t_limit" in info.value.details
 
 
-def test_cone_intersection_rule():
-    a = Cone(0.0, 0.1)
-    b = Cone(0.25, 0.1)
-    c = Cone(0.15, 0.05)
-    assert not a.intersects(b)
-    assert a.intersects(c)
-    assert b.intersects(c)
-    assert a.intersects(a)
-
-
 def test_exact_roof_hit_assigned_once(f_const):
     # s + S_n - t lands exactly on 0 at level 2: the branch is recorded at
     # that level with s' = 0 and its extensions are not double counted
-    branches = inverse_branches(f_const, FlowPoint(0.25, 0.5), 2.5, 0.0)
+    branches = inverse_branches(f_const, FlowPoint(0.25, 0.5), 2.5)
     assert {b.level for b in branches} == {2}
     assert all(b.preimage.s == 0.0 for b in branches)
     assert sum(1.0 / b.expansion for b in branches) == 1.0

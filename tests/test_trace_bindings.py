@@ -1,0 +1,34 @@
+"""The benchmark's traced run still finds every library binding it patches.
+
+``bench/spans.py`` replaces module attributes of the library by name
+(``cli.inverse_branches``, ``transversality.branch_table``, ...) and reads
+fields of their results, so a refactor that drops or renames one of them
+breaks the traced benchmark run.  This runs the short job lists of two
+workloads under the tracer, checks every report against the identities of
+``bench/checks.py`` and checks that the branch counters saw work.
+"""
+
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+
+import checks  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+from semiflow import cli  # noqa: E402
+
+
+def test_traced_short_workloads_pass_their_checks():
+    tracer = spans.Tracer()
+    with tracer.patched():
+        for workload in ("branch-scan", "lab-survey"):
+            for job in workloads.jobs(workload, 0, short=True):
+                data = cli.emit(cli.run(cli.parse_config(job["config"])))
+                problems = checks.check(job["experiment"], json.loads(data), job["expect"])
+                assert problems == [], (job["name"], problems)
+    assert tracer.counters["dynamics.words_scanned"] > 0
+    assert tracer.counters["dynamics.branches"] > 0

@@ -321,5 +321,5 @@ def test_weight_sums_exact_over_sixty_levels():
     assert max(table.levels) == 60
     assert m_sum_at(f, z, 3.0, 1e9) == 1.0
     assert line_mass(f, z, 3.0, 0.0, 1e9) == 1.0
-    profile = transversality._slope_profile(table)
+    profile = table.scan.slope_profile(z.s, 3.0)
     assert transversality._sweep_max(table.ell, *profile, 1e9) == 1.0
