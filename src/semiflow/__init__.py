@@ -8,7 +8,7 @@ correlation decay, anisotropic Sobolev norms on a Fourier grid, and the
 perturbation-family genericity diagnostics.
 """
 
-from .ceiling import CeilingClass, TrigPolynomial, ceiling_from_config, classify
+from .ceiling import CeilingClass, TrigPolynomial, ceiling_from_config, classify, extrema
 from .dynamics import (Branch, FlowPoint, Word, advance, advance_through, birkhoff,
                        branch_point, branch_table, flow_count, inverse_branches,
                        time_t_map, word_interval)

@@ -240,15 +240,31 @@ def _support_ok(u: GridFunction2D, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(u.values[outside]), initial=0.0)) <= tol * amax
 
 
+class _RadialBumps(dict):
+    """chi(2^-j |xi|) on a frequency lattice, keyed by j and evaluated on
+    first use, so the masks of one level and the next share each bump.
+    Only the bumps of scales j - 1 and j are kept once scale j is asked for."""
+
+    def __init__(self, r: np.ndarray):
+        super().__init__()
+        self.r = r
+
+    def __missing__(self, j: int) -> np.ndarray:
+        for old in [k for k in self if k < j - 1]:
+            del self[old]
+        self[j] = bump = chi(self.r * 2.0 ** -j)
+        return bump
+
+
 def _polar(theta: Polarization, xi1, xi2) -> tuple:
-    """(|xi|, plus profile at the direction of xi) on a frequency lattice:
-    the parts every mask of theta shares."""
+    """(radial bumps of |xi|, plus profile at the direction of xi) on a
+    frequency lattice: the parts every mask of theta shares."""
     xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
-    return np.hypot(xi1, xi2), theta.phi_plus(np.arctan2(xi2, xi1) % _PI)
+    return _RadialBumps(np.hypot(xi1, xi2)), theta.phi_plus(np.arctan2(xi2, xi1) % _PI)
 
 
-def _mask_values(n: int, sigma: str, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """psi_{Theta,n,sigma} from the polar parts (r, phi) of ``_polar``.
+def _mask_values(n: int, sigma: str, bumps: _RadialBumps, phi: np.ndarray) -> np.ndarray:
+    """psi_{Theta,n,sigma} from the polar parts (bumps, phi) of ``_polar``.
 
     n = 0: chi(|xi|)/2 for each sign; n >= 1: angular profile (phi, or
     1 - phi for the minus sign) times the dyadic annulus bump
@@ -256,9 +272,8 @@ def _mask_values(n: int, sigma: str, r: np.ndarray, phi: np.ndarray) -> np.ndarr
     irrelevant because the annulus bump vanishes there.
     """
     if n == 0:
-        return chi(r) / 2.0
-    radial = chi(r * 2.0 ** -n) - chi(r * 2.0 ** (-n + 1))
-    return (phi if sigma == "+" else 1.0 - phi) * radial
+        return bumps[0] / 2.0
+    return (phi if sigma == "+" else 1.0 - phi) * (bumps[n] - bumps[n - 1])
 
 
 def mask_value(theta: Polarization, n: int, sigma: str, xi1, xi2):

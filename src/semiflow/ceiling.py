@@ -9,13 +9,15 @@ tau(x) = ell * x mod 1.  Trigonometric polynomials give exact derivatives of
 every Birkhoff sum downstream, so no numerical differentiation enters the
 slope and cone computations.
 
-``classify`` certifies the extrema of f and f' (grid scan refined by
-bisection on the derivative) and derives the constants that control cone
-apertures and slope Lipschitz bounds everywhere else in the package.
+``extrema`` certifies the range of f and of f' (grid scan refined by
+bisection on the derivative), once per ceiling, and is the one bound on
+either in the package; ``classify`` derives from it the constants that
+control cone apertures and slope Lipschitz bounds everywhere else.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -28,13 +30,18 @@ from .errors import DomainViolation, InvalidArgument
 # this caveat because derivatives beyond f''' never enter the computations.
 CR_TRUNCATION_CAVEAT = "C^r norm surrogate truncated at order 3"
 
+# Harmonic indices stop at a quarter of the certification grid, so that every
+# period of every harmonic holds at least four grid points.
+MAX_HARMONIC = 1024
+_GRID = np.arange(4 * MAX_HARMONIC) / (4 * MAX_HARMONIC)
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
     """Positive trig polynomial ceiling together with the map base ell.
 
     harmonics is a sequence of (k, cos_coeff, sin_coeff) with distinct
-    positive integer frequencies; it is stored sorted by k.
+    integer frequencies 1 <= k <= MAX_HARMONIC; it is stored sorted by k.
     """
 
     mean_coeff: float
@@ -48,8 +55,9 @@ class TrigPolynomial:
         hs = []
         seen = set()
         for k, c, s in self.harmonics:
-            if int(k) != k or k < 1:
-                raise InvalidArgument(f"harmonic index must be a positive integer, got {k}")
+            if int(k) != k or not 1 <= k <= MAX_HARMONIC:
+                raise InvalidArgument(
+                    f"harmonic index must be an integer in [1, {MAX_HARMONIC}], got {k}")
             if int(k) in seen:
                 raise InvalidArgument(f"duplicate harmonic index {k}")
             seen.add(int(k))
@@ -99,8 +107,7 @@ class CeilingClass:
     theta_f is the invariant-cone aperture max|f'| / (gamma0*ell - 1);
     K bounds 1/min f, max f and the order-<=3 smoothness surrogate;
     theta_K = K / (gamma0*ell - 1) is the slope Lipschitz constant used by
-    certified grid sweeps; d2s_bound = K / (ell^2 - 1) bounds the second
-    derivative of every branch slope.
+    certified grid sweeps.
     """
 
     gamma0: float
@@ -109,14 +116,14 @@ class CeilingClass:
     f_min: float
     f_max: float
     theta_K: float
-    d2s_bound: float
     max_abs_f1: float
     caveats: tuple = field(default=(CR_TRUNCATION_CAVEAT,))
 
 
-def _refine_roots(f: TrigPolynomial, order: int, grid: np.ndarray, tol: float = 1e-12):
-    """Roots of the order-th derivative of f, bracketed on the grid and
-    refined by bisection.  Returns an array of x values in [0, 1)."""
+def _refine_roots(f: TrigPolynomial, order: int, tol: float = 1e-12):
+    """Roots of the order-th derivative of f, bracketed on the certification
+    grid and refined by bisection.  Returns an array of x values in [0, 1)."""
+    grid = _GRID
     g = eval(f, grid, order)
     g_next = np.roll(g, -1)
     sign_change = (g * g_next) < 0
@@ -141,60 +148,48 @@ def _refine_roots(f: TrigPolynomial, order: int, grid: np.ndarray, tol: float = 
     return np.asarray(roots, dtype=float)
 
 
-def _certified_extrema(f: TrigPolynomial, order: int, grid: np.ndarray):
-    """(min, max) of the order-th derivative of f over the circle, taking
-    the grid values together with the bisected critical points."""
-    candidates = [eval(f, grid, order)]
-    crit = _refine_roots(f, order + 1, grid)
+@functools.lru_cache(maxsize=256)
+def extrema(f: TrigPolynomial, order: int) -> tuple:
+    """Certified (min, max) of f (order 0) or f' (order 1) over the circle:
+    the grid values together with the bisected critical points.
+
+    The result is cached per ceiling value, so each distinct ceiling is
+    certified at most once per order.
+    """
+    if order not in (0, 1):
+        raise InvalidArgument(f"order must be 0 or 1, got {order}")
+    candidates = [eval(f, _GRID, order)]
+    crit = _refine_roots(f, order + 1)
     if crit.size:
         candidates.append(eval(f, crit, order))
     allv = np.concatenate([np.atleast_1d(v) for v in candidates])
     return float(allv.min()), float(allv.max())
 
 
-def classify(f: TrigPolynomial, gamma0: float, grid_size: int = 4096,
-             k_override: float | None = None) -> CeilingClass:
-    """Certify the extrema of f and f' and populate the class constants.
+def classify(f: TrigPolynomial, gamma0: float) -> CeilingClass:
+    """The class constants of f from the certified extrema of f and f'.
 
-    K is the smallest power of two exceeding
-    1.01 * max(1/min f, max f, grid max of |f|,|f'|,|f''|,|f'''|); a user
-    override may only raise it.
+    K is the smallest power of two exceeding 1.01 * max(1/min f, max f,
+    max|f'|, grid max of |f''| and |f'''|).
     """
     ell = f.ell
     if not (1.0 / ell < gamma0 < 1.0):
         raise InvalidArgument(f"gamma0 must lie in (1/ell, 1) = (1/{ell}, 1), got {gamma0}")
-    if grid_size < 64:
-        raise InvalidArgument(f"grid_size must be >= 64, got {grid_size}")
-    grid = np.arange(grid_size) / grid_size
 
-    f_min, f_max = _certified_extrema(f, 0, grid)
+    f_min, f_max = extrema(f, 0)
     if f_min <= 0.0:
         raise DomainViolation(f"ceiling is nonpositive (min {f_min:.6g}); it must be strictly positive")
-    d1_min, d1_max = _certified_extrema(f, 1, grid)
-    max_abs_f1 = max(abs(d1_min), abs(d1_max))
+    max_abs_f1 = max(map(abs, extrema(f, 1)))
 
     denom = gamma0 * ell - 1.0
-    theta_f = max_abs_f1 / denom
-
-    surrogate = max(
-        float(np.max(np.abs(eval(f, grid, order)))) for order in (0, 1, 2, 3)
-    )
-    base = 1.01 * max(1.0 / f_min, f_max, surrogate)
+    base = 1.01 * max(1.0 / f_min, f_max, max_abs_f1,
+                      *(float(np.max(np.abs(eval(f, _GRID, order)))) for order in (2, 3)))
     K = 2.0 ** math.ceil(math.log2(base))
     if K <= base:
         K *= 2.0
-    if k_override is not None:
-        if k_override < K:
-            raise InvalidArgument(
-                f"K override {k_override} is below the computed bound {K}; overrides may only raise K")
-        K = float(k_override)
-
-    theta_K = K / denom
-    d2s_bound = K * ell ** -2 / (1.0 - ell ** -2)
     return CeilingClass(
-        gamma0=float(gamma0), theta_f=theta_f, K=K,
-        f_min=f_min, f_max=f_max, theta_K=theta_K,
-        d2s_bound=d2s_bound, max_abs_f1=max_abs_f1,
+        gamma0=float(gamma0), theta_f=max_abs_f1 / denom, K=K,
+        f_min=f_min, f_max=f_max, theta_K=K / denom, max_abs_f1=max_abs_f1,
     )
 
 

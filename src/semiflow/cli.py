@@ -23,7 +23,7 @@ import numpy as np
 
 from . import aniso, ceiling, genericity, mixing, smooth, spectral, transversality
 from .canon import canonical_csv, canonical_json
-from .ceiling import TrigPolynomial, ceiling_from_config, classify, is_int, is_number
+from .ceiling import TrigPolynomial, ceiling_from_config, classify, extrema, is_int, is_number
 from .dynamics import FlowPoint, Word, inverse_branches
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
@@ -201,7 +201,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         except InvalidArgument as exc:
             problems.append(f"bad ceiling: {exc}")
     # nan fails the comparison too
-    if ceiling is not None and not float(np.min(ceiling(np.arange(1024) / 1024))) > 0.0:
+    if ceiling is not None and not extrema(ceiling, 0)[0] > 0.0:
         problems.append("ceiling violates positivity: it must be strictly positive")
         ceiling = None
     gamma0 = top.get("gamma0")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ceiling import TrigPolynomial
+from .ceiling import TrigPolynomial, extrema
 from .errors import DomainViolation, InvalidArgument, ResourceLimit
 
 # Points within ROOF_TOL of the roof are treated as already transferred to
@@ -260,8 +260,7 @@ class _BranchTable:
 
 def _max_admissible_t(f: TrigPolynomial, s: float, cap: int) -> float:
     """Largest t for which the level scan provably stays under the cap."""
-    f_min = f.mean_coeff - sum(abs(c) + abs(s_) for _, c, s_ in f.harmonics)
-    f_min = max(f_min, 1e-9)
+    f_min = max(extrema(f, 0)[0], 1e-9)
     # level scan reaches depth ~ (t - s)/f_min + 1; ell^depth <= cap
     depth = math.log(cap, f.ell) - 1.0
     return s + depth * f_min

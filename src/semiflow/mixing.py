@@ -21,12 +21,12 @@ misclassified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .ceiling import TrigPolynomial
+from .ceiling import TrigPolynomial, extrema
 from .dynamics import advance, advance_through
 from .errors import InvalidArgument, PreconditionViolation, ResourceLimit
 
@@ -51,23 +51,18 @@ class CoboundaryReport:
     verdict: Verdict | None = None
     tol_strict: float | None = None
     tol_clear: float | None = None
-    antiderivative_tol: float = 0.0
     eigenfunction_defect: float | None = None
-    caveats: tuple = field(default_factory=tuple)
 
     @property
     def grid_points(self) -> np.ndarray:
         return np.arange(self.grid) / self.grid
 
 
-def tail_bound(f: TrigPolynomial, depth: int, max_abs_f1: float | None = None) -> float:
+def tail_bound(f: TrigPolynomial, depth: int) -> float:
     """Truncation error of the preimage series after ``depth`` levels: the
     level-n block is bounded by ell^(-n) max|f'|, so the tail is
-    max|f'| * ell^(-depth) / (ell - 1)."""
-    if max_abs_f1 is None:
-        grid = np.arange(8192) / 8192
-        max_abs_f1 = float(np.max(np.abs(f(grid, 1))))
-    return max_abs_f1 * f.ell ** float(-depth) / (f.ell - 1)
+    max|f'| * ell^(-depth) / (ell - 1), with the certified max|f'|."""
+    return max(map(abs, extrema(f, 1))) * f.ell ** float(-depth) / (f.ell - 1)
 
 
 def _level_sum(f: TrigPolynomial, x: np.ndarray, n: int) -> np.ndarray:
@@ -135,7 +130,6 @@ def cobounding_potential(f: TrigPolynomial, grid: int, depth: int) -> Coboundary
     psi = sample_psi(f, xs, depth)
 
     coeffs = np.fft.fft(psi)
-    mean_est = coeffs[0] / grid
     coeffs[0] = 0.0
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer frequencies
     denom = 2j * np.pi * freqs
@@ -143,13 +137,8 @@ def cobounding_potential(f: TrigPolynomial, grid: int, depth: int) -> Coboundary
     Psi_coeffs = coeffs / denom
     Psi = np.real(np.fft.ifft(Psi_coeffs))
     Psi -= Psi[0]
-    nyq = abs(coeffs[grid // 2]) / grid if grid >= 2 else 0.0
-
-    return CoboundaryReport(
-        grid=grid, psi=psi, Psi=Psi, c=f.mean_coeff, depth=depth,
-        tail_bound=tail_bound(f, depth),
-        antiderivative_tol=float(abs(mean_est) + nyq),
-    )
+    return CoboundaryReport(grid=grid, psi=psi, Psi=Psi, c=f.mean_coeff, depth=depth,
+                            tail_bound=tail_bound(f, depth))
 
 
 def eval_periodic_samples(samples: np.ndarray, xq) -> np.ndarray:

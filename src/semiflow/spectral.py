@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .ceiling import TrigPolynomial, _certified_extrema
+from .ceiling import TrigPolynomial, extrema
 from .dynamics import advance, advance_through
 from .errors import InvalidArgument, NumericalFailure, ResourceLimit
 from .smooth import step
@@ -259,8 +259,7 @@ def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
     order, and with the repeats, of ``t_list``.
     """
     x, s, fx, w = _quadrature_nodes(f, nx, ns)
-    f_min = _certified_extrema(f, 0, np.arange(4096) / 4096)[0]
-    margin = CUTOFF_MARGIN_FRACTION * f_min
+    margin = CUTOFF_MARGIN_FRACTION * extrema(f, 0)[0]
     psi_vals = psi.values(x, s, fx, margin)
     mean_psi = float(np.sum(w * psi_vals))
     cor_at = {}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import DomainViolation, InvalidArgument, TrigPolynomial, classify
-from semiflow.ceiling import CR_TRUNCATION_CAVEAT, ceiling_from_config
+from semiflow import DomainViolation, InvalidArgument, TrigPolynomial, classify, extrema
+from semiflow.ceiling import CR_TRUNCATION_CAVEAT, MAX_HARMONIC, ceiling_from_config
 from semiflow.ceiling import eval as feval
 
 from oracles import dense_max_abs_deriv
@@ -77,11 +77,6 @@ def test_classify_rejects_bad_gamma0(f_sin):
         classify(f_sin, 1.0)
 
 
-def test_classify_rejects_small_grid(f_sin):
-    with pytest.raises(InvalidArgument):
-        classify(f_sin, 0.9, grid_size=32)
-
-
 def test_theta_f_antitone_in_gamma0(f_generic):
     # theta_f = max|f'|/(gamma0*ell - 1): a larger gamma0 enlarges the
     # denominator and so shrinks theta_f
@@ -92,21 +87,45 @@ def test_theta_f_antitone_in_gamma0(f_generic):
 def test_class_constant_inequalities(f_generic):
     cls = classify(f_generic, 0.9)
     assert 1.0 / cls.K < cls.f_min <= cls.f_max < cls.K
-    assert cls.d2s_bound <= cls.theta_K
     assert cls.theta_K == pytest.approx(cls.K / (0.9 * 2 - 1), rel=1e-14)
 
 
-def test_k_is_power_of_two_and_override(f_sin):
+def test_k_is_power_of_two(f_sin):
     cls = classify(f_sin, 0.9)
     assert math.log2(cls.K) == int(math.log2(cls.K))
-    bigger = classify(f_sin, 0.9, k_override=2 * cls.K)
-    assert bigger.K == 2 * cls.K
-    with pytest.raises(InvalidArgument):
-        classify(f_sin, 0.9, k_override=cls.K / 2)
 
 
 def test_classify_carries_truncation_caveat(f_sin):
     assert CR_TRUNCATION_CAVEAT in classify(f_sin, 0.9).caveats
+
+
+def test_extrema_certify_f_and_its_derivative(f_sin, f_generic):
+    lo, hi = extrema(f_sin, 0)
+    assert lo == pytest.approx(0.8, abs=1e-12) and hi == pytest.approx(1.2, abs=1e-12)
+    lo, hi = extrema(f_sin, 1)
+    assert -lo == pytest.approx(0.4 * math.pi, abs=1e-12) == hi
+    assert max(map(abs, extrema(f_generic, 1))) >= dense_max_abs_deriv(f_generic, 1)
+    with pytest.raises(InvalidArgument):
+        extrema(f_sin, 2)
+
+
+def test_extrema_cached_per_ceiling_value(f_generic):
+    extrema.cache_clear()
+    twin = TrigPolynomial(1.0, ((2, 0.1, 0.0), (1, 0.0, 0.3)), 2)
+    assert twin == f_generic and twin is not f_generic
+    assert extrema(f_generic, 1) is extrema(twin, 1)
+    classify(twin, 0.9)
+    classify(f_generic, 0.6)
+    assert extrema.cache_info().misses == 2
+
+
+def test_harmonic_index_capped_at_a_quarter_of_the_certification_grid():
+    # at the cap every period holds four grid points, so the bisection
+    # still finds the true extrema
+    lo, hi = extrema(TrigPolynomial(1.0, ((MAX_HARMONIC, 0.0, 0.2),), 2), 0)
+    assert lo == pytest.approx(0.8, abs=1e-12) and hi == pytest.approx(1.2, abs=1e-12)
+    with pytest.raises(InvalidArgument, match="harmonic index"):
+        TrigPolynomial(1.0, ((MAX_HARMONIC + 1, 0.0, 0.2),), 2)
 
 
 def test_harmonics_sorted_and_distinct():

@@ -56,6 +56,52 @@ def test_validation_positivity():
     assert any("positiv" in v for v in info.value.violations)
 
 
+# f = 0.999999 + cos(6 pi x + a): its minimum, -1e-6, falls between the points
+# of a 1024-point grid
+DIP_CEILING = {"ell": 2, "mean": 0.999999,
+               "harmonics": [[3, 0.9999576445519639, 0.00920375478205982]]}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_every_subcommand_refuses_a_ceiling_dipping_below_zero_between_grid_points(
+        experiment, capsys):
+    assert main([experiment, "--set", "ceiling=" + json.dumps(DIP_CEILING)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ceiling violates positivity")
+    assert "Traceback" not in err
+
+
+def test_harmonic_index_up_to_1024_accepted():
+    ceiling = {"ell": 2, "mean": 1.0, "harmonics": [[1024, 0.0, 0.2]]}
+    cfg = parse_config(json.dumps(_config(ceiling=ceiling)))
+    assert cfg.ceiling.max_harmonic == 1024
+
+
+def test_each_ceiling_certified_once_per_order_across_every_subcommand():
+    from semiflow.ceiling import extrema
+    small = {
+        "transversality": {"t_values": [2.0, 3.0], "nx": 8, "ns": 8},
+        "mixing": {"grid": 256, "depth": 8},
+        "spectrum": {"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 16, "k": 4},
+        "correlations": {"t_values": [0.0, 0.5], "nx": 16, "ns": 2},
+        "norms": {"grid_n": 32, "num_functions": 1},
+        "genericity": {"cluster_n_values": [4], "probe": True, "probe_n_values": [4],
+                       "probe_samples": 10},
+        "branches": {"t": 3.0},
+    }
+    ceilings = [{"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]},
+                {"ell": 3, "mean": 1.3,
+                 "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0], [3, 0.05, 0.05]]}]
+    extrema.cache_clear()
+    for ceiling in ceilings:
+        for experiment, params in small.items():
+            config = _config(ceiling=ceiling, experiment=experiment, params=params)
+            run(parse_config(json.dumps(config)))
+    info = extrema.cache_info()
+    assert info.misses == 2 * len(ceilings)
+    assert info.hits > 0
+
+
 def test_validation_unknown_keys_rejected():
     with pytest.raises(ValidationError) as info:
         parse_config(json.dumps(_config(mystery=1)))
@@ -308,6 +354,8 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["mixing", "--set", "params.grid=1099511627776"], "validation error: grid"),
     (["norms", "--set", "params.grid_n=1048576"], "validation error: grid_n"),
     (["correlations", "--set", 'params.psi.x=["cos",0.5]'], "validation error: bad psi: "),
+    (["transversality", "--set", "ceiling.harmonics=[[4096,0,1.2]]"],
+     "validation error: bad ceiling: "),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1

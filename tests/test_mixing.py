@@ -10,6 +10,8 @@ from semiflow import (InvalidArgument, PreconditionViolation, ResourceLimit,
 from semiflow.mixing import (default_tolerances, eval_periodic_samples,
                              sample_psi, tail_bound)
 
+from oracles import dense_max_abs_deriv
+
 
 def test_unstable_slope_constant(f_const):
     assert unstable_slope(f_const, 0.3, 10) == 0.0
@@ -83,6 +85,16 @@ def test_tail_bound_formula(f_cob):
     got = tail_bound(f_cob, 12)
     assert got <= mx * 2.0 ** -12 / (2 - 1) + 1e-12
     assert got > 0
+
+
+def test_tail_bound_is_a_bound(f_generic):
+    # the grid maximum of |f'| undercuts the true one on these ceilings, so a
+    # tail bound from a grid is not a bound
+    f_gen3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
+    for f in (f_generic, f_gen3):
+        oracle = dense_max_abs_deriv(f, 1)
+        for depth in (1, 12, 24):
+            assert tail_bound(f, depth) >= oracle * f.ell ** -depth / (f.ell - 1)
 
 
 def test_functional_equation_at_truncation(f_const, f_cob, f_cob2):

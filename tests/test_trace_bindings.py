@@ -3,9 +3,10 @@
 ``bench/spans.py`` replaces module attributes of the library by name
 (``cli.inverse_branches``, ``transversality.branch_table``, ...) and reads
 fields of their results, so a refactor that drops or renames one of them
-breaks the traced benchmark run.  This runs the short job lists of two
-workloads under the tracer, checks every report against the identities of
-``bench/checks.py`` and checks that the branch counters saw work.
+breaks the traced benchmark run.  This runs the short job lists of the
+three workloads under the tracer, checks every report against the
+identities of ``bench/checks.py`` and checks that the branch, flow and
+eigenfunction layers saw work.
 """
 
 import json
@@ -25,10 +26,14 @@ from semiflow import cli  # noqa: E402
 def test_traced_short_workloads_pass_their_checks():
     tracer = spans.Tracer()
     with tracer.patched():
-        for workload in ("branch-scan", "lab-survey"):
+        for workload in workloads.WORKLOADS:
             for job in workloads.jobs(workload, 0, short=True):
                 data = cli.emit(cli.run(cli.parse_config(job["config"])))
                 problems = checks.check(job["experiment"], json.loads(data), job["expect"])
                 assert problems == [], (job["name"], problems)
     assert tracer.counters["dynamics.words_scanned"] > 0
     assert tracer.counters["dynamics.branches"] > 0
+    calls = {(name, tracer.spans[parent][0])
+             for name, _, _, parent in tracer.spans if parent >= 0}
+    assert ("dynamics.advance", "mixing.eigenfunction") in calls
+    assert ("dynamics.advance", "spectral.build_ulam") in calls
