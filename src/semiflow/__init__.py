@@ -16,8 +16,7 @@ from .errors import (DomainViolation, InvalidArgument, NumericalFailure,
                      ParseError, PreconditionViolation, ResourceLimit,
                      SemiflowError, ValidationError)
 from .mixing import (CoboundaryReport, Verdict, cobounding_potential,
-                     cocycle_residual, eigenfunction_check, unstable_slope,
-                     weak_mixing_test)
+                     cocycle_residual, eigenfunction_check, weak_mixing_test)
 from .transversality import (LambdaMinEstimate, TransversalityEstimate,
                              exponent_fit, lambda_min, line_mass, m_of_t,
                              m_sum_at, n_of_t)

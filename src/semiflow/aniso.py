@@ -79,11 +79,6 @@ class ConeSpec:
             or bool(self.contains_angle(other.arc[1] % _PI)) \
             or bool(other.contains_angle(self.arc[1] % _PI))
 
-    def strictly_inside(self, other: "ConeSpec", margin: float = 1e-12) -> bool:
-        """Closure of self inside the interior of other (except the origin)."""
-        return _arc_strictly_inside(self.arc, other.arc, margin)
-
-
 def _arc_strictly_inside(inner: tuple, outer: tuple, margin: float = 1e-12) -> bool:
     a, b = inner
     oa, ob = outer
@@ -240,60 +235,52 @@ def _support_ok(u: GridFunction2D, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(u.values[outside]), initial=0.0)) <= tol * amax
 
 
-class _RadialBumps(dict):
-    """chi(2^-j |xi|) on a frequency lattice, keyed by j and evaluated on
-    first use, so the masks of one level and the next share each bump.
-    Only the bumps of scales j - 1 and j are kept once scale j is asked for."""
+def _masks(theta: Polarization, xi1, xi2, levels: range):
+    """((n, sigma), psi_{Theta,n,sigma}) at the frequencies (xi1, xi2) for
+    n in ``levels``, n ascending and '+' before '-'.
 
-    def __init__(self, r: np.ndarray):
-        super().__init__()
-        self.r = r
-
-    def __missing__(self, j: int) -> np.ndarray:
-        for old in [k for k in self if k < j - 1]:
-            del self[old]
-        self[j] = bump = chi(self.r * 2.0 ** -j)
-        return bump
-
-
-def _polar(theta: Polarization, xi1, xi2) -> tuple:
-    """(radial bumps of |xi|, plus profile at the direction of xi) on a
-    frequency lattice: the parts every mask of theta shares."""
-    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
-    return _RadialBumps(np.hypot(xi1, xi2)), theta.phi_plus(np.arctan2(xi2, xi1) % _PI)
-
-
-def _mask_values(n: int, sigma: str, bumps: _RadialBumps, phi: np.ndarray) -> np.ndarray:
-    """psi_{Theta,n,sigma} from the polar parts (bumps, phi) of ``_polar``.
-
-    n = 0: chi(|xi|)/2 for each sign; n >= 1: angular profile (phi, or
-    1 - phi for the minus sign) times the dyadic annulus bump
-    chi(2^-n |xi|) - chi(2^-n+1 |xi|).  The angular factor at the origin is
-    irrelevant because the annulus bump vanishes there.
+    n = 0: chi(|xi|)/2 for each sign; n >= 1: angular profile (phi_plus, or
+    1 - phi_plus for the minus sign) times the dyadic annulus bump
+    chi(2^-n |xi|) - chi(2^-n+1 |xi|).  Each radial bump is evaluated once
+    and shared by the two signs of its level and by the next level.  The
+    angular factor at the origin is irrelevant because the annulus bump
+    vanishes there.
     """
-    if n == 0:
-        return bumps[0] / 2.0
-    return (phi if sigma == "+" else 1.0 - phi) * (bumps[n] - bumps[n - 1])
+    r = np.hypot(xi1, xi2)
+    phi = theta.phi_plus(np.arctan2(xi2, xi1) % _PI)
+    if levels[0] >= 1:
+        inner = chi(r * 2.0 ** (1 - levels[0]))
+    for n in levels:
+        outer = chi(r * 2.0 ** -n)
+        if n == 0:
+            half = outer / 2.0
+            yield (0, "+"), half
+            yield (0, "-"), half
+        else:
+            annulus = outer - inner
+            yield (n, "+"), phi * annulus
+            yield (n, "-"), (1.0 - phi) * annulus
+        inner = outer
 
 
 def mask_value(theta: Polarization, n: int, sigma: str, xi1, xi2):
     """Pointwise mask evaluation at arbitrary frequencies."""
-    return _mask_values(n, sigma, *_polar(theta, xi1, xi2))
+    if n < 0:
+        raise InvalidArgument(f"n must be >= 0, got {n}")
+    if sigma not in ("+", "-"):
+        raise InvalidArgument(f"sigma must be '+' or '-', got {sigma!r}")
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    return dict(_masks(theta, xi1, xi2, range(n, n + 1)))[n, sigma]
 
 
 def dyadic_mask(theta: Polarization, n: int, sigma: str,
                 grid: GridFunction2D) -> GridFunction2D:
     """Frequency-side mask as a grid function."""
-    if n < 0:
-        raise InvalidArgument(f"n must be >= 0, got {n}")
-    if sigma not in ("+", "-"):
-        raise InvalidArgument(f"sigma must be '+' or '-', got {sigma!r}")
     if n >= 1 and 2.0 ** n > grid.nyquist():
         raise InvalidArgument(
             f"annulus scale 2^{n} exceeds the grid Nyquist frequency {grid.nyquist():.3g}")
-    vals = _mask_values(n, sigma, *_polar(theta, *grid.freqs()))
-    return GridFunction2D(values=vals, spacing=grid.spacing, rect=grid.rect,
-                          domain="frequency")
+    return GridFunction2D(values=mask_value(theta, n, sigma, *grid.freqs()),
+                          spacing=grid.spacing, rect=grid.rect, domain="frequency")
 
 
 def _top_band(grid: GridFunction2D) -> int:
@@ -302,83 +289,65 @@ def _top_band(grid: GridFunction2D) -> int:
     return max(1, math.ceil(math.log2(xi_max))) + 1
 
 
-class _MaskBank:
+@dataclass(frozen=True)
+class MaskBank:
     """Every mask psi_{n,sigma} of one polarization on the frequency lattice
-    of one grid size and spacing; iterating yields ((n, sigma), mask) pairs,
-    n ascending, '+' before '-'.
+    of one grid size N and spacing: ``masks`` holds read-only
+    ((n, sigma), mask) pairs, n ascending, '+' before '-'."""
 
-    The masks are evaluated on the first iteration and kept, so a caller
-    evaluating many functions on one grid builds the bank once and passes it
-    as ``bank=``.  A bank is refused on any other polarization or grid.
-    """
-
-    def __init__(self, theta: Polarization, grid: GridFunction2D):
-        self.theta = theta
-        self.N = grid.N
-        self.spacing = grid.spacing
-        self._grid = grid
-        self._pairs = None
-
-    def __iter__(self):
-        if self._pairs is None:
-            polar = _polar(self.theta, *self._grid.freqs())
-            self._pairs = tuple(((n, sigma), _mask_values(n, sigma, *polar))
-                                for n in range(_top_band(self._grid) + 1) for sigma in ("+", "-"))
-        return iter(self._pairs)
+    N: int
+    spacing: float
+    masks: tuple
 
 
-def mask_bank(theta: Polarization, grid: GridFunction2D) -> _MaskBank:
+def mask_bank(theta: Polarization, grid: GridFunction2D) -> MaskBank:
     """The bank of every mask of theta on the grid's frequency lattice."""
-    return _MaskBank(theta, grid)
+    masks = tuple(_masks(theta, *grid.freqs(), range(_top_band(grid) + 1)))
+    for _, m in masks:
+        m.flags.writeable = False
+    return MaskBank(N=grid.N, spacing=grid.spacing, masks=masks)
 
 
-def _bank_for(theta: Polarization, grid: GridFunction2D, bank) -> _MaskBank:
-    if bank is None:
-        return _MaskBank(theta, grid)
-    if bank.theta != theta or bank.N != grid.N or bank.spacing != grid.spacing:
-        raise InvalidArgument(
-            "mask bank was built for another polarization, grid size or spacing")
-    return bank
+def _check_bank(bank: MaskBank, u: GridFunction2D) -> None:
+    if bank.N != u.N or bank.spacing != u.spacing:
+        raise InvalidArgument("mask bank was built for another grid size or spacing")
 
 
-def partition_defect(theta: Polarization, grid: GridFunction2D, bank=None) -> float:
+def partition_defect(bank: MaskBank) -> float:
     """max over grid frequencies of |sum of all masks - 1|."""
-    total = np.zeros((grid.N, grid.N))
-    for _, m in _bank_for(theta, grid, bank):
-        total += m
+    total = sum(m for _, m in bank.masks)
     return float(np.max(np.abs(total - 1.0)))
 
 
-def band_norms(u: GridFunction2D, theta: Polarization, bank=None) -> dict:
+def band_norms(u: GridFunction2D, bank: MaskBank) -> dict:
     """Squared L2 norms of every masked dyadic piece of u, keyed (n, sigma)."""
     if u.domain != "space":
         raise InvalidArgument("band_norms expects a space-side grid function")
-    bank = _bank_for(theta, u, bank)
+    _check_bank(bank, u)
     F = u.fft()
     scale = (u.spacing ** 2) / (u.N ** 2)  # discrete Parseval factor
-    return {key: float(np.sum(np.abs(m * F) ** 2)) * scale for key, m in bank}
+    return {key: float(np.sum(np.abs(m * F) ** 2)) * scale for key, m in bank.masks}
 
 
-def aniso_norm(u: GridFunction2D, theta: Polarization, params: NormParams,
-               bank=None) -> float:
-    """The anisotropic norm of u for the given polarization and weights."""
+def aniso_norm(u: GridFunction2D, bank: MaskBank, params: NormParams) -> float:
+    """The anisotropic norm of u for the bank's polarization and the given
+    weights."""
     if not _support_ok(u):
         raise DomainViolation("function is not supported in the designated rectangle")
-    pieces = band_norms(u, theta, bank=bank)
     total = 0.0
-    for (n, sigma), sq in pieces.items():
+    for (n, sigma), sq in band_norms(u, bank).items():
         w = 2.0 ** (2.0 * params.p * n) if sigma == "+" else 2.0 ** (2.0 * params.q * n)
         total += w * sq
     return math.sqrt(total)
 
 
-def embedding_check(u: GridFunction2D, theta: Polarization, bank=None) -> float:
+def embedding_check(u: GridFunction2D, bank: MaskBank) -> float:
     """Ratio of the plain L2 norm to the strong anisotropic norm; bounded by
     sqrt(6), the intersection multiplicity of the mask supports."""
     l2 = u.l2_norm()
     if l2 == 0.0:
         raise InvalidArgument("embedding_check needs a nonzero function")
-    return l2 / aniso_norm(u, theta, NormParams.strong(), bank=bank)
+    return l2 / aniso_norm(u, bank, NormParams.strong())
 
 
 def cone_filter(u: GridFunction2D, cone: ConeSpec) -> GridFunction2D:
@@ -395,23 +364,21 @@ def cone_filter(u: GridFunction2D, cone: ConeSpec) -> GridFunction2D:
     return GridFunction2D(values=vals, spacing=u.spacing, rect=u.rect)
 
 
-def paired_band_inner(u: GridFunction2D, v: GridFunction2D,
-                      theta_hat: Polarization) -> float:
+def paired_band_inner(u: GridFunction2D, v: GridFunction2D, bank: MaskBank) -> float:
     """max over n of |(psi_{n,-}(D)u, psi_{n,-}(D)v)_{L2}|, frequency-side."""
+    _check_bank(bank, u)
     Fu = u.fft()
     Fv = v.fft()
-    polar = _polar(theta_hat, *u.freqs())
     scale = (u.spacing ** 2) / (u.N ** 2)
     best = 0.0
-    for n in range(_top_band(u) + 1):
-        m = _mask_values(n, "-", *polar)
-        inner = np.sum(m * Fu * np.conj(m * Fv)) * scale
-        best = max(best, float(abs(inner)))
+    for (_, sigma), m in bank.masks:
+        if sigma == "-":
+            inner = np.sum(m * Fu * np.conj(m * Fv)) * scale
+            best = max(best, float(abs(inner)))
     return best
 
 
-def transversal_orthogonality(u: GridFunction2D, v: GridFunction2D,
-                              theta_hat: Polarization,
+def transversal_orthogonality(u: GridFunction2D, v: GridFunction2D, bank: MaskBank,
                               cone_u: ConeSpec, cone_v: ConeSpec) -> float:
     """Paired minus-band inner products of two cone-supported functions.
 
@@ -421,4 +388,4 @@ def transversal_orthogonality(u: GridFunction2D, v: GridFunction2D,
     """
     if cone_u.intersects(cone_v):
         raise PreconditionViolation("cone_u and cone_v must meet only at the origin")
-    return paired_band_inner(u, v, theta_hat)
+    return paired_band_inner(u, v, bank)

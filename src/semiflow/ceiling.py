@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,35 +117,31 @@ class CeilingClass:
     f_max: float
     theta_K: float
     max_abs_f1: float
-    caveats: tuple = field(default=(CR_TRUNCATION_CAVEAT,))
 
 
 def _refine_roots(f: TrigPolynomial, order: int, tol: float = 1e-12):
     """Roots of the order-th derivative of f, bracketed on the certification
-    grid and refined by bisection.  Returns an array of x values in [0, 1)."""
-    grid = _GRID
-    g = eval(f, grid, order)
-    g_next = np.roll(g, -1)
-    sign_change = (g * g_next) < 0
-    idx = np.nonzero(sign_change)[0]
-    roots = []
-    n = len(grid)
-    h = 1.0 / n
-    for i in idx:
-        lo, hi = grid[i], grid[i] + h
-        glo = eval(f, lo, order)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gm = eval(f, mid, order)
-            if glo * gm <= 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-            if hi - lo < tol:
-                break
-        roots.append(0.5 * (lo + hi) % 1.0)
-    roots.extend(grid[g == 0.0])
-    return np.asarray(roots, dtype=float)
+    grid and refined by bisection, every bracket at once.  A bracket stops
+    once it is narrower than tol, or after 60 halvings.  Returns an array of
+    x values in [0, 1)."""
+    g = eval(f, _GRID, order)
+    idx = np.nonzero(g * np.roll(g, -1) < 0)[0]
+    lo = _GRID[idx]
+    hi = lo + 1.0 / len(_GRID)
+    glo = eval(f, lo, order)
+    active = np.arange(idx.size)
+    for _ in range(60):
+        if not active.size:
+            break
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        gm = eval(f, mid, order)
+        left = glo[active] * gm <= 0
+        hi[active] = np.where(left, mid, b)
+        lo[active] = np.where(left, a, mid)
+        glo[active] = np.where(left, glo[active], gm)
+        active = active[hi[active] - lo[active] >= tol]
+    return np.concatenate([0.5 * (lo + hi) % 1.0, _GRID[g == 0.0]])
 
 
 @functools.lru_cache(maxsize=256)

@@ -341,9 +341,8 @@ def _default_polarization(margin: float):
 
 def _run_norms(cfg: ExperimentConfig):
     p = cfg.params
-    theta = _default_polarization(p["slope_margin"])
     grid = aniso.make_grid(1.0, 1.0, p["grid_n"])
-    bank = aniso.mask_bank(theta, grid)
+    bank = aniso.mask_bank(_default_polarization(p["slope_margin"]), grid)
     rng = np.random.default_rng(cfg.seed)
     X, Y = grid.coords()
     envelope = smooth.plateau(X, 0.5, 0.95) * smooth.plateau(Y, 0.5, 0.95)
@@ -353,16 +352,16 @@ def _run_norms(cfg: ExperimentConfig):
         u = aniso.GridFunction2D(
             values=envelope * np.cos(2 * np.pi * (k1 * X + k2 * Y) + rng.random()),
             spacing=grid.spacing, rect=grid.rect)
-        strong = aniso.aniso_norm(u, theta, aniso.NormParams.strong(), bank=bank)
-        weak = aniso.aniso_norm(u, theta, aniso.NormParams.weak(), bank=bank)
+        strong = aniso.aniso_norm(u, bank, aniso.NormParams.strong())
+        weak = aniso.aniso_norm(u, bank, aniso.NormParams.weak())
         rows.append({
             "id": f"mode_{i}_({k1},{k2})",
             "strong_norm": strong, "weak_norm": weak,
-            "embedding_ratio": aniso.embedding_check(u, theta, bank=bank),
+            "embedding_ratio": aniso.embedding_check(u, bank),
             "weak_le_strong": bool(weak <= strong + 1e-12),
         })
     payload = {
-        "partition_defect": aniso.partition_defect(theta, grid, bank=bank),
+        "partition_defect": aniso.partition_defect(bank),
         "functions": rows,
     }
     return payload, []

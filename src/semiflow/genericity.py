@@ -113,12 +113,6 @@ class PerturbationFamily:
     def m(self) -> int:
         return len(self.directions)
 
-    def ceiling_values(self, t: np.ndarray, x: np.ndarray):
-        vals = np.asarray(self.base(x), dtype=float)
-        for ti, d in zip(t, self.directions):
-            vals = vals + ti * d.value(x)
-        return vals
-
 
 @dataclass(frozen=True)
 class GenericityParams:
@@ -415,7 +409,6 @@ class ProbeResult:
     fraction: float
     ci_low: float
     ci_high: float
-    t_samples: int
     combos_used: int
     window: float
 
@@ -485,7 +478,7 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int,
     if family.m == 0:
         inside_any = any(np.all(np.abs(d0) <= window) for _, d0 in events)
         frac = 1.0 if inside_any else 0.0
-        return ProbeResult(frac, frac, frac, 1, len(events), window)
+        return ProbeResult(frac, frac, frac, len(events), window)
 
     T = rng.uniform(-family.epsilon, family.epsilon, size=(samples, family.m))
     hit = np.zeros(samples, dtype=bool)
@@ -494,4 +487,4 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int,
         hit |= np.all(np.abs(D) <= window, axis=1)
     k = int(np.count_nonzero(hit))
     lo, hi = _wilson_interval(k, samples)
-    return ProbeResult(k / samples, lo, hi, samples, len(events), window)
+    return ProbeResult(k / samples, lo, hi, len(events), window)

@@ -20,7 +20,6 @@ misclassified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,9 +27,7 @@ import numpy as np
 
 from .ceiling import TrigPolynomial, extrema
 from .dynamics import advance, advance_through
-from .errors import InvalidArgument, PreconditionViolation, ResourceLimit
-
-PREIMAGE_CAP = 2 ** 24
+from .errors import InvalidArgument, PreconditionViolation
 
 
 class Verdict(Enum):
@@ -51,7 +48,6 @@ class CoboundaryReport:
     verdict: Verdict | None = None
     tol_strict: float | None = None
     tol_clear: float | None = None
-    eigenfunction_defect: float | None = None
 
     @property
     def grid_points(self) -> np.ndarray:
@@ -80,22 +76,6 @@ def _level_vanishes(f: TrigPolynomial, n: int) -> bool:
     k; with every frequency below ell^n the whole level is exactly zero."""
     M = f.ell ** n
     return all(k % M != 0 for k, _, _ in f.harmonics) or not f.harmonics
-
-
-def unstable_slope(f: TrigPolynomial, x: float, depth: int) -> float:
-    """Truncated preimage series at a single point, every level enumerated
-    directly (the numerically transparent reference path)."""
-    if depth < 1:
-        raise InvalidArgument(f"depth must be >= 1, got {depth}")
-    if f.ell ** depth > PREIMAGE_CAP:
-        raise ResourceLimit(
-            f"ell^depth = {f.ell}^{depth} exceeds the preimage cap {PREIMAGE_CAP}",
-            max_depth=int(math.log(PREIMAGE_CAP, f.ell)))
-    xs = np.asarray([x], dtype=float)
-    total = 0.0
-    for n in range(1, depth + 1):
-        total += f.ell ** (-2.0 * n) * float(_level_sum(f, xs, n)[0])
-    return total
 
 
 def sample_psi(f: TrigPolynomial, xs: np.ndarray, depth: int) -> np.ndarray:
@@ -199,34 +179,27 @@ def weak_mixing_test(f: TrigPolynomial, tol_strict: float | None = None,
     return report
 
 
-def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial,
-                        t_samples, nx: int = 24, ns: int = 6,
-                        tol_strict: float | None = None) -> float:
+def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial, t_samples) -> float:
     """Defect of the candidate eigenfunction Phi(x,s) =
     exp((2 pi i / c)(Psi(x) + s)) under the flow:
-    max |Phi(T^t z) - exp(2 pi i t / c) Phi(z)| over a grid of points and
-    the given times, sampled in increasing time, each from the previous one
-    (``advance_through``).  Only meaningful when the residual is small."""
+    max |Phi(T^t z) - exp(2 pi i t / c) Phi(z)| over the points z with
+    x = k/24 and s at the 6 slice midpoints below f(x), and the given times,
+    sampled in increasing time, each from the previous one
+    (``advance_through``).  Only meaningful when the residual is within the
+    report's tol_strict (the default one when the report has none)."""
     if report.residual_sup is None:
         raise PreconditionViolation("run cocycle_residual before eigenfunction_check")
-    if tol_strict is None:
-        tol_strict = report.tol_strict if report.tol_strict is not None \
-            else default_tolerances(f, report.depth)[0]
+    tol_strict = report.tol_strict if report.tol_strict is not None \
+        else default_tolerances(f, report.depth)[0]
     if report.residual_sup > tol_strict:
         raise PreconditionViolation(
             f"residual {report.residual_sup:.3g} exceeds tol_strict {tol_strict:.3g}; "
             "there is no eigenfunction to check")
     c = report.c
+    nx, ns = 24, 6
     xs = np.arange(nx) / nx
-    pts_x = []
-    pts_s = []
-    for x in xs:
-        height = f(float(x))
-        for j in range(ns):
-            pts_x.append(float(x))
-            pts_s.append((j + 0.5) * height / ns)
-    pts_x = np.array(pts_x)
-    pts_s = np.array(pts_s)
+    pts_x = np.repeat(xs, ns)
+    pts_s = ((np.arange(ns) + 0.5)[None, :] * f(xs)[:, None] / ns).ravel()
     Psi_at = eval_periodic_samples(report.Psi, pts_x)
     phi0 = np.exp(2j * np.pi / c * (Psi_at + pts_s))
     defect = 0.0
@@ -234,5 +207,4 @@ def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial,
         Psi1 = eval_periodic_samples(report.Psi, x1)
         phi1 = np.exp(2j * np.pi / c * (Psi1 + s1))
         defect = max(defect, float(np.max(np.abs(phi1 - np.exp(2j * np.pi * t / c) * phi0))))
-    report.eigenfunction_defect = defect
     return defect

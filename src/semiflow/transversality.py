@@ -50,7 +50,6 @@ class TransversalityEstimate:
     argmax_s: float = 0.0
     argmax_on_section: bool = True
     ceiling_key: str = ""
-    caveats: tuple = (GRID_LOWER_BOUND_CAVEAT,)
 
 
 @dataclass(frozen=True)

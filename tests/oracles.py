@@ -9,7 +9,9 @@ exception: it keeps the per-point loop that the shared column scan replaced
 so the grid pass's sharing and reduction can be pinned exactly.
 ``per_letter_g_matrix`` likewise keeps the scalar loop that the array
 evaluation of ``g_matrix`` replaced, one derivative call per word, letter
-and direction, so the two can be compared bit for bit.
+and direction, and ``per_bracket_roots`` the scalar bisection loop that the
+array bisection of ``ceiling._refine_roots`` replaced, so each pair can be
+compared bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +20,55 @@ import numpy as np
 
 ROOF_TOL = 1e-12
 
+# deepest level of unstable_slope: ell^depth preimages enumerated at once
+PREIMAGE_CAP = 2 ** 24
+
 
 def dense_max_abs_deriv(f, order=1, points=1_000_000):
     grid = np.arange(points) / points
     return float(np.max(np.abs(f(grid, order))))
+
+
+def per_bracket_roots(f, order, tol=1e-12):
+    """Roots of the order-th derivative of f bracketed on the certification
+    grid of ``ceiling``, each bracket bisected by scalar ``eval`` calls until
+    narrower than tol or after 60 halvings."""
+    from semiflow.ceiling import _GRID, eval
+
+    g = eval(f, _GRID, order)
+    idx = np.nonzero(g * np.roll(g, -1) < 0)[0]
+    h = 1.0 / len(_GRID)
+    roots = []
+    for i in idx:
+        lo, hi = _GRID[i], _GRID[i] + h
+        glo = eval(f, lo, order)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            gm = eval(f, mid, order)
+            if glo * gm <= 0:
+                hi = mid
+            else:
+                lo, glo = mid, gm
+            if hi - lo < tol:
+                break
+        roots.append(0.5 * (lo + hi) % 1.0)
+    roots.extend(_GRID[g == 0.0])
+    return np.asarray(roots, dtype=float)
+
+
+def unstable_slope(f, x, depth):
+    """Truncated preimage series sum_{n<=depth} ell^(-2n) sum f'(y) over the
+    ell^n preimages y = (x + k)/ell^n of a single point, every level
+    enumerated directly (no level is skipped)."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if f.ell ** depth > PREIMAGE_CAP:
+        raise ValueError(f"ell^depth = {f.ell}^{depth} exceeds the preimage cap {PREIMAGE_CAP}")
+    total = 0.0
+    for n in range(1, depth + 1):
+        M = f.ell ** n
+        total += f.ell ** (-2.0 * n) * float(np.sum(f((x + np.arange(M, dtype=float)) / M, 1)))
+    return total
 
 
 def crossing_simulation(f, x, s, t):

@@ -19,7 +19,7 @@ from semiflow import (FlowPoint, TrigPolynomial, Verdict, Word, classify,
                       lambda_min, m_of_t, n_of_t, weak_mixing_test)
 from semiflow.aniso import (ConeSpec, GridFunction2D, NormParams, Polarization,
                             aniso_norm, cone_filter, embedding_check, make_grid,
-                            partition_defect, transversal_orthogonality)
+                            mask_bank, partition_defect, transversal_orthogonality)
 from semiflow.cli import emit, parse_config, run
 from semiflow.genericity import (PerturbationFamily, bump_family, default_mu,
                                  g_matrix, jacobian, slope_clusters)
@@ -191,7 +191,8 @@ def test_acceptance_8_anisotropic_norms():
     X, Y = grid.coords()
     window = plateau(X, 0.55, 0.95) * plateau(Y, 0.55, 0.95)
 
-    defect = partition_defect(theta, grid)
+    bank = mask_bank(theta, grid)
+    defect = partition_defect(bank)
     assert defect <= 1e-12
 
     rng = np.random.default_rng(77)
@@ -199,18 +200,18 @@ def test_acceptance_8_anisotropic_norms():
     for _ in range(100):
         u = GridFunction2D(values=window * rng.standard_normal((64, 64)),
                            spacing=grid.spacing, rect=grid.rect)
-        ratio = embedding_check(u, theta)
+        ratio = embedding_check(u, bank)
         worst_ratio = max(worst_ratio, ratio)
         assert ratio <= math.sqrt(6.0)
-        weak = aniso_norm(u, theta, NormParams.weak())
-        strong = aniso_norm(u, theta, NormParams.strong())
+        weak = aniso_norm(u, bank, NormParams.weak())
+        strong = aniso_norm(u, bank, NormParams.strong())
         assert weak <= strong + 1e-12
 
     cu, cv = ConeSpec(0.1, 0.2), ConeSpec(0.5, 0.6)
     base = GridFunction2D(values=window * rng.standard_normal((64, 64)),
                           spacing=grid.spacing, rect=grid.rect)
     ortho = transversal_orthogonality(cone_filter(base, cu),
-                                      cone_filter(base, cv), theta, cu, cv)
+                                      cone_filter(base, cv), bank, cu, cv)
     assert ortho <= 1e-12
     print(f"\nACCEPTANCE 8 PASS: partition defect {defect:.1e} <= 1e-12, "
           f"max embedding ratio {worst_ratio:.3f} <= sqrt(6), "

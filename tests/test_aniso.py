@@ -23,6 +23,11 @@ def grid():
     return make_grid(1.0, 1.0, 64)
 
 
+@pytest.fixture(scope="module")
+def bank(theta, grid):
+    return mask_bank(theta, grid)
+
+
 def _window(grid):
     X, Y = grid.coords()
     return plateau(X, 0.55, 0.95) * plateau(Y, 0.55, 0.95)
@@ -74,6 +79,13 @@ def test_mask_deep_inside_plus_cone(theta):
         assert mask_value(theta, n, "-", xi, 0.0) == 0.0
 
 
+def test_mask_value_rejects_bad_index(theta):
+    with pytest.raises(InvalidArgument):
+        mask_value(theta, -1, "+", 1.0, 0.0)
+    with pytest.raises(InvalidArgument):
+        mask_value(theta, 2, "0", 1.0, 0.0)
+
+
 def test_mask_nyquist_guard(theta, grid):
     with pytest.raises(InvalidArgument):
         dyadic_mask(theta, 12, "+", grid)
@@ -82,8 +94,8 @@ def test_mask_nyquist_guard(theta, grid):
     assert m.values.shape == (64, 64)
 
 
-def test_partition_of_unity_on_grid(theta, grid):
-    assert partition_defect(theta, grid) <= 1e-12
+def test_partition_of_unity_on_grid(bank):
+    assert partition_defect(bank) <= 1e-12
 
 
 def test_partition_of_unity_random_frequencies(theta):
@@ -105,12 +117,12 @@ def test_parseval_identity(grid):
     assert freq == pytest.approx(space, rel=1e-12)
 
 
-def test_norm_zero_function(theta, grid):
+def test_norm_zero_function(bank, grid):
     u = _wrap(grid, np.zeros((64, 64)))
-    assert aniso_norm(u, theta, NormParams.strong()) == 0.0
+    assert aniso_norm(u, bank, NormParams.strong()) == 0.0
 
 
-def test_single_mode_norm_weight(theta, grid):
+def test_single_mode_norm_weight(bank, grid):
     # a mode with |xi| in [2^n, 1.5*2^n] inside the plus cone is covered by
     # band n alone, so the norm picks up exactly the 2^(pn) weight
     n = 3
@@ -120,43 +132,43 @@ def test_single_mode_norm_weight(theta, grid):
     assert 2.0 ** n <= xi <= 1.5 * 2.0 ** n
     X, _ = grid.coords()
     u = _wrap(grid, _window(grid) * np.cos(xi * X))
-    ratio = aniso_norm(u, theta, NormParams.strong()) / u.l2_norm()
+    ratio = aniso_norm(u, bank, NormParams.strong()) / u.l2_norm()
     assert ratio == pytest.approx(2.0 ** n, rel=0.02)
 
 
-def test_weak_norm_dominated(theta, grid):
+def test_weak_norm_dominated(bank, grid):
     rng = np.random.default_rng(9)
     for _ in range(10):
         u = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
-        weak = aniso_norm(u, theta, NormParams.weak())
-        strong = aniso_norm(u, theta, NormParams.strong())
+        weak = aniso_norm(u, bank, NormParams.weak())
+        strong = aniso_norm(u, bank, NormParams.strong())
         assert weak <= strong + 1e-12
 
 
-def test_embedding_bound_random_sweep(theta, grid):
+def test_embedding_bound_random_sweep(bank, grid):
     rng = np.random.default_rng(10)
     win = _window(grid)
     for _ in range(100):
         u = _wrap(grid, win * rng.standard_normal((64, 64)))
-        assert embedding_check(u, theta) <= math.sqrt(6.0)
+        assert embedding_check(u, bank) <= math.sqrt(6.0)
 
 
-def test_embedding_low_frequency_mode(theta, grid):
+def test_embedding_low_frequency_mode(bank, grid):
     u = _wrap(grid, _window(grid))
-    ratio = embedding_check(u, theta)
+    ratio = embedding_check(u, bank)
     assert ratio <= 2.0
 
 
-def test_embedding_rejects_zero(theta, grid):
+def test_embedding_rejects_zero(bank, grid):
     with pytest.raises(InvalidArgument):
-        embedding_check(_wrap(grid, np.zeros((64, 64))), theta)
+        embedding_check(_wrap(grid, np.zeros((64, 64))), bank)
 
 
-def test_support_violation_raises(theta, grid):
+def test_support_violation_raises(bank, grid):
     X, Y = grid.coords()
     u = _wrap(grid, np.exp(-(X ** 2 + Y ** 2)))  # tails leave the rectangle
     with pytest.raises(DomainViolation):
-        aniso_norm(u, theta, NormParams.strong())
+        aniso_norm(u, bank, NormParams.strong())
 
 
 def test_norm_params_validation():
@@ -166,35 +178,35 @@ def test_norm_params_validation():
     assert (weak.p, weak.q) == (0.75, -0.25)
 
 
-def test_orthogonality_disjoint_cones(theta, grid):
+def test_orthogonality_disjoint_cones(bank, grid):
     rng = np.random.default_rng(12)
     base = _window(grid) * rng.standard_normal((64, 64))
     cu, cv = ConeSpec(0.1, 0.2), ConeSpec(0.5, 0.6)
     u = cone_filter(_wrap(grid, base), cu)
     v = cone_filter(_wrap(grid, base), cv)
-    assert transversal_orthogonality(u, v, theta, cu, cv) <= 1e-12
+    assert transversal_orthogonality(u, v, bank, cu, cv) <= 1e-12
 
 
-def test_orthogonality_zero_function(theta, grid):
+def test_orthogonality_zero_function(bank, grid):
     cu, cv = ConeSpec(0.1, 0.2), ConeSpec(0.5, 0.6)
     u = cone_filter(_wrap(grid, np.zeros((64, 64))), cu)
     v = cone_filter(_wrap(grid, np.zeros((64, 64))), cv)
-    assert transversal_orthogonality(u, v, theta, cu, cv) == 0.0
+    assert transversal_orthogonality(u, v, bank, cu, cv) == 0.0
 
 
-def test_orthogonality_rejects_overlapping_cones(theta, grid):
+def test_orthogonality_rejects_overlapping_cones(bank, grid):
     u = _wrap(grid, _window(grid))
     with pytest.raises(PreconditionViolation):
-        transversal_orthogonality(u, u, theta, ConeSpec(0.1, 0.3), ConeSpec(0.2, 0.4))
+        transversal_orthogonality(u, u, bank, ConeSpec(0.1, 0.3), ConeSpec(0.2, 0.4))
 
 
-def test_paired_inner_self_consistency(theta, grid):
+def test_paired_inner_self_consistency(theta, grid, bank):
     # with v = u the paired inner products are the squared minus-band norms
     rng = np.random.default_rng(13)
     steep = ConeSpec(3.0, -3.0)  # inside the minus cone
     u = cone_filter(_wrap(grid, _window(grid) * rng.standard_normal((64, 64))), steep)
-    got = paired_band_inner(u, u, theta)
-    bands = band_norms(u, theta)
+    got = paired_band_inner(u, u, bank)
+    bands = band_norms(u, bank)
     # paired terms use the squared mask, so compare against a direct
     # frequency-side evaluation of the same quantity
     F = u.fft()
@@ -222,13 +234,14 @@ def test_norm_monotone_under_ordering(grid):
     coarse = Polarization(ConeSpec(-0.2, 0.2), ConeSpec(1.0, -1.0))
     fine = Polarization(ConeSpec(-1.5, 1.5), ConeSpec(4.0, -4.0))
     assert strictly_precedes(coarse, fine)
+    coarse_bank, fine_bank = mask_bank(coarse, grid), mask_bank(fine, grid)
     rng = np.random.default_rng(14)
     win = _window(grid)
     ratios = []
     for _ in range(20):
         u = _wrap(grid, win * rng.standard_normal((64, 64)))
-        ratios.append(aniso_norm(u, coarse, NormParams.strong())
-                      / aniso_norm(u, fine, NormParams.strong()))
+        ratios.append(aniso_norm(u, coarse_bank, NormParams.strong())
+                      / aniso_norm(u, fine_bank, NormParams.strong()))
     fitted_c = max(ratios)
     assert fitted_c < 4.0
 
@@ -252,60 +265,57 @@ def test_mask_squares_parseval_diagnostic(theta, grid):
     assert normalized == pytest.approx(direct, rel=1e-12)
 
 
-def test_mask_bank_order_and_values(theta, grid):
-    bank = mask_bank(theta, grid)
-    keys = [key for key, _ in bank]
+def test_mask_bank_order_and_values(theta, grid, bank):
+    keys = [key for key, _ in bank.masks]
     top = max(n for n, _ in keys)
     assert keys == [(n, sigma) for n in range(top + 1) for sigma in ("+", "-")]
-    for (n, sigma), m in bank:
+    assert (bank.N, bank.spacing) == (grid.N, grid.spacing)
+    for (n, sigma), m in bank.masks:
+        assert not m.flags.writeable
         if n >= 1 and 2.0 ** n > grid.nyquist():
             continue
         assert np.array_equal(m, dyadic_mask(theta, n, sigma, grid).values)
 
 
-def test_shared_bank_gives_identical_results(theta, grid):
-    # one bank serves every function on the grid, bit for bit
-    rng = np.random.default_rng(5)
-    bank = mask_bank(theta, grid)
-    assert partition_defect(theta, grid, bank=bank) == partition_defect(theta, grid)
-    for _ in range(3):
-        u = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
-        shared = band_norms(u, theta, bank=bank)
-        own = band_norms(u, theta)
-        assert list(shared) == list(own) and shared == own
-        for params in (NormParams.strong(), NormParams.weak()):
-            assert aniso_norm(u, theta, params, bank=bank) == aniso_norm(u, theta, params)
-        assert embedding_check(u, theta, bank=bank) == embedding_check(u, theta)
-
-
-def test_mask_bank_evaluates_masks_once_on_first_use(theta, grid, monkeypatch):
+def test_mask_bank_evaluates_each_radial_bump_once(theta, grid, monkeypatch):
+    # chi(2^-n |xi|) is shared by the two signs of level n and by level n + 1
     from semiflow import aniso
     calls = []
-    real = aniso._mask_values
+    real = aniso.chi
 
-    def counting(*args):
-        calls.append(args[:2])
-        return real(*args)
+    def counting(s):
+        calls.append(s)
+        return real(s)
 
-    monkeypatch.setattr(aniso, "_mask_values", counting)
-    bank = mask_bank(theta, grid)
-    assert calls == []
-    first = list(bank)
-    assert len(calls) == len(first)
-    again = list(bank)
-    assert len(calls) == len(first)
-    assert all(a[1] is b[1] for a, b in zip(first, again))
+    monkeypatch.setattr(aniso, "chi", counting)
+    mask_bank(theta, grid)
+    assert len(calls) == aniso._top_band(grid) + 1
 
 
-def test_bank_refused_on_another_grid_or_polarization(theta, grid):
-    bank = mask_bank(theta, grid)
-    other_theta = Polarization(ConeSpec(0.0, 0.5), ConeSpec(2.0, 2.5))
+def test_mask_value_evaluates_only_its_level(theta, monkeypatch):
+    # level 0 needs chi(|xi|); level n >= 1 needs chi(2^-n |xi|) and chi(2^-n+1 |xi|)
+    from semiflow import aniso
+    calls = []
+    real = aniso.chi
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(aniso, "chi", counting)
+    for n, expected in ((0, 1), (1, 2), (9, 2)):
+        calls.clear()
+        mask_value(theta, n, "-", [3.0, 700.0], [1.0, -5.0])
+        assert len(calls) == expected
+
+
+def test_bank_refused_on_another_grid(bank):
     finer = make_grid(1.0, 1.0, 128)
     wider = make_grid(2.0, 2.0, 64)
     for g in (finer, wider):
         with pytest.raises(InvalidArgument):
-            partition_defect(theta, g, bank=bank)
+            band_norms(g, bank)
         with pytest.raises(InvalidArgument):
-            band_norms(g, theta, bank=bank)
-    with pytest.raises(InvalidArgument):
-        partition_defect(other_theta, grid, bank=bank)
+            aniso_norm(g, bank, NormParams.strong())
+        with pytest.raises(InvalidArgument):
+            paired_band_inner(g, g, bank)

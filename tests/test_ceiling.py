@@ -1,13 +1,24 @@
+import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from semiflow import DomainViolation, InvalidArgument, TrigPolynomial, classify, extrema
-from semiflow.ceiling import CR_TRUNCATION_CAVEAT, MAX_HARMONIC, ceiling_from_config
+from semiflow import ceiling
+from semiflow.ceiling import MAX_HARMONIC, _refine_roots, ceiling_from_config
 from semiflow.ceiling import eval as feval
 
-from oracles import dense_max_abs_deriv
+from conftest import random_positive_ceiling
+from oracles import dense_max_abs_deriv, per_bracket_roots
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+import workloads  # noqa: E402
+
+TOP_HARMONIC = TrigPolynomial(1.0, ((MAX_HARMONIC, 0.0, 0.2),), 2)
 
 
 def test_eval_constant_derivative(f_const):
@@ -95,10 +106,6 @@ def test_k_is_power_of_two(f_sin):
     assert math.log2(cls.K) == int(math.log2(cls.K))
 
 
-def test_classify_carries_truncation_caveat(f_sin):
-    assert CR_TRUNCATION_CAVEAT in classify(f_sin, 0.9).caveats
-
-
 def test_extrema_certify_f_and_its_derivative(f_sin, f_generic):
     lo, hi = extrema(f_sin, 0)
     assert lo == pytest.approx(0.8, abs=1e-12) and hi == pytest.approx(1.2, abs=1e-12)
@@ -122,10 +129,38 @@ def test_extrema_cached_per_ceiling_value(f_generic):
 def test_harmonic_index_capped_at_a_quarter_of_the_certification_grid():
     # at the cap every period holds four grid points, so the bisection
     # still finds the true extrema
-    lo, hi = extrema(TrigPolynomial(1.0, ((MAX_HARMONIC, 0.0, 0.2),), 2), 0)
+    lo, hi = extrema(TOP_HARMONIC, 0)
     assert lo == pytest.approx(0.8, abs=1e-12) and hi == pytest.approx(1.2, abs=1e-12)
     with pytest.raises(InvalidArgument, match="harmonic index"):
         TrigPolynomial(1.0, ((MAX_HARMONIC + 1, 0.0, 0.2),), 2)
+
+
+def test_array_bisection_matches_the_scalar_loop():
+    # bit for bit, on every benchmark ceiling and on random ones
+    ceilings = {ceiling_from_config(json.loads(job["config"])["ceiling"])
+                for workload in workloads.WORKLOADS for seed in (0, 1)
+                for job in workloads.jobs(workload, seed)}
+    rng = np.random.default_rng(21)
+    ceilings |= {random_positive_ceiling(rng) for _ in range(40)}
+    for f in ceilings | {TOP_HARMONIC}:
+        for order in (1, 2):
+            assert np.array_equal(_refine_roots(f, order), per_bracket_roots(f, order))
+
+
+def test_bisection_cost_does_not_grow_with_the_bracket_count(monkeypatch):
+    # 2048 brackets of f' at the top harmonic, bisected together: one grid
+    # pass, one pass over the bracket ends and at most 60 halvings
+    calls = []
+    real = ceiling.eval
+
+    def counting(*args):
+        calls.append(np.size(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(ceiling, "eval", counting)
+    roots = _refine_roots(TOP_HARMONIC, 1)
+    assert roots.size == 2 * MAX_HARMONIC
+    assert len(calls) <= 62
 
 
 def test_harmonics_sorted_and_distinct():

@@ -239,6 +239,7 @@ def test_caveat_strings_appear_verbatim():
                         params={"t_values": [3.0, 4.0, 5.0], "nx": 8, "ns": 8})
     report = run(parse_config(json.dumps(trans_cfg)))
     assert "grid lower bound" in report.caveats
+    assert "C^r norm surrogate truncated at order 3" in report.caveats
 
 
 def test_transversality_records_schema():
@@ -433,23 +434,30 @@ def test_cli_main_mixing_refuses_bool_depth(capsys):
 
 
 def test_norms_run_builds_each_mask_once(monkeypatch, capsys):
+    # one bank per run, and no radial bump evaluated outside it
     from semiflow import aniso
-    calls = []
-    real = aniso._mask_values
+    banks, bumps = [], []
+    real_bank, real_chi = aniso.mask_bank, aniso.chi
 
-    def counting(*args):
-        calls.append(args[:2])
-        return real(*args)
+    def counting_bank(*args):
+        banks.append(args)
+        return real_bank(*args)
 
-    monkeypatch.setattr(aniso, "_mask_values", counting)
+    def counting_chi(s):
+        bumps.append(s)
+        return real_chi(s)
+
+    monkeypatch.setattr(aniso, "mask_bank", counting_bank)
+    monkeypatch.setattr(aniso, "chi", counting_chi)
     top = aniso._top_band(aniso.make_grid(1.0, 1.0, 32))
     for num_functions in (1, 3):
-        calls.clear()
+        banks.clear()
+        bumps.clear()
         argv = ["norms", "--set", "params.grid_n=32",
                 "--set", f"params.num_functions={num_functions}"]
         assert main(argv) == 0
-        assert len(calls) == 2 * (top + 1)
-        assert len(set(calls)) == len(calls)
+        assert len(banks) == 1
+        assert len(bumps) == top + 1
     capsys.readouterr()
 
 

