@@ -9,17 +9,14 @@ perturbation-family genericity diagnostics.
 """
 
 from .ceiling import CeilingClass, TrigPolynomial, ceiling_from_config, classify, extrema
-from .dynamics import (Branch, FlowPoint, Word, advance, advance_through, birkhoff,
-                       branch_point, branch_table, flow_count, inverse_branches,
-                       time_t_map, word_interval)
+from .dynamics import (Branch, FlowPoint, Word, advance, advance_through, branch_point,
+                       branch_table, inverse_branches, word_interval)
 from .errors import (DomainViolation, InvalidArgument, NumericalFailure,
                      ParseError, PreconditionViolation, ResourceLimit,
                      SemiflowError, ValidationError)
 from .mixing import (CoboundaryReport, Verdict, cobounding_potential,
                      cocycle_residual, eigenfunction_check, weak_mixing_test)
-from .transversality import (LambdaMinEstimate, TransversalityEstimate,
-                             exponent_fit, lambda_min, line_mass, m_of_t,
-                             m_sum_at, n_of_t)
+from .transversality import TransversalityEstimate, exponent_fit, m_of_t, n_of_t
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -9,9 +9,8 @@ pieces by 2^(2pn) in the plus cone and 2^(2qn) in the minus cone.
 Everything lives on an N x N periodic grid (functions supported in a
 designated rectangle with at least 25% zero padding per side), so the
 continuum statements are tested as grid statements: the masks form an exact
-partition of unity at every representable frequency, Parseval ties the
-space and frequency sides, and exactly frequency-disjoint pieces are
-orthogonal to rounding.
+partition of unity at every representable frequency, and Parseval ties the
+space and frequency sides.
 
 Cones are given by closed slope intervals; an interval with lo > hi wraps
 through the vertical direction (the infinite-slope convention).  Internally
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidArgument, PreconditionViolation
+from .errors import DomainViolation, InvalidArgument
 from .smooth import chi, step
 
 _PI = math.pi
@@ -63,13 +62,9 @@ class ConeSpec:
                 b = a + _PI
         return a, b
 
-    def contains_angle(self, beta, strict: bool = False, margin: float = 0.0):
+    def contains_angle(self, beta):
         a, b = self.arc
-        rel = (np.asarray(beta, dtype=float) - a) % _PI
-        width = b - a
-        if strict:
-            return (rel > margin) & (rel < width - margin)
-        return rel <= width
+        return (np.asarray(beta, dtype=float) - a) % _PI <= b - a
 
     def intersects(self, other: "ConeSpec") -> bool:
         """Nontrivial intersection as sets of lines: the angle arcs meet."""
@@ -78,22 +73,6 @@ class ConeSpec:
         return bool(self.contains_angle(b0)) or bool(other.contains_angle(a0)) \
             or bool(self.contains_angle(other.arc[1] % _PI)) \
             or bool(other.contains_angle(self.arc[1] % _PI))
-
-def _arc_strictly_inside(inner: tuple, outer: tuple, margin: float = 1e-12) -> bool:
-    a, b = inner
-    oa, ob = outer
-    if (b - a) >= (ob - oa):
-        return False
-    rel_a = (a - oa) % _PI
-    rel_b = rel_a + (b - a)
-    return margin < rel_a and rel_b < (ob - oa) - margin
-
-
-def _complement_arc(cone: ConeSpec) -> tuple:
-    """Angle arc of the closure of the complementary cone."""
-    a, b = cone.arc
-    return b % _PI, (b % _PI) + (_PI - (b - a))
-
 
 @dataclass(frozen=True)
 class Polarization:
@@ -141,13 +120,6 @@ class Polarization:
         return phi if sigma == "+" else 1.0 - phi
 
 
-def strictly_precedes(theta: Polarization, theta_prime: Polarization) -> bool:
-    """Ordering of polarizations: the complement of the finer plus cone is
-    compactly inside the coarser minus cone."""
-    comp = _complement_arc(theta_prime.cone_plus)
-    return _arc_strictly_inside(comp, theta.cone_minus.arc)
-
-
 @dataclass(frozen=True)
 class NormParams:
     """Dyadic weights: 2^(2pn) on the plus pieces, 2^(2qn) on the minus."""
@@ -171,10 +143,9 @@ class NormParams:
 
 @dataclass
 class GridFunction2D:
-    """Samples on an N x N periodic grid covering a centered square.
+    """Space-side samples on an N x N periodic grid covering a centered
+    square.
 
-    ``values`` may be space-side samples (domain "space") or a
-    frequency-side array on the unshifted FFT lattice (domain "frequency").
     ``rect`` gives the half-widths of the designated support rectangle; the
     square side is four times the larger half-width, leaving at least a 25%
     zero-padding margin per side.
@@ -183,7 +154,6 @@ class GridFunction2D:
     values: np.ndarray
     spacing: float
     rect: tuple
-    domain: str = "space"
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -194,10 +164,6 @@ class GridFunction2D:
     @property
     def N(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def side(self) -> float:
-        return self.N * self.spacing
 
     def coords(self):
         """Physical coordinates of the sample lattice (origin at center)."""
@@ -235,9 +201,9 @@ def _support_ok(u: GridFunction2D, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(u.values[outside]), initial=0.0)) <= tol * amax
 
 
-def _masks(theta: Polarization, xi1, xi2, levels: range):
+def _masks(theta: Polarization, xi1, xi2, top: int):
     """((n, sigma), psi_{Theta,n,sigma}) at the frequencies (xi1, xi2) for
-    n in ``levels``, n ascending and '+' before '-'.
+    n = 0..top, n ascending and '+' before '-'.
 
     n = 0: chi(|xi|)/2 for each sign; n >= 1: angular profile (phi_plus, or
     1 - phi_plus for the minus sign) times the dyadic annulus bump
@@ -248,39 +214,16 @@ def _masks(theta: Polarization, xi1, xi2, levels: range):
     """
     r = np.hypot(xi1, xi2)
     phi = theta.phi_plus(np.arctan2(xi2, xi1) % _PI)
-    if levels[0] >= 1:
-        inner = chi(r * 2.0 ** (1 - levels[0]))
-    for n in levels:
+    inner = chi(r)
+    half = inner / 2.0
+    yield (0, "+"), half
+    yield (0, "-"), half
+    for n in range(1, top + 1):
         outer = chi(r * 2.0 ** -n)
-        if n == 0:
-            half = outer / 2.0
-            yield (0, "+"), half
-            yield (0, "-"), half
-        else:
-            annulus = outer - inner
-            yield (n, "+"), phi * annulus
-            yield (n, "-"), (1.0 - phi) * annulus
+        annulus = outer - inner
+        yield (n, "+"), phi * annulus
+        yield (n, "-"), (1.0 - phi) * annulus
         inner = outer
-
-
-def mask_value(theta: Polarization, n: int, sigma: str, xi1, xi2):
-    """Pointwise mask evaluation at arbitrary frequencies."""
-    if n < 0:
-        raise InvalidArgument(f"n must be >= 0, got {n}")
-    if sigma not in ("+", "-"):
-        raise InvalidArgument(f"sigma must be '+' or '-', got {sigma!r}")
-    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
-    return dict(_masks(theta, xi1, xi2, range(n, n + 1)))[n, sigma]
-
-
-def dyadic_mask(theta: Polarization, n: int, sigma: str,
-                grid: GridFunction2D) -> GridFunction2D:
-    """Frequency-side mask as a grid function."""
-    if n >= 1 and 2.0 ** n > grid.nyquist():
-        raise InvalidArgument(
-            f"annulus scale 2^{n} exceeds the grid Nyquist frequency {grid.nyquist():.3g}")
-    return GridFunction2D(values=mask_value(theta, n, sigma, *grid.freqs()),
-                          spacing=grid.spacing, rect=grid.rect, domain="frequency")
 
 
 def _top_band(grid: GridFunction2D) -> int:
@@ -302,7 +245,7 @@ class MaskBank:
 
 def mask_bank(theta: Polarization, grid: GridFunction2D) -> MaskBank:
     """The bank of every mask of theta on the grid's frequency lattice."""
-    masks = tuple(_masks(theta, *grid.freqs(), range(_top_band(grid) + 1)))
+    masks = tuple(_masks(theta, *grid.freqs(), _top_band(grid)))
     for _, m in masks:
         m.flags.writeable = False
     return MaskBank(N=grid.N, spacing=grid.spacing, masks=masks)
@@ -321,8 +264,6 @@ def partition_defect(bank: MaskBank) -> float:
 
 def band_norms(u: GridFunction2D, bank: MaskBank) -> dict:
     """Squared L2 norms of every masked dyadic piece of u, keyed (n, sigma)."""
-    if u.domain != "space":
-        raise InvalidArgument("band_norms expects a space-side grid function")
     _check_bank(bank, u)
     F = u.fft()
     scale = (u.spacing ** 2) / (u.N ** 2)  # discrete Parseval factor
@@ -349,43 +290,3 @@ def embedding_check(u: GridFunction2D, bank: MaskBank) -> float:
         raise InvalidArgument("embedding_check needs a nonzero function")
     return l2 / aniso_norm(u, bank, NormParams.strong())
 
-
-def cone_filter(u: GridFunction2D, cone: ConeSpec) -> GridFunction2D:
-    """Sharp frequency-side restriction of u to a cone (zero frequency
-    removed, since the origin belongs to every cone)."""
-    F = u.fft()
-    xi1, xi2 = u.freqs()
-    beta = np.arctan2(xi2, xi1) % _PI
-    keep = cone.contains_angle(beta)
-    keep[0, 0] = False
-    vals = np.fft.ifft2(F * keep)
-    if np.isrealobj(u.values):
-        vals = vals.real
-    return GridFunction2D(values=vals, spacing=u.spacing, rect=u.rect)
-
-
-def paired_band_inner(u: GridFunction2D, v: GridFunction2D, bank: MaskBank) -> float:
-    """max over n of |(psi_{n,-}(D)u, psi_{n,-}(D)v)_{L2}|, frequency-side."""
-    _check_bank(bank, u)
-    Fu = u.fft()
-    Fv = v.fft()
-    scale = (u.spacing ** 2) / (u.N ** 2)
-    best = 0.0
-    for (_, sigma), m in bank.masks:
-        if sigma == "-":
-            inner = np.sum(m * Fu * np.conj(m * Fv)) * scale
-            best = max(best, float(abs(inner)))
-    return best
-
-
-def transversal_orthogonality(u: GridFunction2D, v: GridFunction2D, bank: MaskBank,
-                              cone_u: ConeSpec, cone_v: ConeSpec) -> float:
-    """Paired minus-band inner products of two cone-supported functions.
-
-    Caller contract: u and v have been sharply filtered into cone_u and
-    cone_v (see ``cone_filter``).  When the cones are disjoint the Fourier
-    supports are disjoint, so every paired term vanishes to rounding.
-    """
-    if cone_u.intersects(cone_v):
-        raise PreconditionViolation("cone_u and cone_v must meet only at the origin")
-    return paired_band_inner(u, v, bank)

@@ -70,12 +70,6 @@ class TrigPolynomial:
     def max_harmonic(self) -> int:
         return self.harmonics[-1][0] if self.harmonics else 0
 
-    def key(self) -> str:
-        """Stable identity string used to match reports from the same ceiling."""
-        parts = [f"ell={self.ell}", f"mean={self.mean_coeff!r}"]
-        parts += [f"{k}:{c!r}:{s!r}" for k, c, s in self.harmonics]
-        return ";".join(parts)
-
     def __call__(self, x, order: int = 0):
         return eval(self, x, order)
 

@@ -398,9 +398,8 @@ def _run_genericity(cfg: ExperimentConfig):
 def _default_probe_family(f: TrigPolynomial):
     centers = [0.05, 0.21, 0.37, 0.53, 0.69, 0.85]
     directions = tuple(
-        genericity.BumpDirection(center=c, radius=0.055, deriv_plateau=20.0,
-                                 label=f"probe{i}")
-        for i, c in enumerate(centers))
+        genericity.BumpDirection(center=c, radius=0.055, deriv_plateau=20.0)
+        for c in centers)
     return genericity.PerturbationFamily(base=f, directions=directions,
                                          epsilon=0.05)
 

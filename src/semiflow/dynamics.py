@@ -53,11 +53,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def prefix(self, p: int) -> "Word":
-        if not 0 <= p <= len(self.letters):
-            raise InvalidArgument(f"prefix length {p} out of range 0..{len(self.letters)}")
-        return Word(self.letters[:p], self.ell)
-
     @property
     def index(self) -> int:
         """Little-endian digit encoding: sum (a_p - 1) ell^(p-1)."""
@@ -145,24 +140,6 @@ def _prefix_points(words: list, x: float) -> np.ndarray:
     return pts
 
 
-def birkhoff(f: TrigPolynomial, a: Word, x: float, order: int = 0) -> float:
-    """Birkhoff sum of f along the branch chain of the word, or its first
-    or second derivative with respect to the target point:
-
-        order 0:  sum_i f(prefix_i(x))
-        order 1:  sum_i ell^(-i)  f'(prefix_i(x))
-        order 2:  sum_i ell^(-2i) f''(prefix_i(x))
-    """
-    if order not in (0, 1, 2):
-        raise InvalidArgument(f"birkhoff order must be 0, 1 or 2, got {order}")
-    if a.ell != f.ell:
-        raise InvalidArgument("word and ceiling use different ell")
-    total = 0.0
-    for i, y in enumerate(_prefix_points([a], x)[0].tolist(), start=1):
-        total += f.ell ** (-order * i) * f(y, order)
-    return total
-
-
 def advance(f: TrigPolynomial, x, total):
     """Flow the base point x for total >= 0 units of flow time measured from
     s = 0.  Returns (x', s', n): the landing base point, the remaining flow
@@ -212,24 +189,6 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance):
             t_prev = t
             yield t, x, s
     return samples(x, s)
-
-
-def flow_count(f: TrigPolynomial, x: float, T: float) -> int:
-    """Largest n with Birkhoff sum f^(n)(x) <= T (number of roof crossings
-    accumulated by flow time T starting from the base)."""
-    if T < 0:
-        raise InvalidArgument(f"T must be >= 0, got {T}")
-    _, _, n = advance(f, x, T)
-    return int(n)
-
-
-def time_t_map(f: TrigPolynomial, z: FlowPoint, t: float) -> FlowPoint:
-    """The time-t map of the semi-flow."""
-    if t < 0:
-        raise InvalidArgument(f"t must be >= 0, got {t}")
-    validate_point(f, z)
-    x, s, _ = advance(f, z.x, z.s + t)
-    return FlowPoint(float(x), float(s))
 
 
 class _BranchTable:

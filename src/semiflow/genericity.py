@@ -9,9 +9,8 @@ geometry show cluster growth rates strictly below ell.
 
 Perturbation families f_t = f + sum t_i phi_i move branch slopes linearly
 in t; ``g_matrix`` is the (base-independent) linear part of the
-slope-difference map, and ``bump_family`` builds the order-separated bump
-directions whose slope-difference map has Jacobian bounded below (after the
-standard doubling of the bump amplitude).
+slope-difference map, and ``bad_set_probe`` estimates the measure of the
+parameters whose slope differences stay degenerate.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class BumpDirection:
     center: float
     radius: float
     deriv_plateau: float
-    label: str = ""
 
     def deriv(self, x):
         u = _circle_offset(x, self.center) / self.radius
@@ -188,19 +186,13 @@ def default_params(ell: int, rho: float = 2.0, gamma: float | None = None,
 
 @dataclass(frozen=True)
 class SlopeClusterReport:
-    """The maximal cluster as sorted little-endian word indices; the words
-    themselves are built only when ``cluster_words`` is read."""
+    """The maximal cluster as sorted little-endian word indices."""
 
     n: int
     base_word: Word
     window: float
     max_cluster: int
     members: tuple
-
-    @property
-    def cluster_words(self) -> tuple:
-        ell = self.base_word.ell
-        return tuple(Word.from_index(k, self.n, ell) for k in self.members)
 
 
 def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
@@ -240,21 +232,6 @@ def slope_clusters(f: TrigPolynomial, n: int, c: Word,
     members = tuple(np.sort(order[best:best + max_cluster]).tolist())
     return SlopeClusterReport(n=n, base_word=c, window=window,
                               max_cluster=max_cluster, members=members)
-
-
-def prefix_refinement(report: SlopeClusterReport, p: int) -> list:
-    """Split the maximal cluster into the mutually disjoint classes of words
-    sharing a common length-p prefix, largest first.
-
-    Several large classes with pairwise distinct prefixes witness the
-    stronger clustering degeneracy that the perturbation argument excludes.
-    """
-    if not 0 <= p <= report.n:
-        raise InvalidArgument(f"prefix length must lie in 0..{report.n}, got {p}")
-    classes = {}
-    for w in report.cluster_words:
-        classes.setdefault(w.letters[:p], []).append(w)
-    return sorted(classes.values(), key=lambda ws: (-len(ws), ws[0].letters))
 
 
 def g_matrix(x: float, sigma, family: PerturbationFamily) -> np.ndarray:
@@ -302,106 +279,6 @@ def jacobian(L: np.ndarray) -> float:
     if s[-1] <= 1e-12 * max(1.0, s[0]):
         return 0.0
     return float(np.prod(s))
-
-
-@dataclass(frozen=True)
-class BumpFamilyData:
-    """Order-separated bump directions at the level-nu preimages of y."""
-
-    y: float
-    nu: int
-    mu: int
-    eps0: float
-    eps_max: float
-    amplitude: float
-    directions: tuple            # one BumpDirection per word of length nu
-    words: tuple                 # matching Word records
-    predecessors: dict           # word letters -> tuple of word letters below it
-    neighborhood: tuple          # (y, eps0/3): where the separation holds
-
-    def maximal_in(self, subset) -> list:
-        """Maximal elements of a subset of words under the orbit order."""
-        letters = [w.letters for w in subset]
-        chosen = []
-        for w in subset:
-            if any(w.letters in self.predecessors[other] and other != w.letters
-                   for other in letters):
-                continue
-            chosen.append(w)
-        return chosen
-
-
-def default_mu(ell: int, nu: int, p: int) -> int:
-    """Smallest separation horizon making the off-plateau slope tail at most
-    1/(4p): 2 ell^(nu - mu) / (1 - 1/ell) <= 1/(4p)."""
-    bound = 8.0 * p * ell ** nu * ell / (ell - 1.0)
-    return max(nu + 1, math.ceil(math.log(bound, ell)))
-
-
-def bump_family(y: float, nu: int, eps0: float, mu: int,
-                amplitude: float = 1.0, ell: int = 2) -> BumpFamilyData:
-    """Bumps phi_a at every level-nu preimage of y, derivative plateau
-    amplitude * ell^nu on the inner third of each support.
-
-    The supports are the branch images of the eps0-neighborhood of y, so
-    they have radius eps0 * ell^(-nu); eps0 must keep them pairwise
-    disjoint, and any forward image tau^i (i <= mu) of one support may meet
-    another only along the orbit partial order.  Violations raise with the
-    maximal admissible eps0.
-
-    amplitude = 2 realizes the doubling that upgrades the Jacobian lower
-    bound from 1/2 to 1.
-    """
-    if nu < 1:
-        raise InvalidArgument(f"nu must be >= 1, got {nu}")
-    if mu <= nu:
-        raise InvalidArgument(f"mu must exceed nu, got mu={mu}, nu={nu}")
-    if not 0 < eps0 < 0.5:
-        raise InvalidArgument(f"eps0 must lie in (0, 1/2), got {eps0}")
-    count = ell ** nu
-    points = (y + np.arange(count)) / count
-    words = tuple(Word.from_index(k, nu, ell) for k in range(count))
-
-    # orbit partial order: b below a iff some forward image of a's point
-    # hits b's point
-    tol = 1e-11
-    predecessors = {}
-    for a_idx, a in enumerate(words):
-        below = set()
-        z = points[a_idx]
-        for _ in range(2 * nu + 4):
-            d = np.abs((z - points + 0.5) % 1.0 - 0.5)
-            for h in np.nonzero(d <= tol)[0]:
-                below.add(words[int(h)].letters)
-            z = (ell * z) % 1.0
-        predecessors[a.letters] = tuple(sorted(below))
-
-    # admissible eps0: support disjointness plus the order condition
-    gaps = np.abs((points[:, None] - points[None, :] + 0.5) % 1.0 - 0.5)
-    eps_max = float(np.min(gaps[np.triu_indices(count, k=1)])) * count / 2.0
-    allowed = np.zeros((count, count), dtype=bool)       # [b, a]: a below b
-    for i_b, wb in enumerate(words):
-        for i_a, wa in enumerate(words):
-            allowed[i_b, i_a] = wa.letters in predecessors[wb.letters]
-    for i in range(1, mu + 1):
-        scale = float(ell) ** i
-        images = (points * scale) % 1.0
-        d = np.abs((images[:, None] - points[None, :] + 0.5) % 1.0 - 0.5)
-        relevant = d[~allowed & (d > tol)]
-        if relevant.size:
-            eps_max = min(eps_max, float(relevant.min()) * count / (scale + 1.0))
-    if eps0 >= eps_max:
-        raise InvalidArgument(
-            f"eps0 = {eps0} too large for separation; maximal admissible eps0 is {eps_max:.6g}")
-
-    radius = eps0 / count
-    directions = tuple(
-        BumpDirection(center=float(points[k]), radius=radius,
-                      deriv_plateau=amplitude * count, label=str(words[k]))
-        for k in range(count))
-    return BumpFamilyData(y=y, nu=nu, mu=mu, eps0=eps0, eps_max=eps_max,
-                          amplitude=amplitude, directions=directions, words=words,
-                          predecessors=predecessors, neighborhood=(y, eps0 / 3.0))
 
 
 @dataclass(frozen=True)

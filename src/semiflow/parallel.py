@@ -1,8 +1,8 @@
 """Deterministic parallel map.
 
 Results come back in input order and every item is computed independently,
-so the output never depends on the worker count; with one worker the map
-runs inline.
+so the output never depends on the worker count.  The pool never holds more
+processes than there are items or CPUs; with one worker the map runs inline.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ def worker_count(requested: int | None = None) -> int:
 
 def pmap(fn, items, workers: int = 1) -> list:
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

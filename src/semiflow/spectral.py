@@ -8,7 +8,7 @@ exactly and the leading eigenvalue sits at 1 up to solver tolerance.
 
 Ulam eigenvalues approximate transfer-operator resonances only
 heuristically; every spectrum report carries the "discretized spectrum"
-caveat and ``resonance_compare`` labels its output advisory.
+caveat.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .ceiling import TrigPolynomial, extrema
 from .dynamics import advance, advance_through
 from .errors import InvalidArgument, NumericalFailure, ResourceLimit
 from .smooth import step
-from .transversality import TransversalityEstimate, exponent_fit
+from .transversality import exponent_fit
 
 DISCRETIZED_SPECTRUM_CAVEAT = "discretized spectrum"
 
@@ -65,10 +65,6 @@ class UlamOperator:
     matrix: np.ndarray
     partition: BoxPartition
     t: float
-    points_per_box: int
-    seed: int
-    mode: str
-    ceiling_key: str
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,6 @@ class SpectrumReport:
     eigenvalues: tuple          # complex, sorted by decreasing modulus
     multiplicities: tuple
     t: float
-    ceiling_key: str
     caveats: tuple = (DISCRETIZED_SPECTRUM_CAVEAT,)
 
 
@@ -122,7 +117,6 @@ class CorrelationCurve:
     samples: tuple              # of (t, value)
     psi_id: str
     phi_id: str
-    ceiling_key: str
 
 
 def _lattice(points: int, seed: int, mode: str, count: int):
@@ -168,9 +162,7 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
     if t == 0.0:
         # the time-0 map is the identity on the domain; sampling would only
         # move the few points that stick out above the true ceiling
-        return UlamOperator(matrix=np.eye(dim), partition=part, t=0.0,
-                            points_per_box=points_per_box, seed=seed, mode=mode,
-                            ceiling_key=f.key())
+        return UlamOperator(matrix=np.eye(dim), partition=part, t=0.0)
 
     u, v = _lattice(points_per_box, seed, mode, dim)
     cols = np.repeat(np.arange(nx), ns)
@@ -188,9 +180,7 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
 
     matrix = np.zeros((dim, dim))
     np.add.at(matrix, (land_idx, src_idx), 1.0 / points_per_box)
-    return UlamOperator(matrix=matrix, partition=part, t=float(t),
-                        points_per_box=points_per_box, seed=seed, mode=mode,
-                        ceiling_key=f.key())
+    return UlamOperator(matrix=matrix, partition=part, t=float(t))
 
 
 def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
@@ -232,7 +222,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
         i = j
     return SpectrumReport(
         eigenvalues=tuple(complex(v) for v in vals),
-        multiplicities=tuple(mults), t=op.t, ceiling_key=op.ceiling_key)
+        multiplicities=tuple(mults), t=op.t)
 
 
 def _quadrature_nodes(f: TrigPolynomial, nx: int, ns: int):
@@ -269,8 +259,7 @@ def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
         mean_phi = float(np.sum(w * phi_vals))
         cor_at[t] = float(np.sum(w * psi_vals * phi_vals) - mean_phi * mean_psi)
     samples = tuple((float(t), cor_at[float(t)]) for t in t_list)
-    return CorrelationCurve(samples=samples, psi_id=psi.id, phi_id=phi.id,
-                            ceiling_key=f.key())
+    return CorrelationCurve(samples=samples, psi_id=psi.id, phi_id=phi.id)
 
 
 def decay_fit(curve: CorrelationCurve) -> tuple:
@@ -278,26 +267,3 @@ def decay_fit(curve: CorrelationCurve) -> tuple:
     pts = [(t, abs(v)) for t, v in curve.samples if abs(v) > 1e-15]
     return exponent_fit(pts)
 
-
-def resonance_compare(spec: SpectrumReport, fit: tuple,
-                      m_estimate: TransversalityEstimate,
-                      slack: float = 0.05) -> dict:
-    """Side-by-side of |lambda_2|, the fitted correlation rate, and the
-    per-unit-time transversality bound m(f,t)^(1/(2t)).  Advisory only."""
-    if abs(spec.t - m_estimate.t) > 1e-12:
-        raise InvalidArgument(
-            f"spectrum computed at t={spec.t} but transversality at t={m_estimate.t}")
-    if m_estimate.ceiling_key and m_estimate.ceiling_key != spec.ceiling_key:
-        raise InvalidArgument("spectrum and transversality come from different ceilings")
-    lambda2 = abs(spec.eigenvalues[1]) if len(spec.eigenvalues) > 1 else None
-    rate, residual = fit
-    bound = m_estimate.m_value ** (1.0 / (2.0 * m_estimate.t))
-    return {
-        "lambda2_abs": lambda2,
-        "fitted_rate": rate,
-        "fit_log_residual": residual,
-        "m_bound_per_unit_time": bound,
-        "fit_le_bound": bool(rate <= bound + slack),
-        "slack": slack,
-        "caveats": [DISCRETIZED_SPECTRUM_CAVEAT, "advisory only"],
-    }

@@ -1,8 +1,8 @@
 """Cone-transversality exponents of the semi-flow.
 
-``m_sum_at`` measures, at one target point, the largest total weight 1/E of
-inverse branches whose pushed-forward cones meet the cone of some reference
-branch; ``m_of_t`` takes the maximum over a grid of target points.  The grid
+At one target point, m is the largest total weight 1/E of inverse branches
+whose pushed-forward cones meet the cone of some reference branch;
+``m_of_t`` takes its maximum over a grid of target points.  The grid
 maximum is a lower bound for the true supremum; certified mode widens every
 pairwise overlap test by the slope Lipschitz slack 2*theta_K*h, which turns
 the grid value into an upper bound (up to branch-set changes between grid
@@ -30,13 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import CeilingClass, TrigPolynomial, classify
-from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, advance, branch_table
-from .errors import InvalidArgument, ResourceLimit
+from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, branch_table
+from .errors import InvalidArgument
 from .parallel import pmap
 
 GRID_LOWER_BOUND_CAVEAT = "grid lower bound"
-
-MAX_PERIODIC_HORIZON = 20
 
 
 @dataclass(frozen=True)
@@ -49,15 +47,6 @@ class TransversalityEstimate:
     argmax_x: float = 0.0
     argmax_s: float = 0.0
     argmax_on_section: bool = True
-    ceiling_key: str = ""
-
-
-@dataclass(frozen=True)
-class LambdaMinEstimate:
-    method: str
-    value: float
-    horizon: float
-    beta_max: float
 
 
 def _weight_units(ell: int, levels) -> tuple:
@@ -67,15 +56,6 @@ def _weight_units(ell: int, levels) -> tuple:
     weights is at most ell^n_max units, which the scan keeps within int64."""
     n_max = max(levels)
     return [ell ** (n_max - n) for n in levels], ell ** n_max
-
-
-def _cones(ell: int, levels, counts, aperture: float) -> tuple:
-    """Per branch of a level-grouped set, the cone half-width
-    aperture*ell^-n and the exact weight in units; and the denominator."""
-    units, denom = _weight_units(ell, levels)
-    el = float(ell)
-    half = np.repeat([aperture * el ** -n for n in levels], counts)
-    return half, np.repeat(np.array(units, dtype=np.int64), counts), denom
 
 
 def _overlap_maxima(ell: int, levels, counts, slopes, theta: float,
@@ -103,31 +83,6 @@ def _overlap_maxima(ell: int, levels, counts, slopes, theta: float,
     return int(sums.max()) / denom
 
 
-def m_sum_at(f: TrigPolynomial, z: FlowPoint, t: float, theta_f: float,
-             widen: float = 0.0, cap: int = DEFAULT_BRANCH_CAP) -> float:
-    """Non-transversal branch weight at a single target point.
-
-    Branch cones of levels n1, n2 overlap iff their slope difference is at
-    most theta_f*(ell^-n1 + ell^-n2); ``widen`` adds certified slack to the
-    threshold.  Within one level every branch has the same weight, so the
-    per-reference sums reduce to sorted range counts.
-    """
-    table = branch_table(f, z, t, cap=cap)
-    return _overlap_maxima(table.ell, *table.scan.slope_profile(z.s, t), theta_f, widen)
-
-
-def line_mass(f: TrigPolynomial, z: FlowPoint, t: float, sigma: float,
-              aperture: float, cap: int = DEFAULT_BRANCH_CAP) -> float:
-    """Weight 1/E of the branches whose cone of half-width
-    aperture*ell^(-n) contains the direction of slope sigma."""
-    table = branch_table(f, z, t, cap=cap)
-    if not table.count:
-        return 0.0
-    levels, counts = np.unique(table.n, return_counts=True)
-    half, wt, denom = _cones(table.ell, levels.tolist(), counts, aperture)
-    return int(wt[np.abs(table.slopes - sigma) <= half].sum()) / denom
-
-
 def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
     """Exact maximum over all direction slopes of the stabbed branch weight.
 
@@ -135,10 +90,13 @@ def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
     and leave at right ends; starts are processed before ends at equal
     coordinates so closed intervals touch.  The slope profile lists each
     level's slopes in ascending order, so the event list is a few sorted
-    runs, and the running weight is an exact integer count of weight units."""
+    runs.  A level-n cone has half-width aperture*ell^-n, and the running
+    weight is an exact integer count of weight units."""
     if not levels:
         return 0.0
-    half, wt, denom = _cones(ell, levels, counts, aperture)
+    units, denom = _weight_units(ell, levels)
+    half = np.repeat([aperture * float(ell) ** -n for n in levels], counts)
+    wt = np.repeat(np.array(units, dtype=np.int64), counts)
     # a stable sort keeps every start (the first half) ahead of an end at
     # the same coordinate
     order = np.argsort(np.concatenate([slopes - half, slopes + half]), kind="stable")
@@ -149,7 +107,8 @@ def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
 def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True,
            cls: CeilingClass | None = None, gamma0: float = 0.9,
            cap: int = DEFAULT_BRANCH_CAP) -> TransversalityEstimate:
-    """Grid maximum of ``m_sum_at`` over target points in the flow domain.
+    """Grid maximum over target points in the flow domain of the
+    non-transversal branch weight m.
 
     m_value is the plain grid maximum (a lower bound); when ``certified``,
     m_upper repeats the overlap test with every threshold widened by
@@ -210,7 +169,7 @@ def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, certified: boo
         est = TransversalityEstimate(
             t=t, m_value=m_value, m_upper=m_upper, grid=(nx, ns),
             slack=(widen if certified else 0.0), argmax_x=x, argmax_s=s,
-            argmax_on_section=(s == 0.0), ceiling_key=f.key())
+            argmax_on_section=(s == 0.0))
         out.append((est, n_value))
     return out
 
@@ -247,48 +206,6 @@ def _column_maxima(f, ts, nx, ns, cls, widen, cap, columns) -> list:
                 _absorb(b, _overlap_maxima(scan.ell, *profile, cls.theta_f), x, s, m_upper,
                         _sweep_max(scan.ell, *profile, aperture))
     return best
-
-
-def lambda_min(f: TrigPolynomial, method: str, horizon: float,
-               nx: int = 65536) -> LambdaMinEstimate:
-    """Minimum expansion rate of the semi-flow.
-
-    grid: (min over base points of ell^crossings by time horizon)^(1/horizon).
-    The minimum over the flow coordinate is attained at the base section
-    (crossing counts only grow with s), so only s = 0 is scanned.
-
-    periodic: enumerates every periodic point of the base map with period
-    p <= horizon (the rationals k/(ell^p - 1)), takes the maximal orbit
-    average beta_max of f, and returns ell^(1/beta_max).
-    """
-    if horizon < 1:
-        raise InvalidArgument(f"horizon must be >= 1, got {horizon}")
-    ell = f.ell
-    if method == "grid":
-        t = float(horizon)
-        _, _, counts = advance(f, np.arange(nx) / nx, t)
-        n_min = int(counts.min())
-        if n_min == 0:
-            return LambdaMinEstimate("grid", 1.0, t, float("inf"))
-        return LambdaMinEstimate("grid", float(ell) ** (n_min / t), t, t / n_min)
-    if method == "periodic":
-        P = int(horizon)
-        if P > MAX_PERIODIC_HORIZON:
-            raise ResourceLimit(
-                f"periodic enumeration capped at period {MAX_PERIODIC_HORIZON}, got {P}",
-                max_period=MAX_PERIODIC_HORIZON)
-        beta_max = 0.0
-        for p in range(1, P + 1):
-            denom = ell ** p - 1
-            k = np.arange(denom, dtype=np.int64)
-            acc = np.zeros(denom)
-            cur = k.copy()
-            for _ in range(p):
-                acc += f(cur / denom)
-                cur = (cur * ell) % denom
-            beta_max = max(beta_max, float(acc.max()) / p)
-        return LambdaMinEstimate("periodic", float(ell) ** (1.0 / beta_max), float(P), beta_max)
-    raise InvalidArgument(f"method must be 'grid' or 'periodic', got {method!r}")
 
 
 def exponent_fit(samples) -> tuple:

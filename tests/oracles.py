@@ -1,22 +1,38 @@
-"""Independent reference implementations used to pin expected values.
+"""Independent reference implementations, and the paper constructions that
+no subcommand runs.
 
-Everything here deliberately avoids the library's computational paths:
-branches are enumerated by flat integer indexing with forward orbit sums,
-pair sums are full quadratic scans, the flow is simulated crossing by
-crossing, and extrema come from dense grids.  ``per_point_grid`` is the one
-exception: it keeps the per-point loop that the shared column scan replaced
-(one branch table per grid point, read by the library's per-table passes),
-so the grid pass's sharing and reduction can be pinned exactly.
-``per_letter_g_matrix`` likewise keeps the scalar loop that the array
-evaluation of ``g_matrix`` replaced, one derivative call per word, letter
-and direction, and ``per_bracket_roots`` the scalar bisection loop that the
-array bisection of ``ceiling._refine_roots`` replaced, so each pair can be
-compared bit for bit.
+References.  Everything here deliberately avoids the library's
+computational paths: branches are enumerated by flat integer indexing with
+forward orbit sums, pair sums are full quadratic scans, the flow is
+simulated crossing by crossing, Birkhoff sums follow one inverse branch per
+letter, masks are evaluated by their pointwise formula, and extrema come
+from dense grids.  A few references keep a loop that the library replaced,
+so each pair can be compared bit for bit: ``per_point_grid`` builds one
+branch table per grid point and reads it with the library's per-table
+passes (``point_m`` is its single-point case), ``per_letter_g_matrix``
+makes one derivative call per word, letter and direction, and
+``per_bracket_roots`` bisects one bracket at a time.
+
+Paper constructions.  The cone filter with the transversal orthogonality of
+paired minus bands, the strict ordering of polarizations, and the
+order-separated bump family with its (nu+1)-predecessor bound are checked
+by the tests on the library's masks, words and bump directions; no report
+depends on them.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from semiflow.aniso import GridFunction2D, _check_bank
+from semiflow.dynamics import FlowPoint, Word, branch_table
+from semiflow.errors import InvalidArgument, PreconditionViolation
+from semiflow.genericity import BumpDirection
+from semiflow.smooth import chi
+from semiflow.transversality import _overlap_maxima, _sweep_max
 
 ROOF_TOL = 1e-12
 
@@ -68,6 +84,18 @@ def unstable_slope(f, x, depth):
     for n in range(1, depth + 1):
         M = f.ell ** n
         total += f.ell ** (-2.0 * n) * float(np.sum(f((x + np.arange(M, dtype=float)) / M, 1)))
+    return total
+
+
+def birkhoff(f, a, x, order=0):
+    """sum_i ell^(-order*i) f^(order)(prefix_i(x)) along the word a: the
+    Birkhoff sum of f (order 0) or its first or second derivative in the
+    target point, one inverse branch y -> (y + letter - 1)/ell per letter."""
+    total = 0.0
+    y = x
+    for i, letter in enumerate(a.letters, start=1):
+        y = (y + (letter - 1)) / a.ell
+        total += a.ell ** (-order * i) * f(y, order)
     return total
 
 
@@ -217,9 +245,6 @@ def per_point_grid(f, t, nx, ns, cls, certified):
     """Transversality grid maxima with one ``branch_table`` per grid point,
     visited column by column: (m_value, m_upper, n_value, argmax x,
     argmax s), the first strict maximum winning ties."""
-    from semiflow import FlowPoint, branch_table
-    from semiflow.transversality import _overlap_maxima, _sweep_max
-
     widen = 2.0 * cls.theta_K * (1.0 / nx)
     m_value = m_upper = n_value = 0.0
     argmax = (0.0, 0.0)
@@ -236,6 +261,13 @@ def per_point_grid(f, t, nx, ns, cls, certified):
             n_value = max(n_value, _sweep_max(table.ell, *profile, 2.0 * cls.theta_f))
     m_upper = min(m_upper, 1.0) if certified else m_value
     return m_value, m_upper, n_value, argmax[0], argmax[1]
+
+
+def point_m(f, z, t, theta):
+    """The library's overlap maximum m at one target point, from one branch
+    table: the single-point case of ``per_point_grid``."""
+    table = branch_table(f, z, t)
+    return _overlap_maxima(table.ell, *table.scan.slope_profile(z.s, t), theta)
 
 
 def per_letter_g_matrix(x, sigma, family):
@@ -255,3 +287,164 @@ def per_letter_g_matrix(x, sigma, family):
 
     base_row = weighted_prefix_derivs(words[0])
     return np.asarray([weighted_prefix_derivs(w) - base_row for w in words[1:]])
+
+
+def mask_value(theta, n, sigma, xi1, xi2):
+    """psi_{Theta,n,sigma} at the frequencies (xi1, xi2) by its formula:
+    chi(|xi|)/2 at n = 0, and above it the angular profile of sigma times
+    the annulus bump chi(2^-n |xi|) - chi(2^(1-n) |xi|)."""
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    r = np.hypot(xi1, xi2)
+    if n == 0:
+        return chi(r) / 2.0
+    phi = theta.phi_plus(np.arctan2(xi2, xi1) % math.pi)
+    return (phi if sigma == "+" else 1.0 - phi) * (chi(r * 2.0 ** -n) - chi(r * 2.0 ** (1 - n)))
+
+
+# ---------------------------------------------------------------------------
+# paper constructions
+
+
+def cone_filter(u, cone):
+    """Sharp frequency-side restriction of u to a cone (zero frequency
+    removed, since the origin belongs to every cone)."""
+    xi1, xi2 = u.freqs()
+    keep = cone.contains_angle(np.arctan2(xi2, xi1) % math.pi)
+    keep[0, 0] = False
+    vals = np.fft.ifft2(u.fft() * keep)
+    if np.isrealobj(u.values):
+        vals = vals.real
+    return GridFunction2D(values=vals, spacing=u.spacing, rect=u.rect)
+
+
+def paired_band_inner(u, v, bank):
+    """max over n of |(psi_{n,-}(D)u, psi_{n,-}(D)v)_{L2}|, frequency-side,
+    with the bank's masks."""
+    _check_bank(bank, u)
+    Fu, Fv = u.fft(), v.fft()
+    scale = (u.spacing ** 2) / (u.N ** 2)
+    return max(float(abs(np.sum(m * Fu * np.conj(m * Fv)) * scale))
+               for (_, sigma), m in bank.masks if sigma == "-")
+
+
+def transversal_orthogonality(u, v, bank, cone_u, cone_v):
+    """Paired minus-band inner products of u and v, sharply filtered into
+    the cones cone_u and cone_v (see ``cone_filter``).  When the cones are
+    disjoint the Fourier supports are disjoint, so every paired term
+    vanishes to rounding."""
+    if cone_u.intersects(cone_v):
+        raise PreconditionViolation("cone_u and cone_v must meet only at the origin")
+    return paired_band_inner(u, v, bank)
+
+
+def strictly_precedes(theta, theta_prime, margin=1e-12):
+    """Ordering of polarizations: the closure of the complement of the finer
+    plus cone lies compactly inside the coarser minus cone."""
+    a, b = theta_prime.cone_plus.arc
+    start, width = b % math.pi, math.pi - (b - a)
+    oa, ob = theta.cone_minus.arc
+    if width >= ob - oa:
+        return False
+    rel = (start - oa) % math.pi
+    return margin < rel and rel + width < (ob - oa) - margin
+
+
+def cluster_words(report):
+    """The Word records of a slope-cluster report's member indices."""
+    return tuple(Word.from_index(k, report.n, report.base_word.ell) for k in report.members)
+
+
+def prefix_refinement(report, p):
+    """Split the maximal cluster into the classes of words sharing a common
+    length-p prefix, largest first.  Several large classes with pairwise
+    distinct prefixes witness the stronger clustering degeneracy that the
+    perturbation argument excludes."""
+    if not 0 <= p <= report.n:
+        raise InvalidArgument(f"prefix length must lie in 0..{report.n}, got {p}")
+    classes = {}
+    for w in cluster_words(report):
+        classes.setdefault(w.letters[:p], []).append(w)
+    return sorted(classes.values(), key=lambda ws: (-len(ws), ws[0].letters))
+
+
+@dataclass(frozen=True)
+class BumpFamilyData:
+    """Order-separated bump directions at the level-nu preimages of y."""
+
+    y: float
+    nu: int
+    eps_max: float
+    directions: tuple            # one BumpDirection per word of length nu
+    words: tuple                 # matching Word records
+    predecessors: dict           # word letters -> tuple of word letters below it
+    neighborhood: tuple          # (y, eps0/3): where the separation holds
+
+    def maximal_in(self, subset) -> list:
+        """Maximal elements of a subset of words under the orbit order."""
+        letters = [w.letters for w in subset]
+        return [w for w in subset
+                if not any(w.letters in self.predecessors[other] and other != w.letters
+                           for other in letters)]
+
+
+def default_mu(ell, nu, p):
+    """Smallest separation horizon making the off-plateau slope tail at most
+    1/(4p): 2 ell^(nu - mu) / (1 - 1/ell) <= 1/(4p)."""
+    bound = 8.0 * p * ell ** nu * ell / (ell - 1.0)
+    return max(nu + 1, math.ceil(math.log(bound, ell)))
+
+
+def bump_family(y, nu, eps0, mu, amplitude=1.0, ell=2):
+    """Bumps phi_a at every level-nu preimage of y, derivative plateau
+    amplitude * ell^nu on the inner third of each support.
+
+    The supports are the branch images of the eps0-neighborhood of y, so
+    they have radius eps0 * ell^(-nu); eps0 must keep them pairwise
+    disjoint, and any forward image tau^i (i <= mu) of one support may meet
+    another only along the orbit partial order.  Violations raise with the
+    maximal admissible eps0.  amplitude = 2 realizes the doubling that
+    upgrades the Jacobian lower bound from 1/2 to 1.
+    """
+    if nu < 1:
+        raise InvalidArgument(f"nu must be >= 1, got {nu}")
+    if mu <= nu:
+        raise InvalidArgument(f"mu must exceed nu, got mu={mu}, nu={nu}")
+    if not 0 < eps0 < 0.5:
+        raise InvalidArgument(f"eps0 must lie in (0, 1/2), got {eps0}")
+    count = ell ** nu
+    points = (y + np.arange(count)) / count
+    words = tuple(Word.from_index(k, nu, ell) for k in range(count))
+
+    # orbit partial order: b below a iff some forward image of a's point
+    # hits b's point
+    tol = 1e-11
+    predecessors = {}
+    for a_idx, a in enumerate(words):
+        below = set()
+        z = points[a_idx]
+        for _ in range(2 * nu + 4):
+            d = np.abs((z - points + 0.5) % 1.0 - 0.5)
+            below.update(words[int(h)].letters for h in np.nonzero(d <= tol)[0])
+            z = (ell * z) % 1.0
+        predecessors[a.letters] = tuple(sorted(below))
+
+    # admissible eps0: support disjointness plus the order condition
+    gaps = np.abs((points[:, None] - points[None, :] + 0.5) % 1.0 - 0.5)
+    eps_max = float(np.min(gaps[np.triu_indices(count, k=1)])) * count / 2.0
+    allowed = np.array([[wa.letters in predecessors[wb.letters] for wa in words]
+                        for wb in words])                # [b, a]: a below b
+    for i in range(1, mu + 1):
+        scale = float(ell) ** i
+        images = (points * scale) % 1.0
+        d = np.abs((images[:, None] - points[None, :] + 0.5) % 1.0 - 0.5)
+        relevant = d[~allowed & (d > tol)]
+        if relevant.size:
+            eps_max = min(eps_max, float(relevant.min()) * count / (scale + 1.0))
+    if eps0 >= eps_max:
+        raise InvalidArgument(
+            f"eps0 = {eps0} too large for separation; maximal admissible eps0 is {eps_max:.6g}")
+
+    directions = tuple(BumpDirection(center=float(c), radius=eps0 / count,
+                                     deriv_plateau=amplitude * count) for c in points)
+    return BumpFamilyData(y=y, nu=nu, eps_max=eps_max, directions=directions, words=words,
+                          predecessors=predecessors, neighborhood=(y, eps0 / 3.0))

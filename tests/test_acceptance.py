@@ -16,17 +16,18 @@ import pytest
 from semiflow import (FlowPoint, TrigPolynomial, Verdict, Word, classify,
                       cobounding_potential, cocycle_residual,
                       eigenfunction_check, exponent_fit, inverse_branches,
-                      lambda_min, m_of_t, n_of_t, weak_mixing_test)
+                      m_of_t, n_of_t, weak_mixing_test)
 from semiflow.aniso import (ConeSpec, GridFunction2D, NormParams, Polarization,
-                            aniso_norm, cone_filter, embedding_check, make_grid,
-                            mask_bank, partition_defect, transversal_orthogonality)
+                            aniso_norm, embedding_check, make_grid,
+                            mask_bank, partition_defect)
 from semiflow.cli import emit, parse_config, run
-from semiflow.genericity import (PerturbationFamily, bump_family, default_mu,
-                                 g_matrix, jacobian, slope_clusters)
+from semiflow.genericity import PerturbationFamily, g_matrix, jacobian, slope_clusters
 from semiflow.smooth import plateau
 from semiflow.spectral import Observable, build_ulam, correlation, spectrum
 
 from conftest import random_positive_ceiling
+from oracles import (bump_family, cone_filter, default_mu, periodic_beta_max,
+                     transversal_orthogonality)
 
 
 def _suite():
@@ -67,8 +68,7 @@ def test_acceptance_2_constant_ceiling():
         est = m_of_t(f, t, 8, 8, certified=True)
         assert est.m_value == 1.0
         assert est.m_upper == 1.0
-    lam = lambda_min(f, "periodic", 1)
-    assert lam.value == 2.0
+    assert 2 ** (1 / periodic_beta_max(f, 1)) == 2.0
     rep = weak_mixing_test(f)
     assert rep.verdict is Verdict.NOT_WEAKLY_MIXING
     assert rep.residual_sup <= 1e-12

@@ -5,12 +5,13 @@ import pytest
 
 from semiflow.aniso import (ConeSpec, DomainViolation, GridFunction2D,
                             InvalidArgument, NormParams, Polarization,
-                            PreconditionViolation, aniso_norm, band_norms,
-                            cone_filter, dyadic_mask, embedding_check,
-                            make_grid, mask_bank, mask_value, paired_band_inner,
-                            partition_defect, strictly_precedes,
-                            transversal_orthogonality)
+                            aniso_norm, band_norms, embedding_check,
+                            make_grid, mask_bank, partition_defect)
+from semiflow.errors import PreconditionViolation
 from semiflow.smooth import plateau
+
+from oracles import (cone_filter, mask_value, paired_band_inner, strictly_precedes,
+                     transversal_orthogonality)
 
 
 @pytest.fixture(scope="module")
@@ -77,21 +78,6 @@ def test_mask_deep_inside_plus_cone(theta):
         xi = 1.5 * 2.0 ** n
         assert mask_value(theta, n, "+", xi, 0.0) == 1.0
         assert mask_value(theta, n, "-", xi, 0.0) == 0.0
-
-
-def test_mask_value_rejects_bad_index(theta):
-    with pytest.raises(InvalidArgument):
-        mask_value(theta, -1, "+", 1.0, 0.0)
-    with pytest.raises(InvalidArgument):
-        mask_value(theta, 2, "0", 1.0, 0.0)
-
-
-def test_mask_nyquist_guard(theta, grid):
-    with pytest.raises(InvalidArgument):
-        dyadic_mask(theta, 12, "+", grid)
-    m = dyadic_mask(theta, 2, "+", grid)
-    assert m.domain == "frequency"
-    assert m.values.shape == (64, 64)
 
 
 def test_partition_of_unity_on_grid(bank):
@@ -272,9 +258,7 @@ def test_mask_bank_order_and_values(theta, grid, bank):
     assert (bank.N, bank.spacing) == (grid.N, grid.spacing)
     for (n, sigma), m in bank.masks:
         assert not m.flags.writeable
-        if n >= 1 and 2.0 ** n > grid.nyquist():
-            continue
-        assert np.array_equal(m, dyadic_mask(theta, n, sigma, grid).values)
+        assert np.array_equal(m, mask_value(theta, n, sigma, *grid.freqs()))
 
 
 def test_mask_bank_evaluates_each_radial_bump_once(theta, grid, monkeypatch):
@@ -290,23 +274,6 @@ def test_mask_bank_evaluates_each_radial_bump_once(theta, grid, monkeypatch):
     monkeypatch.setattr(aniso, "chi", counting)
     mask_bank(theta, grid)
     assert len(calls) == aniso._top_band(grid) + 1
-
-
-def test_mask_value_evaluates_only_its_level(theta, monkeypatch):
-    # level 0 needs chi(|xi|); level n >= 1 needs chi(2^-n |xi|) and chi(2^-n+1 |xi|)
-    from semiflow import aniso
-    calls = []
-    real = aniso.chi
-
-    def counting(s):
-        calls.append(s)
-        return real(s)
-
-    monkeypatch.setattr(aniso, "chi", counting)
-    for n, expected in ((0, 1), (1, 2), (9, 2)):
-        calls.clear()
-        mask_value(theta, n, "-", [3.0, 700.0], [1.0, -5.0])
-        assert len(calls) == expected
 
 
 def test_bank_refused_on_another_grid(bank):

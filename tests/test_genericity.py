@@ -4,10 +4,10 @@ import pytest
 from semiflow import (InvalidArgument, ResourceLimit, TrigPolynomial, Word, classify,
                       word_interval)
 from semiflow.genericity import (BumpDirection, PerturbationFamily, bad_set_probe,
-                                 bump_family, default_mu, default_params,
-                                 g_matrix, jacobian, slope_clusters)
+                                 default_params, g_matrix, jacobian, slope_clusters)
 
-from oracles import per_letter_g_matrix, window_cluster_scan
+from oracles import (birkhoff, bump_family, cluster_words, default_mu, per_letter_g_matrix,
+                     prefix_refinement, window_cluster_scan)
 
 GENERIC_Y = 0.3183098861837907  # irrational, keeps the orbit order trivial
 
@@ -25,7 +25,7 @@ def test_clusters_constant_all_words(f_const):
     for n in (4, 6, 8):
         rep = slope_clusters(f_const, n, Word((1,), 2))
         assert rep.max_cluster == 2 ** n
-        assert len(rep.cluster_words) == 2 ** n
+        assert len(cluster_words(rep)) == 2 ** n
 
 
 def test_clusters_coboundary_all_words(f_cob):
@@ -51,9 +51,8 @@ def test_clusters_match_brute_window_scan(f_generic):
 
 def test_cluster_words_pairwise_within_window(f_generic):
     rep = slope_clusters(f_generic, 8, Word((2,), 2), window_factor=0.5)
-    from semiflow import birkhoff, word_interval
     x_c, _ = word_interval(Word((2,), 2))
-    slopes = [birkhoff(f_generic, w, x_c, 1) for w in rep.cluster_words]
+    slopes = [birkhoff(f_generic, w, x_c, 1) for w in cluster_words(rep)]
     assert max(slopes) - min(slopes) <= rep.window + 1e-12
     assert 1 <= rep.max_cluster <= 2 ** 8
 
@@ -81,10 +80,10 @@ def test_cluster_members_are_sorted_word_indices(f_generic, monkeypatch):
 
     monkeypatch.setattr(genericity.Word, "from_index", classmethod(counting))
     rep = slope_clusters(f_generic, 10, Word((1,), 2), window_factor=2.0)
-    assert calls == []  # no word is built until cluster_words is read
+    assert calls == []  # slope_clusters builds no word
     assert list(rep.members) == sorted(rep.members)
     assert len(rep.members) == rep.max_cluster
-    words = rep.cluster_words
+    words = cluster_words(rep)
     assert [w.index for w in words] == list(rep.members)
     assert all(len(w) == 10 and w.ell == 2 for w in words)
 
@@ -157,7 +156,6 @@ def test_g_matrix_equals_per_letter_oracle(ell):
 def test_probe_slopes_equal_birkhoff_sums(f_generic):
     # the probe's base slope differences, read from one array of prefix
     # points, match the scalar Birkhoff sums bit for bit
-    from semiflow import birkhoff
     from semiflow.dynamics import _prefix_points
     from semiflow.genericity import _weighted_sum
     rng = np.random.default_rng(11)
@@ -272,8 +270,7 @@ def test_jacobian_lower_bound_on_neighborhood(f_const):
 def test_probe_trend_and_frozen_fractions(f_const):
     params = default_params(2)
     centers = [0.05, 0.21, 0.37, 0.53, 0.69, 0.85]
-    dirs = tuple(BumpDirection(center=c, radius=0.055, deriv_plateau=20.0,
-                               label=f"d{i}") for i, c in enumerate(centers))
+    dirs = tuple(BumpDirection(center=c, radius=0.055, deriv_plateau=20.0) for c in centers)
     fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.05)
     fracs = {}
     for n in (4, 6, 8):
@@ -351,11 +348,10 @@ def test_family_positivity_guard(f_const):
 
 
 def test_prefix_refinement_partitions_cluster(f_generic):
-    from semiflow.genericity import prefix_refinement
     rep = slope_clusters(f_generic, 8, Word((1,), 2), window_factor=1.0)
     classes = prefix_refinement(rep, 3)
     words = [w for cls_ in classes for w in cls_]
-    assert sorted(w.letters for w in words) == sorted(w.letters for w in rep.cluster_words)
+    assert sorted(w.letters for w in words) == sorted(w.letters for w in cluster_words(rep))
     prefixes = [cls_[0].letters[:3] for cls_ in classes]
     assert len(prefixes) == len(set(prefixes))
     for cls_ in classes:
@@ -365,7 +361,6 @@ def test_prefix_refinement_partitions_cluster(f_generic):
 
 
 def test_prefix_refinement_rejects_bad_length(f_generic):
-    from semiflow.genericity import prefix_refinement
     rep = slope_clusters(f_generic, 6, Word((1,), 2))
     with pytest.raises(InvalidArgument):
         prefix_refinement(rep, 7)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semiflow import InvalidArgument, ResourceLimit, TrigPolynomial, m_of_t
+from semiflow import InvalidArgument, ResourceLimit, TrigPolynomial
 from semiflow.spectral import (CUTOFF_MARGIN_FRACTION,
                                DISCRETIZED_SPECTRUM_CAVEAT, BoxPartition,
                                Observable, build_ulam, correlation, decay_fit,
-                               resonance_compare, spectrum)
+                               spectrum)
 
 from oracles import correlation_from_zero
 
@@ -178,7 +178,7 @@ def test_decay_fit_exact_geometric():
     from semiflow.spectral import CorrelationCurve
     cc = CorrelationCurve(
         samples=tuple((float(t), 3.0 * 0.7 ** t) for t in range(1, 7)),
-        psi_id="a", phi_id="b", ceiling_key="k")
+        psi_id="a", phi_id="b")
     rate, residual = decay_fit(cc)
     assert rate == pytest.approx(0.7, rel=1e-12)
     assert residual <= 1e-12
@@ -187,7 +187,7 @@ def test_decay_fit_exact_geometric():
 def test_decay_fit_constant_curve():
     from semiflow.spectral import CorrelationCurve
     cc = CorrelationCurve(samples=tuple((float(t), 0.25) for t in range(5)),
-                          psi_id="a", phi_id="b", ceiling_key="k")
+                          psi_id="a", phi_id="b")
     rate, _ = decay_fit(cc)
     assert rate == pytest.approx(1.0, abs=1e-12)
 
@@ -195,42 +195,7 @@ def test_decay_fit_constant_curve():
 def test_decay_fit_masks_zeros():
     from semiflow.spectral import CorrelationCurve
     samples = [(0.0, 0.5), (1.0, 0.0), (2.0, 0.125), (3.0, 0.0), (4.0, 0.03125)]
-    cc = CorrelationCurve(samples=tuple(samples), psi_id="a", phi_id="b",
-                          ceiling_key="k")
+    cc = CorrelationCurve(samples=tuple(samples), psi_id="a", phi_id="b")
     rate, _ = decay_fit(cc)
     assert rate == pytest.approx(0.5, rel=1e-9)
 
-
-def test_resonance_compare_constant(f_const):
-    op = build_ulam(f_const, 2.0, 32, 4, 64)
-    rep = spectrum(op, 4)
-    psi = Observable(s_wave=("cos", 1.0))
-    curve = correlation(f_const, psi, psi, [0.25 * k for k in range(1, 12)], 64, 8)
-    fit = decay_fit(curve)
-    est = m_of_t(f_const, 2.0, 8, 4, certified=False)
-    out = resonance_compare(rep, fit, est)
-    assert out["m_bound_per_unit_time"] == pytest.approx(1.0)
-    assert out["fitted_rate"] == pytest.approx(1.0, abs=0.05)
-    assert DISCRETIZED_SPECTRUM_CAVEAT in out["caveats"]
-
-
-def test_resonance_compare_generic_all_below_one(f_sin):
-    t = 4.0
-    op = build_ulam(f_sin, t, 64, 8, 64)
-    rep = spectrum(op, 4)
-    psi = Observable(x_wave=("cos", 1))
-    curve = correlation(f_sin, psi, psi, [0.5 * k for k in range(1, 13)], 2048, 8)
-    fit = decay_fit(curve)
-    est = m_of_t(f_sin, t, 12, 8, certified=False)
-    out = resonance_compare(rep, fit, est)
-    assert out["lambda2_abs"] < 1.0
-    assert out["fitted_rate"] < 1.0
-    assert out["m_bound_per_unit_time"] < 1.0
-
-
-def test_resonance_compare_rejects_mismatched_t(f_sin):
-    op = build_ulam(f_sin, 2.0, 8, 2, 16)
-    rep = spectrum(op, 3)
-    est = m_of_t(f_sin, 3.0, 8, 4, certified=False)
-    with pytest.raises(InvalidArgument):
-        resonance_compare(rep, (0.5, 0.0), est)

@@ -4,27 +4,25 @@ import numpy as np
 import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      TrigPolynomial, branch_table, classify, exponent_fit, lambda_min, line_mass,
-                      m_of_t, m_sum_at, n_of_t, transversality)
+                      TrigPolynomial, branch_table, classify, exponent_fit,
+                      m_of_t, n_of_t, transversality)
 from semiflow.transversality import grid_estimates
 
 from conftest import random_positive_ceiling
 from oracles import (enumerate_branches, line_scan_n, pair_scan_m,
-                     per_point_grid, periodic_beta_max)
+                     per_point_grid, periodic_beta_max, point_m)
 
 GEN3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
 
 
 def test_m_sum_constant_is_one(f_const):
-    assert m_sum_at(f_const, FlowPoint(0.3, 0.2), 2.5, 0.0) == 1.0
+    assert point_m(f_const, FlowPoint(0.3, 0.2), 2.5, 0.0) == 1.0
 
 
 def test_target_above_roof_raises(f_sin):
     z = FlowPoint(0.3, 5.0)  # f(0.3) < 1.2
     with pytest.raises(DomainViolation):
-        m_sum_at(f_sin, z, 4.0, 0.5)
-    with pytest.raises(DomainViolation):
-        line_mass(f_sin, z, 4.0, 0.0, 0.5)
+        branch_table(f_sin, z, 4.0)
 
 
 def test_m_sum_coboundary_is_one(f_cob):
@@ -32,7 +30,7 @@ def test_m_sum_coboundary_is_one(f_cob):
     cls = classify(f_cob, 0.9)
     max_dpsi = 0.1 * math.pi
     assert 2 * max_dpsi <= 2 * cls.theta_f
-    v = m_sum_at(f_cob, FlowPoint(0.0, 0.0), 6.0, cls.theta_f)
+    v = point_m(f_cob, FlowPoint(0.0, 0.0), 6.0, cls.theta_f)
     assert abs(v - 1.0) <= 1e-12
 
 
@@ -40,7 +38,7 @@ def test_m_sum_matches_pair_scan_oracle(f_sin):
     cls = classify(f_sin, 0.9)
     z = FlowPoint(0.0, 0.0)
     t = 10.0
-    got = m_sum_at(f_sin, z, t, cls.theta_f)
+    got = point_m(f_sin, z, t, cls.theta_f)
     branches = enumerate_branches(f_sin, z.x, z.s, t)
     want = pair_scan_m(branches, cls.theta_f, f_sin.ell)
     assert got == pytest.approx(want, abs=1e-12)
@@ -54,7 +52,7 @@ def test_m_sum_self_term_included(f_sin):
     z = FlowPoint(0.2, 0.1)
     branches = enumerate_branches(f_sin, z.x, z.s, 7.0)
     min_level = min(b[0] for b in branches)
-    assert m_sum_at(f_sin, z, 7.0, cls.theta_f) >= f_sin.ell ** float(-min_level) - 1e-12
+    assert point_m(f_sin, z, 7.0, cls.theta_f) >= f_sin.ell ** float(-min_level) - 1e-12
 
 
 def test_m_of_t_constant(f_const):
@@ -66,7 +64,7 @@ def test_m_of_t_constant(f_const):
 def test_m_of_t_single_point_reduction(f_sin):
     cls = classify(f_sin, 0.9)
     est = m_of_t(f_sin, 6.0, 1, 1, certified=False, cls=cls)
-    assert est.m_value == m_sum_at(f_sin, FlowPoint(0.0, 0.0), 6.0, cls.theta_f)
+    assert est.m_value == point_m(f_sin, FlowPoint(0.0, 0.0), 6.0, cls.theta_f)
     assert est.m_upper == est.m_value
     assert est.slack == 0.0
 
@@ -123,10 +121,16 @@ def test_n_of_t_candidate_monotonicity(f_sin):
     z = FlowPoint(0.0, 0.0)
     t = 6.0
     aperture = 2 * cls.theta_f
+    branches = enumerate_branches(f_sin, z.x, z.s, t)
+
+    def line_mass(sigma):
+        return sum(2.0 ** -n for n, _, _, _, slope in branches
+                   if abs(slope - sigma) <= aperture * 2.0 ** -n)
+
     small = np.linspace(-1.5, 1.5, 9)
     large = np.concatenate([small, np.linspace(-1.5, 1.5, 33)])
-    best_small = max(line_mass(f_sin, z, t, s, aperture) for s in small)
-    best_large = max(line_mass(f_sin, z, t, s, aperture) for s in large)
+    best_small = max(line_mass(s) for s in small)
+    best_large = max(line_mass(s) for s in large)
     assert best_large >= best_small
     assert n_of_t(f_sin, t, 1, 1, cls=cls) >= best_large - 1e-12
 
@@ -153,44 +157,21 @@ def test_cross_bound_with_slack(f_sin, f_generic):
 
 
 def test_lambda_min_constant_exact(f_const, f_const3):
+    # lambda_min = ell^(1/beta_max) with beta_max the largest periodic orbit
+    # average of f, here the constant itself
     for f, c in ((f_const, 1.0), (f_const3, 1.3)):
         expect = f.ell ** (1.0 / c)
-        # grid horizon a multiple of the constant roof time, so the crossing
-        # count divides out exactly
-        est = lambda_min(f, "grid", 10 * c, nx=512)
-        assert est.value == pytest.approx(expect, abs=1e-12)
-        est = lambda_min(f, "periodic", 5)
-        assert est.value == pytest.approx(expect, abs=1e-12)
+        assert f.ell ** (1.0 / periodic_beta_max(f, 5)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_lambda_min_periodic_matches_oracle(f_sin):
-    est = lambda_min(f_sin, "periodic", 12)
-    beta = periodic_beta_max(f_sin, 8)  # oracle horizon 8 finds the same max
-    assert est.beta_max == pytest.approx(beta, abs=1e-12)
-    assert est.value == pytest.approx(2.0 ** (1.0 / beta), abs=1e-12)
-
-
-def test_lambda_min_grid_agrees_with_periodic(f_sin):
-    grid = lambda_min(f_sin, "grid", 20, nx=65536)
-    periodic = lambda_min(f_sin, "periodic", 12)
-    assert abs(grid.value - periodic.value) <= 0.05
+    # the maximal orbit average over periods up to 12 is found by period 8
+    assert periodic_beta_max(f_sin, 12) == pytest.approx(periodic_beta_max(f_sin, 8), abs=1e-12)
 
 
 def test_lambda_min_bounds(f_generic):
     cls = classify(f_generic, 0.9)
-    for est in (lambda_min(f_generic, "periodic", 10),
-                lambda_min(f_generic, "grid", 25, nx=8192)):
-        assert 2.0 ** (1.0 / cls.K) <= est.value <= 2.0 ** cls.K
-
-
-def test_lambda_min_periodic_cap(f_sin):
-    with pytest.raises(ResourceLimit):
-        lambda_min(f_sin, "periodic", 21)
-
-
-def test_lambda_min_rejects_bad_method(f_sin):
-    with pytest.raises(InvalidArgument):
-        lambda_min(f_sin, "newton", 5)
+    assert 2.0 ** (1.0 / cls.K) <= 2.0 ** (1.0 / periodic_beta_max(f_generic, 10)) <= 2.0 ** cls.K
 
 
 def test_exponent_fit_constant():
@@ -231,7 +212,7 @@ def test_argmax_location_reported(f_sin):
 def test_m_sum_frozen_value_at_origin(f_sin):
     # frozen from the quadratic pair-scan oracle run recorded at build time
     cls = classify(f_sin, 0.9)
-    v = m_sum_at(f_sin, FlowPoint(0.0, 0.0), 10.0, cls.theta_f)
+    v = point_m(f_sin, FlowPoint(0.0, 0.0), 10.0, cls.theta_f)
     assert v == pytest.approx(0.0224609375, abs=1e-15)
 
 
@@ -245,7 +226,7 @@ def test_m_of_t_spec_grid_frozen(f_sin):
         z = FlowPoint(x, s_frac * f_sin(x))
         branches = enumerate_branches(f_sin, z.x, z.s, 12.0)
         want = pair_scan_m(branches, cls.theta_f, f_sin.ell)
-        assert m_sum_at(f_sin, z, 12.0, cls.theta_f) == pytest.approx(want, abs=1e-12)
+        assert point_m(f_sin, z, 12.0, cls.theta_f) == pytest.approx(want, abs=1e-12)
 
 
 def test_m_and_n_oracle_base_three():
@@ -254,7 +235,7 @@ def test_m_and_n_oracle_base_three():
     cls = classify(f3, 0.7)
     z = FlowPoint(0.4, 0.2)
     branches = enumerate_branches(f3, z.x, z.s, 6.0)
-    assert m_sum_at(f3, z, 6.0, cls.theta_f) == pytest.approx(
+    assert point_m(f3, z, 6.0, cls.theta_f) == pytest.approx(
         pair_scan_m(branches, cls.theta_f, 3), abs=1e-12)
     best = 0.0
     for i in range(6):
@@ -318,7 +299,6 @@ def test_weight_sums_exact_over_sixty_levels():
     z = FlowPoint(0.0, 0.0)
     table = branch_table(f, z, 3.0)
     assert max(table.levels) == 60
-    assert m_sum_at(f, z, 3.0, 1e9) == 1.0
-    assert line_mass(f, z, 3.0, 0.0, 1e9) == 1.0
     profile = table.scan.slope_profile(z.s, 3.0)
+    assert transversality._overlap_maxima(table.ell, *profile, 1e9) == 1.0
     assert transversality._sweep_max(table.ell, *profile, 1e9) == 1.0
