@@ -9,7 +9,7 @@ perturbation-family genericity diagnostics.
 """
 
 from .ceiling import CeilingClass, TrigPolynomial, ceiling_from_config, classify, extrema
-from .dynamics import (Branch, FlowPoint, Word, advance, advance_through, branch_point,
+from .dynamics import (FlowPoint, Word, advance, advance_through, branch_point,
                        branch_table, inverse_branches, word_interval)
 from .errors import (DomainViolation, InvalidArgument, NumericalFailure,
                      ParseError, PreconditionViolation, ResourceLimit,

@@ -115,10 +115,6 @@ class Polarization:
             out[gap2] = step((rel[gap2] - m1) / (_PI - m1))
         return out
 
-    def angular(self, sigma: str, beta):
-        phi = self.phi_plus(beta)
-        return phi if sigma == "+" else 1.0 - phi
-
 
 @dataclass(frozen=True)
 class NormParams:

@@ -22,19 +22,43 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# the quote, the backslash and the control characters, as JSON escapes
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
+            **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
+
+
+# the formatter of a column whose values all have one of these exact types
+_COLUMN_FORMATS = {float: _fmt_float, int: str, str: _escape}
+
+
+def _column_json(values: list) -> list:
+    """The canonical JSON of each value of a column: one formatting pass
+    when every value has the same exact type float, int or str, and the
+    per-value path otherwise (bools, numpy scalars, containers, mixes)."""
+    kinds = set(map(type, values))
+    render = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(render or canonical_json, values))
+
+
+def _rows_json(rows) -> str:
+    """A list of dicts sharing one key order, rendered column by column:
+    each key escaped once, each column formatted in one pass."""
+    keys = list(rows[0])
+    template = "{" + ",".join(_escape(str(k)).replace("%", "%%") + ":%s" for k in keys) + "}"
+    columns = [_column_json([row[k] for row in rows]) for k in keys]
+    return "[" + ",".join(map(template.__mod__, zip(*columns))) + "]"
+
+
+def _shares_keys(rows) -> bool:
+    """True for a nonempty list of dicts whose keys come in one order."""
+    if not rows or not all(type(row) is dict for row in rows):
+        return False
+    keys = list(rows[0])
+    return all(list(row) == keys for row in rows)
 
 
 def canonical_json(obj) -> str:
@@ -56,6 +80,8 @@ def canonical_json(obj) -> str:
         items = ",".join(f"{_escape(str(k))}:{canonical_json(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        if _shares_keys(obj):
+            return _rows_json(obj)
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if hasattr(obj, "item"):  # numpy scalars
         return canonical_json(obj.item())

@@ -66,10 +66,6 @@ class TrigPolynomial:
         object.__setattr__(self, "harmonics", tuple(hs))
         object.__setattr__(self, "mean_coeff", float(self.mean_coeff))
 
-    @property
-    def max_harmonic(self) -> int:
-        return self.harmonics[-1][0] if self.harmonics else 0
-
     def __call__(self, x, order: int = 0):
         return eval(self, x, order)
 

@@ -406,12 +406,15 @@ def _default_probe_family(f: TrigPolynomial):
 
 def _run_branches(cfg: ExperimentConfig):
     p = cfg.params
-    branches = inverse_branches(cfg.ceiling, FlowPoint(p["x"], p["s"]), p["t"])
-    rows = [{
-        "word": str(b.word), "n": b.level, "y": b.preimage.x,
-        "s_prime": b.preimage.s, "E": b.expansion, "slope": b.slope,
-    } for b in branches]
-    payload = {"rows": rows, "weight_sum": sum(1.0 / b.expansion for b in branches)}
+    table, words = inverse_branches(cfg.ceiling, FlowPoint(p["x"], p["s"]), p["t"])
+    ell = float(table.ell)
+    levels = table.n.tolist()
+    expansions = [ell ** n for n in levels]
+    rows = [{"word": word, "n": n, "y": y, "s_prime": s_prime, "E": e, "slope": slope}
+            for word, n, y, s_prime, e, slope in zip(words, levels, table.y.tolist(),
+                                                     table.s.tolist(), expansions,
+                                                     table.slopes.tolist())]
+    payload = {"rows": rows, "weight_sum": sum(1.0 / e for e in expansions)}
     return payload, []
 
 

@@ -81,17 +81,6 @@ class FlowPoint:
     s: float
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One time-t inverse branch of the flow at a target point."""
-
-    word: Word
-    preimage: FlowPoint
-    expansion: float
-    slope: float
-    level: int
-
-
 def validate_point(f: TrigPolynomial, z: FlowPoint) -> float:
     """Raise DomainViolation unless 0 <= s < f(x); returns the height f(x)."""
     fx = f(z.x)
@@ -194,10 +183,12 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance):
 class _BranchTable:
     """Flat arrays describing every time-t inverse branch at one target.
 
-    Parallel arrays, one entry per branch, level ascending and then word
-    index: the level ``n``, the word index ``k`` (little-endian), the
-    preimage base point ``y``, its flow coordinate ``s`` and the slope.
-    ``scan`` is the column scan the table was masked from.
+    Parallel arrays, one entry per branch: the level ``n``, the word index
+    ``k`` (little-endian), the preimage base point ``y``, its flow
+    coordinate ``s`` and the slope.  ``branch_table`` lists the branches
+    level ascending and then by word index, ``inverse_branches`` in
+    lexicographic word order.  ``scan`` is the column scan the table was
+    masked from.
     """
 
     __slots__ = ("n", "k", "y", "s", "slopes", "ell", "scan")
@@ -361,15 +352,32 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
 
 
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float,
-                     cap: int = DEFAULT_BRANCH_CAP) -> list:
-    """All time-t inverse branches of the flow at z, as Branch records sorted
-    lexicographically by word: a view over ``branch_table``."""
+                     cap: int = DEFAULT_BRANCH_CAP) -> tuple:
+    """All time-t inverse branches of the flow at z: ``(table, words)``, the
+    ``branch_table`` reordered lexicographically by word, and each row's
+    word as ``str(Word)`` writes it (letters' decimal digits run together).
+
+    Both come from one digit matrix of the word indices, letter p of a row
+    being (k // ell^p) % ell + 1 and 0 past the word's end, so a word sorts
+    after its prefixes, as tuples of letters do."""
     table = branch_table(f, z, t, cap=cap)
-    ell = table.ell
-    out = [Branch(word=Word.from_index(k, n, ell), preimage=FlowPoint(y, s_prime),
-                  expansion=float(ell) ** n, slope=slope, level=n)
-           for n, k, y, s_prime, slope in zip(table.n.tolist(), table.k.tolist(),
-                                              table.y.tolist(), table.s.tolist(),
-                                              table.slopes.tolist())]
-    out.sort(key=lambda b: b.word.letters)
-    return out
+    ell, n_max = table.ell, max(table.levels)
+    if n_max == 0:
+        return table, [""] * table.count
+    letters = np.zeros((n_max, table.count), dtype=np.min_scalar_type(ell))
+    for p in range(n_max):
+        letters[p] = np.where(table.n > p, table.k // ell ** p % ell + 1, 0)
+    order = np.lexsort(letters[::-1])
+    letters = letters[:, order]
+    # each letter as `width` characters, its leading zeros (and a padding
+    # letter's every digit) as NUL; a stable sort moves the NULs to the end
+    # of the row, where the bytes dtype drops them
+    width = len(str(ell))
+    tens = (10 ** np.arange(width - 1, -1, -1)).astype(letters.dtype)
+    grid = letters.T[:, :, None]
+    chars = np.where(grid >= tens, grid // tens % 10 + ord("0"), 0).astype(np.uint8)
+    chars = chars.reshape(table.count, n_max * width)
+    chars = np.take_along_axis(chars, np.argsort(chars == 0, axis=1, kind="stable"), axis=1)
+    words = chars.view(f"S{n_max * width}").ravel().astype(str).tolist()
+    return _BranchTable(table.n[order], table.k[order], table.y[order], table.s[order],
+                        table.slopes[order], ell, table.scan), words

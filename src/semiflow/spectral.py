@@ -56,14 +56,10 @@ class BoxPartition:
     def dim(self) -> int:
         return self.nx * self.ns
 
-    def total_measure(self) -> float:
-        return float(np.sum(self.column_heights)) / self.nx
-
 
 @dataclass(frozen=True)
 class UlamOperator:
     matrix: np.ndarray
-    partition: BoxPartition
     t: float
 
 
@@ -162,7 +158,7 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
     if t == 0.0:
         # the time-0 map is the identity on the domain; sampling would only
         # move the few points that stick out above the true ceiling
-        return UlamOperator(matrix=np.eye(dim), partition=part, t=0.0)
+        return UlamOperator(matrix=np.eye(dim), t=0.0)
 
     u, v = _lattice(points_per_box, seed, mode, dim)
     cols = np.repeat(np.arange(nx), ns)
@@ -180,7 +176,7 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
 
     matrix = np.zeros((dim, dim))
     np.add.at(matrix, (land_idx, src_idx), 1.0 / points_per_box)
-    return UlamOperator(matrix=matrix, partition=part, t=float(t))
+    return UlamOperator(matrix=matrix, t=float(t))
 
 
 def spectrum(op: UlamOperator, k: int) -> SpectrumReport:

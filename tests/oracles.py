@@ -10,8 +10,10 @@ from dense grids.  A few references keep a loop that the library replaced,
 so each pair can be compared bit for bit: ``per_point_grid`` builds one
 branch table per grid point and reads it with the library's per-table
 passes (``point_m`` is its single-point case), ``per_letter_g_matrix``
-makes one derivative call per word, letter and direction, and
-``per_bracket_roots`` bisects one bracket at a time.
+makes one derivative call per word, letter and direction,
+``per_bracket_roots`` bisects one bracket at a time, ``branches_payload``
+builds a ``Word`` per branch row and ``per_value_json`` renders one value
+at a time.
 
 Paper constructions.  The cone filter with the transversal orthogonality of
 paired minus bands, the strict ordering of polarizations, and the
@@ -185,18 +187,79 @@ def enumerate_branches(f, x, s, t, n_max=40):
     return out
 
 
-def pair_scan_m(branches, theta, ell):
-    """Quadratic-scan non-transversal weight maximum."""
+def pair_scan_m(branches, theta, ell, widen=0.0):
+    """Quadratic-scan non-transversal weight maximum: every reference slope
+    s against every slope within fl(s - thr) and fl(s + thr), the pair
+    threshold thr = theta*(ell^-n1 + ell^-n2) + widen in the library's float
+    operations, weights summed in exact units of ell^-n_max."""
     if not branches:
         return 0.0
     levels = np.array([b[0] for b in branches])
     slopes = np.array([b[4] for b in branches])
-    widths = theta * float(ell) ** -levels.astype(float)
-    weights = float(ell) ** -levels.astype(float)
-    diff = np.abs(slopes[:, None] - slopes[None, :])
-    overlap = diff <= widths[:, None] + widths[None, :]
-    sums = overlap @ weights
-    return float(np.max(sums))
+    width = {n: float(ell) ** -n for n in set(levels.tolist())}
+    w = np.array([width[n] for n in levels.tolist()])
+    thr = theta * (w[:, None] + w[None, :]) + widen
+    overlap = ((slopes[None, :] <= slopes[:, None] + thr)
+               & (slopes[None, :] >= slopes[:, None] - thr))
+    n_max = max(width)
+    sums = sum(np.count_nonzero(overlap[:, levels == n], axis=1) * ell ** (n_max - n)
+               for n in width)
+    return int(np.max(sums)) / ell ** n_max
+
+
+def branches_payload(f, z, t):
+    """The ``branches`` report payload built row by row: a validated
+    ``Word`` per branch of ``branch_table``, rows sorted by the word's
+    letters, and the weight sum taken in that order."""
+    table = branch_table(f, z, t)
+    keyed = []
+    for n, k, y, s_prime, slope in zip(table.n.tolist(), table.k.tolist(), table.y.tolist(),
+                                       table.s.tolist(), table.slopes.tolist()):
+        word = Word.from_index(k, n, table.ell)
+        keyed.append((word.letters, {"word": str(word), "n": n, "y": y, "s_prime": s_prime,
+                                     "E": float(table.ell) ** n, "slope": slope}))
+    keyed.sort(key=lambda item: item[0])
+    rows = [row for _, row in keyed]
+    return {"rows": rows, "weight_sum": sum(1.0 / row["E"] for row in rows)}
+
+
+def per_value_json(obj):
+    """Canonical JSON one value at a time, escaping character by character:
+    the reference for ``canon.canonical_json``'s column path."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        out = ['"']
+        for ch in obj:
+            if ch in '"\\':
+                out.append("\\" + ch)
+            elif ord(ch) < 0x20:
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        return "".join(out) + '"'
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "null"
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        if obj == int(obj) and abs(obj) < 1e16:
+            return f"{obj:.1f}"
+        return format(obj, ".17g")
+    if isinstance(obj, complex):
+        return per_value_json([obj.real, obj.imag])
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{per_value_json(str(k))}:{per_value_json(v)}"
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(per_value_json(v) for v in obj) + "]"
+    return per_value_json(obj.item())  # numpy scalars
 
 
 def line_scan_n(branches, theta, ell):
@@ -289,6 +352,13 @@ def per_letter_g_matrix(x, sigma, family):
     return np.asarray([weighted_prefix_derivs(w) - base_row for w in words[1:]])
 
 
+def angular_profile(theta, sigma, beta):
+    """The angular profile of sigma at direction angle(s) beta: phi_plus on
+    the plus side and its complement 1 - phi_plus on the minus side."""
+    phi = theta.phi_plus(beta)
+    return phi if sigma == "+" else 1.0 - phi
+
+
 def mask_value(theta, n, sigma, xi1, xi2):
     """psi_{Theta,n,sigma} at the frequencies (xi1, xi2) by its formula:
     chi(|xi|)/2 at n = 0, and above it the angular profile of sigma times
@@ -297,8 +367,8 @@ def mask_value(theta, n, sigma, xi1, xi2):
     r = np.hypot(xi1, xi2)
     if n == 0:
         return chi(r) / 2.0
-    phi = theta.phi_plus(np.arctan2(xi2, xi1) % math.pi)
-    return (phi if sigma == "+" else 1.0 - phi) * (chi(r * 2.0 ** -n) - chi(r * 2.0 ** (1 - n)))
+    angular = angular_profile(theta, sigma, np.arctan2(xi2, xi1) % math.pi)
+    return angular * (chi(r * 2.0 ** -n) - chi(r * 2.0 ** (1 - n)))
 
 
 # ---------------------------------------------------------------------------

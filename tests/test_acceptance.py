@@ -53,9 +53,9 @@ def test_acceptance_1_branch_sum_identity():
         x = float(rng.random())
         s = float(rng.uniform(0, f(x)))
         t = float(rng.uniform(0.5, max(0.6, t_cap)))
-        branches = inverse_branches(f, FlowPoint(x, s), t)
-        assert len(branches) <= 2 ** 16
-        defect = abs(sum(1.0 / b.expansion for b in branches) - 1.0)
+        table, _ = inverse_branches(f, FlowPoint(x, s), t)
+        assert table.count <= 2 ** 16
+        defect = abs(sum(1.0 / float(f.ell) ** n for n in table.n.tolist()) - 1.0)
         worst = max(worst, defect)
         assert defect <= 1e-10
     print(f"\nACCEPTANCE 1 PASS: branch-sum identity, worst defect {worst:.3e} <= 1e-10")

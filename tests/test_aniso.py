@@ -10,8 +10,8 @@ from semiflow.aniso import (ConeSpec, DomainViolation, GridFunction2D,
 from semiflow.errors import PreconditionViolation
 from semiflow.smooth import plateau
 
-from oracles import (cone_filter, mask_value, paired_band_inner, strictly_precedes,
-                     transversal_orthogonality)
+from oracles import (angular_profile, cone_filter, mask_value, paired_band_inner,
+                     strictly_precedes, transversal_orthogonality)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_angular_profiles_plateaus(theta):
     assert np.all(theta.phi_plus(angles_minus) == 0.0)
     assert np.all(theta.phi_plus(np.array([math.pi / 2])) == 0.0)
     beta = np.linspace(0, math.pi, 64, endpoint=False)
-    total = theta.angular("+", beta) + theta.angular("-", beta)
+    total = angular_profile(theta, "+", beta) + angular_profile(theta, "-", beta)
     assert np.max(np.abs(total - 1.0)) == 0.0
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import math
@@ -5,15 +6,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflow import cli
+from semiflow import FlowPoint, canon, cli
 from semiflow.canon import canonical_csv, canonical_json
 from semiflow.cli import (ParseError, ValidationError, emit, main,
                           parse_config, run)
 from semiflow.errors import InvalidArgument
+
+from oracles import branches_payload, per_value_json
 
 
 def _config(**over):
@@ -74,7 +78,7 @@ def test_every_subcommand_refuses_a_ceiling_dipping_below_zero_between_grid_poin
 def test_harmonic_index_up_to_1024_accepted():
     ceiling = {"ell": 2, "mean": 1.0, "harmonics": [[1024, 0.0, 0.2]]}
     cfg = parse_config(json.dumps(_config(ceiling=ceiling)))
-    assert cfg.ceiling.max_harmonic == 1024
+    assert max(k for k, _, _ in cfg.ceiling.harmonics) == 1024
 
 
 def test_each_ceiling_certified_once_per_order_across_every_subcommand():
@@ -166,6 +170,98 @@ def test_emit_csv_branch_schema():
     header = text.splitlines()[0]
     assert header == "word,n,y,s_prime,E,slope"
     assert len(text.splitlines()) == 1 + 8  # eight level-3 branches
+
+
+BRANCH_CASES = [
+    # ell = 2; t = 0 leaves only the empty word ""
+    ({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}, {"x": 0.3, "s": 0.0, "t": 6.0}),
+    ({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}, {"x": 0.3, "s": 0.0, "t": 0.0}),
+    ({"ell": 3, "mean": 1.3, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]},
+     {"x": 0.42, "s": 0.1, "t": 4.0}),
+    # ell = 12: the letters 10, 11 and 12 print as two digits
+    ({"ell": 12, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}, {"x": 0.7, "s": 0.0, "t": 2.5}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
+@pytest.mark.parametrize("ceiling, params", BRANCH_CASES)
+def test_branches_report_bytes_equal_per_row_oracle(ceiling, params, fmt):
+    # the rows built from the table's columns and rendered column by column
+    # are the rows of a Word per branch, sorted by letters and rendered one
+    # value at a time
+    cfg = parse_config(json.dumps(_config(experiment="branches", params=params,
+                                          ceiling=ceiling)))
+    report = run(cfg)
+    payload = branches_payload(cfg.ceiling, FlowPoint(params["x"], params["s"]), params["t"])
+    rows = payload["rows"]
+    if params["t"] == 0.0:
+        assert [row["word"] for row in rows] == [""]
+    if ceiling["ell"] == 12:
+        assert {"10", "11", "12"} <= {row["word"][:2] for row in rows}
+    if fmt == "json":
+        want = per_value_json({"config": report.config, "config_hash": report.config_hash,
+                               "caveats": report.caveats, "payload": payload}) + "\n"
+    elif fmt == "jsonl":
+        want = "\n".join(per_value_json(row) for row in rows) + "\n"
+    else:
+        want = canonical_csv(rows, list(rows[0]))
+    assert emit(report, fmt) == want.encode()
+
+
+class _Key(str):
+    """A dict key that is not exactly a str."""
+
+
+COLUMN_CASES = {
+    "floats": [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 2.0 ** 53, 0.1, -3.0],
+    "ints": [0, -1, 2 ** 53, 2 ** 64, 7, 1, 3, 10 ** 20],
+    "strings": ['a"b', "back\\slash", "line\nbreak", "\x00\x1f\x7f", "pct %s %d",
+                "", "caf\u00e9", "{}"],
+    "bools": [True, False, True, True, False, False, True, False],
+    "numpy": [np.float64(0.1), np.float64(2.0), np.int64(5), np.float32(0.5),
+              np.bool_(True), np.int32(-2), np.float64("nan"), np.uint8(255)],
+    "mixed": [1, 1.0, True, None, "1", np.float64(1.0), 2 ** 53, -0.0],
+    "dicts": [{"a": 1.0, "b": [1, {"c": "d"}]}, {}, {"x": None}, {"a": 1.0, "b": []},
+              {"n": {"m": {"k": float("inf")}}}, {"q": 'q"'}, {"a": 2}, {"z": 0.1}],
+    "lists": [[{"a": 1}, {"a": 2}], [], [1, 2.5], [{"a": 1}, {"b": 2}], (0.1, "x"),
+              [[]], [None], [{"k": True}]],
+}
+
+
+def test_canonical_json_column_path_matches_per_value_path(monkeypatch):
+    # rows sharing one key order go column by column; keys that need escapes,
+    # hold a % or are not strings are escaped once; every column kind gives
+    # the per-value bytes
+    tabled = []
+    real = canon._rows_json
+    monkeypatch.setattr(canon, "_rows_json", lambda rows: tabled.append(1) or real(rows))
+    keys = list(COLUMN_CASES) + ['k"ey', "ctl\n", "%s%%", 3, _Key("sub")]
+    extra = {'k"ey': 1.5, "ctl\n": "v", "%s%%": "%s", 3: 4, _Key("sub"): -0.0}
+    rows = [{**{k: COLUMN_CASES[k][i] for k in COLUMN_CASES}, **extra} for i in range(8)]
+    assert list(rows[0]) == keys
+    for obj in (rows, rows[:1], tuple(rows), {"payload": {"rows": rows}}):
+        tabled.clear()
+        assert canonical_json(obj) == per_value_json(obj)
+        assert tabled
+    # one row per column kind, so every column is also a single-type list
+    for name, column in COLUMN_CASES.items():
+        assert canonical_json([{name: v} for v in column]) == per_value_json(
+            [{name: v} for v in column])
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],          # same keys, another order
+    [{"a": 1, "b": 2}, {"a": 1}],                  # a key missing
+    [{"a": 1}, {"a": 1, "b": 2}],                  # a key more
+    [{"a": 1}, {"b": 1}],                          # other keys
+    [{"a": 1}, [1]],                               # not every item a dict
+    [{"a": 1}, collections.OrderedDict(a=1)],      # a dict subclass
+    [1.0, "x", None],
+    [],
+])
+def test_canonical_json_other_lists_keep_per_value_path(rows, monkeypatch):
+    monkeypatch.setattr(canon, "_rows_json", None)  # any call would fail
+    assert canonical_json(rows) == per_value_json(rows)
 
 
 def test_canonical_json_stability():

@@ -185,32 +185,54 @@ def test_semigroup_property(f_sin):
     assert checked > 150
 
 
+_TABLE_COLUMNS = ("n", "k", "y", "s", "slopes")
+
+
+def _table_columns(table):
+    return {(n, k): (y, sp, sl) for n, k, y, sp, sl in
+            zip(*(getattr(table, name).tolist() for name in _TABLE_COLUMNS))}
+
+
+def _rows(table):
+    """(level, word index, y, s', slope, expansion E) of each branch row."""
+    ell = float(table.ell)
+    return [(n, k, y, sp, sl, ell ** n) for n, k, y, sp, sl in
+            zip(*(getattr(table, name).tolist() for name in _TABLE_COLUMNS))]
+
+
+def _weight_sum(table):
+    """Sum of 1/E over the rows, in row order, as the branches report sums it."""
+    return sum(1.0 / e for *_, e in _rows(table))
+
+
 def test_branches_constant_t25(f_const):
-    branches = inverse_branches(f_const, FlowPoint(0.2, 0.0), 2.5)
-    assert len(branches) == 8
-    assert {b.level for b in branches} == {3}
-    assert all(b.expansion == 8.0 for b in branches)
-    assert all(b.slope == 0.0 for b in branches)
-    assert all(b.preimage.s == pytest.approx(0.5) for b in branches)
-    assert sum(1.0 / b.expansion for b in branches) == 1.0
+    table, _ = inverse_branches(f_const, FlowPoint(0.2, 0.0), 2.5)
+    rows = _rows(table)
+    assert len(rows) == 8
+    assert {n for n, *_ in rows} == {3}
+    assert all(e == 8.0 for *_, e in rows)
+    assert all(sl == 0.0 for *_, sl, _ in rows)
+    assert all(sp == pytest.approx(0.5) for _, _, _, sp, _, _ in rows)
+    assert _weight_sum(table) == 1.0
 
 
 def test_branches_level_zero_when_s_exceeds_t(f_generic):
     z = FlowPoint(0.4, 0.9)
-    branches = inverse_branches(f_generic, z, 0.5)
-    level0 = [b for b in branches if b.level == 0]
+    table, _ = inverse_branches(f_generic, z, 0.5)
+    level0 = [(sp, e) for n, _, _, sp, _, e in _rows(table) if n == 0]
     assert len(level0) == 1
-    assert level0[0].expansion == 1.0
-    assert level0[0].preimage.s == pytest.approx(0.4)
+    sp, e = level0[0]
+    assert e == 1.0
+    assert sp == pytest.approx(0.4)
 
 
 def test_branches_forward_verification(f_sin):
     z = FlowPoint(0.3, 0.0)
     t = 8.0
-    branches = inverse_branches(f_sin, z, t)
-    assert abs(sum(1.0 / b.expansion for b in branches) - 1.0) <= 1e-10
-    for b in branches:
-        fx, fs, _ = advance(f_sin, b.preimage.x, b.preimage.s + t)
+    table, _ = inverse_branches(f_sin, z, t)
+    assert abs(_weight_sum(table) - 1.0) <= 1e-10
+    for _, _, y, sp, _, _ in _rows(table):
+        fx, fs, _ = advance(f_sin, y, sp + t)
         dx = min(abs(fx - z.x), 1.0 - abs(fx - z.x))
         assert dx <= 1e-10
         assert float(fs) == pytest.approx(z.s, abs=1e-10)
@@ -219,26 +241,18 @@ def test_branches_forward_verification(f_sin):
 def test_branches_match_flat_enumeration_oracle(f_sin, f_generic):
     for f, z, t in [(f_sin, FlowPoint(0.3, 0.0), 6.0),
                     (f_generic, FlowPoint(0.77, 0.5), 5.0)]:
-        got = inverse_branches(f, z, t)
+        got = _rows(inverse_branches(f, z, t)[0])
         want = enumerate_branches(f, z.x, z.s, t)
         assert len(got) == len(want)
         want_set = {(n, k) for n, k, _, _, _ in want}
-        got_set = {(b.level, b.word.index) for b in got}
+        got_set = {(n, k) for n, k, *_ in got}
         assert got_set == want_set
         by_key = {(n, k): (y, sp, sl) for n, k, y, sp, sl in want}
-        for b in got:
-            y, sp, sl = by_key[(b.level, b.word.index)]
-            assert b.preimage.x == pytest.approx(y, abs=1e-12)
-            assert b.preimage.s == pytest.approx(sp, abs=1e-10)
-            assert b.slope == pytest.approx(sl, abs=1e-10)
-
-
-_TABLE_COLUMNS = ("n", "k", "y", "s", "slopes")
-
-
-def _table_columns(table):
-    return {(n, k): (y, sp, sl) for n, k, y, sp, sl in
-            zip(*(getattr(table, name).tolist() for name in _TABLE_COLUMNS))}
+        for n, k, got_y, got_sp, got_sl, _ in got:
+            y, sp, sl = by_key[(n, k)]
+            assert got_y == pytest.approx(y, abs=1e-12)
+            assert got_sp == pytest.approx(sp, abs=1e-10)
+            assert got_sl == pytest.approx(sl, abs=1e-10)
 
 
 def test_branch_table_matches_flat_enumeration_oracle(f_generic):
@@ -304,10 +318,10 @@ def test_branch_table_grid_pairs_validated(f_sin):
 def test_inverse_branches_carry_table_values(f_sin):
     z, t = FlowPoint(0.3, 0.1), 7.0
     cols = _table_columns(branch_table(f_sin, z, t))
-    branches = inverse_branches(f_sin, z, t)
-    assert len(branches) == len(cols)
-    for b in branches:
-        assert (b.preimage.x, b.preimage.s, b.slope) == cols[(b.level, b.word.index)]
+    rows = _rows(inverse_branches(f_sin, z, t)[0])
+    assert len(rows) == len(cols)
+    for n, k, y, sp, sl, _ in rows:
+        assert (y, sp, sl) == cols[(n, k)]
 
 
 def test_branch_enumeration_rejects_target_above_roof(f_sin):
@@ -319,16 +333,18 @@ def test_branch_enumeration_rejects_target_above_roof(f_sin):
 
 
 def test_branches_sorted_lexicographically(f_sin):
-    branches = inverse_branches(f_sin, FlowPoint(0.4, 0.1), 4.0)
-    letters = [b.word.letters for b in branches]
+    table, words = inverse_branches(f_sin, FlowPoint(0.4, 0.1), 4.0)
+    letters = [Word.from_index(k, n, table.ell).letters
+               for n, k in zip(table.n.tolist(), table.k.tolist())]
     assert letters == sorted(letters)
+    assert words == ["".join(map(str, a)) for a in letters]
 
 
 def test_branch_slope_bound(f_generic):
     cls = classify(f_generic, 0.9)
     bound = cls.max_abs_f1 / (f_generic.ell - 1)
-    for b in inverse_branches(f_generic, FlowPoint(0.25, 0.2), 5.0):
-        assert abs(b.slope) <= bound + 1e-12
+    for slope in inverse_branches(f_generic, FlowPoint(0.25, 0.2), 5.0)[0].slopes.tolist():
+        assert abs(slope) <= bound + 1e-12
 
 
 def test_coboundary_slope_identity(f_cob):
@@ -337,9 +353,9 @@ def test_coboundary_slope_identity(f_cob):
         return 0.1 * math.pi * math.cos(2 * math.pi * x)
 
     z = FlowPoint(0.35, 0.0)
-    for b in inverse_branches(f_cob, z, 6.0):
-        expect = dpsi(z.x) - f_cob.ell ** float(-b.level) * dpsi(b.preimage.x)
-        assert b.slope == pytest.approx(expect, abs=1e-9)
+    for n, _, y, _, slope, _ in _rows(inverse_branches(f_cob, z, 6.0)[0]):
+        expect = dpsi(z.x) - f_cob.ell ** float(-n) * dpsi(y)
+        assert slope == pytest.approx(expect, abs=1e-9)
 
 
 def test_branch_sum_identity_random(f_const):
@@ -349,8 +365,8 @@ def test_branch_sum_identity_random(f_const):
         x = float(rng.random())
         s = float(rng.uniform(0, f(x)))
         t = float(rng.uniform(0.5, 5.0))
-        branches = inverse_branches(f, FlowPoint(x, s), t)
-        assert abs(sum(1.0 / b.expansion for b in branches) - 1.0) <= 1e-10
+        table, _ = inverse_branches(f, FlowPoint(x, s), t)
+        assert abs(_weight_sum(table) - 1.0) <= 1e-10
 
 
 def test_branch_cap_raises(f_sin):
@@ -374,7 +390,7 @@ def test_branch_word_length_limit_raises():
 def test_exact_roof_hit_assigned_once(f_const):
     # s + S_n - t lands exactly on 0 at level 2: the branch is recorded at
     # that level with s' = 0 and its extensions are not double counted
-    branches = inverse_branches(f_const, FlowPoint(0.25, 0.5), 2.5)
-    assert {b.level for b in branches} == {2}
-    assert all(b.preimage.s == 0.0 for b in branches)
-    assert sum(1.0 / b.expansion for b in branches) == 1.0
+    table, _ = inverse_branches(f_const, FlowPoint(0.25, 0.5), 2.5)
+    assert {n for n, *_ in _rows(table)} == {2}
+    assert all(sp == 0.0 for _, _, _, sp, _, _ in _rows(table))
+    assert _weight_sum(table) == 1.0

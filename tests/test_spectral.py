@@ -18,7 +18,8 @@ def test_partition_measure(f_generic):
     part = BoxPartition.build(f_generic, 64, 4)
     grid = np.arange(4096) / 4096
     integral = float(np.mean(f_generic(grid)))
-    assert part.total_measure() == pytest.approx(integral, abs=1e-3)
+    total_measure = float(np.sum(part.column_heights)) / part.nx
+    assert total_measure == pytest.approx(integral, abs=1e-3)
 
 
 def test_ulam_identity_at_t0(f_generic):
@@ -45,7 +46,7 @@ def test_ulam_columns_sum_to_one(f_sin):
 
 def test_ulam_mass_conservation(f_sin):
     op = build_ulam(f_sin, 2.0, 16, 4, 64)
-    masses = np.repeat(op.partition.column_heights / (16 * 4), 4)
+    masses = np.repeat(BoxPartition.build(f_sin, 16, 4).column_heights / (16 * 4), 4)
     pushed = op.matrix @ masses
     assert pushed.sum() == pytest.approx(masses.sum(), rel=1e-12)
 

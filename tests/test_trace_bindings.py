@@ -5,8 +5,10 @@
 fields of their results, so a refactor that drops or renames one of them
 breaks the traced benchmark run.  This runs the short job lists of the
 three workloads under the tracer, checks every report against the
-identities of ``bench/checks.py`` and checks that the branch, flow and
-eigenfunction layers saw work.
+identities of ``bench/checks.py`` and checks that the branch, flow,
+eigenfunction and emit layers saw work: a shortcut that reaches a layer
+without going through the binding the bench patches shows up here as a
+missing span.
 """
 
 import json
@@ -37,3 +39,5 @@ def test_traced_short_workloads_pass_their_checks():
              for name, _, _, parent in tracer.spans if parent >= 0}
     assert ("dynamics.advance", "mixing.eigenfunction") in calls
     assert ("dynamics.advance", "spectral.build_ulam") in calls
+    names = {name for name, *_ in tracer.spans}
+    assert {"dynamics.inverse_branches", "canon.emit"} <= names

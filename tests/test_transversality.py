@@ -302,3 +302,74 @@ def test_weight_sums_exact_over_sixty_levels():
     profile = table.scan.slope_profile(z.s, 3.0)
     assert transversality._overlap_maxima(table.ell, *profile, 1e9) == 1.0
     assert transversality._sweep_max(table.ell, *profile, 1e9) == 1.0
+
+
+def _slope_profile(rows):
+    """The slope profile (levels, counts, slopes ascending per level) of
+    (level, slope) rows, and the same rows as oracle branch tuples."""
+    levels = sorted({n for n, _ in rows})
+    runs = [sorted(slope for m, slope in rows if m == n) for n in levels]
+    profile = (levels, [len(run) for run in runs], np.array([x for run in runs for x in run]))
+    return profile, [(n, 0, 0.0, 0.0, slope) for n, slope in rows]
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    search = np.searchsorted
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(transversality.np, "searchsorted", counting)
+    return calls
+
+
+# ell = 2, theta = 1/2: every threshold and slope below is dyadic, so the
+# saturation tests fall exactly on their edges.  With widen = 1/4 the pair
+# thresholds are 3/4 (levels 1, 1), 5/8 (1, 2) and 1/2 (2, 2): level 2's
+# maximum 5/8 is level 1's minimum plus 5/8, level 2 spans exactly 1/2, and
+# level 2's maximum minus 5/8 is level 1's minimum 0.
+EDGE_ROWS = [(1, 0.0), (1, 0.125), (2, 0.125), (2, 0.375), (2, 0.625)]
+
+
+@pytest.mark.parametrize("rows, widen, searches", [
+    (EDGE_ROWS, 0.25, 0),                                             # every pass saturates
+    # one ulp below 0 on level 1: the level-1 pass no longer saturates
+    ([(1, -5e-324)] + EDGE_ROWS[1:], 0.25, 2),
+    (EDGE_ROWS, 0.0, 4),                                              # no pass saturates
+])
+def test_overlap_saturation_skip_exact_on_edges(rows, widen, searches, monkeypatch):
+    calls = _count_searches(monkeypatch)
+    profile, branches = _slope_profile(rows)
+    got = transversality._overlap_maxima(2, *profile, 0.5, widen)
+    assert len(calls) == searches
+    assert got == pair_scan_m(branches, 0.5, 2, widen)
+
+
+def test_overlap_saturation_skip_matches_pair_scan(monkeypatch):
+    # random profiles with slopes placed exactly on fl(s + thr) and
+    # fl(s - thr) of another level's slope s, and one ulp beyond: the count
+    # equals the quadratic scan's for every widen, and the widen values
+    # cover passes that all, some and none saturate
+    calls = _count_searches(monkeypatch)
+    rng = np.random.default_rng(12)
+    seen = set()
+    for ell, theta in ((2, 0.3), (3, 0.1)):
+        el = float(ell)
+        for _ in range(30):
+            rows = [(int(n), float(x)) for n, x in
+                    zip(rng.integers(1, 5, size=12), rng.uniform(-0.5, 0.5, size=12))]
+            for widen in (0.0, 0.05, 0.2, 0.6, 2.0):
+                edged = list(rows)
+                for n1, s in rows[:4]:
+                    n2 = int(rng.integers(1, 5))
+                    thr = theta * (el ** -n1 + el ** -n2) + widen
+                    for edge, away in ((s + thr, np.inf), (s - thr, -np.inf)):
+                        edged += [(n2, edge), (n2, float(np.nextafter(edge, away)))]
+                for sample in (rows, edged):
+                    profile, branches = _slope_profile(sample)
+                    calls.clear()
+                    got = transversality._overlap_maxima(ell, *profile, theta, widen)
+                    assert got == pair_scan_m(branches, theta, ell, widen)
+                    seen.add(min(len(calls), 1) + (len(calls) == 2 * len(profile[0])))
+    assert seen == {0, 1, 2}
