@@ -122,19 +122,14 @@ class NormParams:
 
     p: float
     q: float
-    eps: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 0.5:
-            raise InvalidArgument(f"eps must lie in (0, 1/2), got {self.eps}")
 
     @classmethod
-    def strong(cls, eps: float = 0.25) -> "NormParams":
-        return cls(p=1.0, q=0.0, eps=eps)
+    def strong(cls) -> "NormParams":
+        return cls(p=1.0, q=0.0)
 
     @classmethod
-    def weak(cls, eps: float = 0.25) -> "NormParams":
-        return cls(p=1.0 - eps, q=-eps, eps=eps)
+    def weak(cls) -> "NormParams":
+        return cls(p=0.75, q=-0.25)
 
 
 @dataclass

@@ -95,18 +95,13 @@ class CeilingClass:
     """Certified geometric constants of a ceiling.
 
     theta_f is the invariant-cone aperture max|f'| / (gamma0*ell - 1);
-    K bounds 1/min f, max f and the order-<=3 smoothness surrogate;
     theta_K = K / (gamma0*ell - 1) is the slope Lipschitz constant used by
-    certified grid sweeps.
+    certified grid sweeps and the genericity windows, where K bounds 1/min f,
+    max f and the order-<=3 smoothness surrogate.
     """
 
-    gamma0: float
     theta_f: float
-    K: float
-    f_min: float
-    f_max: float
     theta_K: float
-    max_abs_f1: float
 
 
 def _refine_roots(f: TrigPolynomial, order: int, tol: float = 1e-12):
@@ -173,10 +168,7 @@ def classify(f: TrigPolynomial, gamma0: float) -> CeilingClass:
     K = 2.0 ** math.ceil(math.log2(base))
     if K <= base:
         K *= 2.0
-    return CeilingClass(
-        gamma0=float(gamma0), theta_f=max_abs_f1 / denom, K=K,
-        f_min=f_min, f_max=f_max, theta_K=K / denom, max_abs_f1=max_abs_f1,
-    )
+    return CeilingClass(theta_f=max_abs_f1 / denom, theta_K=K / denom)
 
 
 def is_number(v) -> bool:

@@ -55,7 +55,8 @@ _KINDS = {
     "a number": is_number,
     "null or a number": lambda v: v is None or is_number(v),
     "true or false": lambda v: isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
+    # open() refuses a NUL in a path with ValueError, not OSError
+    "a path, or - for stdout": lambda v: isinstance(v, str) and "\0" not in v,
     "an object": lambda v: isinstance(v, dict),
     "a list of integers": _list_of(is_int),
     "a nonempty list of integers": _list_of(is_int, 1),
@@ -74,7 +75,7 @@ _TOP = {
     "params": Param({}, "an object"),
     "seed": Param(0, "an integer", ">= 0"),
     "workers": Param(1, "an integer", ">= 1"),
-    "out": Param("-", "a string"),
+    "out": Param("-", "a path, or - for stdout"),
 }
 
 # experiment -> parameter -> Param: the one description of every parameter
@@ -218,6 +219,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         problems.append("tol_strict must be < tol_clear")
     if exp == "spectrum" and "nx" in p and "ns" in p and p["nx"] * p["ns"] > spectral.MAX_DIM:
         problems.append(f"nx*ns must be <= {spectral.MAX_DIM}")
+    if exp == "correlations" and "nx" in p and "ns" in p \
+            and p["nx"] * p["ns"] > spectral.MAX_NODES:
+        problems.append(f"nx*ns must be <= {spectral.MAX_NODES}")
     for name in ("psi", "phi"):
         if name in p:
             try:
@@ -261,7 +265,7 @@ def _run_transversality(cfg: ExperimentConfig):
     p = cfg.params
     estimates = transversality.grid_estimates(
         cfg.ceiling, [float(t) for t in p["t_values"]], p["nx"], p["ns"],
-        certified=p["certified"], cls=classify(cfg.ceiling, cfg.gamma0),
+        classify(cfg.ceiling, cfg.gamma0), certified=p["certified"],
         workers=worker_count(cfg.workers))
     records = [{
         "t": est.t, "m_value": est.m_value, "m_upper": est.m_upper,
@@ -309,7 +313,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     caveats = list(report.caveats)
     if p["with_bound"]:
         est = transversality.m_of_t(cfg.ceiling, p["t"], p["bound_nx"], p["bound_ns"],
-                                    certified=False, gamma0=cfg.gamma0)
+                                    classify(cfg.ceiling, cfg.gamma0), certified=False)
         payload["essential_bound"] = est.m_value ** 0.5
         caveats.append(transversality.GRID_LOWER_BOUND_CAVEAT)
     return payload, caveats
@@ -374,19 +378,17 @@ def _run_genericity(cfg: ExperimentConfig):
     word = Word(tuple(p["cluster_word"]), f.ell)
     records = []
     for n in p["cluster_n_values"]:
-        rep = genericity.slope_clusters(f, n, word, cls=cls,
-                                        window_factor=p["window_factor"])
+        rep = genericity.slope_clusters(f, n, word, cls, window_factor=p["window_factor"])
         records.append({
             "kind": "cluster", "n": n, "base_word": str(word),
             "window": rep.window, "max_cluster": rep.max_cluster,
             "growth_rate": rep.max_cluster ** (1.0 / n),
         })
     if p["probe"]:
-        params = genericity.default_params(f.ell)
         family = _default_probe_family(f)
         for n in p["probe_n_values"]:
-            res = genericity.bad_set_probe(family, n, p["probe_samples"], params,
-                                           cfg.seed, combos=p["probe_combos"], cls=cls)
+            res = genericity.bad_set_probe(family, n, p["probe_samples"], cfg.seed, cls,
+                                           combos=p["probe_combos"])
             records.append({
                 "kind": "probe", "n": n, "fraction": res.fraction,
                 "ci_low": res.ci_low, "ci_high": res.ci_high,

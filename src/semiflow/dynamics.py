@@ -25,13 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import TrigPolynomial, extrema
-from .errors import DomainViolation, InvalidArgument, ResourceLimit
+from .errors import DomainViolation, InvalidArgument, NumericalFailure, ResourceLimit
 
 # Points within ROOF_TOL of the roof are treated as already transferred to
 # the base of the next fiber (right-limit convention of the flow).
 ROOF_TOL = 1e-12
 
-DEFAULT_BRANCH_CAP = 2 ** 24
+# Candidate words per level of a branch scan, read when a scan starts.
+BRANCH_CAP = 2 ** 24
+
+# Roof crossings of one flow advance; each takes at least min f of flow time.
+MAX_CROSSINGS = 2 ** 14
 
 # Word indices are int64, so a level n needs ell^n <= MAX_WORD_INDEX; every
 # sum of branch weights counted in units of ell^-n_max then fits too.
@@ -52,14 +56,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-    @property
-    def index(self) -> int:
-        """Little-endian digit encoding: sum (a_p - 1) ell^(p-1)."""
-        k = 0
-        for p, a in enumerate(self.letters):
-            k += (a - 1) * self.ell ** p
-        return k
 
     @classmethod
     def from_index(cls, k: int, n: int, ell: int) -> "Word":
@@ -129,6 +125,17 @@ def _prefix_points(words: list, x: float) -> np.ndarray:
     return pts
 
 
+def _check_crossings(f: TrigPolynomial, largest: float, start: float = 0.0) -> None:
+    """Raise ResourceLimit, naming the largest admissible time, when flowing
+    for ``largest`` from a height of at most ``start`` could cross the roof
+    more than MAX_CROSSINGS times: each crossing takes at least min f."""
+    t_limit = MAX_CROSSINGS * max(extrema(f, 0)[0], 1e-9) - start
+    if largest > t_limit:
+        raise ResourceLimit(
+            f"flow time {largest} would cross the roof more than {MAX_CROSSINGS} times",
+            t_limit=t_limit, max_crossings=MAX_CROSSINGS)
+
+
 def advance(f: TrigPolynomial, x, total):
     """Flow the base point x for total >= 0 units of flow time measured from
     s = 0.  Returns (x', s', n): the landing base point, the remaining flow
@@ -136,10 +143,12 @@ def advance(f: TrigPolynomial, x, total):
 
     A partial Birkhoff sum within ROOF_TOL of total counts as a crossing, so
     points landing exactly on the roof come out at the base of the next
-    fiber.
+    fiber.  Raises ResourceLimit before the first crossing when the largest
+    total could take more than MAX_CROSSINGS of them.
     """
     x = np.asarray(x, dtype=float)
     total = np.asarray(total, dtype=float)
+    _check_crossings(f, float(np.max(total, initial=0.0)))
     x, rem = np.broadcast_arrays(x, total)
     x = x.copy()
     rem = rem.astype(float).copy()
@@ -165,11 +174,15 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance):
     roof crossings cost O(T) in total rather than O(T^2).  Callers that need
     the samples in their own order (or with repeats) key them by t.  ``step``
     is the advance function to use; callers pass their own module's binding
-    of ``advance`` so a wrapper placed on it sees every step.
+    of ``advance`` so a wrapper placed on it sees every step.  Raises
+    ResourceLimit up front when the largest time could take more than
+    MAX_CROSSINGS roof crossings, so no step does.
     """
     t_arr = np.asarray(times, dtype=float).ravel()
     if not np.all(np.isfinite(t_arr) & (t_arr >= 0.0)):
         raise InvalidArgument(f"times must be finite and >= 0, got {times}")
+    # a step flows from s_k <= s + t_k for t_(k+1) - t_k, so within s + t_(k+1)
+    _check_crossings(f, float(np.max(t_arr, initial=0.0)), float(np.max(s, initial=0.0)))
 
     def samples(x, s):
         t_prev = 0.0
@@ -208,11 +221,11 @@ class _BranchTable:
         return len(self.n)
 
 
-def _max_admissible_t(f: TrigPolynomial, s: float, cap: int) -> float:
-    """Largest t for which the level scan provably stays under the cap."""
+def _max_admissible_t(f: TrigPolynomial, s: float) -> float:
+    """Largest t for which the level scan provably stays under BRANCH_CAP."""
     f_min = max(extrema(f, 0)[0], 1e-9)
     # level scan reaches depth ~ (t - s)/f_min + 1; ell^depth <= cap
-    depth = math.log(cap, f.ell) - 1.0
+    depth = math.log(BRANCH_CAP, f.ell) - 1.0
     return s + depth * f_min
 
 
@@ -267,7 +280,7 @@ class _ColumnScan:
         return levels, [c for c in counts if c], self._sorted_slopes[valid]
 
 
-def _column_scan(f: TrigPolynomial, x: float, s_values, ts, cap: int) -> _ColumnScan:
+def _column_scan(f: TrigPolynomial, x: float, s_values, ts) -> _ColumnScan:
     """One pruned level scan of the column over x, shared by every pair
     (s, t) with s in ``s_values`` and t in ``ts``.
 
@@ -280,9 +293,10 @@ def _column_scan(f: TrigPolynomial, x: float, s_values, ts, cap: int) -> _Column
     keeps only the words that some t can accept: d >= 0 at the largest s and
     the parent open at the smallest s.  Float addition is monotone, so these
     tests are exact supersets of every pair's own.  Raises ResourceLimit,
-    naming the largest t, when one level would hold more than ``cap``
+    naming the largest t, when one level would hold more than BRANCH_CAP
     candidate words or words too long for an int64 index.
     """
+    cap = BRANCH_CAP
     ts = np.asarray(ts, dtype=float)
     s_lo, s_hi = float(min(s_values)), float(max(s_values))
     t_hi = float(ts.max())
@@ -303,12 +317,12 @@ def _column_scan(f: TrigPolynomial, x: float, s_values, ts, cap: int) -> _Column
         if len(k) * ell > cap:
             raise ResourceLimit(
                 f"branch enumeration at t={t_hi} would exceed the cap of {cap} words per level",
-                t_limit=_max_admissible_t(f, s_lo, cap), cap=cap)
+                t_limit=_max_admissible_t(f, s_lo), cap=cap)
         if ell ** n > MAX_WORD_INDEX:
             raise ResourceLimit(
                 f"branch enumeration at t={t_hi} would need words of more than {n - 1} "
                 f"letters, beyond 64-bit word indices",
-                t_limit=_max_admissible_t(f, s_lo, cap), max_length=n - 1)
+                t_limit=_max_admissible_t(f, s_lo), max_length=n - 1)
         k = (k + ell ** (n - 1) * np.arange(ell, dtype=np.int64)[:, None]).ravel()
         y = (x + k) / ell ** n
         fy = f(y)
@@ -325,8 +339,8 @@ def _column_scan(f: TrigPolynomial, x: float, s_values, ts, cap: int) -> _Column
     return _ColumnScan(ell, levels, blocks)
 
 
-def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
-                 cap: int = DEFAULT_BRANCH_CAP, *, s_values=(), t_values=()) -> _BranchTable:
+def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
+                 t_values=()) -> _BranchTable:
     """Every time-t inverse branch at z.
 
     A word is a branch iff its flow defect d = s + S_n - t lies in [0, f(y))
@@ -338,7 +352,7 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
     the table of every pair (s, t) of the grid without a second scan, bit
     for bit as a scan at that pair alone.  Raises DomainViolation when z or
     an added s lies outside the region under the ceiling, and ResourceLimit,
-    naming the largest t, when one level would hold more than ``cap``
+    naming the largest t, when one level would hold more than BRANCH_CAP
     candidate words or words too long for an int64 index.
     """
     ts = [float(t), *map(float, t_values)]
@@ -348,19 +362,26 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float,
     for s in s_values:
         if not 0.0 <= s < height + ROOF_TOL:
             raise DomainViolation(f"point (x={z.x}, s={s}) is outside the region under the ceiling")
-    return _column_scan(f, z.x, [z.s, *s_values], ts, cap).table(z.s, t)
+    return _column_scan(f, z.x, [z.s, *s_values], ts).table(z.s, t)
 
 
-def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float,
-                     cap: int = DEFAULT_BRANCH_CAP) -> tuple:
+def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     """All time-t inverse branches of the flow at z: ``(table, words)``, the
     ``branch_table`` reordered lexicographically by word, and each row's
     word as ``str(Word)`` writes it (letters' decimal digits run together).
 
     Both come from one digit matrix of the word indices, letter p of a row
     being (k // ell^p) % ell + 1 and 0 past the word's end, so a word sorts
-    after its prefixes, as tuples of letters do."""
-    table = branch_table(f, z, t, cap=cap)
+    after its prefixes, as tuples of letters do.
+
+    Raises NumericalFailure when rounding leaves no branch, so that the
+    branch weights cannot sum to 1 (a ceiling so large that s + S - t
+    rounds to S)."""
+    table = branch_table(f, z, t)
+    if not table.count:
+        raise NumericalFailure(
+            f"no time-{t} inverse branch at (x={z.x}, s={z.s}): the branch weights "
+            "sum to 0, not 1", weight_sum=0.0)
     ell, n_max = table.ell, max(table.levels)
     if n_max == 0:
         return table, [""] * table.count

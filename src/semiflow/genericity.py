@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ceiling import CeilingClass, TrigPolynomial, classify
+# the module never calls classify: every caller passes the class.  The
+# traced benchmark (bench/spans.py) wraps genericity.classify by name.
+from .ceiling import CeilingClass, TrigPolynomial, classify  # noqa: F401
 from .dynamics import MAX_WORD_INDEX, Word, _prefix_points, word_interval
 from .errors import DomainViolation, InvalidArgument, ResourceLimit
 from .smooth import flat_bump, plateau
@@ -92,7 +94,6 @@ class PerturbationFamily:
     base: TrigPolynomial
     directions: tuple
     epsilon: float
-    nu: int = 0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -113,86 +114,11 @@ class PerturbationFamily:
 
 
 @dataclass(frozen=True)
-class GenericityParams:
-    """The constant chain governing the bad-set measure bound.
-
-    Validity (checked by ``validate``): 1 < beta < alpha < gamma < ell,
-    beta^(-p) ell^2 < 1, (nu+1)(p+1) alpha^(-nu) < 1, and delta is the
-    derived exponent (log gamma - log alpha)/(log ell - log alpha).
-    """
-
-    rho: float
-    gamma: float
-    alpha: float
-    beta: float
-    p: int
-    nu: int
-    delta: float
-    N: int
-
-    def validate(self, ell: int) -> list:
-        problems = []
-        if not 1.0 < self.beta < self.alpha < self.gamma:
-            problems.append("need 1 < beta < alpha < gamma")
-        if not self.gamma < ell:
-            problems.append(f"gamma must be < ell = {ell}")
-        if not self.beta ** -self.p * ell ** 2 < 1.0:
-            problems.append("need beta^(-p) ell^2 < 1")
-        if not (self.nu + 1) * (self.p + 1) * self.alpha ** -self.nu < 1.0:
-            problems.append("need (nu+1)(p+1) alpha^(-nu) < 1")
-        delta = (math.log(self.gamma) - math.log(self.alpha)) / (math.log(ell) - math.log(self.alpha))
-        if abs(delta - self.delta) > 1e-9 or not 0.0 < delta < 1.0:
-            problems.append("delta must equal (log gamma - log alpha)/(log ell - log alpha) in (0,1)")
-        if self.N <= self.nu:
-            problems.append("need N > nu")
-        else:
-            if not ell ** self.nu * self.alpha ** self.N < self.gamma ** self.N:
-                problems.append("need ell^nu alpha^n < gamma^n for n >= N")
-            factor = 1.0 - (self.nu + 1) * (self.p + 1) * self.alpha ** -self.nu
-            nprime = self.delta * self.N
-            if not ell ** -self.nu * (self.gamma / self.beta) ** nprime * factor >= 1.0:
-                problems.append("need ell^-nu (gamma/beta)^(delta N) (1 - (nu+1)(p+1) alpha^-nu) >= 1")
-        return problems
-
-
-def default_params(ell: int, rho: float = 2.0, gamma: float | None = None,
-                   alpha: float | None = None, beta: float | None = None) -> GenericityParams:
-    """A valid constant chain for the given ell, at desk scale."""
-    if gamma is None:
-        gamma = 1.0 + 0.9 * (ell - 1.0)
-    if alpha is None:
-        alpha = 1.0 + 0.8 * (ell - 1.0)
-    if beta is None:
-        beta = 1.0 + 0.4 * (ell - 1.0)
-    p = 1
-    while beta ** -p * ell ** 2 >= 1.0:
-        p += 1
-    nu = 1
-    while (nu + 1) * (p + 1) * alpha ** -nu >= 1.0:
-        nu += 1
-    delta = (math.log(gamma) - math.log(alpha)) / (math.log(ell) - math.log(alpha))
-    N = nu + 1
-    factor = 1.0 - (nu + 1) * (p + 1) * alpha ** -nu
-    while (ell ** nu * alpha ** N >= gamma ** N
-           or ell ** -nu * (gamma / beta) ** (delta * N) * factor < 1.0):
-        N += 1
-    params = GenericityParams(rho=rho, gamma=gamma, alpha=alpha, beta=beta,
-                              p=p, nu=nu, delta=delta, N=N)
-    problems = params.validate(ell)
-    if problems:
-        raise InvalidArgument("default parameter chain failed validation: " + "; ".join(problems))
-    return params
-
-
-@dataclass(frozen=True)
 class SlopeClusterReport:
-    """The maximal cluster as sorted little-endian word indices."""
+    """The window width and the size of the maximal cluster."""
 
-    n: int
-    base_word: Word
     window: float
     max_cluster: int
-    members: tuple
 
 
 def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
@@ -206,32 +132,24 @@ def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
     return slopes
 
 
-def slope_clusters(f: TrigPolynomial, n: int, c: Word,
-                   cls: CeilingClass | None = None, gamma0: float = 0.9,
+def slope_clusters(f: TrigPolynomial, n: int, c: Word, cls: CeilingClass,
                    window_factor: float = 8.0) -> SlopeClusterReport:
-    """Largest set of length-n words whose slopes at the cylinder endpoint
-    of c fall in a sliding window of width window_factor * theta_K *
-    ell^(-n) (anchored at the sorted slope values, which is exact for the
-    max-pairwise-difference criterion)."""
+    """Size of the largest set of length-n words whose slopes at the
+    cylinder endpoint of c fall in a sliding window of width window_factor
+    * theta_K * ell^(-n) (anchored at the sorted slope values, which is
+    exact for the max-pairwise-difference criterion); theta_K is read from
+    ``cls``, the class of f."""
     if f.ell ** n > MAX_CLUSTER_WORDS:
         raise ResourceLimit(f"ell^n = {f.ell}^{n} exceeds the cluster cap {MAX_CLUSTER_WORDS}",
                             max_words=MAX_CLUSTER_WORDS)
     if c.ell != f.ell:
         raise InvalidArgument("base word and ceiling use different ell")
-    if cls is None:
-        cls = classify(f, gamma0)
     x_c, _ = word_interval(c)
-    slopes = _all_slopes(f, x_c, n)
+    sorted_slopes = np.sort(_all_slopes(f, x_c, n))
     window = window_factor * cls.theta_K * f.ell ** float(-n)
-    order = np.argsort(slopes, kind="stable")
-    sorted_slopes = slopes[order]
     hi = np.searchsorted(sorted_slopes, sorted_slopes + window, side="right")
     counts = hi - np.arange(len(sorted_slopes))
-    best = int(np.argmax(counts))
-    max_cluster = int(counts[best])
-    members = tuple(np.sort(order[best:best + max_cluster]).tolist())
-    return SlopeClusterReport(n=n, base_word=c, window=window,
-                              max_cluster=max_cluster, members=members)
+    return SlopeClusterReport(window=window, max_cluster=int(counts.max()))
 
 
 def g_matrix(x: float, sigma, family: PerturbationFamily) -> np.ndarray:
@@ -245,9 +163,6 @@ def g_matrix(x: float, sigma, family: PerturbationFamily) -> np.ndarray:
     words = list(sigma)
     if len({len(w) for w in words}) != 1:
         raise InvalidArgument("all words in sigma must have the same length")
-    n = len(words[0])
-    if n < family.nu:
-        raise InvalidArgument(f"word length {n} below the family separation order {family.nu}")
     prefixes = _prefix_points(words, x)
     sums = np.zeros((len(words), family.m))
     for j, d in enumerate(family.directions):
@@ -300,26 +215,38 @@ def _wilson_interval(k: int, n: int, z: float = 1.96) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def bad_set_probe(family: PerturbationFamily, n: int, samples: int,
-                  params: GenericityParams, seed: int, combos: int = 64,
-                  gamma0: float = 0.9, cls: CeilingClass | None = None) -> ProbeResult:
+def combination_size(ell: int) -> int:
+    """The number p of slope differences one probe combination holds: the
+    smallest p with beta^(-p) ell^2 < 1 at beta = 1 + 0.4 (ell - 1), as in
+    the paper's constant chain (5 at ell = 2, 4 at ell = 3..10)."""
+    beta = 1.0 + 0.4 * (ell - 1.0)
+    p = 1
+    while beta ** -p * ell ** 2 >= 1.0:
+        p += 1
+    return p
+
+
+def bad_set_probe(family: PerturbationFamily, n: int, samples: int, seed: int,
+                  cls: CeilingClass, combos: int = 64) -> ProbeResult:
     """Monte Carlo measure of the degenerate parameter set.
 
     Draws random (word, sigma) combinations at level n, keeps those whose
     slope-difference map has Jacobian >= 1 (skipped when the family has no
     directions, where the parameter box is a single point), and estimates
     the fraction of parameters t whose perturbed ceiling keeps all sigma
-    slope differences inside the window 10 * theta_K * ell^(-n).  Reported
-    with a 95% Wilson interval.  Full enumeration of all combinations is
-    out of computational reach; only the measure trend is probed.  ``cls``
-    is the base ceiling's class; it is classified at gamma0 when not given.
+    slope differences inside the window 10 * theta_K * ell^(-n), with
+    theta_K read from ``cls``, the base ceiling's class.  A combination is
+    a base word and p + 1 distinct words, p = ``combination_size(ell)``.
+    Reported with a 95% Wilson interval.  Full enumeration of all
+    combinations is out of computational reach; only the measure trend is
+    probed.
     """
     f = family.base
     ell = f.ell
-    p = params.p
+    p = combination_size(ell)
     if 0 < family.m < p:
         raise InvalidArgument(
-            f"family provides {family.m} directions but the chain needs p = {p}; "
+            f"family provides {family.m} directions but a combination needs p = {p}; "
             "no slope-difference map can reach Jacobian 1")
     if n < 1 or ell ** n < p + 1:
         raise InvalidArgument(
@@ -328,8 +255,6 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int,
     if ell ** n > MAX_WORD_INDEX:
         raise InvalidArgument(
             f"probe level n = {n}: ell^n = {ell}^{n} words exceed the int64 word index")
-    if cls is None:
-        cls = classify(f, gamma0)
     window = 10.0 * cls.theta_K * ell ** float(-n)
     rng = np.random.default_rng([seed, n, family.m])
 

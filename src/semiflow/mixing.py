@@ -39,7 +39,6 @@ class Verdict(Enum):
 @dataclass
 class CoboundaryReport:
     grid: int
-    psi: np.ndarray
     Psi: np.ndarray
     c: float
     depth: int
@@ -117,7 +116,7 @@ def cobounding_potential(f: TrigPolynomial, grid: int, depth: int) -> Coboundary
     Psi_coeffs = coeffs / denom
     Psi = np.real(np.fft.ifft(Psi_coeffs))
     Psi -= Psi[0]
-    return CoboundaryReport(grid=grid, psi=psi, Psi=Psi, c=f.mean_coeff, depth=depth,
+    return CoboundaryReport(grid=grid, Psi=Psi, c=f.mean_coeff, depth=depth,
                             tail_bound=tail_bound(f, depth))
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ceiling import CeilingClass, TrigPolynomial, classify
-from .dynamics import DEFAULT_BRANCH_CAP, FlowPoint, branch_table
+from .ceiling import CeilingClass, TrigPolynomial
+from .dynamics import FlowPoint, branch_table
 from .errors import InvalidArgument
 from .parallel import pmap
 
@@ -43,7 +43,6 @@ class TransversalityEstimate:
     t: float
     m_value: float
     m_upper: float
-    grid: tuple
     slack: float
     argmax_x: float = 0.0
     argmax_s: float = 0.0
@@ -123,9 +122,8 @@ def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
     return int(running.max()) / denom
 
 
-def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True,
-           cls: CeilingClass | None = None, gamma0: float = 0.9,
-           cap: int = DEFAULT_BRANCH_CAP) -> TransversalityEstimate:
+def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass,
+           certified: bool = True) -> TransversalityEstimate:
     """Grid maximum over target points in the flow domain of the
     non-transversal branch weight m.
 
@@ -135,13 +133,10 @@ def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, certified: bool = True
     theta_K-Lipschitz in the target point.  The single-t case of
     ``grid_estimates``.
     """
-    return grid_estimates(f, [t], nx, ns, certified=certified, cls=cls, gamma0=gamma0,
-                          cap=cap)[0][0]
+    return grid_estimates(f, [t], nx, ns, cls, certified=certified)[0][0]
 
 
-def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int,
-           cls: CeilingClass | None = None, gamma0: float = 0.9,
-           cap: int = DEFAULT_BRANCH_CAP) -> float:
+def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass) -> float:
     """Grid maximum over target points and over direction slopes of the
     branch weight whose doubled cones contain the direction.
 
@@ -149,13 +144,11 @@ def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int,
     sweep, which coincides with evaluating at every cone center and
     boundary.  The single-t case of ``grid_estimates``.
     """
-    return grid_estimates(f, [t], nx, ns, certified=False, cls=cls, gamma0=gamma0,
-                          cap=cap)[0][1]
+    return grid_estimates(f, [t], nx, ns, cls, certified=False)[0][1]
 
 
-def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, certified: bool = True,
-                   cls: CeilingClass | None = None, gamma0: float = 0.9, workers: int = 1,
-                   cap: int = DEFAULT_BRANCH_CAP) -> list:
+def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, cls: CeilingClass,
+                   certified: bool = True, workers: int = 1) -> list:
     """``(TransversalityEstimate, n_value)`` for every t of ``t_values``, in
     their order: what ``m_of_t`` and ``n_of_t`` give for that t, from one
     grid pass that scans each fiber column once, for all (s, t) pairs.
@@ -166,13 +159,11 @@ def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, certified: boo
     """
     if nx < 1 or ns < 1:
         raise InvalidArgument("grid sizes must be >= 1")
-    if cls is None:
-        cls = classify(f, gamma0)
     ts = [float(t) for t in t_values]
     if not ts:
         return []
     widen = 2.0 * cls.theta_K * (1.0 / nx) if certified else None
-    task = functools.partial(_column_maxima, f, ts, nx, ns, cls, widen, cap)
+    task = functools.partial(_column_maxima, f, ts, nx, ns, cls, widen)
     chunks = min(max(1, workers), nx)
     parts = pmap(task, [range(i * nx // chunks, (i + 1) * nx // chunks)
                         for i in range(chunks)], chunks)
@@ -186,9 +177,8 @@ def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, certified: boo
         # value can be clamped without losing the upper-bound property
         m_upper = min(m_upper, 1.0) if certified else m_value
         est = TransversalityEstimate(
-            t=t, m_value=m_value, m_upper=m_upper, grid=(nx, ns),
-            slack=(widen if certified else 0.0), argmax_x=x, argmax_s=s,
-            argmax_on_section=(s == 0.0))
+            t=t, m_value=m_value, m_upper=m_upper, slack=(widen if certified else 0.0),
+            argmax_x=x, argmax_s=s, argmax_on_section=(s == 0.0))
         out.append((est, n_value))
     return out
 
@@ -202,7 +192,7 @@ def _absorb(best: list, m_value, x, s, m_upper, n_value) -> None:
     best[4] = max(best[4], n_value)
 
 
-def _column_maxima(f, ts, nx, ns, cls, widen, cap, columns) -> list:
+def _column_maxima(f, ts, nx, ns, cls, widen, columns) -> list:
     """Per t, [m_value, argmax x, argmax s, widened m, n_value] over the grid
     points of the given columns: x = i/nx and ns flow coordinates scaled
     to the fiber, always including the base section s = 0."""
@@ -215,8 +205,7 @@ def _column_maxima(f, ts, nx, ns, cls, widen, cap, columns) -> list:
         s_values = [j * height / ns for j in range(ns)]
         # the table at the most permissive pair (s = 0, largest t), whose
         # scan serves every (s, t) of the column
-        scan = branch_table(f, FlowPoint(x, 0.0), t_hi, cap=cap, s_values=s_values,
-                            t_values=ts).scan
+        scan = branch_table(f, FlowPoint(x, 0.0), t_hi, s_values=s_values, t_values=ts).scan
         for s in s_values:
             for b, t in zip(best, ts):
                 profile = scan.slope_profile(s, t)

@@ -16,10 +16,12 @@ builds a ``Word`` per branch row and ``per_value_json`` renders one value
 at a time.
 
 Paper constructions.  The cone filter with the transversal orthogonality of
-paired minus bands, the strict ordering of polarizations, and the
-order-separated bump family with its (nu+1)-predecessor bound are checked
-by the tests on the library's masks, words and bump directions; no report
-depends on them.
+paired minus bands, the strict ordering of polarizations, the members of a
+slope cluster with their prefix classes, the order-separated bump family
+with its (nu+1)-predecessor bound, and the constant chain of the bad-set
+measure bound are checked by the tests on the library's masks, words and
+bump directions; no report depends on them.  The genericity probe reads
+only the chain's combination size p, which it derives from ell itself.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semiflow.aniso import GridFunction2D, _check_bank
-from semiflow.dynamics import FlowPoint, Word, branch_table
+from semiflow.dynamics import FlowPoint, Word, branch_table, word_interval
 from semiflow.errors import InvalidArgument, PreconditionViolation
 from semiflow.genericity import BumpDirection
 from semiflow.smooth import chi
@@ -156,22 +158,32 @@ def enumerate_branches(f, x, s, t, n_max=40):
     index k, the preimage is (x+k)/ell^n, the roof sum is accumulated along
     the forward orbit, and validity is 0 <= s + S - t < f(y).
 
+    Level n visits only the children k + j*ell^(n-1) of the words of level
+    n - 1 that were still open, with a margin of 1e-9: a word whose own sum
+    sits within an ulp of its child's parent test S - f(y) is kept open.
+
     Returns a list of (n, k, y, s_prime, slope) tuples.
     """
     ell = f.ell
     out = []
+    open_ = [0]
     for n in range(n_max + 1):
         size = ell ** n
-        found_low = False
-        for k in range(size):
+        if n == 0:
+            candidates = [0]
+        else:
+            candidates = [k + j * ell ** (n - 1) for j in range(ell) for k in open_]
+        open_ = []
+        for k in candidates:
             y = (x + k) / size
             orbit = [y]
             for _ in range(n - 1):
                 orbit.append((ell * orbit[-1]) % 1.0)
             S = sum(f(p) for p in orbit) if n else 0.0
             d = s + S - t
+            if d < -ROOF_TOL + 1e-9:
+                open_.append(k)
             if d < -ROOF_TOL:
-                found_low = True
                 continue
             if d < f(y) - ROOF_TOL:
                 # a valid node must extend a still-open prefix
@@ -182,7 +194,7 @@ def enumerate_branches(f, x, s, t, n_max=40):
                         continue
                 slope = sum(ell ** (-(n - j)) * f(orbit[j], 1) for j in range(n))
                 out.append((n, k, y, max(d, 0.0), slope))
-        if n > 0 and not found_low:
+        if not open_:
             break
     return out
 
@@ -419,20 +431,32 @@ def strictly_precedes(theta, theta_prime, margin=1e-12):
     return margin < rel and rel + width < (ob - oa) - margin
 
 
-def cluster_words(report):
-    """The Word records of a slope-cluster report's member indices."""
-    return tuple(Word.from_index(k, report.n, report.base_word.ell) for k in report.members)
+def cluster_words(f, n, c, window):
+    """The words of a maximal slope cluster of ``genericity.slope_clusters``:
+    every length-n word's slope at the cylinder endpoint of c as its
+    Birkhoff sum, then the first longest run of sorted slopes within
+    ``window`` of the run's smallest.  Words in little-endian index order."""
+    words = [Word.from_index(k, n, f.ell) for k in range(f.ell ** n)]
+    x_c, _ = word_interval(c)
+    slopes = [birkhoff(f, w, x_c, 1) for w in words]
+    order = sorted(range(len(words)), key=slopes.__getitem__)
+    best = []
+    for i, k in enumerate(order):
+        run = [j for j in order[i:] if slopes[j] <= slopes[k] + window]
+        if len(run) > len(best):
+            best = run
+    return tuple(words[j] for j in sorted(best))
 
 
-def prefix_refinement(report, p):
-    """Split the maximal cluster into the classes of words sharing a common
-    length-p prefix, largest first.  Several large classes with pairwise
-    distinct prefixes witness the stronger clustering degeneracy that the
-    perturbation argument excludes."""
-    if not 0 <= p <= report.n:
-        raise InvalidArgument(f"prefix length must lie in 0..{report.n}, got {p}")
+def prefix_refinement(f, n, c, window, p):
+    """Split the maximal cluster (see ``cluster_words``) into the classes of
+    words sharing a common length-p prefix, largest first.  Several large
+    classes with pairwise distinct prefixes witness the stronger clustering
+    degeneracy that the perturbation argument excludes."""
+    if not 0 <= p <= n:
+        raise InvalidArgument(f"prefix length must lie in 0..{n}, got {p}")
     classes = {}
-    for w in cluster_words(report):
+    for w in cluster_words(f, n, c, window):
         classes.setdefault(w.letters[:p], []).append(w)
     return sorted(classes.values(), key=lambda ws: (-len(ws), ws[0].letters))
 
@@ -518,3 +542,74 @@ def bump_family(y, nu, eps0, mu, amplitude=1.0, ell=2):
                                      deriv_plateau=amplitude * count) for c in points)
     return BumpFamilyData(y=y, nu=nu, eps_max=eps_max, directions=directions, words=words,
                           predecessors=predecessors, neighborhood=(y, eps0 / 3.0))
+
+
+@dataclass(frozen=True)
+class GenericityParams:
+    """The constant chain governing the bad-set measure bound.
+
+    Validity (checked by ``validate``): 1 < beta < alpha < gamma < ell,
+    beta^(-p) ell^2 < 1, (nu+1)(p+1) alpha^(-nu) < 1, and delta is the
+    derived exponent (log gamma - log alpha)/(log ell - log alpha).
+    """
+
+    rho: float
+    gamma: float
+    alpha: float
+    beta: float
+    p: int
+    nu: int
+    delta: float
+    N: int
+
+    def validate(self, ell: int) -> list:
+        problems = []
+        if not 1.0 < self.beta < self.alpha < self.gamma:
+            problems.append("need 1 < beta < alpha < gamma")
+        if not self.gamma < ell:
+            problems.append(f"gamma must be < ell = {ell}")
+        if not self.beta ** -self.p * ell ** 2 < 1.0:
+            problems.append("need beta^(-p) ell^2 < 1")
+        if not (self.nu + 1) * (self.p + 1) * self.alpha ** -self.nu < 1.0:
+            problems.append("need (nu+1)(p+1) alpha^(-nu) < 1")
+        delta = (math.log(self.gamma) - math.log(self.alpha)) / (math.log(ell) - math.log(self.alpha))
+        if abs(delta - self.delta) > 1e-9 or not 0.0 < delta < 1.0:
+            problems.append("delta must equal (log gamma - log alpha)/(log ell - log alpha) in (0,1)")
+        if self.N <= self.nu:
+            problems.append("need N > nu")
+        else:
+            if not ell ** self.nu * self.alpha ** self.N < self.gamma ** self.N:
+                problems.append("need ell^nu alpha^n < gamma^n for n >= N")
+            factor = 1.0 - (self.nu + 1) * (self.p + 1) * self.alpha ** -self.nu
+            nprime = self.delta * self.N
+            if not ell ** -self.nu * (self.gamma / self.beta) ** nprime * factor >= 1.0:
+                problems.append("need ell^-nu (gamma/beta)^(delta N) (1 - (nu+1)(p+1) alpha^-nu) >= 1")
+        return problems
+
+
+def default_params(ell, rho=2.0, gamma=None, alpha=None, beta=None):
+    """A valid constant chain for the given ell, at desk scale."""
+    if gamma is None:
+        gamma = 1.0 + 0.9 * (ell - 1.0)
+    if alpha is None:
+        alpha = 1.0 + 0.8 * (ell - 1.0)
+    if beta is None:
+        beta = 1.0 + 0.4 * (ell - 1.0)
+    p = 1
+    while beta ** -p * ell ** 2 >= 1.0:
+        p += 1
+    nu = 1
+    while (nu + 1) * (p + 1) * alpha ** -nu >= 1.0:
+        nu += 1
+    delta = (math.log(gamma) - math.log(alpha)) / (math.log(ell) - math.log(alpha))
+    N = nu + 1
+    factor = 1.0 - (nu + 1) * (p + 1) * alpha ** -nu
+    while (ell ** nu * alpha ** N >= gamma ** N
+           or ell ** -nu * (gamma / beta) ** (delta * N) * factor < 1.0):
+        N += 1
+    params = GenericityParams(rho=rho, gamma=gamma, alpha=alpha, beta=beta,
+                              p=p, nu=nu, delta=delta, N=N)
+    problems = params.validate(ell)
+    if problems:
+        raise InvalidArgument("default parameter chain failed validation: " + "; ".join(problems))
+    return params

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from semiflow import (FlowPoint, TrigPolynomial, Verdict, Word, classify,
-                      cobounding_potential, cocycle_residual,
+                      cobounding_potential, cocycle_residual, extrema,
                       eigenfunction_check, exponent_fit, inverse_branches,
                       m_of_t, n_of_t, weak_mixing_test)
 from semiflow.aniso import (ConeSpec, GridFunction2D, NormParams, Polarization,
@@ -22,6 +22,7 @@ from semiflow.aniso import (ConeSpec, GridFunction2D, NormParams, Polarization,
                             mask_bank, partition_defect)
 from semiflow.cli import emit, parse_config, run
 from semiflow.genericity import PerturbationFamily, g_matrix, jacobian, slope_clusters
+from semiflow.mixing import sample_psi
 from semiflow.smooth import plateau
 from semiflow.spectral import Observable, build_ulam, correlation, spectrum
 
@@ -65,7 +66,7 @@ def test_acceptance_2_constant_ceiling():
     """f = 1, ell = 2: m exactly 1, lambda_min exactly 2, NotWeaklyMixing."""
     f = TrigPolynomial(1.0, (), 2)
     for t in (2.5, 4.2, 8.0):
-        est = m_of_t(f, t, 8, 8, certified=True)
+        est = m_of_t(f, t, 8, 8, classify(f, 0.9), certified=True)
         assert est.m_value == 1.0
         assert est.m_upper == 1.0
     assert 2 ** (1 / periodic_beta_max(f, 1)) == 2.0
@@ -84,7 +85,7 @@ def test_acceptance_3_coboundary_round_trip():
     rep = cobounding_potential(f, 4096, 24)
     xs = rep.grid_points
     expected_psi = 0.1 * math.pi * np.cos(2 * math.pi * xs)
-    psi_err = float(np.max(np.abs(rep.psi - expected_psi)))
+    psi_err = float(np.max(np.abs(sample_psi(f, xs, rep.depth) - expected_psi)))
     assert psi_err <= rep.tail_bound + 1e-8
     residual = cocycle_residual(rep, f)
     assert residual <= 1e-8
@@ -106,21 +107,22 @@ def test_acceptance_4_weakly_mixing_example():
     """f = 1 + 0.2 sin(2 pi x): psi = 0, residual = 0.2, m(f,10) < 1."""
     f = TrigPolynomial(1.0, ((1, 0.0, 0.2),), 2)
     rep = cobounding_potential(f, 4096, 24)
-    assert float(np.max(np.abs(rep.psi))) <= 1e-10
+    psi_sup = float(np.max(np.abs(sample_psi(f, rep.grid_points, rep.depth))))
+    assert psi_sup <= 1e-10
     residual = cocycle_residual(rep, f)
     assert residual == pytest.approx(0.2, abs=1e-6)
     assert weak_mixing_test(f).verdict is Verdict.WEAKLY_MIXING
 
-    est = m_of_t(f, 10.0, 16, 8, certified=False)
+    est = m_of_t(f, 10.0, 16, 8, classify(f, 0.9), certified=False)
     # frozen from the build-time run, oracle-checked pointwise by the
     # quadratic pair scan (tests/test_transversality.py)
     assert est.m_value == pytest.approx(0.044921875, abs=1e-12)
     assert est.m_value < 1.0
-    samples = [(t, m_of_t(f, t, 16, 8, certified=False).m_value)
+    samples = [(t, m_of_t(f, t, 16, 8, classify(f, 0.9), certified=False).m_value)
                for t in (6.0, 8.0, 10.0, 12.0)]
     rate, _ = exponent_fit(samples)
     assert rate < 1.0
-    print(f"\nACCEPTANCE 4 PASS: weakly mixing example, psi sup {float(np.max(np.abs(rep.psi))):.1e}, "
+    print(f"\nACCEPTANCE 4 PASS: weakly mixing example, psi sup {psi_sup:.1e}, "
           f"residual {residual:.6f}, m(f,10) = {est.m_value} < 1, fitted rate {rate:.3f} < 1")
 
 
@@ -128,7 +130,7 @@ def test_acceptance_5_dichotomy_consistency():
     """Residual verdict agrees with the m-trend on all six ceilings."""
     outcomes = []
     for name, f in _suite().items():
-        samples = [(t, m_of_t(f, t, 12, 8, certified=False).m_value)
+        samples = [(t, m_of_t(f, t, 12, 8, classify(f, 0.9), certified=False).m_value)
                    for t in (4.0, 6.0, 8.0)]
         rate, _ = exponent_fit(samples)
         verdict = weak_mixing_test(f).verdict
@@ -148,7 +150,8 @@ def test_acceptance_6_cross_bound():
         f = _suite()[name]
         cls = classify(f, 0.9)
         for t in (4.0, 6.0):
-            s = (cls.f_max / cls.f_min) * t + cls.f_max
+            f_min, f_max = extrema(f, 0)
+            s = (f_max / f_min) * t + f_max
             m_val = m_of_t(f, s, 12, 8, certified=False, cls=cls).m_value
             n_val = n_of_t(f, t, 16, 8, cls=cls)
             assert m_val <= n_val + slack
@@ -228,7 +231,7 @@ def test_acceptance_9_genericity():
     base1 = TrigPolynomial(1.0, (), 2)
     base2 = TrigPolynomial(1.0, ((1, 0.0, 0.2),), 2)
     fam = PerturbationFamily(base=base1, directions=fam_data.directions,
-                             epsilon=1e-7, nu=nu)
+                             epsilon=1e-7)
     aprime = fam_data.maximal_in(list(fam_data.words))[:p + 1]
     rng = np.random.default_rng(99)
     min_jac = math.inf
@@ -238,13 +241,13 @@ def test_acceptance_9_genericity():
                  for a in aprime]
         G = g_matrix(x, sigma, fam)
         fam_other = PerturbationFamily(base=base2, directions=fam_data.directions,
-                                       epsilon=1e-7, nu=nu)
+                                       epsilon=1e-7)
         assert np.array_equal(G, g_matrix(x, sigma, fam_other))
         min_jac = min(min_jac, jacobian(G))
         assert jacobian(G) >= 1.0
 
     for n in (4, 7, 10):
-        rep = slope_clusters(base1, n, Word((1,), 2))
+        rep = slope_clusters(base1, n, Word((1,), 2), classify(base1, 0.9))
         assert rep.max_cluster == 2 ** n
 
     # frozen cluster counts from the build-time run (brute window scan

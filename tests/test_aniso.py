@@ -158,10 +158,9 @@ def test_support_violation_raises(bank, grid):
 
 
 def test_norm_params_validation():
-    with pytest.raises(InvalidArgument):
-        NormParams(1.0, 0.0, eps=0.6)
-    weak = NormParams.weak(0.25)
+    weak, strong = NormParams.weak(), NormParams.strong()
     assert (weak.p, weak.q) == (0.75, -0.25)
+    assert (strong.p, strong.q) == (1.0, 0.0)
 
 
 def test_orthogonality_disjoint_cones(bank, grid):

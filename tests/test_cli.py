@@ -1,5 +1,4 @@
 import collections
-import functools
 import json
 import math
 import os
@@ -8,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semiflow import FlowPoint, canon, cli
@@ -362,9 +361,8 @@ def test_cli_main_resource_limit_exit_code(tmp_path, capsys):
 
 
 def test_cli_main_resource_limit_names_largest_t(monkeypatch, capsys):
-    from semiflow import transversality
-    monkeypatch.setattr(transversality, "grid_estimates",
-                        functools.partial(transversality.grid_estimates, cap=2 ** 12))
+    from semiflow import dynamics
+    monkeypatch.setattr(dynamics, "BRANCH_CAP", 2 ** 12)
     assert main(["transversality", "--set", "params.t_values=[3.0,40.0,5.0]"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "resource-limit" and doc["cap"] == 2 ** 12
@@ -453,12 +451,34 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["correlations", "--set", 'params.psi.x=["cos",0.5]'], "validation error: bad psi: "),
     (["transversality", "--set", "ceiling.harmonics=[[4096,0,1.2]]"],
      "validation error: bad ceiling: "),
+    (["correlations", "--set", "params.nx=100000000", "--set", "params.ns=100"],
+     "validation error: nx*ns must be <= 4194304"),
+    (["branches", "--set", 'out="report\\u0000.json"'], "validation error: out"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    # at this size s + S - t rounds to S, so no word is a branch
+    (["branches", "--set", "ceiling.mean=1e200"], 3, "numerical-failure"),
+    (["spectrum", "--set", "params.t=1e6"], 2, "resource-limit"),
+    (["mixing", "--set", "params.eigenfunction_times=[1e300]"], 2, "resource-limit"),
+])
+def test_cli_main_runaway_inputs_end_in_their_exit_code(argv, code, error, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["error"] == error
+    assert "Traceback" not in captured.err
+    if code == 2:
+        # the flow would cross the roof more than 2^14 times; f = 1 here
+        assert doc["max_crossings"] == 2 ** 14 and doc["t_limit"] <= 2 ** 14
+    else:
+        assert doc["weight_sum"] == 0.0
 
 
 @pytest.mark.parametrize("content", [b"[1]", b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff{}"],
@@ -522,6 +542,37 @@ def test_parse_config_any_value_in_any_key(value):
                 continue
             assert cfg.experiment == experiment
             assert kind is None or _of_kind(value, kind), (experiment, config)
+
+
+_OVERRIDE_PATHS = sorted({*cli._TOP, *(f"params.{key}" for table in cli._SCHEMA.values()
+                                        for key in table),
+                          "ceiling.ell", "ceiling.mean", "ceiling.harmonics"})
+
+# no "=", an empty key, and paths into a number, a list and a string
+_OVERRIDES = (st.sampled_from(_OVERRIDE_PATHS)
+              | st.builds(lambda path, value: f"{path}={json.dumps(value)}",
+                          st.sampled_from(_OVERRIDE_PATHS + ["", "params.", "ceiling.mean.x",
+                                                             "ceiling.harmonics.k", "out.x"]),
+                          _JSON_VALUES))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment=st.sampled_from(cli.EXPERIMENTS),
+       overrides=st.lists(_OVERRIDES, min_size=1, max_size=3))
+def test_cli_main_any_override(experiment, overrides, monkeypatch, tmp_path, capsys):
+    # every runner is a stub, so only parsing, validation and emission run;
+    # a drawn out path lands in tmp_path
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: ({}, []))
+    monkeypatch.chdir(tmp_path)
+    argv = [experiment]
+    for item in overrides:
+        argv += ["--set", item]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1), (argv, err)
+    assert "Traceback" not in err
 
 
 def test_cli_main_mixing_refuses_bool_depth(capsys):

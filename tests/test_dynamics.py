@@ -5,8 +5,9 @@ import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
                       TrigPolynomial, Word, advance, advance_through,
-                      branch_point, branch_table, classify,
+                      branch_point, branch_table, extrema,
                       inverse_branches, word_interval)
+from semiflow import dynamics
 
 from conftest import random_positive_ceiling
 from oracles import birkhoff, crossing_simulation, enumerate_branches
@@ -138,11 +139,11 @@ def test_flow_count_sequential_oracle(f_sin):
 
 
 def test_flow_count_bounds(f_generic):
-    cls = classify(f_generic, 0.9)
+    f_min, f_max = extrema(f_generic, 0)
     for x in (0.0, 0.2, 0.77):
         for T in (1.0, 5.0, 11.0):
             n = _flow_count(f_generic, x, T)
-            assert T / cls.f_max - 1 <= n <= T / cls.f_min
+            assert T / f_max - 1 <= n <= T / f_min
 
 
 def test_advance_through_matches_crossing_simulation(f_sin):
@@ -341,8 +342,7 @@ def test_branches_sorted_lexicographically(f_sin):
 
 
 def test_branch_slope_bound(f_generic):
-    cls = classify(f_generic, 0.9)
-    bound = cls.max_abs_f1 / (f_generic.ell - 1)
+    bound = max(map(abs, extrema(f_generic, 1))) / (f_generic.ell - 1)
     for slope in inverse_branches(f_generic, FlowPoint(0.25, 0.2), 5.0)[0].slopes.tolist():
         assert abs(slope) <= bound + 1e-12
 
@@ -369,12 +369,13 @@ def test_branch_sum_identity_random(f_const):
         assert abs(_weight_sum(table) - 1.0) <= 1e-10
 
 
-def test_branch_cap_raises(f_sin):
+def test_branch_cap_raises(f_sin, monkeypatch):
+    monkeypatch.setattr(dynamics, "BRANCH_CAP", 2 ** 12)
     with pytest.raises(ResourceLimit) as info:
-        inverse_branches(f_sin, FlowPoint(0.2, 0.0), 40.0, cap=2 ** 12)
+        inverse_branches(f_sin, FlowPoint(0.2, 0.0), 40.0)
     assert "t_limit" in info.value.details
     with pytest.raises(ResourceLimit):
-        branch_table(f_sin, FlowPoint(0.2, 0.0), 40.0, cap=2 ** 12)
+        branch_table(f_sin, FlowPoint(0.2, 0.0), 40.0)
 
 
 def test_branch_word_length_limit_raises():

@@ -4,10 +4,11 @@ import pytest
 from semiflow import (InvalidArgument, ResourceLimit, TrigPolynomial, Word, classify,
                       word_interval)
 from semiflow.genericity import (BumpDirection, PerturbationFamily, bad_set_probe,
-                                 default_params, g_matrix, jacobian, slope_clusters)
+                                 combination_size, g_matrix, jacobian, slope_clusters)
 
-from oracles import (birkhoff, bump_family, cluster_words, default_mu, per_letter_g_matrix,
-                     prefix_refinement, window_cluster_scan)
+from oracles import (GenericityParams, birkhoff, bump_family, cluster_words, default_mu,
+                     default_params, per_letter_g_matrix, prefix_refinement,
+                     window_cluster_scan)
 
 GENERIC_Y = 0.3183098861837907  # irrational, keeps the orbit order trivial
 
@@ -17,15 +18,15 @@ def _order_separated_family(base, nu=3, p=1, amplitude=2.0):
     probe = bump_family(GENERIC_Y, nu, 1e-9, mu, amplitude=amplitude, ell=2)
     fam = bump_family(GENERIC_Y, nu, probe.eps_max * 0.5, mu,
                       amplitude=amplitude, ell=2)
-    return fam, PerturbationFamily(base=base, directions=fam.directions,
-                                   epsilon=1e-7, nu=nu)
+    return fam, PerturbationFamily(base=base, directions=fam.directions, epsilon=1e-7)
 
 
 def test_clusters_constant_all_words(f_const):
+    cls = classify(f_const, 0.9)
     for n in (4, 6, 8):
-        rep = slope_clusters(f_const, n, Word((1,), 2))
+        rep = slope_clusters(f_const, n, Word((1,), 2), cls)
         assert rep.max_cluster == 2 ** n
-        assert len(cluster_words(rep)) == 2 ** n
+        assert len(cluster_words(f_const, n, Word((1,), 2), rep.window)) == 2 ** n
 
 
 def test_clusters_coboundary_all_words(f_cob):
@@ -33,7 +34,7 @@ def test_clusters_coboundary_all_words(f_cob):
     # inside the 8 theta_K window
     cls = classify(f_cob, 0.9)
     assert 2 * 0.1 * np.pi <= 8 * cls.theta_K
-    rep = slope_clusters(f_cob, 8, Word((1, 2), 2))
+    rep = slope_clusters(f_cob, 8, Word((1, 2), 2), cls)
     assert rep.max_cluster == 2 ** 8
 
 
@@ -50,53 +51,39 @@ def test_clusters_match_brute_window_scan(f_generic):
 
 
 def test_cluster_words_pairwise_within_window(f_generic):
-    rep = slope_clusters(f_generic, 8, Word((2,), 2), window_factor=0.5)
+    rep = slope_clusters(f_generic, 8, Word((2,), 2), classify(f_generic, 0.9),
+                         window_factor=0.5)
     x_c, _ = word_interval(Word((2,), 2))
-    slopes = [birkhoff(f_generic, w, x_c, 1) for w in cluster_words(rep)]
+    words = cluster_words(f_generic, 8, Word((2,), 2), rep.window)
+    slopes = [birkhoff(f_generic, w, x_c, 1) for w in words]
     assert max(slopes) - min(slopes) <= rep.window + 1e-12
+    assert len(words) == rep.max_cluster
     assert 1 <= rep.max_cluster <= 2 ** 8
 
 
 def test_cluster_window_scaling(f_generic):
-    r6 = slope_clusters(f_generic, 6, Word((1,), 2))
-    r12 = slope_clusters(f_generic, 12, Word((1,), 2))
+    cls = classify(f_generic, 0.9)
+    r6 = slope_clusters(f_generic, 6, Word((1,), 2), cls)
+    r12 = slope_clusters(f_generic, 12, Word((1,), 2), cls)
     assert r12.window == pytest.approx(r6.window * 2.0 ** -6, rel=1e-12)
 
 
 def test_cluster_monotone_in_window(f_generic):
-    wide = slope_clusters(f_generic, 10, Word((1,), 2), window_factor=8.0)
-    narrow = slope_clusters(f_generic, 10, Word((1,), 2), window_factor=2.0)
+    cls = classify(f_generic, 0.9)
+    wide = slope_clusters(f_generic, 10, Word((1,), 2), cls, window_factor=8.0)
+    narrow = slope_clusters(f_generic, 10, Word((1,), 2), cls, window_factor=2.0)
     assert narrow.max_cluster <= wide.max_cluster
-
-
-def test_cluster_members_are_sorted_word_indices(f_generic, monkeypatch):
-    import semiflow.genericity as genericity
-    calls = []
-    real = genericity.Word.from_index.__func__
-
-    def counting(cls, k, n, ell):
-        calls.append(k)
-        return real(cls, k, n, ell)
-
-    monkeypatch.setattr(genericity.Word, "from_index", classmethod(counting))
-    rep = slope_clusters(f_generic, 10, Word((1,), 2), window_factor=2.0)
-    assert calls == []  # slope_clusters builds no word
-    assert list(rep.members) == sorted(rep.members)
-    assert len(rep.members) == rep.max_cluster
-    words = cluster_words(rep)
-    assert [w.index for w in words] == list(rep.members)
-    assert all(len(w) == 10 and w.ell == 2 for w in words)
 
 
 def test_clusters_reject_base_word_of_other_ell(f_generic):
     with pytest.raises(InvalidArgument):
-        slope_clusters(f_generic, 4, Word((1,), 3))
+        slope_clusters(f_generic, 4, Word((1,), 3), classify(f_generic, 0.9))
 
 
 def test_cluster_cap():
     f = TrigPolynomial(1.0, (), 2)
     with pytest.raises(ResourceLimit):
-        slope_clusters(f, 21, Word((1,), 2))
+        slope_clusters(f, 21, Word((1,), 2), classify(f, 0.9))
 
 
 def test_g_matrix_zero_for_equal_words(f_const):
@@ -122,8 +109,7 @@ def test_g_matrix_zero_for_constant_derivative_directions(f_const):
 
 def test_g_matrix_base_independence(f_const, f_generic):
     fam_data, fam1 = _order_separated_family(f_const)
-    fam2 = PerturbationFamily(base=f_generic, directions=fam_data.directions,
-                              epsilon=1e-7, nu=fam_data.nu)
+    fam2 = PerturbationFamily(base=f_generic, directions=fam_data.directions, epsilon=1e-7)
     words = [Word((1, 1, 1, 2, 1), 2), Word((2, 1, 2, 1, 2), 2)]
     assert np.array_equal(g_matrix(0.31, words, fam1), g_matrix(0.31, words, fam2))
 
@@ -268,13 +254,13 @@ def test_jacobian_lower_bound_on_neighborhood(f_const):
 
 
 def test_probe_trend_and_frozen_fractions(f_const):
-    params = default_params(2)
+    cls = classify(f_const, 0.9)
     centers = [0.05, 0.21, 0.37, 0.53, 0.69, 0.85]
     dirs = tuple(BumpDirection(center=c, radius=0.055, deriv_plateau=20.0) for c in centers)
     fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.05)
     fracs = {}
     for n in (4, 6, 8):
-        res = bad_set_probe(fam, n, 400, params, seed=7, combos=8)
+        res = bad_set_probe(fam, n, 400, 7, cls, combos=8)
         fracs[n] = res.fraction
         assert res.ci_low <= res.fraction <= res.ci_high
     # frozen from the fixed-seed run of this configuration
@@ -285,59 +271,61 @@ def test_probe_trend_and_frozen_fractions(f_const):
 
 
 def test_probe_shared_class_gives_same_result(f_sin, monkeypatch):
+    # the probe reads theta_K from the class it is given and never classifies
     import semiflow.genericity as genericity
-    params = default_params(2)
     dirs = tuple(BumpDirection(center=c, radius=0.055, deriv_plateau=20.0)
                  for c in (0.05, 0.21, 0.37, 0.53, 0.69, 0.85))
     fam = PerturbationFamily(base=f_sin, directions=dirs, epsilon=0.05)
-    own = bad_set_probe(fam, 6, 200, params, seed=3, combos=8)
     cls = classify(f_sin, 0.9)
-    monkeypatch.setattr(genericity, "classify", None)  # a shared class is not recomputed
-    assert bad_set_probe(fam, 6, 200, params, seed=3, combos=8, cls=cls) == own
+    own = bad_set_probe(fam, 6, 200, 3, cls, combos=8)
+    monkeypatch.setattr(genericity, "classify", None)
+    assert bad_set_probe(fam, 6, 200, 3, cls, combos=8) == own
+    assert own.window == 10.0 * cls.theta_K * 2.0 ** -6
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 70])
 def test_probe_rejects_levels_without_room_for_a_combination(f_const, n):
     # ell = 2, p = 5: a combination needs ell^n >= 6 words, and word
     # indices are int64
-    params = default_params(2)
-    assert params.p == 5
+    assert combination_size(2) == 5
     dirs = tuple(BumpDirection(center=c, radius=0.05, deriv_plateau=8.0)
                  for c in np.linspace(0.1, 0.9, 6))
     fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.01)
     with pytest.raises(InvalidArgument, match=f"probe level n = {n}"):
-        bad_set_probe(fam, n, 10, params, seed=0, combos=1)
+        bad_set_probe(fam, n, 10, 0, classify(f_const, 0.9), combos=1)
 
 
 def test_probe_zero_directions(f_const):
-    params = default_params(2)
     fam = PerturbationFamily(base=f_const, directions=(), epsilon=0.0)
-    res = bad_set_probe(fam, 4, 100, params, seed=1)
+    res = bad_set_probe(fam, 4, 100, 1, classify(f_const, 0.9))
     assert res.fraction in (0.0, 1.0)
     # the constant base has all slope differences zero, inside every window
     assert res.fraction == 1.0
 
 
 def test_probe_rejects_underpowered_family(f_const):
-    params = default_params(2)
     dirs = (BumpDirection(center=0.3, radius=0.05, deriv_plateau=8.0),)
     fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.01)
     with pytest.raises(InvalidArgument):
-        bad_set_probe(fam, 4, 50, params, seed=1)
+        bad_set_probe(fam, 4, 50, 1, classify(f_const, 0.9))
 
 
 def test_default_params_chain_valid():
-    for ell in (2, 3):
+    # the paper's chain validates for every ell here, and its p is the
+    # combination size the probe derives from ell alone
+    for ell in range(2, 200):
         params = default_params(ell)
         assert params.validate(ell) == []
         assert 0.0 < params.delta < 1.0
+        assert params.p == combination_size(ell)
+    assert [combination_size(ell) for ell in range(2, 11)] == [5] + [4] * 8
 
 
 def test_params_validation_catches_bad_chain():
     params = default_params(2)
-    bad = type(params)(rho=params.rho, gamma=params.gamma, alpha=params.alpha,
-                       beta=params.beta, p=1, nu=params.nu, delta=params.delta,
-                       N=params.N)
+    bad = GenericityParams(rho=params.rho, gamma=params.gamma, alpha=params.alpha,
+                           beta=params.beta, p=1, nu=params.nu, delta=params.delta,
+                           N=params.N)
     assert any("beta" in p for p in bad.validate(2))
 
 
@@ -348,10 +336,13 @@ def test_family_positivity_guard(f_const):
 
 
 def test_prefix_refinement_partitions_cluster(f_generic):
-    rep = slope_clusters(f_generic, 8, Word((1,), 2), window_factor=1.0)
-    classes = prefix_refinement(rep, 3)
+    c = Word((1,), 2)
+    rep = slope_clusters(f_generic, 8, c, classify(f_generic, 0.9), window_factor=1.0)
+    classes = prefix_refinement(f_generic, 8, c, rep.window, 3)
     words = [w for cls_ in classes for w in cls_]
-    assert sorted(w.letters for w in words) == sorted(w.letters for w in cluster_words(rep))
+    members = cluster_words(f_generic, 8, c, rep.window)
+    assert len(members) == rep.max_cluster
+    assert sorted(w.letters for w in words) == sorted(w.letters for w in members)
     prefixes = [cls_[0].letters[:3] for cls_ in classes]
     assert len(prefixes) == len(set(prefixes))
     for cls_ in classes:
@@ -361,6 +352,6 @@ def test_prefix_refinement_partitions_cluster(f_generic):
 
 
 def test_prefix_refinement_rejects_bad_length(f_generic):
-    rep = slope_clusters(f_generic, 6, Word((1,), 2))
+    rep = slope_clusters(f_generic, 6, Word((1,), 2), classify(f_generic, 0.9))
     with pytest.raises(InvalidArgument):
-        prefix_refinement(rep, 7)
+        prefix_refinement(f_generic, 6, Word((1,), 2), rep.window, 7)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      TrigPolynomial, branch_table, classify, exponent_fit,
-                      m_of_t, n_of_t, transversality)
+                      TrigPolynomial, branch_table, classify, dynamics, exponent_fit,
+                      extrema, m_of_t, n_of_t, transversality)
 from semiflow.transversality import grid_estimates
 
 from conftest import random_positive_ceiling
@@ -56,7 +56,7 @@ def test_m_sum_self_term_included(f_sin):
 
 
 def test_m_of_t_constant(f_const):
-    est = m_of_t(f_const, 4.2, 8, 8, certified=True)
+    est = m_of_t(f_const, 4.2, 8, 8, classify(f_const, 0.9), certified=True)
     assert est.m_value == 1.0
     assert est.m_upper == 1.0
 
@@ -72,7 +72,7 @@ def test_m_of_t_single_point_reduction(f_sin):
 def test_m_of_t_certified_dominates(f_sin, f_generic):
     for f in (f_sin, f_generic):
         for t in (4.0, 6.0):
-            est = m_of_t(f, t, 12, 8, certified=True)
+            est = m_of_t(f, t, 12, 8, classify(f, 0.9), certified=True)
             assert est.m_upper >= est.m_value
             assert 0.0 < est.m_value <= 1.0
 
@@ -96,7 +96,7 @@ def test_m_of_t_matches_oracle_on_grid_sample(f_sin):
 
 def test_n_of_t_constant_is_one(f_const):
     for t in (2.5, 4.0, 7.5):
-        assert n_of_t(f_const, t, 8, 8) == pytest.approx(1.0, abs=1e-12)
+        assert n_of_t(f_const, t, 8, 8, classify(f_const, 0.9)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_n_of_t_matches_line_scan_oracle(f_sin):
@@ -138,9 +138,9 @@ def test_n_of_t_candidate_monotonicity(f_sin):
 def test_submultiplicativity_with_slack(f_sin, f_generic):
     slack = 0.05
     for f in (f_sin, f_generic):
-        n4 = n_of_t(f, 4.0, 12, 6)
-        n8 = n_of_t(f, 8.0, 12, 6)
-        n12 = n_of_t(f, 12.0, 12, 6)
+        n4 = n_of_t(f, 4.0, 12, 6, classify(f, 0.9))
+        n8 = n_of_t(f, 8.0, 12, 6, classify(f, 0.9))
+        n12 = n_of_t(f, 12.0, 12, 6, classify(f, 0.9))
         assert n8 <= n4 * n4 + slack
         assert n12 <= n4 * n8 + slack
 
@@ -150,7 +150,8 @@ def test_cross_bound_with_slack(f_sin, f_generic):
     for f in (f_sin, f_generic):
         cls = classify(f, 0.9)
         for t in (4.0, 6.0):
-            s = (cls.f_max / cls.f_min) * t + cls.f_max
+            f_min, f_max = extrema(f, 0)
+            s = (f_max / f_min) * t + f_max
             m_est = m_of_t(f, s, 12, 8, certified=False, cls=cls)
             n_val = n_of_t(f, t, 16, 8, cls=cls)
             assert m_est.m_value <= n_val + slack
@@ -170,8 +171,8 @@ def test_lambda_min_periodic_matches_oracle(f_sin):
 
 
 def test_lambda_min_bounds(f_generic):
-    cls = classify(f_generic, 0.9)
-    assert 2.0 ** (1.0 / cls.K) <= 2.0 ** (1.0 / periodic_beta_max(f_generic, 10)) <= 2.0 ** cls.K
+    K = classify(f_generic, 0.9).theta_K * (0.9 * 2 - 1)
+    assert 2.0 ** (1.0 / K) <= 2.0 ** (1.0 / periodic_beta_max(f_generic, 10)) <= 2.0 ** K
 
 
 def test_exponent_fit_constant():
@@ -187,7 +188,7 @@ def test_exponent_fit_geometric():
 
 
 def test_exponent_fit_refit_consistency(f_sin):
-    samples = [(t, m_of_t(f_sin, t, 6, 4, certified=False).m_value)
+    samples = [(t, m_of_t(f_sin, t, 6, 4, classify(f_sin, 0.9), certified=False).m_value)
                for t in (4.0, 6.0, 8.0)]
     rate, _ = exponent_fit(samples)
     logs = np.log([v for _, v in samples])
@@ -204,7 +205,7 @@ def test_exponent_fit_rejects_bad_input():
 
 
 def test_argmax_location_reported(f_sin):
-    est = m_of_t(f_sin, 6.0, 8, 4, certified=False)
+    est = m_of_t(f_sin, 6.0, 8, 4, classify(f_sin, 0.9), certified=False)
     assert 0.0 <= est.argmax_x < 1.0
     assert est.argmax_on_section == (est.argmax_s == 0.0)
 
@@ -250,7 +251,7 @@ def test_m_and_n_oracle_base_three():
 def test_n_value_never_exceeds_one(f_sin, f_generic):
     for f in (f_sin, f_generic):
         for t in (3.0, 5.0):
-            assert n_of_t(f, t, 10, 6) <= 1.0 + 1e-12
+            assert n_of_t(f, t, 10, 6, classify(f, 0.9)) <= 1.0 + 1e-12
 
 
 def test_grid_pass_equals_per_point_oracle(f_const, f_sin, f_generic):
@@ -279,8 +280,9 @@ def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
     monkeypatch.setattr(transversality, "branch_table",
                         lambda f, z, *args, **kw: scanned.append(z.x) or scan(f, z, *args, **kw))
     monkeypatch.setattr(transversality, "_absorb", lambda *args: tables.append(args))
+    monkeypatch.setattr(dynamics, "BRANCH_CAP", 2 ** 12)
     with pytest.raises(ResourceLimit, match=r"at t=40\.0 ") as info:
-        grid_estimates(f_sin, [3.0, 40.0, 5.0], 8, 8, cap=2 ** 12)
+        grid_estimates(f_sin, [3.0, 40.0, 5.0], 8, 8, classify(f_sin, 0.9))
     assert scanned == [0.0] and tables == []
     assert info.value.details["cap"] == 2 ** 12
     assert "t_limit" in info.value.details
@@ -288,8 +290,8 @@ def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
 
 def test_n_value_exact_for_base_three():
     # weights 3^-n summed in floating point gave n = 1.0000000000000002 here
-    assert n_of_t(GEN3, 3.0, 16, 8) == 1.0
-    assert m_of_t(GEN3, 4.0, 16, 8, certified=False).m_value == 17 / 27
+    assert n_of_t(GEN3, 3.0, 16, 8, classify(GEN3, 0.9)) == 1.0
+    assert m_of_t(GEN3, 4.0, 16, 8, classify(GEN3, 0.9), certified=False).m_value == 17 / 27
 
 
 def test_weight_sums_exact_over_sixty_levels():
