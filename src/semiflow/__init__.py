@@ -9,8 +9,8 @@ perturbation-family genericity diagnostics.
 """
 
 from .ceiling import CeilingClass, TrigPolynomial, ceiling_from_config, classify, extrema
-from .dynamics import (FlowPoint, Word, advance, advance_through, branch_point,
-                       branch_table, inverse_branches, word_interval)
+from .dynamics import (FlowPoint, advance, advance_through, branch_table,
+                       inverse_branches)
 from .errors import (DomainViolation, InvalidArgument, NumericalFailure,
                      ParseError, PreconditionViolation, ResourceLimit,
                      SemiflowError, ValidationError)

@@ -24,10 +24,9 @@ import numpy as np
 from . import aniso, ceiling, genericity, mixing, smooth, spectral, transversality
 from .canon import canonical_csv, canonical_json
 from .ceiling import TrigPolynomial, ceiling_from_config, classify, extrema, is_int, is_number
-from .dynamics import FlowPoint, Word, inverse_branches
+from .dynamics import FlowPoint, inverse_branches
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
-from .parallel import worker_count
 
 EXPERIMENTS = ("transversality", "mixing", "spectrum", "correlations",
                "norms", "genericity", "branches")
@@ -266,7 +265,7 @@ def _run_transversality(cfg: ExperimentConfig):
     estimates = transversality.grid_estimates(
         cfg.ceiling, [float(t) for t in p["t_values"]], p["nx"], p["ns"],
         classify(cfg.ceiling, cfg.gamma0), certified=p["certified"],
-        workers=worker_count(cfg.workers))
+        workers=cfg.workers)
     records = [{
         "t": est.t, "m_value": est.m_value, "m_upper": est.m_upper,
         "n_value": nv, "grid": [p["nx"], p["ns"]], "slack": est.slack,
@@ -375,12 +374,12 @@ def _run_genericity(cfg: ExperimentConfig):
     p = cfg.params
     f = cfg.ceiling
     cls = classify(f, cfg.gamma0)
-    word = Word(tuple(p["cluster_word"]), f.ell)
+    letters = p["cluster_word"]
     records = []
     for n in p["cluster_n_values"]:
-        rep = genericity.slope_clusters(f, n, word, cls, window_factor=p["window_factor"])
+        rep = genericity.slope_clusters(f, n, letters, cls, window_factor=p["window_factor"])
         records.append({
-            "kind": "cluster", "n": n, "base_word": str(word),
+            "kind": "cluster", "n": n, "base_word": "".join(map(str, letters)),
             "window": rep.window, "max_cluster": rep.max_cluster,
             "growth_rate": rep.max_cluster ** (1.0 / n),
         })

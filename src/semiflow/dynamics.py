@@ -5,6 +5,8 @@ reaching the roof at (x, f(x)) they jump to (tau(x), 0) with
 tau(x) = ell*x mod 1.  The time-t preimages of a point are indexed by words
 over {1..ell}: the word picks one chain of inverse branches of tau, and the
 Birkhoff sum of f along the chain fixes the flow coordinate of the preimage.
+A word a_1..a_n is its little-endian index k = sum_i (a_i - 1) ell^(i-1),
+and its i-th prefix point at x is (x + k mod ell^i)/ell^i.
 
 Slope convention: a branch of length n at target x carries
 
@@ -43,33 +45,6 @@ MAX_WORD_INDEX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
-class Word:
-    """A word over the alphabet {1..ell}; indexes one inverse branch chain."""
-
-    letters: tuple
-    ell: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(a) for a in self.letters))
-        if any(not 1 <= a <= self.ell for a in self.letters):
-            raise InvalidArgument(f"letters must lie in 1..{self.ell}: {self.letters}")
-
-    def __len__(self):
-        return len(self.letters)
-
-    @classmethod
-    def from_index(cls, k: int, n: int, ell: int) -> "Word":
-        letters = []
-        for _ in range(n):
-            letters.append(k % ell + 1)
-            k //= ell
-        return cls(tuple(letters), ell)
-
-    def __str__(self):
-        return "".join(str(a) for a in self.letters)
-
-
-@dataclass(frozen=True)
 class FlowPoint:
     """A point (x, s) with 0 <= s < f(x) in the region under the ceiling."""
 
@@ -85,43 +60,15 @@ def validate_point(f: TrigPolynomial, z: FlowPoint) -> float:
     return fx
 
 
-def word_interval(a: Word):
-    """(left endpoint, width) of the cylinder interval of the word.
-
-    The cylinder is the set of points whose inverse-branch chain follows the
-    word; its width is ell^(-n) and the left endpoint is the chain applied
-    to 0.
-    """
-    if len(a) == 0:
-        raise InvalidArgument("word_interval requires a nonempty word")
-    return branch_point(a, 0.0), a.ell ** -len(a)
-
-
-def branch_point(a: Word, x):
-    """The unique preimage of x under tau^n lying in the word's cylinder.
-
-    Reads the word letter by letter, each step applying the affine inverse
-    branch y -> (y + letter - 1)/ell; the intermediate values are exactly
-    the prefix points entering the Birkhoff sums.
-    """
-    y = np.asarray(x, dtype=float)
-    for letter in a.letters:
-        y = (y + (letter - 1)) / a.ell
-    if y.ndim == 0:
-        return float(y)
-    return y
-
-
-def _prefix_points(words: list, x: float) -> np.ndarray:
-    """Prefix points [a]_i(x), i = 1..n, of equal-length words over one
-    alphabet: one row per word, by the recurrence of ``branch_point``."""
-    n = len(words[0])
-    letters = np.array([a.letters for a in words], dtype=np.int64).reshape(len(words), n)
-    pts = np.empty(letters.shape)
-    y = np.full(len(words), float(x))
-    for i in range(n):
-        y = (y + (letters[:, i] - 1)) / words[0].ell
-        pts[:, i] = y
+def prefix_points(x: float, k, n: int, ell: int) -> np.ndarray:
+    """Prefix points of the words with little-endian indices k at the target
+    x: a (len(k), n) array whose column i - 1 is the level-i preimage
+    (x + k mod ell^i)/ell^i, in the float operations of the level scan, so
+    a Birkhoff sum along a row adds up bit for bit to the scan's."""
+    k = np.asarray(k, dtype=np.int64)
+    pts = np.empty((len(k), n))
+    for i in range(1, n + 1):
+        pts[:, i - 1] = (x + k % ell ** i) / ell ** i
     return pts
 
 
@@ -368,15 +315,22 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     """All time-t inverse branches of the flow at z: ``(table, words)``, the
     ``branch_table`` reordered lexicographically by word, and each row's
-    word as ``str(Word)`` writes it (letters' decimal digits run together).
+    word as its letters' decimal digits run together.
 
     Both come from one digit matrix of the word indices, letter p of a row
     being (k // ell^p) % ell + 1 and 0 past the word's end, so a word sorts
     after its prefixes, as tuples of letters do.
 
-    Raises NumericalFailure when rounding leaves no branch, so that the
-    branch weights cannot sum to 1 (a ceiling so large that s + S - t
-    rounds to S)."""
+    Raises DomainViolation when z lies outside the region under the ceiling
+    or on its roof: by the right-limit convention a roof point (x, f(x)) is
+    the base point (tau(x), 0), which the caller must pass instead.  Raises
+    NumericalFailure when rounding leaves no branch, so that the branch
+    weights cannot sum to 1 (a ceiling so large that s + S - t rounds to
+    S)."""
+    if z.s >= validate_point(f, z) - ROOF_TOL:
+        raise DomainViolation(
+            f"point (x={z.x}, s={z.s}) lies on the roof; the flow identifies it with "
+            f"the base point (x={f.ell * z.x % 1.0}, s=0), so pass that point")
     table = branch_table(f, z, t)
     if not table.count:
         raise NumericalFailure(

@@ -23,7 +23,7 @@ import numpy as np
 # the module never calls classify: every caller passes the class.  The
 # traced benchmark (bench/spans.py) wraps genericity.classify by name.
 from .ceiling import CeilingClass, TrigPolynomial, classify  # noqa: F401
-from .dynamics import MAX_WORD_INDEX, Word, _prefix_points, word_interval
+from .dynamics import MAX_WORD_INDEX, prefix_points
 from .errors import DomainViolation, InvalidArgument, ResourceLimit
 from .smooth import flat_bump, plateau
 
@@ -132,42 +132,45 @@ def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
     return slopes
 
 
-def slope_clusters(f: TrigPolynomial, n: int, c: Word, cls: CeilingClass,
+def slope_clusters(f: TrigPolynomial, n: int, letters, cls: CeilingClass,
                    window_factor: float = 8.0) -> SlopeClusterReport:
     """Size of the largest set of length-n words whose slopes at the
-    cylinder endpoint of c fall in a sliding window of width window_factor
-    * theta_K * ell^(-n) (anchored at the sorted slope values, which is
-    exact for the max-pairwise-difference criterion); theta_K is read from
-    ``cls``, the class of f."""
-    if f.ell ** n > MAX_CLUSTER_WORDS:
-        raise ResourceLimit(f"ell^n = {f.ell}^{n} exceeds the cluster cap {MAX_CLUSTER_WORDS}",
+    cylinder endpoint of the base word ``letters`` (over 1..ell) fall in a
+    sliding window of width window_factor * theta_K * ell^(-n) (anchored at
+    the sorted slope values, which is exact for the max-pairwise-difference
+    criterion); theta_K is read from ``cls``, the class of f.  The endpoint
+    of a word of m letters with index k is k/ell^m."""
+    ell = f.ell
+    letters = tuple(int(a) for a in letters)
+    if any(not 1 <= a <= ell for a in letters):
+        raise InvalidArgument(f"letters must lie in 1..{ell}: {letters}")
+    if ell ** n > MAX_CLUSTER_WORDS:
+        raise ResourceLimit(f"ell^n = {ell}^{n} exceeds the cluster cap {MAX_CLUSTER_WORDS}",
                             max_words=MAX_CLUSTER_WORDS)
-    if c.ell != f.ell:
-        raise InvalidArgument("base word and ceiling use different ell")
-    x_c, _ = word_interval(c)
+    k = sum((a - 1) * ell ** i for i, a in enumerate(letters))
+    x_c = k / ell ** len(letters)
     sorted_slopes = np.sort(_all_slopes(f, x_c, n))
-    window = window_factor * cls.theta_K * f.ell ** float(-n)
+    window = window_factor * cls.theta_K * ell ** float(-n)
     hi = np.searchsorted(sorted_slopes, sorted_slopes + window, side="right")
     counts = hi - np.arange(len(sorted_slopes))
     return SlopeClusterReport(window=window, max_cluster=int(counts.max()))
 
 
-def g_matrix(x: float, sigma, family: PerturbationFamily) -> np.ndarray:
+def g_matrix(x: float, sigma, n: int, family: PerturbationFamily) -> np.ndarray:
     """Linear part of the slope-difference map of the family at x.
 
-    Rows follow sigma[1:], the reference word is sigma[0]; entry (i, j) is
-    sum_k ell^(-k) (phi_j'(prefix_k of b_i) - phi_j'(prefix_k of b_0)).
+    sigma holds the indices of words of length n; rows follow sigma[1:],
+    the reference word is sigma[0]; entry (r, j) is
+    sum_i ell^(-i) (phi_j'(prefix_i of sigma[r+1]) - phi_j'(prefix_i of sigma[0])).
     Independent of the base ceiling by construction.  Each direction's
     derivative is evaluated once, on the array of every word's prefix points.
     """
-    words = list(sigma)
-    if len({len(w) for w in words}) != 1:
-        raise InvalidArgument("all words in sigma must have the same length")
-    prefixes = _prefix_points(words, x)
-    sums = np.zeros((len(words), family.m))
+    ell = family.base.ell
+    prefixes = prefix_points(x, sigma, n, ell)
+    sums = np.zeros((len(prefixes), family.m))
     for j, d in enumerate(family.directions):
         derivs = np.broadcast_to(d.deriv(prefixes), prefixes.shape)
-        sums[:, j] = _weighted_sum(derivs, words[0].ell)
+        sums[:, j] = _weighted_sum(derivs, ell)
     return sums[1:] - sums[0]
 
 
@@ -264,16 +267,14 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int, seed: int,
         attempts += 1
         c_idx = int(rng.integers(ell ** n))
         sig_idx = rng.choice(ell ** n, size=p + 1, replace=False)
-        c = Word.from_index(c_idx, n, ell)
-        sigma = [Word.from_index(int(k), n, ell) for k in sig_idx]
-        x_c, _ = word_interval(c)
+        x_c = c_idx / ell ** n
         if family.m > 0:
-            G = g_matrix(x_c, sigma, family)
+            G = g_matrix(x_c, sig_idx, n, family)
             if jacobian(G) < 1.0:
                 continue
         else:
             G = np.zeros((p, 0))
-        slopes = _weighted_sum(f(_prefix_points(sigma, x_c), 1), ell)
+        slopes = _weighted_sum(f(prefix_points(x_c, sig_idx, n, ell), 1), ell)
         d0 = slopes[1:] - slopes[0]
         events.append((G, d0))
 

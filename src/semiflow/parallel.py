@@ -10,21 +10,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import InvalidArgument
-
-WORKER_ENV_VAR = "SEMIFLOW_WORKERS"
-
-
-def worker_count(requested: int | None = None) -> int:
-    env = os.environ.get(WORKER_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidArgument(
-                f"{WORKER_ENV_VAR} must be an integer, got {env!r}") from None
-    return max(1, requested or 1)
-
 
 def pmap(fn, items, workers: int = 1) -> list:
     items = list(items)

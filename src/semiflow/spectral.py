@@ -169,7 +169,8 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
     x0 = (cols[:, None] + u) / nx
     s0 = (slices[:, None] + v) * (heights[:, None] / ns)
 
-    x1, s1, _ = advance(f, x0.ravel(), s0.ravel() + t)
+    # the crossing cap bounds s0 + t, so a refusal's t_limit is net of the tallest s0
+    ((_, x1, s1),) = advance_through(f, x0.ravel(), s0.ravel(), [t], step=advance)
     land_col = np.minimum((x1 * nx).astype(int), nx - 1)
     land_height = part.column_heights[land_col]
     land_slice = np.minimum((s1 * ns / land_height).astype(int), ns - 1)

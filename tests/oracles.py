@@ -4,16 +4,18 @@ no subcommand runs.
 References.  Everything here deliberately avoids the library's
 computational paths: branches are enumerated by flat integer indexing with
 forward orbit sums, pair sums are full quadratic scans, the flow is
-simulated crossing by crossing, Birkhoff sums follow one inverse branch per
-letter, masks are evaluated by their pointwise formula, and extrema come
-from dense grids.  A few references keep a loop that the library replaced,
+simulated crossing by crossing, words are letter tuples whose inverse
+branches are applied one letter at a time, masks are evaluated by their
+pointwise formula, and extrema come from dense grids.  A few references keep a loop that the library replaced,
 so each pair can be compared bit for bit: ``per_point_grid`` builds one
 branch table per grid point and reads it with the library's per-table
 passes (``point_m`` is its single-point case), ``per_letter_g_matrix``
 makes one derivative call per word, letter and direction,
 ``per_bracket_roots`` bisects one bracket at a time, ``branches_payload``
 builds a ``Word`` per branch row and ``per_value_json`` renders one value
-at a time.
+at a time.  ``birkhoff`` and ``per_letter_g_matrix`` read a word letter by
+letter but place prefix i at (x + k_i)/ell^i, k_i being the index of the
+first i letters, which is the library's float expression.
 
 Paper constructions.  The cone filter with the transversal orthogonality of
 paired minus bands, the strict ordering of polarizations, the members of a
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semiflow.aniso import GridFunction2D, _check_bank
-from semiflow.dynamics import FlowPoint, Word, branch_table, word_interval
+from semiflow.dynamics import FlowPoint, branch_table
 from semiflow.errors import InvalidArgument, PreconditionViolation
 from semiflow.genericity import BumpDirection
 from semiflow.smooth import chi
@@ -91,15 +93,65 @@ def unstable_slope(f, x, depth):
     return total
 
 
+@dataclass(frozen=True)
+class Word:
+    """A word over the alphabet {1..ell}, as a tuple of letters."""
+
+    letters: tuple
+    ell: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(int(a) for a in self.letters))
+        if any(not 1 <= a <= self.ell for a in self.letters):
+            raise InvalidArgument(f"letters must lie in 1..{self.ell}: {self.letters}")
+
+    def __len__(self):
+        return len(self.letters)
+
+    @classmethod
+    def from_index(cls, k, n, ell):
+        letters = []
+        for _ in range(n):
+            letters.append(k % ell + 1)
+            k //= ell
+        return cls(tuple(letters), ell)
+
+    @property
+    def index(self):
+        """The little-endian index sum_i (a_i - 1) ell^(i-1)."""
+        return sum((a - 1) * self.ell ** i for i, a in enumerate(self.letters))
+
+    def __str__(self):
+        return "".join(str(a) for a in self.letters)
+
+
+def branch_point(a, x):
+    """The preimage of x under tau^n in the word's cylinder, one inverse
+    branch y -> (y + letter - 1)/ell per letter."""
+    y = x
+    for letter in a.letters:
+        y = (y + (letter - 1)) / a.ell
+    return y
+
+
+def word_interval(a):
+    """(left endpoint, width) of the word's cylinder interval: the chain
+    applied to 0, and ell^(-n)."""
+    if len(a) == 0:
+        raise InvalidArgument("word_interval requires a nonempty word")
+    return branch_point(a, 0.0), a.ell ** -len(a)
+
+
 def birkhoff(f, a, x, order=0):
     """sum_i ell^(-order*i) f^(order)(prefix_i(x)) along the word a: the
     Birkhoff sum of f (order 0) or its first or second derivative in the
-    target point, one inverse branch y -> (y + letter - 1)/ell per letter."""
+    target point, letter by letter, prefix i at (x + k_i)/ell^i with k_i
+    the index of the first i letters."""
     total = 0.0
-    y = x
+    k = 0
     for i, letter in enumerate(a.letters, start=1):
-        y = (y + (letter - 1)) / a.ell
-        total += a.ell ** (-order * i) * f(y, order)
+        k += (letter - 1) * a.ell ** (i - 1)
+        total += a.ell ** (-order * i) * f((x + k) / a.ell ** i, order)
     return total
 
 
@@ -353,11 +405,12 @@ def per_letter_g_matrix(x, sigma, family):
 
     def weighted_prefix_derivs(word):
         out = np.zeros(family.m)
-        y = x
-        for k, letter in enumerate(word.letters, start=1):
-            y = (y + (letter - 1)) / ell
+        k = 0
+        for i, letter in enumerate(word.letters, start=1):
+            k += (letter - 1) * ell ** (i - 1)
+            y = (x + k) / ell ** i
             for j, d in enumerate(family.directions):
-                out[j] += ell ** float(-k) * float(d.deriv(y))
+                out[j] += ell ** float(-i) * float(d.deriv(y))
         return out
 
     base_row = weighted_prefix_derivs(words[0])

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import (FlowPoint, TrigPolynomial, Verdict, Word, classify,
+from semiflow import (FlowPoint, TrigPolynomial, Verdict, classify,
                       cobounding_potential, cocycle_residual, extrema,
                       eigenfunction_check, exponent_fit, inverse_branches,
                       m_of_t, n_of_t, weak_mixing_test)
@@ -27,7 +27,7 @@ from semiflow.smooth import plateau
 from semiflow.spectral import Observable, build_ulam, correlation, spectrum
 
 from conftest import random_positive_ceiling
-from oracles import (bump_family, cone_filter, default_mu, periodic_beta_max,
+from oracles import (Word, bump_family, cone_filter, default_mu, periodic_beta_max,
                      transversal_orthogonality)
 
 
@@ -237,17 +237,17 @@ def test_acceptance_9_genericity():
     min_jac = math.inf
     for _ in range(20):
         x = (y + (rng.random() - 0.5) * 2 * fam_data.neighborhood[1] * 0.9) % 1.0
-        sigma = [Word(a.letters + tuple(rng.integers(1, 3, size=6 - nu)), 2)
+        sigma = [Word(a.letters + tuple(rng.integers(1, 3, size=6 - nu)), 2).index
                  for a in aprime]
-        G = g_matrix(x, sigma, fam)
+        G = g_matrix(x, sigma, 6, fam)
         fam_other = PerturbationFamily(base=base2, directions=fam_data.directions,
                                        epsilon=1e-7)
-        assert np.array_equal(G, g_matrix(x, sigma, fam_other))
+        assert np.array_equal(G, g_matrix(x, sigma, 6, fam_other))
         min_jac = min(min_jac, jacobian(G))
         assert jacobian(G) >= 1.0
 
     for n in (4, 7, 10):
-        rep = slope_clusters(base1, n, Word((1,), 2), classify(base1, 0.9))
+        rep = slope_clusters(base1, n, (1,), classify(base1, 0.9))
         assert rep.max_cluster == 2 ** n
 
     # frozen cluster counts from the build-time run (brute window scan
@@ -262,7 +262,7 @@ def test_acceptance_9_genericity():
         cls = classify(f, 0.9)
         counts = {}
         for n in expect:
-            counts[n] = slope_clusters(f, n, Word((1,), 2), cls=cls).max_cluster
+            counts[n] = slope_clusters(f, n, (1,), cls=cls).max_cluster
         assert counts == expect, name
         tail_growth = (counts[14] / counts[10]) ** 0.25
         growths[name] = tail_growth

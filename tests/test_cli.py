@@ -399,6 +399,9 @@ def test_cli_main_parse_exit_code(tmp_path, capsys):
     ["branches", "--set", "params.s=5.0"],
     ["genericity", "--set", "params.cluster_word=[3]"],
     ["norms", "--set", "params.slope_margin=3"],
+    # f = 1: a target on the roof is the base point (tau x, 0), which must be passed instead
+    ["branches", "--set", "params.s=1.0", "--set", "params.t=0"],
+    ["branches", "--set", "params.s=1.0", "--set", "params.t=0.5"],
 ])
 def test_cli_main_runner_error_exit_code(argv, capsys):
     # errors raised inside a runner end in a message, not a traceback
@@ -475,8 +478,11 @@ def test_cli_main_runaway_inputs_end_in_their_exit_code(argv, code, error, capsy
     assert doc["error"] == error
     assert "Traceback" not in captured.err
     if code == 2:
-        # the flow would cross the roof more than 2^14 times; f = 1 here
+        # the flow would cross the roof more than 2^14 times; f = 1 here, and
+        # the limit on the time is net of the tallest starting height
         assert doc["max_crossings"] == 2 ** 14 and doc["t_limit"] <= 2 ** 14
+        if argv[0] == "spectrum":
+            assert doc["t_limit"] < 2 ** 14 - 0.9
     else:
         assert doc["weight_sum"] == 0.0
 
@@ -669,24 +675,6 @@ def test_subcommand_experiment_mismatch(tmp_path, capsys):
     path.write_text(json.dumps(_config(experiment="norms")))
     code = main(["mixing", str(path)])
     assert code == 1
-
-
-def test_worker_env_var_override(monkeypatch):
-    from semiflow.parallel import worker_count
-    monkeypatch.setenv("SEMIFLOW_WORKERS", "3")
-    assert worker_count(1) == 3
-    monkeypatch.delenv("SEMIFLOW_WORKERS")
-    assert worker_count(2) == 2
-
-
-def test_worker_env_var_not_an_integer(monkeypatch, capsys):
-    from semiflow.parallel import worker_count
-    monkeypatch.setenv("SEMIFLOW_WORKERS", "x")
-    with pytest.raises(InvalidArgument, match="SEMIFLOW_WORKERS"):
-        worker_count(1)
-    assert main(["transversality"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "SEMIFLOW_WORKERS" in err
 
 
 def test_pmap_pool_never_exceeds_the_cpu_count(monkeypatch):

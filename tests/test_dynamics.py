@@ -4,25 +4,31 @@ import numpy as np
 import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      TrigPolynomial, Word, advance, advance_through,
-                      branch_point, branch_table, extrema,
-                      inverse_branches, word_interval)
+                      TrigPolynomial, advance, advance_through, branch_table, extrema,
+                      inverse_branches)
 from semiflow import dynamics
+from semiflow.dynamics import prefix_points
 
 from conftest import random_positive_ceiling
-from oracles import birkhoff, crossing_simulation, enumerate_branches
+from oracles import Word, birkhoff, crossing_simulation, enumerate_branches, word_interval
+
+
+def _branch_point(a, x):
+    """The preimage of x in the cylinder of the word a: its last prefix point."""
+    return prefix_points(x, [a.index], len(a), a.ell)[0, -1]
 
 
 def test_word_interval_single_letter():
-    assert word_interval(Word((1,), 2)) == (0.0, 0.5)
-    assert word_interval(Word((2,), 2)) == (0.5, 0.5)
+    assert _branch_point(Word((1,), 2), 0.0) == 0.0
+    assert _branch_point(Word((2,), 2), 0.0) == 0.5
 
 
 def test_word_interval_two_letters():
     # points of the cylinder lie in P(1) with image in P(2); checking the
     # four dyadic quarters pins the interval
-    left, width = word_interval(Word((2, 1), 2))
-    assert (left, width) == (0.25, 0.25)
+    a = Word((2, 1), 2)
+    left, width = _branch_point(a, 0.0), 2.0 ** -len(a)
+    assert left == 0.25
     for k in range(4):
         y = 0.25 * k + 0.1
         in_cyl = left <= y < left + width
@@ -32,23 +38,23 @@ def test_word_interval_two_letters():
 
 def test_word_interval_all_ones_ell3():
     for n in (1, 3, 5):
-        left, width = word_interval(Word((1,) * n, 3))
-        assert left == 0.0
-        assert width == pytest.approx(3.0 ** -n)
+        assert _branch_point(Word((1,) * n, 3), 0.0) == 0.0
 
 
 def test_word_interval_rejects_empty():
+    # the empty word has no prefix point, so no cylinder endpoint
+    assert prefix_points(0.0, [0], 0, 2).shape == (1, 0)
     with pytest.raises(InvalidArgument):
         word_interval(Word((), 2))
 
 
 def test_branch_point_single_letters():
-    assert branch_point(Word((2,), 2), 0.3) == pytest.approx(0.65)
-    assert branch_point(Word((1,), 2), 0.3) == pytest.approx(0.15)
+    assert _branch_point(Word((2,), 2), 0.3) == pytest.approx(0.65)
+    assert _branch_point(Word((1,), 2), 0.3) == pytest.approx(0.15)
 
 
 def test_branch_point_two_letters():
-    y = branch_point(Word((2, 1), 2), 0.3)
+    y = _branch_point(Word((2, 1), 2), 0.3)
     assert (4 * y) % 1.0 == pytest.approx(0.3, abs=1e-12)
     assert 0.25 <= y < 0.5
 
@@ -60,12 +66,12 @@ def test_branch_point_inverts_tau_n():
         n = int(rng.integers(1, 9))
         letters = tuple(int(rng.integers(1, ell + 1)) for _ in range(n))
         x = float(rng.random())
-        y = branch_point(Word(letters, ell), x)
+        y = _branch_point(Word(letters, ell), x)
         fwd = y
         for _ in range(n):
             fwd = (ell * fwd) % 1.0
         assert abs(fwd - x) <= 1e-12 or abs(abs(fwd - x) - 1.0) <= 1e-12
-        left, width = word_interval(Word(letters, ell))
+        left, width = _branch_point(Word(letters, ell), 0.0), float(ell) ** -n
         assert left - 1e-12 <= y < left + width + 1e-12
 
 
@@ -331,6 +337,13 @@ def test_branch_enumeration_rejects_target_above_roof(f_sin):
         branch_table(f_sin, z, 4.0)
     with pytest.raises(DomainViolation):
         inverse_branches(f_sin, z, 4.0)
+
+
+def test_inverse_branches_refuse_a_target_on_the_roof(f_const):
+    # by the right-limit convention the roof point (x, f(x)) is (tau x, 0)
+    for s, t in ((1.0, 0.0), (1.0, 0.5), (1.0 - 1e-13, 0.5)):
+        with pytest.raises(DomainViolation, match=r"base point \(x=0\.6, s=0\)"):
+            inverse_branches(f_const, FlowPoint(0.3, s), t)
 
 
 def test_branches_sorted_lexicographically(f_sin):

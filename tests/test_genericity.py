@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from semiflow import (InvalidArgument, ResourceLimit, TrigPolynomial, Word, classify,
-                      word_interval)
-from semiflow.genericity import (BumpDirection, PerturbationFamily, bad_set_probe,
-                                 combination_size, g_matrix, jacobian, slope_clusters)
+from semiflow import (FlowPoint, InvalidArgument, ResourceLimit, TrigPolynomial,
+                      branch_table, classify)
+from semiflow.dynamics import prefix_points
+from semiflow.genericity import (BumpDirection, PerturbationFamily, _all_slopes,
+                                 _weighted_sum, bad_set_probe, combination_size, g_matrix,
+                                 jacobian, slope_clusters)
 
-from oracles import (GenericityParams, birkhoff, bump_family, cluster_words, default_mu,
-                     default_params, per_letter_g_matrix, prefix_refinement,
-                     window_cluster_scan)
+from oracles import (GenericityParams, Word, birkhoff, bump_family, cluster_words,
+                     default_mu, default_params, per_letter_g_matrix, prefix_refinement,
+                     window_cluster_scan, word_interval)
 
 GENERIC_Y = 0.3183098861837907  # irrational, keeps the orbit order trivial
 
@@ -24,7 +26,7 @@ def _order_separated_family(base, nu=3, p=1, amplitude=2.0):
 def test_clusters_constant_all_words(f_const):
     cls = classify(f_const, 0.9)
     for n in (4, 6, 8):
-        rep = slope_clusters(f_const, n, Word((1,), 2), cls)
+        rep = slope_clusters(f_const, n, (1,), cls)
         assert rep.max_cluster == 2 ** n
         assert len(cluster_words(f_const, n, Word((1,), 2), rep.window)) == 2 ** n
 
@@ -34,15 +36,14 @@ def test_clusters_coboundary_all_words(f_cob):
     # inside the 8 theta_K window
     cls = classify(f_cob, 0.9)
     assert 2 * 0.1 * np.pi <= 8 * cls.theta_K
-    rep = slope_clusters(f_cob, 8, Word((1, 2), 2), cls)
+    rep = slope_clusters(f_cob, 8, (1, 2), cls)
     assert rep.max_cluster == 2 ** 8
 
 
 def test_clusters_match_brute_window_scan(f_generic):
-    from semiflow.genericity import _all_slopes
     cls = classify(f_generic, 0.9)
     for n, factor in ((8, 8.0), (8, 0.5), (10, 0.25)):
-        rep = slope_clusters(f_generic, n, Word((1,), 2), cls=cls,
+        rep = slope_clusters(f_generic, n, (1,), cls=cls,
                              window_factor=factor)
         x_c = 0.0
         slopes = _all_slopes(f_generic, x_c, n)
@@ -51,7 +52,7 @@ def test_clusters_match_brute_window_scan(f_generic):
 
 
 def test_cluster_words_pairwise_within_window(f_generic):
-    rep = slope_clusters(f_generic, 8, Word((2,), 2), classify(f_generic, 0.9),
+    rep = slope_clusters(f_generic, 8, (2,), classify(f_generic, 0.9),
                          window_factor=0.5)
     x_c, _ = word_interval(Word((2,), 2))
     words = cluster_words(f_generic, 8, Word((2,), 2), rep.window)
@@ -63,33 +64,28 @@ def test_cluster_words_pairwise_within_window(f_generic):
 
 def test_cluster_window_scaling(f_generic):
     cls = classify(f_generic, 0.9)
-    r6 = slope_clusters(f_generic, 6, Word((1,), 2), cls)
-    r12 = slope_clusters(f_generic, 12, Word((1,), 2), cls)
+    r6 = slope_clusters(f_generic, 6, (1,), cls)
+    r12 = slope_clusters(f_generic, 12, (1,), cls)
     assert r12.window == pytest.approx(r6.window * 2.0 ** -6, rel=1e-12)
 
 
 def test_cluster_monotone_in_window(f_generic):
     cls = classify(f_generic, 0.9)
-    wide = slope_clusters(f_generic, 10, Word((1,), 2), cls, window_factor=8.0)
-    narrow = slope_clusters(f_generic, 10, Word((1,), 2), cls, window_factor=2.0)
+    wide = slope_clusters(f_generic, 10, (1,), cls, window_factor=8.0)
+    narrow = slope_clusters(f_generic, 10, (1,), cls, window_factor=2.0)
     assert narrow.max_cluster <= wide.max_cluster
-
-
-def test_clusters_reject_base_word_of_other_ell(f_generic):
-    with pytest.raises(InvalidArgument):
-        slope_clusters(f_generic, 4, Word((1,), 3), classify(f_generic, 0.9))
 
 
 def test_cluster_cap():
     f = TrigPolynomial(1.0, (), 2)
     with pytest.raises(ResourceLimit):
-        slope_clusters(f, 21, Word((1,), 2), classify(f, 0.9))
+        slope_clusters(f, 21, (1,), classify(f, 0.9))
 
 
 def test_g_matrix_zero_for_equal_words(f_const):
     _, fam = _order_separated_family(f_const)
-    w = Word((1, 2, 1, 1), 2)
-    G = g_matrix(0.3, [w, w, w], fam)
+    w = Word((1, 2, 1, 1), 2).index
+    G = g_matrix(0.3, [w, w, w], 4, fam)
     assert np.all(G == 0.0)
 
 
@@ -103,15 +99,15 @@ def test_g_matrix_zero_for_constant_derivative_directions(f_const):
 
     fam = PerturbationFamily(base=f_const, directions=(FlatDirection(),),
                              epsilon=0.0)
-    G = g_matrix(0.3, [Word((1, 1), 2), Word((2, 1), 2), Word((1, 2), 2)], fam)
+    G = g_matrix(0.3, [Word(a, 2).index for a in ((1, 1), (2, 1), (1, 2))], 2, fam)
     assert np.max(np.abs(G)) <= 1e-12
 
 
 def test_g_matrix_base_independence(f_const, f_generic):
     fam_data, fam1 = _order_separated_family(f_const)
     fam2 = PerturbationFamily(base=f_generic, directions=fam_data.directions, epsilon=1e-7)
-    words = [Word((1, 1, 1, 2, 1), 2), Word((2, 1, 2, 1, 2), 2)]
-    assert np.array_equal(g_matrix(0.31, words, fam1), g_matrix(0.31, words, fam2))
+    words = [Word((1, 1, 1, 2, 1), 2).index, Word((2, 1, 2, 1, 2), 2).index]
+    assert np.array_equal(g_matrix(0.31, words, 5, fam1), g_matrix(0.31, words, 5, fam2))
 
 
 @pytest.mark.parametrize("ell", [2, 3])
@@ -127,23 +123,22 @@ def test_g_matrix_equals_per_letter_oracle(ell):
         size = int(rng.integers(2, 8))
         sigma = [Word(tuple(rng.integers(1, ell + 1, size=n)), ell) for _ in range(size)]
         x = float(rng.random())
-        G = g_matrix(x, sigma, fam)
+        G = g_matrix(x, [w.index for w in sigma], n, fam)
         assert G.shape == (size - 1, len(dirs))
         assert np.array_equal(G, per_letter_g_matrix(x, sigma, fam))
-    # word-interval endpoints, as the probe uses them
+    # cylinder endpoints k/ell^n, as the probe uses them
     for k in range(ell ** 3):
-        x, _ = word_interval(Word.from_index(k, 3, ell))
-        sigma = [Word.from_index(int(j), 6, ell) for j in rng.choice(ell ** 6, 4, replace=False)]
-        assert np.array_equal(g_matrix(x, sigma, fam), per_letter_g_matrix(x, sigma, fam))
+        x = k / ell ** 3
+        sigma = rng.choice(ell ** 6, 4, replace=False)
+        words = [Word.from_index(int(j), 6, ell) for j in sigma]
+        assert np.array_equal(g_matrix(x, sigma, 6, fam), per_letter_g_matrix(x, words, fam))
     # a lone reference word gives an empty p x m matrix with p = 0
-    assert g_matrix(0.3, [Word((1, 2), ell)], fam).shape == (0, len(dirs))
+    assert g_matrix(0.3, [Word((1, 2), ell).index], 2, fam).shape == (0, len(dirs))
 
 
 def test_probe_slopes_equal_birkhoff_sums(f_generic):
     # the probe's base slope differences, read from one array of prefix
     # points, match the scalar Birkhoff sums bit for bit
-    from semiflow.dynamics import _prefix_points
-    from semiflow.genericity import _weighted_sum
     rng = np.random.default_rng(11)
     f3 = TrigPolynomial(1.3, ((1, 0.1, 0.05), (2, 0.02, -0.03)), 3)
     for f in (f_generic, f3):
@@ -151,8 +146,42 @@ def test_probe_slopes_equal_birkhoff_sums(f_generic):
             n = int(rng.integers(1, 12))
             words = [Word(tuple(rng.integers(1, f.ell + 1, size=n)), f.ell) for _ in range(6)]
             x = float(rng.random())
-            slopes = _weighted_sum(f(_prefix_points(words, x), 1), f.ell)
+            k = [w.index for w in words]
+            slopes = _weighted_sum(f(prefix_points(x, k, n, f.ell), 1), f.ell)
             assert slopes.tolist() == [birkhoff(f, w, x, 1) for w in words]
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_scan_and_cluster_slopes_equal_prefix_point_slopes(ell, monkeypatch):
+    # one word, one slope: summed from the prefix points of its index, a
+    # branch row's slope is the level scan's bit for bit, and the cluster
+    # slopes at a base word (k, m) are _all_slopes at k/ell^m
+    import semiflow.genericity as genericity
+    f = {2: TrigPolynomial(1.0, ((1, 0.0, 0.3), (2, 0.1, 0.0)), 2),
+         3: TrigPolynomial(1.3, ((1, 0.1, 0.05), (2, 0.02, -0.03)), 3)}[ell]
+    rng = np.random.default_rng(20 + ell)
+    for _ in range(10):
+        x, t = float(rng.random()), float(rng.uniform(1.0, 6.0))
+        table = branch_table(f, FlowPoint(x, 0.0), t)
+        for n in table.levels:
+            rows = table.n == n
+            pts = prefix_points(x, table.k[rows], n, ell)
+            assert np.array_equal(_weighted_sum(f(pts, 1), ell), table.slopes[rows])
+            if n:
+                assert np.array_equal(pts[:, -1], table.y[rows])
+    endpoints = []
+    monkeypatch.setattr(genericity, "_all_slopes",
+                        lambda f, x, n: endpoints.append(x) or _all_slopes(f, x, n))
+    cls = classify(f, 0.9)
+    for _ in range(5):
+        m = int(rng.integers(1, 8))
+        letters = tuple(int(a) for a in rng.integers(1, ell + 1, size=m))
+        k = Word(letters, ell).index
+        slope_clusters(f, 5, letters, cls)
+        x_c = endpoints[-1]
+        assert x_c == k / ell ** m == prefix_points(0.0, [k], m, ell)[0, -1]
+        every_word = prefix_points(x_c, np.arange(ell ** 5), 5, ell)
+        assert np.array_equal(_all_slopes(f, x_c, 5), _weighted_sum(f(every_word, 1), ell))
 
 
 def test_g_matrix_calls_each_deriv_once(f_const):
@@ -168,15 +197,8 @@ def test_g_matrix_calls_each_deriv_once(f_const):
     dirs = tuple(Counting(BumpDirection(center=c, radius=0.05, deriv_plateau=8.0))
                  for c in (0.1, 0.4, 0.7))
     fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.0)
-    sigma = [Word.from_index(k, 7, 2) for k in (3, 50, 77, 101, 127)]
-    g_matrix(0.25, sigma, fam)
+    g_matrix(0.25, [3, 50, 77, 101, 127], 7, fam)
     assert [d.calls for d in dirs] == [1, 1, 1]
-
-
-def test_g_matrix_rejects_mixed_lengths(f_const):
-    _, fam = _order_separated_family(f_const)
-    with pytest.raises(InvalidArgument):
-        g_matrix(0.3, [Word((1, 1, 1), 2), Word((1, 1, 1, 1), 2)], fam)
 
 
 def test_jacobian_examples():
@@ -250,7 +272,7 @@ def test_jacobian_lower_bound_on_neighborhood(f_const):
         x = (fam_data.y + (rng.random() - 0.5) * 2 * fam_data.neighborhood[1] * 0.9) % 1.0
         sigma = [Word(a.letters + tuple(rng.integers(1, 3, size=n - fam_data.nu)), 2)
                  for a in aprime]
-        assert jacobian(g_matrix(x, sigma, fam)) >= 1.0
+        assert jacobian(g_matrix(x, [w.index for w in sigma], n, fam)) >= 1.0
 
 
 def test_probe_trend_and_frozen_fractions(f_const):
@@ -337,7 +359,7 @@ def test_family_positivity_guard(f_const):
 
 def test_prefix_refinement_partitions_cluster(f_generic):
     c = Word((1,), 2)
-    rep = slope_clusters(f_generic, 8, c, classify(f_generic, 0.9), window_factor=1.0)
+    rep = slope_clusters(f_generic, 8, c.letters, classify(f_generic, 0.9), window_factor=1.0)
     classes = prefix_refinement(f_generic, 8, c, rep.window, 3)
     words = [w for cls_ in classes for w in cls_]
     members = cluster_words(f_generic, 8, c, rep.window)
@@ -352,6 +374,6 @@ def test_prefix_refinement_partitions_cluster(f_generic):
 
 
 def test_prefix_refinement_rejects_bad_length(f_generic):
-    rep = slope_clusters(f_generic, 6, Word((1,), 2), classify(f_generic, 0.9))
+    rep = slope_clusters(f_generic, 6, (1,), classify(f_generic, 0.9))
     with pytest.raises(InvalidArgument):
         prefix_refinement(f_generic, 6, Word((1,), 2), rep.window, 7)

@@ -22,8 +22,11 @@ reached as a member.
 Every top-level definition outside the closure, and every unreached member
 of a reached class, fails the test unless ``ALLOWED`` names it with a
 reason; ``__init__`` and ``__main__`` only re-export and dispatch, so they
-are not scanned.  Independent reference paths and paper constructions that
-no subcommand runs belong in ``tests/oracles.py``.
+are not scanned.  Each name ``__init__`` re-exports is followed through the
+modules' imports to its definition, which must be reached or ``ALLOWED``:
+a concept no subcommand runs cannot stay public.  Independent reference
+paths and paper constructions that no subcommand runs belong in
+``tests/oracles.py``.
 """
 
 import ast
@@ -163,12 +166,31 @@ def unread_members(package=PACKAGE):
                   if not _is_dunder(name) and name not in loaded)
 
 
+def unreached_exports(package=PACKAGE):
+    """The names ``__init__`` re-exports whose definition, found by following
+    each ``from .x import y`` through the modules' own imports, is outside
+    the closure, as "module.name"."""
+    tables = _tables(package)
+    reached, _ = _closure(tables, ("cli", "main"))
+    out = []
+    for module, name in _module_table(os.path.join(package, "__init__.py"))[1].values():
+        while module in tables and name in tables[module][1] and name not in tables[module][0]:
+            module, name = tables[module][1][name]
+        if name is not None and (module, name) not in reached:
+            out.append(f"{module}.{name}")
+    return sorted(out)
+
+
 def test_every_definition_is_reached_from_the_cli():
     assert [name for name in unreachable() if name not in ALLOWED] == []
 
 
 def test_every_member_is_read_by_reached_code():
     assert [name for name in unread_members() if name not in ALLOWED] == []
+
+
+def test_every_export_is_reached_from_the_cli():
+    assert [name for name in unreached_exports() if name not in ALLOWED] == []
 
 
 def test_every_allowed_name_exists_and_is_unreached():
@@ -213,3 +235,21 @@ def test_the_member_closure_follows_dunders_and_reached_methods(tmp_path):
     # so neither its read of depth nor its call of orphan counts
     assert unread_members(str(tmp_path)) == ["model.Box.depth", "model.Box.volume"]
     assert unreachable(str(tmp_path)) == ["model.orphan"]
+
+
+def test_exports_follow_imports_to_their_definitions(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .cli import Box, main\n"
+        "from .model import orphan, gone\n")
+    (tmp_path / "cli.py").write_text(
+        "from .model import Box\n"
+        "def main():\n"
+        "    return Box()\n")
+    (tmp_path / "model.py").write_text(
+        "class Box:\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    return 0\n")
+    # Box resolves through cli's import to model.Box, which main reaches; a
+    # re-export of an unreached or a missing definition is reported
+    assert unreached_exports(str(tmp_path)) == ["model.gone", "model.orphan"]
