@@ -83,45 +83,56 @@ def _check_crossings(f: TrigPolynomial, largest: float, start: float = 0.0) -> N
             t_limit=t_limit, max_crossings=MAX_CROSSINGS)
 
 
-def advance(f: TrigPolynomial, x, total):
+def advance(f: TrigPolynomial, x, total, fx=None):
     """Flow the base point x for total >= 0 units of flow time measured from
-    s = 0.  Returns (x', s', n): the landing base point, the remaining flow
-    coordinate, and the number of roof crossings.  Vectorized over arrays.
+    s = 0.  Returns (x', s', n, f(x')): the landing base point, the remaining
+    flow coordinate, the number of roof crossings and the height of the
+    landing point.  Vectorized over arrays.
 
-    A partial Birkhoff sum within ROOF_TOL of total counts as a crossing, so
-    points landing exactly on the roof come out at the base of the next
-    fiber.  Raises ResourceLimit before the first crossing when the largest
-    total could take more than MAX_CROSSINGS of them.
+    fx, when given, is f(x) (broadcast like x): the heights are then not
+    evaluated again.  f is evaluated once per point and once per roof
+    crossing, only at the points that just crossed: a point that does not
+    cross is finished.  A partial Birkhoff sum within ROOF_TOL of total
+    counts as a crossing, so points landing exactly on the roof come out at
+    the base of the next fiber.  Raises ResourceLimit before the first
+    crossing when the largest total could take more than MAX_CROSSINGS of
+    them.
     """
     x = np.asarray(x, dtype=float)
     total = np.asarray(total, dtype=float)
     _check_crossings(f, float(np.max(total, initial=0.0)))
     x, rem = np.broadcast_arrays(x, total)
-    x = x.copy()
-    rem = rem.astype(float).copy()
+    shape = x.shape
+    x = x.flatten()
+    rem = rem.flatten()
+    if fx is None:
+        fx = np.asarray(f(x), dtype=float)
+    else:
+        fx = np.broadcast_to(np.asarray(fx, dtype=float), shape).flatten()
     n = np.zeros(x.shape, dtype=int)
-    while True:
-        fx = f(x)
-        fx = np.asarray(fx, dtype=float)
-        cross = fx <= rem + ROOF_TOL
-        if not np.any(cross):
-            break
-        rem = np.where(cross, rem - fx, rem)
-        x = np.where(cross, (f.ell * x) % 1.0, x)
-        n = n + cross
+    live = np.flatnonzero(fx <= rem + ROOF_TOL)
+    while live.size:
+        rem[live] -= fx[live]
+        y = f.ell * x[live]
+        x[live] = y - np.floor(y)   # the bits of y % 1.0, at less cost
+        n[live] += 1
+        fx[live] = f(x[live])
+        live = live[fx[live] <= rem[live] + ROOF_TOL]
     rem = np.maximum(rem, 0.0)
-    return x, rem, n
+    return x.reshape(shape), rem.reshape(shape), n.reshape(shape), fx.reshape(shape)
 
 
-def advance_through(f: TrigPolynomial, x, s, times, step=advance):
+def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
     """Sample the flow of the points (x, s) at several times.
 
-    Yields (t, x_t, s_t) once per distinct time, in increasing order; each
-    state is moved from the previous sample by the time difference, so the
-    roof crossings cost O(T) in total rather than O(T^2).  Callers that need
-    the samples in their own order (or with repeats) key them by t.  ``step``
-    is the advance function to use; callers pass their own module's binding
-    of ``advance`` so a wrapper placed on it sees every step.  Raises
+    Yields (t, x_t, s_t, f(x_t)) once per distinct time, in increasing
+    order; each state is moved from the previous sample by the time
+    difference, and the heights f(x_t) are handed on to the next step, so the
+    roof crossings cost O(T) in total rather than O(T^2) and f is evaluated
+    once per point and crossing.  fx, when given, is f(x).  Callers that need
+    the samples in their own order (or with repeats) key them by t.
+    ``step`` is the advance function to use; callers pass their own module's
+    binding of ``advance`` so a wrapper placed on it sees every step.  Raises
     ResourceLimit up front when the largest time could take more than
     MAX_CROSSINGS roof crossings, so no step does.
     """
@@ -131,13 +142,13 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance):
     # a step flows from s_k <= s + t_k for t_(k+1) - t_k, so within s + t_(k+1)
     _check_crossings(f, float(np.max(t_arr, initial=0.0)), float(np.max(s, initial=0.0)))
 
-    def samples(x, s):
+    def samples(x, s, fx):
         t_prev = 0.0
         for t in np.unique(t_arr).tolist():
-            x, s, _ = step(f, x, s + (t - t_prev))
+            x, s, _, fx = step(f, x, s + (t - t_prev), fx=fx)
             t_prev = t
-            yield t, x, s
-    return samples(x, s)
+            yield t, x, s, fx
+    return samples(x, s, fx)
 
 
 class _BranchTable:

@@ -198,11 +198,13 @@ def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial, t_samples) 
     nx, ns = 24, 6
     xs = np.arange(nx) / nx
     pts_x = np.repeat(xs, ns)
-    pts_s = ((np.arange(ns) + 0.5)[None, :] * f(xs)[:, None] / ns).ravel()
+    heights = f(xs)
+    pts_s = ((np.arange(ns) + 0.5)[None, :] * heights[:, None] / ns).ravel()
     Psi_at = eval_periodic_samples(report.Psi, pts_x)
     phi0 = np.exp(2j * np.pi / c * (Psi_at + pts_s))
     defect = 0.0
-    for t, x1, s1 in advance_through(f, pts_x, pts_s, t_samples, step=advance):
+    for t, x1, s1, _ in advance_through(f, pts_x, pts_s, t_samples, step=advance,
+                                        fx=np.repeat(heights, ns)):
         Psi1 = eval_periodic_samples(report.Psi, x1)
         phi1 = np.exp(2j * np.pi / c * (Psi1 + s1))
         defect = max(defect, float(np.max(np.abs(phi1 - np.exp(2j * np.pi * t / c) * phi0))))

@@ -11,21 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def _g(u):
-    """exp(-1/u) for u > 0, 0 otherwise (vectorized, overflow-safe)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
 def step(u):
-    """Smooth step: 0 for u <= 0, 1 for u >= 1, C-infinity everywhere."""
+    """Smooth step: 0 for u <= 0, 1 for u >= 1, C-infinity everywhere.
+
+    In between it is exp(-1/u) / (exp(-1/u) + exp(-1/(1-u))); the two
+    exponentials are evaluated only there, and NaN stays NaN.
+    """
     u = np.asarray(u, dtype=float)
-    a = _g(u)
-    b = _g(1.0 - u)
-    return a / (a + b)
+    out = np.where(u >= 1.0, 1.0, u)
+    out[u <= 0.0] = 0.0
+    mid = (u > 0.0) & (u < 1.0)
+    a = np.exp(-1.0 / u[mid])
+    out[mid] = a / (a + np.exp(-1.0 / (1.0 - u[mid])))
+    return out[()]   # a scalar for 0-d input, like a ufunc's result
 
 
 def chi(s):

@@ -4,7 +4,9 @@ The flow domain is tiled by nx columns of ns rectangular boxes whose
 heights follow the ceiling at the column midpoint.  The Ulam matrix entry
 (i, j) is the fraction of a deterministic rank-1 lattice of points seeded
 in box j that the time-t map sends into box i; columns therefore sum to one
-exactly and the leading eigenvalue sits at 1 up to solver tolerance.
+exactly and the leading eigenvalue sits at 1 up to solver tolerance.  A
+column is nonzero only in the few boxes its points land in, so the matrix is
+assembled and kept sparse (CSR).
 
 Ulam eigenvalues approximate transfer-operator resonances only
 heuristically; every spectrum report carries the "discretized spectrum"
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .ceiling import TrigPolynomial, extrema
@@ -61,8 +64,15 @@ class BoxPartition:
 
 @dataclass(frozen=True)
 class UlamOperator:
-    matrix: np.ndarray
+    """The time-t Ulam matrix, stored sparse (CSR) as assembled."""
+
+    sparse: scipy.sparse.csr_array
     t: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the matrix, for the small-problem eigensolve."""
+        return self.sparse.toarray()
 
 
 @dataclass(frozen=True)
@@ -136,13 +146,16 @@ def _lattice(points: int, seed: int, mode: str, count: int):
 def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
                points_per_box: int, seed: int = 0,
                mode: str = "lattice") -> UlamOperator:
-    """Ulam matrix of the time-t map on the box partition.
+    """Ulam matrix of the time-t map on the box partition, assembled sparse.
 
     Sample points in a box may stick out above the true ceiling when f dips
     below the column-midpoint height; the flow advance handles any s >= 0
     and lands inside the domain, and landing coordinates above the landing
     column's height are assigned to its top slice, so every sampled point is
-    accounted for and columns sum to one exactly.
+    accounted for and columns sum to one exactly.  An entry hit by c of a
+    box's points holds c additions of 1/points_per_box in sequence, the sum a
+    dense accumulation would make.  MEM_CAP_BYTES bounds the dense copy that
+    ``UlamOperator.matrix`` makes.
     """
     if t < 0:
         raise InvalidArgument(f"t must be >= 0, got {t}")
@@ -160,7 +173,7 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
     if t == 0.0:
         # the time-0 map is the identity on the domain; sampling would only
         # move the few points that stick out above the true ceiling
-        return UlamOperator(matrix=np.eye(dim), t=0.0)
+        return UlamOperator(sparse=scipy.sparse.eye_array(dim, format="csr"), t=0.0)
 
     u, v = _lattice(points_per_box, seed, mode, dim)
     cols = np.repeat(np.arange(nx), ns)
@@ -170,38 +183,41 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
     s0 = (slices[:, None] + v) * (heights[:, None] / ns)
 
     # the crossing cap bounds s0 + t, so a refusal's t_limit is net of the tallest s0
-    ((_, x1, s1),) = advance_through(f, x0.ravel(), s0.ravel(), [t], step=advance)
+    ((_, x1, s1, _),) = advance_through(f, x0.ravel(), s0.ravel(), [t], step=advance)
     land_col = np.minimum((x1 * nx).astype(int), nx - 1)
     land_height = part.column_heights[land_col]
     land_slice = np.minimum((s1 * ns / land_height).astype(int), ns - 1)
     land_idx = land_col * ns + land_slice
     src_idx = np.repeat(np.arange(dim), points_per_box)
 
-    matrix = np.zeros((dim, dim))
-    np.add.at(matrix, (land_idx, src_idx), 1.0 / points_per_box)
-    return UlamOperator(matrix=matrix, t=float(t))
+    # entries in row-major order, each with the number of points it received
+    entry, count = np.unique(land_idx * dim + src_idx, return_counts=True)
+    row, col = np.divmod(entry, dim)
+    values = np.cumsum(np.full(points_per_box, 1.0 / points_per_box))[count - 1]
+    indptr = np.searchsorted(row, np.arange(dim + 1))
+    return UlamOperator(sparse=scipy.sparse.csr_array((values, col, indptr), shape=(dim, dim)),
+                        t=float(t))
 
 
 def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
     """Top-k eigenvalues of the Ulam matrix by modulus.
 
-    Small problems go through the dense LAPACK path; larger ones use the
-    implicitly restarted Arnoldi iteration with a fixed start vector, so the
-    result is deterministic given the matrix.  Arnoldi runs on a sparse (CSR)
-    view of the matrix: a column is nonzero only in the few boxes its lattice
-    points land in, so a matrix-vector product costs O(nonzeros), not
-    O(dim^2).
+    Small problems (dim <= 128) go through the dense LAPACK path on the
+    matrix's dense copy; larger ones run the implicitly restarted Arnoldi
+    iteration with a fixed start vector on the CSR matrix itself, so the
+    result is deterministic given the matrix and a matrix-vector product
+    costs O(nonzeros), not O(dim^2).
     """
     if k > 32:
         raise InvalidArgument(f"k must be <= 32, got {k}")
-    dim = op.matrix.shape[0]
+    dim = op.sparse.shape[0]
     if dim <= 128 or k >= dim - 1:
         vals = scipy.linalg.eigvals(op.matrix)
     else:
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
             vals = scipy.sparse.linalg.eigs(
-                scipy.sparse.csr_array(op.matrix), k=min(k + 2, dim - 2), which="LM",
+                op.sparse, k=min(k + 2, dim - 2), which="LM",
                 v0=v0, return_eigenvectors=False)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalFailure(
@@ -245,15 +261,16 @@ def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
 
     The nodes are sampled in increasing time, each sample flowed on from the
     previous one (``advance_through``); the curve lists the samples in the
-    order, and with the repeats, of ``t_list``.
+    order, and with the repeats, of ``t_list``.  The heights f at the nodes
+    and at every sample come from the flow advance, so f is evaluated once
+    per node and roof crossing.
     """
     x, s, fx, w = _quadrature_nodes(f, nx, ns)
     margin = CUTOFF_MARGIN_FRACTION * extrema(f, 0)[0]
     psi_vals = psi.values(x, s, fx, margin)
     mean_psi = float(np.sum(w * psi_vals))
     cor_at = {}
-    for t, x1, s1 in advance_through(f, x, s, t_list, step=advance):
-        fx1 = np.asarray(f(x1), dtype=float)
+    for t, x1, s1, fx1 in advance_through(f, x, s, t_list, step=advance, fx=fx):
         phi_vals = phi.values(x1, s1, fx1, margin)
         mean_phi = float(np.sum(w * phi_vals))
         cor_at[t] = float(np.sum(w * psi_vals * phi_vals) - mean_phi * mean_psi)

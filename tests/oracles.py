@@ -12,10 +12,12 @@ branch table per grid point and reads it with the library's per-table
 passes (``point_m`` is its single-point case), ``per_letter_g_matrix``
 makes one derivative call per word, letter and direction,
 ``per_bracket_roots`` bisects one bracket at a time, ``branches_payload``
-builds a ``Word`` per branch row and ``per_value_json`` renders one value
-at a time.  ``birkhoff`` and ``per_letter_g_matrix`` read a word letter by
-letter but place prefix i at (x + k_i)/ell^i, k_i being the index of the
-first i letters, which is the library's float expression.
+builds a ``Word`` per branch row, ``per_value_json`` renders one value
+at a time, ``dense_ulam`` accumulates the Ulam matrix into a dense array
+with ``np.add.at`` and ``exp_step`` evaluates both exponentials of the
+smooth step at every point.  ``birkhoff`` and ``per_letter_g_matrix`` read
+a word letter by letter but place prefix i at (x + k_i)/ell^i, k_i being
+the index of the first i letters, which is the library's float expression.
 
 Paper constructions.  The cone filter with the transversal orthogonality of
 paired minus bands, the strict ordering of polarizations, the members of a
@@ -34,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from semiflow.aniso import GridFunction2D, _check_bank
-from semiflow.dynamics import FlowPoint, branch_table
+from semiflow.dynamics import FlowPoint, advance, branch_table
 from semiflow.errors import InvalidArgument, PreconditionViolation
 from semiflow.genericity import BumpDirection
 from semiflow.smooth import chi
+from semiflow.spectral import BoxPartition, _lattice
 from semiflow.transversality import _overlap_maxima, _sweep_max
 
 ROOF_TOL = 1e-12
@@ -203,6 +206,44 @@ def correlation_from_zero(f, psi, phi, t_list, nx, ns, margin):
         cor = np.sum(w * psi_vals * phi_vals) - np.sum(w * phi_vals) * np.sum(w * psi_vals)
         out.append((float(t), float(cor)))
     return out
+
+
+def dense_ulam(f, t, nx, ns, points_per_box, seed=0, mode="lattice"):
+    """The Ulam matrix of ``spectral.build_ulam`` assembled densely: the
+    library's sample points and flow advance, then ``np.add.at`` adds
+    1/points_per_box into a dim x dim array once per sample point."""
+    part = BoxPartition.build(f, nx, ns)
+    dim = part.dim
+    if t == 0.0:
+        return np.eye(dim)
+    u, v = _lattice(points_per_box, seed, mode, dim)
+    cols = np.repeat(np.arange(nx), ns)
+    slices = np.tile(np.arange(ns), nx)
+    heights = part.column_heights[cols]
+    x0 = (cols[:, None] + u) / nx
+    s0 = (slices[:, None] + v) * (heights[:, None] / ns)
+    x1, s1, _, _ = advance(f, x0.ravel(), s0.ravel() + t)
+    land_col = np.minimum((x1 * nx).astype(int), nx - 1)
+    land_slice = np.minimum((s1 * ns / part.column_heights[land_col]).astype(int), ns - 1)
+    matrix = np.zeros((dim, dim))
+    np.add.at(matrix, (land_col * ns + land_slice, np.repeat(np.arange(dim), points_per_box)),
+              1.0 / points_per_box)
+    return matrix
+
+
+def exp_step(u):
+    """The smooth step by its formula at every point: a / (a + b) with
+    a = exp(-1/u) and b = exp(-1/(1-u)), each 0 where its argument is not
+    positive."""
+    u = np.asarray(u, dtype=float)
+
+    def g(v):
+        out = np.zeros_like(v)
+        pos = v > 0
+        out[pos] = np.exp(-1.0 / v[pos])
+        return out
+    a = g(u)
+    return a / (a + g(1.0 - u))
 
 
 def enumerate_branches(f, x, s, t, n_max=40):

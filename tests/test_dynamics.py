@@ -106,19 +106,19 @@ def _flow_count(f, x, T):
 
 
 def test_time_t_map_constant(f_const):
-    x, s, _ = advance(f_const, 0.3, 2.5)
+    x, s, _, _ = advance(f_const, 0.3, 2.5)
     assert float(x) == pytest.approx(0.2, abs=1e-12)
     assert float(s) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_time_t_map_identity_at_zero(f_generic):
-    x, s, n = advance(f_generic, 0.123, 0.4 + 0.0)
+    x, s, n, _ = advance(f_generic, 0.123, 0.4 + 0.0)
     assert (float(x), float(s), int(n)) == (0.123, 0.4, 0)
 
 
 def test_time_t_map_against_crossing_simulation(f_sin):
     x, s, n = crossing_simulation(f_sin, 0.1, 0.2, 5.0)
-    x1, s1, n1 = advance(f_sin, 0.1, 0.2 + 5.0)
+    x1, s1, n1, _ = advance(f_sin, 0.1, 0.2 + 5.0)
     assert float(x1) == pytest.approx(x, abs=1e-10)
     assert float(s1) == pytest.approx(s, abs=1e-10)
     assert int(n1) == n
@@ -158,7 +158,7 @@ def test_advance_through_matches_crossing_simulation(f_sin):
     s = rng.random(240) * f_sin(x)
     times = [4.5, 0.0, 1.25, 4.5, 0.0, 9.0, 2.75]
     seen = []
-    for t, xt, st in advance_through(f_sin, x, s, times):
+    for t, xt, st, _ in advance_through(f_sin, x, s, times):
         seen.append(t)
         for i in range(x.size):
             xr, sr, _ = crossing_simulation(f_sin, x[i], s[i], t)
@@ -173,6 +173,60 @@ def test_advance_through_rejects_negative_time(f_sin):
             advance_through(f_sin, [0.3], [0.0], times)
 
 
+def _same(a, b):
+    return len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def test_advance_returns_the_landing_heights(f_sin, f_generic, f_const3):
+    rng = np.random.default_rng(31)
+    x = rng.random(400)
+    total = rng.uniform(0.0, 9.0, 400)
+    for f in (f_sin, f_generic, f_const3):
+        out = advance(f, x, total)
+        assert np.array_equal(out[3], f(out[0]))
+        assert _same(advance(f, x, total, fx=f(x)), out)
+    scalar = advance(f_sin, 0.3, 2.5)
+    assert float(scalar[3]) == f_sin(float(scalar[0]))
+    assert _same(advance(f_sin, 0.3, 2.5, fx=f_sin(0.3)), scalar)
+
+
+def test_advance_evaluates_f_once_per_point_and_crossing(f_sin, monkeypatch):
+    from semiflow import ceiling
+
+    rng = np.random.default_rng(32)
+    x = rng.random(300)
+    total = rng.uniform(0.0, 12.0, 300)
+    fx = f_sin(x)
+    extrema(f_sin, 0)           # certified and cached before counting
+    evaluated = []
+    original = ceiling.eval
+
+    def counting_eval(f, x, order=0):
+        evaluated.append(np.size(x))
+        return original(f, x, order)
+    monkeypatch.setattr(ceiling, "eval", counting_eval)
+    _, _, n, _ = advance(f_sin, x, total)
+    crossings = int(np.sum(n))
+    assert crossings > x.size
+    assert sum(evaluated) == x.size + crossings
+    evaluated.clear()
+    advance(f_sin, x, total, fx=fx)
+    assert sum(evaluated) == crossings
+
+
+def test_advance_through_hands_on_the_heights(f_sin):
+    rng = np.random.default_rng(33)
+    x = rng.random(200)
+    s = rng.random(200) * f_sin(x)
+    times = [0.0, 2.5, 1.0, 7.25]
+    plain = list(advance_through(f_sin, x, s, times))
+    given = list(advance_through(f_sin, x, s, times, fx=f_sin(x)))
+    assert len(plain) == len(given) == 4
+    for a, b in zip(plain, given):
+        assert _same(a, b)
+        assert np.array_equal(a[3], f_sin(a[1]))
+
+
 def test_semigroup_property(f_sin):
     rng = np.random.default_rng(23)
     checked = 0
@@ -180,7 +234,7 @@ def test_semigroup_property(f_sin):
         x = float(rng.random())
         s = float(rng.uniform(0, f_sin(x)))
         t1, t2 = rng.uniform(0.3, 4.0, size=2)
-        mx, ms, _ = advance(f_sin, x, s + t1)
+        mx, ms, _, _ = advance(f_sin, x, s + t1)
         # skip near-roof intermediate landings, where crossing order flips
         if ms < 1e-6 or f_sin(mx) - ms < 1e-6:
             continue
@@ -239,7 +293,7 @@ def test_branches_forward_verification(f_sin):
     table, _ = inverse_branches(f_sin, z, t)
     assert abs(_weight_sum(table) - 1.0) <= 1e-10
     for _, _, y, sp, _, _ in _rows(table):
-        fx, fs, _ = advance(f_sin, y, sp + t)
+        fx, fs, _, _ = advance(f_sin, y, sp + t)
         dx = min(abs(fx - z.x), 1.0 - abs(fx - z.x))
         assert dx <= 1e-10
         assert float(fs) == pytest.approx(z.s, abs=1e-10)

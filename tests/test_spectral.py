@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from semiflow import InvalidArgument, ResourceLimit, TrigPolynomial
 from semiflow.spectral import (CUTOFF_MARGIN_FRACTION,
                                DISCRETIZED_SPECTRUM_CAVEAT, BoxPartition,
-                               Observable, build_ulam, correlation, decay_fit,
-                               spectrum)
+                               Observable, UlamOperator, build_ulam,
+                               correlation, decay_fit, spectrum)
 
-from oracles import correlation_from_zero
+from oracles import correlation_from_zero, dense_ulam
 
 # 1.3 + 0.3 sin 2 pi x + 0.1 cos 4 pi x + 0.05 (cos + sin) 6 pi x, ell = 3
 F_GEN3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
@@ -200,3 +201,25 @@ def test_decay_fit_masks_zeros():
     rate, _ = decay_fit(cc)
     assert rate == pytest.approx(0.5, rel=1e-9)
 
+
+
+@pytest.mark.parametrize("mode", ["lattice", "monte-carlo"])
+@pytest.mark.parametrize("ppb", [16, 37, 100])
+@pytest.mark.parametrize("nx, ns", [(30, 4), (50, 4)])     # dim 120: LAPACK, 200: Arnoldi
+@pytest.mark.parametrize("ceiling", ["sin", "gen3"])
+def test_sparse_ulam_equals_dense_assembly(ceiling, nx, ns, ppb, mode, f_sin):
+    f, t = (f_sin, 2.5) if ceiling == "sin" else (F_GEN3, 1.0)
+    op = build_ulam(f, t, nx, ns, ppb, seed=3, mode=mode)
+    dense = dense_ulam(f, t, nx, ns, ppb, seed=3, mode=mode)
+    assert np.array_equal(op.matrix, dense)
+    assert op.sparse.nnz == np.count_nonzero(dense)
+    # spectrum of the CSR view of the dense matrix is how the eigensolve ran on it
+    assert spectrum(op, 8) == spectrum(UlamOperator(scipy.sparse.csr_array(dense), t), 8)
+
+
+@pytest.mark.parametrize("nx, ns", [(30, 4), (50, 4)])
+def test_sparse_ulam_at_t0_equals_dense_assembly(nx, ns, f_sin):
+    op = build_ulam(f_sin, 0.0, nx, ns, 37)
+    dense = dense_ulam(f_sin, 0.0, nx, ns, 37)
+    assert np.array_equal(op.matrix, dense)
+    assert spectrum(op, 4) == spectrum(UlamOperator(scipy.sparse.csr_array(dense), 0.0), 4)

@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
 
@@ -22,7 +24,7 @@ import checks  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from semiflow import cli  # noqa: E402
+from semiflow import TrigPolynomial, cli, spectral  # noqa: E402
 
 
 def test_traced_short_workloads_pass_their_checks():
@@ -41,3 +43,17 @@ def test_traced_short_workloads_pass_their_checks():
     assert ("dynamics.advance", "spectral.build_ulam") in calls
     names = {name for name, *_ in tracer.spans}
     assert {"dynamics.inverse_branches", "canon.emit"} <= names
+
+
+def test_traced_ulam_counters_read_the_matrix_the_eigensolve_uses():
+    # the counters come from the dense view; they must describe the CSR matrix
+    f = TrigPolynomial(1.0, ((1, 0.0, 0.3), (2, 0.1, 0.0)), 2)
+    tracer = spans.Tracer()
+    with tracer.patched():
+        op = spectral.build_ulam(f, 2.0, 32, 8, 37, seed=4, mode="monte-carlo")
+    csr = op.sparse
+    assert tracer.counters["spectral.ulam_dim"] == csr.shape[0]
+    assert tracer.counters["spectral.ulam_nnz"] == csr.nnz
+    defect = float(np.max(np.abs(csr.sum(axis=0) - 1.0)))
+    assert defect > 0.0
+    assert tracer.counters["spectral.column_sum_defect"] == defect
