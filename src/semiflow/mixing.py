@@ -1,15 +1,14 @@
 """Weak-mixing detection through the canonical cobounding potential.
 
-If the flow fails to be weakly mixing, the slopes of the unstable line
-field on the base section are given by the preimage series
-
-    psi(x) = sum_{n>=1} sum_{tau^n y = x} ell^(-2n) f'(y),
-
-its antiderivative Psi satisfies the cocycle equation
+If the flow fails to be weakly mixing, f - c is a coboundary:
 Psi(tau x) - Psi(x) = f(x) - c with c the mean of f, and
 Phi(x, s) = exp((2 pi i / c)(Psi(x) + s)) is an eigenfunction of the flow.
-The computable obstruction is the sup-norm residual of the cocycle
-equation: it vanishes exactly in the degenerate case, so thresholding it
+The canonical Psi = sum_{n>=1} L^n (f - c), L the transfer operator of tau,
+is a trigonometric polynomial: L e_k = e_{k/ell} when ell divides k and 0
+otherwise, so ``depth`` levels of coefficient arithmetic give it exactly
+(every level past log_ell of the top harmonic is empty).  The computable
+obstruction is the sup-norm residual of the cocycle equation on a uniform
+``grid``: it vanishes exactly in the degenerate case, so thresholding it
 yields the weak-mixing verdict.
 
 The converse detection route through eigenfunctions with an arbitrary
@@ -38,8 +37,11 @@ class Verdict(Enum):
 
 @dataclass
 class CoboundaryReport:
+    """Psi as a trigonometric polynomial, the mean c of f, the residual grid
+    and the series depth; the residual and verdict fields are set later."""
+
     grid: int
-    Psi: np.ndarray
+    Psi: TrigPolynomial
     c: float
     depth: int
     tail_bound: float
@@ -54,94 +56,56 @@ class CoboundaryReport:
 
 
 def tail_bound(f: TrigPolynomial, depth: int) -> float:
-    """Truncation error of the preimage series after ``depth`` levels: the
-    level-n block is bounded by ell^(-n) max|f'|, so the tail is
-    max|f'| * ell^(-depth) / (ell - 1), with the certified max|f'|."""
+    """Truncation error of the preimage series of Psi' after ``depth``
+    levels: the level-n block is bounded by ell^(-n) max|f'|, so the tail
+    is max|f'| * ell^(-depth) / (ell - 1), with the certified max|f'|."""
     return max(map(abs, extrema(f, 1))) * f.ell ** float(-depth) / (f.ell - 1)
 
 
-def _level_sum(f: TrigPolynomial, x: np.ndarray, n: int) -> np.ndarray:
-    """sum over the ell^n preimages y of x of f'(y), by direct enumeration
-    of the points (x + k)/ell^n."""
-    M = f.ell ** n
-    k = np.arange(M, dtype=float)
-    pts = (x[:, None] + k[None, :]) / M
-    return np.sum(f(pts, 1), axis=1)
+def sample_psi(f: TrigPolynomial, depth: int) -> TrigPolynomial:
+    """Psi = sum_{n=1}^{depth} L^n (f - c), anchored at Psi(0) = 0.
 
-
-def _level_vanishes(f: TrigPolynomial, n: int) -> bool:
-    """A level-n preimage sum of a pure harmonic of frequency k over the
-    ell^n equally spaced points vanishes identically unless ell^n divides
-    k; with every frequency below ell^n the whole level is exactly zero."""
-    M = f.ell ** n
-    return all(k % M != 0 for k, _, _ in f.harmonics) or not f.harmonics
-
-
-def sample_psi(f: TrigPolynomial, xs: np.ndarray, depth: int) -> np.ndarray:
-    """Truncated preimage series on an array of points.
-
-    Levels whose preimage sums vanish identically (no harmonic frequency
-    divisible by ell^n) contribute exactly zero and are skipped; this is an
-    identity of the equally spaced cosine sums, not an approximation, and
-    every remaining level has at most max-harmonic many points, so deep
-    truncations stay cheap.
+    Level n keeps the harmonics of f whose frequency ell^n divides, at
+    frequency k/ell^n with unchanged coefficients; the levels stop after
+    ``depth`` or at the first empty one.  Coefficients landing on the same
+    frequency add, and the mean coefficient is minus the cosine sum.
     """
     if depth < 1:
         raise InvalidArgument(f"depth must be >= 1, got {depth}")
-    out = np.zeros_like(xs, dtype=float)
-    for n in range(1, depth + 1):
-        if _level_vanishes(f, n):
-            continue
-        out += f.ell ** (-2.0 * n) * _level_sum(f, xs, n)
-    return out
+    coeffs = {}
+    level = f.harmonics
+    for _ in range(depth):
+        level = [(k // f.ell, c, s) for k, c, s in level if k % f.ell == 0]
+        if not level:
+            break
+        for k, c, s in level:
+            a, b = coeffs.get(k, (0.0, 0.0))
+            coeffs[k] = (a + c, b + s)
+    harmonics = tuple((k, a, b) for k, (a, b) in coeffs.items())
+    return TrigPolynomial(-sum(a for _, a, _ in harmonics), harmonics, f.ell)
 
 
 def cobounding_potential(f: TrigPolynomial, grid: int, depth: int) -> CoboundaryReport:
-    """Sample psi on a uniform circle grid and antidifferentiate spectrally.
-
-    The antiderivative divides the discrete Fourier coefficients of the
-    mean-removed samples by 2 pi i k and anchors Psi(0) = 0; c is the mean
-    coefficient of f exactly.
-    """
+    """The potential Psi of f, with the grid its residual is read on; c is
+    the mean coefficient of f exactly."""
     if grid < 256 or grid & (grid - 1) != 0:
         raise InvalidArgument(f"grid must be a power of two >= 256, got {grid}")
-    xs = np.arange(grid) / grid
-    psi = sample_psi(f, xs, depth)
-
-    coeffs = np.fft.fft(psi)
-    coeffs[0] = 0.0
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer frequencies
-    denom = 2j * np.pi * freqs
-    denom[0] = 1.0
-    Psi_coeffs = coeffs / denom
-    Psi = np.real(np.fft.ifft(Psi_coeffs))
-    Psi -= Psi[0]
-    return CoboundaryReport(grid=grid, Psi=Psi, c=f.mean_coeff, depth=depth,
-                            tail_bound=tail_bound(f, depth))
-
-
-def eval_periodic_samples(samples: np.ndarray, xq) -> np.ndarray:
-    """Trigonometric interpolation of uniform periodic samples at arbitrary
-    points (spectral synthesis; reproduces the samples at the nodes)."""
-    G = len(samples)
-    coeffs = np.fft.fft(samples) / G
-    freqs = np.fft.fftfreq(G, d=1.0 / G)
-    xq = np.atleast_1d(np.asarray(xq, dtype=float))
-    phases = np.exp(2j * np.pi * np.outer(xq, freqs))
-    return np.real(phases @ coeffs)
+    return CoboundaryReport(grid=grid, Psi=sample_psi(f, depth), c=f.mean_coeff,
+                            depth=depth, tail_bound=tail_bound(f, depth))
 
 
 def cocycle_residual(report: CoboundaryReport, f: TrigPolynomial) -> float:
     """sup over the grid of |Psi(tau x) - Psi(x) - f(x) + c|.
 
     tau maps the uniform grid into itself exactly ((ell*j) mod G over G), so
-    the trigonometric interpolant of Psi at tau(x_j) reduces to an index
+    Psi is evaluated once on the grid and read at tau(x_j) by an index
     lookup.  Vanishes iff the canonical unstable line field is invariant.
     """
     G = report.grid
     idx = (f.ell * np.arange(G)) % G
     xs = report.grid_points
-    res = report.Psi[idx] - report.Psi - f(xs) + report.c
+    Psi = report.Psi(xs)
+    res = Psi[idx] - Psi - f(xs) + report.c
     value = float(np.max(np.abs(res)))
     report.residual_sup = value
     return value
@@ -200,12 +164,12 @@ def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial, t_samples) 
     pts_x = np.repeat(xs, ns)
     heights = f(xs)
     pts_s = ((np.arange(ns) + 0.5)[None, :] * heights[:, None] / ns).ravel()
-    Psi_at = eval_periodic_samples(report.Psi, pts_x)
+    Psi_at = report.Psi(pts_x)
     phi0 = np.exp(2j * np.pi / c * (Psi_at + pts_s))
     defect = 0.0
     for t, x1, s1, _ in advance_through(f, pts_x, pts_s, t_samples, step=advance,
                                         fx=np.repeat(heights, ns)):
-        Psi1 = eval_periodic_samples(report.Psi, x1)
+        Psi1 = report.Psi(x1)
         phi1 = np.exp(2j * np.pi / c * (Psi1 + s1))
         defect = max(defect, float(np.max(np.abs(phi1 - np.exp(2j * np.pi * t / c) * phi0))))
     return defect

@@ -21,7 +21,8 @@ def step(u):
     out = np.where(u >= 1.0, 1.0, u)
     out[u <= 0.0] = 0.0
     mid = (u > 0.0) & (u < 1.0)
-    a = np.exp(-1.0 / u[mid])
+    with np.errstate(over="ignore"):  # 1/u overflows at subnormal u; exp(-inf) = 0 exactly
+        a = np.exp(-1.0 / u[mid])
     out[mid] = a / (a + np.exp(-1.0 / (1.0 - u[mid])))
     return out[()]   # a scalar for 0-d input, like a ufunc's result
 

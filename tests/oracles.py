@@ -6,8 +6,10 @@ computational paths: branches are enumerated by flat integer indexing with
 forward orbit sums, pair sums are full quadratic scans, the flow is
 simulated crossing by crossing, words are letter tuples whose inverse
 branches are applied one letter at a time, masks are evaluated by their
-pointwise formula, and extrema come from dense grids.  A few references keep a loop that the library replaced,
-so each pair can be compared bit for bit: ``per_point_grid`` builds one
+pointwise formula, extrema come from dense grids, and the cobounding
+potential is the preimage series of its derivative integrated by FFT
+(``fft_potential``).  A few references keep a loop that the library
+replaced, so each pair can be compared bit for bit: ``per_point_grid`` builds one
 branch table per grid point and reads it with the library's per-table
 passes (``point_m`` is its single-point case), ``per_letter_g_matrix``
 makes one derivative call per word, letter and direction,
@@ -95,6 +97,50 @@ def unstable_slope(f, x, depth):
         total += f.ell ** (-2.0 * n) * float(np.sum(f((x + np.arange(M, dtype=float)) / M, 1)))
     return total
 
+
+
+def series_psi(f, xs, depth):
+    """Psi' by the truncated preimage series on an array of points: level n
+    adds ell^(-2n) times the sum of f' over the ell^n preimages
+    (x + k)/ell^n, enumerated at once.  A level whose every harmonic
+    frequency is indivisible by ell^n sums to zero identically (equally
+    spaced cosine sums) and is skipped."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    out = np.zeros_like(xs, dtype=float)
+    for n in range(1, depth + 1):
+        M = f.ell ** n
+        if all(k % M != 0 for k, _, _ in f.harmonics):
+            continue
+        k = np.arange(M, dtype=float)[None, :]
+        for i in range(0, xs.size, 256):  # 256 points at a time bound the memory
+            pts = (xs[i:i + 256, None] + k) / M
+            out[i:i + 256] += f.ell ** (-2.0 * n) * np.sum(f(pts, 1), axis=1)
+    return out
+
+
+def fft_potential(f, grid, depth):
+    """Psi on the uniform grid of ``grid`` points: the series samples of
+    Psi', antidifferentiated spectrally (discrete Fourier coefficients of
+    the mean-removed samples divided by 2 pi i k), anchored at Psi(0) = 0.
+    Exact only while the top frequency of Psi stays below grid/2."""
+    psi = series_psi(f, np.arange(grid) / grid, depth)
+    coeffs = np.fft.fft(psi)
+    coeffs[0] = 0.0
+    denom = 2j * np.pi * np.fft.fftfreq(grid, d=1.0 / grid)
+    denom[0] = 1.0
+    Psi = np.real(np.fft.ifft(coeffs / denom))
+    return Psi - Psi[0]
+
+
+def trig_interpolate(samples, xq):
+    """Trigonometric interpolation of uniform periodic samples at arbitrary
+    points (spectral synthesis; reproduces the samples at the nodes)."""
+    G = len(samples)
+    coeffs = np.fft.fft(samples) / G
+    freqs = np.fft.fftfreq(G, d=1.0 / G)
+    xq = np.atleast_1d(np.asarray(xq, dtype=float))
+    return np.real(np.exp(2j * np.pi * np.outer(xq, freqs)) @ coeffs)
 
 @dataclass(frozen=True)
 class Word:
@@ -240,7 +286,8 @@ def exp_step(u):
     def g(v):
         out = np.zeros_like(v)
         pos = v > 0
-        out[pos] = np.exp(-1.0 / v[pos])
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit at subnormal v
+            out[pos] = np.exp(-1.0 / v[pos])
         return out
     a = g(u)
     return a / (a + g(1.0 - u))

@@ -22,7 +22,6 @@ from semiflow.aniso import (ConeSpec, GridFunction2D, NormParams, Polarization,
                             mask_bank, partition_defect)
 from semiflow.cli import emit, parse_config, run
 from semiflow.genericity import PerturbationFamily, g_matrix, jacobian, slope_clusters
-from semiflow.mixing import sample_psi
 from semiflow.smooth import plateau
 from semiflow.spectral import Observable, build_ulam, correlation, spectrum
 
@@ -85,7 +84,7 @@ def test_acceptance_3_coboundary_round_trip():
     rep = cobounding_potential(f, 4096, 24)
     xs = rep.grid_points
     expected_psi = 0.1 * math.pi * np.cos(2 * math.pi * xs)
-    psi_err = float(np.max(np.abs(sample_psi(f, xs, rep.depth) - expected_psi)))
+    psi_err = float(np.max(np.abs(rep.Psi(xs, 1) - expected_psi)))
     assert psi_err <= rep.tail_bound + 1e-8
     residual = cocycle_residual(rep, f)
     assert residual <= 1e-8
@@ -107,7 +106,7 @@ def test_acceptance_4_weakly_mixing_example():
     """f = 1 + 0.2 sin(2 pi x): psi = 0, residual = 0.2, m(f,10) < 1."""
     f = TrigPolynomial(1.0, ((1, 0.0, 0.2),), 2)
     rep = cobounding_potential(f, 4096, 24)
-    psi_sup = float(np.max(np.abs(sample_psi(f, rep.grid_points, rep.depth))))
+    psi_sup = float(np.max(np.abs(rep.Psi(rep.grid_points, 1))))
     assert psi_sup <= 1e-10
     residual = cocycle_residual(rep, f)
     assert residual == pytest.approx(0.2, abs=1e-6)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -119,6 +121,27 @@ def test_sparse_arnoldi_matches_dense_eigvals(ceiling, nx, ns, f_sin):
     for v in top:
         assert min(abs(w - v) for w in rep.eigenvalues) <= 1e-10
     assert list(rep.multiplicities) == _multiplicities(list(top))
+
+
+def test_spectrum_takes_arnoldi_values_once_k_converged(capsys):
+    # ARPACK stops with 8 of the 10 values it iterates on converged; the 8
+    # reported ones are LAPACK's top 8 of the dense copy
+    from semiflow.cli import main
+    argv = ["spectrum", "--set",
+            'ceiling={"ell":3,"mean":1.3,"harmonics":[[1,0.0,0.3],[2,0.1,0.0],[3,0.05,0.05]]}',
+            "--set", "params.t=1.5", "--set", "params.nx=50", "--set", "params.ns=4",
+            "--set", "params.points_per_box=16", "--set", 'params.mode="monte-carlo"',
+            "--set", "seed=3"]
+    assert main(argv) == 0
+    got = [complex(*v) for v in json.loads(capsys.readouterr().out)["payload"]["eigenvalues"]]
+    op = build_ulam(F_GEN3, 1.5, 50, 4, 16, seed=3, mode="monte-carlo")
+    dense = scipy.linalg.eigvals(op.matrix)
+    top = dense[np.argsort(-np.abs(dense), kind="stable")][:8]
+    assert len(got) == 8
+    for v in got:
+        assert np.min(np.abs(top - v)) <= 1e-10
+    for v in top:
+        assert min(abs(w - v) for w in got) <= 1e-10
 
 
 def test_spectrum_k_cap(f_sin):
