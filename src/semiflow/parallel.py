@@ -2,13 +2,13 @@
 
 Results come back in input order and every item is computed independently,
 so the output never depends on the worker count.  The pool never holds more
-processes than there are items or CPUs; with one worker the map runs inline.
+processes than there are items or CPUs; with one worker the map runs inline,
+and the pool's module (which loads multiprocessing) is never imported.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def pmap(fn, items, workers: int = 1) -> list:
@@ -16,5 +16,6 @@ def pmap(fn, items, workers: int = 1) -> list:
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -695,7 +695,7 @@ def test_pmap_pool_never_exceeds_the_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     assert parallel.pmap(abs, range(-500, 500), 10 ** 6) == [abs(i) for i in range(-500, 500)]
     assert all(size <= (os.cpu_count() or 1) for size in sizes)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -722,6 +722,31 @@ def test_python_dash_m_runs_cli():
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert "eigenvalues" in json.loads(proc.stdout)["payload"]
+
+
+def test_only_spectrum_loads_scipy_and_one_worker_starts_no_pool():
+    # a fresh interpreter, since this one has loaded scipy for other tests
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = """
+import json, sys
+from semiflow import cli
+for name in cli.EXPERIMENTS:
+    cli.parse_config("{}", name)
+cfg = cli.parse_config(json.dumps({"params": {"t": 3.0, "x": 0.3}}), "branches")
+assert cli.emit(cli.run(cfg), "json")
+heavy = ("scipy", "concurrent.futures.process")
+print(json.dumps([name for name in heavy if name in sys.modules]))
+cfg = cli.parse_config(json.dumps({"params": {"t": 1.0, "nx": 8, "ns": 2,
+                                              "points_per_box": 16, "k": 4}}), "spectrum")
+assert cli.emit(cli.run(cfg), "json")
+print(json.dumps("scipy.sparse.linalg" in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded_before, loaded_after = map(json.loads, proc.stdout.splitlines())
+    assert loaded_before == []
+    assert loaded_after is True
 
 
 def test_cli_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
