@@ -116,20 +116,9 @@ class Polarization:
         return out
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Dyadic weights: 2^(2pn) on the plus pieces, 2^(2qn) on the minus."""
-
-    p: float
-    q: float
-
-    @classmethod
-    def strong(cls) -> "NormParams":
-        return cls(p=1.0, q=0.0)
-
-    @classmethod
-    def weak(cls) -> "NormParams":
-        return cls(p=0.75, q=-0.25)
+# Dyadic weights (p, q): 2^(2pn) on the plus pieces, 2^(2qn) on the minus.
+STRONG = (1.0, 0.0)
+WEAK = (0.75, -0.25)
 
 
 @dataclass
@@ -261,23 +250,28 @@ def band_norms(u: GridFunction2D, bank: MaskBank) -> dict:
     return {key: float(np.sum(np.abs(m * F) ** 2)) * scale for key, m in bank.masks}
 
 
-def aniso_norm(u: GridFunction2D, bank: MaskBank, params: NormParams) -> float:
-    """The anisotropic norm of u for the bank's polarization and the given
-    weights."""
+def aniso_norm(u: GridFunction2D, bank: MaskBank) -> tuple:
+    """(strong, weak): the anisotropic norms of u for the bank's
+    polarization with the STRONG and WEAK weights, both from one band
+    decomposition of u."""
     if not _support_ok(u):
         raise DomainViolation("function is not supported in the designated rectangle")
-    total = 0.0
-    for (n, sigma), sq in band_norms(u, bank).items():
-        w = 2.0 ** (2.0 * params.p * n) if sigma == "+" else 2.0 ** (2.0 * params.q * n)
-        total += w * sq
-    return math.sqrt(total)
+    bands = band_norms(u, bank).items()
+    norms = []
+    for p, q in (STRONG, WEAK):
+        total = 0.0
+        for (n, sigma), sq in bands:
+            w = 2.0 ** (2.0 * p * n) if sigma == "+" else 2.0 ** (2.0 * q * n)
+            total += w * sq
+        norms.append(math.sqrt(total))
+    return tuple(norms)
 
 
-def embedding_check(u: GridFunction2D, bank: MaskBank) -> float:
-    """Ratio of the plain L2 norm to the strong anisotropic norm; bounded by
-    sqrt(6), the intersection multiplicity of the mask supports."""
+def embedding_check(u: GridFunction2D, strong: float) -> float:
+    """Ratio of the plain L2 norm of u to its strong anisotropic norm
+    ``strong`` (the first value of ``aniso_norm``); bounded by sqrt(6), the
+    intersection multiplicity of the mask supports."""
     l2 = u.l2_norm()
     if l2 == 0.0:
         raise InvalidArgument("embedding_check needs a nonzero function")
-    return l2 / aniso_norm(u, bank, NormParams.strong())
-
+    return l2 / strong

@@ -35,13 +35,24 @@ CR_TRUNCATION_CAVEAT = "C^r norm surrogate truncated at order 3"
 MAX_HARMONIC = 1024
 _GRID = np.arange(4 * MAX_HARMONIC) / (4 * MAX_HARMONIC)
 
+# A config ceiling's certified range lies in [MIN_HEIGHT, MAX_HEIGHT], so the
+# dyadic bound K of ``classify`` and every flow height stay finite floats.
+MIN_HEIGHT = 2.0 ** -256
+MAX_HEIGHT = 2.0 ** 256
+
+# Word indices are int64, so ell is at most MAX_WORD_INDEX and a level n needs
+# ell^n <= MAX_WORD_INDEX; every sum of branch weights counted in units of
+# ell^-n_max then fits too.
+MAX_WORD_INDEX = 2 ** 63 - 1
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
     """Positive trig polynomial ceiling together with the map base ell.
 
     harmonics is a sequence of (k, cos_coeff, sin_coeff) with distinct
-    integer frequencies 1 <= k <= MAX_HARMONIC; it is stored sorted by k.
+    integer frequencies 1 <= k <= MAX_HARMONIC; it is stored sorted by k,
+    and 2 <= ell <= MAX_WORD_INDEX.
     """
 
     mean_coeff: float
@@ -49,8 +60,10 @@ class TrigPolynomial:
     ell: int = 2
 
     def __post_init__(self):
-        if int(self.ell) != self.ell or self.ell < 2:
-            raise InvalidArgument(f"ell must be an integer >= 2, got {self.ell}")
+        if int(self.ell) != self.ell or not 2 <= self.ell <= MAX_WORD_INDEX:
+            raise InvalidArgument(
+                f"ell must be an integer in [2, {MAX_WORD_INDEX}], a 64-bit word index, "
+                f"got {self.ell}")
         object.__setattr__(self, "ell", int(self.ell))
         hs = []
         seen = set()
@@ -186,7 +199,10 @@ def is_int(v) -> bool:
 def ceiling_from_config(spec: dict) -> TrigPolynomial:
     """Build a ceiling from its serialized form: keys ell, mean and harmonics
     (a list of [k, cos, sin] triples).  Each entry's type is checked before
-    it is used; a malformed spec raises InvalidArgument naming the entry."""
+    it is used; a malformed spec raises InvalidArgument naming the entry, as
+    does a ceiling that floats cannot carry: a coefficient above MAX_HEIGHT
+    in magnitude, or a positive certified range outside [MIN_HEIGHT,
+    MAX_HEIGHT]."""
     if not isinstance(spec, dict):
         raise InvalidArgument(f"ceiling must be an object, got {spec!r}")
     for key in spec:
@@ -202,4 +218,13 @@ def ceiling_from_config(spec: dict) -> TrigPolynomial:
             and is_number(h[1]) and is_number(h[2]) for h in harmonics)):
         raise InvalidArgument(
             f"harmonics must be a list of [integer, number, number], got {harmonics!r}")
-    return TrigPolynomial(mean_coeff=mean, harmonics=tuple(map(tuple, harmonics)), ell=ell)
+    # then no derivative up to order 3 of f overflows while it is certified
+    if not all(abs(v) <= MAX_HEIGHT for v in (mean, *(x for h in harmonics for x in h[1:]))):
+        raise InvalidArgument("mean and harmonic coefficients must be at most 2^256 in magnitude")
+    f = TrigPolynomial(mean_coeff=mean, harmonics=tuple(map(tuple, harmonics)), ell=ell)
+    f_min, f_max = extrema(f, 0)
+    # a nonpositive ceiling is the caller's to report
+    if f_min > 0.0 and not (MIN_HEIGHT <= f_min and f_max <= MAX_HEIGHT):
+        raise InvalidArgument(f"certified range [{f_min:.6g}, {f_max:.6g}] must lie in "
+                              "[2^-256, 2^256]")
+    return f

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import operator
 import sys
 import time
@@ -121,14 +122,24 @@ _SCHEMA = {
         "window_factor": Param(8.0, "a number", "> 0"),
         "probe": Param(False, "true or false"),
         "probe_n_values": Param([4, 6, 8], "a list of integers", ">= 1"),
-        "probe_samples": Param(400, "an integer", ">= 1"),
-        "probe_combos": Param(8, "an integer", ">= 1"),
+        "probe_samples": Param(400, "an integer", ">= 1 and <= 1048576"),
+        "probe_combos": Param(8, "an integer", ">= 1 and <= 4096"),
     },
     "branches": {
         "x": Param(0.3, "a number", ">= 0 and < 1"),
         "s": Param(0.0, "a number", ">= 0"),
         "t": Param(5.0, "a number", ">= 0"),
     },
+}
+
+# experiment -> (parameters, cap on their product): sizes that set an
+# allocation together, checked once every factor has passed its own rule
+_PRODUCT_CAPS = {
+    "transversality": [(("nx", "ns"), transversality.MAX_GRID)],
+    "spectrum": [(("nx", "ns"), spectral.MAX_DIM),
+                 (("nx", "ns", "points_per_box"), spectral.MAX_NODES),
+                 (("bound_nx", "bound_ns"), transversality.MAX_GRID)],
+    "correlations": [(("nx", "ns"), spectral.MAX_NODES)],
 }
 
 
@@ -216,11 +227,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if p.get("tol_strict") is not None and p.get("tol_clear") is not None \
             and not p["tol_strict"] < p["tol_clear"]:
         problems.append("tol_strict must be < tol_clear")
-    if exp == "spectrum" and "nx" in p and "ns" in p and p["nx"] * p["ns"] > spectral.MAX_DIM:
-        problems.append(f"nx*ns must be <= {spectral.MAX_DIM}")
-    if exp == "correlations" and "nx" in p and "ns" in p \
-            and p["nx"] * p["ns"] > spectral.MAX_NODES:
-        problems.append(f"nx*ns must be <= {spectral.MAX_NODES}")
+    for names, cap in _PRODUCT_CAPS.get(exp, ()):
+        if all(name in p for name in names) and math.prod(map(p.get, names)) > cap:
+            problems.append(f"{'*'.join(names)} must be <= {cap}")
     for name in ("psi", "phi"):
         if name in p:
             try:
@@ -355,19 +364,14 @@ def _run_norms(cfg: ExperimentConfig):
         u = aniso.GridFunction2D(
             values=envelope * np.cos(2 * np.pi * (k1 * X + k2 * Y) + rng.random()),
             spacing=grid.spacing, rect=grid.rect)
-        strong = aniso.aniso_norm(u, bank, aniso.NormParams.strong())
-        weak = aniso.aniso_norm(u, bank, aniso.NormParams.weak())
+        strong, weak = aniso.aniso_norm(u, bank)
         rows.append({
             "id": f"mode_{i}_({k1},{k2})",
             "strong_norm": strong, "weak_norm": weak,
-            "embedding_ratio": aniso.embedding_check(u, bank),
+            "embedding_ratio": aniso.embedding_check(u, strong),
             "weak_le_strong": bool(weak <= strong + 1e-12),
         })
-    payload = {
-        "partition_defect": aniso.partition_defect(bank),
-        "functions": rows,
-    }
-    return payload, []
+    return {"partition_defect": aniso.partition_defect(bank), "functions": rows}, []
 
 
 def _run_genericity(cfg: ExperimentConfig):

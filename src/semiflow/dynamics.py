@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ceiling import TrigPolynomial, extrema
+from .ceiling import MAX_WORD_INDEX, TrigPolynomial, extrema
 from .errors import DomainViolation, InvalidArgument, NumericalFailure, ResourceLimit
 
 # Points within ROOF_TOL of the roof are treated as already transferred to
@@ -38,10 +38,6 @@ BRANCH_CAP = 2 ** 24
 
 # Roof crossings of one flow advance; each takes at least min f of flow time.
 MAX_CROSSINGS = 2 ** 14
-
-# Word indices are int64, so a level n needs ell^n <= MAX_WORD_INDEX; every
-# sum of branch weights counted in units of ell^-n_max then fits too.
-MAX_WORD_INDEX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -75,9 +71,10 @@ def prefix_points(x: float, k, n: int, ell: int) -> np.ndarray:
 def _check_crossings(f: TrigPolynomial, largest: float, start: float = 0.0) -> None:
     """Raise ResourceLimit, naming the largest admissible time, when flowing
     for ``largest`` from a height of at most ``start`` could cross the roof
-    more than MAX_CROSSINGS times: each crossing takes at least min f."""
-    t_limit = MAX_CROSSINGS * max(extrema(f, 0)[0], 1e-9) - start
-    if largest > t_limit:
+    more than MAX_CROSSINGS times: each crossing takes at least min f, which
+    config parsing certifies positive.  A nan time or limit is refused too."""
+    t_limit = MAX_CROSSINGS * extrema(f, 0)[0] - start
+    if not largest <= t_limit:
         raise ResourceLimit(
             f"flow time {largest} would cross the roof more than {MAX_CROSSINGS} times",
             t_limit=t_limit, max_crossings=MAX_CROSSINGS)
@@ -181,10 +178,10 @@ class _BranchTable:
 
 def _max_admissible_t(f: TrigPolynomial, s: float) -> float:
     """Largest t for which the level scan provably stays under BRANCH_CAP."""
-    f_min = max(extrema(f, 0)[0], 1e-9)
-    # level scan reaches depth ~ (t - s)/f_min + 1; ell^depth <= cap
-    depth = math.log(BRANCH_CAP, f.ell) - 1.0
-    return s + depth * f_min
+    # level scan reaches depth ~ (t - s)/f_min + 1; ell^depth <= cap, and an
+    # ell above the cap leaves no level to reach
+    depth = max(0.0, math.log(BRANCH_CAP, f.ell) - 1.0)
+    return s + depth * extrema(f, 0)[0]
 
 
 class _ColumnScan:

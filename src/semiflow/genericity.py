@@ -22,8 +22,8 @@ import numpy as np
 
 # the module never calls classify: every caller passes the class.  The
 # traced benchmark (bench/spans.py) wraps genericity.classify by name.
-from .ceiling import CeilingClass, TrigPolynomial, classify  # noqa: F401
-from .dynamics import MAX_WORD_INDEX, prefix_points
+from .ceiling import MAX_WORD_INDEX, CeilingClass, TrigPolynomial, classify  # noqa: F401
+from .dynamics import prefix_points
 from .errors import DomainViolation, InvalidArgument, ResourceLimit
 from .smooth import flat_bump, plateau
 

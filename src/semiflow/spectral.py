@@ -43,7 +43,8 @@ GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_DIM = 2 ** 16
 MEM_CAP_BYTES = 2 ** 31
-# correlation quadrature nodes: a few arrays of this many floats each
+# points one flow run moves (correlation quadrature nodes, Ulam sample
+# points): a few arrays of this many floats each
 MAX_NODES = 2 ** 22
 
 # observables vanish within this fraction of min f near the top and bottom

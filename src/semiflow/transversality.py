@@ -37,6 +37,9 @@ from .parallel import pmap
 
 GRID_LOWER_BOUND_CAVEAT = "grid lower bound"
 
+# grid points (nx*ns) of one m(f,t) pass that a config may ask for
+MAX_GRID = 2 ** 16
+
 
 @dataclass(frozen=True)
 class TransversalityEstimate:

@@ -17,7 +17,7 @@ from semiflow import (FlowPoint, TrigPolynomial, Verdict, classify,
                       cobounding_potential, cocycle_residual, extrema,
                       eigenfunction_check, exponent_fit, inverse_branches,
                       m_of_t, n_of_t, weak_mixing_test)
-from semiflow.aniso import (ConeSpec, GridFunction2D, NormParams, Polarization,
+from semiflow.aniso import (ConeSpec, GridFunction2D, Polarization,
                             aniso_norm, embedding_check, make_grid,
                             mask_bank, partition_defect)
 from semiflow.cli import emit, parse_config, run
@@ -202,11 +202,10 @@ def test_acceptance_8_anisotropic_norms():
     for _ in range(100):
         u = GridFunction2D(values=window * rng.standard_normal((64, 64)),
                            spacing=grid.spacing, rect=grid.rect)
-        ratio = embedding_check(u, bank)
+        strong, weak = aniso_norm(u, bank)
+        ratio = embedding_check(u, strong)
         worst_ratio = max(worst_ratio, ratio)
         assert ratio <= math.sqrt(6.0)
-        weak = aniso_norm(u, bank, NormParams.weak())
-        strong = aniso_norm(u, bank, NormParams.strong())
         assert weak <= strong + 1e-12
 
     cu, cv = ConeSpec(0.1, 0.2), ConeSpec(0.5, 0.6)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from semiflow.aniso import (ConeSpec, DomainViolation, GridFunction2D,
-                            InvalidArgument, NormParams, Polarization,
-                            aniso_norm, band_norms, embedding_check,
-                            make_grid, mask_bank, partition_defect)
+from semiflow.aniso import (STRONG, WEAK, ConeSpec, DomainViolation, GridFunction2D,
+                            InvalidArgument, Polarization, aniso_norm,
+                            band_norms, embedding_check, make_grid, mask_bank,
+                            partition_defect)
 from semiflow.errors import PreconditionViolation
 from semiflow.smooth import plateau
 
@@ -105,7 +105,7 @@ def test_parseval_identity(grid):
 
 def test_norm_zero_function(bank, grid):
     u = _wrap(grid, np.zeros((64, 64)))
-    assert aniso_norm(u, bank, NormParams.strong()) == 0.0
+    assert aniso_norm(u, bank)[0] == 0.0
 
 
 def test_single_mode_norm_weight(bank, grid):
@@ -118,7 +118,7 @@ def test_single_mode_norm_weight(bank, grid):
     assert 2.0 ** n <= xi <= 1.5 * 2.0 ** n
     X, _ = grid.coords()
     u = _wrap(grid, _window(grid) * np.cos(xi * X))
-    ratio = aniso_norm(u, bank, NormParams.strong()) / u.l2_norm()
+    ratio = aniso_norm(u, bank)[0] / u.l2_norm()
     assert ratio == pytest.approx(2.0 ** n, rel=0.02)
 
 
@@ -126,8 +126,7 @@ def test_weak_norm_dominated(bank, grid):
     rng = np.random.default_rng(9)
     for _ in range(10):
         u = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
-        weak = aniso_norm(u, bank, NormParams.weak())
-        strong = aniso_norm(u, bank, NormParams.strong())
+        strong, weak = aniso_norm(u, bank)
         assert weak <= strong + 1e-12
 
 
@@ -136,31 +135,30 @@ def test_embedding_bound_random_sweep(bank, grid):
     win = _window(grid)
     for _ in range(100):
         u = _wrap(grid, win * rng.standard_normal((64, 64)))
-        assert embedding_check(u, bank) <= math.sqrt(6.0)
+        assert embedding_check(u, aniso_norm(u, bank)[0]) <= math.sqrt(6.0)
 
 
 def test_embedding_low_frequency_mode(bank, grid):
     u = _wrap(grid, _window(grid))
-    ratio = embedding_check(u, bank)
+    ratio = embedding_check(u, aniso_norm(u, bank)[0])
     assert ratio <= 2.0
 
 
 def test_embedding_rejects_zero(bank, grid):
     with pytest.raises(InvalidArgument):
-        embedding_check(_wrap(grid, np.zeros((64, 64))), bank)
+        embedding_check(_wrap(grid, np.zeros((64, 64))), 0.0)
 
 
 def test_support_violation_raises(bank, grid):
     X, Y = grid.coords()
     u = _wrap(grid, np.exp(-(X ** 2 + Y ** 2)))  # tails leave the rectangle
     with pytest.raises(DomainViolation):
-        aniso_norm(u, bank, NormParams.strong())
+        aniso_norm(u, bank)
 
 
 def test_norm_params_validation():
-    weak, strong = NormParams.weak(), NormParams.strong()
-    assert (weak.p, weak.q) == (0.75, -0.25)
-    assert (strong.p, strong.q) == (1.0, 0.0)
+    assert WEAK == (0.75, -0.25)
+    assert STRONG == (1.0, 0.0)
 
 
 def test_orthogonality_disjoint_cones(bank, grid):
@@ -225,8 +223,7 @@ def test_norm_monotone_under_ordering(grid):
     ratios = []
     for _ in range(20):
         u = _wrap(grid, win * rng.standard_normal((64, 64)))
-        ratios.append(aniso_norm(u, coarse_bank, NormParams.strong())
-                      / aniso_norm(u, fine_bank, NormParams.strong()))
+        ratios.append(aniso_norm(u, coarse_bank)[0] / aniso_norm(u, fine_bank)[0])
     fitted_c = max(ratios)
     assert fitted_c < 4.0
 
@@ -282,6 +279,6 @@ def test_bank_refused_on_another_grid(bank):
         with pytest.raises(InvalidArgument):
             band_norms(g, bank)
         with pytest.raises(InvalidArgument):
-            aniso_norm(g, bank, NormParams.strong())
+            aniso_norm(g, bank)
         with pytest.raises(InvalidArgument):
             paired_band_inner(g, g, bank)

@@ -457,6 +457,34 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["correlations", "--set", "params.nx=100000000", "--set", "params.ns=100"],
      "validation error: nx*ns must be <= 4194304"),
     (["branches", "--set", 'out="report\\u0000.json"'], "validation error: out"),
+    # ceilings and bases that floats cannot carry: K = 2^1024, or a flow
+    # height of inf, or a base beyond a 64-bit word index
+    # (mixing with mean 1e308 runs in a subprocess below, where a hang fails on a timeout)
+    (["transversality", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
+     "validation error: bad ceiling: mean and harmonic"),
+    (["genericity", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
+     "validation error: bad ceiling: mean and harmonic"),
+    (["transversality", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
+     "validation error: bad ceiling: certified range"),
+    (["genericity", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
+     "validation error: bad ceiling: certified range"),
+    (["mixing", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[[1,1e308,1e308]]}'],
+     "validation error: bad ceiling: mean and harmonic"),
+    (["mixing", "--set", 'ceiling={"ell":2,"mean":1e77,"harmonics":[[1,5e76,0]]}'],
+     "validation error: bad ceiling: certified range"),
+    (["mixing", "--set", 'ceiling={"ell":100000000000000000000,"mean":1,"harmonics":[]}'],
+     "validation error: bad ceiling: ell must be an integer in [2, 9223372036854775807]"),
+    # every size that sets an allocation is capped before anything is allocated
+    (["spectrum", "--set", "params.points_per_box=100000000"],
+     "validation error: nx*ns*points_per_box must be <= 4194304"),
+    (["spectrum", "--set", "params.bound_nx=100000", "--set", "params.bound_ns=100000"],
+     "validation error: bound_nx*bound_ns must be <= 65536"),
+    (["transversality", "--set", "params.nx=100000", "--set", "params.ns=100000"],
+     "validation error: nx*ns must be <= 65536"),
+    (["genericity", "--set", "params.probe_samples=10000000000"],
+     "validation error: probe_samples"),
+    (["genericity", "--set", "params.probe_combos=10000000000"],
+     "validation error: probe_combos"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
@@ -467,7 +495,7 @@ def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
 
 @pytest.mark.parametrize("argv, code, error", [
     # at this size s + S - t rounds to S, so no word is a branch
-    (["branches", "--set", "ceiling.mean=1e200"], 3, "numerical-failure"),
+    (["branches", "--set", "ceiling.mean=1e77"], 3, "numerical-failure"),
     (["spectrum", "--set", "params.t=1e6"], 2, "resource-limit"),
     (["mixing", "--set", "params.eigenfunction_times=[1e300]"], 2, "resource-limit"),
 ])
@@ -485,6 +513,44 @@ def test_cli_main_runaway_inputs_end_in_their_exit_code(argv, code, error, capsy
             assert doc["t_limit"] < 2 ** 14 - 0.9
     else:
         assert doc["weight_sum"] == 0.0
+
+
+def test_cli_main_branch_cap_t_limit_is_never_negative(capsys):
+    # with ell above the branch cap even level 1 exceeds it, so no t beyond
+    # s = 0 is admissible
+    ceiling = {"ell": 2 ** 62, "mean": 1.0, "harmonics": []}
+    assert main(["branches", "--set", "ceiling=" + json.dumps(ceiling)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "resource-limit" and doc["t_limit"] == 0.0
+
+
+def _semiflow(argv, timeout=120):
+    """``python -m semiflow`` with argv in a fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "semiflow", *argv],
+                          capture_output=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # min f = 1e-12 admits only 2^14 * 1e-12 of flow time; an advance for
+    # 1e-5 would take 10^7 roof crossings
+    (["correlations", "--set", 'ceiling={"ell":2,"mean":1e-12,"harmonics":[]}',
+      "--set", "params.t_values=[0.0,1e-5]", "--set", "params.nx=8", "--set", "params.ns=1"], 2),
+    # mean 1e308 would put the eigenfunction check's start heights at inf, which
+    # the crossing check must never let into the advance loop
+    (["mixing", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'], 1),
+], ids=["tiny-min-f", "huge-mean"])
+def test_cli_main_runaway_flows_end_promptly(argv, code):
+    # in a subprocess, so that a regression fails on the timeout instead of stalling
+    proc = _semiflow(argv, timeout=60)
+    assert proc.returncode == code, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    if code == 2:
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "resource-limit"
+        assert doc["t_limit"] == pytest.approx(2 ** 14 * 1e-12, rel=1e-3)
 
 
 @pytest.mark.parametrize("content", [b"[1]", b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff{}"],
@@ -614,6 +680,33 @@ def test_norms_run_builds_each_mask_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_norms_run_decomposes_each_function_once(monkeypatch, capsys):
+    # one support check and one FFT per function give both norms and the
+    # embedding ratio
+    from semiflow import aniso
+    ffts, supports = [], []
+    real_fft2, real_support = np.fft.fft2, aniso._support_ok
+
+    def counting_fft2(*args, **kwargs):
+        ffts.append(args)
+        return real_fft2(*args, **kwargs)
+
+    def counting_support(*args, **kwargs):
+        supports.append(args)
+        return real_support(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+    monkeypatch.setattr(aniso, "_support_ok", counting_support)
+    for num_functions in (1, 3):
+        ffts.clear()
+        supports.clear()
+        argv = ["norms", "--set", "params.grid_n=32",
+                "--set", f"params.num_functions={num_functions}"]
+        assert main(argv) == 0
+        assert len(ffts) == len(supports) == num_functions
+    capsys.readouterr()
+
+
 def test_genericity_run_classifies_once(monkeypatch, capsys):
     from semiflow import cli, genericity
     calls = []
@@ -715,11 +808,7 @@ def test_cli_main_bad_t_values(experiment, t_values, capsys):
 
 
 def test_python_dash_m_runs_cli():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "semiflow", "spectrum"],
-                          capture_output=True, env=env, timeout=120)
+    proc = _semiflow(["spectrum"])
     assert proc.returncode == 0, proc.stderr.decode()
     assert "eigenvalues" in json.loads(proc.stdout)["payload"]
 
