@@ -137,9 +137,6 @@ class GridFunction2D:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        N = self.values.shape[0]
-        if self.values.shape != (N, N) or N & (N - 1) != 0:
-            raise InvalidArgument("values must be a square array of power-of-two size")
 
     @property
     def N(self) -> int:

@@ -89,6 +89,8 @@ def canonical_json(obj) -> str:
 
 
 def _csv_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         s = _fmt_float(v)
         return s.strip('"')

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidArgument
+from .errors import InvalidArgument
 
 # Order-3 truncation of the smoothness-norm surrogate: reports must carry
 # this caveat because derivatives beyond f''' never enter the computations.
@@ -164,18 +164,13 @@ def classify(f: TrigPolynomial, gamma0: float) -> CeilingClass:
     """The class constants of f from the certified extrema of f and f'.
 
     K is the smallest power of two exceeding 1.01 * max(1/min f, max f,
-    max|f'|, grid max of |f''| and |f'''|).
+    max|f'|, grid max of |f''| and |f'''|).  f is strictly positive and
+    gamma0 lies in (1/ell, 1), as config parsing checks.
     """
-    ell = f.ell
-    if not (1.0 / ell < gamma0 < 1.0):
-        raise InvalidArgument(f"gamma0 must lie in (1/ell, 1) = (1/{ell}, 1), got {gamma0}")
-
     f_min, f_max = extrema(f, 0)
-    if f_min <= 0.0:
-        raise DomainViolation(f"ceiling is nonpositive (min {f_min:.6g}); it must be strictly positive")
     max_abs_f1 = max(map(abs, extrema(f, 1)))
 
-    denom = gamma0 * ell - 1.0
+    denom = gamma0 * f.ell - 1.0
     base = 1.01 * max(1.0 / f_min, f_max, max_abs_f1,
                       *(float(np.max(np.abs(eval(f, _GRID, order)))) for order in (2, 3)))
     K = 2.0 ** math.ceil(math.log2(base))
@@ -203,8 +198,6 @@ def ceiling_from_config(spec: dict) -> TrigPolynomial:
     does a ceiling that floats cannot carry: a coefficient above MAX_HEIGHT
     in magnitude, or a positive certified range outside [MIN_HEIGHT,
     MAX_HEIGHT]."""
-    if not isinstance(spec, dict):
-        raise InvalidArgument(f"ceiling must be an object, got {spec!r}")
     for key in spec:
         if key not in ("ell", "mean", "harmonics"):
             raise InvalidArgument(f"unknown key {key!r}")

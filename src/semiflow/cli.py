@@ -136,11 +136,14 @@ _SCHEMA = {
 # allocation together, checked once every factor has passed its own rule
 _PRODUCT_CAPS = {
     "transversality": [(("nx", "ns"), transversality.MAX_GRID)],
-    "spectrum": [(("nx", "ns"), spectral.MAX_DIM),
-                 (("nx", "ns", "points_per_box"), spectral.MAX_NODES),
+    "spectrum": [(("nx", "ns", "points_per_box"), spectral.MAX_NODES),
                  (("bound_nx", "bound_ns"), transversality.MAX_GRID)],
     "correlations": [(("nx", "ns"), spectral.MAX_NODES)],
 }
+
+
+def _product_rule(names, cap) -> str:
+    return f"{'*'.join(names)} must be <= {cap}"
 
 
 @dataclass
@@ -224,16 +227,20 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if exp is not None and "params" in top:
         p = _checked(_SCHEMA[exp], top["params"], f"{exp} parameter", problems)
     # the rules that relate two values or parse a nested spec, once their inputs passed
-    if p.get("tol_strict") is not None and p.get("tol_clear") is not None \
-            and not p["tol_strict"] < p["tol_clear"]:
-        problems.append("tol_strict must be < tol_clear")
+    tols = [p.get("tol_strict"), p.get("tol_clear")]
+    if tols.count(None) == 1 and ceiling is not None \
+            and {"tol_strict", "tol_clear", "depth"} <= p.keys():  # one omitted: its default
+        defaults = mixing.default_tolerances(ceiling, p["depth"])
+        tols = [d if v is None else v for v, d in zip(tols, defaults)]
+    if None not in tols and not tols[0] < tols[1]:
+        problems.append("tol_strict must be < tol_clear, got {} and {}".format(*tols))
     for names, cap in _PRODUCT_CAPS.get(exp, ()):
         if all(name in p for name in names) and math.prod(map(p.get, names)) > cap:
-            problems.append(f"{'*'.join(names)} must be <= {cap}")
+            problems.append(_product_rule(names, cap))
     for name in ("psi", "phi"):
         if name in p:
             try:
-                _observable_from_spec(p[name])
+                p[name] = _observable_from_spec(p[name])
             except InvalidArgument as exc:
                 problems.append(f"bad {name}: {exc}")
 
@@ -329,9 +336,7 @@ def _run_spectrum(cfg: ExperimentConfig):
 
 def _run_correlations(cfg: ExperimentConfig):
     p = cfg.params
-    psi = _observable_from_spec(p["psi"])
-    phi = _observable_from_spec(p["phi"])
-    curve = spectral.correlation(cfg.ceiling, psi, phi,
+    curve = spectral.correlation(cfg.ceiling, p["psi"], p["phi"],
                                  [float(t) for t in p["t_values"]], p["nx"], p["ns"])
     payload = {
         "psi_id": curve.psi_id, "phi_id": curve.phi_id,
@@ -463,9 +468,9 @@ def _payload_rows(payload):
 def emit(report: RunReport, format: str = "json", include_timing: bool = False) -> bytes:
     """Serialize a report canonically.
 
-    json renders the whole document; jsonl renders one record per line
-    (the native form of the transversality and genericity outputs); csv is
-    available for tabular payloads.
+    json renders the whole document; jsonl renders one record per line,
+    without the config echo and caveats; csv renders the same records as
+    rows, one column per scalar key of any record, in first-seen order.
     """
     if format == "json":
         doc = {
@@ -490,7 +495,8 @@ def emit(report: RunReport, format: str = "json", include_timing: bool = False) 
             header = ["t", "re", "im"]
             rows = [dict(zip(header, r)) for r in rows]
         else:
-            header = [k for k in rows[0] if not isinstance(rows[0][k], (dict, list))]
+            header = list(dict.fromkeys(k for r in rows for k, v in r.items()
+                                        if not isinstance(v, (dict, list))))
             rows = [{k: r.get(k) for k in header} for r in rows]
         return canonical_csv(rows, header).encode()
     raise InvalidArgument(f"unsupported format {format!r}")
@@ -514,12 +520,12 @@ def _apply_overrides(raw: dict, overrides) -> None:
         node[keys[-1]] = parsed
 
 
-def _help(heading: str, table: dict) -> str:
-    """A --help epilog: each entry of a schema table with its rule and default."""
+def _help(heading: str, table: dict, caps=()) -> str:
+    """A --help epilog: each schema entry with its rule and default, then the product caps."""
     width = max(map(len, table))
     return "\n".join([heading + "; a value's type is checked before its range:"] + [
         f"  {key:<{width}}  {param.rule}; default {json.dumps(param.default)}"
-        for key, param in table.items()])
+        for key, param in table.items()] + [f"  {_product_rule(*cap)}" for cap in caps])
 
 
 def main(argv=None) -> int:
@@ -530,14 +536,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         s = sub.add_parser(name, formatter_class=argparse.RawDescriptionHelpFormatter,
-                           epilog=_help("parameters (--set params.NAME=VALUE)", _SCHEMA[name]))
+                           epilog=_help("parameters (--set params.NAME=VALUE)", _SCHEMA[name],
+                                        _PRODUCT_CAPS.get(name, ())))
         s.add_argument("config", nargs="?", help="JSON config file (defaults used if omitted)")
         s.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE",
                        help="override a config entry (dotted path, JSON value)")
         s.add_argument("--out", help="output path ('-' for stdout)")
-        # transversality and genericity natively stream one record per line
-        default_fmt = "jsonl" if name in ("transversality", "genericity") else "json"
-        s.add_argument("--format", choices=("json", "jsonl", "csv"), default=default_fmt)
+        s.add_argument("--format", choices=("json", "jsonl", "csv"), default="json")
         s.add_argument("--workers", type=int, help="worker count override")
         s.add_argument("--timing", action="store_true", help="include wall time in the report")
     args = parser.parse_args(argv)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import MAX_WORD_INDEX, TrigPolynomial, extrema
-from .errors import DomainViolation, InvalidArgument, NumericalFailure, ResourceLimit
+from .errors import DomainViolation, NumericalFailure, ResourceLimit
 
 # Points within ROOF_TOL of the roof are treated as already transferred to
 # the base of the next fiber (right-limit convention of the flow).
@@ -46,14 +46,6 @@ class FlowPoint:
 
     x: float
     s: float
-
-
-def validate_point(f: TrigPolynomial, z: FlowPoint) -> float:
-    """Raise DomainViolation unless 0 <= s < f(x); returns the height f(x)."""
-    fx = f(z.x)
-    if not (0.0 <= z.s < fx + ROOF_TOL):
-        raise DomainViolation(f"point (x={z.x}, s={z.s}) is outside the region under the ceiling")
-    return fx
 
 
 def prefix_points(x: float, k, n: int, ell: int) -> np.ndarray:
@@ -120,7 +112,7 @@ def advance(f: TrigPolynomial, x, total, fx=None):
 
 
 def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
-    """Sample the flow of the points (x, s) at several times.
+    """Sample the flow of the points (x, s) at several times, all >= 0.
 
     Yields (t, x_t, s_t, f(x_t)) once per distinct time, in increasing
     order; each state is moved from the previous sample by the time
@@ -134,8 +126,6 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
     MAX_CROSSINGS roof crossings, so no step does.
     """
     t_arr = np.asarray(times, dtype=float).ravel()
-    if not np.all(np.isfinite(t_arr) & (t_arr >= 0.0)):
-        raise InvalidArgument(f"times must be finite and >= 0, got {times}")
     # a step flows from s_k <= s + t_k for t_(k+1) - t_k, so within s + t_(k+1)
     _check_crossings(f, float(np.max(t_arr, initial=0.0)), float(np.max(s, initial=0.0)))
 
@@ -305,19 +295,12 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
     add flow coordinates and times of the same column, and then
     ``table.scan.table(s, t)`` and ``table.scan.slope_profile(s, t)`` give
     the table of every pair (s, t) of the grid without a second scan, bit
-    for bit as a scan at that pair alone.  Raises DomainViolation when z or
-    an added s lies outside the region under the ceiling, and ResourceLimit,
-    naming the largest t, when one level would hold more than BRANCH_CAP
-    candidate words or words too long for an int64 index.
+    for bit as a scan at that pair alone.  The times are >= 0 and the flow
+    coordinates under the roof.  Raises ResourceLimit, naming the largest t,
+    when one level would hold more than BRANCH_CAP candidate words or words
+    too long for an int64 index.
     """
-    ts = [float(t), *map(float, t_values)]
-    if min(ts) < 0:
-        raise InvalidArgument(f"t must be >= 0, got {min(ts)}")
-    height = validate_point(f, z)
-    for s in s_values:
-        if not 0.0 <= s < height + ROOF_TOL:
-            raise DomainViolation(f"point (x={z.x}, s={s}) is outside the region under the ceiling")
-    return _column_scan(f, z.x, [z.s, *s_values], ts).table(z.s, t)
+    return _column_scan(f, z.x, [z.s, *s_values], [t, *t_values]).table(z.s, t)
 
 
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
@@ -335,7 +318,10 @@ def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     NumericalFailure when rounding leaves no branch, so that the branch
     weights cannot sum to 1 (a ceiling so large that s + S - t rounds to
     S)."""
-    if z.s >= validate_point(f, z) - ROOF_TOL:
+    fx = f(z.x)
+    if not 0.0 <= z.s < fx + ROOF_TOL:
+        raise DomainViolation(f"point (x={z.x}, s={z.s}) is outside the region under the ceiling")
+    if z.s >= fx - ROOF_TOL:
         raise DomainViolation(
             f"point (x={z.x}, s={z.s}) lies on the roof; the flow identifies it with "
             f"the base point (x={f.ell * z.x % 1.0}, s=0), so pass that point")

@@ -121,6 +121,13 @@ class SlopeClusterReport:
     max_cluster: int
 
 
+def _check_word_index(ell: int, n: int, what: str) -> None:
+    """Raise InvalidArgument when ell^n > MAX_WORD_INDEX, from ell^min(n, 64):
+    ell^64 is beyond already, and at a large n ell^n is a slow big-int power."""
+    if ell ** min(n, 64) > MAX_WORD_INDEX:
+        raise InvalidArgument(f"{what}: ell^{n} = {ell}^{n} exceeds the int64 word index")
+
+
 def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
     """Branch slopes at x for every word of length n, indexed little-endian."""
     ell = f.ell
@@ -141,6 +148,7 @@ def slope_clusters(f: TrigPolynomial, n: int, letters, cls: CeilingClass,
     criterion); theta_K is read from ``cls``, the class of f.  The endpoint
     of a word of m letters with index k is k/ell^m."""
     ell = f.ell
+    _check_word_index(ell, len(letters), f"base word of m = {len(letters)} letters")
     letters = tuple(int(a) for a in letters)
     if any(not 1 <= a <= ell for a in letters):
         raise InvalidArgument(f"letters must lie in 1..{ell}: {letters}")
@@ -251,13 +259,11 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int, seed: int,
         raise InvalidArgument(
             f"family provides {family.m} directions but a combination needs p = {p}; "
             "no slope-difference map can reach Jacobian 1")
-    if n < 1 or ell ** n < p + 1:
+    _check_word_index(ell, n, f"probe level n = {n}")
+    if ell ** n < p + 1:
         raise InvalidArgument(
             f"probe level n = {n} gives fewer than the p + 1 = {p + 1} distinct "
             f"words a combination needs (ell = {ell})")
-    if ell ** n > MAX_WORD_INDEX:
-        raise InvalidArgument(
-            f"probe level n = {n}: ell^n = {ell}^{n} words exceed the int64 word index")
     window = 10.0 * cls.theta_K * ell ** float(-n)
     rng = np.random.default_rng([seed, n, family.m])
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ceiling import TrigPolynomial, extrema
 from .dynamics import advance, advance_through
-from .errors import InvalidArgument, PreconditionViolation
+from .errors import PreconditionViolation
 
 
 class Verdict(Enum):
@@ -70,8 +70,6 @@ def sample_psi(f: TrigPolynomial, depth: int) -> TrigPolynomial:
     ``depth`` or at the first empty one.  Coefficients landing on the same
     frequency add, and the mean coefficient is minus the cosine sum.
     """
-    if depth < 1:
-        raise InvalidArgument(f"depth must be >= 1, got {depth}")
     coeffs = {}
     level = f.harmonics
     for _ in range(depth):
@@ -88,8 +86,6 @@ def sample_psi(f: TrigPolynomial, depth: int) -> TrigPolynomial:
 def cobounding_potential(f: TrigPolynomial, grid: int, depth: int) -> CoboundaryReport:
     """The potential Psi of f, with the grid its residual is read on; c is
     the mean coefficient of f exactly."""
-    if grid < 256 or grid & (grid - 1) != 0:
-        raise InvalidArgument(f"grid must be a power of two >= 256, got {grid}")
     return CoboundaryReport(grid=grid, Psi=sample_psi(f, depth), c=f.mean_coeff,
                             depth=depth, tail_bound=tail_bound(f, depth))
 
@@ -121,17 +117,17 @@ def weak_mixing_test(f: TrigPolynomial, tol_strict: float | None = None,
                      tol_clear: float | None = None, grid: int = 4096,
                      depth: int = 24) -> CoboundaryReport:
     """Full dichotomy test; the returned report carries the verdict, the
-    residual, and both tolerances."""
+    residual, and both tolerances.  The truncated series may miss up to
+    ``tail_bound`` of the residual, so NotWeaklyMixing needs the residual
+    plus the tail bound within tol_strict."""
     ts, tc = default_tolerances(f, depth)
     if tol_strict is None:
         tol_strict = ts
     if tol_clear is None:
         tol_clear = tc
-    if not tol_strict < tol_clear:
-        raise InvalidArgument(f"tol_strict ({tol_strict}) must be < tol_clear ({tol_clear})")
     report = cobounding_potential(f, grid, depth)
     residual = cocycle_residual(report, f)
-    if residual <= tol_strict:
+    if residual + report.tail_bound <= tol_strict:
         report.verdict = Verdict.NOT_WEAKLY_MIXING
     elif residual >= tol_clear:
         report.verdict = Verdict.WEAKLY_MIXING

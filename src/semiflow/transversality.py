@@ -152,22 +152,18 @@ def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass) -> 
 
 def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, cls: CeilingClass,
                    certified: bool = True, workers: int = 1) -> list:
-    """``(TransversalityEstimate, n_value)`` for every t of ``t_values``, in
-    their order: what ``m_of_t`` and ``n_of_t`` give for that t, from one
-    grid pass that scans each fiber column once, for all (s, t) pairs.
+    """``(TransversalityEstimate, n_value)`` for every t of the nonempty
+    ``t_values``, in their order: what ``m_of_t`` and ``n_of_t`` give for that
+    t, from one grid pass that scans each fiber column once, for all (s, t) pairs.
 
     The columns are split into contiguous chunks mapped over ``workers``
     processes; chunks are reduced in column order, so the results and the
     argmax tie-breaking do not depend on the worker count.
     """
-    if nx < 1 or ns < 1:
-        raise InvalidArgument("grid sizes must be >= 1")
     ts = [float(t) for t in t_values]
-    if not ts:
-        return []
     widen = 2.0 * cls.theta_K * (1.0 / nx) if certified else None
     task = functools.partial(_column_maxima, f, ts, nx, ns, cls, widen)
-    chunks = min(max(1, workers), nx)
+    chunks = min(workers, nx)
     parts = pmap(task, [range(i * nx // chunks, (i + 1) * nx // chunks)
                         for i in range(chunks)], chunks)
     best = parts[0]

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from semiflow import TrigPolynomial
+from semiflow import TrigPolynomial, ValidationError
+from semiflow.cli import parse_config
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +43,14 @@ def f_cob2():
 def f_generic():
     """Two-harmonic generic ceiling."""
     return TrigPolynomial(1.0, ((1, 0.0, 0.3), (2, 0.1, 0.0)), 2)
+
+
+def parse_violations(**config) -> str:
+    """The violations ``parse_config`` reports for a config (which must have
+    some), joined by "; "."""
+    with pytest.raises(ValidationError) as info:
+        parse_config(json.dumps(config))
+    return str(info.value)
 
 
 def random_positive_ceiling(rng) -> TrigPolynomial:

@@ -6,12 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from semiflow import DomainViolation, InvalidArgument, TrigPolynomial, classify, extrema
+from semiflow import InvalidArgument, TrigPolynomial, classify, extrema
 from semiflow import ceiling
 from semiflow.ceiling import MAX_HARMONIC, _refine_roots, ceiling_from_config
 from semiflow.ceiling import eval as feval
 
-from conftest import random_positive_ceiling
+from conftest import parse_violations, random_positive_ceiling
 from oracles import dense_max_abs_deriv, per_bracket_roots
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -77,16 +77,18 @@ def test_classify_generic_against_dense_grid_oracle(f_generic):
 
 
 def test_classify_rejects_nonpositive():
-    f = TrigPolynomial(0.5, ((1, 0.0, 0.8),), 2)
-    with pytest.raises(DomainViolation):
-        classify(f, 0.9)
+    # classify takes a positive ceiling on trust: positivity has its one
+    # check at parse, for every subcommand
+    ceiling = {"ell": 2, "mean": 0.5, "harmonics": [[1, 0.0, 0.8]]}
+    assert "ceiling violates positivity" in parse_violations(
+        experiment="genericity", ceiling=ceiling)
 
 
-def test_classify_rejects_bad_gamma0(f_sin):
-    with pytest.raises(InvalidArgument):
-        classify(f_sin, 0.4)
-    with pytest.raises(InvalidArgument):
-        classify(f_sin, 1.0)
+def test_classify_rejects_bad_gamma0():
+    # classify takes gamma0 in (1/ell, 1) on trust; parse refuses both ends
+    for gamma0 in (0.4, 0.5, 1.0):
+        assert "gamma0 must lie in (1/ell, 1) = (1/2, 1)" in parse_violations(
+            experiment="genericity", gamma0=gamma0)
 
 
 def test_theta_f_antitone_in_gamma0(f_generic):

@@ -485,6 +485,34 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
      "validation error: probe_samples"),
     (["genericity", "--set", "params.probe_combos=10000000000"],
      "validation error: probe_combos"),
+    # the schema is the one check of each of these values: the library takes
+    # them on trust (genericity probe_n_values=[0] is above)
+    (["spectrum", "--set", "params.t=-1"], "validation error: t must be a number >= 0"),
+    (["spectrum", "--set", "params.k=33"],
+     "validation error: k must be an integer >= 1 and <= 32"),
+    (["spectrum", "--set", 'params.mode="x"'], "validation error: mode must be lattice or"),
+    (["spectrum", "--set", "params.points_per_box=8"],
+     "validation error: points_per_box must be an integer >= 16"),
+    (["spectrum", "--set", "params.with_bound=true", "--set", "params.bound_ns=0"],
+     "validation error: bound_ns must be an integer >= 1"),
+    (["mixing", "--set", "params.grid=300"], "validation error: grid must be a power of two"),
+    (["mixing", "--set", "params.depth=0"], "validation error: depth must be an integer >= 1"),
+    # one tolerance given: the other takes its default (about 1e-6 and 1e-3 at f = 1)
+    (["mixing", "--set", "params.tol_strict=5"],
+     "validation error: tol_strict must be < tol_clear"),
+    (["mixing", "--set", "params.tol_clear=1e-9"],
+     "validation error: tol_strict must be < tol_clear"),
+    (["mixing", "--set", "params.eigenfunction_times=[1.0,-0.5]"],
+     "validation error: eigenfunction_times must be"),
+    (["mixing", "--set", "params.eigenfunction_times=[NaN]"],
+     "validation error: eigenfunction_times must be"),
+    (["branches", "--set", "params.t=-1"], "validation error: t must be a number >= 0"),
+    (["correlations", "--set", "params.t_values=[-1]"], "validation error: t_values must be"),
+    (["transversality", "--set", "params.nx=0"], "validation error: nx must be an integer >= 8"),
+    (["genericity", "--set", "gamma0=0.4"], "validation error: gamma0 must lie in (1/ell, 1)"),
+    (["genericity", "--set", 'ceiling={"ell":2,"mean":0.5,"harmonics":[[1,0.0,0.8]]}'],
+     "validation error: ceiling violates positivity"),
+    (["norms", "--set", "params.grid_n=48"], "validation error: grid_n must be a power of two"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
@@ -524,6 +552,64 @@ def test_cli_main_branch_cap_t_limit_is_never_negative(capsys):
     assert doc["error"] == "resource-limit" and doc["t_limit"] == 0.0
 
 
+@pytest.mark.parametrize("nx, ns", [(256, 128), (512, 256)])
+def test_cli_main_spectrum_dimension_cap_is_a_run_time_limit(nx, ns, capsys):
+    # the one cap on the Ulam dimension nx*ns is 2^14, checked before the
+    # matrix is built; 512*256 = 2^17 passes parse, as every size up to 2^18
+    # at 16 points per box does
+    argv = ["spectrum", "--set", f"params.nx={nx}", "--set", f"params.ns={ns}",
+            "--set", "params.points_per_box=16"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["error"] == "resource-limit" and doc["max_dim"] == 2 ** 14
+    assert doc["message"] == f"nx*ns = {nx * ns} exceeds the cap 16384"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("experiment, caveat", [
+    ("transversality", "grid lower bound"),
+    ("genericity", "C^r norm surrogate truncated at order 3"),
+])
+def test_cli_main_default_report_keeps_its_caveats(experiment, caveat, capsys):
+    small = {"transversality": ["params.t_values=[2.0]", "params.nx=8"],
+             "genericity": ["params.cluster_n_values=[4]"]}[experiment]
+    assert main([experiment, *(a for item in small for a in ("--set", item))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert caveat in doc["caveats"]
+    assert len(doc["config_hash"]) == 64
+
+
+def test_cli_main_csv_keeps_every_record_key(capsys):
+    # cluster and probe records have different keys: the header is their
+    # union in first-seen order, and a key a row lacks is an empty cell
+    argv = ["genericity", "--format", "csv", "--set", "params.probe=true",
+            "--set", "params.cluster_n_values=[4]", "--set", "params.probe_n_values=[4]",
+            "--set", "params.probe_samples=10"]
+    assert main(argv) == 0
+    header, cluster, probe = capsys.readouterr().out.splitlines()
+    assert header == ("kind,n,base_word,window,max_cluster,growth_rate,"
+                      "fraction,ci_low,ci_high,combos")
+
+    def empty_cells(row):
+        return [i for i, cell in enumerate(row.split(",")) if not cell]
+    assert cluster.startswith("cluster,4,1,") and empty_cells(cluster) == [6, 7, 8, 9]
+    assert probe.startswith("probe,4,") and empty_cells(probe) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("experiment, caps", [
+    ("transversality", ["nx*ns must be <= 65536"]),
+    ("spectrum", ["nx*ns*points_per_box must be <= 4194304",
+                  "bound_nx*bound_ns must be <= 65536"]),
+    ("correlations", ["nx*ns must be <= 4194304"]),
+])
+def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
+    with pytest.raises(SystemExit):
+        main([experiment, "--help"])
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert [line for line in lines if " must be <= " in line] == caps
+
+
 def _semiflow(argv, timeout=120):
     """``python -m semiflow`` with argv in a fresh interpreter."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -541,7 +627,14 @@ def _semiflow(argv, timeout=120):
     # mean 1e308 would put the eigenfunction check's start heights at inf, which
     # the crossing check must never let into the advance loop
     (["mixing", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'], 1),
-], ids=["tiny-min-f", "huge-mean"])
+    # words too long for an int64 index are refused before ell^n is formed: at
+    # ell = 3 the probe level's 3^(10^8) takes minutes, and the index sum of a
+    # 60,000-letter cluster word 30 s
+    (["genericity", "--set", 'ceiling={"ell":3,"mean":1.0,"harmonics":[]}',
+      "--set", "params.probe=true", "--set", "params.probe_n_values=[100000000]"], 1),
+    (["genericity", "--set", "params.cluster_word=" + json.dumps([1] * 60000).replace(" ", "")],
+     1),
+], ids=["tiny-min-f", "huge-mean", "long-probe-level", "long-cluster-word"])
 def test_cli_main_runaway_flows_end_promptly(argv, code):
     # in a subprocess, so that a regression fails on the timeout instead of stalling
     proc = _semiflow(argv, timeout=60)
@@ -733,8 +826,8 @@ def test_genericity_probe_window_uses_config_gamma0(capsys):
             "--set", "params.cluster_n_values=[4]", "--set", "params.probe_n_values=[4,6]",
             "--set", "params.probe_samples=10"]
     assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    probes = [r for r in map(json.loads, lines) if r["kind"] == "probe"]
+    records = json.loads(capsys.readouterr().out)["payload"]["records"]
+    probes = [r for r in records if r["kind"] == "probe"]
     f = TrigPolynomial(1.0, (), 2)
     theta_k = classify(f, 0.7).theta_K
     assert theta_k != classify(f, 0.9).theta_K

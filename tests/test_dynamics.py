@@ -9,7 +9,7 @@ from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit
 from semiflow import dynamics
 from semiflow.dynamics import prefix_points
 
-from conftest import random_positive_ceiling
+from conftest import parse_violations, random_positive_ceiling
 from oracles import Word, birkhoff, crossing_simulation, enumerate_branches, word_interval
 
 
@@ -167,10 +167,13 @@ def test_advance_through_matches_crossing_simulation(f_sin):
     assert seen == sorted(set(times))
 
 
-def test_advance_through_rejects_negative_time(f_sin):
+def test_advance_through_rejects_negative_time():
+    # every time a flow is sampled at comes from the config, which refuses a
+    # negative or nonfinite one at parse
     for times in ([1.0, -0.5], [float("nan")], [float("inf")]):
-        with pytest.raises(InvalidArgument):
-            advance_through(f_sin, [0.3], [0.0], times)
+        for experiment, key in (("mixing", "eigenfunction_times"), ("correlations", "t_values")):
+            assert f"{key} must be" in parse_violations(
+                experiment=experiment, params={key: times})
 
 
 def _same(a, b):
@@ -365,13 +368,14 @@ def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
 
 
 def test_branch_table_grid_pairs_validated(f_sin):
-    # the added flow coordinates must lie under the roof of z's column, and
-    # the added times must be >= 0, as for z and t themselves
+    # branch_table takes its pairs on trust: the times are refused at parse
+    # when negative, and the transversality grid's flow coordinates lie
+    # under the roof by construction
+    for experiment, key, value in (("branches", "t", -1.0),
+                                   ("transversality", "t_values", [2.0, -1.0])):
+        assert f"{key} must be" in parse_violations(experiment=experiment,
+                                                    params={key: value})
     z = FlowPoint(0.3, 0.0)
-    with pytest.raises(DomainViolation):
-        branch_table(f_sin, z, 3.0, s_values=[0.5, f_sin(0.3) + 0.1])
-    with pytest.raises(InvalidArgument):
-        branch_table(f_sin, z, 3.0, t_values=[2.0, -1.0])
     single = branch_table(f_sin, z, 3.0)
     assert single.scan.table(0.0, 3.0).levels == single.levels
 
@@ -386,9 +390,8 @@ def test_inverse_branches_carry_table_values(f_sin):
 
 
 def test_branch_enumeration_rejects_target_above_roof(f_sin):
+    # inverse_branches validates the target; branch_table takes it on trust
     z = FlowPoint(0.3, 5.0)
-    with pytest.raises(DomainViolation):
-        branch_table(f_sin, z, 4.0)
     with pytest.raises(DomainViolation):
         inverse_branches(f_sin, z, 4.0)
 

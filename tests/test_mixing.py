@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import (InvalidArgument, PreconditionViolation, TrigPolynomial, Verdict,
+from semiflow import (PreconditionViolation, TrigPolynomial, Verdict,
                       cobounding_potential, cocycle_residual, eigenfunction_check,
                       weak_mixing_test)
 from semiflow.cli import main
 from semiflow.mixing import default_tolerances, sample_psi, tail_bound
 
+from conftest import parse_violations
 from oracles import (dense_max_abs_deriv, fft_potential, series_psi, trig_interpolate,
                      unstable_slope)
 
@@ -114,11 +115,12 @@ def test_cobounding_potential_coboundary(f_cob):
     assert rep.c == 1.0
 
 
-def test_cobounding_potential_grid_validation(f_sin):
-    with pytest.raises(InvalidArgument):
-        cobounding_potential(f_sin, 100, 8)
-    with pytest.raises(InvalidArgument):
-        cobounding_potential(f_sin, 300, 8)
+def test_cobounding_potential_grid_validation():
+    # the residual grid and the depth have their one check at parse
+    for params, message in (({"grid": 128}, "grid must be a power of two >= 256"),
+                            ({"grid": 300}, "grid must be a power of two >= 256"),
+                            ({"depth": 0}, "depth must be an integer >= 1")):
+        assert message in parse_violations(experiment="mixing", params=params)
 
 
 def test_psi_mean_zero(f_cob, f_generic, f_cob2):
@@ -187,9 +189,28 @@ def test_verdict_inconclusive_band(f_sin):
     assert rep.verdict is Verdict.INCONCLUSIVE
 
 
-def test_verdict_tolerance_ordering(f_sin):
-    with pytest.raises(InvalidArgument):
-        weak_mixing_test(f_sin, tol_strict=1e-3, tol_clear=1e-6)
+def test_truncated_series_is_never_a_coboundary_verdict(capsys):
+    # f = 1 + 0.1 sin 8 pi x: Psi is exact after two levels, and the residual
+    # is 0.1.  At depth 2 the tail bound (0.63) exceeds it, so the truncated
+    # residual could belong to a coboundary or not: Inconclusive
+    argv = ["mixing", "--set", 'ceiling={"ell":2,"mean":1.0,"harmonics":[[4,0.0,0.1]]}']
+    assert main(argv + ["--set", "params.depth=2"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["residual_sup"] <= payload["tol_strict"]
+    assert payload["verdict"] == "Inconclusive"
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["verdict"] == "WeaklyMixing"
+
+
+def test_verdict_tolerance_ordering():
+    # tol_strict < tol_clear has its one check at parse, an omitted
+    # tolerance taking its default there: for f = 1 + 0.2 sin 2 pi x at
+    # depth 24 the defaults are about 1e-6 and 1e-3
+    for tols in ({"tol_strict": 1e-3, "tol_clear": 1e-6}, {"tol_strict": 5.0},
+                 {"tol_clear": 1e-9}):
+        assert "tol_strict must be < tol_clear" in parse_violations(
+            experiment="mixing", ceiling={"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
+            params=tols)
 
 
 def test_eigenfunction_constant(f_const):

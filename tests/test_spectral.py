@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from semiflow import InvalidArgument, ResourceLimit, TrigPolynomial
+from semiflow import ResourceLimit, TrigPolynomial
 from semiflow.spectral import (CUTOFF_MARGIN_FRACTION,
                                DISCRETIZED_SPECTRUM_CAVEAT, BoxPartition,
                                Observable, UlamOperator, build_ulam,
                                correlation, decay_fit, spectrum)
 
+from conftest import parse_violations
 from oracles import correlation_from_zero, dense_ulam
 
 # 1.3 + 0.3 sin 2 pi x + 0.1 cos 4 pi x + 0.05 (cos + sin) 6 pi x, ell = 3
@@ -144,10 +145,10 @@ def test_spectrum_takes_arnoldi_values_once_k_converged(capsys):
         assert min(abs(w - v) for w in got) <= 1e-10
 
 
-def test_spectrum_k_cap(f_sin):
-    op = build_ulam(f_sin, 1.0, 8, 2, 16)
-    with pytest.raises(InvalidArgument):
-        spectrum(op, 33)
+def test_spectrum_k_cap():
+    # the eigenvalue count has its one check at parse
+    assert "k must be an integer >= 1 and <= 32, got 33" in parse_violations(
+        experiment="spectrum", params={"k": 33})
 
 
 def test_correlation_mean_zero_against_one(f_sin):
@@ -185,10 +186,10 @@ def test_correlation_matches_from_zero_oracle(cutoff, f_sin):
         assert abs(v - r) <= 1e-12
 
 
-def test_correlation_rejects_negative_time(f_sin):
-    psi = Observable(s_wave=("cos", 1.0))
-    with pytest.raises(InvalidArgument):
-        correlation(f_sin, psi, psi, [0.5, -1.0], 16, 4)
+def test_correlation_rejects_negative_time():
+    # the sample times have their one check at parse
+    assert "t_values must be a nonempty list of numbers >= 0" in parse_violations(
+        experiment="correlations", params={"t_values": [0.5, -1.0]})
 
 
 def test_correlation_weakly_mixing_decays(f_sin):

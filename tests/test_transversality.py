@@ -5,7 +5,7 @@ import pytest
 
 from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
                       TrigPolynomial, branch_table, classify, dynamics, exponent_fit,
-                      extrema, m_of_t, n_of_t, transversality)
+                      extrema, inverse_branches, m_of_t, n_of_t, transversality)
 from semiflow.transversality import grid_estimates
 
 from conftest import random_positive_ceiling
@@ -20,9 +20,11 @@ def test_m_sum_constant_is_one(f_const):
 
 
 def test_target_above_roof_raises(f_sin):
+    # the grid passes points under the roof; a branches target above it is
+    # refused by inverse_branches
     z = FlowPoint(0.3, 5.0)  # f(0.3) < 1.2
     with pytest.raises(DomainViolation):
-        branch_table(f_sin, z, 4.0)
+        inverse_branches(f_sin, z, 4.0)
 
 
 def test_m_sum_coboundary_is_one(f_cob):
