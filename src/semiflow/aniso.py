@@ -67,12 +67,9 @@ class ConeSpec:
         return (np.asarray(beta, dtype=float) - a) % _PI <= b - a
 
     def intersects(self, other: "ConeSpec") -> bool:
-        """Nontrivial intersection as sets of lines: the angle arcs meet."""
-        a0, _ = self.arc
-        b0, _ = other.arc
-        return bool(self.contains_angle(b0)) or bool(other.contains_angle(a0)) \
-            or bool(self.contains_angle(other.arc[1] % _PI)) \
-            or bool(other.contains_angle(self.arc[1] % _PI))
+        """Nontrivial intersection as sets of lines: the angle arcs meet, as
+        two closed arcs do iff one of them contains the other's start."""
+        return bool(self.contains_angle(other.arc[0])) or bool(other.contains_angle(self.arc[0]))
 
 @dataclass(frozen=True)
 class Polarization:

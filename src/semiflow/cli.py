@@ -114,7 +114,9 @@ _SCHEMA = {
     "norms": {
         "grid_n": Param(64, "a power of two", ">= 32 and <= 1024"),
         "num_functions": Param(6, "an integer", ">= 1"),
-        "slope_margin": Param(0.5, "a number"),
+        # exactly then the plus cone |slope| <= margin and the minus cone
+        # |slope| >= 2 meet only at the origin
+        "slope_margin": Param(0.5, "a number", ">= 0 and < 2"),
     },
     "genericity": {
         "cluster_n_values": Param([6, 8, 10], "a list of integers", ">= 1 and <= 20"),
@@ -459,7 +461,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
 
 def _payload_rows(payload):
     if isinstance(payload, dict):
-        for key in ("rows", "records", "samples"):
+        for key in ("rows", "records", "samples", "functions"):
             if key in payload and isinstance(payload[key], list) and payload[key]:
                 return payload[key]
     return None

@@ -34,7 +34,7 @@ from .errors import DomainViolation, NumericalFailure, ResourceLimit
 ROOF_TOL = 1e-12
 
 # Candidate words per level of a branch scan, read when a scan starts.
-BRANCH_CAP = 2 ** 24
+BRANCH_CAP = 2 ** 20
 
 # Roof crossings of one flow advance; each takes at least min f of flow time.
 MAX_CROSSINGS = 2 ** 14

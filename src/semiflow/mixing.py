@@ -8,8 +8,8 @@ is a trigonometric polynomial: L e_k = e_{k/ell} when ell divides k and 0
 otherwise, so ``depth`` levels of coefficient arithmetic give it exactly
 (every level past log_ell of the top harmonic is empty).  The computable
 obstruction is the sup-norm residual of the cocycle equation on a uniform
-``grid``: it vanishes exactly in the degenerate case, so thresholding it
-yields the weak-mixing verdict.
+``grid``: it vanishes exactly in the degenerate case, so thresholding it,
+with the series' tail bound on both sides, yields the weak-mixing verdict.
 
 The converse detection route through eigenfunctions with an arbitrary
 frequency parameter is not implemented; ceilings that are degenerate only
@@ -19,7 +19,7 @@ misclassified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -35,12 +35,12 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoboundaryReport:
-    """Psi as a trigonometric polynomial, the mean c of f, the residual grid
-    and the series depth; the residual and verdict fields are set later."""
+    """Psi as a trigonometric polynomial, the mean c of f, the series depth
+    and its tail bound.  ``weak_mixing_test`` returns it with the residual,
+    the verdict and both tolerances filled in."""
 
-    grid: int
     Psi: TrigPolynomial
     c: float
     depth: int
@@ -49,10 +49,6 @@ class CoboundaryReport:
     verdict: Verdict | None = None
     tol_strict: float | None = None
     tol_clear: float | None = None
-
-    @property
-    def grid_points(self) -> np.ndarray:
-        return np.arange(self.grid) / self.grid
 
 
 def tail_bound(f: TrigPolynomial, depth: int) -> float:
@@ -83,28 +79,24 @@ def sample_psi(f: TrigPolynomial, depth: int) -> TrigPolynomial:
     return TrigPolynomial(-sum(a for _, a, _ in harmonics), harmonics, f.ell)
 
 
-def cobounding_potential(f: TrigPolynomial, grid: int, depth: int) -> CoboundaryReport:
-    """The potential Psi of f, with the grid its residual is read on; c is
-    the mean coefficient of f exactly."""
-    return CoboundaryReport(grid=grid, Psi=sample_psi(f, depth), c=f.mean_coeff,
-                            depth=depth, tail_bound=tail_bound(f, depth))
+def cobounding_potential(f: TrigPolynomial, depth: int) -> CoboundaryReport:
+    """The potential Psi of f after ``depth`` levels; c is the mean
+    coefficient of f exactly."""
+    return CoboundaryReport(Psi=sample_psi(f, depth), c=f.mean_coeff, depth=depth,
+                            tail_bound=tail_bound(f, depth))
 
 
-def cocycle_residual(report: CoboundaryReport, f: TrigPolynomial) -> float:
-    """sup over the grid of |Psi(tau x) - Psi(x) - f(x) + c|.
+def cocycle_residual(report: CoboundaryReport, f: TrigPolynomial, grid: int) -> float:
+    """sup over the uniform grid of |Psi(tau x) - Psi(x) - f(x) + c|.
 
-    tau maps the uniform grid into itself exactly ((ell*j) mod G over G), so
-    Psi is evaluated once on the grid and read at tau(x_j) by an index
-    lookup.  Vanishes iff the canonical unstable line field is invariant.
+    tau maps the grid into itself exactly ((ell*j) mod G over G), so Psi is
+    evaluated once on the grid and read at tau(x_j) by an index lookup.
+    Vanishes iff the canonical unstable line field is invariant.
     """
-    G = report.grid
-    idx = (f.ell * np.arange(G)) % G
-    xs = report.grid_points
+    xs = np.arange(grid) / grid
     Psi = report.Psi(xs)
-    res = Psi[idx] - Psi - f(xs) + report.c
-    value = float(np.max(np.abs(res)))
-    report.residual_sup = value
-    return value
+    res = Psi[(f.ell * np.arange(grid)) % grid] - Psi - f(xs) + report.c
+    return float(np.max(np.abs(res)))
 
 
 def default_tolerances(f: TrigPolynomial, depth: int) -> tuple:
@@ -118,24 +110,22 @@ def weak_mixing_test(f: TrigPolynomial, tol_strict: float | None = None,
                      depth: int = 24) -> CoboundaryReport:
     """Full dichotomy test; the returned report carries the verdict, the
     residual, and both tolerances.  The truncated series may miss up to
-    ``tail_bound`` of the residual, so NotWeaklyMixing needs the residual
-    plus the tail bound within tol_strict."""
+    ``tail_bound`` of the residual either way, so NotWeaklyMixing needs the
+    residual plus the tail within tol_strict, WeaklyMixing the residual
+    minus the tail at least tol_clear, and anything else is Inconclusive."""
     ts, tc = default_tolerances(f, depth)
-    if tol_strict is None:
-        tol_strict = ts
-    if tol_clear is None:
-        tol_clear = tc
-    report = cobounding_potential(f, grid, depth)
-    residual = cocycle_residual(report, f)
+    tol_strict = ts if tol_strict is None else tol_strict
+    tol_clear = tc if tol_clear is None else tol_clear
+    report = cobounding_potential(f, depth)
+    residual = cocycle_residual(report, f, grid)
     if residual + report.tail_bound <= tol_strict:
-        report.verdict = Verdict.NOT_WEAKLY_MIXING
-    elif residual >= tol_clear:
-        report.verdict = Verdict.WEAKLY_MIXING
+        verdict = Verdict.NOT_WEAKLY_MIXING
+    elif residual - report.tail_bound >= tol_clear:
+        verdict = Verdict.WEAKLY_MIXING
     else:
-        report.verdict = Verdict.INCONCLUSIVE
-    report.tol_strict = tol_strict
-    report.tol_clear = tol_clear
-    return report
+        verdict = Verdict.INCONCLUSIVE
+    return replace(report, residual_sup=residual, verdict=verdict,
+                   tol_strict=tol_strict, tol_clear=tol_clear)
 
 
 def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial, t_samples) -> float:
@@ -144,16 +134,10 @@ def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial, t_samples) 
     max |Phi(T^t z) - exp(2 pi i t / c) Phi(z)| over the points z with
     x = k/24 and s at the 6 slice midpoints below f(x), and the given times,
     sampled in increasing time, each from the previous one
-    (``advance_through``).  Only meaningful when the residual is within the
-    report's tol_strict (the default one when the report has none)."""
-    if report.residual_sup is None:
-        raise PreconditionViolation("run cocycle_residual before eigenfunction_check")
-    tol_strict = report.tol_strict if report.tol_strict is not None \
-        else default_tolerances(f, report.depth)[0]
-    if report.residual_sup > tol_strict:
-        raise PreconditionViolation(
-            f"residual {report.residual_sup:.3g} exceeds tol_strict {tol_strict:.3g}; "
-            "there is no eigenfunction to check")
+    (``advance_through``).  Raises PreconditionViolation unless the report's
+    verdict is NotWeaklyMixing: otherwise there is no eigenfunction."""
+    if report.verdict is not Verdict.NOT_WEAKLY_MIXING:
+        raise PreconditionViolation(f"verdict {report.verdict}: no eigenfunction to check")
     c = report.c
     nx, ns = 24, 6
     xs = np.arange(nx) / nx

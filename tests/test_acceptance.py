@@ -81,12 +81,12 @@ def test_acceptance_2_constant_ceiling():
 def test_acceptance_3_coboundary_round_trip():
     """psi recovers Psi' within tail + 1e-8; residual <= 1e-8; non-decay."""
     f = TrigPolynomial(1.0, ((1, 0.0, -0.05), (2, 0.0, 0.05)), 2)
-    rep = cobounding_potential(f, 4096, 24)
-    xs = rep.grid_points
+    rep = cobounding_potential(f, 24)
+    xs = np.arange(4096) / 4096
     expected_psi = 0.1 * math.pi * np.cos(2 * math.pi * xs)
     psi_err = float(np.max(np.abs(rep.Psi(xs, 1) - expected_psi)))
     assert psi_err <= rep.tail_bound + 1e-8
-    residual = cocycle_residual(rep, f)
+    residual = cocycle_residual(rep, f, 4096)
     assert residual <= 1e-8
     verdict = weak_mixing_test(f).verdict
     assert verdict is Verdict.NOT_WEAKLY_MIXING
@@ -105,10 +105,10 @@ def test_acceptance_3_coboundary_round_trip():
 def test_acceptance_4_weakly_mixing_example():
     """f = 1 + 0.2 sin(2 pi x): psi = 0, residual = 0.2, m(f,10) < 1."""
     f = TrigPolynomial(1.0, ((1, 0.0, 0.2),), 2)
-    rep = cobounding_potential(f, 4096, 24)
-    psi_sup = float(np.max(np.abs(rep.Psi(rep.grid_points, 1))))
+    rep = cobounding_potential(f, 24)
+    psi_sup = float(np.max(np.abs(rep.Psi(np.arange(4096) / 4096, 1))))
     assert psi_sup <= 1e-10
-    residual = cocycle_residual(rep, f)
+    residual = cocycle_residual(rep, f, 4096)
     assert residual == pytest.approx(0.2, abs=1e-6)
     assert weak_mixing_test(f).verdict is Verdict.WEAKLY_MIXING
 

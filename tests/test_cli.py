@@ -16,6 +16,7 @@ from semiflow.cli import (ParseError, ValidationError, emit, main,
                           parse_config, run)
 from semiflow.errors import InvalidArgument
 
+from conftest import parse_violations
 from oracles import branches_payload, per_value_json
 
 
@@ -360,6 +361,29 @@ def test_cli_main_resource_limit_exit_code(tmp_path, capsys):
     assert "t_limit" in captured.out
 
 
+def test_cli_main_branch_cap_refusal_stays_small():
+    # f = 1 at t = 60 needs a level of 2^60 words; the scan builds at most
+    # one level of 2^20 candidate words before it refuses, so the refusal
+    # peaks below 200 MiB.  A fresh interpreter, so that ru_maxrss is this
+    # run's own peak
+    script = """
+import resource, sys
+from semiflow.cli import main
+code = main(["transversality", "--set", "params.t_values=[60.0]",
+             "--set", "params.nx=8", "--set", "params.ns=8"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 2
+    doc = json.loads(proc.stdout)
+    assert doc["cap"] == 2 ** 20 and doc["t_limit"] == 19.0
+    assert peak_kib < 200 * 1024
+
+
 def test_cli_main_resource_limit_names_largest_t(monkeypatch, capsys):
     from semiflow import dynamics
     monkeypatch.setattr(dynamics, "BRANCH_CAP", 2 ** 12)
@@ -398,7 +422,6 @@ def test_cli_main_parse_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["branches", "--set", "params.s=5.0"],
     ["genericity", "--set", "params.cluster_word=[3]"],
-    ["norms", "--set", "params.slope_margin=3"],
     # f = 1: a target on the roof is the base point (tau x, 0), which must be passed instead
     ["branches", "--set", "params.s=1.0", "--set", "params.t=0"],
     ["branches", "--set", "params.s=1.0", "--set", "params.t=0.5"],
@@ -513,6 +536,8 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["genericity", "--set", 'ceiling={"ell":2,"mean":0.5,"harmonics":[[1,0.0,0.8]]}'],
      "validation error: ceiling violates positivity"),
     (["norms", "--set", "params.grid_n=48"], "validation error: grid_n must be a power of two"),
+    (["norms", "--set", "params.slope_margin=3"],
+     "validation error: slope_margin must be a number >= 0 and < 2, got 3"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
@@ -595,6 +620,37 @@ def test_cli_main_csv_keeps_every_record_key(capsys):
         return [i for i, cell in enumerate(row.split(",")) if not cell]
     assert cluster.startswith("cluster,4,1,") and empty_cells(cluster) == [6, 7, 8, 9]
     assert probe.startswith("probe,4,") and empty_cells(probe) == [2, 4, 5]
+
+
+def test_slope_margin_schema_admits_exactly_the_disjoint_cones(capsys):
+    # the plus cone |slope| <= margin and the minus cone |slope| >= 2 meet
+    # only at the origin exactly for margins in [0, 2)
+    for margin in (-0.5, 2, 3):
+        assert f"slope_margin must be a number >= 0 and < 2, got {margin}" in \
+            parse_violations(experiment="norms", params={"slope_margin": margin})
+    for margin in (0, 1.99):
+        argv = ["norms", "--set", f"params.slope_margin={margin}", "--set", "params.grid_n=32",
+                "--set", "params.num_functions=1"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["functions"]
+
+
+def test_cli_main_norms_renders_its_function_records(capsys):
+    argv = ["norms", "--set", "params.grid_n=32", "--set", "params.num_functions=2"]
+    assert main(argv) == 0
+    functions = json.loads(capsys.readouterr().out)["payload"]["functions"]
+    assert main(argv + ["--format", "jsonl"]) == 0
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == functions
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "id,strong_norm,weak_norm,embedding_ratio,weak_le_strong"
+    # an id holds a comma, so its cell is quoted
+    assert [row.split('",')[0] for row in rows] == ['"' + r["id"] for r in functions]
+    assert all(row.endswith(",True") for row in rows)
+    # the spectrum payload has no record list: it keeps its refusal
+    assert main(["spectrum", "--set", "params.nx=8", "--set", "params.ns=2",
+                 "--format", "jsonl"]) == 1
+    assert capsys.readouterr().err.startswith("error: payload has no record section")
 
 
 @pytest.mark.parametrize("experiment, caps", [

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -95,21 +96,22 @@ def test_mixing_high_harmonic_coboundary_on_a_small_grid(capsys):
 
 
 def test_cobounding_potential_constant(f_const):
-    rep = cobounding_potential(f_const, 256, 8)
-    assert np.all(rep.Psi(rep.grid_points) == 0.0)
+    rep = cobounding_potential(f_const, 8)
+    assert np.all(rep.Psi(np.arange(256) / 256) == 0.0)
     assert rep.c == 1.0
 
 
 def test_cobounding_potential_sin(f_sin):
-    rep = cobounding_potential(f_sin, 1024, 20)
-    assert np.max(np.abs(series_psi(f_sin, rep.grid_points, rep.depth))) <= 1e-12
-    assert np.max(np.abs(rep.Psi(rep.grid_points))) <= 1e-12
+    rep = cobounding_potential(f_sin, 20)
+    xs = np.arange(1024) / 1024
+    assert np.max(np.abs(series_psi(f_sin, xs, rep.depth))) <= 1e-12
+    assert np.max(np.abs(rep.Psi(xs))) <= 1e-12
     assert rep.c == 1.0
 
 
 def test_cobounding_potential_coboundary(f_cob):
-    rep = cobounding_potential(f_cob, 4096, 24)
-    xs = rep.grid_points
+    rep = cobounding_potential(f_cob, 24)
+    xs = np.arange(4096) / 4096
     assert np.max(np.abs(rep.Psi(xs) - 0.05 * np.sin(2 * np.pi * xs))) \
         <= rep.tail_bound + 1e-10
     assert rep.c == 1.0
@@ -125,8 +127,8 @@ def test_cobounding_potential_grid_validation():
 
 def test_psi_mean_zero(f_cob, f_generic, f_cob2):
     for f in (f_cob, f_cob2, f_generic):
-        rep = cobounding_potential(f, 1024, 16)
-        psi = rep.Psi(rep.grid_points, 1)
+        rep = cobounding_potential(f, 16)
+        psi = rep.Psi(np.arange(1024) / 1024, 1)
         assert abs(float(np.mean(psi))) <= rep.tail_bound + 1e-10
 
 
@@ -161,19 +163,19 @@ def test_functional_equation_at_truncation(f_const, f_cob, f_cob2):
 
 
 def test_cocycle_residual_constant(f_const):
-    rep = cobounding_potential(f_const, 256, 8)
-    assert cocycle_residual(rep, f_const) == 0.0
+    rep = cobounding_potential(f_const, 8)
+    assert cocycle_residual(rep, f_const, 256) == 0.0
 
 
 def test_cocycle_residual_coboundary(f_cob):
-    rep = cobounding_potential(f_cob, 4096, 24)
-    assert cocycle_residual(rep, f_cob) <= 1e-8
+    rep = cobounding_potential(f_cob, 24)
+    assert cocycle_residual(rep, f_cob, 4096) <= 1e-8
 
 
 def test_cocycle_residual_sin_is_amplitude(f_sin):
     # Psi = 0 so the residual is sup |f - 1| = 0.2
-    rep = cobounding_potential(f_sin, 4096, 24)
-    assert cocycle_residual(rep, f_sin) == pytest.approx(0.2, abs=1e-6)
+    rep = cobounding_potential(f_sin, 24)
+    assert cocycle_residual(rep, f_sin, 4096) == pytest.approx(0.2, abs=1e-6)
 
 
 def test_verdicts(f_const, f_cob, f_sin):
@@ -202,6 +204,25 @@ def test_truncated_series_is_never_a_coboundary_verdict(capsys):
     assert json.loads(capsys.readouterr().out)["payload"]["verdict"] == "WeaklyMixing"
 
 
+def test_truncated_series_is_never_a_weakly_mixing_verdict(capsys):
+    # f - 1 = g(2x) - g(x) with g = 0.05 sin 16 pi x is a coboundary.  At
+    # depth 1 the residual (0.088) exceeds tol_clear, but the tail bound
+    # (3.77) exceeds the residual, so it could be all truncation: Inconclusive
+    argv = ["mixing", "--set",
+            'ceiling={"ell":2,"mean":1.0,"harmonics":[[8,0.0,-0.05],[16,0.0,0.05]]}']
+    assert main(argv + ["--set", "params.depth=1", "--set", "params.tol_strict=0.01",
+                        "--set", "params.tol_clear=0.05"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["residual_sup"] >= payload["tol_clear"]
+    assert payload["residual_sup"] < payload["tol_clear"] + payload["tail_bound"]
+    assert payload["verdict"] == "Inconclusive"
+    assert "eigenfunction_defect" not in payload
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["verdict"] == "NotWeaklyMixing"
+    assert payload["eigenfunction_defect"] <= 1e-10
+
+
 def test_verdict_tolerance_ordering():
     # tol_strict < tol_clear has its one check at parse, an omitted
     # tolerance taking its default there: for f = 1 + 0.2 sin 2 pi x at
@@ -223,13 +244,26 @@ def test_eigenfunction_coboundary(f_cob):
     assert eigenfunction_check(rep, f_cob, [1.3, 2.7]) <= 1e-6
 
 
-def test_eigenfunction_check_leaves_the_report_alone(f_cob):
-    # the defect is only returned; the report's fields stay as they were
+def test_coboundary_report_is_frozen(f_cob):
+    # weak_mixing_test builds the report once; nothing can fill it in later
     rep = weak_mixing_test(f_cob)
-    before = dict(vars(rep))
-    eigenfunction_check(rep, f_cob, [1.3])
-    assert vars(rep).keys() == before.keys()
-    assert all(vars(rep)[key] is value for key, value in before.items())
+    for field, value in (("verdict", Verdict.WEAKLY_MIXING), ("residual_sup", 0.0),
+                         ("tol_strict", 1.0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(rep, field, value)
+    assert rep.verdict is Verdict.NOT_WEAKLY_MIXING
+
+
+def test_eigenfunction_check_needs_a_not_weakly_mixing_verdict(f_cob):
+    # a report without a verdict, or an Inconclusive one, has no eigenfunction
+    # to check, even when its residual is small
+    bare = cobounding_potential(f_cob, 24)
+    assert cocycle_residual(bare, f_cob, 4096) <= 1e-8
+    band = weak_mixing_test(f_cob, depth=2, tol_strict=0.1, tol_clear=0.5)
+    assert band.residual_sup <= band.tol_strict < band.residual_sup + band.tail_bound
+    for rep in (bare, band):
+        with pytest.raises(PreconditionViolation, match="no eigenfunction to check"):
+            eigenfunction_check(rep, f_cob, [1.3])
 
 
 def test_eigenfunction_constant_two():
@@ -247,8 +281,8 @@ def test_eigenfunction_rejects_large_residual(f_sin):
 
 def test_constant_shift_moves_c_not_psi(f_sin):
     shifted = TrigPolynomial(f_sin.mean_coeff + 0.5, f_sin.harmonics, f_sin.ell)
-    a = cobounding_potential(f_sin, 512, 12)
-    b = cobounding_potential(shifted, 512, 12)
+    a = cobounding_potential(f_sin, 12)
+    b = cobounding_potential(shifted, 12)
     assert a.Psi == b.Psi
     assert b.c == a.c + 0.5
 

@@ -6,9 +6,9 @@ fields of their results, so a refactor that drops or renames one of them
 breaks the traced benchmark run.  This runs the short job lists of the
 three workloads under the tracer, checks every report against the
 identities of ``bench/checks.py`` and checks that the branch, flow,
-eigenfunction and emit layers saw work: a shortcut that reaches a layer
-without going through the binding the bench patches shows up here as a
-missing span.
+residual, eigenfunction and emit layers saw work: a shortcut that reaches a
+layer without going through the binding the bench patches shows up here as
+a missing span.
 """
 
 import json
@@ -42,7 +42,9 @@ def test_traced_short_workloads_pass_their_checks():
     assert ("dynamics.advance", "mixing.eigenfunction") in calls
     assert ("dynamics.advance", "spectral.build_ulam") in calls
     names = {name for name, *_ in tracer.spans}
-    assert {"dynamics.inverse_branches", "canon.emit"} <= names
+    assert {"dynamics.inverse_branches", "canon.emit", "mixing.residual"} <= names
+    # the residual counter reads the report that cocycle_residual takes first
+    assert tracer.counters["mixing.tail_over_residual"] > 0
 
 
 def test_traced_ulam_counters_read_the_matrix_the_eigensolve_uses():
