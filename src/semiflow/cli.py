@@ -53,7 +53,6 @@ _KINDS = {
     "an integer": is_int,
     "a power of two": lambda v: is_int(v) and v > 0 and v & (v - 1) == 0,
     "a number": is_number,
-    "null or a number": lambda v: v is None or is_number(v),
     "true or false": lambda v: isinstance(v, bool),
     # open() refuses a NUL in a path with ValueError, not OSError
     "a path, or - for stdout": lambda v: isinstance(v, str) and "\0" not in v,
@@ -89,8 +88,6 @@ _SCHEMA = {
     "mixing": {
         "grid": Param(4096, "a power of two", ">= 256 and <= 65536"),
         "depth": Param(24, "an integer", ">= 1"),
-        "tol_strict": Param(None, "null or a number"),
-        "tol_clear": Param(None, "null or a number"),
         "eigenfunction_times": Param([0.7, 1.3], "a list of numbers", ">= 0"),
     },
     "spectrum": {
@@ -100,9 +97,6 @@ _SCHEMA = {
         "points_per_box": Param(64, "an integer", ">= 16"),
         "k": Param(8, "an integer", ">= 1 and <= 32"),
         "mode": Param("lattice", "lattice or monte-carlo"),
-        "with_bound": Param(False, "true or false"),
-        "bound_nx": Param(16, "an integer", ">= 1"),
-        "bound_ns": Param(4, "an integer", ">= 1"),
     },
     "correlations": {
         "t_values": Param([t / 2 for t in range(17)], "a nonempty list of numbers", ">= 0"),
@@ -138,8 +132,7 @@ _SCHEMA = {
 # allocation together, checked once every factor has passed its own rule
 _PRODUCT_CAPS = {
     "transversality": [(("nx", "ns"), transversality.MAX_GRID)],
-    "spectrum": [(("nx", "ns", "points_per_box"), spectral.MAX_NODES),
-                 (("bound_nx", "bound_ns"), transversality.MAX_GRID)],
+    "spectrum": [(("nx", "ns", "points_per_box"), spectral.MAX_NODES)],
     "correlations": [(("nx", "ns"), spectral.MAX_NODES)],
 }
 
@@ -180,7 +173,7 @@ def _checked(table: dict, given: dict, what: str, problems: list) -> dict:
         value = given.get(key, param.default)
         items = value if isinstance(value, list) else [value]
         if _KINDS[param.kind](value) and all(
-                _COMPARE[op](v, float(limit)) for v in items if v is not None
+                _COMPARE[op](v, float(limit)) for v in items
                 for op, limit in (c.split() for c in param.bounds.split(" and ") if c)):
             values[key] = value
         else:
@@ -229,13 +222,6 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if exp is not None and "params" in top:
         p = _checked(_SCHEMA[exp], top["params"], f"{exp} parameter", problems)
     # the rules that relate two values or parse a nested spec, once their inputs passed
-    tols = [p.get("tol_strict"), p.get("tol_clear")]
-    if tols.count(None) == 1 and ceiling is not None \
-            and {"tol_strict", "tol_clear", "depth"} <= p.keys():  # one omitted: its default
-        defaults = mixing.default_tolerances(ceiling, p["depth"])
-        tols = [d if v is None else v for v, d in zip(tols, defaults)]
-    if None not in tols and not tols[0] < tols[1]:
-        problems.append("tol_strict must be < tol_clear, got {} and {}".format(*tols))
     for names, cap in _PRODUCT_CAPS.get(exp, ()):
         if all(name in p for name in names) and math.prod(map(p.get, names)) > cap:
             problems.append(_product_rule(names, cap))
@@ -304,8 +290,7 @@ def _run_transversality(cfg: ExperimentConfig):
 
 def _run_mixing(cfg: ExperimentConfig):
     p = cfg.params
-    report = mixing.weak_mixing_test(cfg.ceiling, p["tol_strict"], p["tol_clear"],
-                                     grid=p["grid"], depth=p["depth"])
+    report = mixing.weak_mixing_test(cfg.ceiling, grid=p["grid"], depth=p["depth"])
     payload = {
         "c": report.c, "depth": report.depth, "tail_bound": report.tail_bound,
         "residual_sup": report.residual_sup, "verdict": report.verdict.value,
@@ -327,13 +312,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         "eigenvalues": [[v.real, v.imag] for v in report.eigenvalues],
         "multiplicities": list(report.multiplicities),
     }
-    caveats = list(report.caveats)
-    if p["with_bound"]:
-        est = transversality.m_of_t(cfg.ceiling, p["t"], p["bound_nx"], p["bound_ns"],
-                                    classify(cfg.ceiling, cfg.gamma0), certified=False)
-        payload["essential_bound"] = est.m_value ** 0.5
-        caveats.append(transversality.GRID_LOWER_BOUND_CAVEAT)
-    return payload, caveats
+    return payload, list(report.caveats)
 
 
 def _run_correlations(cfg: ExperimentConfig):

@@ -11,10 +11,13 @@ obstruction is the sup-norm residual of the cocycle equation on a uniform
 ``grid``: it vanishes exactly in the degenerate case, so thresholding it,
 with the series' tail bound on both sides, yields the weak-mixing verdict.
 
-The converse detection route through eigenfunctions with an arbitrary
-frequency parameter is not implemented; ceilings that are degenerate only
-for some other frequency would land in the Inconclusive band rather than be
-misclassified.
+The residual decides every eigenfrequency at once.  An eigenfunction of
+frequency omega gives exp(i omega f) = u(tau x) / u(x), u circle-valued and,
+for Hoelder f, continuous (Livsic regularity; Parry and Pollicott, Asterisque
+187-188, 1990).  The right side has degree (ell - 1) deg u and the left side
+0, so u = exp(i v) with v real; omega f - (v(tau x) - v(x)) is then
+continuous with values in 2 pi Z, hence constant, and integrating shows it
+is omega c: f - c is a coboundary.
 """
 
 from __future__ import annotations
@@ -99,24 +102,16 @@ def cocycle_residual(report: CoboundaryReport, f: TrigPolynomial, grid: int) -> 
     return float(np.max(np.abs(res)))
 
 
-def default_tolerances(f: TrigPolynomial, depth: int) -> tuple:
-    """(tol_strict, tol_clear) for the verdict thresholds."""
-    strict = 1e-6 + tail_bound(f, depth)
-    return strict, 1e3 * strict
-
-
-def weak_mixing_test(f: TrigPolynomial, tol_strict: float | None = None,
-                     tol_clear: float | None = None, grid: int = 4096,
-                     depth: int = 24) -> CoboundaryReport:
+def weak_mixing_test(f: TrigPolynomial, grid: int = 4096, depth: int = 24) -> CoboundaryReport:
     """Full dichotomy test; the returned report carries the verdict, the
-    residual, and both tolerances.  The truncated series may miss up to
+    residual, and both thresholds: tol_strict = 1e-6 + tail_bound and
+    tol_clear = 1e3 tol_strict.  The truncated series may miss up to
     ``tail_bound`` of the residual either way, so NotWeaklyMixing needs the
     residual plus the tail within tol_strict, WeaklyMixing the residual
     minus the tail at least tol_clear, and anything else is Inconclusive."""
-    ts, tc = default_tolerances(f, depth)
-    tol_strict = ts if tol_strict is None else tol_strict
-    tol_clear = tc if tol_clear is None else tol_clear
     report = cobounding_potential(f, depth)
+    tol_strict = 1e-6 + report.tail_bound
+    tol_clear = 1e3 * tol_strict
     residual = cocycle_residual(report, f, grid)
     if residual + report.tail_bound <= tol_strict:
         verdict = Verdict.NOT_WEAKLY_MIXING

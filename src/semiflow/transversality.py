@@ -133,7 +133,8 @@ def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass,
     m_value is the plain grid maximum (a lower bound); when ``certified``,
     m_upper repeats the overlap test with every threshold widened by
     2*theta_K*h (h the base-grid spacing), exploiting that branch slopes are
-    theta_K-Lipschitz in the target point.  The single-t case of
+    theta_K-Lipschitz in the target point, and otherwise it is 1.0, the
+    bound of the branch-sum identity.  The single-t case of
     ``grid_estimates``.
     """
     return grid_estimates(f, [t], nx, ns, cls, certified=certified)[0][0]
@@ -172,9 +173,9 @@ def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, cls: CeilingCl
             _absorb(b, *p)
     out = []
     for t, (m_value, x, s, m_upper, n_value) in zip(ts, best):
-        # the branch-sum identity caps the true maximum at 1, so the widened
-        # value can be clamped without losing the upper-bound property
-        m_upper = min(m_upper, 1.0) if certified else m_value
+        # the branch-sum identity caps the true maximum at 1: the widened
+        # value is clamped to it, and without widening it is the only bound
+        m_upper = min(m_upper, 1.0) if certified else 1.0
         est = TransversalityEstimate(
             t=t, m_value=m_value, m_upper=m_upper, slack=(widen if certified else 0.0),
             argmax_x=x, argmax_s=s, argmax_on_section=(s == 0.0))

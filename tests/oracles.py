@@ -474,7 +474,7 @@ def per_point_grid(f, t, nx, ns, cls, certified):
                 m_value, argmax = v, (z.x, z.s)
             m_upper = max(m_upper, _overlap_maxima(table.ell, *profile, cls.theta_f, widen))
             n_value = max(n_value, _sweep_max(table.ell, *profile, 2.0 * cls.theta_f))
-    m_upper = min(m_upper, 1.0) if certified else m_value
+    m_upper = min(m_upper, 1.0) if certified else 1.0
     return m_value, m_upper, n_value, argmax[0], argmax[1]
 
 

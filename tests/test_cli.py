@@ -1,7 +1,9 @@
 import collections
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -325,11 +327,9 @@ def test_transversality_bytes_independent_of_worker_count(harmonics):
 def test_caveat_strings_appear_verbatim():
     spec_cfg = _config(experiment="spectrum",
                        params={"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 32,
-                               "k": 4, "mode": "lattice", "with_bound": True,
-                               "bound_nx": 8, "bound_ns": 2})
+                               "k": 4, "mode": "lattice"})
     report = run(parse_config(json.dumps(spec_cfg)))
     assert "discretized spectrum" in report.caveats
-    assert "grid lower bound" in report.caveats
 
     trans_cfg = _config(experiment="transversality",
                         params={"t_values": [3.0, 4.0, 5.0], "nx": 8, "ns": 8})
@@ -448,7 +448,10 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["spectrum", "--set", "params.nx=1.5"], "validation error: nx"),
     (["spectrum", "--set", "params.k=2.5"], "validation error: k"),
     (["branches", "--set", 'params.x="a"'], "validation error: x"),
-    (["mixing", "--set", 'params.tol_strict="a"'], "validation error: tol_strict"),
+    # the five options that let a report claim what the run never computed:
+    # the verdict thresholds and the spectrum's uncertified essential_bound
+    (["spectrum", "--set", "params.bound_ns=0"],
+     "validation error: unknown spectrum parameter 'bound_ns'"),
     (["branches", "--set", 'gamma0="0.9"'], "validation error: gamma0"),
     (["branches", "--set", "out=7"], "validation error: out"),
     (["transversality", "--set", 'params.certified="no"'], "validation error: certified"),
@@ -500,8 +503,8 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     # every size that sets an allocation is capped before anything is allocated
     (["spectrum", "--set", "params.points_per_box=100000000"],
      "validation error: nx*ns*points_per_box must be <= 4194304"),
-    (["spectrum", "--set", "params.bound_nx=100000", "--set", "params.bound_ns=100000"],
-     "validation error: bound_nx*bound_ns must be <= 65536"),
+    (["spectrum", "--set", "params.bound_nx=100000"],
+     "validation error: unknown spectrum parameter 'bound_nx'"),
     (["transversality", "--set", "params.nx=100000", "--set", "params.ns=100000"],
      "validation error: nx*ns must be <= 65536"),
     (["genericity", "--set", "params.probe_samples=10000000000"],
@@ -516,15 +519,15 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     (["spectrum", "--set", 'params.mode="x"'], "validation error: mode must be lattice or"),
     (["spectrum", "--set", "params.points_per_box=8"],
      "validation error: points_per_box must be an integer >= 16"),
-    (["spectrum", "--set", "params.with_bound=true", "--set", "params.bound_ns=0"],
-     "validation error: bound_ns must be an integer >= 1"),
+    (["spectrum", "--set", "params.with_bound=true"],
+     "validation error: unknown spectrum parameter 'with_bound'"),
     (["mixing", "--set", "params.grid=300"], "validation error: grid must be a power of two"),
     (["mixing", "--set", "params.depth=0"], "validation error: depth must be an integer >= 1"),
-    # one tolerance given: the other takes its default (about 1e-6 and 1e-3 at f = 1)
+    # the verdict thresholds follow from tail_bound alone
     (["mixing", "--set", "params.tol_strict=5"],
-     "validation error: tol_strict must be < tol_clear"),
+     "validation error: unknown mixing parameter 'tol_strict'"),
     (["mixing", "--set", "params.tol_clear=1e-9"],
-     "validation error: tol_strict must be < tol_clear"),
+     "validation error: unknown mixing parameter 'tol_clear'"),
     (["mixing", "--set", "params.eigenfunction_times=[1.0,-0.5]"],
      "validation error: eigenfunction_times must be"),
     (["mixing", "--set", "params.eigenfunction_times=[NaN]"],
@@ -655,8 +658,7 @@ def test_cli_main_norms_renders_its_function_records(capsys):
 
 @pytest.mark.parametrize("experiment, caps", [
     ("transversality", ["nx*ns must be <= 65536"]),
-    ("spectrum", ["nx*ns*points_per_box must be <= 4194304",
-                  "bound_nx*bound_ns must be <= 65536"]),
+    ("spectrum", ["nx*ns*points_per_box must be <= 4194304"]),
     ("correlations", ["nx*ns must be <= 4194304"]),
 ])
 def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
@@ -664,6 +666,14 @@ def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
         main([experiment, "--help"])
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
     assert [line for line in lines if " must be <= " in line] == caps
+
+
+def test_every_schema_parameter_is_read_by_its_runner():
+    # a parameter that its runner never reads cannot change a result; it
+    # only lets a config claim a setting the run ignored
+    for experiment, table in cli._SCHEMA.items():
+        source = inspect.getsource(getattr(cli, f"_run_{experiment}"))
+        assert set(table) - set(re.findall(r'p\["(\w+)"\]', source)) == set(), experiment
 
 
 def _semiflow(argv, timeout=120):
@@ -732,8 +742,6 @@ def _of_kind(value, kind) -> bool:
     if "list" in kind:
         item = (lambda v: type(v) is int) if "integers" in kind else number
         return type(value) is list and all(map(item, value))
-    if kind == "null or a number":
-        return value is None or number(value)
     if kind in ("an integer", "a power of two"):
         return type(value) is int
     return {"a number": number, "true or false": lambda v: type(v) is bool,

@@ -9,7 +9,7 @@ from semiflow import (PreconditionViolation, TrigPolynomial, Verdict,
                       cobounding_potential, cocycle_residual, eigenfunction_check,
                       weak_mixing_test)
 from semiflow.cli import main
-from semiflow.mixing import default_tolerances, sample_psi, tail_bound
+from semiflow.mixing import sample_psi, tail_bound
 
 from conftest import parse_violations
 from oracles import (dense_max_abs_deriv, fft_potential, series_psi, trig_interpolate,
@@ -184,10 +184,13 @@ def test_verdicts(f_const, f_cob, f_sin):
     assert weak_mixing_test(f_sin).verdict is Verdict.WEAKLY_MIXING
 
 
-def test_verdict_inconclusive_band(f_sin):
-    # force the band around the measured residual
-    rep = weak_mixing_test(f_sin, tol_strict=0.1, tol_clear=0.5,
-                           grid=1024, depth=16)
+def test_verdict_inconclusive_band():
+    # f = 1 + 0.1 sin 8 pi x at depth 2: the residual (0.1) is below the tail
+    # bound (0.63), so neither side of the band is reached
+    f = TrigPolynomial(1.0, ((4, 0.0, 0.1),), 2)
+    rep = weak_mixing_test(f, grid=1024, depth=2)
+    assert rep.residual_sup == pytest.approx(0.1)
+    assert rep.residual_sup < rep.tail_bound
     assert rep.verdict is Verdict.INCONCLUSIVE
 
 
@@ -206,32 +209,20 @@ def test_truncated_series_is_never_a_coboundary_verdict(capsys):
 
 def test_truncated_series_is_never_a_weakly_mixing_verdict(capsys):
     # f - 1 = g(2x) - g(x) with g = 0.05 sin 16 pi x is a coboundary.  At
-    # depth 1 the residual (0.088) exceeds tol_clear, but the tail bound
-    # (3.77) exceeds the residual, so it could be all truncation: Inconclusive
+    # depth 1 the residual (0.088) is nonzero, but the tail bound (3.77)
+    # exceeds it, so it could be all truncation: Inconclusive
     argv = ["mixing", "--set",
             'ceiling={"ell":2,"mean":1.0,"harmonics":[[8,0.0,-0.05],[16,0.0,0.05]]}']
-    assert main(argv + ["--set", "params.depth=1", "--set", "params.tol_strict=0.01",
-                        "--set", "params.tol_clear=0.05"]) == 0
+    assert main(argv + ["--set", "params.depth=1"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
-    assert payload["residual_sup"] >= payload["tol_clear"]
-    assert payload["residual_sup"] < payload["tol_clear"] + payload["tail_bound"]
+    assert payload["residual_sup"] == pytest.approx(0.088, abs=1e-3)
+    assert payload["residual_sup"] < payload["tail_bound"]
     assert payload["verdict"] == "Inconclusive"
     assert "eigenfunction_defect" not in payload
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["verdict"] == "NotWeaklyMixing"
     assert payload["eigenfunction_defect"] <= 1e-10
-
-
-def test_verdict_tolerance_ordering():
-    # tol_strict < tol_clear has its one check at parse, an omitted
-    # tolerance taking its default there: for f = 1 + 0.2 sin 2 pi x at
-    # depth 24 the defaults are about 1e-6 and 1e-3
-    for tols in ({"tol_strict": 1e-3, "tol_clear": 1e-6}, {"tol_strict": 5.0},
-                 {"tol_clear": 1e-9}):
-        assert "tol_strict must be < tol_clear" in parse_violations(
-            experiment="mixing", ceiling={"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
-            params=tols)
 
 
 def test_eigenfunction_constant(f_const):
@@ -256,10 +247,13 @@ def test_coboundary_report_is_frozen(f_cob):
 
 def test_eigenfunction_check_needs_a_not_weakly_mixing_verdict(f_cob):
     # a report without a verdict, or an Inconclusive one, has no eigenfunction
-    # to check, even when its residual is small
+    # to check, even when its residual is small: the harmonic-8/16
+    # coboundary at depth 1 leaves a residual below its tail bound
     bare = cobounding_potential(f_cob, 24)
     assert cocycle_residual(bare, f_cob, 4096) <= 1e-8
-    band = weak_mixing_test(f_cob, depth=2, tol_strict=0.1, tol_clear=0.5)
+    f_band = TrigPolynomial(1.0, ((8, 0.0, -0.05), (16, 0.0, 0.05)), 2)
+    band = weak_mixing_test(f_band, depth=1)
+    assert band.verdict is Verdict.INCONCLUSIVE
     assert band.residual_sup <= band.tol_strict < band.residual_sup + band.tail_bound
     for rep in (bare, band):
         with pytest.raises(PreconditionViolation, match="no eigenfunction to check"):
@@ -299,6 +293,6 @@ def test_trig_interpolation_reproduces_samples():
 
 
 def test_default_tolerances_couple_to_tail(f_sin):
-    strict, clear = default_tolerances(f_sin, 12)
-    assert strict == pytest.approx(1e-6 + tail_bound(f_sin, 12))
-    assert clear == pytest.approx(1e3 * strict)
+    rep = weak_mixing_test(f_sin, depth=12)
+    assert rep.tol_strict == 1e-6 + tail_bound(f_sin, 12)
+    assert rep.tol_clear == 1e3 * rep.tol_strict
