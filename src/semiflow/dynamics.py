@@ -60,7 +60,7 @@ def prefix_points(x: float, k, n: int, ell: int) -> np.ndarray:
     return pts
 
 
-def _check_crossings(f: TrigPolynomial, largest: float, start: float = 0.0) -> None:
+def check_crossings(f: TrigPolynomial, largest: float, start: float = 0.0) -> None:
     """Raise ResourceLimit, naming the largest admissible time, when flowing
     for ``largest`` from a height of at most ``start`` could cross the roof
     more than MAX_CROSSINGS times: each crossing takes at least min f, which
@@ -89,7 +89,7 @@ def advance(f: TrigPolynomial, x, total, fx=None):
     """
     x = np.asarray(x, dtype=float)
     total = np.asarray(total, dtype=float)
-    _check_crossings(f, float(np.max(total, initial=0.0)))
+    check_crossings(f, float(np.max(total, initial=0.0)))
     x, rem = np.broadcast_arrays(x, total)
     shape = x.shape
     x = x.flatten()
@@ -127,7 +127,7 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
     """
     t_arr = np.asarray(times, dtype=float).ravel()
     # a step flows from s_k <= s + t_k for t_(k+1) - t_k, so within s + t_(k+1)
-    _check_crossings(f, float(np.max(t_arr, initial=0.0)), float(np.max(s, initial=0.0)))
+    check_crossings(f, float(np.max(t_arr, initial=0.0)), float(np.max(s, initial=0.0)))
 
     def samples(x, s, fx):
         t_prev = 0.0

@@ -14,14 +14,12 @@ caveat.
 
 scipy is the only heavy import here and is loaded inside the functions that
 use it, so the subcommands that never build an Ulam matrix never pay its
-start-up cost.  ``build_ulam`` loads all of it once the dimension has passed
-its cap, before any sample-point array exists.  Loading ``scipy.linalg``
-later, in ``spectrum`` once those arrays are freed, left the flow-transport benchmark's peak RSS
-about 1 MiB higher (103.2-103.3 against 102.2-102.3 MiB on a 2-core Linux
-machine); with glibc's dynamic mmap threshold pinned (MALLOC_MMAP_THRESHOLD_)
-both placements read 102.4 MiB, so the threshold, moved by the freed arrays,
-is the cause.  ``spectrum`` imports again for callers that hand it an
-operator built elsewhere; once loaded that is a lookup in ``sys.modules``.
+start-up cost: ``build_ulam`` loads ``scipy.sparse`` and ``spectrum`` the
+solvers.  The assembly holds one chunk of sample points at a time, so where
+the solvers load no longer moves the peak RSS: the flow-transport benchmark
+read 80.2-80.7 MiB with them loaded in either function (2-core Linux
+machine), where the one-shot assembly's freed arrays had made the placement
+worth about 1 MiB.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import TrigPolynomial, extrema
-from .dynamics import advance, advance_through
+from .dynamics import advance, advance_through, check_crossings
 from .errors import NumericalFailure, ResourceLimit
 from .smooth import step
 from .transversality import exponent_fit
@@ -44,9 +42,13 @@ GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 # Ulam dimension nx*ns, refused at run time with a ResourceLimit; the dense
 # float64 copy of a matrix this size (``UlamOperator.matrix``) takes 2 GiB
 MAX_DIM = 2 ** 14
-# points one flow run moves (correlation quadrature nodes, Ulam sample
-# points): a few arrays of this many floats each
+# points one flow run moves: correlation quadrature nodes, a few arrays of
+# this many floats each, or Ulam sample points, which the assembly flows a
+# chunk at a time, so for it the cap bounds work, not memory
 MAX_NODES = 2 ** 22
+# Ulam sample points sampled, flowed and binned at once, in whole boxes (one
+# box when a box holds more): bounds the assembly's working arrays
+CHUNK_POINTS = 2 ** 13
 
 # observables vanish within this fraction of min f near the top and bottom
 # of each fiber, keeping them smooth and supported in the interior
@@ -137,17 +139,34 @@ class CorrelationCurve:
     phi_id: str
 
 
-def _lattice(points: int, seed: int, mode: str, count: int):
-    """(u, v) in [0,1)^2 per box: a golden-ratio rank-1 lattice in the
-    deterministic default, or seeded uniforms in Monte Carlo mode (one
-    independent stream per box, stable under any evaluation order)."""
+def _sample_chunks(part: BoxPartition, points: int, seed: int, mode: str):
+    """Sample points of the boxes, in chunks of whole boxes taken in box
+    order: yields (boxes, x0, s0), the box indices of the chunk and its
+    points' coordinates, box-major.  A chunk holds at most CHUNK_POINTS
+    points, or one box when a box alone holds more.
+
+    The offsets (u, v) in [0,1)^2 of a box's points are a golden-ratio
+    rank-1 lattice, the same row for every box, in the deterministic
+    default.  Monte Carlo mode draws them from one default_rng(seed) stream,
+    box by box; the chunks draw that stream in box order, so the points are
+    those of a single draw over all boxes.
+    """
     if mode == "lattice":
         k = np.arange(points)
-        u = (k + 0.5) / points
-        v = ((k + 0.5) * GOLDEN_FRAC) % 1.0
-        return np.tile(u, (count, 1)), np.tile(v, (count, 1))
-    pts = np.random.default_rng(seed).random((count, points, 2))
-    return pts[:, :, 0], pts[:, :, 1]
+        u = ((k + 0.5) / points)[None, :]
+        v = (((k + 0.5) * GOLDEN_FRAC) % 1.0)[None, :]
+    else:
+        rng = np.random.default_rng(seed)
+    per_chunk = max(1, CHUNK_POINTS // points)
+    for start in range(0, part.dim, per_chunk):
+        boxes = np.arange(start, min(start + per_chunk, part.dim))
+        if mode != "lattice":
+            uv = rng.random((len(boxes), points, 2))
+            u, v = uv[:, :, 0], uv[:, :, 1]
+        cols, slices = np.divmod(boxes, part.ns)
+        x0 = (cols[:, None] + u) / part.nx
+        s0 = (slices[:, None] + v) * (part.column_heights[cols, None] / part.ns)
+        yield boxes, x0.ravel(), s0.ravel()
 
 
 def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
@@ -161,14 +180,18 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
     column's height are assigned to its top slice, so every sampled point is
     accounted for and columns sum to one exactly.  An entry hit by c of a
     box's points holds c additions of 1/points_per_box in sequence, the sum a
-    dense accumulation would make.  Raises ResourceLimit, before anything is
-    built, when nx*ns exceeds MAX_DIM.
+    dense accumulation would make.
+
+    The points are sampled, flowed and binned one chunk of boxes at a time
+    (``_sample_chunks``), so at most one chunk of points is held at once;
+    the chunks' entries, merged in entry order, are those of a single pass
+    over all points.  Raises ResourceLimit, before anything is built, when
+    nx*ns exceeds MAX_DIM, and before any point flows when t could cross the
+    roof more than MAX_CROSSINGS times from the tallest sample point.
     """
     if nx * ns > MAX_DIM:
         raise ResourceLimit(f"nx*ns = {nx * ns} exceeds the cap {MAX_DIM}", max_dim=MAX_DIM)
-    import scipy.linalg          # every scipy module spectrum uses, before any array
     import scipy.sparse
-    import scipy.sparse.linalg
 
     part = BoxPartition.build(f, nx, ns)
     dim = part.dim
@@ -177,25 +200,30 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
         # move the few points that stick out above the true ceiling
         return UlamOperator(sparse=scipy.sparse.eye_array(dim, format="csr"), t=0.0)
 
-    u, v = _lattice(points_per_box, seed, mode, dim)
-    cols = np.repeat(np.arange(nx), ns)
-    slices = np.tile(np.arange(ns), nx)
-    heights = part.column_heights[cols]
-    x0 = (cols[:, None] + u) / nx
-    s0 = (slices[:, None] + v) * (heights[:, None] / ns)
+    # the crossing cap bounds s0 + t, so a refusal's t_limit is net of the
+    # tallest s0 over all boxes, decided once before any chunk flows
+    tallest = max(float(np.max(s0)) for _, _, s0 in
+                  _sample_chunks(part, points_per_box, seed, mode))
+    check_crossings(f, t, tallest)
 
-    # the crossing cap bounds s0 + t, so a refusal's t_limit is net of the tallest s0
-    ((_, x1, s1, _),) = advance_through(f, x0.ravel(), s0.ravel(), [t], step=advance)
-    land_col = np.minimum((x1 * nx).astype(int), nx - 1)
-    land_height = part.column_heights[land_col]
-    land_slice = np.minimum((s1 * ns / land_height).astype(int), ns - 1)
-    land_idx = land_col * ns + land_slice
-    src_idx = np.repeat(np.arange(dim), points_per_box)
-
-    # entries in row-major order, each with the number of points it received
-    entry, count = np.unique(land_idx * dim + src_idx, return_counts=True)
-    row, col = np.divmod(entry, dim)
-    values = np.cumsum(np.full(points_per_box, 1.0 / points_per_box))[count - 1]
+    keys, counts = [], []
+    for boxes, x0, s0 in _sample_chunks(part, points_per_box, seed, mode):
+        x1, s1, _, _ = advance(f, x0, s0 + t)
+        land_col = np.minimum((x1 * nx).astype(int), nx - 1)
+        land_slice = np.minimum((s1 * ns / part.column_heights[land_col]).astype(int), ns - 1)
+        land_idx = land_col * ns + land_slice
+        # the chunk's entries, keyed row-major, each with its number of points
+        key, count = np.unique(land_idx * dim + np.repeat(boxes, points_per_box),
+                               return_counts=True)
+        keys.append(key)
+        counts.append(count)
+    # chunks hold disjoint columns, so their keys are distinct and one sort
+    # puts the entries in row-major order
+    key = np.concatenate(keys)
+    order = np.argsort(key)
+    row, col = np.divmod(key[order], dim)
+    partial_sums = np.cumsum(np.full(points_per_box, 1.0 / points_per_box))
+    values = partial_sums[np.concatenate(counts)[order] - 1]
     indptr = np.searchsorted(row, np.arange(dim + 1))
     return UlamOperator(sparse=scipy.sparse.csr_array((values, col, indptr), shape=(dim, dim)),
                         t=float(t))

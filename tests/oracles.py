@@ -42,7 +42,7 @@ from semiflow.dynamics import FlowPoint, advance, branch_table
 from semiflow.errors import InvalidArgument, PreconditionViolation
 from semiflow.genericity import BumpDirection
 from semiflow.smooth import chi
-from semiflow.spectral import BoxPartition, _lattice
+from semiflow.spectral import BoxPartition
 from semiflow.transversality import _overlap_maxima, _sweep_max
 
 ROOF_TOL = 1e-12
@@ -254,21 +254,37 @@ def correlation_from_zero(f, psi, phi, t_list, nx, ns, margin):
     return out
 
 
+def ulam_samples(part, points_per_box, seed=0, mode="lattice"):
+    """Every Ulam sample point at once, box-major: the golden-ratio lattice
+    tiled over the boxes, or one default_rng(seed) draw for all of them."""
+    dim = part.dim
+    if mode == "lattice":
+        k = np.arange(points_per_box)
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        u = np.tile((k + 0.5) / points_per_box, (dim, 1))
+        v = np.tile(((k + 0.5) * golden) % 1.0, (dim, 1))
+    else:
+        pts = np.random.default_rng(seed).random((dim, points_per_box, 2))
+        u, v = pts[:, :, 0], pts[:, :, 1]
+    cols = np.repeat(np.arange(part.nx), part.ns)
+    slices = np.tile(np.arange(part.ns), part.nx)
+    heights = part.column_heights[cols]
+    x0 = (cols[:, None] + u) / part.nx
+    s0 = (slices[:, None] + v) * (heights[:, None] / part.ns)
+    return x0.ravel(), s0.ravel()
+
+
 def dense_ulam(f, t, nx, ns, points_per_box, seed=0, mode="lattice"):
-    """The Ulam matrix of ``spectral.build_ulam`` assembled densely: the
-    library's sample points and flow advance, then ``np.add.at`` adds
-    1/points_per_box into a dim x dim array once per sample point."""
+    """The Ulam matrix of ``spectral.build_ulam`` assembled densely in one
+    pass: every sample point (``ulam_samples``) flowed at once by the
+    library's advance, then ``np.add.at`` adds 1/points_per_box into a
+    dim x dim array once per sample point."""
     part = BoxPartition.build(f, nx, ns)
     dim = part.dim
     if t == 0.0:
         return np.eye(dim)
-    u, v = _lattice(points_per_box, seed, mode, dim)
-    cols = np.repeat(np.arange(nx), ns)
-    slices = np.tile(np.arange(ns), nx)
-    heights = part.column_heights[cols]
-    x0 = (cols[:, None] + u) / nx
-    s0 = (slices[:, None] + v) * (heights[:, None] / ns)
-    x1, s1, _, _ = advance(f, x0.ravel(), s0.ravel() + t)
+    x0, s0 = ulam_samples(part, points_per_box, seed, mode)
+    x1, s1, _, _ = advance(f, x0, s0 + t)
     land_col = np.minimum((x1 * nx).astype(int), nx - 1)
     land_slice = np.minimum((s1 * ns / part.column_heights[land_col]).astype(int), ns - 1)
     matrix = np.zeros((dim, dim))

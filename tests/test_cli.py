@@ -433,114 +433,202 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["norms", "--set", 'params.num_functions="2"'], "validation error: num_functions"),
-    (["norms", "--set", "params.num_functions=1.5"], "validation error: num_functions"),
-    (["norms", "--set", 'params.slope_margin="a"'], "validation error: slope_margin"),
-    (["genericity", "--set", 'params.probe_samples="4"'], "validation error: probe_samples"),
-    (["genericity", "--set", 'params.window_factor="8"'], "validation error: window_factor"),
-    (["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[0]"],
-     "validation error: probe_n_values"),
-    (["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[1]"],
-     "error: probe level n = 1 "),
-    (["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[70]"],
-     "error: probe level n = 70:"),
-    (["transversality", "--set", 'params.nx="16"'], "validation error: nx"),
-    (["spectrum", "--set", "params.nx=1.5"], "validation error: nx"),
-    (["spectrum", "--set", "params.k=2.5"], "validation error: k"),
-    (["branches", "--set", 'params.x="a"'], "validation error: x"),
+    pytest.param(["norms", "--set", 'params.num_functions="2"'], "validation error: num_functions",
+                 id="argv0-validation error: num_functions"),
+    pytest.param(["norms", "--set", "params.num_functions=1.5"], "validation error: num_functions",
+                 id="argv1-validation error: num_functions"),
+    pytest.param(["norms", "--set", 'params.slope_margin="a"'], "validation error: slope_margin",
+                 id="argv2-validation error: slope_margin"),
+    pytest.param(["genericity", "--set", 'params.probe_samples="4"'],
+                 "validation error: probe_samples",
+                 id="argv3-validation error: probe_samples"),
+    pytest.param(["genericity", "--set", 'params.window_factor="8"'],
+                 "validation error: window_factor",
+                 id="argv4-validation error: window_factor"),
+    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[0]"],
+                 "validation error: probe_n_values",
+                 id="argv5-validation error: probe_n_values"),
+    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[1]"],
+                 "error: probe level n = 1 ",
+                 id="argv6-error: probe level n = 1 "),
+    pytest.param(["genericity", "--set", "params.probe=true", "--set",
+                  "params.probe_n_values=[70]"],
+                 "error: probe level n = 70:",
+                 id="argv7-error: probe level n = 70:"),
+    pytest.param(["transversality", "--set", 'params.nx="16"'], "validation error: nx",
+                 id="argv8-validation error: nx"),
+    pytest.param(["spectrum", "--set", "params.nx=1.5"], "validation error: nx",
+                 id="argv9-validation error: nx"),
+    pytest.param(["spectrum", "--set", "params.k=2.5"], "validation error: k",
+                 id="argv10-validation error: k"),
+    pytest.param(["branches", "--set", 'params.x="a"'], "validation error: x",
+                 id="argv11-validation error: x"),
     # the five options that let a report claim what the run never computed:
     # the verdict thresholds and the spectrum's uncertified essential_bound
-    (["spectrum", "--set", "params.bound_ns=0"],
-     "validation error: unknown spectrum parameter 'bound_ns'"),
-    (["branches", "--set", 'gamma0="0.9"'], "validation error: gamma0"),
-    (["branches", "--set", "out=7"], "validation error: out"),
-    (["transversality", "--set", 'params.certified="no"'], "validation error: certified"),
-    (["branches", "--set", "seed=true"], "validation error: seed"),
-    (["branches", "--set", "workers=true"], "validation error: workers"),
-    (["branches", "--set", "params.theta=true"],
-     "validation error: unknown branches parameter 'theta'"),
-    (["mixing", "--set", "params.eigenfunction_times=5"],
-     "validation error: eigenfunction_times"),
-    (["correlations", "--set", 'params.psi.s=["cos","a"]'], "validation error: bad psi: "),
-    (["correlations", "--set", 'params.psi.s=["cos"]'], "validation error: bad psi: "),
-    (["correlations", "--set", 'params.psi.cutoff="no"'], "validation error: bad psi: "),
-    (["branches", "--set", "ceiling.ell=true"], "validation error: bad ceiling: "),
-    (["branches", "--set", 'ceiling.mean="1"'], "validation error: bad ceiling: "),
-    (["branches", "--set", 'ceiling.harmonics=[[1,"a",0]]'], "validation error: bad ceiling: "),
-    (["branches", "--set", "ceiling.harmonics=[[1.5,0,0.1]]"], "validation error: bad ceiling: "),
-    (["transversality", "--set", "params.nL=8"],
-     "validation error: unknown transversality parameter 'nL'"),
-    (["branches", "--set", "experiment=[1]"], "validation error: experiment"),
-    (["branches", "--set", "ceiling.mean.x=1"], "parse error: override 'ceiling.mean.x=1'"),
-    (["branches", "--set", "params.x=1" + "0" * 5000], "validation error: x"),
-    (["mixing", "--set", "params.grid=256", "--format", "jsonl"],
-     "error: payload has no record section"),
-    (["mixing", "--set", "params.grid=1099511627776"], "validation error: grid"),
-    (["norms", "--set", "params.grid_n=1048576"], "validation error: grid_n"),
-    (["correlations", "--set", 'params.psi.x=["cos",0.5]'], "validation error: bad psi: "),
-    (["transversality", "--set", "ceiling.harmonics=[[4096,0,1.2]]"],
-     "validation error: bad ceiling: "),
-    (["correlations", "--set", "params.nx=100000000", "--set", "params.ns=100"],
-     "validation error: nx*ns must be <= 4194304"),
-    (["branches", "--set", 'out="report\\u0000.json"'], "validation error: out"),
+    pytest.param(["spectrum", "--set", "params.bound_ns=0"],
+                 "validation error: unknown spectrum parameter 'bound_ns'",
+                 id="argv12-validation error: unknown spectrum parameter 'bound_ns'"),
+    pytest.param(["branches", "--set", 'gamma0="0.9"'], "validation error: gamma0",
+                 id="argv13-validation error: gamma0"),
+    pytest.param(["branches", "--set", "out=7"], "validation error: out",
+                 id="argv14-validation error: out"),
+    pytest.param(["transversality", "--set", 'params.certified="no"'],
+                 "validation error: certified",
+                 id="argv15-validation error: certified"),
+    pytest.param(["branches", "--set", "seed=true"], "validation error: seed",
+                 id="argv16-validation error: seed"),
+    pytest.param(["branches", "--set", "workers=true"], "validation error: workers",
+                 id="argv17-validation error: workers"),
+    pytest.param(["branches", "--set", "params.theta=true"],
+                 "validation error: unknown branches parameter 'theta'",
+                 id="argv18-validation error: unknown branches parameter 'theta'"),
+    pytest.param(["mixing", "--set", "params.eigenfunction_times=5"],
+                 "validation error: eigenfunction_times",
+                 id="argv19-validation error: eigenfunction_times"),
+    pytest.param(["correlations", "--set", 'params.psi.s=["cos","a"]'],
+                 "validation error: bad psi: ",
+                 id="argv20-validation error: bad psi: "),
+    pytest.param(["correlations", "--set", 'params.psi.s=["cos"]'], "validation error: bad psi: ",
+                 id="argv21-validation error: bad psi: "),
+    pytest.param(["correlations", "--set", 'params.psi.cutoff="no"'], "validation error: bad psi: ",
+                 id="argv22-validation error: bad psi: "),
+    pytest.param(["branches", "--set", "ceiling.ell=true"], "validation error: bad ceiling: ",
+                 id="argv23-validation error: bad ceiling: "),
+    pytest.param(["branches", "--set", 'ceiling.mean="1"'], "validation error: bad ceiling: ",
+                 id="argv24-validation error: bad ceiling: "),
+    pytest.param(["branches", "--set", 'ceiling.harmonics=[[1,"a",0]]'],
+                 "validation error: bad ceiling: ",
+                 id="argv25-validation error: bad ceiling: "),
+    pytest.param(["branches", "--set", "ceiling.harmonics=[[1.5,0,0.1]]"],
+                 "validation error: bad ceiling: ",
+                 id="argv26-validation error: bad ceiling: "),
+    pytest.param(["transversality", "--set", "params.nL=8"],
+                 "validation error: unknown transversality parameter 'nL'",
+                 id="argv27-validation error: unknown transversality parameter 'nL'"),
+    pytest.param(["branches", "--set", "experiment=[1]"], "validation error: experiment",
+                 id="argv28-validation error: experiment"),
+    pytest.param(["branches", "--set", "ceiling.mean.x=1"],
+                 "parse error: override 'ceiling.mean.x=1'",
+                 id="argv29-parse error: override 'ceiling.mean.x=1'"),
+    pytest.param(["branches", "--set", "params.x=1" + "0" * 5000], "validation error: x",
+                 id="argv30-validation error: x"),
+    pytest.param(["mixing", "--set", "params.grid=256", "--format", "jsonl"],
+                 "error: payload has no record section",
+                 id="argv31-error: payload has no record section"),
+    pytest.param(["mixing", "--set", "params.grid=1099511627776"], "validation error: grid",
+                 id="argv32-validation error: grid"),
+    pytest.param(["norms", "--set", "params.grid_n=1048576"], "validation error: grid_n",
+                 id="argv33-validation error: grid_n"),
+    pytest.param(["correlations", "--set", 'params.psi.x=["cos",0.5]'],
+                 "validation error: bad psi: ",
+                 id="argv34-validation error: bad psi: "),
+    pytest.param(["transversality", "--set", "ceiling.harmonics=[[4096,0,1.2]]"],
+                 "validation error: bad ceiling: ",
+                 id="argv35-validation error: bad ceiling: "),
+    pytest.param(["correlations", "--set", "params.nx=100000000", "--set", "params.ns=100"],
+                 "validation error: nx*ns must be <= 4194304",
+                 id="argv36-validation error: nx*ns must be <= 4194304"),
+    pytest.param(["branches", "--set", 'out="report\\u0000.json"'], "validation error: out",
+                 id="argv37-validation error: out"),
     # ceilings and bases that floats cannot carry: K = 2^1024, or a flow
     # height of inf, or a base beyond a 64-bit word index
     # (mixing with mean 1e308 runs in a subprocess below, where a hang fails on a timeout)
-    (["transversality", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
-     "validation error: bad ceiling: mean and harmonic"),
-    (["genericity", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
-     "validation error: bad ceiling: mean and harmonic"),
-    (["transversality", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
-     "validation error: bad ceiling: certified range"),
-    (["genericity", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
-     "validation error: bad ceiling: certified range"),
-    (["mixing", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[[1,1e308,1e308]]}'],
-     "validation error: bad ceiling: mean and harmonic"),
-    (["mixing", "--set", 'ceiling={"ell":2,"mean":1e77,"harmonics":[[1,5e76,0]]}'],
-     "validation error: bad ceiling: certified range"),
-    (["mixing", "--set", 'ceiling={"ell":100000000000000000000,"mean":1,"harmonics":[]}'],
-     "validation error: bad ceiling: ell must be an integer in [2, 9223372036854775807]"),
+    pytest.param(["transversality", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
+                 "validation error: bad ceiling: mean and harmonic",
+                 id="argv38-validation error: bad ceiling: mean and harmonic"),
+    pytest.param(["genericity", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
+                 "validation error: bad ceiling: mean and harmonic",
+                 id="argv39-validation error: bad ceiling: mean and harmonic"),
+    pytest.param(["transversality", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
+                 "validation error: bad ceiling: certified range",
+                 id="argv40-validation error: bad ceiling: certified range"),
+    pytest.param(["genericity", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
+                 "validation error: bad ceiling: certified range",
+                 id="argv41-validation error: bad ceiling: certified range"),
+    pytest.param(["mixing", "--set",
+                  'ceiling={"ell":2,"mean":1e308,"harmonics":[[1,1e308,1e308]]}'],
+                 "validation error: bad ceiling: mean and harmonic",
+                 id="argv42-validation error: bad ceiling: mean and harmonic"),
+    pytest.param(["mixing", "--set", 'ceiling={"ell":2,"mean":1e77,"harmonics":[[1,5e76,0]]}'],
+                 "validation error: bad ceiling: certified range",
+                 id="argv43-validation error: bad ceiling: certified range"),
+    pytest.param(["mixing", "--set",
+                  'ceiling={"ell":100000000000000000000,"mean":1,"harmonics":[]}'],
+                 "validation error: bad ceiling: ell must be an integer in "
+                 "[2, 9223372036854775807]",
+                 id="argv44-validation error: bad ceiling: ell must be an integer in "
+                    "[2, 9223372036854775807]"),
     # every size that sets an allocation is capped before anything is allocated
-    (["spectrum", "--set", "params.points_per_box=100000000"],
-     "validation error: nx*ns*points_per_box must be <= 4194304"),
-    (["spectrum", "--set", "params.bound_nx=100000"],
-     "validation error: unknown spectrum parameter 'bound_nx'"),
-    (["transversality", "--set", "params.nx=100000", "--set", "params.ns=100000"],
-     "validation error: nx*ns must be <= 65536"),
-    (["genericity", "--set", "params.probe_samples=10000000000"],
-     "validation error: probe_samples"),
-    (["genericity", "--set", "params.probe_combos=10000000000"],
-     "validation error: probe_combos"),
+    pytest.param(["spectrum", "--set", "params.points_per_box=100000000"],
+                 "validation error: nx*ns*points_per_box must be <= 4194304",
+                 id="argv45-validation error: nx*ns*points_per_box must be <= 4194304"),
+    pytest.param(["spectrum", "--set", "params.bound_nx=100000"],
+                 "validation error: unknown spectrum parameter 'bound_nx'",
+                 id="argv46-validation error: unknown spectrum parameter 'bound_nx'"),
+    pytest.param(["transversality", "--set", "params.nx=100000", "--set", "params.ns=100000"],
+                 "validation error: nx*ns must be <= 65536",
+                 id="argv47-validation error: nx*ns must be <= 65536"),
+    pytest.param(["genericity", "--set", "params.probe_samples=10000000000"],
+                 "validation error: probe_samples",
+                 id="argv48-validation error: probe_samples"),
+    pytest.param(["genericity", "--set", "params.probe_combos=10000000000"],
+                 "validation error: probe_combos",
+                 id="argv49-validation error: probe_combos"),
     # the schema is the one check of each of these values: the library takes
     # them on trust (genericity probe_n_values=[0] is above)
-    (["spectrum", "--set", "params.t=-1"], "validation error: t must be a number >= 0"),
-    (["spectrum", "--set", "params.k=33"],
-     "validation error: k must be an integer >= 1 and <= 32"),
-    (["spectrum", "--set", 'params.mode="x"'], "validation error: mode must be lattice or"),
-    (["spectrum", "--set", "params.points_per_box=8"],
-     "validation error: points_per_box must be an integer >= 16"),
-    (["spectrum", "--set", "params.with_bound=true"],
-     "validation error: unknown spectrum parameter 'with_bound'"),
-    (["mixing", "--set", "params.grid=300"], "validation error: grid must be a power of two"),
-    (["mixing", "--set", "params.depth=0"], "validation error: depth must be an integer >= 1"),
+    pytest.param(["spectrum", "--set", "params.t=-1"], "validation error: t must be a number >= 0",
+                 id="argv50-validation error: t must be a number >= 0"),
+    pytest.param(["spectrum", "--set", "params.k=33"],
+                 "validation error: k must be an integer >= 1 and <= 32",
+                 id="argv51-validation error: k must be an integer >= 1 and <= 32"),
+    pytest.param(["spectrum", "--set", 'params.mode="x"'],
+                 "validation error: mode must be lattice or",
+                 id="argv52-validation error: mode must be lattice or"),
+    pytest.param(["spectrum", "--set", "params.points_per_box=8"],
+                 "validation error: points_per_box must be an integer >= 16",
+                 id="argv53-validation error: points_per_box must be an integer >= 16"),
+    pytest.param(["spectrum", "--set", "params.with_bound=true"],
+                 "validation error: unknown spectrum parameter 'with_bound'",
+                 id="argv54-validation error: unknown spectrum parameter 'with_bound'"),
+    pytest.param(["mixing", "--set", "params.grid=300"],
+                 "validation error: grid must be a power of two",
+                 id="argv55-validation error: grid must be a power of two"),
+    pytest.param(["mixing", "--set", "params.depth=0"],
+                 "validation error: depth must be an integer >= 1",
+                 id="argv56-validation error: depth must be an integer >= 1"),
     # the verdict thresholds follow from tail_bound alone
-    (["mixing", "--set", "params.tol_strict=5"],
-     "validation error: unknown mixing parameter 'tol_strict'"),
-    (["mixing", "--set", "params.tol_clear=1e-9"],
-     "validation error: unknown mixing parameter 'tol_clear'"),
-    (["mixing", "--set", "params.eigenfunction_times=[1.0,-0.5]"],
-     "validation error: eigenfunction_times must be"),
-    (["mixing", "--set", "params.eigenfunction_times=[NaN]"],
-     "validation error: eigenfunction_times must be"),
-    (["branches", "--set", "params.t=-1"], "validation error: t must be a number >= 0"),
-    (["correlations", "--set", "params.t_values=[-1]"], "validation error: t_values must be"),
-    (["transversality", "--set", "params.nx=0"], "validation error: nx must be an integer >= 8"),
-    (["genericity", "--set", "gamma0=0.4"], "validation error: gamma0 must lie in (1/ell, 1)"),
-    (["genericity", "--set", 'ceiling={"ell":2,"mean":0.5,"harmonics":[[1,0.0,0.8]]}'],
-     "validation error: ceiling violates positivity"),
-    (["norms", "--set", "params.grid_n=48"], "validation error: grid_n must be a power of two"),
-    (["norms", "--set", "params.slope_margin=3"],
-     "validation error: slope_margin must be a number >= 0 and < 2, got 3"),
+    pytest.param(["mixing", "--set", "params.tol_strict=5"],
+                 "validation error: unknown mixing parameter 'tol_strict'",
+                 id="argv57-validation error: unknown mixing parameter 'tol_strict'"),
+    pytest.param(["mixing", "--set", "params.tol_clear=1e-9"],
+                 "validation error: unknown mixing parameter 'tol_clear'",
+                 id="argv58-validation error: unknown mixing parameter 'tol_clear'"),
+    pytest.param(["mixing", "--set", "params.eigenfunction_times=[1.0,-0.5]"],
+                 "validation error: eigenfunction_times must be",
+                 id="argv59-validation error: eigenfunction_times must be"),
+    pytest.param(["mixing", "--set", "params.eigenfunction_times=[NaN]"],
+                 "validation error: eigenfunction_times must be",
+                 id="argv60-validation error: eigenfunction_times must be"),
+    pytest.param(["branches", "--set", "params.t=-1"], "validation error: t must be a number >= 0",
+                 id="argv61-validation error: t must be a number >= 0"),
+    pytest.param(["correlations", "--set", "params.t_values=[-1]"],
+                 "validation error: t_values must be",
+                 id="argv62-validation error: t_values must be"),
+    pytest.param(["transversality", "--set", "params.nx=0"],
+                 "validation error: nx must be an integer >= 8",
+                 id="argv63-validation error: nx must be an integer >= 8"),
+    pytest.param(["genericity", "--set", "gamma0=0.4"],
+                 "validation error: gamma0 must lie in (1/ell, 1)",
+                 id="argv64-validation error: gamma0 must lie in (1/ell, 1)"),
+    pytest.param(["genericity", "--set", 'ceiling={"ell":2,"mean":0.5,"harmonics":[[1,0.0,0.8]]}'],
+                 "validation error: ceiling violates positivity",
+                 id="argv65-validation error: ceiling violates positivity"),
+    pytest.param(["norms", "--set", "params.grid_n=48"],
+                 "validation error: grid_n must be a power of two",
+                 id="argv66-validation error: grid_n must be a power of two"),
+    pytest.param(["norms", "--set", "params.slope_margin=3"],
+                 "validation error: slope_margin must be a number >= 0 and < 2, got 3",
+                 id="argv67-validation error: slope_margin must be a number >= 0 and < 2, got 3"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1

@@ -1,18 +1,21 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from semiflow import ResourceLimit, TrigPolynomial
+from semiflow import ResourceLimit, TrigPolynomial, spectral
+from semiflow.ceiling import extrema
+from semiflow.dynamics import MAX_CROSSINGS
 from semiflow.spectral import (CUTOFF_MARGIN_FRACTION,
                                DISCRETIZED_SPECTRUM_CAVEAT, BoxPartition,
                                Observable, UlamOperator, build_ulam,
                                correlation, decay_fit, spectrum)
 
 from conftest import parse_violations
-from oracles import correlation_from_zero, dense_ulam
+from oracles import correlation_from_zero, dense_ulam, ulam_samples
 
 # 1.3 + 0.3 sin 2 pi x + 0.1 cos 4 pi x + 0.05 (cos + sin) 6 pi x, ell = 3
 F_GEN3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
@@ -58,6 +61,43 @@ def test_ulam_mass_conservation(f_sin):
 def test_ulam_memory_cap(f_sin):
     with pytest.raises(ResourceLimit):
         build_ulam(f_sin, 1.0, 512, 256, 16)
+
+
+def test_ulam_assembly_holds_one_chunk_of_points(f_sin):
+    # 262,144 sample points: assembled in one pass they peaked at 32.1 MiB
+    build_ulam(f_sin, 2.0, 256, 16, 64)     # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        build_ulam(f_sin, 2.0, 256, 16, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode", ["lattice", "monte-carlo"])
+def test_ulam_crossing_cap_refuses_before_any_point_flows(mode, f_sin, monkeypatch):
+    part = BoxPartition.build(f_sin, 256, 16)
+    _, s0 = ulam_samples(part, 64, seed=3, mode=mode)
+    t_limit = MAX_CROSSINGS * extrema(f_sin, 0)[0] - float(np.max(s0))
+    if mode == "lattice":
+        assert t_limit == 13106.00031995401
+    calls = []
+
+    def counted_advance(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a chunk flowed before the crossing cap was decided")
+    monkeypatch.setattr(spectral, "advance", counted_advance)
+    details = []
+    for chunk in (spectral.CHUNK_POINTS, 64):
+        monkeypatch.setattr(spectral, "CHUNK_POINTS", chunk)
+        with pytest.raises(ResourceLimit) as exc:
+            build_ulam(f_sin, np.nextafter(t_limit, np.inf), 256, 16, 64, seed=3, mode=mode)
+        details.append(exc.value.details)
+    # the limit is net of the tallest s0 over all boxes, whatever the chunk
+    assert details[0]["t_limit"] == t_limit
+    assert details[1] == details[0]
+    assert calls == []
 
 
 def test_ulam_lattice_deterministic(f_sin):
@@ -227,18 +267,37 @@ def test_decay_fit_masks_zeros():
 
 
 
-@pytest.mark.parametrize("mode", ["lattice", "monte-carlo"])
-@pytest.mark.parametrize("ppb", [16, 37, 100])
-@pytest.mark.parametrize("nx, ns", [(30, 4), (50, 4)])     # dim 120: LAPACK, 200: Arnoldi
-@pytest.mark.parametrize("ceiling", ["sin", "gen3"])
-def test_sparse_ulam_equals_dense_assembly(ceiling, nx, ns, ppb, mode, f_sin):
+# dim 120 takes the LAPACK path, 200 Arnoldi.  The default chunk splits the
+# larger of these at box boundaries; the cases with their own chunk size take
+# one box per chunk, chunks of 27 boxes (1000 points: a size dividing neither
+# dim nor points_per_box) and boxes larger than the chunk.
+_DENSE_CASES = [
+    pytest.param(ceiling, nx, ns, ppb, mode, None, id=f"{ceiling}-{nx}-{ns}-{ppb}-{mode}")
+    for ceiling in ("sin", "gen3") for nx, ns in ((30, 4), (50, 4))
+    for ppb in (16, 37, 100) for mode in ("lattice", "monte-carlo")
+] + [
+    pytest.param(ceiling, 50, 4, ppb, mode, chunk,
+                 id=f"{ceiling}-50-4-{ppb}-{mode}-chunk{chunk}")
+    for ceiling in ("sin", "gen3") for ppb, chunk in ((37, 1), (37, 1000), (100, 64))
+    for mode in ("lattice", "monte-carlo")
+]
+
+
+@pytest.mark.parametrize("ceiling, nx, ns, ppb, mode, chunk", _DENSE_CASES)
+def test_sparse_ulam_equals_dense_assembly(ceiling, nx, ns, ppb, mode, chunk, f_sin,
+                                           monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(spectral, "CHUNK_POINTS", chunk)
     f, t = (f_sin, 2.5) if ceiling == "sin" else (F_GEN3, 1.0)
     op = build_ulam(f, t, nx, ns, ppb, seed=3, mode=mode)
     dense = dense_ulam(f, t, nx, ns, ppb, seed=3, mode=mode)
     assert np.array_equal(op.matrix, dense)
     assert op.sparse.nnz == np.count_nonzero(dense)
+    reference = scipy.sparse.csr_array(dense)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.sparse, name), getattr(reference, name))
     # spectrum of the CSR view of the dense matrix is how the eigensolve ran on it
-    assert spectrum(op, 8) == spectrum(UlamOperator(scipy.sparse.csr_array(dense), t), 8)
+    assert spectrum(op, 8) == spectrum(UlamOperator(reference, t), 8)
 
 
 @pytest.mark.parametrize("nx, ns", [(30, 4), (50, 4)])
