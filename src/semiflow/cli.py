@@ -24,10 +24,12 @@ import numpy as np
 
 from . import aniso, ceiling, genericity, mixing, smooth, spectral, transversality
 from .canon import canonical_csv, canonical_json
-from .ceiling import TrigPolynomial, ceiling_from_config, classify, extrema, is_int, is_number
-from .dynamics import FlowPoint, inverse_branches
+from .ceiling import (MAX_WORD_INDEX, TrigPolynomial, ceiling_from_config, classify, extrema,
+                      is_int, is_number)
+from .dynamics import ROOF_TOL, FlowPoint, inverse_branches
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
+from .genericity import MAX_CLUSTER_WORDS, combination_size
 
 EXPERIMENTS = ("transversality", "mixing", "spectrum", "correlations",
                "norms", "genericity", "branches")
@@ -128,17 +130,58 @@ _SCHEMA = {
     },
 }
 
-# experiment -> (parameters, cap on their product): sizes that set an
-# allocation together, checked once every factor has passed its own rule
-_PRODUCT_CAPS = {
-    "transversality": [(("nx", "ns"), transversality.MAX_GRID)],
-    "spectrum": [(("nx", "ns", "points_per_box"), spectral.MAX_NODES)],
-    "correlations": [(("nx", "ns"), spectral.MAX_NODES)],
+
+def _product_cap(names, cap):
+    """The rule that the sizes ``names`` of one allocation multiply to at most ``cap``."""
+    text = f"{'*'.join(names)} must be <= {cap}"
+    return text, names, lambda *sizes: [text] if math.prod(sizes) > cap else []
+
+
+def _target_problems(f, x, s):
+    fx = float(f(x))
+    if s >= fx + ROOF_TOL:
+        return [f"target (x={x}, s={s}) is outside the region under the ceiling"]
+    return [f"target (x={x}, s={s}) lies on the roof; the flow identifies it with the base "
+            f"point (x={f.ell * x % 1.0}, s=0), so pass that point"] if s >= fx - ROOF_TOL else []
+
+
+# experiment -> the rules that relate values: (the rule as --help lists it,
+# the values it reads, check(*those values) -> violations), checked once each
+# value has passed its own rule; "ceiling" reads the parsed ceiling.  An
+# index ell^n is compared as ell^min(n, 64), beyond 2^63 - 1 exactly when
+# ell^n is, so that a large n forms no slow big-int power.
+_RULES = {
+    "transversality": [_product_cap(("nx", "ns"), transversality.MAX_GRID)],
+    "spectrum": [_product_cap(("nx", "ns", "points_per_box"), spectral.MAX_NODES)],
+    "correlations": [_product_cap(("nx", "ns"), spectral.MAX_NODES)],
+    "genericity": [
+        ("cluster_word letters must lie in 1..ell", ("ceiling", "cluster_word"),
+         lambda f, word: [] if all(1 <= a <= f.ell for a in word) else
+         [f"cluster_word letters must lie in 1..{f.ell}, got {word}"]),
+        ("ell^m must be <= 2^63 - 1 for a cluster_word of m letters", ("ceiling", "cluster_word"),
+         lambda f, word: [] if f.ell ** min(len(word), 64) <= MAX_WORD_INDEX else
+         [f"cluster_word of m = {len(word)} letters: ell^m = {f.ell}^{len(word)} exceeds "
+          "the int64 word index"]),
+        (f"ell^n must be <= {MAX_CLUSTER_WORDS} for each n in cluster_n_values",
+         ("ceiling", "cluster_n_values"),
+         lambda f, levels: [f"cluster_n_values entry n = {n}: ell^n = {f.ell}^{n} exceeds the "
+                            f"cluster cap {MAX_CLUSTER_WORDS}"
+                            for n in levels if f.ell ** n > MAX_CLUSTER_WORDS]),
+        ("ell^n must be <= 2^63 - 1 for each n in probe_n_values", ("ceiling", "probe_n_values"),
+         lambda f, levels: [f"probe level n = {n}: ell^n = {f.ell}^{n} exceeds the int64 word "
+                            "index" for n in levels if f.ell ** min(n, 64) > MAX_WORD_INDEX]),
+        ("ell^n must be >= p + 1 for each n in probe_n_values (p = 5 at ell = 2, 4 at 3..10)",
+         ("ceiling", "probe_n_values"),
+         lambda f, levels: [f"probe level n = {n} gives fewer than the p + 1 = "
+                            f"{combination_size(f.ell) + 1} distinct words a combination "
+                            f"needs (ell = {f.ell})"
+                            for n in levels if f.ell ** min(n, 64) <= combination_size(f.ell)]),
+    ],
+    "branches": [
+        ("(x, s) must lie under the roof, s < f(x) - 1e-12; on it, pass (tau x, 0) instead",
+         ("ceiling", "x", "s"), _target_problems),
+    ],
 }
-
-
-def _product_rule(names, cap) -> str:
-    return f"{'*'.join(names)} must be <= {cap}"
 
 
 @dataclass
@@ -221,10 +264,11 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     p = {}
     if exp is not None and "params" in top:
         p = _checked(_SCHEMA[exp], top["params"], f"{exp} parameter", problems)
-    # the rules that relate two values or parse a nested spec, once their inputs passed
-    for names, cap in _PRODUCT_CAPS.get(exp, ()):
-        if all(name in p for name in names) and math.prod(map(p.get, names)) > cap:
-            problems.append(_product_rule(names, cap))
+    # the rules that relate values or parse a nested spec, once their inputs passed
+    known = p if ceiling is None else dict(p, ceiling=ceiling)
+    for _, names, check in _RULES.get(exp, ()):
+        if all(name in known for name in names):
+            problems.extend(check(*map(known.get, names)))
     for name in ("psi", "phi"):
         if name in p:
             try:
@@ -312,7 +356,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         "eigenvalues": [[v.real, v.imag] for v in report.eigenvalues],
         "multiplicities": list(report.multiplicities),
     }
-    return payload, list(report.caveats)
+    return payload, [spectral.DISCRETIZED_SPECTRUM_CAVEAT]
 
 
 def _run_correlations(cfg: ExperimentConfig):
@@ -331,16 +375,12 @@ def _run_correlations(cfg: ExperimentConfig):
     return payload, []
 
 
-def _default_polarization(margin: float):
-    plus = aniso.ConeSpec(-margin, margin)
-    minus = aniso.ConeSpec(2.0, -2.0)
-    return aniso.Polarization(plus, minus)
-
-
 def _run_norms(cfg: ExperimentConfig):
     p = cfg.params
     grid = aniso.make_grid(1.0, 1.0, p["grid_n"])
-    bank = aniso.mask_bank(_default_polarization(p["slope_margin"]), grid)
+    margin = p["slope_margin"]
+    polarization = aniso.Polarization(aniso.ConeSpec(-margin, margin), aniso.ConeSpec(2.0, -2.0))
+    bank = aniso.mask_bank(polarization, grid)
     rng = np.random.default_rng(cfg.seed)
     X, Y = grid.coords()
     envelope = smooth.plateau(X, 0.5, 0.95) * smooth.plateau(Y, 0.5, 0.95)
@@ -374,7 +414,9 @@ def _run_genericity(cfg: ExperimentConfig):
             "growth_rate": rep.max_cluster ** (1.0 / n),
         })
     if p["probe"]:
-        family = _default_probe_family(f)
+        family = genericity.PerturbationFamily(base=f, epsilon=0.05, directions=tuple(
+            genericity.BumpDirection(center=c, radius=0.055, deriv_plateau=20.0)
+            for c in (0.05, 0.21, 0.37, 0.53, 0.69, 0.85)))
         for n in p["probe_n_values"]:
             res = genericity.bad_set_probe(family, n, p["probe_samples"], cfg.seed, cls,
                                            combos=p["probe_combos"])
@@ -384,15 +426,6 @@ def _run_genericity(cfg: ExperimentConfig):
                 "window": res.window, "combos": res.combos_used,
             })
     return {"records": records}, [ceiling.CR_TRUNCATION_CAVEAT]
-
-
-def _default_probe_family(f: TrigPolynomial):
-    centers = [0.05, 0.21, 0.37, 0.53, 0.69, 0.85]
-    directions = tuple(
-        genericity.BumpDirection(center=c, radius=0.055, deriv_plateau=20.0)
-        for c in centers)
-    return genericity.PerturbationFamily(base=f, directions=directions,
-                                         epsilon=0.05)
 
 
 def _run_branches(cfg: ExperimentConfig):
@@ -421,11 +454,8 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
-    """Dispatch the experiment and wrap the payload in a report.
-
-    Wall time is recorded on the report but excluded from the canonical
-    emission so deterministic runs stay byte-identical.
-    """
+    """Dispatch the experiment and wrap the payload in a report, with the
+    wall time, which ``emit`` leaves out of every format."""
     started = time.perf_counter()
     payload, caveats = _RUNNERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - started
@@ -446,7 +476,7 @@ def _payload_rows(payload):
     return None
 
 
-def emit(report: RunReport, format: str = "json", include_timing: bool = False) -> bytes:
+def emit(report: RunReport, format: str = "json") -> bytes:
     """Serialize a report canonically.
 
     json renders the whole document; jsonl renders one record per line,
@@ -460,8 +490,6 @@ def emit(report: RunReport, format: str = "json", include_timing: bool = False) 
             "caveats": report.caveats,
             "payload": report.payload,
         }
-        if include_timing:
-            doc["wall_time_s"] = report.wall_time_s
         return (canonical_json(doc) + "\n").encode()
     if format == "jsonl":
         rows = _payload_rows(report.payload)
@@ -501,12 +529,13 @@ def _apply_overrides(raw: dict, overrides) -> None:
         node[keys[-1]] = parsed
 
 
-def _help(heading: str, table: dict, caps=()) -> str:
-    """A --help epilog: each schema entry with its rule and default, then the product caps."""
+def _help(heading: str, table: dict, rules=()) -> str:
+    """A --help epilog: each schema entry with its rule and default, then the
+    rules that relate values."""
     width = max(map(len, table))
     return "\n".join([heading + "; a value's type is checked before its range:"] + [
         f"  {key:<{width}}  {param.rule}; default {json.dumps(param.default)}"
-        for key, param in table.items()] + [f"  {_product_rule(*cap)}" for cap in caps])
+        for key, param in table.items()] + [f"  {text}" for text, *_ in rules])
 
 
 def main(argv=None) -> int:
@@ -518,14 +547,13 @@ def main(argv=None) -> int:
     for name in EXPERIMENTS:
         s = sub.add_parser(name, formatter_class=argparse.RawDescriptionHelpFormatter,
                            epilog=_help("parameters (--set params.NAME=VALUE)", _SCHEMA[name],
-                                        _PRODUCT_CAPS.get(name, ())))
+                                        _RULES.get(name, ())))
         s.add_argument("config", nargs="?", help="JSON config file (defaults used if omitted)")
         s.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE",
                        help="override a config entry (dotted path, JSON value)")
         s.add_argument("--out", help="output path ('-' for stdout)")
         s.add_argument("--format", choices=("json", "jsonl", "csv"), default="json")
         s.add_argument("--workers", type=int, help="worker count override")
-        s.add_argument("--timing", action="store_true", help="include wall time in the report")
     args = parser.parse_args(argv)
 
     try:
@@ -554,7 +582,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(cfg)
-        data = emit(report, args.format, include_timing=args.timing)
+        data = emit(report, args.format)
         if cfg.out == "-":
             sys.stdout.buffer.write(data)
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import MAX_WORD_INDEX, TrigPolynomial, extrema
-from .errors import DomainViolation, NumericalFailure, ResourceLimit
+from .errors import NumericalFailure, ResourceLimit
 
 # Points within ROOF_TOL of the roof are treated as already transferred to
 # the base of the next fiber (right-limit convention of the flow).
@@ -312,19 +312,9 @@ def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     being (k // ell^p) % ell + 1 and 0 past the word's end, so a word sorts
     after its prefixes, as tuples of letters do.
 
-    Raises DomainViolation when z lies outside the region under the ceiling
-    or on its roof: by the right-limit convention a roof point (x, f(x)) is
-    the base point (tau(x), 0), which the caller must pass instead.  Raises
+    z lies strictly under the roof, as config parsing checks.  Raises
     NumericalFailure when rounding leaves no branch, so that the branch
-    weights cannot sum to 1 (a ceiling so large that s + S - t rounds to
-    S)."""
-    fx = f(z.x)
-    if not 0.0 <= z.s < fx + ROOF_TOL:
-        raise DomainViolation(f"point (x={z.x}, s={z.s}) is outside the region under the ceiling")
-    if z.s >= fx - ROOF_TOL:
-        raise DomainViolation(
-            f"point (x={z.x}, s={z.s}) lies on the roof; the flow identifies it with "
-            f"the base point (x={f.ell * z.x % 1.0}, s=0), so pass that point")
+    weights cannot sum to 1 (a ceiling so large that s + S - t rounds to S)."""
     table = branch_table(f, z, t)
     if not table.count:
         raise NumericalFailure(

@@ -22,9 +22,9 @@ import numpy as np
 
 # the module never calls classify: every caller passes the class.  The
 # traced benchmark (bench/spans.py) wraps genericity.classify by name.
-from .ceiling import MAX_WORD_INDEX, CeilingClass, TrigPolynomial, classify  # noqa: F401
+from .ceiling import CeilingClass, TrigPolynomial, classify  # noqa: F401
 from .dynamics import prefix_points
-from .errors import DomainViolation, InvalidArgument, ResourceLimit
+from .errors import DomainViolation, InvalidArgument
 from .smooth import flat_bump, plateau
 
 MAX_CLUSTER_WORDS = 2 ** 20
@@ -121,13 +121,6 @@ class SlopeClusterReport:
     max_cluster: int
 
 
-def _check_word_index(ell: int, n: int, what: str) -> None:
-    """Raise InvalidArgument when ell^n > MAX_WORD_INDEX, from ell^min(n, 64):
-    ell^64 is beyond already, and at a large n ell^n is a slow big-int power."""
-    if ell ** min(n, 64) > MAX_WORD_INDEX:
-        raise InvalidArgument(f"{what}: ell^{n} = {ell}^{n} exceeds the int64 word index")
-
-
 def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
     """Branch slopes at x for every word of length n, indexed little-endian."""
     ell = f.ell
@@ -140,21 +133,15 @@ def _all_slopes(f: TrigPolynomial, x: float, n: int) -> np.ndarray:
 
 
 def slope_clusters(f: TrigPolynomial, n: int, letters, cls: CeilingClass,
-                   window_factor: float = 8.0) -> SlopeClusterReport:
+                   window_factor: float) -> SlopeClusterReport:
     """Size of the largest set of length-n words whose slopes at the
     cylinder endpoint of the base word ``letters`` (over 1..ell) fall in a
     sliding window of width window_factor * theta_K * ell^(-n) (anchored at
     the sorted slope values, which is exact for the max-pairwise-difference
     criterion); theta_K is read from ``cls``, the class of f.  The endpoint
-    of a word of m letters with index k is k/ell^m."""
+    of a word of m letters with index k is k/ell^m.  Config parsing checks
+    the letters, ell^m <= 2^63 - 1 and ell^n <= MAX_CLUSTER_WORDS."""
     ell = f.ell
-    _check_word_index(ell, len(letters), f"base word of m = {len(letters)} letters")
-    letters = tuple(int(a) for a in letters)
-    if any(not 1 <= a <= ell for a in letters):
-        raise InvalidArgument(f"letters must lie in 1..{ell}: {letters}")
-    if ell ** n > MAX_CLUSTER_WORDS:
-        raise ResourceLimit(f"ell^n = {ell}^{n} exceeds the cluster cap {MAX_CLUSTER_WORDS}",
-                            max_words=MAX_CLUSTER_WORDS)
     k = sum((a - 1) * ell ** i for i, a in enumerate(letters))
     x_c = k / ell ** len(letters)
     sorted_slopes = np.sort(_all_slopes(f, x_c, n))
@@ -238,7 +225,7 @@ def combination_size(ell: int) -> int:
 
 
 def bad_set_probe(family: PerturbationFamily, n: int, samples: int, seed: int,
-                  cls: CeilingClass, combos: int = 64) -> ProbeResult:
+                  cls: CeilingClass, combos: int) -> ProbeResult:
     """Monte Carlo measure of the degenerate parameter set.
 
     Draws random (word, sigma) combinations at level n, keeps those whose
@@ -247,10 +234,10 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int, seed: int,
     the fraction of parameters t whose perturbed ceiling keeps all sigma
     slope differences inside the window 10 * theta_K * ell^(-n), with
     theta_K read from ``cls``, the base ceiling's class.  A combination is
-    a base word and p + 1 distinct words, p = ``combination_size(ell)``.
-    Reported with a 95% Wilson interval.  Full enumeration of all
-    combinations is out of computational reach; only the measure trend is
-    probed.
+    a base word and p + 1 distinct words, p = ``combination_size(ell)``;
+    config parsing checks p + 1 <= ell^n <= 2^63 - 1.  Reported with a 95%
+    Wilson interval.  Full enumeration of all combinations is out of
+    computational reach; only the measure trend is probed.
     """
     f = family.base
     ell = f.ell
@@ -259,11 +246,6 @@ def bad_set_probe(family: PerturbationFamily, n: int, samples: int, seed: int,
         raise InvalidArgument(
             f"family provides {family.m} directions but a combination needs p = {p}; "
             "no slope-difference map can reach Jacobian 1")
-    _check_word_index(ell, n, f"probe level n = {n}")
-    if ell ** n < p + 1:
-        raise InvalidArgument(
-            f"probe level n = {n} gives fewer than the p + 1 = {p + 1} distinct "
-            f"words a combination needs (ell = {ell})")
     window = 10.0 * cls.theta_K * ell ** float(-n)
     rng = np.random.default_rng([seed, n, family.m])
 

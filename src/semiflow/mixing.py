@@ -102,7 +102,7 @@ def cocycle_residual(report: CoboundaryReport, f: TrigPolynomial, grid: int) -> 
     return float(np.max(np.abs(res)))
 
 
-def weak_mixing_test(f: TrigPolynomial, grid: int = 4096, depth: int = 24) -> CoboundaryReport:
+def weak_mixing_test(f: TrigPolynomial, grid: int, depth: int) -> CoboundaryReport:
     """Full dichotomy test; the returned report carries the verdict, the
     residual, and both thresholds: tol_strict = 1e-6 + tail_bound and
     tol_clear = 1e3 tol_strict.  The truncated series may miss up to

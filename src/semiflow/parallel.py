@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 
 
-def pmap(fn, items, workers: int = 1) -> list:
+def pmap(fn, items, workers: int) -> list:
     items = list(items)
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:

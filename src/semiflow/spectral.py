@@ -92,7 +92,6 @@ class SpectrumReport:
     eigenvalues: tuple          # complex, sorted by decreasing modulus
     multiplicities: tuple
     t: float
-    caveats: tuple = (DISCRETIZED_SPECTRUM_CAVEAT,)
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,8 @@ def _sample_chunks(part: BoxPartition, points: int, seed: int, mode: str):
         yield boxes, x0.ravel(), s0.ravel()
 
 
-def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
-               points_per_box: int, seed: int = 0,
-               mode: str = "lattice") -> UlamOperator:
+def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int, points_per_box: int,
+               seed: int, mode: str) -> UlamOperator:
     """Ulam matrix of the time-t map on the box partition, assembled sparse.
 
     Sample points in a box may stick out above the true ceiling when f dips

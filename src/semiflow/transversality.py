@@ -137,7 +137,7 @@ def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass,
     bound of the branch-sum identity.  The single-t case of
     ``grid_estimates``.
     """
-    return grid_estimates(f, [t], nx, ns, cls, certified=certified)[0][0]
+    return grid_estimates(f, [t], nx, ns, cls, certified, 1)[0][0]
 
 
 def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass) -> float:
@@ -148,11 +148,11 @@ def n_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass) -> 
     sweep, which coincides with evaluating at every cone center and
     boundary.  The single-t case of ``grid_estimates``.
     """
-    return grid_estimates(f, [t], nx, ns, cls, certified=False)[0][1]
+    return grid_estimates(f, [t], nx, ns, cls, False, 1)[0][1]
 
 
 def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, cls: CeilingClass,
-                   certified: bool = True, workers: int = 1) -> list:
+                   certified: bool, workers: int) -> list:
     """``(TransversalityEstimate, n_value)`` for every t of the nonempty
     ``t_values``, in their order: what ``m_of_t`` and ``n_of_t`` give for that
     t, from one grid pass that scans each fiber column once, for all (s, t) pairs.

@@ -69,7 +69,7 @@ def test_acceptance_2_constant_ceiling():
         assert est.m_value == 1.0
         assert est.m_upper == 1.0
     assert 2 ** (1 / periodic_beta_max(f, 1)) == 2.0
-    rep = weak_mixing_test(f)
+    rep = weak_mixing_test(f, 4096, 24)
     assert rep.verdict is Verdict.NOT_WEAKLY_MIXING
     assert rep.residual_sup <= 1e-12
     defect = eigenfunction_check(rep, f, [0.7, 1.9])
@@ -88,7 +88,7 @@ def test_acceptance_3_coboundary_round_trip():
     assert psi_err <= rep.tail_bound + 1e-8
     residual = cocycle_residual(rep, f, 4096)
     assert residual <= 1e-8
-    verdict = weak_mixing_test(f).verdict
+    verdict = weak_mixing_test(f, 4096, 24).verdict
     assert verdict is Verdict.NOT_WEAKLY_MIXING
 
     obs = Observable(s_wave=("cos", 1.0))
@@ -110,7 +110,7 @@ def test_acceptance_4_weakly_mixing_example():
     assert psi_sup <= 1e-10
     residual = cocycle_residual(rep, f, 4096)
     assert residual == pytest.approx(0.2, abs=1e-6)
-    assert weak_mixing_test(f).verdict is Verdict.WEAKLY_MIXING
+    assert weak_mixing_test(f, 4096, 24).verdict is Verdict.WEAKLY_MIXING
 
     est = m_of_t(f, 10.0, 16, 8, classify(f, 0.9), certified=False)
     # frozen from the build-time run, oracle-checked pointwise by the
@@ -132,7 +132,7 @@ def test_acceptance_5_dichotomy_consistency():
         samples = [(t, m_of_t(f, t, 12, 8, classify(f, 0.9), certified=False).m_value)
                    for t in (4.0, 6.0, 8.0)]
         rate, _ = exponent_fit(samples)
-        verdict = weak_mixing_test(f).verdict
+        verdict = weak_mixing_test(f, 4096, 24).verdict
         trend_not_mixing = rate >= 0.99
         assert verdict in (Verdict.NOT_WEAKLY_MIXING, Verdict.WEAKLY_MIXING)
         assert trend_not_mixing == (verdict is Verdict.NOT_WEAKLY_MIXING), name
@@ -167,7 +167,7 @@ def test_acceptance_7_ulam_sanity():
         (TrigPolynomial(1.0, ((1, 0.0, -0.05), (2, 0.0, 0.05)), 2), 2.0, 16, 4),
         (TrigPolynomial(1.3, (), 3), 2.6, 24, 2),
     ]:
-        op = build_ulam(f, t, nx, ns, 64)
+        op = build_ulam(f, t, nx, ns, 64, seed=0, mode="lattice")
         rep = spectrum(op, 4)
         lead = abs(rep.eigenvalues[0])
         assert abs(lead - 1.0) <= 1e-2
@@ -175,7 +175,7 @@ def test_acceptance_7_ulam_sanity():
 
     nx, ppb = 16, 256
     f1 = TrigPolynomial(1.0, (), 2)
-    op = build_ulam(f1, 1.0, nx, 1, ppb)
+    op = build_ulam(f1, 1.0, nx, 1, ppb, seed=0, mode="lattice")
     ref = np.zeros((nx, nx))
     for j in range(nx):
         ref[(2 * j) % nx, j] += 0.5
@@ -245,7 +245,7 @@ def test_acceptance_9_genericity():
         assert jacobian(G) >= 1.0
 
     for n in (4, 7, 10):
-        rep = slope_clusters(base1, n, (1,), classify(base1, 0.9))
+        rep = slope_clusters(base1, n, (1,), classify(base1, 0.9), 8.0)
         assert rep.max_cluster == 2 ** n
 
     # frozen cluster counts from the build-time run (brute window scan
@@ -260,7 +260,7 @@ def test_acceptance_9_genericity():
         cls = classify(f, 0.9)
         counts = {}
         for n in expect:
-            counts[n] = slope_clusters(f, n, (1,), cls=cls).max_cluster
+            counts[n] = slope_clusters(f, n, (1,), cls, 8.0).max_cluster
         assert counts == expect, name
         tail_growth = (counts[14] / counts[10]) ** 0.25
         growths[name] = tail_growth

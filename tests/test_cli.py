@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semiflow import FlowPoint, canon, cli
+from semiflow import (FlowPoint, canon, cli, genericity, mixing, parallel, spectral,
+                      transversality)
 from semiflow.canon import canonical_csv, canonical_json
 from semiflow.cli import (ParseError, ValidationError, emit, main,
                           parse_config, run)
@@ -140,8 +141,6 @@ def test_emit_json_round_trip():
     # the parsed payload reproduces the in-memory payload exactly (floats
     # round-trip at 17 significant digits)
     assert doc["payload"] == json.loads(json.dumps(report.payload))
-    timed = json.loads(emit(report, "json", include_timing=True))
-    assert "wall_time_s" in timed
 
 
 def test_emit_csv_correlation_schema():
@@ -419,17 +418,18 @@ def test_cli_main_parse_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["branches", "--set", "params.s=5.0"],
-    ["genericity", "--set", "params.cluster_word=[3]"],
-    # f = 1: a target on the roof is the base point (tau x, 0), which must be passed instead
-    ["branches", "--set", "params.s=1.0", "--set", "params.t=0"],
-    ["branches", "--set", "params.s=1.0", "--set", "params.t=0.5"],
+@pytest.mark.parametrize("argv, message", [
+    # the probe family's bumps reach below a ceiling of height 0.01
+    pytest.param(["genericity", "--set", "ceiling.mean=0.01", "--set", "params.probe=true"],
+                 "error: family leaves the positive ceilings", id="genericity-probe-family"),
+    pytest.param(["mixing", "--format", "csv"], "error: payload has no tabular section",
+                 id="mixing-csv"),
 ])
-def test_cli_main_runner_error_exit_code(argv, capsys):
-    # errors raised inside a runner end in a message, not a traceback
+def test_cli_main_runner_error_exit_code(argv, message, capsys):
+    # errors raised once the config has passed end in a message, not a traceback
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -449,11 +449,11 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
                  "validation error: probe_n_values",
                  id="argv5-validation error: probe_n_values"),
     pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[1]"],
-                 "error: probe level n = 1 ",
+                 "validation error: probe level n = 1 ",
                  id="argv6-error: probe level n = 1 "),
     pytest.param(["genericity", "--set", "params.probe=true", "--set",
                   "params.probe_n_values=[70]"],
-                 "error: probe level n = 70:",
+                 "validation error: probe level n = 70:",
                  id="argv7-error: probe level n = 70:"),
     pytest.param(["transversality", "--set", 'params.nx="16"'], "validation error: nx",
                  id="argv8-validation error: nx"),
@@ -629,6 +629,20 @@ def test_cli_main_runner_error_exit_code(argv, capsys):
     pytest.param(["norms", "--set", "params.slope_margin=3"],
                  "validation error: slope_margin must be a number >= 0 and < 2, got 3",
                  id="argv67-validation error: slope_margin must be a number >= 0 and < 2, got 3"),
+    # the rules that read the ceiling are config rules too; f = 1 here
+    pytest.param(["branches", "--set", "params.s=5.0"],
+                 "validation error: target (x=0.3, s=5.0) is outside the region under the ceiling",
+                 id="argv68-validation error: target outside the region"),
+    pytest.param(["genericity", "--set", "params.cluster_word=[3]"],
+                 "validation error: cluster_word letters must lie in 1..2, got [3]",
+                 id="argv69-validation error: cluster_word letters must lie in 1..2"),
+    # a target on the roof is the base point (tau x, 0), which must be passed instead
+    pytest.param(["branches", "--set", "params.s=1.0", "--set", "params.t=0"],
+                 "validation error: target (x=0.3, s=1.0) lies on the roof",
+                 id="argv70-validation error: target on the roof at t = 0"),
+    pytest.param(["branches", "--set", "params.s=1.0", "--set", "params.t=0.5"],
+                 "validation error: target (x=0.3, s=1.0) lies on the roof",
+                 id="argv71-validation error: target on the roof at t = 0.5"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
@@ -754,6 +768,95 @@ def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
         main([experiment, "--help"])
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
     assert [line for line in lines if " must be <= " in line] == caps
+
+
+@pytest.mark.parametrize("experiment, first_rule", [
+    ("genericity", "cluster_word letters must lie in 1..ell"),
+    ("branches", "(x, s) must lie under the roof, s < f(x) - 1e-12; on it, pass (tau x, 0) instead"),
+])
+def test_subcommand_help_lists_the_rules_that_read_the_ceiling(experiment, first_rule, capsys):
+    # the epilog ends with the rules that read the ceiling, in the words of
+    # the table the parser checks
+    with pytest.raises(SystemExit):
+        main([experiment, "--help"])
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    texts = [text for text, names, _ in cli._RULES[experiment] if "ceiling" in names]
+    assert texts[0] == first_rule and lines[-len(texts):] == texts
+
+
+# one config per rule that reads the ceiling, each breaking that rule alone
+_CEILING_RULE_BREAKERS = [
+    pytest.param(["genericity", "--set", "params.cluster_word=[1,3]"],
+                 "cluster_word letters must lie in 1..2, got [1, 3]", id="letters"),
+    pytest.param(["genericity", "--set", "params.cluster_word=" + json.dumps([1] * 63)],
+                 "cluster_word of m = 63 letters: ell^m = 2^63 exceeds", id="word-index"),
+    pytest.param(["genericity", "--set", 'ceiling={"ell":3,"mean":1.0,"harmonics":[]}',
+                  "--set", "params.cluster_n_values=[12,13]"],
+                 "cluster_n_values entry n = 13: ell^n = 3^13 exceeds the cluster cap 1048576",
+                 id="cluster-cap"),
+    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[8,63]"],
+                 "probe level n = 63: ell^n = 2^63 exceeds the int64 word index",
+                 id="probe-index"),
+    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[2,8]"],
+                 "probe level n = 2 gives fewer than the p + 1 = 6 distinct words", id="probe-room"),
+    pytest.param(["branches", "--set", "params.s=1.5"],
+                 "target (x=0.3, s=1.5) is outside the region under the ceiling",
+                 id="target-above-roof"),
+    pytest.param(["branches", "--set", "params.s=0.9999999999999"],
+                 "target (x=0.3, s=0.9999999999999) lies on the roof", id="target-on-roof"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _CEILING_RULE_BREAKERS)
+def test_cli_main_ceiling_rules_refuse_before_any_run(argv, message, monkeypatch, capsys):
+    # the refusal is a validation error at parse: no cluster scan, probe or
+    # branch scan starts
+    calls = []
+    for module, name in ((genericity, "slope_clusters"), (genericity, "bad_set_probe"),
+                         (cli, "inverse_branches")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"validation error: {message}")
+    assert calls == []
+
+
+def test_cli_main_reports_every_ceiling_rule_violation(capsys):
+    # every rule that reads the ceiling is checked, not only the first one broken
+    argv = ["genericity", "--set", "params.cluster_word=[3]", "--set", "params.probe=true",
+            "--set", "params.probe_n_values=[1]"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: cluster_word letters must lie in 1..2, got [3]",
+        "validation error: probe level n = 1 gives fewer than the p + 1 = 6 distinct words a "
+        "combination needs (ell = 2)"]
+    # at ell = 3, one config breaking all five genericity rules
+    argv = ["genericity", "--set", 'ceiling={"ell":3,"mean":1.0,"harmonics":[]}',
+            "--set", "params.cluster_word=" + json.dumps([4] * 40),
+            "--set", "params.cluster_n_values=[13]", "--set", "params.probe=true",
+            "--set", "params.probe_n_values=[1,40]"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    prefixes = ["cluster_word letters must lie in 1..3,", "cluster_word of m = 40 letters:",
+                "cluster_n_values entry n = 13:", "probe level n = 40:",
+                "probe level n = 1 gives fewer than the p + 1 = 5 distinct words"]
+    assert len(err) == len(prefixes)
+    assert all(line.startswith(f"validation error: {prefix}") for line, prefix in zip(err, prefixes))
+
+
+@pytest.mark.parametrize("function, names", [
+    pytest.param(mixing.weak_mixing_test, ("grid", "depth"), id="weak_mixing_test"),
+    pytest.param(spectral.build_ulam, ("seed", "mode"), id="build_ulam"),
+    pytest.param(genericity.slope_clusters, ("window_factor",), id="slope_clusters"),
+    pytest.param(genericity.bad_set_probe, ("combos",), id="bad_set_probe"),
+    pytest.param(transversality.grid_estimates, ("certified", "workers"), id="grid_estimates"),
+    pytest.param(parallel.pmap, ("workers",), id="pmap"),
+])
+def test_library_repeats_no_schema_default(function, names):
+    # the schema is the one place a default lives: the runners pass these
+    # values, so the library declares none of its own
+    params = inspect.signature(function).parameters
+    assert [name for name in names if params[name].default is not inspect.Parameter.empty] == []
 
 
 def test_every_schema_parameter_is_read_by_its_runner():
@@ -1017,7 +1120,6 @@ def test_subcommand_experiment_mismatch(tmp_path, capsys):
 
 def test_pmap_pool_never_exceeds_the_cpu_count(monkeypatch):
     # a fake pool records the size it was asked for; no process starts
-    from semiflow import parallel
     sizes = []
 
     class FakePool:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
+from semiflow import (FlowPoint, InvalidArgument, ResourceLimit,
                       TrigPolynomial, advance, advance_through, branch_table, extrema,
                       inverse_branches)
 from semiflow import dynamics
@@ -389,18 +389,22 @@ def test_inverse_branches_carry_table_values(f_sin):
         assert (y, sp, sl) == cols[(n, k)]
 
 
-def test_branch_enumeration_rejects_target_above_roof(f_sin):
-    # inverse_branches validates the target; branch_table takes it on trust
-    z = FlowPoint(0.3, 5.0)
-    with pytest.raises(DomainViolation):
-        inverse_branches(f_sin, z, 4.0)
+def test_branch_enumeration_rejects_target_above_roof():
+    # config parsing validates the target; inverse_branches and branch_table
+    # take it on trust
+    assert parse_violations(
+        experiment="branches", ceiling={"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
+        params={"x": 0.3, "s": 5.0, "t": 4.0}) == (
+        "target (x=0.3, s=5.0) is outside the region under the ceiling")
 
 
-def test_inverse_branches_refuse_a_target_on_the_roof(f_const):
-    # by the right-limit convention the roof point (x, f(x)) is (tau x, 0)
+def test_inverse_branches_refuse_a_target_on_the_roof():
+    # by the right-limit convention the roof point (x, f(x)) is (tau x, 0);
+    # f = 1, and config parsing refuses the target before any branch is sought
     for s, t in ((1.0, 0.0), (1.0, 0.5), (1.0 - 1e-13, 0.5)):
-        with pytest.raises(DomainViolation, match=r"base point \(x=0\.6, s=0\)"):
-            inverse_branches(f_const, FlowPoint(0.3, s), t)
+        problems = parse_violations(experiment="branches", params={"x": 0.3, "s": s, "t": t})
+        assert problems.startswith(f"target (x=0.3, s={s}) lies on the roof")
+        assert "the base point (x=0.6, s=0), so pass that point" in problems
 
 
 def test_branches_sorted_lexicographically(f_sin):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from semiflow import (FlowPoint, InvalidArgument, ResourceLimit, TrigPolynomial,
-                      branch_table, classify)
+from semiflow import FlowPoint, InvalidArgument, TrigPolynomial, branch_table, classify
 from semiflow.dynamics import prefix_points
 from semiflow.genericity import (BumpDirection, PerturbationFamily, _all_slopes,
                                  _weighted_sum, bad_set_probe, combination_size, g_matrix,
                                  jacobian, slope_clusters)
 
+from conftest import parse_violations
 from oracles import (GenericityParams, Word, birkhoff, bump_family, cluster_words,
                      default_mu, default_params, per_letter_g_matrix, prefix_refinement,
                      window_cluster_scan, word_interval)
@@ -26,7 +26,7 @@ def _order_separated_family(base, nu=3, p=1, amplitude=2.0):
 def test_clusters_constant_all_words(f_const):
     cls = classify(f_const, 0.9)
     for n in (4, 6, 8):
-        rep = slope_clusters(f_const, n, (1,), cls)
+        rep = slope_clusters(f_const, n, (1,), cls, 8.0)
         assert rep.max_cluster == 2 ** n
         assert len(cluster_words(f_const, n, Word((1,), 2), rep.window)) == 2 ** n
 
@@ -36,7 +36,7 @@ def test_clusters_coboundary_all_words(f_cob):
     # inside the 8 theta_K window
     cls = classify(f_cob, 0.9)
     assert 2 * 0.1 * np.pi <= 8 * cls.theta_K
-    rep = slope_clusters(f_cob, 8, (1, 2), cls)
+    rep = slope_clusters(f_cob, 8, (1, 2), cls, 8.0)
     assert rep.max_cluster == 2 ** 8
 
 
@@ -64,8 +64,8 @@ def test_cluster_words_pairwise_within_window(f_generic):
 
 def test_cluster_window_scaling(f_generic):
     cls = classify(f_generic, 0.9)
-    r6 = slope_clusters(f_generic, 6, (1,), cls)
-    r12 = slope_clusters(f_generic, 12, (1,), cls)
+    r6 = slope_clusters(f_generic, 6, (1,), cls, 8.0)
+    r12 = slope_clusters(f_generic, 12, (1,), cls, 8.0)
     assert r12.window == pytest.approx(r6.window * 2.0 ** -6, rel=1e-12)
 
 
@@ -77,9 +77,12 @@ def test_cluster_monotone_in_window(f_generic):
 
 
 def test_cluster_cap():
-    f = TrigPolynomial(1.0, (), 2)
-    with pytest.raises(ResourceLimit):
-        slope_clusters(f, 21, (1,), classify(f, 0.9))
+    # config parsing caps ell^n at 2^20 words: at ell = 3 the first level
+    # beyond it is n = 13
+    problems = parse_violations(experiment="genericity",
+                                ceiling={"ell": 3, "mean": 1.0, "harmonics": []},
+                                params={"cluster_n_values": [12, 13]})
+    assert problems == "cluster_n_values entry n = 13: ell^n = 3^13 exceeds the cluster cap 1048576"
 
 
 def test_g_matrix_zero_for_equal_words(f_const):
@@ -177,7 +180,7 @@ def test_scan_and_cluster_slopes_equal_prefix_point_slopes(ell, monkeypatch):
         m = int(rng.integers(1, 8))
         letters = tuple(int(a) for a in rng.integers(1, ell + 1, size=m))
         k = Word(letters, ell).index
-        slope_clusters(f, 5, letters, cls)
+        slope_clusters(f, 5, letters, cls, 8.0)
         x_c = endpoints[-1]
         assert x_c == k / ell ** m == prefix_points(0.0, [k], m, ell)[0, -1]
         every_word = prefix_points(x_c, np.arange(ell ** 5), 5, ell)
@@ -306,20 +309,19 @@ def test_probe_shared_class_gives_same_result(f_sin, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 70])
-def test_probe_rejects_levels_without_room_for_a_combination(f_const, n):
+def test_probe_rejects_levels_without_room_for_a_combination(n):
     # ell = 2, p = 5: a combination needs ell^n >= 6 words, and word
-    # indices are int64
+    # indices are int64; config parsing refuses every other level, and the
+    # schema refuses n = 0 before any rule reads the ceiling
     assert combination_size(2) == 5
-    dirs = tuple(BumpDirection(center=c, radius=0.05, deriv_plateau=8.0)
-                 for c in np.linspace(0.1, 0.9, 6))
-    fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.01)
-    with pytest.raises(InvalidArgument, match=f"probe level n = {n}"):
-        bad_set_probe(fam, n, 10, 0, classify(f_const, 0.9), combos=1)
+    problems = parse_violations(experiment="genericity", params={"probe_n_values": [4, n]})
+    assert problems.startswith(f"probe level n = {n}" if n else "probe_n_values must be")
+    assert ";" not in problems
 
 
 def test_probe_zero_directions(f_const):
     fam = PerturbationFamily(base=f_const, directions=(), epsilon=0.0)
-    res = bad_set_probe(fam, 4, 100, 1, classify(f_const, 0.9))
+    res = bad_set_probe(fam, 4, 100, 1, classify(f_const, 0.9), combos=64)
     assert res.fraction in (0.0, 1.0)
     # the constant base has all slope differences zero, inside every window
     assert res.fraction == 1.0
@@ -329,7 +331,7 @@ def test_probe_rejects_underpowered_family(f_const):
     dirs = (BumpDirection(center=0.3, radius=0.05, deriv_plateau=8.0),)
     fam = PerturbationFamily(base=f_const, directions=dirs, epsilon=0.01)
     with pytest.raises(InvalidArgument):
-        bad_set_probe(fam, 4, 50, 1, classify(f_const, 0.9))
+        bad_set_probe(fam, 4, 50, 1, classify(f_const, 0.9), combos=8)
 
 
 def test_default_params_chain_valid():
@@ -374,6 +376,6 @@ def test_prefix_refinement_partitions_cluster(f_generic):
 
 
 def test_prefix_refinement_rejects_bad_length(f_generic):
-    rep = slope_clusters(f_generic, 6, (1,), classify(f_generic, 0.9))
+    rep = slope_clusters(f_generic, 6, (1,), classify(f_generic, 0.9), 8.0)
     with pytest.raises(InvalidArgument):
         prefix_refinement(f_generic, 6, Word((1,), 2), rep.window, 7)

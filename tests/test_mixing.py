@@ -179,9 +179,9 @@ def test_cocycle_residual_sin_is_amplitude(f_sin):
 
 
 def test_verdicts(f_const, f_cob, f_sin):
-    assert weak_mixing_test(f_const).verdict is Verdict.NOT_WEAKLY_MIXING
-    assert weak_mixing_test(f_cob).verdict is Verdict.NOT_WEAKLY_MIXING
-    assert weak_mixing_test(f_sin).verdict is Verdict.WEAKLY_MIXING
+    assert weak_mixing_test(f_const, 4096, 24).verdict is Verdict.NOT_WEAKLY_MIXING
+    assert weak_mixing_test(f_cob, 4096, 24).verdict is Verdict.NOT_WEAKLY_MIXING
+    assert weak_mixing_test(f_sin, 4096, 24).verdict is Verdict.WEAKLY_MIXING
 
 
 def test_verdict_inconclusive_band():
@@ -226,18 +226,18 @@ def test_truncated_series_is_never_a_weakly_mixing_verdict(capsys):
 
 
 def test_eigenfunction_constant(f_const):
-    rep = weak_mixing_test(f_const)
+    rep = weak_mixing_test(f_const, 4096, 24)
     assert eigenfunction_check(rep, f_const, [0.7]) <= 1e-10
 
 
 def test_eigenfunction_coboundary(f_cob):
-    rep = weak_mixing_test(f_cob)
+    rep = weak_mixing_test(f_cob, 4096, 24)
     assert eigenfunction_check(rep, f_cob, [1.3, 2.7]) <= 1e-6
 
 
 def test_coboundary_report_is_frozen(f_cob):
     # weak_mixing_test builds the report once; nothing can fill it in later
-    rep = weak_mixing_test(f_cob)
+    rep = weak_mixing_test(f_cob, 4096, 24)
     for field, value in (("verdict", Verdict.WEAKLY_MIXING), ("residual_sup", 0.0),
                          ("tol_strict", 1.0)):
         with pytest.raises(FrozenInstanceError):
@@ -252,7 +252,7 @@ def test_eigenfunction_check_needs_a_not_weakly_mixing_verdict(f_cob):
     bare = cobounding_potential(f_cob, 24)
     assert cocycle_residual(bare, f_cob, 4096) <= 1e-8
     f_band = TrigPolynomial(1.0, ((8, 0.0, -0.05), (16, 0.0, 0.05)), 2)
-    band = weak_mixing_test(f_band, depth=1)
+    band = weak_mixing_test(f_band, 4096, 1)
     assert band.verdict is Verdict.INCONCLUSIVE
     assert band.residual_sup <= band.tol_strict < band.residual_sup + band.tail_bound
     for rep in (bare, band):
@@ -262,13 +262,13 @@ def test_eigenfunction_check_needs_a_not_weakly_mixing_verdict(f_cob):
 
 def test_eigenfunction_constant_two():
     f2 = TrigPolynomial(2.0, (), 2)
-    rep = weak_mixing_test(f2)
+    rep = weak_mixing_test(f2, 4096, 24)
     assert rep.c == 2.0
     assert eigenfunction_check(rep, f2, [2.0]) <= 1e-10
 
 
 def test_eigenfunction_rejects_large_residual(f_sin):
-    rep = weak_mixing_test(f_sin)
+    rep = weak_mixing_test(f_sin, 4096, 24)
     with pytest.raises(PreconditionViolation):
         eigenfunction_check(rep, f_sin, [1.0])
 
@@ -293,6 +293,6 @@ def test_trig_interpolation_reproduces_samples():
 
 
 def test_default_tolerances_couple_to_tail(f_sin):
-    rep = weak_mixing_test(f_sin, depth=12)
+    rep = weak_mixing_test(f_sin, 4096, 12)
     assert rep.tol_strict == 1e-6 + tail_bound(f_sin, 12)
     assert rep.tol_clear == 1e3 * rep.tol_strict

@@ -9,8 +9,7 @@ import scipy.sparse
 from semiflow import ResourceLimit, TrigPolynomial, spectral
 from semiflow.ceiling import extrema
 from semiflow.dynamics import MAX_CROSSINGS
-from semiflow.spectral import (CUTOFF_MARGIN_FRACTION,
-                               DISCRETIZED_SPECTRUM_CAVEAT, BoxPartition,
+from semiflow.spectral import (CUTOFF_MARGIN_FRACTION, BoxPartition,
                                Observable, UlamOperator, build_ulam,
                                correlation, decay_fit, spectrum)
 
@@ -30,13 +29,13 @@ def test_partition_measure(f_generic):
 
 
 def test_ulam_identity_at_t0(f_generic):
-    op = build_ulam(f_generic, 0.0, 8, 4, 32)
+    op = build_ulam(f_generic, 0.0, 8, 4, 32, seed=0, mode="lattice")
     assert np.array_equal(op.matrix, np.eye(32))
 
 
 def test_ulam_doubling_map_closed_form(f_const):
     nx, ppb = 16, 256
-    op = build_ulam(f_const, 1.0, nx, 1, ppb)
+    op = build_ulam(f_const, 1.0, nx, 1, ppb, seed=0, mode="lattice")
     ref = np.zeros((nx, nx))
     for j in range(nx):
         ref[(2 * j) % nx, j] += 0.5
@@ -45,14 +44,14 @@ def test_ulam_doubling_map_closed_form(f_const):
 
 
 def test_ulam_columns_sum_to_one(f_sin):
-    op = build_ulam(f_sin, 3.0, 16, 4, 64)
+    op = build_ulam(f_sin, 3.0, 16, 4, 64, seed=0, mode="lattice")
     sums = op.matrix.sum(axis=0)
     assert np.max(np.abs(sums - 1.0)) <= 2.0 / np.sqrt(64)
     assert np.all(op.matrix >= 0.0)
 
 
 def test_ulam_mass_conservation(f_sin):
-    op = build_ulam(f_sin, 2.0, 16, 4, 64)
+    op = build_ulam(f_sin, 2.0, 16, 4, 64, seed=0, mode="lattice")
     masses = np.repeat(BoxPartition.build(f_sin, 16, 4).column_heights / (16 * 4), 4)
     pushed = op.matrix @ masses
     assert pushed.sum() == pytest.approx(masses.sum(), rel=1e-12)
@@ -60,15 +59,15 @@ def test_ulam_mass_conservation(f_sin):
 
 def test_ulam_memory_cap(f_sin):
     with pytest.raises(ResourceLimit):
-        build_ulam(f_sin, 1.0, 512, 256, 16)
+        build_ulam(f_sin, 1.0, 512, 256, 16, seed=0, mode="lattice")
 
 
 def test_ulam_assembly_holds_one_chunk_of_points(f_sin):
     # 262,144 sample points: assembled in one pass they peaked at 32.1 MiB
-    build_ulam(f_sin, 2.0, 256, 16, 64)     # warm-up: imports and caches
+    build_ulam(f_sin, 2.0, 256, 16, 64, seed=0, mode="lattice")     # warm-up: imports and caches
     tracemalloc.start()
     try:
-        build_ulam(f_sin, 2.0, 256, 16, 64)
+        build_ulam(f_sin, 2.0, 256, 16, 64, seed=0, mode="lattice")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -101,8 +100,8 @@ def test_ulam_crossing_cap_refuses_before_any_point_flows(mode, f_sin, monkeypat
 
 
 def test_ulam_lattice_deterministic(f_sin):
-    a = build_ulam(f_sin, 2.0, 8, 4, 32, seed=1)
-    b = build_ulam(f_sin, 2.0, 8, 4, 32, seed=99)
+    a = build_ulam(f_sin, 2.0, 8, 4, 32, seed=1, mode="lattice")
+    b = build_ulam(f_sin, 2.0, 8, 4, 32, seed=99, mode="lattice")
     assert np.array_equal(a.matrix, b.matrix)
 
 
@@ -116,13 +115,13 @@ def test_ulam_monte_carlo_mode(f_sin):
 
 
 def test_spectrum_identity(f_const):
-    op = build_ulam(f_const, 0.0, 4, 2, 16)
+    op = build_ulam(f_const, 0.0, 4, 2, 16, seed=0, mode="lattice")
     rep = spectrum(op, 3)
     assert all(abs(v - 1.0) <= 1e-12 for v in rep.eigenvalues)
 
 
 def test_spectrum_leading_eigenvalue_flat(f_const):
-    op = build_ulam(f_const, 1.0, 64, 1, 64)
+    op = build_ulam(f_const, 1.0, 64, 1, 64, seed=0, mode="lattice")
     rep = spectrum(op, 4)
     assert abs(rep.eigenvalues[0] - 1.0) <= 1e-8
     # flat invariant density: eigenvector of the doubling Ulam matrix
@@ -134,14 +133,13 @@ def test_spectrum_leading_eigenvalue_flat(f_const):
 
 
 def test_spectrum_matches_dense_oracle(f_sin):
-    op = build_ulam(f_sin, 4.0, 64, 8, 64)
+    op = build_ulam(f_sin, 4.0, 64, 8, 64, seed=0, mode="lattice")
     rep = spectrum(op, 8)
     dense = np.linalg.eigvals(op.matrix)
     dense = dense[np.argsort(-np.abs(dense))]
     assert abs(rep.eigenvalues[1]) == pytest.approx(abs(dense[1]), abs=1e-8)
     assert abs(rep.eigenvalues[0] - 1.0) <= 1e-8
     assert all(abs(v) <= 1.0 + 1e-10 for v in rep.eigenvalues)
-    assert DISCRETIZED_SPECTRUM_CAVEAT in rep.caveats
 
 
 def _multiplicities(vals, tol=1e-8):
@@ -152,7 +150,7 @@ def _multiplicities(vals, tol=1e-8):
 @pytest.mark.parametrize("nx, ns", [(64, 8), (128, 8)])
 def test_sparse_arnoldi_matches_dense_eigvals(ceiling, nx, ns, f_sin):
     f = f_sin if ceiling == "sin" else F_GEN3
-    op = build_ulam(f, 2.0 if ceiling == "sin" else 1.0, nx, ns, 64)
+    op = build_ulam(f, 2.0 if ceiling == "sin" else 1.0, nx, ns, 64, seed=0, mode="lattice")
     rep = spectrum(op, 8)
     dense = scipy.linalg.eigvals(op.matrix)
     top = dense[np.argsort(-np.abs(dense), kind="stable")][:8]
@@ -302,7 +300,7 @@ def test_sparse_ulam_equals_dense_assembly(ceiling, nx, ns, ppb, mode, chunk, f_
 
 @pytest.mark.parametrize("nx, ns", [(30, 4), (50, 4)])
 def test_sparse_ulam_at_t0_equals_dense_assembly(nx, ns, f_sin):
-    op = build_ulam(f_sin, 0.0, nx, ns, 37)
+    op = build_ulam(f_sin, 0.0, nx, ns, 37, seed=0, mode="lattice")
     dense = dense_ulam(f_sin, 0.0, nx, ns, 37)
     assert np.array_equal(op.matrix, dense)
     assert spectrum(op, 4) == spectrum(UlamOperator(scipy.sparse.csr_array(dense), 0.0), 4)

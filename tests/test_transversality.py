@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import (DomainViolation, FlowPoint, InvalidArgument, ResourceLimit,
-                      TrigPolynomial, branch_table, classify, dynamics, exponent_fit,
-                      extrema, inverse_branches, m_of_t, n_of_t, transversality)
+from semiflow import (FlowPoint, InvalidArgument, ResourceLimit, TrigPolynomial, branch_table,
+                      classify, dynamics, exponent_fit, extrema, m_of_t, n_of_t,
+                      transversality)
 from semiflow.transversality import grid_estimates
 
-from conftest import random_positive_ceiling
+from conftest import parse_violations, random_positive_ceiling
 from oracles import (enumerate_branches, line_scan_n, pair_scan_m,
                      per_point_grid, periodic_beta_max, point_m)
 
@@ -19,12 +19,13 @@ def test_m_sum_constant_is_one(f_const):
     assert point_m(f_const, FlowPoint(0.3, 0.2), 2.5, 0.0) == 1.0
 
 
-def test_target_above_roof_raises(f_sin):
+def test_target_above_roof_raises():
     # the grid passes points under the roof; a branches target above it is
-    # refused by inverse_branches
-    z = FlowPoint(0.3, 5.0)  # f(0.3) < 1.2
-    with pytest.raises(DomainViolation):
-        inverse_branches(f_sin, z, 4.0)
+    # refused by config parsing, f(0.3) < 1.2
+    problems = parse_violations(
+        experiment="branches", ceiling={"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
+        params={"x": 0.3, "s": 5.0, "t": 4.0})
+    assert "outside the region under the ceiling" in problems
 
 
 def test_m_sum_coboundary_is_one(f_cob):
@@ -266,7 +267,7 @@ def test_grid_pass_equals_per_point_oracle(f_const, f_sin, f_generic):
     for f in (f_const, f_sin, f_generic, GEN3, random_positive_ceiling(rng)):
         cls = classify(f, 0.9)
         for certified in (True, False):
-            got = grid_estimates(f, t_values, 5, 3, certified=certified, cls=cls)
+            got = grid_estimates(f, t_values, 5, 3, cls, certified, workers=1)
             for t, (est, n_value) in zip(t_values, got):
                 want = per_point_grid(f, t, 5, 3, cls, certified)
                 assert (est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s) == want
@@ -286,7 +287,7 @@ def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
     monkeypatch.setattr(transversality, "_absorb", lambda *args: tables.append(args))
     monkeypatch.setattr(dynamics, "BRANCH_CAP", 2 ** 12)
     with pytest.raises(ResourceLimit, match=r"at t=40\.0 ") as info:
-        grid_estimates(f_sin, [3.0, 40.0, 5.0], 8, 8, classify(f_sin, 0.9))
+        grid_estimates(f_sin, [3.0, 40.0, 5.0], 8, 8, classify(f_sin, 0.9), True, 1)
     assert scanned == [0.0] and tables == []
     assert info.value.details["cap"] == 2 ** 12
     assert "t_limit" in info.value.details
