@@ -8,7 +8,7 @@ correlation decay, anisotropic Sobolev norms on a Fourier grid, and the
 perturbation-family genericity diagnostics.
 """
 
-from .ceiling import CeilingClass, TrigPolynomial, ceiling_from_config, classify, extrema
+from .ceiling import CeilingClass, TrigPolynomial, classify, extrema
 from .dynamics import (FlowPoint, advance, advance_through, branch_table,
                        inverse_branches)
 from .errors import (DomainViolation, InvalidArgument, NumericalFailure,

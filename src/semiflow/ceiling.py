@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +33,6 @@ CR_TRUNCATION_CAVEAT = "C^r norm surrogate truncated at order 3"
 # period of every harmonic holds at least four grid points.
 MAX_HARMONIC = 1024
 _GRID = np.arange(4 * MAX_HARMONIC) / (4 * MAX_HARMONIC)
-
-# A config ceiling's certified range lies in [MIN_HEIGHT, MAX_HEIGHT], so the
-# dyadic bound K of ``classify`` and every flow height stay finite floats.
-MIN_HEIGHT = 2.0 ** -256
-MAX_HEIGHT = 2.0 ** 256
 
 # Word indices are int64, so ell is at most MAX_WORD_INDEX and a level n needs
 # ell^n <= MAX_WORD_INDEX; every sum of branch weights counted in units of
@@ -177,47 +171,3 @@ def classify(f: TrigPolynomial, gamma0: float) -> CeilingClass:
     if K <= base:
         K *= 2.0
     return CeilingClass(theta_f=max_abs_f1 / denom, theta_K=K / denom)
-
-
-def is_number(v) -> bool:
-    """A finite real number; refuses bools, strings, nan and ints too big
-    for a float."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and -sys.float_info.max <= v <= sys.float_info.max)
-
-
-def is_int(v) -> bool:
-    """An integer that is also a finite number, so never a bool."""
-    return isinstance(v, int) and is_number(v)
-
-
-def ceiling_from_config(spec: dict) -> TrigPolynomial:
-    """Build a ceiling from its serialized form: keys ell, mean and harmonics
-    (a list of [k, cos, sin] triples).  Each entry's type is checked before
-    it is used; a malformed spec raises InvalidArgument naming the entry, as
-    does a ceiling that floats cannot carry: a coefficient above MAX_HEIGHT
-    in magnitude, or a positive certified range outside [MIN_HEIGHT,
-    MAX_HEIGHT]."""
-    for key in spec:
-        if key not in ("ell", "mean", "harmonics"):
-            raise InvalidArgument(f"unknown key {key!r}")
-    ell, mean, harmonics = spec.get("ell"), spec.get("mean"), spec.get("harmonics", [])
-    if not is_int(ell):
-        raise InvalidArgument(f"ell must be an integer >= 2, got {ell!r}")
-    if not is_number(mean):
-        raise InvalidArgument(f"mean must be a number, got {mean!r}")
-    if not (isinstance(harmonics, (list, tuple)) and all(
-            isinstance(h, (list, tuple)) and len(h) == 3 and is_int(h[0])
-            and is_number(h[1]) and is_number(h[2]) for h in harmonics)):
-        raise InvalidArgument(
-            f"harmonics must be a list of [integer, number, number], got {harmonics!r}")
-    # then no derivative up to order 3 of f overflows while it is certified
-    if not all(abs(v) <= MAX_HEIGHT for v in (mean, *(x for h in harmonics for x in h[1:]))):
-        raise InvalidArgument("mean and harmonic coefficients must be at most 2^256 in magnitude")
-    f = TrigPolynomial(mean_coeff=mean, harmonics=tuple(map(tuple, harmonics)), ell=ell)
-    f_min, f_max = extrema(f, 0)
-    # a nonpositive ceiling is the caller's to report
-    if f_min > 0.0 and not (MIN_HEIGHT <= f_min and f_max <= MAX_HEIGHT):
-        raise InvalidArgument(f"certified range [{f_min:.6g}, {f_max:.6g}] must lie in "
-                              "[2^-256, 2^256]")
-    return f

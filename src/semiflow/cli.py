@@ -24,8 +24,7 @@ import numpy as np
 
 from . import aniso, ceiling, genericity, mixing, smooth, spectral, transversality
 from .canon import canonical_csv, canonical_json
-from .ceiling import (MAX_WORD_INDEX, TrigPolynomial, ceiling_from_config, classify, extrema,
-                      is_int, is_number)
+from .ceiling import MAX_HARMONIC, MAX_WORD_INDEX, TrigPolynomial, classify, extrema
 from .dynamics import ROOF_TOL, FlowPoint, inverse_branches
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
@@ -33,6 +32,11 @@ from .genericity import MAX_CLUSTER_WORDS, combination_size
 
 EXPERIMENTS = ("transversality", "mixing", "spectrum", "correlations",
                "norms", "genericity", "branches")
+
+# A config ceiling's certified range lies in [MIN_HEIGHT, MAX_HEIGHT], so the
+# dyadic bound K of ``classify`` and every flow height stay finite floats.
+MIN_HEIGHT = 2.0 ** -256
+MAX_HEIGHT = 2.0 ** 256
 
 
 class Param(NamedTuple):
@@ -47,9 +51,32 @@ class Param(NamedTuple):
         return f"{self.kind} {self.bounds}".rstrip()
 
 
+def is_number(v) -> bool:
+    """A finite real number; refuses bools, strings, nan and ints too big
+    for a float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+def is_int(v) -> bool:
+    """An integer that is also a finite number, so never a bool."""
+    return isinstance(v, int) and is_number(v)
+
+
 def _list_of(test, min_len=0):
     return lambda v: isinstance(v, list) and len(v) >= min_len and all(map(test, v))
 
+
+def _wave(test):
+    # a frequency of at most MAX_HARMONIC keeps 2 pi a s finite for every s
+    # under a ceiling of at most MAX_HEIGHT
+    return lambda v: v is None or (isinstance(v, list) and len(v) == 2 and v[0] in ("cos", "sin")
+                                   and test(v[1]) and abs(v[1]) <= MAX_HARMONIC)
+
+
+# the x wave lives on the circle, so only an integer frequency is continuous there
+_X_WAVE = f'null or ["cos" or "sin", integer in [-{MAX_HARMONIC}, {MAX_HARMONIC}]]'
+_S_WAVE = f'null or ["cos" or "sin", number in [-{MAX_HARMONIC}, {MAX_HARMONIC}]]'
 
 _KINDS = {
     "an integer": is_int,
@@ -65,6 +92,11 @@ _KINDS = {
     "a nonempty list of numbers": _list_of(is_number, 1),
     "lattice or monte-carlo": lambda v: v in ("lattice", "monte-carlo"),
     "one of " + ", ".join(EXPERIMENTS): lambda v: v in EXPERIMENTS,
+    "a list of [integer, number, number]": _list_of(
+        lambda h: isinstance(h, list) and len(h) == 3 and is_int(h[0]) and is_number(h[1])
+        and is_number(h[2])),
+    _X_WAVE: _wave(is_int),
+    _S_WAVE: _wave(is_number),
 }
 
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
@@ -77,6 +109,18 @@ _TOP = {
     "seed": Param(0, "an integer", ">= 0"),
     "workers": Param(1, "an integer", ">= 1"),
     "out": Param("-", "a path, or - for stdout"),
+}
+
+# the nested specs: a ceiling, with None for a required entry, and an observable
+_CEILING = {
+    "ell": Param(None, "an integer", ">= 2"),
+    "mean": Param(None, "a number"),
+    "harmonics": Param([], "a list of [integer, number, number]"),
+}
+_OBSERVABLE = {
+    "x": Param(None, _X_WAVE),
+    "s": Param(None, _S_WAVE),
+    "cutoff": Param(True, "true or false"),
 }
 
 # experiment -> parameter -> Param: the one description of every parameter
@@ -109,7 +153,7 @@ _SCHEMA = {
     },
     "norms": {
         "grid_n": Param(64, "a power of two", ">= 32 and <= 1024"),
-        "num_functions": Param(6, "an integer", ">= 1"),
+        "num_functions": Param(6, "an integer", ">= 1 and <= 4096"),
         # exactly then the plus cone |slope| <= margin and the minus cone
         # |slope| >= 2 meet only at the origin
         "slope_margin": Param(0.5, "a number", ">= 0 and < 2"),
@@ -149,7 +193,8 @@ def _target_problems(f, x, s):
 # the values it reads, check(*those values) -> violations), checked once each
 # value has passed its own rule; "ceiling" reads the parsed ceiling.  An
 # index ell^n is compared as ell^min(n, 64), beyond 2^63 - 1 exactly when
-# ell^n is, so that a large n forms no slow big-int power.
+# ell^n is, so that a large n forms no slow big-int power.  A per-entry rule
+# names each distinct offending entry once.
 _RULES = {
     "transversality": [_product_cap(("nx", "ns"), transversality.MAX_GRID)],
     "spectrum": [_product_cap(("nx", "ns", "points_per_box"), spectral.MAX_NODES)],
@@ -166,16 +211,18 @@ _RULES = {
          ("ceiling", "cluster_n_values"),
          lambda f, levels: [f"cluster_n_values entry n = {n}: ell^n = {f.ell}^{n} exceeds the "
                             f"cluster cap {MAX_CLUSTER_WORDS}"
-                            for n in levels if f.ell ** n > MAX_CLUSTER_WORDS]),
+                            for n in dict.fromkeys(levels) if f.ell ** n > MAX_CLUSTER_WORDS]),
         ("ell^n must be <= 2^63 - 1 for each n in probe_n_values", ("ceiling", "probe_n_values"),
          lambda f, levels: [f"probe level n = {n}: ell^n = {f.ell}^{n} exceeds the int64 word "
-                            "index" for n in levels if f.ell ** min(n, 64) > MAX_WORD_INDEX]),
+                            "index" for n in dict.fromkeys(levels)
+                            if f.ell ** min(n, 64) > MAX_WORD_INDEX]),
         ("ell^n must be >= p + 1 for each n in probe_n_values (p = 5 at ell = 2, 4 at 3..10)",
          ("ceiling", "probe_n_values"),
          lambda f, levels: [f"probe level n = {n} gives fewer than the p + 1 = "
                             f"{combination_size(f.ell) + 1} distinct words a combination "
                             f"needs (ell = {f.ell})"
-                            for n in levels if f.ell ** min(n, 64) <= combination_size(f.ell)]),
+                            for n in dict.fromkeys(levels)
+                            if f.ell ** min(n, 64) <= combination_size(f.ell)]),
     ],
     "branches": [
         ("(x, s) must lie under the roof, s < f(x) - 1e-12; on it, pass (tau x, 0) instead",
@@ -238,6 +285,33 @@ def _json_object(text) -> dict:
     return raw
 
 
+def _ceiling(spec: dict, problems: list) -> TrigPolynomial | None:
+    """The ceiling ``spec`` describes, or None once the first failing step has
+    appended its violations to ``problems``.  The steps: the entries, the
+    coefficient magnitudes, the TrigPolynomial invariants, positivity, the range."""
+    bad = []
+    c = _checked(_CEILING, spec, "key", bad)
+    # then no derivative up to order 3 of f overflows while it is certified
+    if not bad and not all(abs(v) <= MAX_HEIGHT
+                           for v in (c["mean"], *(v for h in c["harmonics"] for v in h[1:]))):
+        bad.append("mean and harmonic coefficients must be at most 2^256 in magnitude")
+    if not bad:
+        try:
+            f = TrigPolynomial(c["mean"], c["harmonics"], c["ell"])
+        except InvalidArgument as exc:
+            bad.append(str(exc))
+    if not bad:
+        f_min, f_max = extrema(f, 0)
+        # nan fails the comparison too
+        if not f_min > 0.0:
+            problems.append("ceiling violates positivity: it must be strictly positive")
+            return None
+        if not (MIN_HEIGHT <= f_min and f_max <= MAX_HEIGHT):
+            bad.append(f"certified range [{f_min:.6g}, {f_max:.6g}] must lie in [2^-256, 2^256]")
+    problems.extend(f"bad ceiling: {v}" for v in bad)
+    return None if bad else f
+
+
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse and fully validate a JSON config, collecting every violation."""
     raw = _json_object(text)
@@ -246,16 +320,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if experiment is not None and raw.get("experiment", experiment) != experiment:
         problems.append(f"experiment {raw['experiment']!r} does not match subcommand {experiment!r}")
 
-    ceiling = None
-    if "ceiling" in top:
-        try:
-            ceiling = ceiling_from_config(top["ceiling"])
-        except InvalidArgument as exc:
-            problems.append(f"bad ceiling: {exc}")
-    # nan fails the comparison too
-    if ceiling is not None and not extrema(ceiling, 0)[0] > 0.0:
-        problems.append("ceiling violates positivity: it must be strictly positive")
-        ceiling = None
+    ceiling = _ceiling(top["ceiling"], problems) if "ceiling" in top else None
     gamma0 = top.get("gamma0")
     if ceiling is not None and gamma0 is not None and not 1.0 / ceiling.ell < gamma0 < 1.0:
         problems.append(f"gamma0 must lie in (1/ell, 1) = (1/{ceiling.ell}, 1), got {gamma0}")
@@ -264,44 +329,23 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     p = {}
     if exp is not None and "params" in top:
         p = _checked(_SCHEMA[exp], top["params"], f"{exp} parameter", problems)
-    # the rules that relate values or parse a nested spec, once their inputs passed
+    # the rules that relate values, once their inputs passed
     known = p if ceiling is None else dict(p, ceiling=ceiling)
     for _, names, check in _RULES.get(exp, ()):
         if all(name in known for name in names):
             problems.extend(check(*map(known.get, names)))
     for name in ("psi", "phi"):
         if name in p:
-            try:
-                p[name] = _observable_from_spec(p[name])
-            except InvalidArgument as exc:
-                problems.append(f"bad {name}: {exc}")
+            bad = []
+            o = _checked(_OBSERVABLE, p[name], "observable key", bad)
+            problems.extend(f"bad {name}: {v}" for v in bad)
+            waves = [w and (w[0], float(w[1])) for w in (o.get("x"), o.get("s"))]
+            p[name] = spectral.Observable(*waves, o.get("cutoff"))
 
     if problems:
         raise ValidationError(problems)
     return ExperimentConfig(ceiling=ceiling, gamma0=float(gamma0), experiment=exp, params=p,
                             seed=top["seed"], workers=top["workers"], out=top["out"], raw=raw)
-
-
-def _observable_from_spec(spec: dict) -> spectral.Observable:
-    for key in spec:
-        if key not in ("x", "s", "cutoff"):
-            raise InvalidArgument(f"unknown observable key {key!r}")
-    cutoff = spec.get("cutoff", True)
-    if not isinstance(cutoff, bool):
-        raise InvalidArgument(f"cutoff must be true or false, got {cutoff!r}")
-
-    def wave(name, is_frequency, kind):
-        entry = spec.get(name)
-        if entry is None:
-            return None
-        if not (isinstance(entry, list) and len(entry) == 2
-                and entry[0] in ("cos", "sin") and is_frequency(entry[1])):
-            raise InvalidArgument(f'{name} must be null or ["cos" or "sin", {kind}], got {entry!r}')
-        return (entry[0], float(entry[1]))
-
-    # the x wave lives on the circle, so only an integer frequency is continuous there
-    return spectral.Observable(x_wave=wave("x", is_int, "integer"),
-                               s_wave=wave("s", is_number, "number"), cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +574,13 @@ def _apply_overrides(raw: dict, overrides) -> None:
 
 
 def _help(heading: str, table: dict, rules=()) -> str:
-    """A --help epilog: each schema entry with its rule and default, then the
-    rules that relate values."""
+    """A --help section: each schema entry with its rule and default (none when
+    the default fails the rule), then the rules that relate values."""
     width = max(map(len, table))
     return "\n".join([heading + "; a value's type is checked before its range:"] + [
-        f"  {key:<{width}}  {param.rule}; default {json.dumps(param.default)}"
+        f"  {key:<{width}}  {param.rule}; "
+        + (f"default {json.dumps(param.default)}" if _KINDS[param.kind](param.default)
+           else "no default")
         for key, param in table.items()] + [f"  {text}" for text, *_ in rules])
 
 
@@ -542,12 +588,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="semiflow", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="numerical experiments on suspension semi-flows of angle-multiplying maps",
-        epilog=_help("config keys (an omitted experiment is the subcommand)", _TOP))
+        epilog=_help("config keys (an omitted experiment is the subcommand)", _TOP) + "\n\n"
+        + _help("ceiling keys (--set ceiling.NAME=VALUE)", _CEILING))
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
+        epilog = _help("parameters (--set params.NAME=VALUE)", _SCHEMA[name], _RULES.get(name, ()))
+        if name == "correlations":
+            epilog += "\n\n" + _help("psi and phi keys (--set params.psi.NAME=VALUE)", _OBSERVABLE)
         s = sub.add_parser(name, formatter_class=argparse.RawDescriptionHelpFormatter,
-                           epilog=_help("parameters (--set params.NAME=VALUE)", _SCHEMA[name],
-                                        _RULES.get(name, ())))
+                           epilog=epilog)
         s.add_argument("config", nargs="?", help="JSON config file (defaults used if omitted)")
         s.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE",
                        help="override a config entry (dotted path, JSON value)")

@@ -8,8 +8,9 @@ import pytest
 
 from semiflow import InvalidArgument, TrigPolynomial, classify, extrema
 from semiflow import ceiling
-from semiflow.ceiling import MAX_HARMONIC, _refine_roots, ceiling_from_config
+from semiflow.ceiling import MAX_HARMONIC, _refine_roots
 from semiflow.ceiling import eval as feval
+from semiflow.cli import parse_config
 
 from conftest import parse_violations, random_positive_ceiling
 from oracles import dense_max_abs_deriv, per_bracket_roots
@@ -142,7 +143,7 @@ def test_harmonic_index_capped_at_a_quarter_of_the_certification_grid():
 
 def test_array_bisection_matches_the_scalar_loop():
     # bit for bit, on every benchmark ceiling and on random ones
-    ceilings = {ceiling_from_config(json.loads(job["config"])["ceiling"])
+    ceilings = {parse_config(job["config"]).ceiling
                 for workload in workloads.WORKLOADS for seed in (0, 1)
                 for job in workloads.jobs(workload, seed)}
     rng = np.random.default_rng(21)
@@ -177,4 +178,4 @@ def test_harmonics_sorted_and_distinct():
 
 def test_config_round_trip(f_generic):
     spec = {"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]}
-    assert ceiling_from_config(spec) == f_generic
+    assert parse_config(json.dumps({"ceiling": spec}), "mixing").ceiling == f_generic

@@ -643,6 +643,10 @@ def test_cli_main_runner_error_exit_code(argv, message, capsys):
     pytest.param(["branches", "--set", "params.s=1.0", "--set", "params.t=0.5"],
                  "validation error: target (x=0.3, s=1.0) lies on the roof",
                  id="argv71-validation error: target on the roof at t = 0.5"),
+    # each function adds a report row and an FFT
+    pytest.param(["norms", "--set", "params.num_functions=4097"],
+                 "validation error: num_functions must be an integer >= 1 and <= 4096, got 4097",
+                 id="argv72-validation error: num_functions must be an integer >= 1 and <= 4096"),
 ])
 def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     assert main(argv) == 1
@@ -844,6 +848,63 @@ def test_cli_main_reports_every_ceiling_rule_violation(capsys):
     assert all(line.startswith(f"validation error: {prefix}") for line, prefix in zip(err, prefixes))
 
 
+def test_cli_main_names_each_offending_entry_once(capsys):
+    # a per-entry rule prints one line per distinct entry, however often it repeats
+    argv = ["genericity", "--set", 'ceiling={"ell":3,"mean":1.0,"harmonics":[]}',
+            "--set", "params.cluster_n_values=" + json.dumps([13, 14, 13] * 500),
+            "--set", "params.probe_n_values=" + json.dumps([1, 40] * 500)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    prefixes = ["cluster_n_values entry n = 13:", "cluster_n_values entry n = 14:",
+                "probe level n = 40:", "probe level n = 1 gives fewer"]
+    assert len(err) == len(prefixes)
+    assert all(line.startswith(f"validation error: {prefix}") for line, prefix in zip(err, prefixes))
+
+
+@pytest.mark.parametrize("argv, lines", [
+    pytest.param(["branches", "--set", "ceiling.ell=true", "--set", 'ceiling.mean="1"',
+                  "--set", "ceiling.harmonics=[[1.5,0,0.1]]"],
+                 ["bad ceiling: ell must be an integer >= 2, got True",
+                  "bad ceiling: mean must be a number, got '1'",
+                  "bad ceiling: harmonics must be a list of [integer, number, number], "
+                  "got [[1.5, 0, 0.1]]"], id="ceiling"),
+    pytest.param(["correlations", "--set", 'params.psi.x=["cos",0.5]', "--set",
+                  'params.psi.cutoff="no"', "--set", 'params.phi.s=["cos"]', "--set", "params.nx=8"],
+                 ['bad psi: x must be null or ["cos" or "sin", integer in [-1024, 1024]], '
+                  "got ['cos', 0.5]",
+                  "bad psi: cutoff must be true or false, got 'no'",
+                  'bad phi: s must be null or ["cos" or "sin", number in [-1024, 1024]], '
+                  "got ['cos']"], id="observables"),
+    pytest.param(["branches", "--set", 'ceiling={"mean":1,"k":2}'],
+                 ["bad ceiling: unknown key 'k'",
+                  "bad ceiling: ell must be an integer >= 2, got None"], id="missing-ell"),
+])
+def test_cli_main_reports_every_nested_spec_violation(argv, lines, capsys):
+    # the ceiling and observable specs are schema tables, checked like every other value
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"validation error: {v}" for v in lines]
+
+
+@pytest.mark.parametrize("spec", [{"s": ["cos", 1e308]}, {"s": ["sin", -1024.5]},
+                                  {"x": ["cos", 1025]}, {"x": ["sin", -10 ** 300]}])
+def test_observable_frequencies_are_bounded(spec):
+    # 2 pi a s overflowed to inf at a = 1e308, and every sample read nan
+    config = _config(experiment="correlations", params={"psi": spec, "nx": 16, "ns": 2})
+    with pytest.raises(ValidationError) as info:
+        parse_config(json.dumps(config))
+    (violation,) = info.value.violations
+    assert violation.startswith(f"bad psi: {next(iter(spec))} must be null or")
+    assert "in [-1024, 1024]]" in violation
+
+
+def test_observable_frequencies_at_the_bound_give_finite_samples(capsys):
+    argv = ["correlations", "--set", 'params.psi={"x":["cos",-1024],"s":["sin",1024]}',
+            "--set", 'params.t_values=[0,1]', "--set", "params.nx=16", "--set", "params.ns=2"]
+    assert main(argv) == 0
+    samples = json.loads(capsys.readouterr().out)["payload"]["samples"]
+    assert all(math.isfinite(v) for _, v, _ in samples)
+
+
 @pytest.mark.parametrize("function, names", [
     pytest.param(mixing.weak_mixing_test, ("grid", "depth"), id="weak_mixing_test"),
     pytest.param(spectral.build_ulam, ("seed", "mode"), id="build_ulam"),
@@ -865,6 +926,21 @@ def test_every_schema_parameter_is_read_by_its_runner():
     for experiment, table in cli._SCHEMA.items():
         source = inspect.getsource(getattr(cli, f"_run_{experiment}"))
         assert set(table) - set(re.findall(r'p\["(\w+)"\]', source)) == set(), experiment
+
+
+def test_every_table_entry_is_well_formed():
+    # a typo in a kind or a bound fails here, not as a KeyError at parse time
+    for name, table in [("top", cli._TOP), *cli._SCHEMA.items(), ("ceiling", cli._CEILING),
+                        ("observable", cli._OBSERVABLE)]:
+        for key, param in table.items():
+            assert param.kind in cli._KINDS, (name, key)
+            for bound in filter(None, param.bounds.split(" and ")):
+                op, limit = bound.split()
+                assert op in cli._COMPARE and math.isfinite(float(limit)), (name, key, bound)
+            if param.default is not None:
+                problems = []
+                cli._checked({key: param}, {}, "key", problems)
+                assert problems == [], (name, key)
 
 
 def _semiflow(argv, timeout=120):
@@ -930,6 +1006,14 @@ def _of_kind(value, kind) -> bool:
     never numbers."""
     def number(v):
         return type(v) in (int, float) and math.isfinite(v)
+    if kind.startswith("null or"):
+        freq = (lambda v: type(v) is int) if "integer" in kind else number
+        return value is None or (type(value) is list and len(value) == 2
+                                 and value[0] in ("cos", "sin") and freq(value[1]))
+    if kind == "a list of [integer, number, number]":
+        return type(value) is list and all(
+            type(h) is list and len(h) == 3 and type(h[0]) is int and all(map(number, h[1:]))
+            for h in value)
     if "list" in kind:
         item = (lambda v: type(v) is int) if "integers" in kind else number
         return type(value) is list and all(map(item, value))
@@ -951,10 +1035,11 @@ def test_parse_config_any_value_in_any_key(value):
                  for key, param in cli._TOP.items()]
         cases += [({"ceiling": ceiling, "params": {key: value}}, param.kind)
                   for key, param in cli._SCHEMA[experiment].items()]
-        cases += [({"ceiling": dict(ceiling, **{key: value})}, None) for key in ceiling]
+        cases += [({"ceiling": dict(ceiling, **{key: value})}, param.kind)
+                  for key, param in cli._CEILING.items()]
         if experiment == "correlations":
-            cases += [({"ceiling": ceiling, "params": {"psi": {key: value}}}, None)
-                      for key in ("x", "s", "cutoff")]
+            cases += [({"ceiling": ceiling, "params": {"psi": {key: value}}}, param.kind)
+                      for key, param in cli._OBSERVABLE.items()]
         for config, kind in cases:
             try:
                 cfg = cli.parse_config(json.dumps(config), experiment)
