@@ -35,8 +35,14 @@ EXPERIMENTS = ("transversality", "mixing", "spectrum", "correlations",
 
 # A config ceiling's certified range lies in [MIN_HEIGHT, MAX_HEIGHT], so the
 # dyadic bound K of ``classify`` and every flow height stay finite floats.
-MIN_HEIGHT = 2.0 ** -256
-MAX_HEIGHT = 2.0 ** 256
+_HEIGHT_EXPONENT = 256
+MIN_HEIGHT = 2.0 ** -_HEIGHT_EXPONENT
+MAX_HEIGHT = 2.0 ** _HEIGHT_EXPONENT
+
+# A violation message quotes at most this many entries of a list or object,
+# and this many characters of a string.
+_ECHO_ITEMS = 8
+_ECHO_CHARS = 64
 
 
 class Param(NamedTuple):
@@ -117,6 +123,16 @@ _CEILING = {
     "mean": Param(None, "a number"),
     "harmonics": Param([], "a list of [integer, number, number]"),
 }
+# the ceiling rules beyond each entry's own, as --help lists them: the first
+# two are TrigPolynomial invariants, the others ``_ceiling``'s own checks
+_COEFFICIENT_RULE = (f"mean and harmonic coefficients must be at most 2^{_HEIGHT_EXPONENT} "
+                     "in magnitude")
+_CEILING_RULES = (
+    f"ell must be <= 2^{MAX_WORD_INDEX.bit_length()} - 1, a 64-bit word index",
+    f"harmonic indices must be distinct integers in 1..{MAX_HARMONIC}",
+    _COEFFICIENT_RULE,
+    f"f must be > 0, with its certified range in [2^-{_HEIGHT_EXPONENT}, 2^{_HEIGHT_EXPONENT}]",
+)
 _OBSERVABLE = {
     "x": Param(None, _X_WAVE),
     "s": Param(None, _S_WAVE),
@@ -202,7 +218,7 @@ _RULES = {
     "genericity": [
         ("cluster_word letters must lie in 1..ell", ("ceiling", "cluster_word"),
          lambda f, word: [] if all(1 <= a <= f.ell for a in word) else
-         [f"cluster_word letters must lie in 1..{f.ell}, got {word}"]),
+         [f"cluster_word letters must lie in 1..{f.ell}, got {_echo(word)}"]),
         ("ell^m must be <= 2^63 - 1 for a cluster_word of m letters", ("ceiling", "cluster_word"),
          lambda f, word: [] if f.ell ** min(len(word), 64) <= MAX_WORD_INDEX else
          [f"cluster_word of m = {len(word)} letters: ell^m = {f.ell}^{len(word)} exceeds "
@@ -252,6 +268,23 @@ class RunReport:
     wall_time_s: float
 
 
+def _echo(value) -> str:
+    """The repr of a value that a violation message quotes, each list or
+    object cut to its first _ECHO_ITEMS entries and its length, and a string
+    to its first _ECHO_CHARS characters and its length, so that a message
+    stays short whatever the config holds."""
+    if isinstance(value, str) and len(value) > _ECHO_CHARS:
+        return f"{value[:_ECHO_CHARS]!r}… ({len(value)} characters)"
+    if isinstance(value, (list, dict)):
+        items = ([_echo(v) for v in value[:_ECHO_ITEMS]] if isinstance(value, list) else
+                 [f"{k!r}: {_echo(v)}" for k, v in list(value.items())[:_ECHO_ITEMS]])
+        if len(value) > _ECHO_ITEMS:
+            items.append(f"… ({len(value)} entries)")
+        text = ", ".join(items)
+        return f"[{text}]" if isinstance(value, list) else f"{{{text}}}"
+    return repr(value)
+
+
 def _checked(table: dict, given: dict, what: str, problems: list) -> dict:
     """The table's defaults updated from ``given``, keeping the entries that
     pass their check: the kind first, then the bounds, so that no bound meets
@@ -267,7 +300,7 @@ def _checked(table: dict, given: dict, what: str, problems: list) -> dict:
                 for op, limit in (c.split() for c in param.bounds.split(" and ") if c)):
             values[key] = value
         else:
-            problems.append(f"{key} must be {param.rule}, got {value!r}")
+            problems.append(f"{key} must be {param.rule}, got {_echo(value)}")
     return values
 
 
@@ -294,7 +327,7 @@ def _ceiling(spec: dict, problems: list) -> TrigPolynomial | None:
     # then no derivative up to order 3 of f overflows while it is certified
     if not bad and not all(abs(v) <= MAX_HEIGHT
                            for v in (c["mean"], *(v for h in c["harmonics"] for v in h[1:]))):
-        bad.append("mean and harmonic coefficients must be at most 2^256 in magnitude")
+        bad.append(_COEFFICIENT_RULE)
     if not bad:
         try:
             f = TrigPolynomial(c["mean"], c["harmonics"], c["ell"])
@@ -307,7 +340,8 @@ def _ceiling(spec: dict, problems: list) -> TrigPolynomial | None:
             problems.append("ceiling violates positivity: it must be strictly positive")
             return None
         if not (MIN_HEIGHT <= f_min and f_max <= MAX_HEIGHT):
-            bad.append(f"certified range [{f_min:.6g}, {f_max:.6g}] must lie in [2^-256, 2^256]")
+            bad.append(f"certified range [{f_min:.6g}, {f_max:.6g}] must lie in "
+                       f"[2^-{_HEIGHT_EXPONENT}, 2^{_HEIGHT_EXPONENT}]")
     problems.extend(f"bad ceiling: {v}" for v in bad)
     return None if bad else f
 
@@ -318,7 +352,8 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     problems = []
     top = _checked(_TOP, {"experiment": experiment, **raw}, "key", problems)
     if experiment is not None and raw.get("experiment", experiment) != experiment:
-        problems.append(f"experiment {raw['experiment']!r} does not match subcommand {experiment!r}")
+        problems.append(f"experiment {_echo(raw['experiment'])} does not match subcommand "
+                        f"{experiment!r}")
 
     ceiling = _ceiling(top["ceiling"], problems) if "ceiling" in top else None
     gamma0 = top.get("gamma0")
@@ -575,13 +610,13 @@ def _apply_overrides(raw: dict, overrides) -> None:
 
 def _help(heading: str, table: dict, rules=()) -> str:
     """A --help section: each schema entry with its rule and default (none when
-    the default fails the rule), then the rules that relate values."""
+    the default fails the rule), then the texts of the rules that relate values."""
     width = max(map(len, table))
     return "\n".join([heading + "; a value's type is checked before its range:"] + [
         f"  {key:<{width}}  {param.rule}; "
         + (f"default {json.dumps(param.default)}" if _KINDS[param.kind](param.default)
            else "no default")
-        for key, param in table.items()] + [f"  {text}" for text, *_ in rules])
+        for key, param in table.items()] + [f"  {text}" for text in rules])
 
 
 def main(argv=None) -> int:
@@ -589,10 +624,11 @@ def main(argv=None) -> int:
         prog="semiflow", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="numerical experiments on suspension semi-flows of angle-multiplying maps",
         epilog=_help("config keys (an omitted experiment is the subcommand)", _TOP) + "\n\n"
-        + _help("ceiling keys (--set ceiling.NAME=VALUE)", _CEILING))
+        + _help("ceiling keys (--set ceiling.NAME=VALUE)", _CEILING, _CEILING_RULES))
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        epilog = _help("parameters (--set params.NAME=VALUE)", _SCHEMA[name], _RULES.get(name, ()))
+        epilog = _help("parameters (--set params.NAME=VALUE)", _SCHEMA[name],
+                       [text for text, *_ in _RULES.get(name, ())])
         if name == "correlations":
             epilog += "\n\n" + _help("psi and phi keys (--set params.psi.NAME=VALUE)", _OBSERVABLE)
         s = sub.add_parser(name, formatter_class=argparse.RawDescriptionHelpFormatter,

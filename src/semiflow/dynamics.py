@@ -184,11 +184,12 @@ class _ColumnScan:
     sum S, the parent's sum and the slope.  Level 0 is the empty word; its
     parent sum is -inf, so its parent test always passes.  The slope order
     within each level, which only ``slope_profile`` reads, is sorted on its
-    first call.
+    first call, together with copies of the slopes, f(y), S and the parent
+    sums in that order.
     """
 
     __slots__ = ("ell", "levels", "starts", "n", "k", "y", "fy", "S", "S_parent", "slopes",
-                 "_by_slope", "_sorted_slopes")
+                 "_by_slope")
 
     def __init__(self, ell, levels, blocks):
         self.ell = ell
@@ -197,32 +198,36 @@ class _ColumnScan:
         self.n = np.repeat(np.array(levels, dtype=np.int64), np.diff(self.starts))
         self.k, self.y, self.fy, self.S, self.S_parent, self.slopes = (
             np.concatenate(column) for column in zip(*blocks))
-        self._by_slope = self._sorted_slopes = None
-
-    def _valid(self, s: float, t: float):
-        """The words that are time-t branches at (x, s): flow defect
-        d = s + S - t in [0, f(y)) and the parent's defect still negative,
-        in the float operations of a scan at (s, t) alone.  Returns the mask
-        and d."""
-        d = s + self.S - t
-        return (d >= -ROOF_TOL) & (d < self.fy - ROOF_TOL) & (s + self.S_parent - t < -ROOF_TOL), d
+        self._by_slope = None
 
     def table(self, s: float, t: float) -> _BranchTable:
         """The branch table at (x, s) for time t, as ``branch_table`` builds it."""
-        valid, d = self._valid(s, t)
+        valid, d = _valid(s, t, self.S, self.fy, self.S_parent)
         return _BranchTable(self.n[valid], self.k[valid], self.y[valid],
                             np.maximum(d[valid], 0.0), self.slopes[valid], self.ell, self)
 
     def slope_profile(self, s: float, t: float) -> tuple:
         """(levels, branch count per level, slopes) of the table at (s, t):
-        the slopes of each level in ascending order, levels concatenated."""
+        the slopes of each level in ascending order, levels concatenated.
+        The mask is built on the slope-ordered copies, element for element
+        the one ``table`` builds."""
         if self._by_slope is None:
-            self._by_slope = np.lexsort((self.slopes, self.n))
-            self._sorted_slopes = self.slopes[self._by_slope]
-        valid = self._valid(s, t)[0][self._by_slope]
+            order = np.lexsort((self.slopes, self.n))
+            self._by_slope = (self.slopes[order], self.S[order], self.fy[order],
+                              self.S_parent[order])
+        slopes, S, fy, S_parent = self._by_slope
+        valid = _valid(s, t, S, fy, S_parent)[0]
         counts = np.add.reduceat(valid, self.starts[:-1], dtype=np.int64).tolist()
         levels = [n for n, c in zip(self.levels, counts) if c]
-        return levels, [c for c in counts if c], self._sorted_slopes[valid]
+        return levels, [c for c in counts if c], slopes[valid]
+
+
+def _valid(s: float, t: float, S, fy, S_parent) -> tuple:
+    """The words that are time-t branches at (x, s): flow defect
+    d = s + S - t in [0, f(y)) and the parent's defect still negative, in
+    the float operations of a scan at (s, t) alone.  Returns the mask and d."""
+    d = s + S - t
+    return (d >= -ROOF_TOL) & (d < fy - ROOF_TOL) & (s + S_parent - t < -ROOF_TOL), d
 
 
 def _column_scan(f: TrigPolynomial, x: float, s_values, ts) -> _ColumnScan:

@@ -10,13 +10,16 @@ geometry show cluster growth rates strictly below ell.
 Perturbation families f_t = f + sum t_i phi_i move branch slopes linearly
 in t; ``g_matrix`` is the (base-independent) linear part of the
 slope-difference map, and ``bad_set_probe`` estimates the measure of the
-parameters whose slope differences stay degenerate.
+parameters whose slope differences stay degenerate.  A family stacks the
+centres, radii and plateaus of its bump directions once, so ``g_matrix``
+evaluates every direction's derivative at every prefix point in one call
+of the profile, and the positivity check every bump on its grid at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,37 +59,29 @@ def _profile_antiderivative_table():
 _PROFILE_GRID, _PROFILE_CUM = _profile_antiderivative_table()
 
 
-def _circle_offset(x, center):
-    """Signed circle distance from center, in [-1/2, 1/2)."""
-    return (np.asarray(x, dtype=float) - center + 0.5) % 1.0 - 0.5
-
-
 @dataclass(frozen=True)
 class BumpDirection:
-    """Smooth circle bump with closed-form derivative.
+    """Smooth circle bump phi around ``center``, supported within ``radius``.
 
-    The derivative equals ``deriv_plateau`` exactly on the inner third of
-    the support interval and stays below twice that value in absolute
-    value; the bump itself is the cached antiderivative of the profile.
+    Its derivative is ``deriv_plateau`` times the profile of the offset from
+    the centre over the radius: exactly ``deriv_plateau`` on the inner third
+    of the support and below twice that value in absolute value; the bump
+    itself is the cached antiderivative of the profile.  A
+    ``PerturbationFamily`` evaluates its directions together.
     """
 
     center: float
     radius: float
     deriv_plateau: float
 
-    def deriv(self, x):
-        u = _circle_offset(x, self.center) / self.radius
-        return self.deriv_plateau * _profile(u)
-
-    def value(self, x):
-        u = np.clip(_circle_offset(x, self.center) / self.radius, -1.0, 1.0)
-        return self.deriv_plateau * self.radius * np.interp(u, _PROFILE_GRID, _PROFILE_CUM)
-
 
 @dataclass(frozen=True)
 class PerturbationFamily:
     """f_t = base + sum_i t_i * directions_i for t in [-epsilon, epsilon]^m.
 
+    The directions' centres, radii and plateaus are stacked once, as
+    (m, 1) columns, so every direction is evaluated in one array operation
+    and each element goes through the float operations of a single bump.
     Positivity of f_t over the whole parameter box is checked on a dense
     grid at construction.
     """
@@ -94,15 +89,24 @@ class PerturbationFamily:
     base: TrigPolynomial
     directions: tuple
     epsilon: float
+    # center, radius and deriv_plateau of every direction, each of shape (m, 1)
+    _bumps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise InvalidArgument("epsilon must be >= 0")
+        stacked = np.array([(d.center, d.radius, d.deriv_plateau) for d in self.directions],
+                           dtype=float).reshape(-1, 3)
+        object.__setattr__(self, "_bumps", tuple(stacked.T[:, :, None]))
         if self.directions and self.epsilon > 0:
             grid = np.arange(8192) / 8192
+            _, radius, plateau_height = self._bumps
+            u = np.clip(self._offsets(grid), -1.0, 1.0)
+            values = plateau_height * radius * np.interp(u, _PROFILE_GRID, _PROFILE_CUM)
             worst = np.asarray(self.base(grid), dtype=float)
-            for d in self.directions:
-                worst = worst - self.epsilon * np.abs(d.value(grid))
+            # in direction order, so the margin rounds as a direction-by-direction sum
+            for value in values:
+                worst = worst - self.epsilon * np.abs(value)
             if float(worst.min()) <= 0.0:
                 raise DomainViolation(
                     "family leaves the positive ceilings inside the parameter box "
@@ -111,6 +115,17 @@ class PerturbationFamily:
     @property
     def m(self) -> int:
         return len(self.directions)
+
+    def _offsets(self, x: np.ndarray) -> np.ndarray:
+        """Signed circle offset of x from each centre, in [-1/2, 1/2), over
+        that direction's radius: shape (m, x.size), x flattened."""
+        center, radius, _ = self._bumps
+        return ((x.reshape(1, -1) - center + 0.5) % 1.0 - 0.5) / radius
+
+    def _derivs(self, x: np.ndarray) -> np.ndarray:
+        """phi_j'(x) for every direction j: shape (m, *x.shape)."""
+        plateau_height = self._bumps[2]
+        return (plateau_height * _profile(self._offsets(x))).reshape(-1, *x.shape)
 
 
 @dataclass(frozen=True)
@@ -157,24 +172,22 @@ def g_matrix(x: float, sigma, n: int, family: PerturbationFamily) -> np.ndarray:
     sigma holds the indices of words of length n; rows follow sigma[1:],
     the reference word is sigma[0]; entry (r, j) is
     sum_i ell^(-i) (phi_j'(prefix_i of sigma[r+1]) - phi_j'(prefix_i of sigma[0])).
-    Independent of the base ceiling by construction.  Each direction's
-    derivative is evaluated once, on the array of every word's prefix points.
+    Independent of the base ceiling by construction.  Every direction's
+    derivative comes from one evaluation on the (m, words, n) stack of
+    offsets from the prefix points.
     """
     ell = family.base.ell
-    prefixes = prefix_points(x, sigma, n, ell)
-    sums = np.zeros((len(prefixes), family.m))
-    for j, d in enumerate(family.directions):
-        derivs = np.broadcast_to(d.deriv(prefixes), prefixes.shape)
-        sums[:, j] = _weighted_sum(derivs, ell)
+    derivs = family._derivs(prefix_points(x, sigma, n, ell))
+    sums = _weighted_sum(derivs.transpose(1, 0, 2), ell)
     return sums[1:] - sums[0]
 
 
 def _weighted_sum(values: np.ndarray, ell: int) -> np.ndarray:
-    """sum_k ell^(-k) values[:, k-1] per row, added in the order k = 1..n
-    as the scalar Birkhoff sums add."""
-    total = np.zeros(values.shape[0])
-    for k in range(values.shape[1]):
-        total += ell ** float(-(k + 1)) * values[:, k]
+    """sum_k ell^(-k) values[..., k-1] over the last axis, added in the
+    order k = 1..n as the scalar Birkhoff sums add."""
+    total = np.zeros(values.shape[:-1])
+    for k in range(values.shape[-1]):
+        total += ell ** float(-(k + 1)) * values[..., k]
     return total
 
 

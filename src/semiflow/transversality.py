@@ -19,7 +19,11 @@ Grid maxima come from one pass (``grid_estimates``; ``m_of_t`` and
 ``branch_table`` call that serves every (s, t) of the run, and each grid
 point's table is a mask over that scan.  Branch weights ell^-n are summed as exact
 integer multiples of ell^-n_max and divided once, so m and n are correctly
-rounded and the identity n <= 1 holds in floating point too.
+rounded and the identity n <= 1 holds in floating point too.  The certified
+value is reported clamped to 1, the bound of the branch-sum identity, so the
+widened pass of a t stops at the first grid point where its running maximum
+reaches 1; each chunk of columns stops on its own, and the report does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ def _overlap_maxima(ell: int, levels, counts, slopes, theta: float,
             whole += (end - start) * unit
             continue
         a = slopes[start:end]
-        thr = np.repeat(thr, counts)
+        thr = np.array(thr).repeat(counts)
         hits = (np.searchsorted(a, slopes + thr, side="right")
                 - np.searchsorted(a, slopes - thr, side="left"))
         sums += hits * unit
@@ -116,12 +120,12 @@ def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
     if not levels:
         return 0.0
     units, denom = _weight_units(ell, levels)
-    half = np.repeat([aperture * float(ell) ** -n for n in levels], counts)
-    wt = np.repeat(np.array(units, dtype=np.int64), counts)
+    half = np.array([aperture * float(ell) ** -n for n in levels]).repeat(counts)
+    wt = np.array(units, dtype=np.int64).repeat(counts)
     # a stable sort keeps every start (the first half) ahead of an end at
     # the same coordinate
-    order = np.argsort(np.concatenate([slopes - half, slopes + half]), kind="stable")
-    running = np.cumsum(np.concatenate([wt, -wt])[order])
+    order = np.concatenate([slopes - half, slopes + half]).argsort(kind="stable")
+    running = np.concatenate([wt, -wt])[order].cumsum()
     return int(running.max()) / denom
 
 
@@ -195,7 +199,11 @@ def _absorb(best: list, m_value, x, s, m_upper, n_value) -> None:
 def _column_maxima(f, ts, nx, ns, cls, widen, columns) -> list:
     """Per t, [m_value, argmax x, argmax s, widened m, n_value] over the grid
     points of the given columns: x = i/nx and ns flow coordinates scaled
-    to the fiber, always including the base section s = 0."""
+    to the fiber, always including the base section s = 0.
+
+    The widened pass of a t stops once its running maximum reaches 1:
+    ``grid_estimates`` reports it clamped to 1, so no later point can change
+    the report, whichever chunk of columns the point falls in."""
     aperture = 2.0 * cls.theta_f
     t_hi = max(ts)
     best = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ts]
@@ -210,7 +218,7 @@ def _column_maxima(f, ts, nx, ns, cls, widen, columns) -> list:
             for b, t in zip(best, ts):
                 profile = scan.slope_profile(s, t)
                 m_upper = (_overlap_maxima(scan.ell, *profile, cls.theta_f, widen)
-                           if widen is not None else 0.0)
+                           if widen is not None and b[3] < 1.0 else 0.0)
                 _absorb(b, _overlap_maxima(scan.ell, *profile, cls.theta_f), x, s, m_upper,
                         _sweep_max(scan.ell, *profile, aperture))
     return best

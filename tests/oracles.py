@@ -12,7 +12,7 @@ potential is the preimage series of its derivative integrated by FFT
 replaced, so each pair can be compared bit for bit: ``per_point_grid`` builds one
 branch table per grid point and reads it with the library's per-table
 passes (``point_m`` is its single-point case), ``per_letter_g_matrix``
-makes one derivative call per word, letter and direction,
+makes one scalar ``bump_deriv`` call per word, letter and direction,
 ``per_bracket_roots`` bisects one bracket at a time, ``branches_payload``
 builds a ``Word`` per branch row, ``per_value_json`` renders one value
 at a time, ``dense_ulam`` accumulates the Ulam matrix into a dense array
@@ -40,7 +40,7 @@ import numpy as np
 from semiflow.aniso import GridFunction2D, _check_bank
 from semiflow.dynamics import FlowPoint, advance, branch_table
 from semiflow.errors import InvalidArgument, PreconditionViolation
-from semiflow.genericity import BumpDirection
+from semiflow.genericity import BumpDirection, _profile
 from semiflow.smooth import chi
 from semiflow.spectral import BoxPartition
 from semiflow.transversality import _overlap_maxima, _sweep_max
@@ -501,9 +501,17 @@ def point_m(f, z, t, theta):
     return _overlap_maxima(table.ell, *table.scan.slope_profile(z.s, t), theta)
 
 
+def bump_deriv(direction, x):
+    """The derivative of one bump direction at x, from its own centre,
+    radius and plateau alone: the single-direction case of the family's
+    stacked evaluation."""
+    u = ((np.asarray(x, dtype=float) - direction.center + 0.5) % 1.0 - 0.5) / direction.radius
+    return direction.deriv_plateau * _profile(u)
+
+
 def per_letter_g_matrix(x, sigma, family):
     """Slope-difference matrix of ``genericity.g_matrix``, one scalar
-    ``deriv`` call per (word, letter, direction)."""
+    ``bump_deriv`` call per (word, letter, direction)."""
     words = list(sigma)
     ell = words[0].ell
 
@@ -514,7 +522,7 @@ def per_letter_g_matrix(x, sigma, family):
             k += (letter - 1) * ell ** (i - 1)
             y = (x + k) / ell ** i
             for j, d in enumerate(family.directions):
-                out[j] += ell ** float(-i) * float(d.deriv(y))
+                out[j] += ell ** float(-i) * float(bump_deriv(d, y))
         return out
 
     base_row = weighted_prefix_derivs(words[0])

@@ -861,6 +861,54 @@ def test_cli_main_names_each_offending_entry_once(capsys):
     assert all(line.startswith(f"validation error: {prefix}") for line, prefix in zip(err, prefixes))
 
 
+def test_help_states_the_ceiling_rules_that_parse_checks(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert lines[-4:] == [
+        "ell must be <= 2^63 - 1, a 64-bit word index",
+        "harmonic indices must be distinct integers in 1..1024",
+        "mean and harmonic coefficients must be at most 2^256 in magnitude",
+        "f must be > 0, with its certified range in [2^-256, 2^256]"]
+    # each rule holds at the bound it states and refuses just past it
+    just_over = 2.0 ** 256 * (1 + 2.0 ** -52)
+    for ceiling, refused in [
+            ({"ell": 2 ** 63 - 1}, False), ({"ell": 2 ** 63}, True),
+            ({"harmonics": [[1024, 0.0, 0.1]]}, False), ({"harmonics": [[1025, 0.0, 0.1]]}, True),
+            ({"harmonics": [[0, 0.0, 0.1]]}, True),
+            ({"harmonics": [[3, 0.0, 0.1], [3, 0.1, 0.0]]}, True),
+            ({"mean": 2.0 ** 256}, False), ({"mean": just_over}, True),
+            ({"harmonics": [[1, just_over, 0.0]]}, True),
+            ({"mean": 2.0 ** -256}, False), ({"mean": 2.0 ** -257}, True),
+            ({"mean": 0.0}, True), ({"mean": 1.0, "harmonics": [[1, 1.0, 0.0]]}, True)]:
+        config = _config(ceiling={"ell": 2, "mean": 1.0, "harmonics": [], **ceiling})
+        if refused:
+            with pytest.raises(ValidationError):
+                parse_config(json.dumps(config))
+        else:
+            assert parse_config(json.dumps(config)).ceiling is not None
+
+
+@pytest.mark.parametrize("argv, rule", [
+    pytest.param(["genericity", "--set", "params.cluster_word=" + json.dumps([3] + [1] * 60000)],
+                 "cluster_word letters must lie in 1..2, got [3, 1, 1,", id="cluster-word"),
+    pytest.param(["transversality", "--set", "params.t_values=" + json.dumps([-1] * 60001)],
+                 "t_values must be a nonempty list of numbers >= 0, got [-1, -1,", id="schema"),
+    pytest.param(["transversality", "--set",
+                  "params.nx=" + json.dumps({str(i): i for i in range(60001)})],
+                 "nx must be an integer >= 8, got {'0': 0, '1': 1,", id="object"),
+    pytest.param(["transversality", "--set", "params.nx=" + "x" * 60001],
+                 "nx must be an integer >= 8, got 'xxxxxxxx", id="string"),
+])
+def test_violation_messages_cut_long_values(argv, rule, capsys):
+    # a message names a long list, object or string by its start and its length
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {rule}" in err
+    assert re.search(r"… \(60001 (entries|characters)\)", err)
+    assert len(err.encode()) < 1000
+
+
 @pytest.mark.parametrize("argv, lines", [
     pytest.param(["branches", "--set", "ceiling.ell=true", "--set", 'ceiling.mean="1"',
                   "--set", "ceiling.harmonics=[[1.5,0,0.1]]"],

@@ -6,6 +6,7 @@ import pytest
 from semiflow import (FlowPoint, InvalidArgument, ResourceLimit, TrigPolynomial, branch_table,
                       classify, dynamics, exponent_fit, extrema, m_of_t, n_of_t,
                       transversality)
+from semiflow.ceiling import CeilingClass
 from semiflow.transversality import grid_estimates
 
 from conftest import parse_violations, random_positive_ceiling
@@ -275,6 +276,27 @@ def test_grid_pass_equals_per_point_oracle(f_const, f_sin, f_generic):
                 assert (single.m_value, single.m_upper, single.argmax_x, single.argmax_s) == \
                     want[:2] + want[3:]
                 assert n_of_t(f, t, 5, 3, cls=cls) == want[2]
+
+
+def test_widened_pass_stops_once_it_reaches_one(f_sin, monkeypatch):
+    # with a small slope Lipschitz constant one t saturates the certified
+    # bound and two do not; the pass skipped after saturation leaves every
+    # value the per-point oracle gives, at one worker and at two
+    cls = CeilingClass(theta_f=classify(f_sin, 0.9).theta_f, theta_K=0.05)
+    t_values = [2.0, 3.5, 5.0]
+    want = [per_point_grid(f_sin, t, 5, 3, cls, True) for t in t_values]
+    assert [w[1] for w in want] == [1.0, 0.8125, 0.46875]
+    for workers in (1, 2):
+        got = grid_estimates(f_sin, t_values, 5, 3, cls, True, workers)
+        assert [(est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s)
+                for est, n_value in got] == want
+    widened = []
+    overlap = transversality._overlap_maxima
+    monkeypatch.setattr(transversality, "_overlap_maxima",
+                        lambda *args: widened.append(len(args) > 5) or overlap(*args))
+    grid_estimates(f_sin, t_values, 5, 3, cls, True, 1)
+    # all 15 points of the unsaturated t, fewer of the saturated one
+    assert 2 * 15 < sum(widened) < 3 * 15
 
 
 def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
