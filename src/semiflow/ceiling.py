@@ -77,23 +77,45 @@ class TrigPolynomial:
         return eval(self, x, order)
 
 
+def _harmonic(c: float, s: float, arg: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (c cos(arg) + s sin(arg)), bit for bit.
+
+    A zero coefficient's product, c cos(arg) say, is a signed zero (or NaN,
+    where the other product is NaN too), which moves the sum only where the
+    other product is zero: the sign of a zero sum depends on both.  The sum
+    is taken in full only there, and elsewhere the zero coefficient's
+    transcendental is skipped; a scale of 1 (order 0) is not multiplied.
+    """
+    if c != 0.0 and s != 0.0:
+        term = c * np.cos(arg) + s * np.sin(arg)
+    else:
+        term = s * np.sin(arg) if c == 0.0 else c * np.cos(arg)
+        z = np.nonzero(term == 0.0)
+        term[z] = c * np.cos(arg[z]) + s * np.sin(arg[z])
+    if scale != 1.0:
+        term *= scale
+    return term
+
+
 def eval(f: TrigPolynomial, x, order: int = 0):
     """Derivative of order 0..3 of f at x (scalar or array), in closed form.
 
     The k-th derivative of cos(w x) is w^k cos(w x + k pi/2), likewise for
-    sin, so every value is exact up to rounding.
+    sin, so every value is exact up to rounding.  A zero coefficient's
+    transcendental is evaluated only where it can move a bit (``_harmonic``).
     """
     if order not in (0, 1, 2, 3):
         raise InvalidArgument(f"order must be in {{0,1,2,3}}, got {order}")
     x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = x.reshape(-1) if scalar else x
     out = np.full_like(x, f.mean_coeff if order == 0 else 0.0)
     shift = order * math.pi / 2.0
     for k, c, s in f.harmonics:
         w = 2.0 * math.pi * k
-        arg = w * x + shift
-        out = out + (w ** order) * (c * np.cos(arg) + s * np.sin(arg))
-    if out.ndim == 0:
-        return float(out)
+        out += _harmonic(c, s, w * x + shift, w ** order)
+    if scalar:
+        return float(out[0])
     return out
 
 

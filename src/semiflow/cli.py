@@ -40,7 +40,8 @@ MIN_HEIGHT = 2.0 ** -_HEIGHT_EXPONENT
 MAX_HEIGHT = 2.0 ** _HEIGHT_EXPONENT
 
 # A violation message quotes at most this many entries of a list or object,
-# and this many characters of a string.
+# and this many characters of a string; at most this many unknown keys of one
+# table are named, one message each.
 _ECHO_ITEMS = 8
 _ECHO_CHARS = 64
 
@@ -288,9 +289,13 @@ def _echo(value) -> str:
 def _checked(table: dict, given: dict, what: str, problems: list) -> dict:
     """The table's defaults updated from ``given``, keeping the entries that
     pass their check: the kind first, then the bounds, so that no bound meets
-    a value of another type.  Each violation, and each unknown key, is
-    appended to ``problems``."""
-    problems.extend(f"unknown {what} {key!r}" for key in given if key not in table)
+    a value of another type.  Each violation is appended to ``problems``, and
+    so is each of the first _ECHO_ITEMS unknown keys, followed by their count
+    when there are more."""
+    unknown = [key for key in given if key not in table]
+    problems.extend(f"unknown {what} {_echo(key)}" for key in unknown[:_ECHO_ITEMS])
+    if len(unknown) > _ECHO_ITEMS:
+        problems.append(f"… {len(unknown)} unknown {what}s in all")
     values = {}
     for key, param in table.items():
         value = given.get(key, param.default)

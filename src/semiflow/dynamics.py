@@ -72,6 +72,19 @@ def check_crossings(f: TrigPolynomial, largest: float, start: float = 0.0) -> No
             t_limit=t_limit, max_crossings=MAX_CROSSINGS)
 
 
+def _heights(f: TrigPolynomial, x: np.ndarray) -> np.ndarray:
+    """f at the 1-d array x, evaluated once per run of bit-equal adjacent
+    values and repeated over the run; a plain call when the runs average
+    fewer than 2 points.  Equal bits give equal values, so the result is
+    f(x) bit for bit."""
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (starts.size + 1) > x.size:
+        return np.asarray(f(x), dtype=float)
+    starts = np.concatenate(([0], starts))
+    return np.repeat(f(x[starts]), np.diff(starts, append=x.size))
+
+
 def advance(f: TrigPolynomial, x, total, fx=None):
     """Flow the base point x for total >= 0 units of flow time measured from
     s = 0.  Returns (x', s', n, f(x')): the landing base point, the remaining
@@ -79,13 +92,15 @@ def advance(f: TrigPolynomial, x, total, fx=None):
     landing point.  Vectorized over arrays.
 
     fx, when given, is f(x) (broadcast like x): the heights are then not
-    evaluated again.  f is evaluated once per point and once per roof
-    crossing, only at the points that just crossed: a point that does not
-    cross is finished.  A partial Birkhoff sum within ROOF_TOL of total
-    counts as a crossing, so points landing exactly on the roof come out at
-    the base of the next fiber.  Raises ResourceLimit before the first
-    crossing when the largest total could take more than MAX_CROSSINGS of
-    them.
+    evaluated again.  f is evaluated at the start and after each roof
+    crossing, only at the points that just crossed (a point that does not
+    cross is finished), and once per run of bit-equal adjacent x among them
+    (``_heights``): points that share a base point, like the nodes of one
+    column in flattened order, share its evaluations for as long as they
+    cross together.  A partial Birkhoff sum within ROOF_TOL of total counts
+    as a crossing, so points landing exactly on the roof come out at the
+    base of the next fiber.  Raises ResourceLimit before the first crossing
+    when the largest total could take more than MAX_CROSSINGS of them.
     """
     x = np.asarray(x, dtype=float)
     total = np.asarray(total, dtype=float)
@@ -95,7 +110,7 @@ def advance(f: TrigPolynomial, x, total, fx=None):
     x = x.flatten()
     rem = rem.flatten()
     if fx is None:
-        fx = np.asarray(f(x), dtype=float)
+        fx = _heights(f, x)
     else:
         fx = np.broadcast_to(np.asarray(fx, dtype=float), shape).flatten()
     n = np.zeros(x.shape, dtype=int)
@@ -103,9 +118,10 @@ def advance(f: TrigPolynomial, x, total, fx=None):
     while live.size:
         rem[live] -= fx[live]
         y = f.ell * x[live]
-        x[live] = y - np.floor(y)   # the bits of y % 1.0, at less cost
+        y -= np.floor(y)            # the bits of y % 1.0, at less cost
+        x[live] = y
         n[live] += 1
-        fx[live] = f(x[live])
+        fx[live] = _heights(f, y)
         live = live[fx[live] <= rem[live] + ROOF_TOL]
     rem = np.maximum(rem, 0.0)
     return x.reshape(shape), rem.reshape(shape), n.reshape(shape), fx.reshape(shape)
@@ -118,8 +134,8 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
     order; each state is moved from the previous sample by the time
     difference, and the heights f(x_t) are handed on to the next step, so the
     roof crossings cost O(T) in total rather than O(T^2) and f is evaluated
-    once per point and crossing.  fx, when given, is f(x).  Callers that need
-    the samples in their own order (or with repeats) key them by t.
+    at most once per point and crossing.  fx, when given, is f(x).  Callers
+    that need the samples in their own order (or with repeats) key them by t.
     ``step`` is the advance function to use; callers pass their own module's
     binding of ``advance`` so a wrapper placed on it sees every step.  Raises
     ResourceLimit up front when the largest time could take more than

@@ -117,6 +117,8 @@ class Observable:
         return "*".join(parts)
 
     def values(self, x: np.ndarray, s: np.ndarray, fx: np.ndarray, margin: float) -> np.ndarray:
+        """The observable at the points (x, s) of heights fx, arrays of one
+        shape; the cutoff vanishes within margin of s = 0 and s = fx."""
         v = np.ones_like(np.asarray(x, dtype=float))
         if self.x_wave:
             kind, k = self.x_wave
@@ -127,7 +129,11 @@ class Observable:
             arg = 2.0 * np.pi * a * s
             v = v * (np.cos(arg) if kind == "cos" else np.sin(arg))
         if self.cutoff:
-            v = v * step(s / margin) * step((fx - s) / margin)
+            # both steps are 1 outside the band near the bottom and the top
+            # of the fiber, where multiplying by them changes no bit
+            lo, hi = s / margin, (fx - s) / margin
+            band = np.nonzero(~((lo >= 1.0) & (hi >= 1.0)))
+            v[band] = v[band] * step(lo[band]) * step(hi[band])
         return v
 
 
@@ -141,19 +147,23 @@ class CorrelationCurve:
 def _sample_chunks(part: BoxPartition, points: int, seed: int, mode: str):
     """Sample points of the boxes, in chunks of whole boxes taken in box
     order: yields (boxes, x0, s0), the box indices of the chunk and its
-    points' coordinates, box-major.  A chunk holds at most CHUNK_POINTS
-    points, or one box when a box alone holds more.
+    points' coordinates, point-major: the chunk's boxes for the first
+    offset, then for the second, and so on, so the point of box b at offset
+    j sits at j * len(boxes) + b - boxes[0].  A chunk holds at most
+    CHUNK_POINTS points, or one box when a box alone holds more.
 
     The offsets (u, v) in [0,1)^2 of a box's points are a golden-ratio
     rank-1 lattice, the same row for every box, in the deterministic
-    default.  Monte Carlo mode draws them from one default_rng(seed) stream,
-    box by box; the chunks draw that stream in box order, so the points are
-    those of a single draw over all boxes.
+    default.  The ns boxes of a column then give each offset one x, which
+    point-major order puts side by side: ``advance`` evaluates f once per
+    such run.  Monte Carlo mode draws the offsets from one default_rng(seed)
+    stream, box by box; the chunks draw that stream in box order, so the
+    points are those of a single draw over all boxes.
     """
     if mode == "lattice":
         k = np.arange(points)
-        u = ((k + 0.5) / points)[None, :]
-        v = (((k + 0.5) * GOLDEN_FRAC) % 1.0)[None, :]
+        u = ((k + 0.5) / points)[:, None]
+        v = (((k + 0.5) * GOLDEN_FRAC) % 1.0)[:, None]
     else:
         rng = np.random.default_rng(seed)
     per_chunk = max(1, CHUNK_POINTS // points)
@@ -161,10 +171,10 @@ def _sample_chunks(part: BoxPartition, points: int, seed: int, mode: str):
         boxes = np.arange(start, min(start + per_chunk, part.dim))
         if mode != "lattice":
             uv = rng.random((len(boxes), points, 2))
-            u, v = uv[:, :, 0], uv[:, :, 1]
+            u, v = uv[:, :, 0].T, uv[:, :, 1].T
         cols, slices = np.divmod(boxes, part.ns)
-        x0 = (cols[:, None] + u) / part.nx
-        s0 = (slices[:, None] + v) * (part.column_heights[cols, None] / part.ns)
+        x0 = (cols + u) / part.nx
+        s0 = (slices + v) * (part.column_heights[cols] / part.ns)
         yield boxes, x0.ravel(), s0.ravel()
 
 
@@ -211,7 +221,7 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int, points_per_box: in
         land_slice = np.minimum((s1 * ns / part.column_heights[land_col]).astype(int), ns - 1)
         land_idx = land_col * ns + land_slice
         # the chunk's entries, keyed row-major, each with its number of points
-        key, count = np.unique(land_idx * dim + np.repeat(boxes, points_per_box),
+        key, count = np.unique(land_idx * dim + np.tile(boxes, points_per_box),
                                return_counts=True)
         keys.append(key)
         counts.append(count)
@@ -294,18 +304,20 @@ def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
     The nodes are sampled in increasing time, each sample flowed on from the
     previous one (``advance_through``); the curve lists the samples in the
     order, and with the repeats, of ``t_list``.  The heights f at the nodes
-    and at every sample come from the flow advance, so f is evaluated once
-    per node and roof crossing.
+    and at every sample come from the flow advance.  The nodes are
+    column-major, so the ns nodes of a column start at one x and ``advance``
+    evaluates f once per column and roof crossing for as long as they cross
+    together, not once per node.
     """
     x, s, fx, w = _quadrature_nodes(f, nx, ns)
     margin = CUTOFF_MARGIN_FRACTION * extrema(f, 0)[0]
-    psi_vals = psi.values(x, s, fx, margin)
-    mean_psi = float(np.sum(w * psi_vals))
+    w_psi = w * psi.values(x, s, fx, margin)
+    mean_psi = float(np.sum(w_psi))
     cor_at = {}
     for t, x1, s1, fx1 in advance_through(f, x, s, t_list, step=advance, fx=fx):
         phi_vals = phi.values(x1, s1, fx1, margin)
         mean_phi = float(np.sum(w * phi_vals))
-        cor_at[t] = float(np.sum(w * psi_vals * phi_vals) - mean_phi * mean_psi)
+        cor_at[t] = float(np.sum(w_psi * phi_vals) - mean_phi * mean_psi)
     samples = tuple((float(t), cor_at[float(t)]) for t in t_list)
     return CorrelationCurve(samples=samples, psi_id=psi.id, phi_id=phi.id)
 

@@ -17,7 +17,9 @@ makes one scalar ``bump_deriv`` call per word, letter and direction,
 builds a ``Word`` per branch row, ``per_value_json`` renders one value
 at a time, ``dense_ulam`` accumulates the Ulam matrix into a dense array
 with ``np.add.at`` and ``exp_step`` evaluates both exponentials of the
-smooth step at every point.  ``birkhoff`` and ``per_letter_g_matrix`` read
+smooth step at every point, ``eval_full`` evaluates both transcendentals
+of every harmonic and ``advance_per_point`` evaluates f at every point and
+roof crossing.  ``birkhoff`` and ``per_letter_g_matrix`` read
 a word letter by letter but place prefix i at (x + k_i)/ell^i, k_i being
 the index of the first i letters, which is the library's float expression.
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semiflow.aniso import GridFunction2D, _check_bank
-from semiflow.dynamics import FlowPoint, advance, branch_table
+from semiflow.dynamics import FlowPoint, advance, branch_table, check_crossings
 from semiflow.errors import InvalidArgument, PreconditionViolation
 from semiflow.genericity import BumpDirection, _profile
 from semiflow.smooth import chi
@@ -49,6 +51,21 @@ ROOF_TOL = 1e-12
 
 # deepest level of unstable_slope: ell^depth preimages enumerated at once
 PREIMAGE_CAP = 2 ** 24
+
+
+def eval_full(f, x, order=0):
+    """Derivative of order 0..3 of f at x by the closed form with every
+    transcendental evaluated, zero coefficients included."""
+    x = np.asarray(x, dtype=float)
+    out = np.full_like(x, f.mean_coeff if order == 0 else 0.0)
+    shift = order * math.pi / 2.0
+    for k, c, s in f.harmonics:
+        w = 2.0 * math.pi * k
+        arg = w * x + shift
+        out = out + (w ** order) * (c * np.cos(arg) + s * np.sin(arg))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def dense_max_abs_deriv(f, order=1, points=1_000_000):
@@ -234,6 +251,33 @@ def flow_points(f, x, s, t):
         remaining = np.where(cross, remaining - gap, remaining)
         x = np.where(cross, (f.ell * x) % 1.0, x)
         s = np.where(cross, 0.0, s)
+
+
+def advance_per_point(f, x, total, fx=None):
+    """``dynamics.advance`` with f evaluated at every point and every roof
+    crossing, shared base points or not: the same (x', s', n, f(x'))."""
+    x = np.asarray(x, dtype=float)
+    total = np.asarray(total, dtype=float)
+    check_crossings(f, float(np.max(total, initial=0.0)))
+    x, rem = np.broadcast_arrays(x, total)
+    shape = x.shape
+    x = x.flatten()
+    rem = rem.flatten()
+    if fx is None:
+        fx = np.asarray(f(x), dtype=float)
+    else:
+        fx = np.broadcast_to(np.asarray(fx, dtype=float), shape).flatten()
+    n = np.zeros(x.shape, dtype=int)
+    live = np.flatnonzero(fx <= rem + ROOF_TOL)
+    while live.size:
+        rem[live] -= fx[live]
+        y = f.ell * x[live]
+        x[live] = y - np.floor(y)
+        n[live] += 1
+        fx[live] = f(x[live])
+        live = live[fx[live] <= rem[live] + ROOF_TOL]
+    rem = np.maximum(rem, 0.0)
+    return x.reshape(shape), rem.reshape(shape), n.reshape(shape), fx.reshape(shape)
 
 
 def correlation_from_zero(f, psi, phi, t_list, nx, ns, margin):

@@ -7,6 +7,7 @@ quadratic pair scans, brute window scans) or by fixed-seed runs recorded at
 build time; the tolerances are stated inline.
 """
 
+import hashlib
 import json
 import math
 
@@ -295,3 +296,33 @@ def test_acceptance_10_determinism():
     two = emit(run(parse_config(json.dumps(trans_cfg))), "json")
     assert one == two
     print("\nACCEPTANCE 10 PASS: byte-identical reports across runs and worker counts")
+
+
+_SIN = {"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}
+_GEN = {"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]}
+_SPECTRUM_PARAMS = {"t": 2.0, "nx": 16, "ns": 4, "points_per_box": 32, "k": 6}
+
+
+@pytest.mark.parametrize("config, digest", [
+    pytest.param({"ceiling": _SIN, "experiment": "correlations",
+                  "params": {"t_values": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0],
+                             "nx": 64, "ns": 8, "psi": {"x": ["cos", 1], "s": ["cos", 1.0]},
+                             "phi": {"s": ["cos", 1.0]}}},
+                 "a43a55f1bb9640f8fa6dc86746d5526d80135de55568980d6a351516d3b2b8c3",
+                 id="correlations"),
+    pytest.param({"ceiling": _GEN, "experiment": "spectrum", "seed": 3,
+                  "params": dict(_SPECTRUM_PARAMS, mode="lattice")},
+                 "760222cbe24a9cd5d202c777e8f844764b243fa260f951e432c5c73e57ff65d2",
+                 id="spectrum-lattice"),
+    pytest.param({"ceiling": _GEN, "experiment": "spectrum", "seed": 3,
+                  "params": dict(_SPECTRUM_PARAMS, mode="monte-carlo")},
+                 "d9fdf07d3aeaecbba19444ac49d108d6ad8a8acc02ef0f7e75d2a244a705d3bc",
+                 id="spectrum-monte-carlo"),
+])
+def test_acceptance_10_pinned_report_bytes(config, digest):
+    """Frozen: the sha256 of short correlations and spectrum reports, recorded
+    when the flow advance still evaluated f at every point and crossing, so
+    any later change to the floats on their way shows here."""
+    data = emit(run(parse_config(json.dumps(config))))
+    assert hashlib.sha256(data).hexdigest() == digest
+    print(f"\nACCEPTANCE 10 PASS: {config['experiment']} report bytes pinned ({len(data)} bytes)")

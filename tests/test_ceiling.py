@@ -13,13 +13,49 @@ from semiflow.ceiling import eval as feval
 from semiflow.cli import parse_config
 
 from conftest import parse_violations, random_positive_ceiling
-from oracles import dense_max_abs_deriv, per_bracket_roots
+from oracles import dense_max_abs_deriv, eval_full, per_bracket_roots
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
 import workloads  # noqa: E402
 
 TOP_HARMONIC = TrigPolynomial(1.0, ((MAX_HARMONIC, 0.0, 0.2),), 2)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+# zero coefficients of either sign, alone or together, beside a mean of
+# either sign; at x = 0 the sine products are signed zeros, so the sign of a
+# zero sum depends on every product
+_ZERO_COEFFICIENT_CEILINGS = [
+    TrigPolynomial(mean, harmonics, 2)
+    for mean in (1.0, -0.0, 0.0)
+    for harmonics in (((1, 0.0, 0.2),), ((1, -0.0, -0.2),), ((1, 0.3, 0.0),),
+                      ((1, -0.3, -0.0),), ((1, 0.0, 0.0),), ((1, -0.0, -0.0),),
+                      ((1, 0.0, -0.2), (2, 0.1, -0.0), (3, -0.0, 0.0), (5, 0.05, 0.02)))
+]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_eval_matches_the_full_formula_bitwise(order):
+    # skipping a zero coefficient's transcendental keeps every bit, the sign
+    # of a zero included
+    finite = np.concatenate([[0.0, -0.0, 0.25, 0.5, 0.75, 1.0],
+                             np.random.default_rng(41).random(200)])
+    x = np.concatenate([finite, [np.nan, -np.nan, np.inf, -np.inf]])
+    for f in _ZERO_COEFFICIENT_CEILINGS:
+        with np.errstate(invalid="ignore"):     # sin and cos of inf
+            assert np.array_equal(_bits(feval(f, x, order)), _bits(eval_full(f, x, order)))
+        assert np.array_equal(_bits(feval(f, finite.reshape(2, -1), order)),
+                              _bits(eval_full(f, finite.reshape(2, -1), order)))
+        for point in (0.0, -0.0, 0.3):
+            got = feval(f, point, order)
+            assert type(got) is float
+            assert _bits(got) == _bits(eval_full(f, point, order))
+    # the case the repair exists for: -0.0 + (0.0 + -0.0) is +0.0, not -0.0
+    assert _bits(feval(TrigPolynomial(-0.0, ((1, 0.0, -0.2),), 2), 0.0)) == _bits(0.0)
 
 
 def test_eval_constant_derivative(f_const):

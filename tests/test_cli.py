@@ -909,6 +909,25 @@ def test_violation_messages_cut_long_values(argv, rule, capsys):
     assert len(err.encode()) < 1000
 
 
+def test_unknown_keys_are_named_up_to_the_echo_cap(tmp_path, capsys):
+    # 60,000 unknown keys printed 60,000 lines (3.1 MB), one per key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {f"k{i}": 0 for i in range(60000)}}))
+    assert main(["mixing", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1000
+    assert err.splitlines() == (
+        [f"validation error: unknown mixing parameter 'k{i}'" for i in range(cli._ECHO_ITEMS)]
+        + ["validation error: … 60000 unknown mixing parameters in all"])
+    # each named key is cut like any other quoted value; one or two keys read as before
+    long_key = "k" * 60000
+    assert main(["mixing", "--set", f"params.{long_key}=1", "--set", "params.tol_x=1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"validation error: unknown mixing parameter {'k' * cli._ECHO_CHARS!r}… "
+        "(60000 characters)",
+        "validation error: unknown mixing parameter 'tol_x'"]
+
+
 @pytest.mark.parametrize("argv, lines", [
     pytest.param(["branches", "--set", "ceiling.ell=true", "--set", 'ceiling.mean="1"',
                   "--set", "ceiling.harmonics=[[1.5,0,0.1]]"],

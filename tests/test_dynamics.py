@@ -10,7 +10,8 @@ from semiflow import dynamics
 from semiflow.dynamics import prefix_points
 
 from conftest import parse_violations, random_positive_ceiling
-from oracles import Word, birkhoff, crossing_simulation, enumerate_branches, word_interval
+from oracles import (Word, advance_per_point, birkhoff, crossing_simulation, enumerate_branches,
+                     word_interval)
 
 
 def _branch_point(a, x):
@@ -215,6 +216,45 @@ def test_advance_evaluates_f_once_per_point_and_crossing(f_sin, monkeypatch):
     evaluated.clear()
     advance(f_sin, x, total, fx=fx)
     assert sum(evaluated) == crossings
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(
+        np.shape(u) == np.shape(v) and np.asarray(u).dtype == np.asarray(v).dtype
+        and np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
+
+
+def test_advance_matches_the_per_point_oracle_bitwise(f_sin, f_generic, f_const3):
+    rng = np.random.default_rng(34)
+    for f in (f_sin, f_generic, f_const3):
+        base = rng.random(40)
+        y = f.ell * base
+        tau = y - np.floor(y)
+        roof = np.repeat(f(base), 7)
+        # nodes on, just under and just over the first and second roofs, a
+        # ROOF_TOL apart at most, several per base point
+        near = np.tile([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12], 40)
+        cases = [
+            (np.repeat(base, 8), rng.uniform(0.0, 9.0, 320)),            # runs of 8
+            (rng.choice(base[:5], 300), rng.uniform(0.0, 9.0, 300)),     # runs of any length
+            (base[:, None], rng.uniform(0.0, 6.0, (40, 9))),             # broadcast (m, 1)
+            (rng.random(300), rng.uniform(0.0, 9.0, 300)),               # distinct points
+            # runs of 4 whose neighbours are one ulp away, and of either zero
+            (np.repeat(np.stack([base, np.nextafter(base, 2.0)], axis=1).ravel(), 4),
+             rng.uniform(0.0, 9.0, 320)),
+            (np.repeat([0.0, -0.0, 0.0, -0.0], 3), rng.uniform(0.0, 5.0, 12)),
+            (np.repeat(base, 7), roof + near),
+            (np.repeat(base, 7), roof + np.repeat(f(tau), 7) + near),
+        ]
+        for x, total in cases:
+            expected = advance_per_point(f, x, total)
+            assert _same_bits(advance(f, x, total), expected)
+            assert _same_bits(advance(f, x, total, fx=f(x)), expected)
+        assert np.any(advance(f, *cases[-1])[2] == 2) and np.any(advance(f, *cases[-1])[2] == 1)
+        for x, total in ((0.3, 2.5), (0.0, 0.0), (0.7, float(f(0.7)))):
+            expected = advance_per_point(f, x, total)
+            assert _same_bits(advance(f, x, total), expected)
+            assert _same_bits(advance(f, x, total, fx=f(x)), expected)
 
 
 def test_advance_through_hands_on_the_heights(f_sin):

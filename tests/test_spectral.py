@@ -6,15 +6,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from semiflow import ResourceLimit, TrigPolynomial, spectral
+from semiflow import ResourceLimit, TrigPolynomial, ceiling, spectral
 from semiflow.ceiling import extrema
 from semiflow.dynamics import MAX_CROSSINGS
 from semiflow.spectral import (CUTOFF_MARGIN_FRACTION, BoxPartition,
                                Observable, UlamOperator, build_ulam,
                                correlation, decay_fit, spectrum)
+from semiflow.smooth import step
 
 from conftest import parse_violations
-from oracles import correlation_from_zero, dense_ulam, ulam_samples
+from oracles import advance_per_point, correlation_from_zero, dense_ulam, ulam_samples
 
 # 1.3 + 0.3 sin 2 pi x + 0.1 cos 4 pi x + 0.05 (cos + sin) 6 pi x, ell = 3
 F_GEN3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
@@ -222,6 +223,63 @@ def test_correlation_matches_from_zero_oracle(cutoff, f_sin):
     assert [t for t, _ in curve.samples] == t_list
     for (_, v), (_, r) in zip(curve.samples, ref):
         assert abs(v - r) <= 1e-12
+
+
+def _evaluated_points(monkeypatch, run):
+    """The result of run() and the number of points at which it evaluated f."""
+    points = []
+    original = ceiling.eval
+
+    def counting_eval(f, x, order=0):
+        points.append(np.size(x))
+        return original(f, x, order)
+    with monkeypatch.context() as patch:
+        patch.setattr(ceiling, "eval", counting_eval)
+        result = run()
+    return result, sum(points)
+
+
+def test_flow_advance_evaluates_f_once_per_shared_base_point(f_sin, monkeypatch):
+    # the nodes of a column, and the boxes of a column at one lattice offset,
+    # share their x until they cross the roof apart.  Only the nodes that
+    # cross in one step share an evaluation, about ns * step / f of a
+    # column's ns: the ratio here is 4.7 at unit steps (3.9 at half steps)
+    # and 7.8 for the Ulam matrix
+    extrema(f_sin, 0)           # certified and cached before counting
+    psi = Observable(x_wave=("cos", 1), s_wave=("cos", 1.0))
+    t_list = [float(t) for t in range(9)]
+
+    def ulam():
+        return build_ulam(f_sin, 3.0, 16, 8, 32, seed=0, mode="lattice").matrix.tobytes()
+    runs = {"correlation": lambda: correlation(f_sin, psi, psi, t_list, 64, 8), "ulam": ulam}
+    for name, run in runs.items():
+        shared, points = _evaluated_points(monkeypatch, run)
+        monkeypatch.setattr(spectral, "advance", advance_per_point)
+        per_point, per_point_count = _evaluated_points(monkeypatch, run)
+        monkeypatch.undo()
+        assert shared == per_point
+        assert 4 * points <= per_point_count, name
+
+
+def test_observable_cutoff_matches_the_full_product_bitwise(f_sin):
+    # the cutoff multiplies only inside its band; outside it both steps are 1
+    margin = CUTOFF_MARGIN_FRACTION * 0.8
+    rng = np.random.default_rng(42)
+    x = rng.random(400)
+    fx = f_sin(x)
+    # s = 0, s = margin, s = fx - margin, nan, s = fx, just inside the lower
+    # band, anywhere in the fiber, and a little outside it
+    s = np.concatenate([np.zeros(50), np.full(50, margin), fx[100:150] - margin,
+                        np.full(50, np.nan), fx[200:250], np.full(50, np.nextafter(margin, 0.0)),
+                        rng.uniform(0.0, 1.0, 50) * fx[300:350],
+                        rng.uniform(-0.1, 1.1, 50) * fx[350:]])
+    for x_wave, s_wave in ((None, None), (("cos", 1), None), (("sin", 3), ("cos", 1.0)),
+                           (None, ("sin", 0.5))):
+        got = Observable(x_wave, s_wave).values(x, s, fx, margin)
+        plain = Observable(x_wave, s_wave, cutoff=False).values(x, s, fx, margin)
+        full = plain * step(s / margin) * step((fx - s) / margin)
+        assert got.tobytes() == full.tobytes()
+        assert np.isnan(got[150:200]).all()
 
 
 def test_correlation_rejects_negative_time():
