@@ -198,14 +198,10 @@ class _ColumnScan:
     owns ``starts[i]:starts[i+1]``) and sorted by word index k within a
     level: the level n, k, the preimage y, the height f(y), the Birkhoff
     sum S, the parent's sum and the slope.  Level 0 is the empty word; its
-    parent sum is -inf, so its parent test always passes.  The slope order
-    within each level, which only ``slope_profile`` reads, is sorted on its
-    first call, together with copies of the slopes, f(y), S and the parent
-    sums in that order.
+    parent sum is -inf, so its parent test always passes.
     """
 
-    __slots__ = ("ell", "levels", "starts", "n", "k", "y", "fy", "S", "S_parent", "slopes",
-                 "_by_slope")
+    __slots__ = ("ell", "levels", "starts", "n", "k", "y", "fy", "S", "S_parent", "slopes")
 
     def __init__(self, ell, levels, blocks):
         self.ell = ell
@@ -214,28 +210,12 @@ class _ColumnScan:
         self.n = np.repeat(np.array(levels, dtype=np.int64), np.diff(self.starts))
         self.k, self.y, self.fy, self.S, self.S_parent, self.slopes = (
             np.concatenate(column) for column in zip(*blocks))
-        self._by_slope = None
 
     def table(self, s: float, t: float) -> _BranchTable:
         """The branch table at (x, s) for time t, as ``branch_table`` builds it."""
         valid, d = _valid(s, t, self.S, self.fy, self.S_parent)
         return _BranchTable(self.n[valid], self.k[valid], self.y[valid],
                             np.maximum(d[valid], 0.0), self.slopes[valid], self.ell, self)
-
-    def slope_profile(self, s: float, t: float) -> tuple:
-        """(levels, branch count per level, slopes) of the table at (s, t):
-        the slopes of each level in ascending order, levels concatenated.
-        The mask is built on the slope-ordered copies, element for element
-        the one ``table`` builds."""
-        if self._by_slope is None:
-            order = np.lexsort((self.slopes, self.n))
-            self._by_slope = (self.slopes[order], self.S[order], self.fy[order],
-                              self.S_parent[order])
-        slopes, S, fy, S_parent = self._by_slope
-        valid = _valid(s, t, S, fy, S_parent)[0]
-        counts = np.add.reduceat(valid, self.starts[:-1], dtype=np.int64).tolist()
-        levels = [n for n, c in zip(self.levels, counts) if c]
-        return levels, [c for c in counts if c], slopes[valid]
 
 
 def _valid(s: float, t: float, S, fy, S_parent) -> tuple:
@@ -314,12 +294,12 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
     pruned level scan of z's fiber column, kept as ``table.scan``.  By
     default the scan serves (z.s, t) alone; ``s_values`` and ``t_values``
     add flow coordinates and times of the same column, and then
-    ``table.scan.table(s, t)`` and ``table.scan.slope_profile(s, t)`` give
-    the table of every pair (s, t) of the grid without a second scan, bit
-    for bit as a scan at that pair alone.  The times are >= 0 and the flow
-    coordinates under the roof.  Raises ResourceLimit, naming the largest t,
-    when one level would hold more than BRANCH_CAP candidate words or words
-    too long for an int64 index.
+    ``table.scan.table(s, t)`` gives the table of every pair (s, t) of the
+    grid without a second scan, bit for bit as a scan at that pair alone:
+    ``_valid`` on the scan's arrays is each pair's mask.  The times are >= 0
+    and the flow coordinates under the roof.  Raises ResourceLimit, naming
+    the largest t, when one level would hold more than BRANCH_CAP candidate
+    words or words too long for an int64 index.
     """
     return _column_scan(f, z.x, [z.s, *s_values], [t, *t_values]).table(z.s, t)
 

@@ -15,15 +15,26 @@ functions of closed slope intervals, so its exact maximum is attained at an
 interval boundary, and the sweep below computes it exactly.
 
 Grid maxima come from one pass (``grid_estimates``; ``m_of_t`` and
-``n_of_t`` are views over it): each fiber column is scanned once, by one
-``branch_table`` call that serves every (s, t) of the run, and each grid
-point's table is a mask over that scan.  Branch weights ell^-n are summed as exact
-integer multiples of ell^-n_max and divided once, so m and n are correctly
-rounded and the identity n <= 1 holds in floating point too.  The certified
-value is reported clamped to 1, the bound of the branch-sum identity, so the
-widened pass of a t stops at the first grid point where its running maximum
-reaches 1; each chunk of columns stops on its own, and the report does not
-depend on the worker count.
+``n_of_t`` are views over it).  Each fiber column is scanned once, by one
+``branch_table`` call that serves every (s, t) of the run, and its words are
+put in (level, slope) order.  For each t, the validity masks of a block of
+flow coordinates keep the words valid at some s of the block, and one pass
+over those words serves every s of it.  The overlap count searches each
+reference's window of target slopes once and counts the branches of each s
+in it by a prefix sum of that s's mask; the n sweep orders the events of
+all the words by one stable argsort and sums each s's masked weights along
+it.  A masked sublist of a sorted list counts what a search of the sublist
+counts, and a stable order restricted to a subset is the subset's own
+stable order, so each grid point gets the value of a pass over its own
+table.  Branch weights ell^-n are summed as exact integer multiples of
+ell^-n_max, n_max the deepest level of the block, and divided once: Python
+divides integers with correct rounding, so m and n are the correctly
+rounded values whichever common power of ell the count uses, and the
+identity n <= 1 holds in floating point too.  The passes hold CHUNK_WORDS
+words of a block at a time.  The certified value is reported clamped to 1,
+the bound of the branch-sum identity, so the widened pass of a t stops at
+the first column where its running maximum reaches 1; each chunk of columns
+stops on its own, and the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ceiling import CeilingClass, TrigPolynomial
-from .dynamics import FlowPoint, branch_table
+from .dynamics import FlowPoint, _valid, branch_table
 from .errors import InvalidArgument
 from .parallel import pmap
 
@@ -43,6 +54,12 @@ GRID_LOWER_BOUND_CAVEAT = "grid lower bound"
 
 # grid points (nx*ns) of one m(f,t) pass that a config may ask for
 MAX_GRID = 2 ** 16
+
+# flow coordinates of a column whose validity masks are built together, and
+# words (overlap references or sweep events) per temporary of their passes:
+# a temporary holds one integer per word and flow coordinate of a block
+MASK_BLOCK = 8
+CHUNK_WORDS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -56,77 +73,107 @@ class TransversalityEstimate:
     argmax_on_section: bool = True
 
 
-def _weight_units(ell: int, levels) -> tuple:
-    """Exact branch weights: a level-n branch weighs ell^(n_max - n) units of
-    ell^-n_max.  Returns the unit weight of each level and the denominator
-    ell^n_max.  Branches form a prefix-free word set, so any sum of their
-    weights is at most ell^n_max units, which the scan keeps within int64."""
-    n_max = max(levels)
-    return [ell ** (n_max - n) for n in levels], ell ** n_max
+def _overlap_maxima(ell: int, levels, counts, slopes, valid, theta: float,
+                    widen: float = 0.0) -> list:
+    """m at each flow coordinate of a block: per column of ``valid``, the
+    largest 1/E-weighted count, over the references valid there, of the
+    valid branches whose cone overlaps the reference cone (self-term
+    included).
 
-
-def _overlap_maxima(ell: int, levels, counts, slopes, theta: float,
-                    widen: float = 0.0) -> float:
-    """max over reference branches of the 1/E-weighted count of branches
-    whose cone overlaps the reference cone (self-term included).
-
-    ``levels``, ``counts`` and ``slopes`` form a slope profile (see
-    ``_ColumnScan.slope_profile``).  One pass per target level n2 counts, for
-    every reference at once, the level-n2 slopes within the pair threshold
-    theta*(ell^-n1 + ell^-n2); the counts are summed in exact integer weight
-    units and divided once.
-
-    A pass is skipped when every reference saturates it, that is, when each
-    level-n1 run reaches all of level n2 from both of its ends:
-    fl(lo + thr) >= max and fl(hi - thr) <= min.  fl(x + thr) and
-    fl(x - thr) are monotone in x, so the ends of a sorted run decide every
-    reference in it, and each one counts the whole level, as the search
-    would."""
+    ``levels``, ``counts`` and ``slopes`` list the words valid at some flow
+    coordinate of the block, each level's slopes ascending and the levels
+    concatenated, and ``valid`` is their (word, flow coordinate) validity
+    mask.  For each pair of levels valid together somewhere in the block, one
+    search finds every level-n1 reference's window [lo, hi) of the level-n2
+    slopes within the pair threshold theta*(ell^-n1 + ell^-n2) + widen.  The
+    words valid at one flow coordinate are a sorted sublist, so the window
+    holds P[hi] - P[lo] of them, P being the cumulative sum of the mask: what
+    a search of that sublist alone counts.  The counts are summed by Horner's
+    rule in exact integer units, of ell^-n2 once level n2 is added, so the
+    final sums count units of ell^-n_max and are divided once.  The branches
+    of one flow coordinate form a prefix-free word set, so any sum of their
+    weights is at most ell^n_max units, which the scan keeps within int64.
+    The references are taken CHUNK_WORDS at a time.
+    """
+    ns = valid.shape[1]
     if not levels:
-        return 0.0
-    units, denom = _weight_units(ell, levels)
+        return [0.0] * ns
+    n_max = levels[-1]
     el = float(ell)
     # the per-level quantities are Python floats, the same IEEE operations
-    # as numpy's at a fraction of the call cost on the few levels of a profile
+    # as numpy's at a fraction of the call cost on the few levels of a block
     widths = [el ** -n for n in levels]
     ends = list(itertools.accumulate(counts))
     starts = [end - count for end, count in zip(ends, counts)]
-    lo = [slopes.item(start) for start in starts]
-    hi = [slopes.item(end - 1) for end in ends]
-    whole = 0  # weight units that every reference counts
-    sums = np.zeros(len(slopes), dtype=np.int64)
-    for w2, start, end, unit, lo2, hi2 in zip(widths, starts, ends, units, lo, hi):
-        thr = [theta * (w1 + w2) + widen for w1 in widths]
-        if all(lo1 + t >= hi2 and hi1 - t <= lo2 for lo1, hi1, t in zip(lo, hi, thr)):
-            whole += (end - start) * unit
-            continue
-        a = slopes[start:end]
-        thr = np.array(thr).repeat(counts)
-        hits = (np.searchsorted(a, slopes + thr, side="right")
-                - np.searchsorted(a, slopes - thr, side="left"))
-        sums += hits * unit
-    return (int(sums.max()) + whole) / denom
+    level_of = np.repeat(np.arange(len(levels)), counts)
+    present = np.logical_or.reduceat(valid, starts, axis=0)
+    shares = (present[:, None] & present[None]).any(axis=2)
+    # P counts words of one scan: at most BRANCH_CAP per level over at most
+    # 63 levels, well within int32
+    P = np.zeros((len(slopes) + 1, ns), dtype=np.int32)
+    np.cumsum(valid, axis=0, dtype=np.int32, out=P[1:])
+    best = np.zeros(ns, dtype=np.int64)
+    for lo in range(0, len(slopes), CHUNK_WORDS):
+        ref = level_of[lo:lo + CHUNK_WORDS]
+        sums = np.zeros((len(ref), ns), dtype=np.int64)
+        unit = levels[0]  # sums count in units of ell^-unit
+        for j, (w2, start, end, n2) in enumerate(zip(widths, starts, ends, levels)):
+            keep = shares[ref[0]:ref[-1] + 1, j]
+            if not keep.any():
+                continue
+            rows = slice(None) if keep.all() else np.flatnonzero(shares[ref, j])
+            thr = np.array([theta * (w1 + w2) + widen for w1 in widths])[ref[rows]]
+            needles = slopes[lo:lo + CHUNK_WORDS][rows]
+            a = slopes[start:end]
+            first = np.searchsorted(a, needles - thr, side="left") + start
+            last = np.searchsorted(a, needles + thr, side="right") + start
+            hits = np.take(P, last, axis=0)
+            hits -= np.take(P, first, axis=0)
+            if n2 > unit:
+                sums *= ell ** (n2 - unit)
+                unit = n2
+            sums[rows] += hits
+        sums *= valid[lo:lo + CHUNK_WORDS]
+        # the maximum over words, on a transposed copy: numpy reduces a long
+        # contiguous axis several times faster than across short rows
+        np.maximum(best, sums.T.copy().max(axis=1) * ell ** (n_max - unit), out=best)
+    return [v / ell ** n_max for v in best.tolist()]
 
 
-def _sweep_max(ell: int, levels, counts, slopes, aperture: float) -> float:
-    """Exact maximum over all direction slopes of the stabbed branch weight.
+def _sweep_maxima(ell: int, levels, counts, slopes, valid, aperture: float) -> list:
+    """n at each flow coordinate of a block: per column of ``valid``, the
+    exact maximum over all direction slopes of the stabbed weight of the
+    valid branches, with the words and mask of ``_overlap_maxima``.
 
-    Standard interval-stabbing sweep: weights enter at interval left ends
-    and leave at right ends; starts are processed before ends at equal
-    coordinates so closed intervals touch.  The slope profile lists each
-    level's slopes in ascending order, so the event list is a few sorted
-    runs.  A level-n cone has half-width aperture*ell^-n, and the running
-    weight is an exact integer count of weight units."""
+    Standard interval-stabbing sweep: a level-n cone has half-width
+    aperture*ell^-n, and weights enter at interval left ends and leave at
+    right ends.  One stable argsort orders the events of every word of the
+    block, each start ahead of an end at the same coordinate, so closed
+    intervals touch; restricted to the words valid at one flow coordinate it
+    is their own stable order.  The running weight, an exact integer count of
+    weight units, is the cumulative sum of the masked weights, taken
+    CHUNK_WORDS events at a time with the sum carried across chunks."""
+    ns = valid.shape[1]
     if not levels:
-        return 0.0
-    units, denom = _weight_units(ell, levels)
-    half = np.array([aperture * float(ell) ** -n for n in levels]).repeat(counts)
-    wt = np.array(units, dtype=np.int64).repeat(counts)
-    # a stable sort keeps every start (the first half) ahead of an end at
-    # the same coordinate
+        return [0.0] * ns
+    n_max = levels[-1]
+    half = np.repeat([aperture * float(ell) ** -n for n in levels], counts)
+    wt = np.repeat(np.array([ell ** (n_max - n) for n in levels], dtype=np.int64), counts)
     order = np.concatenate([slopes - half, slopes + half]).argsort(kind="stable")
-    running = np.concatenate([wt, -wt])[order].cumsum()
-    return int(running.max()) / denom
+    signed = np.concatenate([wt, -wt])
+    # flow coordinates as rows: each row's cumulative sum runs along a long
+    # contiguous axis
+    valid = valid.T.copy()
+    best = np.zeros(ns, dtype=np.int64)
+    carry = np.zeros((ns, 1), dtype=np.int64)
+    for lo in range(0, len(order), CHUNK_WORDS):
+        events = order[lo:lo + CHUNK_WORDS]
+        running = np.take(valid, events % len(slopes), axis=1) * signed[events]
+        running.cumsum(axis=1, out=running)
+        running += carry
+        np.maximum(best, running.max(axis=1), out=best)
+        carry = running[:, -1:]
+    return [v / ell ** n_max for v in best.tolist()]
 
 
 def m_of_t(f: TrigPolynomial, t: float, nx: int, ns: int, cls: CeilingClass,
@@ -204,24 +251,52 @@ def _column_maxima(f, ts, nx, ns, cls, widen, columns) -> list:
     The widened pass of a t stops once its running maximum reaches 1:
     ``grid_estimates`` reports it clamped to 1, so no later point can change
     the report, whichever chunk of columns the point falls in."""
-    aperture = 2.0 * cls.theta_f
-    t_hi = max(ts)
     best = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ts]
     for i in columns:
-        x = i / nx
-        height = f(x)
-        s_values = [j * height / ns for j in range(ns)]
-        # the table at the most permissive pair (s = 0, largest t), whose
-        # scan serves every (s, t) of the column
-        scan = branch_table(f, FlowPoint(x, 0.0), t_hi, s_values=s_values, t_values=ts).scan
-        for s in s_values:
-            for b, t in zip(best, ts):
-                profile = scan.slope_profile(s, t)
-                m_upper = (_overlap_maxima(scan.ell, *profile, cls.theta_f, widen)
-                           if widen is not None and b[3] < 1.0 else 0.0)
-                _absorb(b, _overlap_maxima(scan.ell, *profile, cls.theta_f), x, s, m_upper,
-                        _sweep_max(scan.ell, *profile, aperture))
+        _absorb_column(best, f, i / nx, ns, ts, cls, widen)
     return best
+
+
+def _absorb_column(best, f, x, ns, ts, cls, widen) -> None:
+    """Fold the grid points of the column over x into ``best``.
+
+    The column is scanned once and its words put in (level, slope) order.
+    For each t and each block of MASK_BLOCK flow coordinates, the block's
+    validity masks (``_valid``, bit for bit a scan at each pair alone) keep
+    the words valid at some flow coordinate of it, and one overlap pass and
+    one sweep over those words serve the whole block.  The points are
+    absorbed in s order within each t, so the first argmax wins as it would
+    point by point.  Nothing of the column outlives the call."""
+    height = f(x)
+    s_values = [j * height / ns for j in range(ns)]
+    # the table at the most permissive pair (s = 0, largest t), whose scan
+    # serves every (s, t) of the column
+    scan = branch_table(f, FlowPoint(x, 0.0), max(ts), s_values=s_values, t_values=ts).scan
+    ell, levels, starts = scan.ell, scan.levels, scan.starts
+    # each level's words by slope (the order of equal slopes changes no
+    # count), in copies that replace the scan
+    order = np.concatenate([scan.slopes[a:b].argsort() + a
+                            for a, b in itertools.pairwise(starts.tolist())])
+    slopes, S, fy, S_parent = (a[order] for a in (scan.slopes, scan.S, scan.fy, scan.S_parent))
+    del scan, order
+    for lo in range(0, ns, MASK_BLOCK):
+        block = s_values[lo:lo + MASK_BLOCK]
+        valid = np.empty((len(slopes), len(block)), dtype=bool)
+        for b, t in zip(best, ts):
+            union = np.zeros(len(slopes), dtype=bool)
+            for j, s in enumerate(block):
+                valid[:, j] = _valid(s, t, S, fy, S_parent)[0]
+                union |= valid[:, j]
+            counts = np.add.reduceat(union, starts[:-1], dtype=np.int64).tolist()
+            union = np.flatnonzero(union)
+            words = ([n for n, c in zip(levels, counts) if c], [c for c in counts if c],
+                     slopes[union], np.take(valid, union, axis=0))
+            m_values = _overlap_maxima(ell, *words, cls.theta_f)
+            m_uppers = (_overlap_maxima(ell, *words, cls.theta_f, widen)
+                        if widen is not None and b[3] < 1.0 else [0.0] * len(block))
+            n_values = _sweep_maxima(ell, *words, 2.0 * cls.theta_f)
+            for s, m_value, m_upper, n_value in zip(block, m_values, m_uppers, n_values):
+                _absorb(b, m_value, x, s, m_upper, n_value)
 
 
 def exponent_fit(samples) -> tuple:

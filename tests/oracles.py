@@ -10,13 +10,16 @@ pointwise formula, extrema come from dense grids, and the cobounding
 potential is the preimage series of its derivative integrated by FFT
 (``fft_potential``).  A few references keep a loop that the library
 replaced, so each pair can be compared bit for bit: ``per_point_grid`` builds one
-branch table per grid point and reads it with the library's per-table
-passes (``point_m`` is its single-point case), ``per_letter_g_matrix``
-makes one scalar ``bump_deriv`` call per word, letter and direction,
-``per_bracket_roots`` bisects one bracket at a time, ``branches_payload``
-builds a ``Word`` per branch row, ``per_value_json`` renders one value
-at a time, ``dense_ulam`` accumulates the Ulam matrix into a dense array
-with ``np.add.at`` and ``exp_step`` evaluates both exponentials of the
+branch table per grid point and reads its slope profile with per-table
+passes, one search pass per target level (``overlap_maxima``) and one
+stable argsort (``sweep_max``), where the library serves a block of flow
+coordinates with each pass (``point_m`` is its single-point case),
+``per_letter_g_matrix`` makes one scalar ``bump_deriv`` call per word,
+letter and direction, ``per_bracket_roots`` bisects one bracket at a time,
+``branches_payload`` builds a ``Word`` per branch row, ``per_value_json``
+renders one value at a time, ``dense_ulam`` accumulates the Ulam matrix
+into a dense array with ``np.add.at`` and ``exp_step`` evaluates both
+exponentials of the
 smooth step at every point, ``eval_full`` evaluates both transcendentals
 of every harmonic and ``advance_per_point`` evaluates f at every point and
 roof crossing.  ``birkhoff`` and ``per_letter_g_matrix`` read
@@ -40,12 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from semiflow.aniso import GridFunction2D, _check_bank
-from semiflow.dynamics import FlowPoint, advance, branch_table, check_crossings
+from semiflow.dynamics import FlowPoint, _valid, advance, branch_table, check_crossings
 from semiflow.errors import InvalidArgument, PreconditionViolation
 from semiflow.genericity import BumpDirection, _profile
 from semiflow.smooth import chi
 from semiflow.spectral import BoxPartition
-from semiflow.transversality import _overlap_maxima, _sweep_max
 
 ROOF_TOL = 1e-12
 
@@ -516,6 +518,65 @@ def window_cluster_scan(slopes, window):
     return best
 
 
+def slope_profile(scan, s, t):
+    """(levels, branch count per level, slopes) of the table at (s, t) of a
+    column scan: the slopes of each level in ascending order, levels
+    concatenated, masked by ``_valid`` on slope-ordered copies of the scan's
+    arrays, element for element the mask ``scan.table`` builds."""
+    order = np.lexsort((scan.slopes, scan.n))
+    valid = _valid(s, t, scan.S[order], scan.fy[order], scan.S_parent[order])[0]
+    counts = np.add.reduceat(valid, scan.starts[:-1], dtype=np.int64).tolist()
+    levels = [n for n, c in zip(scan.levels, counts) if c]
+    return levels, [c for c in counts if c], scan.slopes[order][valid]
+
+
+def weight_units(ell, levels):
+    """Exact branch weights of a slope profile: a level-n branch weighs
+    ell^(n_max - n) units of ell^-n_max.  Returns the unit weight of each
+    level and the denominator ell^n_max."""
+    n_max = max(levels)
+    return [ell ** (n_max - n) for n in levels], ell ** n_max
+
+
+def overlap_maxima(ell, levels, counts, slopes, theta, widen=0.0):
+    """m of one slope profile: max over reference branches of the
+    1/E-weighted count of branches whose cone overlaps the reference cone
+    (self-term included).  One search pass per target level n2 counts, for
+    every reference at once, the level-n2 slopes within fl(s - thr) and
+    fl(s + thr), thr = theta*(ell^-n1 + ell^-n2) + widen; the counts are
+    summed in exact integer weight units and divided once."""
+    if not levels:
+        return 0.0
+    units, denom = weight_units(ell, levels)
+    widths = [float(ell) ** -n for n in levels]
+    sums = np.zeros(len(slopes), dtype=np.int64)
+    start = 0
+    for w2, count, unit in zip(widths, counts, units):
+        a = slopes[start:start + count]
+        start += count
+        thr = np.array([theta * (w1 + w2) + widen for w1 in widths]).repeat(counts)
+        hits = (np.searchsorted(a, slopes + thr, side="right")
+                - np.searchsorted(a, slopes - thr, side="left"))
+        sums += hits * unit
+    return int(sums.max()) / denom
+
+
+def sweep_max(ell, levels, counts, slopes, aperture):
+    """n of one slope profile: the exact maximum over all direction slopes
+    of the stabbed branch weight.  A level-n cone has half-width
+    aperture*ell^-n; weights enter at interval left ends and leave at right
+    ends, and a stable argsort puts every start ahead of an end at the same
+    coordinate, so closed intervals touch."""
+    if not levels:
+        return 0.0
+    units, denom = weight_units(ell, levels)
+    half = np.array([aperture * float(ell) ** -n for n in levels]).repeat(counts)
+    wt = np.array(units, dtype=np.int64).repeat(counts)
+    order = np.concatenate([slopes - half, slopes + half]).argsort(kind="stable")
+    running = np.concatenate([wt, -wt])[order].cumsum()
+    return int(running.max()) / denom
+
+
 def per_point_grid(f, t, nx, ns, cls, certified):
     """Transversality grid maxima with one ``branch_table`` per grid point,
     visited column by column: (m_value, m_upper, n_value, argmax x,
@@ -528,12 +589,12 @@ def per_point_grid(f, t, nx, ns, cls, certified):
         for j in range(ns):
             z = FlowPoint(x, j * height / ns)
             table = branch_table(f, z, t)
-            profile = table.scan.slope_profile(z.s, t)
-            v = _overlap_maxima(table.ell, *profile, cls.theta_f)
+            profile = slope_profile(table.scan, z.s, t)
+            v = overlap_maxima(table.ell, *profile, cls.theta_f)
             if v > m_value:
                 m_value, argmax = v, (z.x, z.s)
-            m_upper = max(m_upper, _overlap_maxima(table.ell, *profile, cls.theta_f, widen))
-            n_value = max(n_value, _sweep_max(table.ell, *profile, 2.0 * cls.theta_f))
+            m_upper = max(m_upper, overlap_maxima(table.ell, *profile, cls.theta_f, widen))
+            n_value = max(n_value, sweep_max(table.ell, *profile, 2.0 * cls.theta_f))
     m_upper = min(m_upper, 1.0) if certified else 1.0
     return m_value, m_upper, n_value, argmax[0], argmax[1]
 
@@ -542,7 +603,7 @@ def point_m(f, z, t, theta):
     """The library's overlap maximum m at one target point, from one branch
     table: the single-point case of ``per_point_grid``."""
     table = branch_table(f, z, t)
-    return _overlap_maxima(table.ell, *table.scan.slope_profile(z.s, t), theta)
+    return overlap_maxima(table.ell, *slope_profile(table.scan, z.s, t), theta)
 
 
 def bump_deriv(direction, x):

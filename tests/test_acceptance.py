@@ -300,6 +300,8 @@ def test_acceptance_10_determinism():
 
 _SIN = {"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}
 _GEN = {"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]}
+_GEN3 = {"ell": 3, "mean": 1.3,
+         "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0], [3, 0.05, 0.05]]}
 _SPECTRUM_PARAMS = {"t": 2.0, "nx": 16, "ns": 4, "points_per_box": 32, "k": 6}
 
 
@@ -318,11 +320,23 @@ _SPECTRUM_PARAMS = {"t": 2.0, "nx": 16, "ns": 4, "points_per_box": 32, "k": 6}
                   "params": dict(_SPECTRUM_PARAMS, mode="monte-carlo")},
                  "d9fdf07d3aeaecbba19444ac49d108d6ad8a8acc02ef0f7e75d2a244a705d3bc",
                  id="spectrum-monte-carlo"),
+    pytest.param({"ceiling": _SIN, "experiment": "transversality", "gamma0": 0.9,
+                  "params": {"t_values": [3.0, 4.5, 6.0], "nx": 16, "ns": 8,
+                             "certified": True}},
+                 "d5d73b8d05b25f177e415e133a1f04e01690d9cd51e7608e74e4d19b15dc7f68",
+                 id="transversality-certified"),
+    pytest.param({"ceiling": _GEN3, "experiment": "transversality",
+                  "params": {"t_values": [2.0, 3.5, 5.0], "nx": 8, "ns": 8,
+                             "certified": False}},
+                 "4d29c3e539edc895c2c4abd553d16081e6d9a7177f24e8f005e42508b91b2d1e",
+                 id="transversality-base-three"),
 ])
 def test_acceptance_10_pinned_report_bytes(config, digest):
     """Frozen: the sha256 of short correlations and spectrum reports, recorded
-    when the flow advance still evaluated f at every point and crossing, so
-    any later change to the floats on their way shows here."""
+    when the flow advance still evaluated f at every point and crossing, and
+    of two transversality reports, recorded when every grid point still ran
+    its own overlap and sweep passes, so any later change to the floats on
+    their way shows here."""
     data = emit(run(parse_config(json.dumps(config))))
     assert hashlib.sha256(data).hexdigest() == digest
     print(f"\nACCEPTANCE 10 PASS: {config['experiment']} report bytes pinned ({len(data)} bytes)")

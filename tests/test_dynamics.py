@@ -11,7 +11,7 @@ from semiflow.dynamics import prefix_points
 
 from conftest import parse_violations, random_positive_ceiling
 from oracles import (Word, advance_per_point, birkhoff, crossing_simulation, enumerate_branches,
-                     word_interval)
+                     slope_profile, word_interval)
 
 
 def _branch_point(a, x):
@@ -399,7 +399,7 @@ def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
                     for name in _TABLE_COLUMNS:
                         a, b = getattr(got, name), getattr(want, name)
                         assert a.dtype == b.dtype and np.array_equal(a, b)
-                    levels, counts, slopes = scan.slope_profile(s, t)
+                    levels, counts, slopes = slope_profile(scan, s, t)
                     assert levels == want.levels
                     assert counts == [int(np.sum(want.n == n)) for n in want.levels]
                     assert np.array_equal(slopes, np.concatenate(

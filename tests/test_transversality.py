@@ -10,8 +10,8 @@ from semiflow.ceiling import CeilingClass
 from semiflow.transversality import grid_estimates
 
 from conftest import parse_violations, random_positive_ceiling
-from oracles import (enumerate_branches, line_scan_n, pair_scan_m,
-                     per_point_grid, periodic_beta_max, point_m)
+from oracles import (enumerate_branches, line_scan_n, pair_scan_m, per_point_grid,
+                     periodic_beta_max, point_m, slope_profile, sweep_max)
 
 GEN3 = TrigPolynomial(1.3, ((1, 0.0, 0.3), (2, 0.1, 0.0), (3, 0.05, 0.05)), 3)
 
@@ -293,10 +293,11 @@ def test_widened_pass_stops_once_it_reaches_one(f_sin, monkeypatch):
     widened = []
     overlap = transversality._overlap_maxima
     monkeypatch.setattr(transversality, "_overlap_maxima",
-                        lambda *args: widened.append(len(args) > 5) or overlap(*args))
+                        lambda *args: widened.append(len(args) > 6) or overlap(*args))
     grid_estimates(f_sin, t_values, 5, 3, cls, True, 1)
-    # all 15 points of the unsaturated t, fewer of the saturated one
-    assert 2 * 15 < sum(widened) < 3 * 15
+    # one widened pass per column for each unsaturated t, fewer for the
+    # saturated one
+    assert 2 * 5 < sum(widened) < 3 * 5
 
 
 def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
@@ -315,6 +316,104 @@ def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
     assert "t_limit" in info.value.details
 
 
+@pytest.mark.parametrize("chunk, block", [(1, 1), (7, 3), (None, None)])
+def test_grid_estimates_bit_equal_at_any_chunk_size(chunk, block, f_sin, monkeypatch):
+    # one word (or seven, or the default) per temporary and one flow
+    # coordinate (or three, or the default) per mask block: the same maxima,
+    # argmax and certified bound as one table per grid point
+    t_values = [2.5, 4.0, 5.5]
+    if chunk is not None:
+        monkeypatch.setattr(transversality, "CHUNK_WORDS", chunk)
+        monkeypatch.setattr(transversality, "MASK_BLOCK", block)
+    for f in (f_sin, GEN3):
+        cls = classify(f, 0.9)
+        got = grid_estimates(f, t_values, 3, 5, cls, True, 1)
+        assert [(est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s)
+                for est, n_value in got] == [per_point_grid(f, t, 3, 5, cls, True)
+                                             for t in t_values]
+
+
+def _roof_edge_times(f, x, s, rng):
+    """Flow times that put a word of the column over x on a fiber edge at
+    the flow coordinate s: a with fl(s + S) - a = 0, its preimage exactly on
+    the base, and the adjacent floats t1 < t2 between which fl(s + S) - t
+    crosses -ROOF_TOL, so that the word is a branch at t1 and open at t2."""
+    scan = branch_table(f, FlowPoint(x, 0.0), 4.0).scan
+    a = s + float(rng.choice(scan.S[scan.n >= 2]))
+    t = a + dynamics.ROOF_TOL
+    while a - t < -dynamics.ROOF_TOL:
+        t = float(np.nextafter(t, -np.inf))
+    while a - float(np.nextafter(t, np.inf)) >= -dynamics.ROOF_TOL:
+        t = float(np.nextafter(t, np.inf))
+    return [a, t, float(np.nextafter(t, np.inf))]
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_grid_equals_per_point_oracle_with_s_on_roof_edges(ell):
+    # random ceilings, with times that move a word across the roof at one
+    # grid point, so that words enter and leave between the flow coordinates
+    # of a block: the grid pass equals one table per point, at one worker
+    # and at two
+    rng = np.random.default_rng(30 + ell)
+    nx, ns = 3, 4
+    for _ in range(3):
+        g = random_positive_ceiling(rng)
+        f = TrigPolynomial(g.mean_coeff, g.harmonics, ell)
+        cls = classify(f, 0.9)
+        x = int(rng.integers(nx)) / nx
+        s = int(rng.integers(1, ns)) * f(x) / ns
+        t_values = _roof_edge_times(f, x, s, rng)
+        words = [(table.n.tolist(), table.k.tolist())
+                 for table in (branch_table(f, FlowPoint(x, s), t) for t in t_values[1:])]
+        assert words[0] != words[1]
+        want = [per_point_grid(f, t, nx, ns, cls, True) for t in t_values]
+        for workers in (1, 2):
+            got = grid_estimates(f, t_values, nx, ns, cls, True, workers)
+            assert [(est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s)
+                    for est, n_value in got] == want
+
+
+def test_grid_block_deeper_than_most_of_its_flow_coordinates():
+    # GEN3 at t = 3.5 on a 4 x 3 grid: in every column only the base section
+    # reaches level 4, so the block counts in units of 3^-4 where the other
+    # two flow coordinates' own tables count in units of 3^-3
+    cls = classify(GEN3, 0.9)
+    for i in range(4):
+        x = i / 4
+        assert [max(branch_table(GEN3, FlowPoint(x, j * GEN3(x) / 3), 3.5).levels)
+                for j in range(3)] == [4, 3, 3]
+    want = per_point_grid(GEN3, 3.5, 4, 3, cls, True)
+    for workers in (1, 2):
+        est, n_value = grid_estimates(GEN3, [3.5], 4, 3, cls, True, workers)[0]
+        assert (est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s) == want
+
+
+def test_overlap_searches_each_window_once_per_block(f_sin, monkeypatch):
+    # one search per target level and chunk of references serves every flow
+    # coordinate of a block: at most two needles per level and word of the
+    # block, under a third of the needles of one search per grid point
+    cls = classify(f_sin, 0.9)
+    t_values, nx, ns = [6.0, 8.0], 4, 8
+    block = per_point = 0
+    for i in range(nx):
+        x = i / nx
+        s_values = [j * f_sin(x) / ns for j in range(ns)]
+        scan = branch_table(f_sin, FlowPoint(x, 0.0), max(t_values), s_values=s_values,
+                            t_values=t_values).scan
+        for t in t_values:
+            masks = [dynamics._valid(s, t, scan.S, scan.fy, scan.S_parent)[0] for s in s_values]
+            union = np.any(masks, axis=0)
+            block += 2 * len(np.unique(scan.n[union])) * int(union.sum())
+            per_point += sum(2 * len(np.unique(scan.n[mask])) * int(mask.sum())
+                             for mask in masks)
+    needles = []
+    search = np.searchsorted
+    monkeypatch.setattr(transversality.np, "searchsorted",
+                        lambda a, v, **kw: needles.append(np.size(v)) or search(a, v, **kw))
+    grid_estimates(f_sin, t_values, nx, ns, cls, False, 1)
+    assert sum(needles) <= block < per_point / 3
+
+
 def test_n_value_exact_for_base_three():
     # weights 3^-n summed in floating point gave n = 1.0000000000000002 here
     assert n_of_t(GEN3, 3.0, 16, 8, classify(GEN3, 0.9)) == 1.0
@@ -328,59 +427,91 @@ def test_weight_sums_exact_over_sixty_levels():
     z = FlowPoint(0.0, 0.0)
     table = branch_table(f, z, 3.0)
     assert max(table.levels) == 60
-    profile = table.scan.slope_profile(z.s, 3.0)
-    assert transversality._overlap_maxima(table.ell, *profile, 1e9) == 1.0
-    assert transversality._sweep_max(table.ell, *profile, 1e9) == 1.0
+    profile = slope_profile(table.scan, z.s, 3.0)
+    valid = np.ones((len(profile[2]), 1), dtype=bool)
+    assert transversality._overlap_maxima(table.ell, *profile, valid, 1e9) == [1.0]
+    assert transversality._sweep_maxima(table.ell, *profile, valid, 1e9) == [1.0]
 
 
-def _slope_profile(rows):
-    """The slope profile (levels, counts, slopes ascending per level) of
-    (level, slope) rows, and the same rows as oracle branch tuples."""
+def _block(rows, valid):
+    """The kernel arguments for (level, slope) rows with their (row, flow
+    coordinate) validity mask: the rows sorted by level and then slope, the
+    mask permuted with them.  Also each flow coordinate's valid rows as
+    oracle branch tuples."""
+    order = sorted(range(len(rows)), key=lambda i: rows[i])
+    rows, valid = [rows[i] for i in order], valid[order]
     levels = sorted({n for n, _ in rows})
-    runs = [sorted(slope for m, slope in rows if m == n) for n in levels]
-    profile = (levels, [len(run) for run in runs], np.array([x for run in runs for x in run]))
-    return profile, [(n, 0, 0.0, 0.0, slope) for n, slope in rows]
+    counts = [sum(1 for m, _ in rows if m == n) for n in levels]
+    words = (levels, counts, np.array([x for _, x in rows]), valid)
+    return words, [[(n, 0, 0.0, 0.0, x) for (n, x), v in zip(rows, col) if v]
+                   for col in valid.T]
 
 
-def _count_searches(monkeypatch):
-    calls = []
-    search = np.searchsorted
+def _masks(rng, size):
+    """Validity masks over ``size`` rows: all valid, and five random ones
+    (one nearly empty, one nearly full)."""
+    return np.column_stack([np.ones(size, dtype=bool)]
+                           + [rng.random(size) < p for p in (0.05, 0.4, 0.6, 0.8, 0.95)])
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-    monkeypatch.setattr(transversality.np, "searchsorted", counting)
-    return calls
+
+def _profile(branches):
+    """The slope profile (levels, counts, slopes ascending per level) of
+    oracle branch tuples."""
+    levels = sorted({b[0] for b in branches})
+    runs = [sorted(b[4] for b in branches if b[0] == n) for n in levels]
+    return levels, [len(run) for run in runs], np.array([x for run in runs for x in run])
+
+
+def _check_block(ell, rows, valid, theta, widen, monkeypatch):
+    """At every chunk size, the overlap kernel gives each flow coordinate
+    the quadratic scan of its own valid rows, and the sweep kernel the
+    per-table sweep of them."""
+    words, per_s = _block(rows, valid)
+    want_m = [pair_scan_m(branches, theta, ell, widen) for branches in per_s]
+    want_n = [sweep_max(ell, *_profile(branches), 2.0 * theta) for branches in per_s]
+    for chunk in (1, 3, transversality.CHUNK_WORDS):
+        monkeypatch.setattr(transversality, "CHUNK_WORDS", chunk)
+        assert transversality._overlap_maxima(ell, *words, theta, widen) == want_m
+        assert transversality._sweep_maxima(ell, *words, 2.0 * theta) == want_n
 
 
 # ell = 2, theta = 1/2: every threshold and slope below is dyadic, so the
-# saturation tests fall exactly on their edges.  With widen = 1/4 the pair
+# windows fall exactly on their edges.  With widen = 1/4 the pair
 # thresholds are 3/4 (levels 1, 1), 5/8 (1, 2) and 1/2 (2, 2): level 2's
 # maximum 5/8 is level 1's minimum plus 5/8, level 2 spans exactly 1/2, and
 # level 2's maximum minus 5/8 is level 1's minimum 0.
 EDGE_ROWS = [(1, 0.0), (1, 0.125), (2, 0.125), (2, 0.375), (2, 0.625)]
 
 
-@pytest.mark.parametrize("rows, widen, searches", [
-    (EDGE_ROWS, 0.25, 0),                                             # every pass saturates
-    # one ulp below 0 on level 1: the level-1 pass no longer saturates
-    ([(1, -5e-324)] + EDGE_ROWS[1:], 0.25, 2),
-    (EDGE_ROWS, 0.0, 4),                                              # no pass saturates
+@pytest.mark.parametrize("rows, widen", [
+    (EDGE_ROWS, 0.25),                      # each window reaches a whole level
+    ([(1, -5e-324)] + EDGE_ROWS[1:], 0.25),  # one ulp below 0: level 1 no longer does
+    (EDGE_ROWS, 0.0),                       # no window reaches a whole level
 ])
-def test_overlap_saturation_skip_exact_on_edges(rows, widen, searches, monkeypatch):
-    calls = _count_searches(monkeypatch)
-    profile, branches = _slope_profile(rows)
-    got = transversality._overlap_maxima(2, *profile, 0.5, widen)
-    assert len(calls) == searches
-    assert got == pair_scan_m(branches, 0.5, 2, widen)
+def test_overlap_saturation_skip_exact_on_edges(rows, widen, monkeypatch):
+    valid = _masks(np.random.default_rng(len(rows) + int(4 * widen)), len(rows))
+    _check_block(2, rows, valid, 0.5, widen, monkeypatch)
+
+
+def _whole_level_windows(ell, levels, counts, slopes, theta, widen):
+    """The target levels whose window, from every reference, is the whole
+    level: fl(lo + thr) >= max and fl(hi - thr) <= min at both ends of each
+    reference level's run (fl(x +- thr) is monotone in x)."""
+    el = float(ell)
+    ends = np.cumsum(counts)
+    runs = list(zip([el ** -n for n in levels], slopes[ends - counts].tolist(),
+                    slopes[ends - 1].tolist()))
+    return sum(all(lo1 + (theta * (w1 + w2) + widen) >= hi2
+                   and hi1 - (theta * (w1 + w2) + widen) <= lo2 for w1, lo1, hi1 in runs)
+               for w2, lo2, hi2 in runs)
 
 
 def test_overlap_saturation_skip_matches_pair_scan(monkeypatch):
-    # random profiles with slopes placed exactly on fl(s + thr) and
-    # fl(s - thr) of another level's slope s, and one ulp beyond: the count
-    # equals the quadratic scan's for every widen, and the widen values
-    # cover passes that all, some and none saturate
-    calls = _count_searches(monkeypatch)
+    # random rows with slopes placed exactly on fl(s + thr) and fl(s - thr)
+    # of another level's slope s, and one ulp beyond, under random masks:
+    # each flow coordinate's count equals the quadratic scan of its own rows
+    # for every widen, and the widen values cover blocks where every, some
+    # and no target level lies whole in every window
     rng = np.random.default_rng(12)
     seen = set()
     for ell, theta in ((2, 0.3), (3, 0.1)):
@@ -396,9 +527,19 @@ def test_overlap_saturation_skip_matches_pair_scan(monkeypatch):
                     for edge, away in ((s + thr, np.inf), (s - thr, -np.inf)):
                         edged += [(n2, edge), (n2, float(np.nextafter(edge, away)))]
                 for sample in (rows, edged):
-                    profile, branches = _slope_profile(sample)
-                    calls.clear()
-                    got = transversality._overlap_maxima(ell, *profile, theta, widen)
-                    assert got == pair_scan_m(branches, theta, ell, widen)
-                    seen.add(min(len(calls), 1) + (len(calls) == 2 * len(profile[0])))
+                    _check_block(ell, sample, _masks(rng, len(sample)), theta, widen,
+                                 monkeypatch)
+                    words = _block(sample, np.ones((len(sample), 1), dtype=bool))[0]
+                    whole = _whole_level_windows(ell, *words[:3], theta, widen)
+                    seen.add(min(whole, 1) + (whole == len(words[0])))
     assert seen == {0, 1, 2}
+
+
+def test_block_denominator_may_exceed_every_flow_coordinates(monkeypatch):
+    # ell = 3: the block's deepest level holds no row valid anywhere, so each
+    # count is in units finer than any flow coordinate's own; dividing once
+    # still gives each the correctly rounded value of its own profile
+    rows = [(1, 0.0), (1, 0.05), (2, 0.02), (2, 0.3), (3, 0.01), (5, 0.04)]
+    valid = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, 0, 0], [0, 0, 0]],
+                     dtype=bool)
+    _check_block(3, rows, valid, 0.1, 0.0, monkeypatch)
