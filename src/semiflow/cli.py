@@ -6,12 +6,19 @@ Reports are emitted in a canonical byte-stable form, so identical configs in
 the deterministic (lattice) modes reproduce identical bytes across runs and
 worker counts.  Exit codes: 0 success, 1 parse, validation or other input
 failure, 2 resource limit, 3 numerical failure.
+
+Importing this module loads only what every parse needs: the ceiling, the
+flow and its branches, the errors and the canonical form.  An experiment's
+own modules (``_MODULES``) are imported by ``parse_config`` when it parses
+a config of that experiment, so a process loads only what the experiments
+it parses run, and ``run`` imports none.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import operator
@@ -22,16 +29,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import aniso, ceiling, genericity, mixing, smooth, spectral, transversality
+from . import ceiling
 from .canon import canonical_csv, canonical_json
 from .ceiling import MAX_HARMONIC, MAX_WORD_INDEX, TrigPolynomial, classify, extrema
 from .dynamics import ROOF_TOL, FlowPoint, inverse_branches
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
-from .genericity import MAX_CLUSTER_WORDS, combination_size
 
 EXPERIMENTS = ("transversality", "mixing", "spectrum", "correlations",
                "norms", "genericity", "branches")
+
+# experiment -> the modules of this package that its runner imports beyond
+# the ones imported above; ``parse_config`` imports them when it parses a
+# config of that experiment
+_MODULES = {
+    "transversality": ("transversality",),
+    "mixing": ("mixing",),
+    "spectrum": ("spectral",),
+    "correlations": ("spectral",),
+    "norms": ("aniso", "smooth"),
+    "genericity": ("genericity",),
+    "branches": (),
+}
 
 # A config ceiling's certified range lies in [MIN_HEIGHT, MAX_HEIGHT], so the
 # dyadic bound K of ``classify`` and every flow height stay finite floats.
@@ -192,6 +211,16 @@ _SCHEMA = {
 }
 
 
+# grid points (nx*ns) of one m(f,t) pass that a config may ask for
+MAX_GRID = 2 ** 16
+# points one flow run moves: correlation quadrature nodes, a few arrays of
+# this many floats each, or Ulam sample points, which the assembly flows a
+# chunk at a time, so for it the cap bounds work, not memory
+MAX_NODES = 2 ** 22
+# words of one slope-cluster level
+MAX_CLUSTER_WORDS = 2 ** 20
+
+
 def _product_cap(names, cap):
     """The rule that the sizes ``names`` of one allocation multiply to at most ``cap``."""
     text = f"{'*'.join(names)} must be <= {cap}"
@@ -206,6 +235,14 @@ def _target_problems(f, x, s):
             f"point (x={f.ell * x % 1.0}, s=0), so pass that point"] if s >= fx - ROOF_TOL else []
 
 
+def _probe_room(f, levels):
+    from .genericity import combination_size
+    p = combination_size(f.ell)
+    return [f"probe level n = {n} gives fewer than the p + 1 = {p + 1} distinct words a "
+            f"combination needs (ell = {f.ell})"
+            for n in dict.fromkeys(levels) if f.ell ** min(n, 64) <= p]
+
+
 # experiment -> the rules that relate values: (the rule as --help lists it,
 # the values it reads, check(*those values) -> violations), checked once each
 # value has passed its own rule; "ceiling" reads the parsed ceiling.  An
@@ -213,9 +250,9 @@ def _target_problems(f, x, s):
 # ell^n is, so that a large n forms no slow big-int power.  A per-entry rule
 # names each distinct offending entry once.
 _RULES = {
-    "transversality": [_product_cap(("nx", "ns"), transversality.MAX_GRID)],
-    "spectrum": [_product_cap(("nx", "ns", "points_per_box"), spectral.MAX_NODES)],
-    "correlations": [_product_cap(("nx", "ns"), spectral.MAX_NODES)],
+    "transversality": [_product_cap(("nx", "ns"), MAX_GRID)],
+    "spectrum": [_product_cap(("nx", "ns", "points_per_box"), MAX_NODES)],
+    "correlations": [_product_cap(("nx", "ns"), MAX_NODES)],
     "genericity": [
         ("cluster_word letters must lie in 1..ell", ("ceiling", "cluster_word"),
          lambda f, word: [] if all(1 <= a <= f.ell for a in word) else
@@ -234,12 +271,7 @@ _RULES = {
                             "index" for n in dict.fromkeys(levels)
                             if f.ell ** min(n, 64) > MAX_WORD_INDEX]),
         ("ell^n must be >= p + 1 for each n in probe_n_values (p = 5 at ell = 2, 4 at 3..10)",
-         ("ceiling", "probe_n_values"),
-         lambda f, levels: [f"probe level n = {n} gives fewer than the p + 1 = "
-                            f"{combination_size(f.ell) + 1} distinct words a combination "
-                            f"needs (ell = {f.ell})"
-                            for n in dict.fromkeys(levels)
-                            if f.ell ** min(n, 64) <= combination_size(f.ell)]),
+         ("ceiling", "probe_n_values"), _probe_room),
     ],
     "branches": [
         ("(x, s) must lie under the roof, s < f(x) - 1e-12; on it, pass (tau x, 0) instead",
@@ -376,6 +408,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             problems.extend(check(*map(known.get, names)))
     for name in ("psi", "phi"):
         if name in p:
+            from . import spectral
             bad = []
             o = _checked(_OBSERVABLE, p[name], "observable key", bad)
             problems.extend(f"bad {name}: {v}" for v in bad)
@@ -384,6 +417,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 
     if problems:
         raise ValidationError(problems)
+    # the experiment's own modules, so that ``run`` imports none
+    for module in _MODULES[exp]:
+        importlib.import_module(f".{module}", __package__)
     return ExperimentConfig(ceiling=ceiling, gamma0=float(gamma0), experiment=exp, params=p,
                             seed=top["seed"], workers=top["workers"], out=top["out"], raw=raw)
 
@@ -393,6 +429,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 
 
 def _run_transversality(cfg: ExperimentConfig):
+    from . import transversality
     p = cfg.params
     estimates = transversality.grid_estimates(
         cfg.ceiling, [float(t) for t in p["t_values"]], p["nx"], p["ns"],
@@ -417,6 +454,7 @@ def _run_transversality(cfg: ExperimentConfig):
 
 
 def _run_mixing(cfg: ExperimentConfig):
+    from . import mixing
     p = cfg.params
     report = mixing.weak_mixing_test(cfg.ceiling, grid=p["grid"], depth=p["depth"])
     payload = {
@@ -431,6 +469,7 @@ def _run_mixing(cfg: ExperimentConfig):
 
 
 def _run_spectrum(cfg: ExperimentConfig):
+    from . import spectral
     p = cfg.params
     op = spectral.build_ulam(cfg.ceiling, p["t"], p["nx"], p["ns"],
                              p["points_per_box"], seed=cfg.seed, mode=p["mode"])
@@ -444,6 +483,7 @@ def _run_spectrum(cfg: ExperimentConfig):
 
 
 def _run_correlations(cfg: ExperimentConfig):
+    from . import spectral
     p = cfg.params
     curve = spectral.correlation(cfg.ceiling, p["psi"], p["phi"],
                                  [float(t) for t in p["t_values"]], p["nx"], p["ns"])
@@ -460,6 +500,7 @@ def _run_correlations(cfg: ExperimentConfig):
 
 
 def _run_norms(cfg: ExperimentConfig):
+    from . import aniso, smooth
     p = cfg.params
     grid = aniso.make_grid(1.0, 1.0, p["grid_n"])
     margin = p["slope_margin"]
@@ -485,6 +526,7 @@ def _run_norms(cfg: ExperimentConfig):
 
 
 def _run_genericity(cfg: ExperimentConfig):
+    from . import genericity
     p = cfg.params
     f = cfg.ceiling
     cls = classify(f, cfg.gamma0)

@@ -158,17 +158,17 @@ class _BranchTable:
     """Flat arrays describing every time-t inverse branch at one target.
 
     Parallel arrays, one entry per branch: the level ``n``, the word index
-    ``k`` (little-endian), the preimage base point ``y``, its flow
-    coordinate ``s`` and the slope.  ``branch_table`` lists the branches
-    level ascending and then by word index, ``inverse_branches`` in
-    lexicographic word order.  ``scan`` is the column scan the table was
-    masked from.
+    ``k`` (little-endian), the preimage base point ``y``, its height
+    ``fy`` = f(y), its flow coordinate ``s`` and the slope.
+    ``branch_table`` lists the branches level ascending and then by word
+    index, ``inverse_branches`` in lexicographic word order.  ``scan`` is
+    the column scan the table was masked from.
     """
 
-    __slots__ = ("n", "k", "y", "s", "slopes", "ell", "scan")
+    __slots__ = ("n", "k", "y", "fy", "s", "slopes", "ell", "scan")
 
-    def __init__(self, n, k, y, s, slopes, ell, scan):
-        self.n, self.k, self.y, self.s, self.slopes = n, k, y, s, slopes
+    def __init__(self, n, k, y, fy, s, slopes, ell, scan):
+        self.n, self.k, self.y, self.fy, self.s, self.slopes = n, k, y, fy, s, slopes
         self.ell = ell
         self.scan = scan
 
@@ -213,17 +213,20 @@ class _ColumnScan:
 
     def table(self, s: float, t: float) -> _BranchTable:
         """The branch table at (x, s) for time t, as ``branch_table`` builds it."""
-        valid, d = _valid(s, t, self.S, self.fy, self.S_parent)
-        return _BranchTable(self.n[valid], self.k[valid], self.y[valid],
+        valid, d = _valid(s, t, self.S, self.S_parent)
+        return _BranchTable(self.n[valid], self.k[valid], self.y[valid], self.fy[valid],
                             np.maximum(d[valid], 0.0), self.slopes[valid], self.ell, self)
 
 
-def _valid(s: float, t: float, S, fy, S_parent) -> tuple:
+def _valid(s: float, t: float, S, S_parent) -> tuple:
     """The words that are time-t branches at (x, s): flow defect
-    d = s + S - t in [0, f(y)) and the parent's defect still negative, in
-    the float operations of a scan at (s, t) alone.  Returns the mask and d."""
+    d = s + S - t at least 0 and the parent's defect still negative, in the
+    float operations of a scan at (s, t) alone.  Along a chain of words d
+    only grows, so each chain has exactly one branch, the first word to
+    reach the roof, however the sums round; that d < f(y) follows from the
+    parent's test in exact arithmetic only.  Returns the mask and d."""
     d = s + S - t
-    return (d >= -ROOF_TOL) & (d < fy - ROOF_TOL) & (s + S_parent - t < -ROOF_TOL), d
+    return (d >= -ROOF_TOL) & (s + S_parent - t < -ROOF_TOL), d
 
 
 def _column_scan(f: TrigPolynomial, x: float, s_values, ts) -> _ColumnScan:
@@ -289,7 +292,7 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
                  t_values=()) -> _BranchTable:
     """Every time-t inverse branch at z.
 
-    A word is a branch iff its flow defect d = s + S_n - t lies in [0, f(y))
+    A word is a branch iff its flow defect d = s + S_n - t is at least 0
     and its parent's defect is still negative.  The table is a mask over one
     pruned level scan of z's fiber column, kept as ``table.scan``.  By
     default the scan serves (z.s, t) alone; ``s_values`` and ``t_values``
@@ -314,14 +317,20 @@ def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     after its prefixes, as tuples of letters do.
 
     z lies strictly under the roof, as config parsing checks.  Raises
-    NumericalFailure when rounding leaves no branch, so that the branch
-    weights cannot sum to 1 (a ceiling so large that s + S - t rounds to S)."""
+    NumericalFailure, naming the weight sum, unless the branches under the
+    roof, 0 <= s' < f(y), have weights ell^-n that sum to 1, counted exactly
+    in units of ell^-n_max: rounding puts s' on the roof when the ceiling is
+    so large that s + S - t rounds to S."""
     table = branch_table(f, z, t)
-    if not table.count:
+    ell, n_max = table.ell, max(table.levels, default=0)
+    levels, counts = np.unique(table.n[table.s < table.fy], return_counts=True)
+    units = sum(c * ell ** (n_max - n) for n, c in zip(levels.tolist(), counts.tolist()))
+    if units != ell ** n_max:
+        roofed = table.count - int(counts.sum())
+        cause = f"; rounding puts {roofed} of them at or above the roof" if roofed else ""
         raise NumericalFailure(
-            f"no time-{t} inverse branch at (x={z.x}, s={z.s}): the branch weights "
-            "sum to 0, not 1", weight_sum=0.0)
-    ell, n_max = table.ell, max(table.levels)
+            f"the time-{t} inverse branches at (x={z.x}, s={z.s}) weigh "
+            f"{units}/{ell}^{n_max}, not 1{cause}", weight_sum=units / ell ** n_max)
     if n_max == 0:
         return table, [""] * table.count
     letters = np.zeros((n_max, table.count), dtype=np.min_scalar_type(ell))
@@ -339,5 +348,5 @@ def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     chars = chars.reshape(table.count, n_max * width)
     chars = np.take_along_axis(chars, np.argsort(chars == 0, axis=1, kind="stable"), axis=1)
     words = chars.view(f"S{n_max * width}").ravel().astype(str).tolist()
-    return _BranchTable(table.n[order], table.k[order], table.y[order], table.s[order],
-                        table.slopes[order], ell, table.scan), words
+    return _BranchTable(table.n[order], table.k[order], table.y[order], table.fy[order],
+                        table.s[order], table.slopes[order], ell, table.scan), words

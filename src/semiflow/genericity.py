@@ -30,8 +30,6 @@ from .dynamics import prefix_points
 from .errors import DomainViolation, InvalidArgument
 from .smooth import flat_bump, plateau
 
-MAX_CLUSTER_WORDS = 2 ** 20
-
 # Normalized bump-derivative profile on [-1, 1]: a plateau of height 1 on
 # |u| <= 1/3 and a compensating negative collar on 2/3 <= |u| <= 1 chosen so
 # the profile integrates to zero exactly; the collar amplitude is
@@ -155,7 +153,7 @@ def slope_clusters(f: TrigPolynomial, n: int, letters, cls: CeilingClass,
     the sorted slope values, which is exact for the max-pairwise-difference
     criterion); theta_K is read from ``cls``, the class of f.  The endpoint
     of a word of m letters with index k is k/ell^m.  Config parsing checks
-    the letters, ell^m <= 2^63 - 1 and ell^n <= MAX_CLUSTER_WORDS."""
+    the letters, ell^m <= 2^63 - 1 and ell^n <= cli.MAX_CLUSTER_WORDS."""
     ell = f.ell
     k = sum((a - 1) * ell ** i for i, a in enumerate(letters))
     x_c = k / ell ** len(letters)

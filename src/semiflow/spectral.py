@@ -42,10 +42,6 @@ GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 # Ulam dimension nx*ns, refused at run time with a ResourceLimit; the dense
 # float64 copy of a matrix this size (``UlamOperator.matrix``) takes 2 GiB
 MAX_DIM = 2 ** 14
-# points one flow run moves: correlation quadrature nodes, a few arrays of
-# this many floats each, or Ulam sample points, which the assembly flows a
-# chunk at a time, so for it the cap bounds work, not memory
-MAX_NODES = 2 ** 22
 # Ulam sample points sampled, flowed and binned at once, in whole boxes (one
 # box when a box holds more): bounds the assembly's working arrays
 CHUNK_POINTS = 2 ** 13

@@ -52,9 +52,6 @@ from .parallel import pmap
 
 GRID_LOWER_BOUND_CAVEAT = "grid lower bound"
 
-# grid points (nx*ns) of one m(f,t) pass that a config may ask for
-MAX_GRID = 2 ** 16
-
 # flow coordinates of a column whose validity masks are built together, and
 # words (overlap references or sweep events) per temporary of their passes:
 # a temporary holds one integer per word and flow coordinate of a block
@@ -277,7 +274,7 @@ def _absorb_column(best, f, x, ns, ts, cls, widen) -> None:
     # count), in copies that replace the scan
     order = np.concatenate([scan.slopes[a:b].argsort() + a
                             for a, b in itertools.pairwise(starts.tolist())])
-    slopes, S, fy, S_parent = (a[order] for a in (scan.slopes, scan.S, scan.fy, scan.S_parent))
+    slopes, S, S_parent = (a[order] for a in (scan.slopes, scan.S, scan.S_parent))
     del scan, order
     for lo in range(0, ns, MASK_BLOCK):
         block = s_values[lo:lo + MASK_BLOCK]
@@ -285,7 +282,7 @@ def _absorb_column(best, f, x, ns, ts, cls, widen) -> None:
         for b, t in zip(best, ts):
             union = np.zeros(len(slopes), dtype=bool)
             for j, s in enumerate(block):
-                valid[:, j] = _valid(s, t, S, fy, S_parent)[0]
+                valid[:, j] = _valid(s, t, S, S_parent)[0]
                 union |= valid[:, j]
             counts = np.add.reduceat(union, starts[:-1], dtype=np.int64).tolist()
             union = np.flatnonzero(union)

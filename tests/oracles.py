@@ -357,12 +357,15 @@ def exp_step(u):
 
 def enumerate_branches(f, x, s, t, n_max=40):
     """Every inverse branch by flat enumeration: for each level n and word
-    index k, the preimage is (x+k)/ell^n, the roof sum is accumulated along
-    the forward orbit, and validity is 0 <= s + S - t < f(y).
+    index k, the preimage is (x+k)/ell^n, the roof sum S adds f at its
+    prefix points (x + k mod ell^i)/ell^i from i = 1 up, as a scan does, and
+    a word is a branch when its flow defect d = s + S - t is at least
+    -ROOF_TOL and its parent's is below: the first word of each chain to
+    reach the roof, so the branches partition the chains whatever the
+    rounding.
 
     Level n visits only the children k + j*ell^(n-1) of the words of level
-    n - 1 that were still open, with a margin of 1e-9: a word whose own sum
-    sits within an ulp of its child's parent test S - f(y) is kept open.
+    n - 1 that were still open (d < -ROOF_TOL).
 
     Returns a list of (n, k, y, s_prime, slope) tuples.
     """
@@ -378,24 +381,17 @@ def enumerate_branches(f, x, s, t, n_max=40):
         open_ = []
         for k in candidates:
             y = (x + k) / size
-            orbit = [y]
-            for _ in range(n - 1):
-                orbit.append((ell * orbit[-1]) % 1.0)
-            S = sum(f(p) for p in orbit) if n else 0.0
+            # the forward orbit of y, deepest level first
+            orbit = [(x + k % ell ** i) / ell ** i for i in range(n, 0, -1)]
+            S = 0.0
+            for p in reversed(orbit):
+                S = S + float(f(p))
             d = s + S - t
-            if d < -ROOF_TOL + 1e-9:
-                open_.append(k)
             if d < -ROOF_TOL:
+                open_.append(k)
                 continue
-            if d < f(y) - ROOF_TOL:
-                # a valid node must extend a still-open prefix
-                if n > 0:
-                    parent_y = (ell * y) % 1.0
-                    S_parent = S - f(y)
-                    if s + S_parent - t >= -ROOF_TOL:
-                        continue
-                slope = sum(ell ** (-(n - j)) * f(orbit[j], 1) for j in range(n))
-                out.append((n, k, y, max(d, 0.0), slope))
+            slope = sum(ell ** (-(n - j)) * f(orbit[j], 1) for j in range(n))
+            out.append((n, k, y, max(d, 0.0), slope))
         if not open_:
             break
     return out
@@ -524,7 +520,7 @@ def slope_profile(scan, s, t):
     concatenated, masked by ``_valid`` on slope-ordered copies of the scan's
     arrays, element for element the mask ``scan.table`` builds."""
     order = np.lexsort((scan.slopes, scan.n))
-    valid = _valid(s, t, scan.S[order], scan.fy[order], scan.S_parent[order])[0]
+    valid = _valid(s, t, scan.S[order], scan.S_parent[order])[0]
     counts = np.add.reduceat(valid, scan.starts[:-1], dtype=np.int64).tolist()
     levels = [n for n, c in zip(scan.levels, counts) if c]
     return levels, [c for c in counts if c], scan.slopes[order][valid]

@@ -766,6 +766,9 @@ def test_cli_main_norms_renders_its_function_records(capsys):
     ("transversality", ["nx*ns must be <= 65536"]),
     ("spectrum", ["nx*ns*points_per_box must be <= 4194304"]),
     ("correlations", ["nx*ns must be <= 4194304"]),
+    ("genericity", ["ell^m must be <= 2^63 - 1 for a cluster_word of m letters",
+                    "ell^n must be <= 1048576 for each n in cluster_n_values",
+                    "ell^n must be <= 2^63 - 1 for each n in probe_n_values"]),
 ])
 def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
     with pytest.raises(SystemExit):
@@ -1335,6 +1338,70 @@ print(json.dumps("scipy.sparse.linalg" in sys.modules))
     loaded_before, loaded_after = map(json.loads, proc.stdout.splitlines())
     assert loaded_before == []
     assert loaded_after is True
+
+
+def _loaded_modules(script, *args):
+    """The JSON line ``script`` prints in a fresh interpreter, where
+    ``loaded()`` lists the semiflow submodules loaded so far."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    prelude = ("import json, os, sys\n"
+               "def loaded():\n"
+               "    return sorted(name.split('.', 1)[1] for name in sys.modules\n"
+               "                  if name.startswith('semiflow.'))\n")
+    proc = subprocess.run([sys.executable, "-c", prelude + script, *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# what cli imports for every parse, so what --help loads
+_CLI_MODULES = ["canon", "ceiling", "cli", "dynamics", "errors"]
+
+
+@pytest.mark.parametrize("experiment, params, unloaded", [
+    ("branches", {"t": 2.0}, {"spectral", "aniso", "genericity", "mixing", "smooth"}),
+    ("transversality", {"t_values": [2.0], "nx": 8, "ns": 8},
+     {"spectral", "aniso", "genericity", "mixing", "smooth"}),
+    ("spectrum", {"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 16, "k": 4},
+     {"aniso", "genericity"}),
+    ("correlations", {"t_values": [0.0, 0.5], "nx": 8, "ns": 1}, {"aniso", "genericity"}),
+    ("mixing", {"grid": 256, "depth": 4}, {"aniso", "genericity"}),
+    ("norms", {"grid_n": 32, "num_functions": 1}, {"spectral", "genericity", "mixing"}),
+    ("genericity", {"cluster_n_values": [4]}, {"spectral", "aniso", "mixing"}),
+])
+def test_each_subcommand_loads_only_its_own_modules(experiment, params, unloaded):
+    # a bare import loads no submodule; parsing a config loads its
+    # experiment's modules, so that running it loads none
+    script = """
+import semiflow
+bare = loaded()
+from semiflow import cli
+experiment, params = sys.argv[1], json.loads(sys.argv[2])
+cli.parse_config(json.dumps({"params": params}), experiment)
+parsed = loaded()
+code = cli.main([experiment, "--set", "params=" + json.dumps(params), "--out", os.devnull])
+print(json.dumps([bare, parsed, loaded(), code]))
+"""
+    bare, parsed, ran, code = _loaded_modules(script, experiment, json.dumps(params))
+    assert code == 0
+    assert bare == []
+    assert ran == parsed
+    assert set(_CLI_MODULES) <= set(ran)
+    assert not unloaded & set(ran), unloaded & set(ran)
+
+
+def test_help_loads_no_experiment_module():
+    # every epilog, the size caps included, comes from cli's own tables
+    script = """
+from semiflow import cli
+for argv in [["--help"]] + [[name, "--help"] for name in cli.EXPERIMENTS]:
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+print(json.dumps(loaded()))
+"""
+    assert _loaded_modules(script) == _CLI_MODULES
 
 
 def test_cli_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

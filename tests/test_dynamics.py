@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semiflow import (FlowPoint, InvalidArgument, ResourceLimit,
+from semiflow import (FlowPoint, InvalidArgument, NumericalFailure, ResourceLimit,
                       TrigPolynomial, advance, advance_through, branch_table, extrema,
                       inverse_branches)
 from semiflow import dynamics
@@ -509,3 +509,54 @@ def test_exact_roof_hit_assigned_once(f_const):
     assert {n for n, *_ in _rows(table)} == {2}
     assert all(sp == 0.0 for _, _, _, sp, _, _ in _rows(table))
     assert _weight_sum(table) == 1.0
+
+
+def test_branches_at_the_roof_tolerance_keep_their_weight():
+    # the level-4 words k = 7 and 15 have a flow defect just below -1e-12,
+    # and their children's d rounds to f(y) - 1e-12: both used to be refused,
+    # leaving 14 branches of weight 0.875.  Each chain still has one branch
+    f = TrigPolynomial(1.1861147477360419, ((2, -0.23099421481627672, 0.2434516836258529),), 2)
+    z = FlowPoint(1 / 3, 0.5453882562650498)
+    t = 4.872736312033213
+    table, _ = inverse_branches(f, z, t)
+    want = {(n, k): (y, sp, sl) for n, k, y, sp, sl in enumerate_branches(f, z.x, z.s, t)}
+    got = {(n, k): (y, sp, sl) for n, k, y, sp, sl, _ in _rows(table)}
+    assert sorted(got) == sorted(want) and len(got) == 18
+    assert {(5, 7), (5, 15), (5, 23), (5, 31)} <= set(got)
+    for key, values in got.items():
+        assert values == pytest.approx(want[key], abs=1e-12)
+    assert _weight_sum(table) == 1.0
+    assert np.all(table.s < table.fy)
+
+
+def test_inverse_branches_refuse_a_table_that_lost_a_row(f_sin, monkeypatch):
+    # the weights are counted exactly, in units of ell^-n_max: losing one
+    # row of the deepest level leaves the sum one unit short
+    real = dynamics.branch_table
+    z, t = FlowPoint(0.3, 0.0), 12.0
+    full = real(f_sin, z, t)
+    n_max = max(full.levels)
+    last = int(np.flatnonzero(full.n == n_max)[-1])
+
+    def lossy(*args, **kwargs):
+        table = real(*args, **kwargs)
+        keep = np.arange(table.count) != last
+        return dynamics._BranchTable(*(getattr(table, name)[keep] for name in
+                                       ("n", "k", "y", "fy", "s", "slopes")),
+                                     table.ell, table.scan)
+
+    monkeypatch.setattr(dynamics, "branch_table", lossy)
+    units = 2 ** n_max - 1
+    with pytest.raises(NumericalFailure, match=f"weigh {units}/2\\^{n_max}, not 1$") as info:
+        inverse_branches(f_sin, z, t)
+    assert info.value.details["weight_sum"] == units / 2 ** n_max
+
+
+def test_inverse_branches_refuse_rows_on_the_roof():
+    # at mean 1e77, s + S - t rounds to S = f(y) at level 1: both words would
+    # report s' = f(y), on the roof, so neither counts
+    f = TrigPolynomial(1e77, (), 2)
+    with pytest.raises(NumericalFailure, match="weigh 0/2\\^1, not 1; rounding puts 2 of them "
+                                               "at or above the roof") as info:
+        inverse_branches(f, FlowPoint(0.3, 0.0), 5.0)
+    assert info.value.details["weight_sum"] == 0.0

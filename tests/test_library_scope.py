@@ -5,8 +5,11 @@ top-level names and over class members.
 
 Top-level names: reached code reaches every name it mentions, resolved in
 its own module (a local top-level name, a ``from .x import y`` binding, or
-``x.attr`` on an imported sibling module).  An assignment with several
-targets is one definition of all of them.
+``x.attr`` on an imported sibling module).  A relative import inside a
+function binds its names for the whole module, as a top-level one does:
+``cli`` imports an experiment's modules only where it runs that
+experiment.  An assignment with several targets is one definition of all
+of them.
 
 Class members: a member of a class is a field (a name the class body
 annotates or assigns, or a ``__slots__`` entry), a method or a property.  A
@@ -22,8 +25,9 @@ reached as a member.
 Every top-level definition outside the closure, and every unreached member
 of a reached class, fails the test unless ``ALLOWED`` names it with a
 reason; ``__init__`` and ``__main__`` only re-export and dispatch, so they
-are not scanned.  Each name ``__init__`` re-exports is followed through the
-modules' imports to its definition, which must be reached or ``ALLOWED``:
+are not scanned.  Each name of ``__init__``'s ``_EXPORTS`` table, which maps
+a lazily re-exported name to its module, is followed through the modules'
+imports to its definition, which must be reached or ``ALLOWED``:
 a concept no subcommand runs cannot stay public.  Independent reference
 paths and paper constructions that no subcommand runs belong in
 ``tests/oracles.py``.
@@ -76,12 +80,14 @@ def _members(cls):
 
 def _module_table(path):
     """(definitions: name -> node, bindings: local name -> (module, name or
-    None for a module)) of one source file."""
+    None for a module)) of one source file; the bindings are those of its
+    relative imports at any depth."""
     tree = ast.parse(open(path, encoding="utf-8").read())
     definitions, bindings = {}, {}
     for node in tree.body:
         for name in _targets(node):
             definitions[name] = node
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 local = alias.asname or alias.name
@@ -169,12 +175,13 @@ def unread_members(package=PACKAGE):
 
 def unreached_exports(package=PACKAGE):
     """The names ``__init__`` re-exports whose definition, found by following
-    each ``from .x import y`` through the modules' own imports, is outside
-    the closure, as "module.name"."""
+    each ``_EXPORTS`` entry through the modules' own imports, is outside the
+    closure, as "module.name"."""
     tables = _tables(package)
     reached, _ = _closure(tables, ("cli", "main"))
+    exports = _module_table(os.path.join(package, "__init__.py"))[0]["_EXPORTS"].value
     out = []
-    for module, name in _module_table(os.path.join(package, "__init__.py"))[1].values():
+    for name, module in ast.literal_eval(exports).items():
         while module in tables and name in tables[module][1] and name not in tables[module][0]:
             module, name = tables[module][1][name]
         if name is not None and (module, name) not in reached:
@@ -204,8 +211,10 @@ def test_the_closure_follows_imports_attributes_and_tuple_targets():
     reached, _ = _closure(tables, ("cli", "main"))
     # cli -> from .dynamics import inverse_branches -> branch_table
     assert ("dynamics", "branch_table") in reached
-    # cli -> spectral.build_ulam (attribute of an imported module)
+    # cli -> spectral.build_ulam (attribute of a module a runner imports)
     assert ("spectral", "build_ulam") in reached
+    # cli -> a rule's function-level import of genericity.combination_size
+    assert ("genericity", "combination_size") in reached
     # one tuple assignment defines both profile tables
     assert ("genericity", "_PROFILE_CUM") in reached
 
@@ -240,17 +249,17 @@ def test_the_member_closure_follows_dunders_and_reached_methods(tmp_path):
 
 def test_exports_follow_imports_to_their_definitions(tmp_path):
     (tmp_path / "__init__.py").write_text(
-        "from .cli import Box, main\n"
-        "from .model import orphan, gone\n")
+        "_EXPORTS = {'Box': 'cli', 'main': 'cli', 'orphan': 'model', 'gone': 'model'}\n")
     (tmp_path / "cli.py").write_text(
-        "from .model import Box\n"
         "def main():\n"
+        "    from .model import Box\n"
         "    return Box()\n")
     (tmp_path / "model.py").write_text(
         "class Box:\n"
         "    pass\n"
         "def orphan():\n"
         "    return 0\n")
-    # Box resolves through cli's import to model.Box, which main reaches; a
-    # re-export of an unreached or a missing definition is reported
+    # Box resolves through the import inside cli.main to model.Box, which
+    # main reaches; a re-export of an unreached or a missing definition is
+    # reported
     assert unreached_exports(str(tmp_path)) == ["model.gone", "model.orphan"]

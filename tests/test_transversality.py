@@ -401,7 +401,7 @@ def test_overlap_searches_each_window_once_per_block(f_sin, monkeypatch):
         scan = branch_table(f_sin, FlowPoint(x, 0.0), max(t_values), s_values=s_values,
                             t_values=t_values).scan
         for t in t_values:
-            masks = [dynamics._valid(s, t, scan.S, scan.fy, scan.S_parent)[0] for s in s_values]
+            masks = [dynamics._valid(s, t, scan.S, scan.S_parent)[0] for s in s_values]
             union = np.any(masks, axis=0)
             block += 2 * len(np.unique(scan.n[union])) * int(union.sum())
             per_point += sum(2 * len(np.unique(scan.n[mask])) * int(mask.sum())
