@@ -147,7 +147,8 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
 
     def samples(x, s, fx):
         t_prev = 0.0
-        for t in np.unique(t_arr).tolist():
+        # not np.unique, which imports numpy.ma on its first call
+        for t in sorted(set(t_arr.tolist())):
             x, s, _, fx = step(f, x, s + (t - t_prev), fx=fx)
             t_prev = t
             yield t, x, s, fx
@@ -175,7 +176,7 @@ class _BranchTable:
     @property
     def levels(self) -> list:
         """The levels holding a branch, ascending."""
-        return np.unique(self.n).tolist()
+        return sorted(set(self.n.tolist()))  # np.unique would import numpy.ma
 
     @property
     def count(self) -> int:

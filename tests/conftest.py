@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,3 +69,15 @@ def random_positive_ceiling(rng) -> TrigPolynomial:
         scale = budget / (n_harm * (abs(c) + abs(s) + 1e-9))
         harmonics.append((k, c * scale, s * scale))
     return TrigPolynomial(mean, tuple(harmonics), ell)
+
+
+def pytest_collection_modifyitems(items):
+    """Refuse a pytest-numbered id in tests/test_cli.py, an argument name and
+    a position such as ``argv3``: deleting one case would rename every later
+    one."""
+    numbered = [item.nodeid for item in items
+                if item.path.name == "test_cli.py" and hasattr(item, "callspec")
+                and any(re.search(rf"(^|-){re.escape(name)}\d+(-|$)", item.callspec.id)
+                        for name in item.callspec.params)]
+    if numbered:
+        raise pytest.UsageError("pytest-numbered ids in tests/test_cli.py: " + ", ".join(numbered))

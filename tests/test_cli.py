@@ -19,7 +19,6 @@ from semiflow.cli import (ParseError, ValidationError, emit, main,
                           parse_config, run)
 from semiflow.errors import InvalidArgument
 
-from conftest import parse_violations
 from oracles import branches_payload, per_value_json
 
 
@@ -43,26 +42,6 @@ def test_parse_minimal_config():
     assert cfg.params["grid"] == 256
 
 
-def test_parse_error_carries_position():
-    with pytest.raises(ParseError) as info:
-        parse_config('{"ceiling": }')
-    assert info.value.line == 1
-    assert info.value.column is not None
-
-
-def test_validation_gamma0_range():
-    with pytest.raises(ValidationError) as info:
-        parse_config(json.dumps(_config(gamma0=0.4)))
-    assert any("gamma0" in v for v in info.value.violations)
-
-
-def test_validation_positivity():
-    bad = _config(ceiling={"ell": 2, "mean": -1.0, "harmonics": []})
-    with pytest.raises(ValidationError) as info:
-        parse_config(json.dumps(bad))
-    assert any("positiv" in v for v in info.value.violations)
-
-
 # f = 0.999999 + cos(6 pi x + a): its minimum, -1e-6, falls between the points
 # of a 1024-point grid
 DIP_CEILING = {"ell": 2, "mean": 0.999999,
@@ -76,12 +55,6 @@ def test_every_subcommand_refuses_a_ceiling_dipping_below_zero_between_grid_poin
     err = capsys.readouterr().err
     assert err.startswith("validation error: ceiling violates positivity")
     assert "Traceback" not in err
-
-
-def test_harmonic_index_up_to_1024_accepted():
-    ceiling = {"ell": 2, "mean": 1.0, "harmonics": [[1024, 0.0, 0.2]]}
-    cfg = parse_config(json.dumps(_config(ceiling=ceiling)))
-    assert max(k for k, _, _ in cfg.ceiling.harmonics) == 1024
 
 
 def test_each_ceiling_certified_once_per_order_across_every_subcommand():
@@ -107,12 +80,6 @@ def test_each_ceiling_certified_once_per_order_across_every_subcommand():
     info = extrema.cache_info()
     assert info.misses == 2 * len(ceilings)
     assert info.hits > 0
-
-
-def test_validation_unknown_keys_rejected():
-    with pytest.raises(ValidationError) as info:
-        parse_config(json.dumps(_config(mystery=1)))
-    assert any("unknown key" in v for v in info.value.violations)
 
 
 def test_validation_collects_all_violations():
@@ -185,7 +152,8 @@ BRANCH_CASES = [
 
 
 @pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
-@pytest.mark.parametrize("ceiling, params", BRANCH_CASES)
+@pytest.mark.parametrize("ceiling, params", BRANCH_CASES,
+                         ids=["ell-2-t-6", "ell-2-t-0", "ell-3-t-4", "ell-12-t-2.5"])
 def test_branches_report_bytes_equal_per_row_oracle(ceiling, params, fmt):
     # the rows built from the table's columns and rendered column by column
     # are the rows of a Word per branch, sorted by letters and rendered one
@@ -251,15 +219,16 @@ def test_canonical_json_column_path_matches_per_value_path(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [
-    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],          # same keys, another order
-    [{"a": 1, "b": 2}, {"a": 1}],                  # a key missing
-    [{"a": 1}, {"a": 1, "b": 2}],                  # a key more
-    [{"a": 1}, {"b": 1}],                          # other keys
-    [{"a": 1}, [1]],                               # not every item a dict
-    [{"a": 1}, collections.OrderedDict(a=1)],      # a dict subclass
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    [{"a": 1, "b": 2}, {"a": 1}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{"a": 1}, {"b": 1}],
+    [{"a": 1}, [1]],
+    [{"a": 1}, collections.OrderedDict(a=1)],
     [1.0, "x", None],
     [],
-])
+], ids=["keys-in-another-order", "a-key-missing", "a-key-more", "other-keys",
+        "not-every-item-a-dict", "a-dict-subclass", "no-dicts", "empty"])
 def test_canonical_json_other_lists_keep_per_value_path(rows, monkeypatch):
     monkeypatch.setattr(canon, "_rows_json", None)  # any call would fail
     assert canonical_json(rows) == per_value_json(rows)
@@ -308,7 +277,7 @@ def test_determinism_across_worker_counts():
     assert one == two
 
 
-@pytest.mark.parametrize("harmonics", [[], [[1, 0.0, 0.2]]])
+@pytest.mark.parametrize("harmonics", [[], [[1, 0.0, 0.2]]], ids=["constant", "sin"])
 def test_transversality_bytes_independent_of_worker_count(harmonics):
     # nx = 9 columns split into chunks of 4 and 5; on the constant ceiling
     # every grid point ties and the argmax must stay at the first one
@@ -402,28 +371,14 @@ def test_cli_main_word_length_limit_exit_code(capsys):
     assert doc["error"] == "resource-limit" and doc["max_length"] == 62
 
 
-def test_cli_main_validation_exit_code(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_config(gamma0=2.0)))
-    code = main(["mixing", str(path)])
-    assert code == 1
-    assert "validation error" in capsys.readouterr().err
-
-
-def test_cli_main_parse_exit_code(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    code = main(["mixing", str(path)])
-    assert code == 1
-    assert "parse error" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, message", [
     # the probe family's bumps reach below a ceiling of height 0.01
     pytest.param(["genericity", "--set", "ceiling.mean=0.01", "--set", "params.probe=true"],
                  "error: family leaves the positive ceilings", id="genericity-probe-family"),
     pytest.param(["mixing", "--format", "csv"], "error: payload has no tabular section",
                  id="mixing-csv"),
+    pytest.param(["mixing", "--format", "jsonl"], "error: payload has no record section",
+                 id="mixing-jsonl"),
 ])
 def test_cli_main_runner_error_exit_code(argv, message, capsys):
     # errors raised once the config has passed end in a message, not a traceback
@@ -432,227 +387,216 @@ def test_cli_main_runner_error_exit_code(argv, message, capsys):
     assert err.startswith(message) and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    pytest.param(["norms", "--set", 'params.num_functions="2"'], "validation error: num_functions",
-                 id="argv0-validation error: num_functions"),
-    pytest.param(["norms", "--set", "params.num_functions=1.5"], "validation error: num_functions",
-                 id="argv1-validation error: num_functions"),
-    pytest.param(["norms", "--set", 'params.slope_margin="a"'], "validation error: slope_margin",
-                 id="argv2-validation error: slope_margin"),
-    pytest.param(["genericity", "--set", 'params.probe_samples="4"'],
-                 "validation error: probe_samples",
-                 id="argv3-validation error: probe_samples"),
-    pytest.param(["genericity", "--set", 'params.window_factor="8"'],
-                 "validation error: window_factor",
-                 id="argv4-validation error: window_factor"),
-    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[0]"],
-                 "validation error: probe_n_values",
-                 id="argv5-validation error: probe_n_values"),
-    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[1]"],
-                 "validation error: probe level n = 1 ",
-                 id="argv6-error: probe level n = 1 "),
-    pytest.param(["genericity", "--set", "params.probe=true", "--set",
-                  "params.probe_n_values=[70]"],
-                 "validation error: probe level n = 70:",
-                 id="argv7-error: probe level n = 70:"),
-    pytest.param(["transversality", "--set", 'params.nx="16"'], "validation error: nx",
-                 id="argv8-validation error: nx"),
-    pytest.param(["spectrum", "--set", "params.nx=1.5"], "validation error: nx",
-                 id="argv9-validation error: nx"),
-    pytest.param(["spectrum", "--set", "params.k=2.5"], "validation error: k",
-                 id="argv10-validation error: k"),
-    pytest.param(["branches", "--set", 'params.x="a"'], "validation error: x",
-                 id="argv11-validation error: x"),
-    # the five options that let a report claim what the run never computed:
-    # the verdict thresholds and the spectrum's uncertified essential_bound
-    pytest.param(["spectrum", "--set", "params.bound_ns=0"],
-                 "validation error: unknown spectrum parameter 'bound_ns'",
-                 id="argv12-validation error: unknown spectrum parameter 'bound_ns'"),
-    pytest.param(["branches", "--set", 'gamma0="0.9"'], "validation error: gamma0",
-                 id="argv13-validation error: gamma0"),
-    pytest.param(["branches", "--set", "out=7"], "validation error: out",
-                 id="argv14-validation error: out"),
-    pytest.param(["transversality", "--set", 'params.certified="no"'],
-                 "validation error: certified",
-                 id="argv15-validation error: certified"),
-    pytest.param(["branches", "--set", "seed=true"], "validation error: seed",
-                 id="argv16-validation error: seed"),
-    pytest.param(["branches", "--set", "workers=true"], "validation error: workers",
-                 id="argv17-validation error: workers"),
-    pytest.param(["branches", "--set", "params.theta=true"],
-                 "validation error: unknown branches parameter 'theta'",
-                 id="argv18-validation error: unknown branches parameter 'theta'"),
-    pytest.param(["mixing", "--set", "params.eigenfunction_times=5"],
-                 "validation error: eigenfunction_times",
-                 id="argv19-validation error: eigenfunction_times"),
-    pytest.param(["correlations", "--set", 'params.psi.s=["cos","a"]'],
-                 "validation error: bad psi: ",
-                 id="argv20-validation error: bad psi: "),
-    pytest.param(["correlations", "--set", 'params.psi.s=["cos"]'], "validation error: bad psi: ",
-                 id="argv21-validation error: bad psi: "),
-    pytest.param(["correlations", "--set", 'params.psi.cutoff="no"'], "validation error: bad psi: ",
-                 id="argv22-validation error: bad psi: "),
-    pytest.param(["branches", "--set", "ceiling.ell=true"], "validation error: bad ceiling: ",
-                 id="argv23-validation error: bad ceiling: "),
-    pytest.param(["branches", "--set", 'ceiling.mean="1"'], "validation error: bad ceiling: ",
-                 id="argv24-validation error: bad ceiling: "),
-    pytest.param(["branches", "--set", 'ceiling.harmonics=[[1,"a",0]]'],
-                 "validation error: bad ceiling: ",
-                 id="argv25-validation error: bad ceiling: "),
-    pytest.param(["branches", "--set", "ceiling.harmonics=[[1.5,0,0.1]]"],
-                 "validation error: bad ceiling: ",
-                 id="argv26-validation error: bad ceiling: "),
-    pytest.param(["transversality", "--set", "params.nL=8"],
-                 "validation error: unknown transversality parameter 'nL'",
-                 id="argv27-validation error: unknown transversality parameter 'nL'"),
-    pytest.param(["branches", "--set", "experiment=[1]"], "validation error: experiment",
-                 id="argv28-validation error: experiment"),
-    pytest.param(["branches", "--set", "ceiling.mean.x=1"],
-                 "parse error: override 'ceiling.mean.x=1'",
-                 id="argv29-parse error: override 'ceiling.mean.x=1'"),
-    pytest.param(["branches", "--set", "params.x=1" + "0" * 5000], "validation error: x",
-                 id="argv30-validation error: x"),
-    pytest.param(["mixing", "--set", "params.grid=256", "--format", "jsonl"],
-                 "error: payload has no record section",
-                 id="argv31-error: payload has no record section"),
-    pytest.param(["mixing", "--set", "params.grid=1099511627776"], "validation error: grid",
-                 id="argv32-validation error: grid"),
-    pytest.param(["norms", "--set", "params.grid_n=1048576"], "validation error: grid_n",
-                 id="argv33-validation error: grid_n"),
-    pytest.param(["correlations", "--set", 'params.psi.x=["cos",0.5]'],
-                 "validation error: bad psi: ",
-                 id="argv34-validation error: bad psi: "),
-    pytest.param(["transversality", "--set", "ceiling.harmonics=[[4096,0,1.2]]"],
-                 "validation error: bad ceiling: ",
-                 id="argv35-validation error: bad ceiling: "),
-    pytest.param(["correlations", "--set", "params.nx=100000000", "--set", "params.ns=100"],
-                 "validation error: nx*ns must be <= 4194304",
-                 id="argv36-validation error: nx*ns must be <= 4194304"),
-    pytest.param(["branches", "--set", 'out="report\\u0000.json"'], "validation error: out",
-                 id="argv37-validation error: out"),
-    # ceilings and bases that floats cannot carry: K = 2^1024, or a flow
-    # height of inf, or a base beyond a 64-bit word index
-    # (mixing with mean 1e308 runs in a subprocess below, where a hang fails on a timeout)
-    pytest.param(["transversality", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
-                 "validation error: bad ceiling: mean and harmonic",
-                 id="argv38-validation error: bad ceiling: mean and harmonic"),
-    pytest.param(["genericity", "--set", 'ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
-                 "validation error: bad ceiling: mean and harmonic",
-                 id="argv39-validation error: bad ceiling: mean and harmonic"),
-    pytest.param(["transversality", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
-                 "validation error: bad ceiling: certified range",
-                 id="argv40-validation error: bad ceiling: certified range"),
-    pytest.param(["genericity", "--set", 'ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'],
-                 "validation error: bad ceiling: certified range",
-                 id="argv41-validation error: bad ceiling: certified range"),
-    pytest.param(["mixing", "--set",
-                  'ceiling={"ell":2,"mean":1e308,"harmonics":[[1,1e308,1e308]]}'],
-                 "validation error: bad ceiling: mean and harmonic",
-                 id="argv42-validation error: bad ceiling: mean and harmonic"),
-    pytest.param(["mixing", "--set", 'ceiling={"ell":2,"mean":1e77,"harmonics":[[1,5e76,0]]}'],
-                 "validation error: bad ceiling: certified range",
-                 id="argv43-validation error: bad ceiling: certified range"),
-    pytest.param(["mixing", "--set",
-                  'ceiling={"ell":100000000000000000000,"mean":1,"harmonics":[]}'],
-                 "validation error: bad ceiling: ell must be an integer in "
-                 "[2, 9223372036854775807]",
-                 id="argv44-validation error: bad ceiling: ell must be an integer in "
-                    "[2, 9223372036854775807]"),
-    # every size that sets an allocation is capped before anything is allocated
-    pytest.param(["spectrum", "--set", "params.points_per_box=100000000"],
-                 "validation error: nx*ns*points_per_box must be <= 4194304",
-                 id="argv45-validation error: nx*ns*points_per_box must be <= 4194304"),
-    pytest.param(["spectrum", "--set", "params.bound_nx=100000"],
-                 "validation error: unknown spectrum parameter 'bound_nx'",
-                 id="argv46-validation error: unknown spectrum parameter 'bound_nx'"),
-    pytest.param(["transversality", "--set", "params.nx=100000", "--set", "params.ns=100000"],
-                 "validation error: nx*ns must be <= 65536",
-                 id="argv47-validation error: nx*ns must be <= 65536"),
-    pytest.param(["genericity", "--set", "params.probe_samples=10000000000"],
-                 "validation error: probe_samples",
-                 id="argv48-validation error: probe_samples"),
-    pytest.param(["genericity", "--set", "params.probe_combos=10000000000"],
-                 "validation error: probe_combos",
-                 id="argv49-validation error: probe_combos"),
-    # the schema is the one check of each of these values: the library takes
-    # them on trust (genericity probe_n_values=[0] is above)
-    pytest.param(["spectrum", "--set", "params.t=-1"], "validation error: t must be a number >= 0",
-                 id="argv50-validation error: t must be a number >= 0"),
-    pytest.param(["spectrum", "--set", "params.k=33"],
-                 "validation error: k must be an integer >= 1 and <= 32",
-                 id="argv51-validation error: k must be an integer >= 1 and <= 32"),
-    pytest.param(["spectrum", "--set", 'params.mode="x"'],
-                 "validation error: mode must be lattice or",
-                 id="argv52-validation error: mode must be lattice or"),
-    pytest.param(["spectrum", "--set", "params.points_per_box=8"],
-                 "validation error: points_per_box must be an integer >= 16",
-                 id="argv53-validation error: points_per_box must be an integer >= 16"),
-    pytest.param(["spectrum", "--set", "params.with_bound=true"],
-                 "validation error: unknown spectrum parameter 'with_bound'",
-                 id="argv54-validation error: unknown spectrum parameter 'with_bound'"),
-    pytest.param(["mixing", "--set", "params.grid=300"],
-                 "validation error: grid must be a power of two",
-                 id="argv55-validation error: grid must be a power of two"),
-    pytest.param(["mixing", "--set", "params.depth=0"],
-                 "validation error: depth must be an integer >= 1",
-                 id="argv56-validation error: depth must be an integer >= 1"),
-    # the verdict thresholds follow from tail_bound alone
-    pytest.param(["mixing", "--set", "params.tol_strict=5"],
-                 "validation error: unknown mixing parameter 'tol_strict'",
-                 id="argv57-validation error: unknown mixing parameter 'tol_strict'"),
-    pytest.param(["mixing", "--set", "params.tol_clear=1e-9"],
-                 "validation error: unknown mixing parameter 'tol_clear'",
-                 id="argv58-validation error: unknown mixing parameter 'tol_clear'"),
-    pytest.param(["mixing", "--set", "params.eigenfunction_times=[1.0,-0.5]"],
-                 "validation error: eigenfunction_times must be",
-                 id="argv59-validation error: eigenfunction_times must be"),
-    pytest.param(["mixing", "--set", "params.eigenfunction_times=[NaN]"],
-                 "validation error: eigenfunction_times must be",
-                 id="argv60-validation error: eigenfunction_times must be"),
-    pytest.param(["branches", "--set", "params.t=-1"], "validation error: t must be a number >= 0",
-                 id="argv61-validation error: t must be a number >= 0"),
-    pytest.param(["correlations", "--set", "params.t_values=[-1]"],
-                 "validation error: t_values must be",
-                 id="argv62-validation error: t_values must be"),
-    pytest.param(["transversality", "--set", "params.nx=0"],
-                 "validation error: nx must be an integer >= 8",
-                 id="argv63-validation error: nx must be an integer >= 8"),
-    pytest.param(["genericity", "--set", "gamma0=0.4"],
-                 "validation error: gamma0 must lie in (1/ell, 1)",
-                 id="argv64-validation error: gamma0 must lie in (1/ell, 1)"),
-    pytest.param(["genericity", "--set", 'ceiling={"ell":2,"mean":0.5,"harmonics":[[1,0.0,0.8]]}'],
-                 "validation error: ceiling violates positivity",
-                 id="argv65-validation error: ceiling violates positivity"),
-    pytest.param(["norms", "--set", "params.grid_n=48"],
-                 "validation error: grid_n must be a power of two",
-                 id="argv66-validation error: grid_n must be a power of two"),
-    pytest.param(["norms", "--set", "params.slope_margin=3"],
-                 "validation error: slope_margin must be a number >= 0 and < 2, got 3",
-                 id="argv67-validation error: slope_margin must be a number >= 0 and < 2, got 3"),
-    # the rules that read the ceiling are config rules too; f = 1 here
-    pytest.param(["branches", "--set", "params.s=5.0"],
-                 "validation error: target (x=0.3, s=5.0) is outside the region under the ceiling",
-                 id="argv68-validation error: target outside the region"),
-    pytest.param(["genericity", "--set", "params.cluster_word=[3]"],
-                 "validation error: cluster_word letters must lie in 1..2, got [3]",
-                 id="argv69-validation error: cluster_word letters must lie in 1..2"),
-    # a target on the roof is the base point (tau x, 0), which must be passed instead
-    pytest.param(["branches", "--set", "params.s=1.0", "--set", "params.t=0"],
-                 "validation error: target (x=0.3, s=1.0) lies on the roof",
-                 id="argv70-validation error: target on the roof at t = 0"),
-    pytest.param(["branches", "--set", "params.s=1.0", "--set", "params.t=0.5"],
-                 "validation error: target (x=0.3, s=1.0) lies on the roof",
-                 id="argv71-validation error: target on the roof at t = 0.5"),
-    # each function adds a report row and an FFT
-    pytest.param(["norms", "--set", "params.num_functions=4097"],
-                 "validation error: num_functions must be an integer >= 1 and <= 4096, got 4097",
-                 id="argv72-validation error: num_functions must be an integer >= 1 and <= 4096"),
-])
-def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
-    assert main(argv) == 1
+def _set(*items):
+    """``--set`` arguments for override items."""
+    return [a for item in items for a in ("--set", item)]
+
+
+# per kind of cli._KINDS, values of other kinds
+_NOT_OF_KIND = {
+    "an integer": [1.5, True, "3"],
+    "a power of two": [48, 0, 64.0, True],
+    "a number": ["1", True, None, math.nan, math.inf, 10 ** 400],
+    "true or false": [1, "no", None],
+    "a path, or - for stdout": [7, "report\0.json"],
+    "an object": [[1], None],
+    "a list of integers": [5, [1.5], [True]],
+    "a nonempty list of integers": [[], [1.5], [True], 1],
+    "a list of numbers": [5, ["a"], [True], [math.nan]],
+    "a nonempty list of numbers": [[], [True], "3", [0, 1, "a"], [math.inf], [math.nan],
+                                   [10 ** 400]],
+    "lattice or monte-carlo": ["x", "Lattice"],
+    "one of transversality, mixing, spectrum, correlations, norms, genericity, branches":
+        [[1], "ulam"],
+    "a list of [integer, number, number]": [5, [1], [[1, 0.0]], [[1, "a", 0]], [[1.5, 0, 0.1]]],
+    # a wave's frequency is bounded with its kind: 2 pi a s overflowed at a = 1e308
+    'null or ["cos" or "sin", integer in [-1024, 1024]]':
+        ["cos", ["cos"], ["tan", 1], ["cos", 0.5], ["cos", 1025], ["sin", -10 ** 300]],
+    'null or ["cos" or "sin", number in [-1024, 1024]]':
+        [["cos"], ["cos", "a"], ["cos", math.nan], ["cos", math.nextafter(1024.0, math.inf)],
+         ["cos", 1e308], ["sin", -1024.5]],
+}
+
+# table -> (its entries, the subcommand, the --set path of a key, the prefix
+# of the key's violations)
+_TABLES = {
+    "top": (cli._TOP, "branches", "{}", ""),
+    "ceiling": (cli._CEILING, "branches", "ceiling.{}", "bad ceiling: "),
+    "psi": (cli._OBSERVABLE, "correlations", "params.psi.{}", "bad psi: "),
+    **{exp: (table, exp, "params.{}", "") for exp, table in cli._SCHEMA.items()},
+}
+
+
+def _either_side(kind, bound):
+    """The values of ``kind`` just inside and just across ``bound``, such as
+    ">= 1": integers step by 1, powers of two halve or double, numbers move
+    to the next float, and a list holds one such item."""
+    op, limit = bound.split()
+    if "power" in kind:
+        edge, step = int(limit), lambda v, up: v * 2 if up else v // 2
+    elif "integer" in kind:
+        edge, step = int(limit), lambda v, up: v + 1 if up else v - 1
+    else:
+        edge, step = float(limit), lambda v, up: math.nextafter(v, math.inf if up else -math.inf)
+    up = op.startswith("<")  # the values across an upper bound lie above it
+    inside, across = (edge, step(edge, up)) if op.endswith("=") else (step(edge, not up), edge)
+    return ([inside], [across]) if "list" in kind else (inside, across)
+
+
+def _short(value) -> str:
+    """A sample's JSON text for a test id, cut past 32 characters."""
+    text = json.dumps(value, separators=(",", ":"))
+    return text if len(text) <= 32 else f"{text[:12]}...{len(text)}chars"
+
+
+# per entry of every table, one case per wrong-kind sample and one per bound:
+# (table, key, the refused value, the value just inside the bound or None)
+_TABLE_CASES = [
+    *(pytest.param(name, key, value, None, id=f"{name}-{key}-kind-{_short(value)}")
+      for name, (table, *_) in _TABLES.items() for key, param in table.items()
+      for value in _NOT_OF_KIND.get(param.kind, [])),
+    *(pytest.param(name, key, *_either_side(param.kind, bound)[::-1],
+                   id=f"{name}-{key}-{bound.replace(' ', '')}")
+      for name, (table, *_) in _TABLES.items() for key, param in table.items()
+      for bound in filter(None, param.bounds.split(" and "))),
+]
+
+
+@pytest.mark.parametrize("table, key, value, inside", _TABLE_CASES)
+def test_table_refusal(table, key, value, inside, monkeypatch, capsys):
+    # the value is refused in its entry's own words, and the value just
+    # inside the bound parses once no rule relates values (at ell = 2 the
+    # probe's rule refuses probe_n_values = [1])
+    entries, experiment, path, prefix = _TABLES[table]
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: ({}, []))
+    assert main([experiment, *_set(f"{path.format(key)}={json.dumps(value)}")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(message)
+    assert f"validation error: {prefix}{key} must be {entries[key].rule}, got {value!r}" \
+        in err.splitlines()
     assert "Traceback" not in err
+    if inside is not None:
+        monkeypatch.setattr(cli, "_RULES", {})
+        assert main([experiment, *_set(f"{path.format(key)}={json.dumps(inside)}")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+JUST_OVER = 2.0 ** 256 * (1 + 2.0 ** -52)
+
+# the refusals the tables cannot express, with f = 1 and ell = 2 unless set:
+# (id, the start of the cli._RULES text broken or None, the subcommand, the
+# overrides, the start of the first violation)
+_REFUSALS = [
+    # cli._RULES: the product caps, which size one allocation before it is made
+    ("transversality-nx*ns-cap", "nx*ns must be <= 65536", "transversality",
+     ["params.nx=8193", "params.ns=8"], "nx*ns must be <= 65536"),
+    ("spectrum-nx*ns*points_per_box-cap", "nx*ns*points_per_box must be <= 4194304", "spectrum",
+     ["params.points_per_box=32769"], "nx*ns*points_per_box must be <= 4194304"),
+    ("correlations-nx*ns-cap", "nx*ns must be <= 4194304", "correlations",
+     ["params.nx=524289"], "nx*ns must be <= 4194304"),
+    # cli._RULES: the rules that read the ceiling
+    ("genericity-cluster_word-letters", "cluster_word letters must lie in", "genericity",
+     ["params.cluster_word=[1,3]"], "cluster_word letters must lie in 1..2, got [1, 3]"),
+    ("genericity-cluster_word-word-index", "ell^m must be <= 2^63 - 1", "genericity",
+     ["params.cluster_word=" + json.dumps([1] * 63)],
+     "cluster_word of m = 63 letters: ell^m = 2^63 exceeds the int64 word index"),
+    ("genericity-cluster_n_values-cluster-cap", "ell^n must be <= 1048576", "genericity",
+     ['ceiling={"ell":3,"mean":1.0,"harmonics":[]}', "params.cluster_n_values=[12,13]"],
+     "cluster_n_values entry n = 13: ell^n = 3^13 exceeds the cluster cap 1048576"),
+    ("genericity-probe_n_values-word-index", "ell^n must be <= 2^63 - 1", "genericity",
+     ["params.probe=true", "params.probe_n_values=[8,63]"],
+     "probe level n = 63: ell^n = 2^63 exceeds the int64 word index"),
+    ("genericity-probe_n_values-room", "ell^n must be >= p + 1", "genericity",
+     ["params.probe=true", "params.probe_n_values=[2,8]"],
+     "probe level n = 2 gives fewer than the p + 1 = 6 distinct words a combination needs"),
+    ("branches-x,s-above-roof", "(x, s) must lie under the roof", "branches", ["params.s=1.5"],
+     "target (x=0.3, s=1.5) is outside the region under the ceiling"),
+    # a target on the roof is the base point (tau x, 0), which must be passed instead
+    ("branches-x,s-on-roof", "(x, s) must lie under the roof", "branches",
+     ["params.s=0.9999999999999"], "target (x=0.3, s=0.9999999999999) lies on the roof"),
+    # cli._ceiling past the entries: the TrigPolynomial invariants, the
+    # coefficient magnitudes, positivity and the certified range
+    ("ceiling-ell-word-index", None, "branches", ["ceiling.ell=9223372036854775808"],
+     "bad ceiling: ell must be an integer in [2, 9223372036854775807], a 64-bit word index"),
+    ("ceiling-harmonics-index-above", None, "branches", ["ceiling.harmonics=[[1025,0,0.1]]"],
+     "bad ceiling: harmonic index must be an integer in [1, 1024], got 1025"),
+    ("ceiling-harmonics-index-below", None, "branches", ["ceiling.harmonics=[[0,0,0.1]]"],
+     "bad ceiling: harmonic index must be an integer in [1, 1024], got 0"),
+    ("ceiling-harmonics-repeated-index", None, "branches",
+     ["ceiling.harmonics=[[3,0,0.1],[3,0.1,0]]"], "bad ceiling: duplicate harmonic index 3"),
+    ("ceiling-mean-magnitude", None, "branches", [f"ceiling.mean={JUST_OVER!r}"],
+     "bad ceiling: mean and harmonic coefficients must be at most 2^256 in magnitude"),
+    ("ceiling-harmonics-magnitude", None, "branches", [f"ceiling.harmonics=[[1,{JUST_OVER!r},0]]"],
+     "bad ceiling: mean and harmonic coefficients must be at most 2^256 in magnitude"),
+    ("ceiling-positivity-touching-zero", None, "branches", ["ceiling.harmonics=[[1,1.0,0]]"],
+     "ceiling violates positivity: it must be strictly positive"),
+    ("ceiling-range-below", None, "branches", [f"ceiling.mean={2.0 ** -257!r}"],
+     "bad ceiling: certified range [4.31808e-78, 4.31808e-78] must lie in [2^-256, 2^256]"),
+    ("ceiling-range-above", None, "branches",
+     ["ceiling.mean=1e77", "ceiling.harmonics=[[1,5e76,0]]"],
+     "bad ceiling: certified range [5e+76, 1.5e+77] must lie in [2^-256, 2^256]"),
+    # the standing hypothesis gamma0 in (1/ell, 1), at both open ends
+    ("top-gamma0-interval-below", None, "branches", ["gamma0=0.5"],
+     "gamma0 must lie in (1/ell, 1) = (1/2, 1), got 0.5"),
+    ("top-gamma0-interval-above", None, "branches", ["gamma0=1.0"],
+     "gamma0 must lie in (1/ell, 1) = (1/2, 1), got 1.0"),
+    ("top-mystery-unknown", None, "branches", ["mystery=1"], "unknown key 'mystery'"),
+    # removed knobs stay refused: the verdict thresholds follow from tail_bound,
+    # the spectrum's essential bound was never certified, and no other has an effect
+    *((f"{exp}-{name}-removed", None, exp, [f"params.{name}=1"],
+       f"unknown {exp} parameter {name!r}")
+      for exp, name in [("spectrum", "bound_ns"), ("spectrum", "bound_nx"),
+                        ("spectrum", "with_bound"), ("mixing", "tol_strict"),
+                        ("mixing", "tol_clear"), ("branches", "theta"), ("transversality", "nL")]),
+    # a violation quotes a long list, object or string by its start and its length
+    ("genericity-cluster_word-letters-echo-cut", None, "genericity",
+     ["params.cluster_word=" + json.dumps([3] + [1] * 60000)],
+     f"cluster_word letters must lie in 1..2, got [3, {'1, ' * 7}… (60001 entries)]"),
+    ("transversality-t_values-echo-cut", None, "transversality",
+     ["params.t_values=" + json.dumps([-1] * 60001)],
+     f"t_values must be a nonempty list of numbers >= 0, got [{'-1, ' * 8}… (60001 entries)]"),
+    ("transversality-nx-echo-cut-object", None, "transversality",
+     ["params.nx=" + json.dumps({str(i): i for i in range(60001)})],
+     "nx must be an integer >= 8, got {" + "".join(f"'{i}': {i}, " for i in range(8))
+     + "… (60001 entries)}"),
+    ("transversality-nx-echo-cut-string", None, "transversality", ["params.nx=" + "x" * 60001],
+     f"nx must be an integer >= 8, got {'x' * 64!r}… (60001 characters)"),
+    ("mixing-unknown-key-echo-cut", None, "mixing", [f"params.{'k' * 60000}=1"],
+     f"unknown mixing parameter {'k' * 64!r}… (60000 characters)"),
+    # an integer literal too long to convert stays the string it was
+    ("branches-x-echo-cut-literal", None, "branches", ["params.x=1" + "0" * 5000],
+     f"x must be a number >= 0 and < 1, got {'1' + '0' * 63!r}… (5001 characters)"),
+]
+
+
+@pytest.mark.parametrize("experiment, sets, message",
+                         [pytest.param(*case[2:], id=case[0]) for case in _REFUSALS])
+def test_refusal_beyond_tables(experiment, sets, message, monkeypatch, capsys):
+    # each refusal is a short validation error at parse: no runner starts
+    calls = []
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: calls.append(cfg) or ({}, []))
+    assert main([experiment, *_set(*sets)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {message}") and "Traceback" not in err
+    assert len(err.encode()) < 1000 and calls == []
+
+
+def test_every_kind_entry_and_rule_has_its_refusal_cases():
+    # a kind without samples leaves its entries untested, and a rule that
+    # relates values has no case unless one is written for it
+    assert set(_NOT_OF_KIND) == set(cli._KINDS)
+    for kind, samples in _NOT_OF_KIND.items():
+        assert samples and not any(map(cli._KINDS[kind], samples)), kind
+    assert {tuple(case.values[:2]) for case in _TABLE_CASES} == {
+        (name, key) for name, (table, *_) in _TABLES.items() for key in table}
+    for experiment, rules in cli._RULES.items():
+        for text, *_ in rules:
+            assert [case for case in _REFUSALS
+                    if case[2] == experiment and case[1] and text.startswith(case[1])], text
+    for case_id, start, experiment, *_ in _REFUSALS:
+        texts = [text for text, *_ in cli._RULES.get(experiment, ())]
+        assert start is None or sum(text.startswith(start) for text in texts) == 1, case_id
 
 
 @pytest.mark.parametrize("argv, code, error", [
@@ -660,7 +604,7 @@ def test_cli_main_bad_norms_and_genericity_params(argv, message, capsys):
     (["branches", "--set", "ceiling.mean=1e77"], 3, "numerical-failure"),
     (["spectrum", "--set", "params.t=1e6"], 2, "resource-limit"),
     (["mixing", "--set", "params.eigenfunction_times=[1e300]"], 2, "resource-limit"),
-])
+], ids=["branches-huge-mean", "spectrum-long-flow", "mixing-long-eigenfunction-time"])
 def test_cli_main_runaway_inputs_end_in_their_exit_code(argv, code, error, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -733,10 +677,8 @@ def test_cli_main_csv_keeps_every_record_key(capsys):
 
 def test_slope_margin_schema_admits_exactly_the_disjoint_cones(capsys):
     # the plus cone |slope| <= margin and the minus cone |slope| >= 2 meet
-    # only at the origin exactly for margins in [0, 2)
-    for margin in (-0.5, 2, 3):
-        assert f"slope_margin must be a number >= 0 and < 2, got {margin}" in \
-            parse_violations(experiment="norms", params={"slope_margin": margin})
+    # only at the origin exactly for margins in [0, 2), whose ends the
+    # table's bound cases cross
     for margin in (0, 1.99):
         argv = ["norms", "--set", f"params.slope_margin={margin}", "--set", "params.grid_n=32",
                 "--set", "params.num_functions=1"]
@@ -769,7 +711,7 @@ def test_cli_main_norms_renders_its_function_records(capsys):
     ("genericity", ["ell^m must be <= 2^63 - 1 for a cluster_word of m letters",
                     "ell^n must be <= 1048576 for each n in cluster_n_values",
                     "ell^n must be <= 2^63 - 1 for each n in probe_n_values"]),
-])
+], ids=["transversality", "spectrum", "correlations", "genericity"])
 def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
     with pytest.raises(SystemExit):
         main([experiment, "--help"])
@@ -791,53 +733,9 @@ def test_subcommand_help_lists_the_rules_that_read_the_ceiling(experiment, first
     assert texts[0] == first_rule and lines[-len(texts):] == texts
 
 
-# one config per rule that reads the ceiling, each breaking that rule alone
-_CEILING_RULE_BREAKERS = [
-    pytest.param(["genericity", "--set", "params.cluster_word=[1,3]"],
-                 "cluster_word letters must lie in 1..2, got [1, 3]", id="letters"),
-    pytest.param(["genericity", "--set", "params.cluster_word=" + json.dumps([1] * 63)],
-                 "cluster_word of m = 63 letters: ell^m = 2^63 exceeds", id="word-index"),
-    pytest.param(["genericity", "--set", 'ceiling={"ell":3,"mean":1.0,"harmonics":[]}',
-                  "--set", "params.cluster_n_values=[12,13]"],
-                 "cluster_n_values entry n = 13: ell^n = 3^13 exceeds the cluster cap 1048576",
-                 id="cluster-cap"),
-    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[8,63]"],
-                 "probe level n = 63: ell^n = 2^63 exceeds the int64 word index",
-                 id="probe-index"),
-    pytest.param(["genericity", "--set", "params.probe=true", "--set", "params.probe_n_values=[2,8]"],
-                 "probe level n = 2 gives fewer than the p + 1 = 6 distinct words", id="probe-room"),
-    pytest.param(["branches", "--set", "params.s=1.5"],
-                 "target (x=0.3, s=1.5) is outside the region under the ceiling",
-                 id="target-above-roof"),
-    pytest.param(["branches", "--set", "params.s=0.9999999999999"],
-                 "target (x=0.3, s=0.9999999999999) lies on the roof", id="target-on-roof"),
-]
-
-
-@pytest.mark.parametrize("argv, message", _CEILING_RULE_BREAKERS)
-def test_cli_main_ceiling_rules_refuse_before_any_run(argv, message, monkeypatch, capsys):
-    # the refusal is a validation error at parse: no cluster scan, probe or
-    # branch scan starts
-    calls = []
-    for module, name in ((genericity, "slope_clusters"), (genericity, "bad_set_probe"),
-                         (cli, "inverse_branches")):
-        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
-    assert main(argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"validation error: {message}")
-    assert calls == []
-
-
 def test_cli_main_reports_every_ceiling_rule_violation(capsys):
-    # every rule that reads the ceiling is checked, not only the first one broken
-    argv = ["genericity", "--set", "params.cluster_word=[3]", "--set", "params.probe=true",
-            "--set", "params.probe_n_values=[1]"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "validation error: cluster_word letters must lie in 1..2, got [3]",
-        "validation error: probe level n = 1 gives fewer than the p + 1 = 6 distinct words a "
-        "combination needs (ell = 2)"]
-    # at ell = 3, one config breaking all five genericity rules
+    # every rule that reads the ceiling is checked, not only the first one
+    # broken: at ell = 3, one config breaks all five genericity rules
     argv = ["genericity", "--set", 'ceiling={"ell":3,"mean":1.0,"harmonics":[]}',
             "--set", "params.cluster_word=" + json.dumps([4] * 40),
             "--set", "params.cluster_n_values=[13]", "--set", "params.probe=true",
@@ -873,43 +771,12 @@ def test_help_states_the_ceiling_rules_that_parse_checks(capsys):
         "harmonic indices must be distinct integers in 1..1024",
         "mean and harmonic coefficients must be at most 2^256 in magnitude",
         "f must be > 0, with its certified range in [2^-256, 2^256]"]
-    # each rule holds at the bound it states and refuses just past it
-    just_over = 2.0 ** 256 * (1 + 2.0 ** -52)
-    for ceiling, refused in [
-            ({"ell": 2 ** 63 - 1}, False), ({"ell": 2 ** 63}, True),
-            ({"harmonics": [[1024, 0.0, 0.1]]}, False), ({"harmonics": [[1025, 0.0, 0.1]]}, True),
-            ({"harmonics": [[0, 0.0, 0.1]]}, True),
-            ({"harmonics": [[3, 0.0, 0.1], [3, 0.1, 0.0]]}, True),
-            ({"mean": 2.0 ** 256}, False), ({"mean": just_over}, True),
-            ({"harmonics": [[1, just_over, 0.0]]}, True),
-            ({"mean": 2.0 ** -256}, False), ({"mean": 2.0 ** -257}, True),
-            ({"mean": 0.0}, True), ({"mean": 1.0, "harmonics": [[1, 1.0, 0.0]]}, True)]:
+    # each rule holds at the bound it states; the ceiling refusal cases
+    # cross each bound
+    for ceiling in [{"ell": 2 ** 63 - 1}, {"harmonics": [[1024, 0.0, 0.1]]},
+                    {"mean": 2.0 ** 256}, {"mean": 2.0 ** -256}]:
         config = _config(ceiling={"ell": 2, "mean": 1.0, "harmonics": [], **ceiling})
-        if refused:
-            with pytest.raises(ValidationError):
-                parse_config(json.dumps(config))
-        else:
-            assert parse_config(json.dumps(config)).ceiling is not None
-
-
-@pytest.mark.parametrize("argv, rule", [
-    pytest.param(["genericity", "--set", "params.cluster_word=" + json.dumps([3] + [1] * 60000)],
-                 "cluster_word letters must lie in 1..2, got [3, 1, 1,", id="cluster-word"),
-    pytest.param(["transversality", "--set", "params.t_values=" + json.dumps([-1] * 60001)],
-                 "t_values must be a nonempty list of numbers >= 0, got [-1, -1,", id="schema"),
-    pytest.param(["transversality", "--set",
-                  "params.nx=" + json.dumps({str(i): i for i in range(60001)})],
-                 "nx must be an integer >= 8, got {'0': 0, '1': 1,", id="object"),
-    pytest.param(["transversality", "--set", "params.nx=" + "x" * 60001],
-                 "nx must be an integer >= 8, got 'xxxxxxxx", id="string"),
-])
-def test_violation_messages_cut_long_values(argv, rule, capsys):
-    # a message names a long list, object or string by its start and its length
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"validation error: {rule}" in err
-    assert re.search(r"… \(60001 (entries|characters)\)", err)
-    assert len(err.encode()) < 1000
+        assert parse_config(json.dumps(config)).ceiling is not None
 
 
 def test_unknown_keys_are_named_up_to_the_echo_cap(tmp_path, capsys):
@@ -922,13 +789,6 @@ def test_unknown_keys_are_named_up_to_the_echo_cap(tmp_path, capsys):
     assert err.splitlines() == (
         [f"validation error: unknown mixing parameter 'k{i}'" for i in range(cli._ECHO_ITEMS)]
         + ["validation error: … 60000 unknown mixing parameters in all"])
-    # each named key is cut like any other quoted value; one or two keys read as before
-    long_key = "k" * 60000
-    assert main(["mixing", "--set", f"params.{long_key}=1", "--set", "params.tol_x=1"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"validation error: unknown mixing parameter {'k' * cli._ECHO_CHARS!r}… "
-        "(60000 characters)",
-        "validation error: unknown mixing parameter 'tol_x'"]
 
 
 @pytest.mark.parametrize("argv, lines", [
@@ -953,18 +813,6 @@ def test_cli_main_reports_every_nested_spec_violation(argv, lines, capsys):
     # the ceiling and observable specs are schema tables, checked like every other value
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"validation error: {v}" for v in lines]
-
-
-@pytest.mark.parametrize("spec", [{"s": ["cos", 1e308]}, {"s": ["sin", -1024.5]},
-                                  {"x": ["cos", 1025]}, {"x": ["sin", -10 ** 300]}])
-def test_observable_frequencies_are_bounded(spec):
-    # 2 pi a s overflowed to inf at a = 1e308, and every sample read nan
-    config = _config(experiment="correlations", params={"psi": spec, "nx": 16, "ns": 2})
-    with pytest.raises(ValidationError) as info:
-        parse_config(json.dumps(config))
-    (violation,) = info.value.violations
-    assert violation.startswith(f"bad psi: {next(iter(spec))} must be null or")
-    assert "in [-1024, 1024]]" in violation
 
 
 def test_observable_frequencies_at_the_bound_give_finite_samples(capsys):
@@ -1049,13 +897,19 @@ def test_cli_main_runaway_flows_end_promptly(argv, code):
         assert doc["t_limit"] == pytest.approx(2 ** 14 * 1e-12, rel=1e-3)
 
 
-@pytest.mark.parametrize("content", [b"[1]", b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff{}"],
-                         ids=["not-an-object", "integer-too-long", "not-utf-8"])
-def test_cli_main_unparsable_config_file(content, tmp_path, capsys):
+@pytest.mark.parametrize("content, sets, message", [
+    (b"{not json", [], "at line 1, column 2: config is not valid JSON: Expecting property name"),
+    (b"[1]", [], "config must be a JSON object"),
+    (b'{"seed": 1' + b"0" * 5000 + b"}", [], "config is not valid JSON: Exceeds the limit"),
+    (b"\xff{}", [], "config is not valid JSON: 'utf-8' codec can't decode"),
+    (b"{}", ["ceiling.mean.x=1"], "override 'ceiling.mean.x=1' reaches into 'mean'"),
+], ids=["not-json", "not-an-object", "integer-too-long", "not-utf-8", "override-into-a-number"])
+def test_cli_main_unparsable_config_file(content, sets, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(content)
-    assert main(["branches", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("parse error")
+    assert main(["branches", str(path), *_set(*sets)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and message in err
 
 
 def test_cli_main_unwritable_out(tmp_path, capsys):
@@ -1148,11 +1002,6 @@ def test_cli_main_any_override(experiment, overrides, monkeypatch, tmp_path, cap
     err = capsys.readouterr().err
     assert code in (0, 1), (argv, err)
     assert "Traceback" not in err
-
-
-def test_cli_main_mixing_refuses_bool_depth(capsys):
-    assert main(["mixing", "--set", "params.depth=true"]) == 1
-    assert capsys.readouterr().err.startswith("validation error: depth")
 
 
 def test_norms_run_builds_each_mask_once(monkeypatch, capsys):
@@ -1299,16 +1148,6 @@ def test_pmap_pool_never_exceeds_the_cpu_count(monkeypatch):
     assert sizes[-2:] == [4, 3]
 
 
-@pytest.mark.parametrize("experiment", ["transversality", "correlations"])
-@pytest.mark.parametrize("t_values", ['[0,1,"a"]', "[]", "[true]", "[-1.0]", '"3"',
-                                      "[Infinity]", "[NaN]", "[1" + "0" * 400 + "]"])
-def test_cli_main_bad_t_values(experiment, t_values, capsys):
-    assert main([experiment, "--set", f"params.t_values={t_values}"]) == 1
-    err = capsys.readouterr().err
-    assert "validation error: t_values" in err
-    assert "Traceback" not in err
-
-
 def test_python_dash_m_runs_cli():
     proc = _semiflow(["spectrum"])
     assert proc.returncode == 0, proc.stderr.decode()
@@ -1358,20 +1197,27 @@ def _loaded_modules(script, *args):
 _CLI_MODULES = ["canon", "ceiling", "cli", "dynamics", "errors"]
 
 
-@pytest.mark.parametrize("experiment, params, unloaded", [
-    ("branches", {"t": 2.0}, {"spectral", "aniso", "genericity", "mixing", "smooth"}),
-    ("transversality", {"t_values": [2.0], "nx": 8, "ns": 8},
-     {"spectral", "aniso", "genericity", "mixing", "smooth"}),
-    ("spectrum", {"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 16, "k": 4},
-     {"aniso", "genericity"}),
-    ("correlations", {"t_values": [0.0, 0.5], "nx": 8, "ns": 1}, {"aniso", "genericity"}),
-    ("mixing", {"grid": 256, "depth": 4}, {"aniso", "genericity"}),
-    ("norms", {"grid_n": 32, "num_functions": 1}, {"spectral", "genericity", "mixing"}),
-    ("genericity", {"cluster_n_values": [4]}, {"spectral", "aniso", "mixing"}),
-])
-def test_each_subcommand_loads_only_its_own_modules(experiment, params, unloaded):
+# experiment -> (a small config's params, the modules its run must not load)
+_OWN_MODULES = {
+    "branches": ({"t": 2.0}, {"spectral", "aniso", "genericity", "mixing", "smooth"}),
+    "transversality": ({"t_values": [2.0], "nx": 8, "ns": 8},
+                       {"spectral", "aniso", "genericity", "mixing", "smooth"}),
+    "spectrum": ({"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 16, "k": 4},
+                 {"aniso", "genericity"}),
+    "correlations": ({"t_values": [0.0, 0.5], "nx": 8, "ns": 1}, {"aniso", "genericity"}),
+    "mixing": ({"grid": 256, "depth": 4}, {"aniso", "genericity"}),
+    "norms": ({"grid_n": 32, "num_functions": 1}, {"spectral", "genericity", "mixing"}),
+    "genericity": ({"cluster_n_values": [4], "probe": True, "probe_n_values": [4],
+                    "probe_samples": 10}, {"spectral", "aniso", "mixing"}),
+}
+
+
+@pytest.mark.parametrize("experiment", _OWN_MODULES)
+def test_each_subcommand_loads_only_its_own_modules(experiment):
     # a bare import loads no submodule; parsing a config loads its
-    # experiment's modules, so that running it loads none
+    # experiment's modules, so that running it loads none.  numpy.ma costs
+    # 13-15 ms of a one-shot process, and only spectrum's scipy needs it
+    params, unloaded = _OWN_MODULES[experiment]
     script = """
 import semiflow
 bare = loaded()
@@ -1380,10 +1226,11 @@ experiment, params = sys.argv[1], json.loads(sys.argv[2])
 cli.parse_config(json.dumps({"params": params}), experiment)
 parsed = loaded()
 code = cli.main([experiment, "--set", "params=" + json.dumps(params), "--out", os.devnull])
-print(json.dumps([bare, parsed, loaded(), code]))
+print(json.dumps([bare, parsed, loaded(), code, "numpy.ma" in sys.modules]))
 """
-    bare, parsed, ran, code = _loaded_modules(script, experiment, json.dumps(params))
+    bare, parsed, ran, code, ma = _loaded_modules(script, experiment, json.dumps(params))
     assert code == 0
+    assert experiment == "spectrum" or not ma
     assert bare == []
     assert ran == parsed
     assert set(_CLI_MODULES) <= set(ran)

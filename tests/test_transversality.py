@@ -487,8 +487,10 @@ EDGE_ROWS = [(1, 0.0), (1, 0.125), (2, 0.125), (2, 0.375), (2, 0.625)]
     (EDGE_ROWS, 0.25),                      # each window reaches a whole level
     ([(1, -5e-324)] + EDGE_ROWS[1:], 0.25),  # one ulp below 0: level 1 no longer does
     (EDGE_ROWS, 0.0),                       # no window reaches a whole level
-])
-def test_overlap_saturation_skip_exact_on_edges(rows, widen, monkeypatch):
+], ids=["whole-levels", "one-ulp-short", "no-whole-level"])
+def test_overlap_windows_on_dyadic_edges_match_pair_scan(rows, widen, monkeypatch):
+    # every window edge falls exactly on a slope; the kernels give the
+    # oracles' values (oracles.pair_scan_m and sweep_max)
     valid = _masks(np.random.default_rng(len(rows) + int(4 * widen)), len(rows))
     _check_block(2, rows, valid, 0.5, widen, monkeypatch)
 
@@ -506,12 +508,12 @@ def _whole_level_windows(ell, levels, counts, slopes, theta, widen):
                for w2, lo2, hi2 in runs)
 
 
-def test_overlap_saturation_skip_matches_pair_scan(monkeypatch):
+def test_overlap_windows_on_float_edges_match_pair_scan(monkeypatch):
     # random rows with slopes placed exactly on fl(s + thr) and fl(s - thr)
     # of another level's slope s, and one ulp beyond, under random masks:
-    # each flow coordinate's count equals the quadratic scan of its own rows
-    # for every widen, and the widen values cover blocks where every, some
-    # and no target level lies whole in every window
+    # each flow coordinate's value equals oracles.pair_scan_m over its own
+    # rows for every widen, and the widen values cover blocks where every,
+    # some and no target level lies whole in every window
     rng = np.random.default_rng(12)
     seen = set()
     for ell, theta in ((2, 0.3), (3, 0.1)):
