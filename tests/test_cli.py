@@ -42,6 +42,26 @@ def test_parse_minimal_config():
     assert cfg.params["grid"] == 256
 
 
+def test_parse_error_carries_position():
+    with pytest.raises(ParseError) as info:
+        parse_config('{"ceiling": }')
+    assert info.value.line == 1
+    assert info.value.column is not None
+
+
+def test_validation_gamma0_range():
+    with pytest.raises(ValidationError) as info:
+        parse_config(json.dumps(_config(gamma0=0.4)))
+    assert any("gamma0" in v for v in info.value.violations)
+
+
+def test_validation_positivity():
+    bad = _config(ceiling={"ell": 2, "mean": -1.0, "harmonics": []})
+    with pytest.raises(ValidationError) as info:
+        parse_config(json.dumps(bad))
+    assert any("positiv" in v for v in info.value.violations)
+
+
 # f = 0.999999 + cos(6 pi x + a): its minimum, -1e-6, falls between the points
 # of a 1024-point grid
 DIP_CEILING = {"ell": 2, "mean": 0.999999,
@@ -55,6 +75,12 @@ def test_every_subcommand_refuses_a_ceiling_dipping_below_zero_between_grid_poin
     err = capsys.readouterr().err
     assert err.startswith("validation error: ceiling violates positivity")
     assert "Traceback" not in err
+
+
+def test_harmonic_index_up_to_1024_accepted():
+    ceiling = {"ell": 2, "mean": 1.0, "harmonics": [[1024, 0.0, 0.2]]}
+    cfg = parse_config(json.dumps(_config(ceiling=ceiling)))
+    assert max(k for k, _, _ in cfg.ceiling.harmonics) == 1024
 
 
 def test_each_ceiling_certified_once_per_order_across_every_subcommand():
@@ -80,6 +106,12 @@ def test_each_ceiling_certified_once_per_order_across_every_subcommand():
     info = extrema.cache_info()
     assert info.misses == 2 * len(ceilings)
     assert info.hits > 0
+
+
+def test_validation_unknown_keys_rejected():
+    with pytest.raises(ValidationError) as info:
+        parse_config(json.dumps(_config(mystery=1)))
+    assert any("unknown key" in v for v in info.value.violations)
 
 
 def test_validation_collects_all_violations():
@@ -142,18 +174,20 @@ def test_emit_csv_branch_schema():
 
 BRANCH_CASES = [
     # ell = 2; t = 0 leaves only the empty word ""
-    ({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}, {"x": 0.3, "s": 0.0, "t": 6.0}),
-    ({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}, {"x": 0.3, "s": 0.0, "t": 0.0}),
-    ({"ell": 3, "mean": 1.3, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]},
-     {"x": 0.42, "s": 0.1, "t": 4.0}),
+    pytest.param({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
+                 {"x": 0.3, "s": 0.0, "t": 6.0}, id="ceiling0-params0"),
+    pytest.param({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
+                 {"x": 0.3, "s": 0.0, "t": 0.0}, id="ceiling1-params1"),
+    pytest.param({"ell": 3, "mean": 1.3, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]},
+                 {"x": 0.42, "s": 0.1, "t": 4.0}, id="ceiling2-params2"),
     # ell = 12: the letters 10, 11 and 12 print as two digits
-    ({"ell": 12, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}, {"x": 0.7, "s": 0.0, "t": 2.5}),
+    pytest.param({"ell": 12, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
+                 {"x": 0.7, "s": 0.0, "t": 2.5}, id="ceiling3-params3"),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
-@pytest.mark.parametrize("ceiling, params", BRANCH_CASES,
-                         ids=["ell-2-t-6", "ell-2-t-0", "ell-3-t-4", "ell-12-t-2.5"])
+@pytest.mark.parametrize("ceiling, params", BRANCH_CASES)
 def test_branches_report_bytes_equal_per_row_oracle(ceiling, params, fmt):
     # the rows built from the table's columns and rendered column by column
     # are the rows of a Word per branch, sorted by letters and rendered one
@@ -219,16 +253,15 @@ def test_canonical_json_column_path_matches_per_value_path(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [
-    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
-    [{"a": 1, "b": 2}, {"a": 1}],
-    [{"a": 1}, {"a": 1, "b": 2}],
-    [{"a": 1}, {"b": 1}],
-    [{"a": 1}, [1]],
-    [{"a": 1}, collections.OrderedDict(a=1)],
-    [1.0, "x", None],
-    [],
-], ids=["keys-in-another-order", "a-key-missing", "a-key-more", "other-keys",
-        "not-every-item-a-dict", "a-dict-subclass", "no-dicts", "empty"])
+    pytest.param([{"a": 1, "b": 2}, {"b": 2, "a": 1}], id="rows0"),  # keys in another order
+    pytest.param([{"a": 1, "b": 2}, {"a": 1}], id="rows1"),  # a key missing
+    pytest.param([{"a": 1}, {"a": 1, "b": 2}], id="rows2"),  # a key more
+    pytest.param([{"a": 1}, {"b": 1}], id="rows3"),  # other keys
+    pytest.param([{"a": 1}, [1]], id="rows4"),  # not every item a dict
+    pytest.param([{"a": 1}, collections.OrderedDict(a=1)], id="rows5"),  # a dict subclass
+    pytest.param([1.0, "x", None], id="rows6"),  # no dicts
+    pytest.param([], id="rows7"),
+])
 def test_canonical_json_other_lists_keep_per_value_path(rows, monkeypatch):
     monkeypatch.setattr(canon, "_rows_json", None)  # any call would fail
     assert canonical_json(rows) == per_value_json(rows)
@@ -277,7 +310,8 @@ def test_determinism_across_worker_counts():
     assert one == two
 
 
-@pytest.mark.parametrize("harmonics", [[], [[1, 0.0, 0.2]]], ids=["constant", "sin"])
+@pytest.mark.parametrize("harmonics", [pytest.param([], id="harmonics0"),
+                                       pytest.param([[1, 0.0, 0.2]], id="harmonics1")])
 def test_transversality_bytes_independent_of_worker_count(harmonics):
     # nx = 9 columns split into chunks of 4 and 5; on the constant ceiling
     # every grid point ties and the argmax must stay at the first one
@@ -369,6 +403,22 @@ def test_cli_main_word_length_limit_exit_code(capsys):
     assert main(argv) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "resource-limit" and doc["max_length"] == 62
+
+
+def test_cli_main_validation_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config(gamma0=2.0)))
+    code = main(["mixing", str(path)])
+    assert code == 1
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_cli_main_parse_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{not json")
+    code = main(["mixing", str(path)])
+    assert code == 1
+    assert "parse error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -485,93 +535,134 @@ JUST_OVER = 2.0 ** 256 * (1 + 2.0 ** -52)
 
 # the refusals the tables cannot express, with f = 1 and ell = 2 unless set:
 # (id, the start of the cli._RULES text broken or None, the subcommand, the
-# overrides, the start of the first violation)
-_REFUSALS = [
-    # cli._RULES: the product caps, which size one allocation before it is made
-    ("transversality-nx*ns-cap", "nx*ns must be <= 65536", "transversality",
-     ["params.nx=8193", "params.ns=8"], "nx*ns must be <= 65536"),
-    ("spectrum-nx*ns*points_per_box-cap", "nx*ns*points_per_box must be <= 4194304", "spectrum",
-     ["params.points_per_box=32769"], "nx*ns*points_per_box must be <= 4194304"),
-    ("correlations-nx*ns-cap", "nx*ns must be <= 4194304", "correlations",
-     ["params.nx=524289"], "nx*ns must be <= 4194304"),
-    # cli._RULES: the rules that read the ceiling
-    ("genericity-cluster_word-letters", "cluster_word letters must lie in", "genericity",
+# overrides, the start of the first violation).  The three lists run under
+# the three test names their cases have always had, and each id is written
+# out, so that deleting a case renames no other.
+
+# cli._RULES: the rules that read the ceiling, each broken alone
+_CEILING_RULE_BREAKERS = [
+    ("letters", "cluster_word letters must lie in", "genericity",
      ["params.cluster_word=[1,3]"], "cluster_word letters must lie in 1..2, got [1, 3]"),
-    ("genericity-cluster_word-word-index", "ell^m must be <= 2^63 - 1", "genericity",
+    ("word-index", "ell^m must be <= 2^63 - 1", "genericity",
      ["params.cluster_word=" + json.dumps([1] * 63)],
      "cluster_word of m = 63 letters: ell^m = 2^63 exceeds the int64 word index"),
-    ("genericity-cluster_n_values-cluster-cap", "ell^n must be <= 1048576", "genericity",
+    ("cluster-cap", "ell^n must be <= 1048576", "genericity",
      ['ceiling={"ell":3,"mean":1.0,"harmonics":[]}', "params.cluster_n_values=[12,13]"],
      "cluster_n_values entry n = 13: ell^n = 3^13 exceeds the cluster cap 1048576"),
-    ("genericity-probe_n_values-word-index", "ell^n must be <= 2^63 - 1", "genericity",
+    ("probe-index", "ell^n must be <= 2^63 - 1", "genericity",
      ["params.probe=true", "params.probe_n_values=[8,63]"],
      "probe level n = 63: ell^n = 2^63 exceeds the int64 word index"),
-    ("genericity-probe_n_values-room", "ell^n must be >= p + 1", "genericity",
+    ("probe-room", "ell^n must be >= p + 1", "genericity",
      ["params.probe=true", "params.probe_n_values=[2,8]"],
      "probe level n = 2 gives fewer than the p + 1 = 6 distinct words a combination needs"),
-    ("branches-x,s-above-roof", "(x, s) must lie under the roof", "branches", ["params.s=1.5"],
+    ("target-above-roof", "(x, s) must lie under the roof", "branches", ["params.s=1.5"],
      "target (x=0.3, s=1.5) is outside the region under the ceiling"),
     # a target on the roof is the base point (tau x, 0), which must be passed instead
-    ("branches-x,s-on-roof", "(x, s) must lie under the roof", "branches",
+    ("target-on-roof", "(x, s) must lie under the roof", "branches",
      ["params.s=0.9999999999999"], "target (x=0.3, s=0.9999999999999) lies on the roof"),
+]
+
+# a violation quotes a long list, object or string by its start and its length
+_ECHO_CUTS = [
+    ("cluster-word", None, "genericity", ["params.cluster_word=" + json.dumps([3] + [1] * 60000)],
+     f"cluster_word letters must lie in 1..2, got [3, {'1, ' * 7}… (60001 entries)]"),
+    ("schema", None, "transversality", ["params.t_values=" + json.dumps([-1] * 60001)],
+     f"t_values must be a nonempty list of numbers >= 0, got [{'-1, ' * 8}… (60001 entries)]"),
+    ("object", None, "transversality",
+     ["params.nx=" + json.dumps({str(i): i for i in range(60001)})],
+     "nx must be an integer >= 8, got {" + "".join(f"'{i}': {i}, " for i in range(8))
+     + "… (60001 entries)}"),
+    ("string", None, "transversality", ["params.nx=" + "x" * 60001],
+     f"nx must be an integer >= 8, got {'x' * 64!r}… (60001 characters)"),
+    ("mixing-unknown-key", None, "mixing", [f"params.{'k' * 60000}=1"],
+     f"unknown mixing parameter {'k' * 64!r}… (60000 characters)"),
+]
+
+_BAD_PARAMS = [
+    # cli._RULES: the product caps, which size one allocation before it is made
+    ("argv47-validation error: nx*ns must be <= 65536", "nx*ns must be <= 65536",
+     "transversality", ["params.nx=8193", "params.ns=8"], "nx*ns must be <= 65536"),
+    ("argv45-validation error: nx*ns*points_per_box must be <= 4194304",
+     "nx*ns*points_per_box must be <= 4194304", "spectrum", ["params.points_per_box=32769"],
+     "nx*ns*points_per_box must be <= 4194304"),
+    ("argv36-validation error: nx*ns must be <= 4194304", "nx*ns must be <= 4194304",
+     "correlations", ["params.nx=524289"], "nx*ns must be <= 4194304"),
+    # cli._RULES that read the ceiling, past the cases above
+    ("argv69-validation error: cluster_word letters must lie in 1..2",
+     "cluster_word letters must lie in", "genericity", ["params.cluster_word=[3]"],
+     "cluster_word letters must lie in 1..2, got [3]"),
+    ("argv7-error: probe level n = 70:", "ell^n must be <= 2^63 - 1", "genericity",
+     ["params.probe=true", "params.probe_n_values=[70]"], "probe level n = 70:"),
+    ("argv6-error: probe level n = 1 ", "ell^n must be >= p + 1", "genericity",
+     ["params.probe=true", "params.probe_n_values=[1]"], "probe level n = 1 "),
+    ("argv68-validation error: target outside the region", "(x, s) must lie under the roof",
+     "branches", ["params.s=5.0"], "target (x=0.3, s=5.0) is outside the region under the ceiling"),
+    ("argv70-validation error: target on the roof at t = 0", "(x, s) must lie under the roof",
+     "branches", ["params.s=1.0", "params.t=0"], "target (x=0.3, s=1.0) lies on the roof"),
+    ("argv71-validation error: target on the roof at t = 0.5", "(x, s) must lie under the roof",
+     "branches", ["params.s=1.0", "params.t=0.5"], "target (x=0.3, s=1.0) lies on the roof"),
     # cli._ceiling past the entries: the TrigPolynomial invariants, the
     # coefficient magnitudes, positivity and the certified range
-    ("ceiling-ell-word-index", None, "branches", ["ceiling.ell=9223372036854775808"],
+    ("argv44-validation error: bad ceiling: ell must be an integer in [2, 9223372036854775807]",
+     None, "branches", ["ceiling.ell=9223372036854775808"],
      "bad ceiling: ell must be an integer in [2, 9223372036854775807], a 64-bit word index"),
-    ("ceiling-harmonics-index-above", None, "branches", ["ceiling.harmonics=[[1025,0,0.1]]"],
+    ("argv35-validation error: bad ceiling: ", None, "branches",
+     ["ceiling.harmonics=[[1025,0,0.1]]"],
      "bad ceiling: harmonic index must be an integer in [1, 1024], got 1025"),
     ("ceiling-harmonics-index-below", None, "branches", ["ceiling.harmonics=[[0,0,0.1]]"],
      "bad ceiling: harmonic index must be an integer in [1, 1024], got 0"),
     ("ceiling-harmonics-repeated-index", None, "branches",
      ["ceiling.harmonics=[[3,0,0.1],[3,0.1,0]]"], "bad ceiling: duplicate harmonic index 3"),
-    ("ceiling-mean-magnitude", None, "branches", [f"ceiling.mean={JUST_OVER!r}"],
+    ("argv38-validation error: bad ceiling: mean and harmonic", None, "branches",
+     [f"ceiling.mean={JUST_OVER!r}"],
      "bad ceiling: mean and harmonic coefficients must be at most 2^256 in magnitude"),
-    ("ceiling-harmonics-magnitude", None, "branches", [f"ceiling.harmonics=[[1,{JUST_OVER!r},0]]"],
+    ("argv39-validation error: bad ceiling: mean and harmonic", None, "genericity",
+     ['ceiling={"ell":2,"mean":1e308,"harmonics":[]}'],
      "bad ceiling: mean and harmonic coefficients must be at most 2^256 in magnitude"),
-    ("ceiling-positivity-touching-zero", None, "branches", ["ceiling.harmonics=[[1,1.0,0]]"],
+    ("argv42-validation error: bad ceiling: mean and harmonic", None, "branches",
+     [f"ceiling.harmonics=[[1,{JUST_OVER!r},0]]"],
+     "bad ceiling: mean and harmonic coefficients must be at most 2^256 in magnitude"),
+    ("argv65-validation error: ceiling violates positivity", None, "branches",
+     ["ceiling.harmonics=[[1,1.0,0]]"],
      "ceiling violates positivity: it must be strictly positive"),
-    ("ceiling-range-below", None, "branches", [f"ceiling.mean={2.0 ** -257!r}"],
+    ("argv40-validation error: bad ceiling: certified range", None, "branches",
+     [f"ceiling.mean={2.0 ** -257!r}"],
      "bad ceiling: certified range [4.31808e-78, 4.31808e-78] must lie in [2^-256, 2^256]"),
-    ("ceiling-range-above", None, "branches",
+    ("argv41-validation error: bad ceiling: certified range", None, "genericity",
+     ['ceiling={"ell":2,"mean":1e-310,"harmonics":[]}'], "bad ceiling: certified range"),
+    ("argv43-validation error: bad ceiling: certified range", None, "branches",
      ["ceiling.mean=1e77", "ceiling.harmonics=[[1,5e76,0]]"],
      "bad ceiling: certified range [5e+76, 1.5e+77] must lie in [2^-256, 2^256]"),
     # the standing hypothesis gamma0 in (1/ell, 1), at both open ends
-    ("top-gamma0-interval-below", None, "branches", ["gamma0=0.5"],
+    ("argv64-validation error: gamma0 must lie in (1/ell, 1)", None, "branches", ["gamma0=0.5"],
      "gamma0 must lie in (1/ell, 1) = (1/2, 1), got 0.5"),
     ("top-gamma0-interval-above", None, "branches", ["gamma0=1.0"],
      "gamma0 must lie in (1/ell, 1) = (1/2, 1), got 1.0"),
-    ("top-mystery-unknown", None, "branches", ["mystery=1"], "unknown key 'mystery'"),
     # removed knobs stay refused: the verdict thresholds follow from tail_bound,
     # the spectrum's essential bound was never certified, and no other has an effect
-    *((f"{exp}-{name}-removed", None, exp, [f"params.{name}=1"],
-       f"unknown {exp} parameter {name!r}")
-      for exp, name in [("spectrum", "bound_ns"), ("spectrum", "bound_nx"),
-                        ("spectrum", "with_bound"), ("mixing", "tol_strict"),
-                        ("mixing", "tol_clear"), ("branches", "theta"), ("transversality", "nL")]),
-    # a violation quotes a long list, object or string by its start and its length
-    ("genericity-cluster_word-letters-echo-cut", None, "genericity",
-     ["params.cluster_word=" + json.dumps([3] + [1] * 60000)],
-     f"cluster_word letters must lie in 1..2, got [3, {'1, ' * 7}… (60001 entries)]"),
-    ("transversality-t_values-echo-cut", None, "transversality",
-     ["params.t_values=" + json.dumps([-1] * 60001)],
-     f"t_values must be a nonempty list of numbers >= 0, got [{'-1, ' * 8}… (60001 entries)]"),
-    ("transversality-nx-echo-cut-object", None, "transversality",
-     ["params.nx=" + json.dumps({str(i): i for i in range(60001)})],
-     "nx must be an integer >= 8, got {" + "".join(f"'{i}': {i}, " for i in range(8))
-     + "… (60001 entries)}"),
-    ("transversality-nx-echo-cut-string", None, "transversality", ["params.nx=" + "x" * 60001],
-     f"nx must be an integer >= 8, got {'x' * 64!r}… (60001 characters)"),
-    ("mixing-unknown-key-echo-cut", None, "mixing", [f"params.{'k' * 60000}=1"],
-     f"unknown mixing parameter {'k' * 64!r}… (60000 characters)"),
-    # an integer literal too long to convert stays the string it was
-    ("branches-x-echo-cut-literal", None, "branches", ["params.x=1" + "0" * 5000],
+    ("argv12-validation error: unknown spectrum parameter 'bound_ns'", None, "spectrum",
+     ["params.bound_ns=0"], "unknown spectrum parameter 'bound_ns'"),
+    ("argv46-validation error: unknown spectrum parameter 'bound_nx'", None, "spectrum",
+     ["params.bound_nx=100000"], "unknown spectrum parameter 'bound_nx'"),
+    ("argv54-validation error: unknown spectrum parameter 'with_bound'", None, "spectrum",
+     ["params.with_bound=true"], "unknown spectrum parameter 'with_bound'"),
+    ("argv57-validation error: unknown mixing parameter 'tol_strict'", None, "mixing",
+     ["params.tol_strict=5"], "unknown mixing parameter 'tol_strict'"),
+    ("argv58-validation error: unknown mixing parameter 'tol_clear'", None, "mixing",
+     ["params.tol_clear=1e-9"], "unknown mixing parameter 'tol_clear'"),
+    ("argv18-validation error: unknown branches parameter 'theta'", None, "branches",
+     ["params.theta=true"], "unknown branches parameter 'theta'"),
+    ("argv27-validation error: unknown transversality parameter 'nL'", None, "transversality",
+     ["params.nL=8"], "unknown transversality parameter 'nL'"),
+    # an integer literal too long to convert stays the string it was, cut
+    ("argv30-validation error: x", None, "branches", ["params.x=1" + "0" * 5000],
      f"x must be a number >= 0 and < 1, got {'1' + '0' * 63!r}… (5001 characters)"),
 ]
 
+_REFUSALS = _CEILING_RULE_BREAKERS + _ECHO_CUTS + _BAD_PARAMS
 
-@pytest.mark.parametrize("experiment, sets, message",
-                         [pytest.param(*case[2:], id=case[0]) for case in _REFUSALS])
-def test_refusal_beyond_tables(experiment, sets, message, monkeypatch, capsys):
+
+def _refused(experiment, sets, message, monkeypatch, capsys):
     # each refusal is a short validation error at parse: no runner starts
     calls = []
     for name in cli._RUNNERS:
@@ -580,6 +671,28 @@ def test_refusal_beyond_tables(experiment, sets, message, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {message}") and "Traceback" not in err
     assert len(err.encode()) < 1000 and calls == []
+    return err
+
+
+def _refusal_params(cases):
+    return [pytest.param(*case[2:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("experiment, sets, message", _refusal_params(_CEILING_RULE_BREAKERS))
+def test_cli_main_ceiling_rules_refuse_before_any_run(experiment, sets, message, monkeypatch,
+                                                      capsys):
+    # each config breaks its rule alone
+    assert len(_refused(experiment, sets, message, monkeypatch, capsys).splitlines()) == 1
+
+
+@pytest.mark.parametrize("experiment, sets, message", _refusal_params(_ECHO_CUTS))
+def test_violation_messages_cut_long_values(experiment, sets, message, monkeypatch, capsys):
+    _refused(experiment, sets, message, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("experiment, sets, message", _refusal_params(_BAD_PARAMS))
+def test_cli_main_bad_norms_and_genericity_params(experiment, sets, message, monkeypatch, capsys):
+    _refused(experiment, sets, message, monkeypatch, capsys)
 
 
 def test_every_kind_entry_and_rule_has_its_refusal_cases():
@@ -601,10 +714,13 @@ def test_every_kind_entry_and_rule_has_its_refusal_cases():
 
 @pytest.mark.parametrize("argv, code, error", [
     # at this size s + S - t rounds to S, so no word is a branch
-    (["branches", "--set", "ceiling.mean=1e77"], 3, "numerical-failure"),
-    (["spectrum", "--set", "params.t=1e6"], 2, "resource-limit"),
-    (["mixing", "--set", "params.eigenfunction_times=[1e300]"], 2, "resource-limit"),
-], ids=["branches-huge-mean", "spectrum-long-flow", "mixing-long-eigenfunction-time"])
+    pytest.param(["branches", "--set", "ceiling.mean=1e77"], 3, "numerical-failure",
+                 id="argv0-3-numerical-failure"),
+    pytest.param(["spectrum", "--set", "params.t=1e6"], 2, "resource-limit",
+                 id="argv1-2-resource-limit"),
+    pytest.param(["mixing", "--set", "params.eigenfunction_times=[1e300]"], 2, "resource-limit",
+                 id="argv2-2-resource-limit"),
+])
 def test_cli_main_runaway_inputs_end_in_their_exit_code(argv, code, error, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -705,13 +821,14 @@ def test_cli_main_norms_renders_its_function_records(capsys):
 
 
 @pytest.mark.parametrize("experiment, caps", [
-    ("transversality", ["nx*ns must be <= 65536"]),
-    ("spectrum", ["nx*ns*points_per_box must be <= 4194304"]),
-    ("correlations", ["nx*ns must be <= 4194304"]),
-    ("genericity", ["ell^m must be <= 2^63 - 1 for a cluster_word of m letters",
-                    "ell^n must be <= 1048576 for each n in cluster_n_values",
-                    "ell^n must be <= 2^63 - 1 for each n in probe_n_values"]),
-], ids=["transversality", "spectrum", "correlations", "genericity"])
+    pytest.param("transversality", ["nx*ns must be <= 65536"], id="transversality-caps0"),
+    pytest.param("spectrum", ["nx*ns*points_per_box must be <= 4194304"], id="spectrum-caps1"),
+    pytest.param("correlations", ["nx*ns must be <= 4194304"], id="correlations-caps2"),
+    pytest.param("genericity", ["ell^m must be <= 2^63 - 1 for a cluster_word of m letters",
+                                "ell^n must be <= 1048576 for each n in cluster_n_values",
+                                "ell^n must be <= 2^63 - 1 for each n in probe_n_values"],
+                 id="genericity-caps3"),
+])
 def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
     with pytest.raises(SystemExit):
         main([experiment, "--help"])
@@ -813,6 +930,22 @@ def test_cli_main_reports_every_nested_spec_violation(argv, lines, capsys):
     # the ceiling and observable specs are schema tables, checked like every other value
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"validation error: {v}" for v in lines]
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param({"s": ["cos", 1e308]}, id="spec0"),
+    pytest.param({"s": ["sin", -1024.5]}, id="spec1"),
+    pytest.param({"x": ["cos", 1025]}, id="spec2"),
+    pytest.param({"x": ["sin", -10 ** 300]}, id="spec3"),
+])
+def test_observable_frequencies_are_bounded(spec):
+    # 2 pi a s overflowed to inf at a = 1e308, and every sample read nan
+    config = _config(experiment="correlations", params={"psi": spec, "nx": 16, "ns": 2})
+    with pytest.raises(ValidationError) as info:
+        parse_config(json.dumps(config))
+    (violation,) = info.value.violations
+    assert violation.startswith(f"bad psi: {next(iter(spec))} must be null or")
+    assert "in [-1024, 1024]]" in violation
 
 
 def test_observable_frequencies_at_the_bound_give_finite_samples(capsys):
@@ -1004,6 +1137,11 @@ def test_cli_main_any_override(experiment, overrides, monkeypatch, tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_cli_main_mixing_refuses_bool_depth(capsys):
+    assert main(["mixing", "--set", "params.depth=true"]) == 1
+    assert capsys.readouterr().err.startswith("validation error: depth")
+
+
 def test_norms_run_builds_each_mask_once(monkeypatch, capsys):
     # one bank per run, and no radial bump evaluated outside it
     from semiflow import aniso
@@ -1148,6 +1286,16 @@ def test_pmap_pool_never_exceeds_the_cpu_count(monkeypatch):
     assert sizes[-2:] == [4, 3]
 
 
+@pytest.mark.parametrize("experiment", ["transversality", "correlations"])
+@pytest.mark.parametrize("t_values", ['[0,1,"a"]', "[]", "[true]", "[-1.0]", '"3"',
+                                      "[Infinity]", "[NaN]", "[1" + "0" * 400 + "]"])
+def test_cli_main_bad_t_values(experiment, t_values, capsys):
+    assert main([experiment, "--set", f"params.t_values={t_values}"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: t_values" in err
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_runs_cli():
     proc = _semiflow(["spectrum"])
     assert proc.returncode == 0, proc.stderr.decode()
@@ -1212,7 +1360,15 @@ _OWN_MODULES = {
 }
 
 
-@pytest.mark.parametrize("experiment", _OWN_MODULES)
+@pytest.mark.parametrize("experiment", [
+    pytest.param("branches", id="branches-params0-unloaded0"),
+    pytest.param("transversality", id="transversality-params1-unloaded1"),
+    pytest.param("spectrum", id="spectrum-params2-unloaded2"),
+    pytest.param("correlations", id="correlations-params3-unloaded3"),
+    pytest.param("mixing", id="mixing-params4-unloaded4"),
+    pytest.param("norms", id="norms-params5-unloaded5"),
+    pytest.param("genericity", id="genericity-params6-unloaded6"),
+])
 def test_each_subcommand_loads_only_its_own_modules(experiment):
     # a bare import loads no submodule; parsing a config loads its
     # experiment's modules, so that running it loads none.  numpy.ma costs
