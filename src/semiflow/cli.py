@@ -235,12 +235,12 @@ def _target_problems(f, x, s):
             f"point (x={f.ell * x % 1.0}, s=0), so pass that point"] if s >= fx - ROOF_TOL else []
 
 
-def _probe_room(f, levels):
+def _probe_room(f, probe, levels):
     from .genericity import combination_size
     p = combination_size(f.ell)
     return [f"probe level n = {n} gives fewer than the p + 1 = {p + 1} distinct words a "
             f"combination needs (ell = {f.ell})"
-            for n in dict.fromkeys(levels) if f.ell ** min(n, 64) <= p]
+            for n in dict.fromkeys(levels if probe else ()) if f.ell ** min(n, 64) <= p]
 
 
 # experiment -> the rules that relate values: (the rule as --help lists it,
@@ -266,12 +266,13 @@ _RULES = {
          lambda f, levels: [f"cluster_n_values entry n = {n}: ell^n = {f.ell}^{n} exceeds the "
                             f"cluster cap {MAX_CLUSTER_WORDS}"
                             for n in dict.fromkeys(levels) if f.ell ** n > MAX_CLUSTER_WORDS]),
-        ("ell^n must be <= 2^63 - 1 for each n in probe_n_values", ("ceiling", "probe_n_values"),
-         lambda f, levels: [f"probe level n = {n}: ell^n = {f.ell}^{n} exceeds the int64 word "
-                            "index" for n in dict.fromkeys(levels)
-                            if f.ell ** min(n, 64) > MAX_WORD_INDEX]),
-        ("ell^n must be >= p + 1 for each n in probe_n_values (p = 5 at ell = 2, 4 at 3..10)",
-         ("ceiling", "probe_n_values"), _probe_room),
+        ("ell^n must be <= 2^63 - 1 for each n in probe_n_values, when probe is true",
+         ("ceiling", "probe", "probe_n_values"),
+         lambda f, probe, levels: [f"probe level n = {n}: ell^n = {f.ell}^{n} exceeds the int64 "
+                                   "word index" for n in dict.fromkeys(levels if probe else ())
+                                   if f.ell ** min(n, 64) > MAX_WORD_INDEX]),
+        ("ell^n must be >= p + 1 for each n in probe_n_values (p = 5 at ell = 2, 4 at 3..10), "
+         "when probe is true", ("ceiling", "probe", "probe_n_values"), _probe_room),
     ],
     "branches": [
         ("(x, s) must lie under the roof, s < f(x) - 1e-12; on it, pass (tau x, 0) instead",
@@ -460,7 +461,6 @@ def _run_mixing(cfg: ExperimentConfig):
     payload = {
         "c": report.c, "depth": report.depth, "tail_bound": report.tail_bound,
         "residual_sup": report.residual_sup, "verdict": report.verdict.value,
-        "tol_strict": report.tol_strict, "tol_clear": report.tol_clear,
     }
     if report.verdict is mixing.Verdict.NOT_WEAKLY_MIXING and p["eigenfunction_times"]:
         payload["eigenfunction_defect"] = mixing.eigenfunction_check(
@@ -520,7 +520,7 @@ def _run_norms(cfg: ExperimentConfig):
             "id": f"mode_{i}_({k1},{k2})",
             "strong_norm": strong, "weak_norm": weak,
             "embedding_ratio": aniso.embedding_check(u, strong),
-            "weak_le_strong": bool(weak <= strong + 1e-12),
+            "weak_le_strong": bool(weak <= strong),
         })
     return {"partition_defect": aniso.partition_defect(bank), "functions": rows}, []
 

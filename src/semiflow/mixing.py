@@ -6,12 +6,14 @@ Phi(x, s) = exp((2 pi i / c)(Psi(x) + s)) is an eigenfunction of the flow.
 The canonical Psi = sum_{n>=1} L^n (f - c), L the transfer operator of tau,
 is a trigonometric polynomial: L e_k = e_{k/ell} when ell divides k and 0
 otherwise, so ``depth`` levels of coefficient arithmetic give it exactly
-(every level past log_ell of the top harmonic is empty).  The computable
-obstruction is the sup-norm residual of the cocycle equation on a uniform
-``grid``: it vanishes exactly in the degenerate case, so thresholding it,
-with the series' tail bound on both sides, yields the weak-mixing verdict.
+(every level past log_ell of the top harmonic is empty).  With
+f - c = sum a_k e_k, the full series leaves the cocycle residual -sum b_j e_j
+over the j that ell does not divide, b_j = sum_{m>=0} a_{ell^m j} (Livsic,
+Math. USSR Izv. 6, 1972): f - c is a coboundary exactly when every Livsic
+sum b_j vanishes, so the coefficients decide the verdict.  The sup residual
+of the truncated series on a uniform ``grid`` is measured, not weighed.
 
-The residual decides every eigenfrequency at once.  An eigenfunction of
+The Livsic sums decide every eigenfrequency at once.  An eigenfunction of
 frequency omega gives exp(i omega f) = u(tau x) / u(x), u circle-valued and,
 for Hoelder f, continuous (Livsic regularity; Parry and Pollicott, Asterisque
 187-188, 1990).  The right side has degree (ell - 1) deg u and the left side
@@ -22,6 +24,7 @@ is omega c: f - c is a coboundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -35,14 +38,13 @@ from .errors import PreconditionViolation
 class Verdict(Enum):
     NOT_WEAKLY_MIXING = "NotWeaklyMixing"
     WEAKLY_MIXING = "WeaklyMixing"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
 class CoboundaryReport:
     """Psi as a trigonometric polynomial, the mean c of f, the series depth
-    and its tail bound.  ``weak_mixing_test`` returns it with the residual,
-    the verdict and both tolerances filled in."""
+    and its tail bound.  ``weak_mixing_test`` returns it with the residual
+    and the verdict filled in."""
 
     Psi: TrigPolynomial
     c: float
@@ -50,14 +52,13 @@ class CoboundaryReport:
     tail_bound: float
     residual_sup: float | None = None
     verdict: Verdict | None = None
-    tol_strict: float | None = None
-    tol_clear: float | None = None
 
 
 def tail_bound(f: TrigPolynomial, depth: int) -> float:
     """Truncation error of the preimage series of Psi' after ``depth``
     levels: the level-n block is bounded by ell^(-n) max|f'|, so the tail
-    is max|f'| * ell^(-depth) / (ell - 1), with the certified max|f'|."""
+    is max|f'| * ell^(-depth) / (ell - 1), with the certified max|f'|.  It
+    enters no verdict; the report carries it beside ``depth``."""
     return max(map(abs, extrema(f, 1))) * f.ell ** float(-depth) / (f.ell - 1)
 
 
@@ -103,24 +104,22 @@ def cocycle_residual(report: CoboundaryReport, f: TrigPolynomial, grid: int) -> 
 
 
 def weak_mixing_test(f: TrigPolynomial, grid: int, depth: int) -> CoboundaryReport:
-    """Full dichotomy test; the returned report carries the verdict, the
-    residual, and both thresholds: tol_strict = 1e-6 + tail_bound and
-    tol_clear = 1e3 tol_strict.  The truncated series may miss up to
-    ``tail_bound`` of the residual either way, so NotWeaklyMixing needs the
-    residual plus the tail within tol_strict, WeaklyMixing the residual
-    minus the tail at least tol_clear, and anything else is Inconclusive."""
+    """Full dichotomy test, with the grid residual of Psi after ``depth``
+    levels beside the verdict.  NotWeaklyMixing holds exactly when each part
+    (cosine, sine) of every Livsic sum b_j, summed by ``math.fsum``, is at
+    most n 2^-53 times the sum of |a_k| over the n harmonics k of its chain:
+    that allows for the rounding of each coefficient to binary, and a chain
+    of one nonzero harmonic never passes.  Otherwise it is WeaklyMixing."""
+    chains = {}
+    for k, c, s in f.harmonics:
+        while k % f.ell == 0:
+            k //= f.ell
+        chains.setdefault(k, []).append((c, s))
+    coboundary = all(abs(math.fsum(part)) <= len(part) * 2.0 ** -53 * math.fsum(map(abs, part))
+                     for chain in chains.values() for part in zip(*chain))
     report = cobounding_potential(f, depth)
-    tol_strict = 1e-6 + report.tail_bound
-    tol_clear = 1e3 * tol_strict
-    residual = cocycle_residual(report, f, grid)
-    if residual + report.tail_bound <= tol_strict:
-        verdict = Verdict.NOT_WEAKLY_MIXING
-    elif residual - report.tail_bound >= tol_clear:
-        verdict = Verdict.WEAKLY_MIXING
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return replace(report, residual_sup=residual, verdict=verdict,
-                   tol_strict=tol_strict, tol_clear=tol_clear)
+    return replace(report, residual_sup=cocycle_residual(report, f, grid),
+                   verdict=Verdict.NOT_WEAKLY_MIXING if coboundary else Verdict.WEAKLY_MIXING)
 
 
 def eigenfunction_check(report: CoboundaryReport, f: TrigPolynomial, t_samples) -> float:

@@ -100,9 +100,7 @@ def _numbered(item) -> bool:
 
 
 def pytest_collection_modifyitems(items):
-    """Refuse a pytest-numbered id in tests/test_cli.py."""
-    numbered = [item.nodeid for item in items
-                if item.path.name == "test_cli.py" and hasattr(item, "callspec")
-                and _numbered(item)]
+    """Refuse a pytest-numbered id in any test module."""
+    numbered = [item.nodeid for item in items if hasattr(item, "callspec") and _numbered(item)]
     if numbered:
-        raise pytest.UsageError("pytest-numbered ids in tests/test_cli.py: " + ", ".join(numbered))
+        raise pytest.UsageError("pytest-numbered ids: " + ", ".join(numbered))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from semiflow.aniso import (STRONG, WEAK, ConeSpec, DomainViolation, GridFunctio
                             InvalidArgument, Polarization, aniso_norm,
                             band_norms, embedding_check, make_grid, mask_bank,
                             partition_defect)
+from semiflow.cli import main
 from semiflow.errors import PreconditionViolation
 from semiflow.smooth import plateau
 
@@ -128,6 +130,19 @@ def test_weak_norm_dominated(bank, grid):
         u = _wrap(grid, _window(grid) * rng.standard_normal((64, 64)))
         strong, weak = aniso_norm(u, bank)
         assert weak <= strong + 1e-12
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.5, 1.9])
+@pytest.mark.parametrize("grid_n", [32, 64, 128])
+def test_norms_report_weak_le_strong_without_slack(grid_n, margin, capsys):
+    # each WEAK weight is at most its STRONG one, a product by sq >= 0 rounds
+    # monotonically, both sums add the bands in one order and sqrt is
+    # monotone, so the report compares the norms of its enveloped modes exactly
+    assert main(["norms", "--set", f"params.grid_n={grid_n}", "--set",
+                 f"params.slope_margin={margin}", "--set", "params.num_functions=20",
+                 "--set", f"seed={grid_n}"]) == 0
+    rows = json.loads(capsys.readouterr().out)["payload"]["functions"]
+    assert all(r["weak_norm"] <= r["strong_norm"] and r["weak_le_strong"] for r in rows)
 
 
 def test_embedding_bound_random_sweep(bank, grid):

@@ -515,8 +515,8 @@ _TABLE_CASES = [
 @pytest.mark.parametrize("table, key, value, inside", _TABLE_CASES)
 def test_table_refusal(table, key, value, inside, monkeypatch, capsys):
     # the value is refused in its entry's own words, and the value just
-    # inside the bound parses once no rule relates values (at ell = 2 the
-    # probe's rule refuses probe_n_values = [1])
+    # inside the bound parses once no rule relates values (at ell = 2 and
+    # with the probe on, its rule refuses probe_n_values = [1])
     entries, experiment, path, prefix = _TABLES[table]
     for name in cli._RUNNERS:
         monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: ({}, []))
@@ -591,9 +591,9 @@ _BAD_PARAMS = [
     ("argv69-validation error: cluster_word letters must lie in 1..2",
      "cluster_word letters must lie in", "genericity", ["params.cluster_word=[3]"],
      "cluster_word letters must lie in 1..2, got [3]"),
-    ("argv7-error: probe level n = 70:", "ell^n must be <= 2^63 - 1", "genericity",
+    ("probe-level-70-index", "ell^n must be <= 2^63 - 1", "genericity",
      ["params.probe=true", "params.probe_n_values=[70]"], "probe level n = 70:"),
-    ("argv6-error: probe level n = 1 ", "ell^n must be >= p + 1", "genericity",
+    ("probe-level-1-room", "ell^n must be >= p + 1", "genericity",
      ["params.probe=true", "params.probe_n_values=[1]"], "probe level n = 1 "),
     ("argv68-validation error: target outside the region", "(x, s) must lie under the roof",
      "branches", ["params.s=5.0"], "target (x=0.3, s=5.0) is outside the region under the ceiling"),
@@ -638,7 +638,7 @@ _BAD_PARAMS = [
      "gamma0 must lie in (1/ell, 1) = (1/2, 1), got 0.5"),
     ("top-gamma0-interval-above", None, "branches", ["gamma0=1.0"],
      "gamma0 must lie in (1/ell, 1) = (1/2, 1), got 1.0"),
-    # removed knobs stay refused: the verdict thresholds follow from tail_bound,
+    # removed knobs stay refused: the mixing verdict has no thresholds,
     # the spectrum's essential bound was never certified, and no other has an effect
     ("argv12-validation error: unknown spectrum parameter 'bound_ns'", None, "spectrum",
      ["params.bound_ns=0"], "unknown spectrum parameter 'bound_ns'"),
@@ -826,7 +826,8 @@ def test_cli_main_norms_renders_its_function_records(capsys):
     pytest.param("correlations", ["nx*ns must be <= 4194304"], id="correlations-caps2"),
     pytest.param("genericity", ["ell^m must be <= 2^63 - 1 for a cluster_word of m letters",
                                 "ell^n must be <= 1048576 for each n in cluster_n_values",
-                                "ell^n must be <= 2^63 - 1 for each n in probe_n_values"],
+                                "ell^n must be <= 2^63 - 1 for each n in probe_n_values, "
+                                "when probe is true"],
                  id="genericity-caps3"),
 ])
 def test_subcommand_help_lists_its_product_caps(experiment, caps, capsys):
@@ -870,11 +871,26 @@ def test_cli_main_names_each_offending_entry_once(capsys):
     # a per-entry rule prints one line per distinct entry, however often it repeats
     argv = ["genericity", "--set", 'ceiling={"ell":3,"mean":1.0,"harmonics":[]}',
             "--set", "params.cluster_n_values=" + json.dumps([13, 14, 13] * 500),
+            "--set", "params.probe=true",
             "--set", "params.probe_n_values=" + json.dumps([1, 40] * 500)]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     prefixes = ["cluster_n_values entry n = 13:", "cluster_n_values entry n = 14:",
                 "probe level n = 40:", "probe level n = 1 gives fewer"]
+    assert len(err) == len(prefixes)
+    assert all(line.startswith(f"validation error: {prefix}") for line, prefix in zip(err, prefixes))
+
+
+def test_probe_rules_judge_probe_n_values_only_when_probe_is_true(monkeypatch, capsys):
+    # with the probe off no probe level runs, so neither probe rule refuses one
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: ({}, []))
+    argv = ["genericity", "--set", "params.probe_n_values=[1,70]"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--set", "params.probe=true"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    prefixes = ["probe level n = 70: ell^n = 2^70 exceeds", "probe level n = 1 gives fewer"]
     assert len(err) == len(prefixes)
     assert all(line.startswith(f"validation error: {prefix}") for line, prefix in zip(err, prefixes))
 

@@ -306,10 +306,11 @@ def test_probe_shared_class_gives_same_result(f_sin, monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 70])
 def test_probe_rejects_levels_without_room_for_a_combination(n):
     # ell = 2, p = 5: a combination needs ell^n >= 6 words, and word
-    # indices are int64; config parsing refuses every other level, and the
-    # schema refuses n = 0 before any rule reads the ceiling
+    # indices are int64; with the probe on, config parsing refuses every
+    # other level, and the schema refuses n = 0 before any rule reads the ceiling
     assert combination_size(2) == 5
-    problems = parse_violations(experiment="genericity", params={"probe_n_values": [4, n]})
+    problems = parse_violations(experiment="genericity",
+                                params={"probe": True, "probe_n_values": [4, n]})
     assert problems.startswith(f"probe level n = {n}" if n else "probe_n_values must be")
     assert ";" not in problems
 

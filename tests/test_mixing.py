@@ -4,10 +4,13 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiflow import (PreconditionViolation, TrigPolynomial, Verdict,
                       cobounding_potential, cocycle_residual, eigenfunction_check,
                       weak_mixing_test)
+from semiflow.ceiling import MAX_HARMONIC
 from semiflow.cli import main
 from semiflow.mixing import sample_psi, tail_bound
 
@@ -184,45 +187,105 @@ def test_verdicts(f_const, f_cob, f_sin):
     assert weak_mixing_test(f_sin, 4096, 24).verdict is Verdict.WEAKLY_MIXING
 
 
-def test_verdict_inconclusive_band():
+def test_verdict_reads_the_livsic_sum_not_the_grid_residual():
     # f = 1 + 0.1 sin 8 pi x at depth 2: the residual (0.1) is below the tail
-    # bound (0.63), so neither side of the band is reached
+    # bound (0.63), but the lone harmonic's Livsic sum b_1 = 0.1 is not zero
     f = TrigPolynomial(1.0, ((4, 0.0, 0.1),), 2)
     rep = weak_mixing_test(f, grid=1024, depth=2)
     assert rep.residual_sup == pytest.approx(0.1)
     assert rep.residual_sup < rep.tail_bound
-    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.verdict is Verdict.WEAKLY_MIXING
 
 
 def test_truncated_series_is_never_a_coboundary_verdict(capsys):
     # f = 1 + 0.1 sin 8 pi x: Psi is exact after two levels, and the residual
-    # is 0.1.  At depth 2 the tail bound (0.63) exceeds it, so the truncated
-    # residual could belong to a coboundary or not: Inconclusive
+    # is 0.1.  At depth 2 the tail bound (0.63) exceeds it, and the verdict
+    # is still WeaklyMixing, as at the default depth
     argv = ["mixing", "--set", 'ceiling={"ell":2,"mean":1.0,"harmonics":[[4,0.0,0.1]]}']
     assert main(argv + ["--set", "params.depth=2"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
-    assert payload["residual_sup"] <= payload["tol_strict"]
-    assert payload["verdict"] == "Inconclusive"
+    assert payload["residual_sup"] == pytest.approx(0.1)
+    assert payload["residual_sup"] < payload["tail_bound"]
+    assert payload["verdict"] == "WeaklyMixing"
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["verdict"] == "WeaklyMixing"
 
 
 def test_truncated_series_is_never_a_weakly_mixing_verdict(capsys):
     # f - 1 = g(2x) - g(x) with g = 0.05 sin 16 pi x is a coboundary.  At
-    # depth 1 the residual (0.088) is nonzero, but the tail bound (3.77)
-    # exceeds it, so it could be all truncation: Inconclusive
+    # depth 1 the residual (0.088) is nonzero, yet the verdict is
+    # NotWeaklyMixing; the eigenfunction built from the depth-1 Psi is off by
+    # 0.537, and the full Psi's is exact
     argv = ["mixing", "--set",
             'ceiling={"ell":2,"mean":1.0,"harmonics":[[8,0.0,-0.05],[16,0.0,0.05]]}']
     assert main(argv + ["--set", "params.depth=1"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["residual_sup"] == pytest.approx(0.088, abs=1e-3)
-    assert payload["residual_sup"] < payload["tail_bound"]
-    assert payload["verdict"] == "Inconclusive"
-    assert "eigenfunction_defect" not in payload
+    assert payload["verdict"] == "NotWeaklyMixing"
+    assert payload["eigenfunction_defect"] == pytest.approx(0.537, abs=1e-3)
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["verdict"] == "NotWeaklyMixing"
     assert payload["eigenfunction_defect"] <= 1e-10
+
+
+@pytest.mark.parametrize("harmonics, verdict", [
+    # a lone harmonic is no coboundary, however small
+    pytest.param([[1, 0, 3e-7]], "WeaklyMixing", id="lone-3e-7"),
+    pytest.param([[1, 0, 1e-4]], "WeaklyMixing", id="lone-1e-4"),
+    # the binary sum 0.1 + 0.2 - 0.3 is 2.8e-17, within the allowance 2.0e-16
+    pytest.param([[1, 0, 0.1], [2, 0, 0.2], [4, 0, -0.3]], "NotWeaklyMixing",
+                 id="decimal-chain"),
+])
+def test_mixing_verdict_is_the_livsic_sums(harmonics, verdict, capsys):
+    ceiling = json.dumps({"ell": 2, "mean": 1.0, "harmonics": harmonics})
+    assert main(["mixing", "--set", f"ceiling={ceiling}"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["verdict"] == verdict
+    assert ("eigenfunction_defect" in payload) == (verdict == "NotWeaklyMixing")
+
+
+_DYADIC = 2.0 ** -24
+
+
+def _chain_part(draw, n, b=None):
+    """The cosine or sine coefficients of a chain of n harmonics: with b, n
+    dyadic ones that sum to b 2^-24; without, n - 1 floats or dyadics and,
+    last, minus their left-to-right float sum."""
+    if b is None and draw(st.booleans()):
+        head = draw(st.lists(st.floats(-0.1, 0.1), min_size=n - 1, max_size=n - 1))
+        return head + [-float(sum(head))]
+    head = draw(st.lists(st.integers(-2 ** 16, 2 ** 16), min_size=n - 1, max_size=n - 1))
+    return [i * _DYADIC for i in head + [(b or 0) - sum(head)]]
+
+
+def _chain(draw, ell, j, minimum, broken=None):
+    """Harmonics on the chain ell^m j <= 1024, a nonzero sum in the part
+    ``broken`` (0 cosine, 1 sine) if given, else both parts cancelling."""
+    ks = [j * ell ** m for m in range(MAX_HARMONIC.bit_length()) if j * ell ** m <= MAX_HARMONIC]
+    ks = draw(st.lists(st.sampled_from(ks), min_size=minimum, unique=True))
+    b = None if broken is None else draw(st.integers(16, 2 ** 16)) * draw(st.sampled_from([-1, 1]))
+    parts = [_chain_part(draw, len(ks), b if part == broken else None) for part in (0, 1)]
+    return list(zip(ks, *parts))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_verdict_is_exact_on_livsic_chains(data):
+    # chains that cancel, in dyadics or against a float sum, are a
+    # coboundary; one chain with a dyadic |b_j| >= 2^-20 makes f weakly mixing
+    ell = data.draw(st.sampled_from([2, 3]))
+    heads = data.draw(st.lists(st.sampled_from(
+        [j for j in range(1, MAX_HARMONIC // ell + 1) if j % ell]), max_size=3, unique=True))
+    harmonics = [h for j in heads for h in _chain(data.draw, ell, j, 2)]
+    broken = data.draw(st.sampled_from([None, 0, 1]))
+    if broken is not None:
+        j = data.draw(st.sampled_from([j for j in range(1, MAX_HARMONIC + 1)
+                                       if j % ell and j not in heads]))
+        harmonics += _chain(data.draw, ell, j, 1, broken)
+    f = TrigPolynomial(1.0, tuple(harmonics), ell)
+    expect = Verdict.NOT_WEAKLY_MIXING if broken is None else Verdict.WEAKLY_MIXING
+    assert weak_mixing_test(f, 256, 24).verdict is expect
 
 
 def test_eigenfunction_constant(f_const):
@@ -238,24 +301,22 @@ def test_eigenfunction_coboundary(f_cob):
 def test_coboundary_report_is_frozen(f_cob):
     # weak_mixing_test builds the report once; nothing can fill it in later
     rep = weak_mixing_test(f_cob, 4096, 24)
-    for field, value in (("verdict", Verdict.WEAKLY_MIXING), ("residual_sup", 0.0),
-                         ("tol_strict", 1.0)):
+    for field, value in (("verdict", Verdict.WEAKLY_MIXING), ("residual_sup", 0.0)):
         with pytest.raises(FrozenInstanceError):
             setattr(rep, field, value)
     assert rep.verdict is Verdict.NOT_WEAKLY_MIXING
 
 
 def test_eigenfunction_check_needs_a_not_weakly_mixing_verdict(f_cob):
-    # a report without a verdict, or an Inconclusive one, has no eigenfunction
-    # to check, even when its residual is small: the harmonic-8/16
-    # coboundary at depth 1 leaves a residual below its tail bound
+    # a report without a verdict, or a WeaklyMixing one, has no eigenfunction
+    # to check, even when its residual is small: 1 + 3e-7 sin 2 pi x leaves a
+    # residual of 3e-7
     bare = cobounding_potential(f_cob, 24)
     assert cocycle_residual(bare, f_cob, 4096) <= 1e-8
-    f_band = TrigPolynomial(1.0, ((8, 0.0, -0.05), (16, 0.0, 0.05)), 2)
-    band = weak_mixing_test(f_band, 4096, 1)
-    assert band.verdict is Verdict.INCONCLUSIVE
-    assert band.residual_sup <= band.tol_strict < band.residual_sup + band.tail_bound
-    for rep in (bare, band):
+    tiny = weak_mixing_test(TrigPolynomial(1.0, ((1, 0.0, 3e-7),), 2), 4096, 24)
+    assert tiny.verdict is Verdict.WEAKLY_MIXING
+    assert tiny.residual_sup == pytest.approx(3e-7)
+    for rep in (bare, tiny):
         with pytest.raises(PreconditionViolation, match="no eigenfunction to check"):
             eigenfunction_check(rep, f_cob, [1.3])
 
@@ -291,8 +352,3 @@ def test_trig_interpolation_reproduces_samples():
     expect = np.sin(2 * np.pi * queries) + 0.3 * np.cos(6 * np.pi * queries)
     assert np.max(np.abs(trig_interpolate(samples, queries) - expect)) <= 1e-12
 
-
-def test_default_tolerances_couple_to_tail(f_sin):
-    rep = weak_mixing_test(f_sin, 4096, 12)
-    assert rep.tol_strict == 1e-6 + tail_bound(f_sin, 12)
-    assert rep.tol_clear == 1e3 * rep.tol_strict
