@@ -72,58 +72,136 @@ def check_crossings(f: TrigPolynomial, largest: float, start: float = 0.0) -> No
             t_limit=t_limit, max_crossings=MAX_CROSSINGS)
 
 
-def _heights(f: TrigPolynomial, x: np.ndarray) -> np.ndarray:
-    """f at the 1-d array x, evaluated once per run of bit-equal adjacent
-    values and repeated over the run; a plain call when the runs average
-    fewer than 2 points.  Equal bits give equal values, so the result is
-    f(x) bit for bit."""
-    bits = x.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * (starts.size + 1) > x.size:
-        return np.asarray(f(x), dtype=float)
-    starts = np.concatenate(([0], starts))
-    return np.repeat(f(x[starts]), np.diff(starts, append=x.size))
+class _Orbits:
+    """The orbits of the base points under a set of flow points: the store
+    that ``advance`` steps them through.
+
+    The points are grouped into base points, runs of bit-equal adjacent x;
+    the store keeps tau^n(x_b) and f(tau^n x_b) in level-major rows over
+    the B base points, a ring of ``width`` rows, row n mod width holding
+    level n.  Each point carries one index n*B + b into it (taken mod the
+    ring's size), and f is evaluated once per (base point, level) that some
+    point reaches, when the first of them gets there.  An entry not yet
+    built holds NaN, which f, a finite trig polynomial, never returns.
+
+    The points of a run follow one orbit and share every height, so one
+    whose flow time exceeds another's by at most D is at most
+    floor(D/min f) + 1 levels ahead: ``width`` = floor(D/min f) + 3 rows
+    hold every level the run's points occupy plus the next, empty one, for
+    D the largest spread of flow times within a run (widened by a bound on
+    rounding).  When B * width would exceed twice the points, every point
+    is its own base point, so the store's size is O(points) whatever the
+    flow times.
+    """
+
+    __slots__ = ("X", "F", "idx", "bases", "limit", "cross")
+
+    def __init__(self, f: TrigPolynomial, x: np.ndarray, fx, spread: np.ndarray, steps: int):
+        """x: the flat points' base coordinates; fx: f(x) or None; spread:
+        their flow times up to a shift common to all points, over ``steps``
+        calls of ``flow``."""
+        size = x.size
+        bits = x.view(np.int64)
+        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        starts = np.concatenate(([0], starts)) if size else starts
+        width = 3
+        if size:
+            d = np.maximum.reduceat(spread, starts) - np.minimum.reduceat(spread, starts)
+            f_min = extrema(f, 0)[0]
+            # the spread may grow by rounding: each of at most MAX_CROSSINGS
+            # + steps operations on a flow time within MAX_CROSSINGS * f_min
+            # (``check_crossings``) rounds by 2^-53 of it, at two points; and
+            # clamping a landing within ROOF_TOL under 0 gains up to ROOF_TOL
+            slack = (MAX_CROSSINGS + steps) * 2.0 ** -38 + steps * ROOF_TOL / f_min
+            width = int(float(d.max()) / f_min + slack) + 3
+        if starts.size * width > 2 * size:
+            starts, width = np.arange(size), 3
+        bases = starts.size
+        self.bases = bases
+        self.idx = np.repeat(np.arange(bases), np.diff(starts, append=size))
+        # scratch of every step, and the flow times ``advance_through``
+        # hands to the next: fresh arrays cost page faults at each step
+        self.limit = np.empty(size)
+        self.cross = np.empty(size, dtype=bool)
+        self.X = np.empty(width * bases)
+        self.F = np.full(width * bases, np.nan)
+        self.X[:bases] = x[starts]
+        self.F[:bases] = f(x[starts]) if fx is None else fx[starts]
+
+    def _build(self, f: TrigPolynomial, slots: np.ndarray) -> None:
+        """Build the entries at the distinct indices ``slots``, each the
+        level after a built one, and empty the ring row after each."""
+        y = f.ell * self.X.take(slots - self.bases, mode="wrap")
+        y -= np.floor(y)            # the bits of y % 1.0, at less cost
+        self.X.put(slots, y, mode="wrap")
+        self.F.put(slots, f(y), mode="wrap")
+        self.F.put(slots + self.bases, np.nan, mode="wrap")
+
+    def flow(self, f: TrigPolynomial, rem: np.ndarray, h: np.ndarray) -> tuple:
+        """Flow every point from its current base point, of height h, for
+        its flow time rem; both flat and consumed.  Returns (x', s', n, f(x'))."""
+        X, F, idx, bases = self.X, self.F, self.idx, self.bases
+        limit, cross = self.limit, self.cross
+        n = np.zeros(rem.shape, dtype=int)
+        while True:
+            np.add(rem, ROOF_TOL, out=limit)
+            np.less_equal(h, limit, out=cross)
+            if not cross.any():
+                break
+            np.subtract(rem, h, out=rem, where=cross)
+            np.add(idx, bases, out=idx, where=cross)
+            n += cross
+            F.take(idx, out=h, mode="wrap")
+            missing = np.flatnonzero(np.isnan(h, out=cross))    # not yet built
+            if missing.size:
+                # a base point's points are adjacent, and those that miss
+                # this step all entered its one new level: equal slots are
+                # adjacent, so comparing neighbours dedupes them
+                slots = idx.take(missing)
+                first = np.empty(slots.size, dtype=bool)
+                first[0] = True
+                np.not_equal(slots[1:], slots[:-1], out=first[1:])
+                self._build(f, slots[first])
+                h.put(missing, F.take(slots, mode="wrap"))
+        np.maximum(rem, 0.0, out=rem)
+        return X.take(idx, mode="wrap"), rem, n, h
 
 
-def advance(f: TrigPolynomial, x, total, fx=None):
+def advance(f: TrigPolynomial, x, total, fx=None, *, orbits=None):
     """Flow the base point x for total >= 0 units of flow time measured from
     s = 0.  Returns (x', s', n, f(x')): the landing base point, the remaining
     flow coordinate, the number of roof crossings and the height of the
     landing point.  Vectorized over arrays.
 
     fx, when given, is f(x) (broadcast like x): the heights are then not
-    evaluated again.  f is evaluated at the start and after each roof
-    crossing, only at the points that just crossed (a point that does not
-    cross is finished), and once per run of bit-equal adjacent x among them
-    (``_heights``): points that share a base point, like the nodes of one
-    column in flattened order, share its evaluations for as long as they
-    cross together.  A partial Birkhoff sum within ROOF_TOL of total counts
-    as a crossing, so points landing exactly on the roof come out at the
-    base of the next fiber.  Raises ResourceLimit before the first crossing
-    when the largest total could take more than MAX_CROSSINGS of them.
+    evaluated again.  The points move through an orbit store (``_Orbits``):
+    f is evaluated once per base point, a run of bit-equal adjacent x, and
+    level its points reach, so points that share a base point, like the
+    nodes of one column in flattened order, share every evaluation.  Each
+    step moves all the points at once with masked whole-array operations: a
+    point whose height h satisfies h <= rem + ROOF_TOL crosses, rem -= h,
+    and moves one level up its orbit; the landing coordinate is max(rem, 0).
+    A partial Birkhoff sum within ROOF_TOL of total therefore counts as a
+    crossing, so points landing exactly on the roof come out at the base of
+    the next fiber.  ``orbits``, when given, is the store of
+    ``advance_through`` holding these points, and x and fx are their
+    current coordinates; without it the call builds its own store.  Raises
+    ResourceLimit before the first crossing when the largest total could
+    take more than MAX_CROSSINGS of them.
     """
     x = np.asarray(x, dtype=float)
     total = np.asarray(total, dtype=float)
     check_crossings(f, float(np.max(total, initial=0.0)))
     x, rem = np.broadcast_arrays(x, total)
     shape = x.shape
-    x = x.flatten()
     rem = rem.flatten()
-    if fx is None:
-        fx = _heights(f, x)
-    else:
+    if fx is not None:
         fx = np.broadcast_to(np.asarray(fx, dtype=float), shape).flatten()
-    n = np.zeros(x.shape, dtype=int)
-    live = np.flatnonzero(fx <= rem + ROOF_TOL)
-    while live.size:
-        rem[live] -= fx[live]
-        y = f.ell * x[live]
-        y -= np.floor(y)            # the bits of y % 1.0, at less cost
-        x[live] = y
-        n[live] += 1
-        fx[live] = _heights(f, y)
-        live = live[fx[live] <= rem[live] + ROOF_TOL]
-    rem = np.maximum(rem, 0.0)
+    if orbits is None:
+        orbits = _Orbits(f, x.ravel(), fx, rem, 1)
+    if fx is None:
+        fx = orbits.F.take(orbits.idx, mode="wrap")
+    x, rem, n, fx = orbits.flow(f, rem, fx)
     return x.reshape(shape), rem.reshape(shape), n.reshape(shape), fx.reshape(shape)
 
 
@@ -132,24 +210,36 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
 
     Yields (t, x_t, s_t, f(x_t)) once per distinct time, in increasing
     order; each state is moved from the previous sample by the time
-    difference, and the heights f(x_t) are handed on to the next step, so the
-    roof crossings cost O(T) in total rather than O(T^2) and f is evaluated
-    at most once per point and crossing.  fx, when given, is f(x).  Callers
-    that need the samples in their own order (or with repeats) key them by t.
-    ``step`` is the advance function to use; callers pass their own module's
-    binding of ``advance`` so a wrapper placed on it sees every step.  Raises
-    ResourceLimit up front when the largest time could take more than
-    MAX_CROSSINGS roof crossings, so no step does.
+    difference, so the roof crossings cost O(T) in total rather than O(T^2).
+    One orbit store (``_Orbits``), built here from x, s and fx (f(x), when
+    given), serves every step: f is evaluated once per base point and level
+    that some point reaches over all the samples, and the store's ring of
+    rows keeps its memory O(points).  Callers that need the samples in their
+    own order (or with repeats) key them by t.  ``step`` is the advance
+    function to use; callers pass their own module's binding of ``advance``
+    so a wrapper placed on it sees every step.  Each step gets the store as
+    ``orbits`` together with the points' current x and heights, so a step
+    that ignores the store returns the same values.  Raises ResourceLimit up
+    front when the largest time could take more than MAX_CROSSINGS roof
+    crossings, so no step does.
     """
     t_arr = np.asarray(times, dtype=float).ravel()
     # a step flows from s_k <= s + t_k for t_(k+1) - t_k, so within s + t_(k+1)
     check_crossings(f, float(np.max(t_arr, initial=0.0)), float(np.max(s, initial=0.0)))
 
     def samples(x, s, fx):
-        t_prev = 0.0
+        x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+        if fx is not None:
+            fx = np.broadcast_to(np.asarray(fx, dtype=float), x.shape)
         # not np.unique, which imports numpy.ma on its first call
-        for t in sorted(set(t_arr.tolist())):
-            x, s, _, fx = step(f, x, s + (t - t_prev), fx=fx)
+        ts = sorted(set(t_arr.tolist()))
+        orbits = _Orbits(f, x.ravel(), None if fx is None else fx.ravel(), s.ravel(), len(ts))
+        t_prev = 0.0
+        # each step's flow times go in the store's scratch, which a step
+        # reads before it overwrites: no fresh array per step
+        total = orbits.limit.reshape(x.shape)
+        for t in ts:
+            x, s, _, fx = step(f, x, np.add(s, t - t_prev, out=total), fx=fx, orbits=orbits)
             t_prev = t
             yield t, x, s, fx
     return samples(x, s, fx)

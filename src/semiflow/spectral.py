@@ -115,21 +115,28 @@ class Observable:
     def values(self, x: np.ndarray, s: np.ndarray, fx: np.ndarray, margin: float) -> np.ndarray:
         """The observable at the points (x, s) of heights fx, arrays of one
         shape; the cutoff vanishes within margin of s = 0 and s = fx."""
-        v = np.ones_like(np.asarray(x, dtype=float))
+        v = None
         if self.x_wave:
             kind, k = self.x_wave
             arg = 2.0 * np.pi * k * x
-            v = v * (np.cos(arg) if kind == "cos" else np.sin(arg))
+            v = (np.cos if kind == "cos" else np.sin)(arg, out=arg)
         if self.s_wave:
             kind, a = self.s_wave
             arg = 2.0 * np.pi * a * s
-            v = v * (np.cos(arg) if kind == "cos" else np.sin(arg))
+            wave = (np.cos if kind == "cos" else np.sin)(arg, out=arg)
+            v = wave if v is None else np.multiply(v, wave, out=v)
+        if v is None:
+            v = np.ones_like(np.asarray(x, dtype=float))
         if self.cutoff:
             # both steps are 1 outside the band near the bottom and the top
-            # of the fiber, where multiplying by them changes no bit
-            lo, hi = s / margin, (fx - s) / margin
-            band = np.nonzero(~((lo >= 1.0) & (hi >= 1.0)))
-            v[band] = v[band] * step(lo[band]) * step(hi[band])
+            # of the fiber, where multiplying by them changes no bit: s >=
+            # margin gives s/margin >= 1, and likewise at the top, while nan
+            # stays in the band
+            hi = fx - s
+            inside = s >= margin
+            inside &= hi >= margin
+            band = np.nonzero(~inside)
+            v[band] = v[band] * step(s[band] / margin) * step(hi[band] / margin)
         return v
 
 
@@ -151,10 +158,11 @@ def _sample_chunks(part: BoxPartition, points: int, seed: int, mode: str):
     The offsets (u, v) in [0,1)^2 of a box's points are a golden-ratio
     rank-1 lattice, the same row for every box, in the deterministic
     default.  The ns boxes of a column then give each offset one x, which
-    point-major order puts side by side: ``advance`` evaluates f once per
-    such run.  Monte Carlo mode draws the offsets from one default_rng(seed)
-    stream, box by box; the chunks draw that stream in box order, so the
-    points are those of a single draw over all boxes.
+    point-major order puts side by side: ``advance`` makes each such run
+    one base point of its orbit store, evaluated once per level that one
+    of its points reaches.  Monte Carlo mode draws the offsets from one
+    default_rng(seed) stream, box by box; the chunks draw that stream in box
+    order, so the points are those of a single draw over all boxes.
     """
     if mode == "lattice":
         k = np.arange(points)
@@ -301,19 +309,23 @@ def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
     previous one (``advance_through``); the curve lists the samples in the
     order, and with the repeats, of ``t_list``.  The heights f at the nodes
     and at every sample come from the flow advance.  The nodes are
-    column-major, so the ns nodes of a column start at one x and ``advance``
-    evaluates f once per column and roof crossing for as long as they cross
-    together, not once per node.
+    column-major, so the ns nodes of a column start at one x and form one
+    base point of the orbit store that ``advance_through`` builds once for
+    all the samples: f is evaluated once per column and level that one of
+    its nodes reaches, and the store's ring of levels keeps the flow's
+    memory O(nodes) at any time.
     """
     x, s, fx, w = _quadrature_nodes(f, nx, ns)
     margin = CUTOFF_MARGIN_FRACTION * extrema(f, 0)[0]
     w_psi = w * psi.values(x, s, fx, margin)
     mean_psi = float(np.sum(w_psi))
     cor_at = {}
+    product = np.empty_like(w)      # both weighted products of every sample
     for t, x1, s1, fx1 in advance_through(f, x, s, t_list, step=advance, fx=fx):
         phi_vals = phi.values(x1, s1, fx1, margin)
-        mean_phi = float(np.sum(w * phi_vals))
-        cor_at[t] = float(np.sum(w_psi * phi_vals) - mean_phi * mean_psi)
+        mean_phi = float(np.sum(np.multiply(w, phi_vals, out=product)))
+        cor_at[t] = float(np.sum(np.multiply(w_psi, phi_vals, out=product))
+                          - mean_phi * mean_psi)
     samples = tuple((float(t), cor_at[float(t)]) for t in t_list)
     return CorrelationCurve(samples=samples, psi_id=psi.id, phi_id=phi.id)
 

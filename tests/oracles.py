@@ -255,9 +255,11 @@ def flow_points(f, x, s, t):
         s = np.where(cross, 0.0, s)
 
 
-def advance_per_point(f, x, total, fx=None):
+def advance_per_point(f, x, total, fx=None, *, orbits=None):
     """``dynamics.advance`` with f evaluated at every point and every roof
-    crossing, shared base points or not: the same (x', s', n, f(x'))."""
+    crossing, shared base points or not: the same (x', s', n, f(x')).
+    ``orbits``, the orbit store ``advance_through`` hands to every step, is
+    ignored: x and fx are the points' current coordinates."""
     x = np.asarray(x, dtype=float)
     total = np.asarray(total, dtype=float)
     check_crossings(f, float(np.max(total, initial=0.0)))

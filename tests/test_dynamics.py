@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiflow import (FlowPoint, InvalidArgument, NumericalFailure, ResourceLimit,
                       TrigPolynomial, advance, advance_through, branch_table, extrema,
@@ -255,6 +258,87 @@ def test_advance_matches_the_per_point_oracle_bitwise(f_sin, f_generic, f_const3
             expected = advance_per_point(f, x, total)
             assert _same_bits(advance(f, x, total), expected)
             assert _same_bits(advance(f, x, total, fx=f(x)), expected)
+
+
+def _drawn_ceiling(draw):
+    """A positive ceiling with ell in {2, 3}: constant (every roof at a
+    dyadic height, so dyadic flow times land exactly on it) or with up to
+    two harmonics of total amplitude below 0.4 times the mean."""
+    ell = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        return TrigPolynomial(draw(st.sampled_from([0.75, 1.0, 1.25])), (), ell)
+    mean = draw(st.floats(0.9, 1.4))
+    ks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+    amp = st.floats(-0.2, 0.2).map(lambda a: a * mean / len(ks))
+    return TrigPolynomial(mean, tuple((k, draw(amp), draw(amp)) for k in sorted(ks)), ell)
+
+
+def _drawn_points(draw, f):
+    """Base coordinates in runs of bit-equal points (one point per run when
+    distinct; the fixed point x = 0 for the zero orbit) and flow
+    coordinates spread over up to three heights of the fiber."""
+    layout = draw(st.sampled_from(["runs", "distinct", "zero"]))
+    if layout == "zero":
+        bases = [0.0]
+    else:
+        bases = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=5))
+    top = 1 if layout == "distinct" else 8
+    x = np.repeat(bases, [draw(st.integers(1, top)) for _ in bases])
+    fracs = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.5]) | st.floats(0.0, 3.0)
+    s = np.array([draw(fracs) for _ in x]) * f(x)
+    return x, s
+
+
+_TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 2.5, 3.75]) | st.floats(0.0, 9.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_advance_through_matches_stepping_the_oracle(data):
+    # every sample of the one orbit store against the per-point oracle
+    # stepped by hand from the previous sample: x, s, n and f(x) bit for bit
+    f = _drawn_ceiling(data.draw)
+    x, s = _drawn_points(data.draw, f)
+    times = data.draw(st.lists(_TIMES, min_size=1, max_size=6))
+    fx = f(x) if data.draw(st.booleans()) else None
+    steps = []
+
+    def recorded(*args, **kwargs):
+        steps.append(advance(*args, **kwargs))
+        return steps[-1]
+    samples = list(advance_through(f, x, s, times, step=recorded, fx=fx))
+    assert [t for t, *_ in samples] == sorted(set(times))
+    xo, so, fo, t_prev = x, s, fx, 0.0
+    for (t, *got), step in zip(samples, steps):
+        expected = advance_per_point(f, xo, so + (t - t_prev), fx=fo)
+        assert _same_bits(step, expected)
+        assert _same_bits(got, expected[:2] + expected[3:])
+        xo, so, _, fo = expected
+        t_prev = t
+    # one call, with totals spread over several roofs within a run
+    total = s + max(times)
+    expected = advance_per_point(f, x, total)
+    assert _same_bits(advance(f, x, total), expected)
+    assert _same_bits(advance(f, x, total, fx=f(x)), expected)
+
+
+def test_advance_store_stays_linear_when_a_run_spreads_over_many_roofs(f_sin):
+    # runs of 64 points whose totals spread over some 1250 roofs: a ring
+    # wide enough for a run would hold 64 x 1253 levels, so every point
+    # becomes its own base point, a ring of 3 levels
+    rng = np.random.default_rng(35)
+    x = np.repeat(rng.random(64), 64)
+    total = rng.uniform(0.0, 1000.0, x.size)
+    expected = advance_per_point(f_sin, x, total)
+    extrema(f_sin, 0)           # certified and cached before measuring
+    tracemalloc.start()
+    try:
+        got = advance(f_sin, x, total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(got, expected)
+    assert peak < 2 ** 20
 
 
 def test_advance_through_hands_on_the_heights(f_sin):

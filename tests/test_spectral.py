@@ -241,10 +241,9 @@ def _evaluated_points(monkeypatch, run):
 
 def test_flow_advance_evaluates_f_once_per_shared_base_point(f_sin, monkeypatch):
     # the nodes of a column, and the boxes of a column at one lattice offset,
-    # share their x until they cross the roof apart.  Only the nodes that
-    # cross in one step share an evaluation, about ns * step / f of a
-    # column's ns: the ratio here is 4.7 at unit steps (3.9 at half steps)
-    # and 7.8 for the Ulam matrix
+    # start at one x and share its orbit, evaluated once per level that one
+    # of them reaches: the ratio here is 6.9 for the correlation (606 points
+    # against 4,163) and 7.2 for the Ulam matrix
     extrema(f_sin, 0)           # certified and cached before counting
     psi = Observable(x_wave=("cos", 1), s_wave=("cos", 1.0))
     t_list = [float(t) for t in range(9)]
@@ -261,18 +260,56 @@ def test_flow_advance_evaluates_f_once_per_shared_base_point(f_sin, monkeypatch)
         assert 4 * points <= per_point_count, name
 
 
+def test_correlation_evaluates_f_once_per_base_point_and_level(f_sin, monkeypatch):
+    # the flow-transport correlation job: the 32 nodes of a column share one
+    # orbit, and f is evaluated once at each level that some node of the
+    # column reaches over all 41 samples, the 2048 column midpoints included;
+    # sharing only among the nodes that cross in one step took 67,156 points
+    extrema(f_sin, 0)           # certified and cached before counting
+    psi = Observable(s_wave=("cos", 1.0))
+    t_list = [0.5 * k for k in range(41)]
+    _, points = _evaluated_points(
+        monkeypatch, lambda: correlation(f_sin, psi, psi, t_list, 2048, 32))
+    assert points == 43977
+
+
+@pytest.mark.parametrize("nx, ns, t", [(4096, 1, 1000.0), (256, 16, 600.0)])
+def test_correlation_flow_memory_is_linear_in_the_nodes(f_sin, nx, ns, t):
+    # 4096 nodes flowed past about 1250 roofs: a table of every level
+    # reached would hold some 80 MB of base points and heights, where the
+    # orbit store keeps a ring of a few rows per base point.  ns = 1 makes
+    # every node its own base point; ns = 16 groups the nodes by column
+    psi = Observable(s_wave=("cos", 1.0))
+    correlation(f_sin, psi, psi, [t], nx, ns)     # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        correlation(f_sin, psi, psi, [t], nx, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_observable_cutoff_matches_the_full_product_bitwise(f_sin):
     # the cutoff multiplies only inside its band; outside it both steps are 1
     margin = CUTOFF_MARGIN_FRACTION * 0.8
     rng = np.random.default_rng(42)
-    x = rng.random(400)
+    x = rng.random(450)
     fx = f_sin(x)
+    # the smallest float s whose top gap fx - s falls below margin: the
+    # band's top edge, where (fx - s)/margin comes closest to 1 from below
+    top = fx[400:] - margin
+    for _ in range(8):
+        top = np.where(fx[400:] - top >= margin, np.nextafter(top, 2.0), top)
+    assert np.all(fx[400:] - top < margin)
+    assert np.all(fx[400:] - np.nextafter(top, 0.0) >= margin)
     # s = 0, s = margin, s = fx - margin, nan, s = fx, just inside the lower
-    # band, anywhere in the fiber, and a little outside it
+    # band, anywhere in the fiber, a little outside it, and just inside the
+    # upper band
     s = np.concatenate([np.zeros(50), np.full(50, margin), fx[100:150] - margin,
                         np.full(50, np.nan), fx[200:250], np.full(50, np.nextafter(margin, 0.0)),
                         rng.uniform(0.0, 1.0, 50) * fx[300:350],
-                        rng.uniform(-0.1, 1.1, 50) * fx[350:]])
+                        rng.uniform(-0.1, 1.1, 50) * fx[350:400], top])
     for x_wave, s_wave in ((None, None), (("cos", 1), None), (("sin", 3), ("cos", 1.0)),
                            (None, ("sin", 0.5))):
         got = Observable(x_wave, s_wave).values(x, s, fx, margin)
