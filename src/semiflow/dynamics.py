@@ -79,22 +79,22 @@ class _Orbits:
     The points are grouped into base points, runs of bit-equal adjacent x;
     the store keeps tau^n(x_b) and f(tau^n x_b) in level-major rows over
     the B base points, a ring of ``width`` rows, row n mod width holding
-    level n.  Each point carries one index n*B + b into it (taken mod the
-    ring's size), and f is evaluated once per (base point, level) that some
-    point reaches, when the first of them gets there.  An entry not yet
-    built holds NaN, which f, a finite trig polynomial, never returns.
+    level n.  Each point carries one index (n mod width)*B + b into it, and
+    f is evaluated once per (base point, level) that some point reaches,
+    when the first of them gets there.  An entry not yet built holds NaN,
+    which f, a finite trig polynomial, never returns.
 
     The points of a run follow one orbit and share every height, so one
     whose flow time exceeds another's by at most D is at most
     floor(D/min f) + 1 levels ahead: ``width`` = floor(D/min f) + 3 rows
     hold every level the run's points occupy plus the next, empty one, for
-    D the largest spread of flow times within a run (widened by a bound on
-    rounding).  When B * width would exceed twice the points, every point
-    is its own base point, so the store's size is O(points) whatever the
-    flow times.
+    D the spread of all the flow times (widened by a bound on rounding),
+    which bounds the spread within each run.  When B * width would exceed
+    twice the points, every point is its own base point, so the store's
+    size is O(points) whatever the flow times.
     """
 
-    __slots__ = ("X", "F", "idx", "bases", "limit", "cross")
+    __slots__ = ("X", "F", "idx", "bases", "ring", "limit", "cross")
 
     def __init__(self, f: TrigPolynomial, x: np.ndarray, fx, spread: np.ndarray, steps: int):
         """x: the flat points' base coordinates; fx: f(x) or None; spread:
@@ -106,65 +106,73 @@ class _Orbits:
         starts = np.concatenate(([0], starts)) if size else starts
         width = 3
         if size:
-            d = np.maximum.reduceat(spread, starts) - np.minimum.reduceat(spread, starts)
             f_min = extrema(f, 0)[0]
             # the spread may grow by rounding: each of at most MAX_CROSSINGS
             # + steps operations on a flow time within MAX_CROSSINGS * f_min
             # (``check_crossings``) rounds by 2^-53 of it, at two points; and
             # clamping a landing within ROOF_TOL under 0 gains up to ROOF_TOL
             slack = (MAX_CROSSINGS + steps) * 2.0 ** -38 + steps * ROOF_TOL / f_min
-            width = int(float(d.max()) / f_min + slack) + 3
+            width = int(float(spread.max() - spread.min()) / f_min + slack) + 3
         if starts.size * width > 2 * size:
             starts, width = np.arange(size), 3
         bases = starts.size
         self.bases = bases
+        self.ring = width * bases
         self.idx = np.repeat(np.arange(bases), np.diff(starts, append=size))
         # scratch of every step, and the flow times ``advance_through``
         # hands to the next: fresh arrays cost page faults at each step
         self.limit = np.empty(size)
         self.cross = np.empty(size, dtype=bool)
-        self.X = np.empty(width * bases)
-        self.F = np.full(width * bases, np.nan)
+        self.X = np.empty(self.ring)
+        self.F = np.full(self.ring, np.nan)
         self.X[:bases] = x[starts]
         self.F[:bases] = f(x[starts]) if fx is None else fx[starts]
 
     def _build(self, f: TrigPolynomial, slots: np.ndarray) -> None:
-        """Build the entries at the distinct indices ``slots``, each the
-        level after a built one, and empty the ring row after each."""
+        """Build the entries at the distinct indices ``slots`` (consumed),
+        each the level after a built one, and empty the ring row after
+        each: the rows before and after a slot lie within one ring size."""
         y = f.ell * self.X.take(slots - self.bases, mode="wrap")
         y -= np.floor(y)            # the bits of y % 1.0, at less cost
-        self.X.put(slots, y, mode="wrap")
-        self.F.put(slots, f(y), mode="wrap")
-        self.F.put(slots + self.bases, np.nan, mode="wrap")
+        self.X[slots] = y
+        self.F[slots] = f(y)
+        slots += self.bases
+        slots[slots >= self.ring] -= self.ring
+        self.F[slots] = np.nan
 
     def flow(self, f: TrigPolynomial, rem: np.ndarray, h: np.ndarray) -> tuple:
         """Flow every point from its current base point, of height h, for
         its flow time rem; both flat and consumed.  Returns (x', s', n, f(x'))."""
-        X, F, idx, bases = self.X, self.F, self.idx, self.bases
+        X, F, idx, bases, ring = self.X, self.F, self.idx, self.bases, self.ring
         limit, cross = self.limit, self.cross
+        step = limit.view(np.int64)
         n = np.zeros(rem.shape, dtype=int)
         while True:
             np.add(rem, ROOF_TOL, out=limit)
             np.less_equal(h, limit, out=cross)
             if not cross.any():
                 break
-            np.subtract(rem, h, out=rem, where=cross)
-            np.add(idx, bases, out=idx, where=cross)
+            # products with the mask, not ufuncs masked by it, whose cost
+            # grows with how often the mask flips: h * False = +0, and rem
+            # - 0 is rem bit for bit
+            rem -= np.multiply(h, cross, out=limit)
             n += cross
-            F.take(idx, out=h, mode="wrap")
-            missing = np.flatnonzero(np.isnan(h, out=cross))    # not yet built
-            if missing.size:
+            idx += np.multiply(cross, bases, out=step)
+            np.greater_equal(idx, ring, out=cross)
+            np.subtract(idx, ring, out=idx, where=cross)
+            F.take(idx, out=h, mode="clip")     # in the ring: no bounds check
+            slots = idx[np.isnan(h, out=cross)]     # not yet built
+            if slots.size:
                 # a base point's points are adjacent, and those that miss
                 # this step all entered its one new level: equal slots are
                 # adjacent, so comparing neighbours dedupes them
-                slots = idx.take(missing)
                 first = np.empty(slots.size, dtype=bool)
                 first[0] = True
                 np.not_equal(slots[1:], slots[:-1], out=first[1:])
                 self._build(f, slots[first])
-                h.put(missing, F.take(slots, mode="wrap"))
+                F.take(idx, out=h, mode="clip")
         np.maximum(rem, 0.0, out=rem)
-        return X.take(idx, mode="wrap"), rem, n, h
+        return X.take(idx, mode="clip"), rem, n, h
 
 
 def advance(f: TrigPolynomial, x, total, fx=None, *, orbits=None):
@@ -178,16 +186,16 @@ def advance(f: TrigPolynomial, x, total, fx=None, *, orbits=None):
     f is evaluated once per base point, a run of bit-equal adjacent x, and
     level its points reach, so points that share a base point, like the
     nodes of one column in flattened order, share every evaluation.  Each
-    step moves all the points at once with masked whole-array operations: a
-    point whose height h satisfies h <= rem + ROOF_TOL crosses, rem -= h,
-    and moves one level up its orbit; the landing coordinate is max(rem, 0).
-    A partial Birkhoff sum within ROOF_TOL of total therefore counts as a
-    crossing, so points landing exactly on the roof come out at the base of
-    the next fiber.  ``orbits``, when given, is the store of
-    ``advance_through`` holding these points, and x and fx are their
-    current coordinates; without it the call builds its own store.  Raises
-    ResourceLimit before the first crossing when the largest total could
-    take more than MAX_CROSSINGS of them.
+    step moves all the points at once with whole-array operations on the
+    crossing mask: a point whose height h satisfies h <= rem + ROOF_TOL
+    crosses, rem -= h, and moves one level up its orbit; the landing
+    coordinate is max(rem, 0).  A partial Birkhoff sum within ROOF_TOL of
+    total therefore counts as a crossing, so points landing exactly on the
+    roof come out at the base of the next fiber.  ``orbits``, when given,
+    is the store of ``advance_through`` holding these points, and x and fx
+    are their current coordinates; without it the call builds its own
+    store.  Raises ResourceLimit before the first crossing when the largest
+    total could take more than MAX_CROSSINGS of them.
     """
     x = np.asarray(x, dtype=float)
     total = np.asarray(total, dtype=float)
@@ -200,7 +208,7 @@ def advance(f: TrigPolynomial, x, total, fx=None, *, orbits=None):
     if orbits is None:
         orbits = _Orbits(f, x.ravel(), fx, rem, 1)
     if fx is None:
-        fx = orbits.F.take(orbits.idx, mode="wrap")
+        fx = orbits.F.take(orbits.idx)
     x, rem, n, fx = orbits.flow(f, rem, fx)
     return x.reshape(shape), rem.reshape(shape), n.reshape(shape), fx.reshape(shape)
 
@@ -222,6 +230,11 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
     that ignores the store returns the same values.  Raises ResourceLimit up
     front when the largest time could take more than MAX_CROSSINGS roof
     crossings, so no step does.
+
+    A caller that drops a sample's arrays before it asks for the next lets
+    the step reuse their memory.  Otherwise every sample grows the heap by
+    its arrays, the C allocator may return that memory at the next sample,
+    and the arrays of each sample fault their pages in again.
     """
     t_arr = np.asarray(times, dtype=float).ravel()
     # a step flows from s_k <= s + t_k for t_(k+1) - t_k, so within s + t_(k+1)
@@ -239,7 +252,12 @@ def advance_through(f: TrigPolynomial, x, s, times, step=advance, fx=None):
         # reads before it overwrites: no fresh array per step
         total = orbits.limit.reshape(x.shape)
         for t in ts:
-            x, s, _, fx = step(f, x, np.add(s, t - t_prev, out=total), fx=fx, orbits=orbits)
+            np.add(s, t - t_prev, out=total)
+            # the previous sample's s and crossing counts go before the step
+            # allocates the next sample (see the docstring)
+            del s
+            x, s, n, fx = step(f, x, total, fx=fx, orbits=orbits)
+            del n
             t_prev = t
             yield t, x, s, fx
     return samples(x, s, fx)

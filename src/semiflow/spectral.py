@@ -128,15 +128,15 @@ class Observable:
         if v is None:
             v = np.ones_like(np.asarray(x, dtype=float))
         if self.cutoff:
-            # both steps are 1 outside the band near the bottom and the top
-            # of the fiber, where multiplying by them changes no bit: s >=
-            # margin gives s/margin >= 1, and likewise at the top, while nan
-            # stays in the band
-            hi = fx - s
-            inside = s >= margin
-            inside &= hi >= margin
-            band = np.nonzero(~inside)
-            v[band] = v[band] * step(s[band] / margin) * step(hi[band] / margin)
+            # each step is 1 outside its own band, where multiplying by it
+            # changes no bit: s >= margin gives s/margin >= 1, and likewise
+            # at the top, while nan stays in both bands; a point in both
+            # takes the two factors in the order of the full product
+            low = np.nonzero(~(s >= margin))
+            v[low] = v[low] * step(s[low] / margin)
+            gap = fx - s
+            high = np.nonzero(~(gap >= margin))
+            v[high] = v[high] * step(gap[high] / margin)
         return v
 
 
@@ -326,6 +326,7 @@ def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
         mean_phi = float(np.sum(np.multiply(w, phi_vals, out=product)))
         cor_at[t] = float(np.sum(np.multiply(w_psi, phi_vals, out=product))
                           - mean_phi * mean_psi)
+        del x1, s1, fx1, phi_vals       # before the next step (``advance_through``)
     samples = tuple((float(t), cor_at[float(t)]) for t in t_list)
     return CorrelationCurve(samples=samples, psi_id=psi.id, phi_id=phi.id)
 

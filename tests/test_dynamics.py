@@ -341,6 +341,34 @@ def test_advance_store_stays_linear_when_a_run_spreads_over_many_roofs(f_sin):
     assert peak < 2 ** 20
 
 
+def test_advance_keeps_the_store_indices_inside_the_ring(f_sin):
+    # the points climb over 600 levels of a ring a few rows wide: each index
+    # wraps as it passes the last row, so every gather reads the store
+    # directly, at a cost that does not grow with the level
+    rng = np.random.default_rng(36)
+    x = np.repeat(rng.random(32), 16)
+    s = rng.uniform(0.0, 0.7, x.size)
+    times = [100.0, 400.0, 800.0]
+    seen, crossings = [], 0
+
+    def step(*args, orbits, **kwargs):
+        nonlocal crossings
+        got = advance(*args, orbits=orbits, **kwargs)
+        seen.append((orbits.ring, int(orbits.idx.min()), int(orbits.idx.max())))
+        crossings = crossings + got[2]
+        return got
+    samples = list(advance_through(f_sin, x, s, times, step=step))
+    ring = seen[0][0]
+    assert ring < 8 * 32
+    assert all(r == ring and 0 <= lo and hi < ring for r, lo, hi in seen)
+    assert crossings.min() > 600
+    xo, so, fo, t_prev = x, s, None, 0.0
+    for t, *got in samples:
+        xo, so, _, fo = advance_per_point(f_sin, xo, so + (t - t_prev), fx=fo)
+        t_prev = t
+        assert _same_bits(got, (xo, so, fo))
+
+
 def test_advance_through_hands_on_the_heights(f_sin):
     rng = np.random.default_rng(33)
     x = rng.random(200)
