@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidArgument
+from .errors import DomainViolation, InvalidArgument, NumericalFailure
 from .smooth import chi, step
 
 _PI = math.pi
@@ -117,6 +117,8 @@ class Polarization:
 STRONG = (1.0, 0.0)
 WEAK = (0.75, -0.25)
 
+PARTITION_TOL = 1e-12  # the masks sum to 1 to rounding: 2.2e-16 on the bench grids
+
 
 @dataclass
 class GridFunction2D:
@@ -139,10 +141,13 @@ class GridFunction2D:
     def N(self) -> int:
         return self.values.shape[0]
 
+    def axis(self) -> np.ndarray:
+        """Physical coordinates along each side of the lattice (origin at center)."""
+        return (np.arange(self.N) - self.N // 2) * self.spacing
+
     def coords(self):
-        """Physical coordinates of the sample lattice (origin at center)."""
-        axis = (np.arange(self.N) - self.N // 2) * self.spacing
-        return np.meshgrid(axis, axis, indexing="ij")
+        """Physical coordinates of the sample lattice."""
+        return np.meshgrid(self.axis(), self.axis(), indexing="ij")
 
     def freqs(self):
         """Angular frequency lattice matching numpy's FFT layout."""
@@ -155,9 +160,6 @@ class GridFunction2D:
     def fft(self) -> np.ndarray:
         return np.fft.fft2(self.values)
 
-    def nyquist(self) -> float:
-        return _PI / self.spacing
-
 
 def make_grid(rx: float, ry: float, N: int) -> GridFunction2D:
     """Empty space-side grid for functions supported in the centered
@@ -167,11 +169,12 @@ def make_grid(rx: float, ry: float, N: int) -> GridFunction2D:
 
 
 def _support_ok(u: GridFunction2D, tol: float = 1e-12) -> bool:
-    X, Y = u.coords()
     amax = float(np.max(np.abs(u.values)))
     if amax == 0.0:
         return True
-    outside = (np.abs(X) > u.rect[0] + u.spacing / 2) | (np.abs(Y) > u.rect[1] + u.spacing / 2)
+    axis = np.abs(u.axis())
+    outside = ((axis > u.rect[0] + u.spacing / 2)[:, None]
+               | (axis > u.rect[1] + u.spacing / 2)[None, :])
     return float(np.max(np.abs(u.values[outside]), initial=0.0)) <= tol * amax
 
 
@@ -202,27 +205,38 @@ def _masks(theta: Polarization, xi1, xi2, top: int):
 
 def _top_band(grid: GridFunction2D) -> int:
     """Smallest n beyond which every mask vanishes on the grid."""
-    xi_max = math.sqrt(2.0) * grid.nyquist()
+    xi_max = math.sqrt(2.0) * (_PI / grid.spacing)
     return max(1, math.ceil(math.log2(xi_max))) + 1
 
 
 @dataclass(frozen=True)
 class MaskBank:
-    """Every mask psi_{n,sigma} of one polarization on the frequency lattice
-    of one grid size N and spacing: ``masks`` holds read-only
-    ((n, sigma), mask) pairs, n ascending, '+' before '-'."""
+    """The norm weights sum_{n,sigma} w_{n,sigma} psi_{n,sigma}^2 of one
+    polarization (``strong``, ``weak``) and its partition ``defect`` on the
+    frequency lattice of one grid size N and spacing."""
 
     N: int
     spacing: float
-    masks: tuple
+    defect: float
+    strong: np.ndarray
+    weak: np.ndarray
 
 
 def mask_bank(theta: Polarization, grid: GridFunction2D) -> MaskBank:
-    """The bank of every mask of theta on the grid's frequency lattice."""
-    masks = tuple(_masks(theta, *grid.freqs(), _top_band(grid)))
-    for _, m in masks:
-        m.flags.writeable = False
-    return MaskBank(N=grid.N, spacing=grid.spacing, masks=masks)
+    """The bank of theta on the grid's frequency lattice, from one pass over
+    its masks.  Raises NumericalFailure, naming the defect, unless the masks
+    sum to 1 within PARTITION_TOL at every grid frequency."""
+    total, strong, weak = (np.zeros((grid.N, grid.N)) for _ in range(3))
+    for (n, sigma), m in _masks(theta, *grid.freqs(), _top_band(grid)):
+        total += m
+        sq = m * m
+        for acc, (p, q) in ((strong, STRONG), (weak, WEAK)):
+            acc += 2.0 ** (2.0 * (p if sigma == "+" else q) * n) * sq
+    defect = float(np.max(np.abs(total - 1.0)))
+    if not defect <= PARTITION_TOL:
+        raise NumericalFailure(f"the masks sum to 1 only within {defect!r}",
+                               partition_defect=defect)
+    return MaskBank(grid.N, grid.spacing, defect, strong, weak)
 
 
 def _check_bank(bank: MaskBank, u: GridFunction2D) -> None:
@@ -232,33 +246,18 @@ def _check_bank(bank: MaskBank, u: GridFunction2D) -> None:
 
 def partition_defect(bank: MaskBank) -> float:
     """max over grid frequencies of |sum of all masks - 1|."""
-    total = sum(m for _, m in bank.masks)
-    return float(np.max(np.abs(total - 1.0)))
-
-
-def band_norms(u: GridFunction2D, bank: MaskBank) -> dict:
-    """Squared L2 norms of every masked dyadic piece of u, keyed (n, sigma)."""
-    _check_bank(bank, u)
-    F = u.fft()
-    scale = (u.spacing ** 2) / (u.N ** 2)  # discrete Parseval factor
-    return {key: float(np.sum(np.abs(m * F) ** 2)) * scale for key, m in bank.masks}
+    return bank.defect
 
 
 def aniso_norm(u: GridFunction2D, bank: MaskBank) -> tuple:
     """(strong, weak): the anisotropic norms of u for the bank's
-    polarization with the STRONG and WEAK weights, both from one band
-    decomposition of u."""
+    polarization with the STRONG and WEAK weights, both from one power
+    spectrum of u."""
     if not _support_ok(u):
         raise DomainViolation("function is not supported in the designated rectangle")
-    bands = band_norms(u, bank).items()
-    norms = []
-    for p, q in (STRONG, WEAK):
-        total = 0.0
-        for (n, sigma), sq in bands:
-            w = 2.0 ** (2.0 * p * n) if sigma == "+" else 2.0 ** (2.0 * q * n)
-            total += w * sq
-        norms.append(math.sqrt(total))
-    return tuple(norms)
+    _check_bank(bank, u)
+    power = np.abs(u.fft()) ** 2 * ((u.spacing ** 2) / (u.N ** 2))  # discrete Parseval
+    return tuple(math.sqrt(float(np.sum(w * power))) for w in (bank.strong, bank.weak))
 
 
 def embedding_check(u: GridFunction2D, strong: float) -> float:

@@ -9,10 +9,11 @@ tau(x) = ell * x mod 1.  Trigonometric polynomials give exact derivatives of
 every Birkhoff sum downstream, so no numerical differentiation enters the
 slope and cone computations.
 
-``extrema`` certifies the range of f and of f' (grid scan refined by
-bisection on the derivative), once per ceiling, and is the one bound on
-either in the package; ``classify`` derives from it the constants that
-control cone apertures and slope Lipschitz bounds everywhere else.
+``extrema`` certifies the range of f and of its first three derivatives
+(grid scan refined by bisection on the next derivative), once per ceiling
+and order, and is the one bound on any of them in the package; ``classify``
+derives from it the constants that control cone apertures and slope
+Lipschitz bounds everywhere else.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import InvalidArgument
 
 # Order-3 truncation of the smoothness-norm surrogate: reports must carry
-# this caveat because derivatives beyond f''' never enter the computations.
+# this caveat because no derivative beyond f''' enters the constants (f''''
+# is evaluated only to locate the extrema of f''').
 CR_TRUNCATION_CAVEAT = "C^r norm surrogate truncated at order 3"
 
 # Harmonic indices stop at a quarter of the certification grid, so that every
@@ -98,14 +100,14 @@ def _harmonic(c: float, s: float, arg: np.ndarray, scale: float) -> np.ndarray:
 
 
 def eval(f: TrigPolynomial, x, order: int = 0):
-    """Derivative of order 0..3 of f at x (scalar or array), in closed form.
+    """Derivative of order 0..4 of f at x (scalar or array), in closed form.
 
     The k-th derivative of cos(w x) is w^k cos(w x + k pi/2), likewise for
     sin, so every value is exact up to rounding.  A zero coefficient's
     transcendental is evaluated only where it can move a bit (``_harmonic``).
     """
-    if order not in (0, 1, 2, 3):
-        raise InvalidArgument(f"order must be in {{0,1,2,3}}, got {order}")
+    if order not in (0, 1, 2, 3, 4):
+        raise InvalidArgument(f"order must be in {{0,1,2,3,4}}, got {order}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = x.reshape(-1) if scalar else x
@@ -126,7 +128,7 @@ class CeilingClass:
     theta_f is the invariant-cone aperture max|f'| / (gamma0*ell - 1);
     theta_K = K / (gamma0*ell - 1) is the slope Lipschitz constant used by
     certified grid sweeps and the genericity windows, where K bounds 1/min f,
-    max f and the order-<=3 smoothness surrogate.
+    max f and the order-<=3 smoothness surrogate, all from certified extrema.
     """
 
     theta_f: float
@@ -160,14 +162,14 @@ def _refine_roots(f: TrigPolynomial, order: int, tol: float = 1e-12):
 
 @functools.lru_cache(maxsize=256)
 def extrema(f: TrigPolynomial, order: int) -> tuple:
-    """Certified (min, max) of f (order 0) or f' (order 1) over the circle:
-    the grid values together with the bisected critical points.
+    """Certified (min, max) of the derivative of order 0..3 of f over the
+    circle: the grid values together with the bisected critical points.
 
     The result is cached per ceiling value, so each distinct ceiling is
     certified at most once per order.
     """
-    if order not in (0, 1):
-        raise InvalidArgument(f"order must be 0 or 1, got {order}")
+    if order not in (0, 1, 2, 3):
+        raise InvalidArgument(f"order must be in {{0,1,2,3}}, got {order}")
     candidates = [eval(f, _GRID, order)]
     crit = _refine_roots(f, order + 1)
     if crit.size:
@@ -177,19 +179,19 @@ def extrema(f: TrigPolynomial, order: int) -> tuple:
 
 
 def classify(f: TrigPolynomial, gamma0: float) -> CeilingClass:
-    """The class constants of f from the certified extrema of f and f'.
+    """The class constants of f from the certified extrema of f and of its
+    first three derivatives.
 
     K is the smallest power of two exceeding 1.01 * max(1/min f, max f,
-    max|f'|, grid max of |f''| and |f'''|).  f is strictly positive and
-    gamma0 lies in (1/ell, 1), as config parsing checks.
+    max|f'|, max|f''|, max|f'''|).  f is strictly positive and gamma0 lies
+    in (1/ell, 1), as config parsing checks.
     """
     f_min, f_max = extrema(f, 0)
-    max_abs_f1 = max(map(abs, extrema(f, 1)))
+    max_abs = [max(map(abs, extrema(f, order))) for order in (1, 2, 3)]
 
     denom = gamma0 * f.ell - 1.0
-    base = 1.01 * max(1.0 / f_min, f_max, max_abs_f1,
-                      *(float(np.max(np.abs(eval(f, _GRID, order)))) for order in (2, 3)))
+    base = 1.01 * max(1.0 / f_min, f_max, *max_abs)
     K = 2.0 ** math.ceil(math.log2(base))
     if K <= base:
         K *= 2.0
-    return CeilingClass(theta_f=max_abs_f1 / denom, theta_K=K / denom)
+    return CeilingClass(theta_f=max_abs[0] / denom, theta_K=K / denom)

@@ -362,7 +362,7 @@ def _ceiling(spec: dict, problems: list) -> TrigPolynomial | None:
     coefficient magnitudes, the TrigPolynomial invariants, positivity, the range."""
     bad = []
     c = _checked(_CEILING, spec, "key", bad)
-    # then no derivative up to order 3 of f overflows while it is certified
+    # then no derivative up to order 4 of f overflows while it is certified
     if not bad and not all(abs(v) <= MAX_HEIGHT
                            for v in (c["mean"], *(v for h in c["harmonics"] for v in h[1:]))):
         bad.append(_COEFFICIENT_RULE)

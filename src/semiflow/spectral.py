@@ -15,11 +15,7 @@ caveat.
 scipy is the only heavy import here and is loaded inside the functions that
 use it, so the subcommands that never build an Ulam matrix never pay its
 start-up cost: ``build_ulam`` loads ``scipy.sparse`` and ``spectrum`` the
-solvers.  The assembly holds one chunk of sample points at a time, so where
-the solvers load no longer moves the peak RSS: the flow-transport benchmark
-read 80.2-80.7 MiB with them loaded in either function (2-core Linux
-machine), where the one-shot assembly's freed arrays had made the placement
-worth about 1 MiB.
+solvers.
 """
 
 from __future__ import annotations

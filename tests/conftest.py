@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def parse_violations(**config) -> str:
     with pytest.raises(ValidationError) as info:
         parse_config(json.dumps(config))
     return str(info.value)
+
+
+def traced_peak(call):
+    """(result, peak traced bytes) of call() run under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_positive_ceiling(rng) -> TrigPolynomial:

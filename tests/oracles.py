@@ -8,8 +8,10 @@ simulated crossing by crossing, words are letter tuples whose inverse
 branches are applied one letter at a time, masks are evaluated by their
 pointwise formula, extrema come from dense grids, and the cobounding
 potential is the preimage series of its derivative integrated by FFT
-(``fft_potential``).  A few references keep a loop that the library
-replaced, so each pair can be compared bit for bit: ``per_point_grid`` builds one
+(``fft_potential``).  ``band_norms`` keeps every masked dyadic piece of a
+function, which the library folds into two weight arrays: the norms agree
+to rounding, and ``mask_sum`` adds the masks in the library's order.  A few
+references keep a loop that the library replaced, so each pair can be compared bit for bit: ``per_point_grid`` builds one
 branch table per grid point and reads its slope profile with per-table
 passes, one search pass per target level (``overlap_maxima``) and one
 stable argsort (``sweep_max``), where the library serves a block of flow
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from semiflow.aniso import GridFunction2D, _check_bank
+from semiflow.aniso import GridFunction2D
 from semiflow.dynamics import FlowPoint, _valid, advance, branch_table, check_crossings
 from semiflow.errors import InvalidArgument, PreconditionViolation
 from semiflow.genericity import BumpDirection, _profile
@@ -56,7 +58,7 @@ PREIMAGE_CAP = 2 ** 24
 
 
 def eval_full(f, x, order=0):
-    """Derivative of order 0..3 of f at x by the closed form with every
+    """Derivative of order 0..4 of f at x by the closed form with every
     transcendental evaluated, zero coefficients included."""
     x = np.asarray(x, dtype=float)
     out = np.full_like(x, f.mean_coeff if order == 0 else 0.0)
@@ -651,6 +653,45 @@ def mask_value(theta, n, sigma, xi1, xi2):
     return angular * (chi(r * 2.0 ** -n) - chi(r * 2.0 ** (1 - n)))
 
 
+def band_masks(theta, grid):
+    """((n, sigma), psi_{Theta,n,sigma}) on the grid's frequency lattice by
+    ``mask_value``, n ascending and '+' before '-', up to the first level n
+    whose outer bump chi(2^-n |xi|) is 1 at every grid frequency: every
+    later mask vanishes there."""
+    xi1, xi2 = grid.freqs()
+    r = np.hypot(xi1, xi2)
+    n = 0
+    while True:
+        for sigma in ("+", "-"):
+            yield (n, sigma), mask_value(theta, n, sigma, xi1, xi2)
+        if np.all(chi(r * 2.0 ** -n) == 1.0):
+            return
+        n += 1
+
+
+def mask_sum(theta, grid):
+    """The sum of every mask of theta on the grid's frequency lattice,
+    accumulated from 0 in mask order."""
+    return sum(m for _, m in band_masks(theta, grid))
+
+
+def band_norms(u, theta):
+    """Squared L2 norms of every masked dyadic piece of u, keyed (n, sigma):
+    the decomposition the anisotropic norms weight."""
+    F = u.fft()
+    scale = (u.spacing ** 2) / (u.N ** 2)  # discrete Parseval factor
+    return {key: float(np.sum(np.abs(m * F) ** 2)) * scale
+            for key, m in band_masks(theta, u)}
+
+
+def weighted_norm(bands, weights):
+    """sqrt of the sum over the ``band_norms`` of 2^(2pn) times the plus
+    bands and 2^(2qn) times the minus bands, for weights (p, q)."""
+    p, q = weights
+    return math.sqrt(sum(2.0 ** (2.0 * (p if sigma == "+" else q) * n) * sq
+                         for (n, sigma), sq in bands.items()))
+
+
 # ---------------------------------------------------------------------------
 # paper constructions
 
@@ -667,24 +708,23 @@ def cone_filter(u, cone):
     return GridFunction2D(values=vals, spacing=u.spacing, rect=u.rect)
 
 
-def paired_band_inner(u, v, bank):
+def paired_band_inner(u, v, theta):
     """max over n of |(psi_{n,-}(D)u, psi_{n,-}(D)v)_{L2}|, frequency-side,
-    with the bank's masks."""
-    _check_bank(bank, u)
+    with the masks of the polarization theta."""
     Fu, Fv = u.fft(), v.fft()
     scale = (u.spacing ** 2) / (u.N ** 2)
     return max(float(abs(np.sum(m * Fu * np.conj(m * Fv)) * scale))
-               for (_, sigma), m in bank.masks if sigma == "-")
+               for (_, sigma), m in band_masks(theta, u) if sigma == "-")
 
 
-def transversal_orthogonality(u, v, bank, cone_u, cone_v):
+def transversal_orthogonality(u, v, theta, cone_u, cone_v):
     """Paired minus-band inner products of u and v, sharply filtered into
     the cones cone_u and cone_v (see ``cone_filter``).  When the cones are
     disjoint the Fourier supports are disjoint, so every paired term
     vanishes to rounding."""
     if cone_u.intersects(cone_v):
         raise PreconditionViolation("cone_u and cone_v must meet only at the origin")
-    return paired_band_inner(u, v, bank)
+    return paired_band_inner(u, v, theta)
 
 
 def strictly_precedes(theta, theta_prime, margin=1e-12):

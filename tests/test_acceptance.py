@@ -213,7 +213,7 @@ def test_acceptance_8_anisotropic_norms():
     base = GridFunction2D(values=window * rng.standard_normal((64, 64)),
                           spacing=grid.spacing, rect=grid.rect)
     ortho = transversal_orthogonality(cone_filter(base, cu),
-                                      cone_filter(base, cv), bank, cu, cv)
+                                      cone_filter(base, cv), theta, cu, cv)
     assert ortho <= 1e-12
     print(f"\nACCEPTANCE 8 PASS: partition defect {defect:.1e} <= 1e-12, "
           f"max embedding ratio {worst_ratio:.3f} <= sqrt(6), "

@@ -4,16 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semiflow import aniso
 from semiflow.aniso import (STRONG, WEAK, ConeSpec, DomainViolation, GridFunction2D,
                             InvalidArgument, Polarization, aniso_norm,
-                            band_norms, embedding_check, make_grid, mask_bank,
+                            embedding_check, make_grid, mask_bank,
                             partition_defect)
 from semiflow.cli import main
 from semiflow.errors import PreconditionViolation
 from semiflow.smooth import plateau
 
-from oracles import (angular_profile, cone_filter, mask_value, paired_band_inner,
-                     strictly_precedes, transversal_orthogonality)
+from conftest import traced_peak
+from oracles import (angular_profile, band_norms, cone_filter, mask_sum,
+                     mask_value, paired_band_inner, strictly_precedes,
+                     transversal_orthogonality, weighted_norm)
 
 
 @pytest.fixture(scope="module")
@@ -176,35 +182,35 @@ def test_norm_params_validation():
     assert STRONG == (1.0, 0.0)
 
 
-def test_orthogonality_disjoint_cones(bank, grid):
+def test_orthogonality_disjoint_cones(theta, grid):
     rng = np.random.default_rng(12)
     base = _window(grid) * rng.standard_normal((64, 64))
     cu, cv = ConeSpec(0.1, 0.2), ConeSpec(0.5, 0.6)
     u = cone_filter(_wrap(grid, base), cu)
     v = cone_filter(_wrap(grid, base), cv)
-    assert transversal_orthogonality(u, v, bank, cu, cv) <= 1e-12
+    assert transversal_orthogonality(u, v, theta, cu, cv) <= 1e-12
 
 
-def test_orthogonality_zero_function(bank, grid):
+def test_orthogonality_zero_function(theta, grid):
     cu, cv = ConeSpec(0.1, 0.2), ConeSpec(0.5, 0.6)
     u = cone_filter(_wrap(grid, np.zeros((64, 64))), cu)
     v = cone_filter(_wrap(grid, np.zeros((64, 64))), cv)
-    assert transversal_orthogonality(u, v, bank, cu, cv) == 0.0
+    assert transversal_orthogonality(u, v, theta, cu, cv) == 0.0
 
 
-def test_orthogonality_rejects_overlapping_cones(bank, grid):
+def test_orthogonality_rejects_overlapping_cones(theta, grid):
     u = _wrap(grid, _window(grid))
     with pytest.raises(PreconditionViolation):
-        transversal_orthogonality(u, u, bank, ConeSpec(0.1, 0.3), ConeSpec(0.2, 0.4))
+        transversal_orthogonality(u, u, theta, ConeSpec(0.1, 0.3), ConeSpec(0.2, 0.4))
 
 
-def test_paired_inner_self_consistency(theta, grid, bank):
+def test_paired_inner_self_consistency(theta, grid):
     # with v = u the paired inner products are the squared minus-band norms
     rng = np.random.default_rng(13)
     steep = ConeSpec(3.0, -3.0)  # inside the minus cone
     u = cone_filter(_wrap(grid, _window(grid) * rng.standard_normal((64, 64))), steep)
-    got = paired_band_inner(u, u, bank)
-    bands = band_norms(u, bank)
+    got = paired_band_inner(u, u, theta)
+    bands = band_norms(u, theta)
     # paired terms use the squared mask, so compare against a direct
     # frequency-side evaluation of the same quantity
     F = u.fft()
@@ -263,13 +269,19 @@ def test_mask_squares_parseval_diagnostic(theta, grid):
 
 
 def test_mask_bank_order_and_values(theta, grid, bank):
-    keys = [key for key, _ in bank.masks]
+    masks = list(aniso._masks(theta, *grid.freqs(), aniso._top_band(grid)))
+    keys = [key for key, _ in masks]
     top = max(n for n, _ in keys)
     assert keys == [(n, sigma) for n in range(top + 1) for sigma in ("+", "-")]
-    assert (bank.N, bank.spacing) == (grid.N, grid.spacing)
-    for (n, sigma), m in bank.masks:
-        assert not m.flags.writeable
+    for (n, sigma), m in masks:
         assert np.array_equal(m, mask_value(theta, n, sigma, *grid.freqs()))
+    # the bank keeps each weight array as the masks' squares summed in order
+    assert (bank.N, bank.spacing) == (grid.N, grid.spacing)
+    for (p, q), got in ((STRONG, bank.strong), (WEAK, bank.weak)):
+        expected = np.zeros((grid.N, grid.N))
+        for (n, sigma), m in masks:
+            expected += 2.0 ** (2.0 * (p if sigma == "+" else q) * n) * (m * m)
+        assert np.array_equal(got, expected)
 
 
 def test_mask_bank_evaluates_each_radial_bump_once(theta, grid, monkeypatch):
@@ -292,8 +304,46 @@ def test_bank_refused_on_another_grid(bank):
     wider = make_grid(2.0, 2.0, 64)
     for g in (finer, wider):
         with pytest.raises(InvalidArgument):
-            band_norms(g, bank)
-        with pytest.raises(InvalidArgument):
             aniso_norm(g, bank)
-        with pytest.raises(InvalidArgument):
-            paired_band_inner(g, g, bank)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(margin=st.floats(0.0, 1.99), grid_n=st.sampled_from([32, 64, 128]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_norms_match_the_band_decomposition(margin, grid_n, seed):
+    # the two weight arrays give each norm of the oracle's per-band sums,
+    # keep weak <= strong exactly, and the bank's defect is the oracle's.
+    # Margins within rounding of 2 put atan(margin) on atan(2), where the
+    # cones touch and Polarization refuses them
+    theta = Polarization(ConeSpec(-margin, margin), ConeSpec(2.0, -2.0))
+    grid = make_grid(1.0, 1.0, grid_n)
+    rng = np.random.default_rng(seed)
+    u = _wrap(grid, _window(grid) * rng.standard_normal((grid_n, grid_n)))
+    bank = mask_bank(theta, grid)
+    strong, weak = aniso_norm(u, bank)
+    bands = band_norms(u, theta)
+    assert strong == pytest.approx(weighted_norm(bands, STRONG), rel=1e-14)
+    assert weak == pytest.approx(weighted_norm(bands, WEAK), rel=1e-14)
+    assert weak <= strong
+    assert partition_defect(bank) == float(np.max(np.abs(mask_sum(theta, grid) - 1.0)))
+
+
+def test_bank_and_one_norm_memory_at_512(theta):
+    # every mask stored at N = 512 held 46.1 MiB, and the bank plus one
+    # norm peaked at 60.6 MiB
+    grid = make_grid(1.0, 1.0, 512)
+    u = _wrap(grid, _window(grid))
+    bank = mask_bank(theta, grid)
+    assert bank.strong.nbytes + bank.weak.nbytes < 8 * 2 ** 20
+    _, peak = traced_peak(lambda: aniso_norm(u, mask_bank(theta, grid)))
+    assert peak < 40 * 2 ** 20
+
+
+def test_norms_run_exits_3_on_a_broken_partition(monkeypatch, capsys):
+    # chi halved makes the masks telescope to 1/2 at every grid frequency
+    real = aniso.chi
+    monkeypatch.setattr(aniso, "chi", lambda s: real(s) / 2.0)
+    assert main(["norms", "--set", "params.grid_n=32"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "numerical-failure"
+    assert doc["partition_defect"] == 0.5

@@ -38,7 +38,7 @@ _ZERO_COEFFICIENT_CEILINGS = [
 ]
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_eval_matches_the_full_formula_bitwise(order):
     # skipping a zero coefficient's transcendental keeps every bit, the sign
     # of a zero included
@@ -75,9 +75,10 @@ def test_eval_third_derivative_available(f_sin):
         -0.2 * (2 * math.pi) ** 3 * math.cos(2 * math.pi * 0.1), rel=1e-12)
 
 
-def test_eval_rejects_order_four(f_sin):
+def test_eval_rejects_order_five(f_sin):
+    # order 4 locates the extrema of f'''; nothing needs order 5
     with pytest.raises(InvalidArgument):
-        feval(f_sin, 0.1, 4)
+        feval(f_sin, 0.1, 5)
 
 
 def test_eval_matches_finite_differences(f_generic):
@@ -155,7 +156,38 @@ def test_extrema_certify_f_and_its_derivative(f_sin, f_generic):
     assert -lo == pytest.approx(0.4 * math.pi, abs=1e-12) == hi
     assert max(map(abs, extrema(f_generic, 1))) >= dense_max_abs_deriv(f_generic, 1)
     with pytest.raises(InvalidArgument):
-        extrema(f_sin, 2)
+        extrema(f_sin, 4)
+
+
+def test_extrema_of_higher_derivatives_bound_a_dense_grid():
+    # the certified range of f'' and f''' contains every value on a grid of
+    # 2^20 points, which the certification grid of 4096 points can miss
+    rng = np.random.default_rng(23)
+    grid = np.arange(2 ** 20) / 2 ** 20
+    for f in [random_positive_ceiling(rng) for _ in range(10)] + [TOP_HARMONIC]:
+        for order in (2, 3):
+            values = feval(f, grid, order)
+            lo, hi = extrema(f, order)
+            assert lo <= values.min() and values.max() <= hi
+
+
+def _grid_k(f):
+    """K with the certification-grid maxima of |f''| and |f'''| in place of
+    their certified maxima."""
+    f_min, f_max = extrema(f, 0)
+    base = 1.01 * max(1.0 / f_min, f_max, max(map(abs, extrema(f, 1))),
+                      *(float(np.max(np.abs(feval(f, ceiling._GRID, k)))) for k in (2, 3)))
+    K = 2.0 ** math.ceil(math.log2(base))
+    return 2.0 * K if K <= base else K
+
+
+def test_certified_higher_derivatives_keep_k_on_the_benchmark_ceilings():
+    # the certified maxima of |f''| and |f'''| exceed the grid maxima by at
+    # most 4.7e-6 relative, which moves no benchmark ceiling's K
+    configs = [parse_config(job["config"]) for workload in workloads.WORKLOADS
+               for seed in (0, 1, 2) for job in workloads.jobs(workload, seed)]
+    for f, gamma0 in {(cfg.ceiling, cfg.gamma0) for cfg in configs}:
+        assert classify(f, gamma0).theta_K == _grid_k(f) / (gamma0 * f.ell - 1.0)
 
 
 def test_extrema_cached_per_ceiling_value(f_generic):
@@ -165,7 +197,7 @@ def test_extrema_cached_per_ceiling_value(f_generic):
     assert extrema(f_generic, 1) is extrema(twin, 1)
     classify(twin, 0.9)
     classify(f_generic, 0.6)
-    assert extrema.cache_info().misses == 2
+    assert extrema.cache_info().misses == 4     # orders 1, then 0, 2 and 3
 
 
 def test_harmonic_index_capped_at_a_quarter_of_the_certification_grid():
@@ -185,7 +217,7 @@ def test_array_bisection_matches_the_scalar_loop():
     rng = np.random.default_rng(21)
     ceilings |= {random_positive_ceiling(rng) for _ in range(40)}
     for f in ceilings | {TOP_HARMONIC}:
-        for order in (1, 2):
+        for order in (1, 2, 3, 4):
             assert np.array_equal(_refine_roots(f, order), per_bracket_roots(f, order))
 
 

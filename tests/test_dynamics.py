@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from semiflow import (FlowPoint, InvalidArgument, NumericalFailure, ResourceLimi
 from semiflow import dynamics
 from semiflow.dynamics import prefix_points
 
-from conftest import parse_violations, random_positive_ceiling
+from conftest import parse_violations, random_positive_ceiling, traced_peak
 from oracles import (Word, advance_per_point, birkhoff, crossing_simulation, enumerate_branches,
                      slope_profile, word_interval)
 
@@ -331,12 +330,7 @@ def test_advance_store_stays_linear_when_a_run_spreads_over_many_roofs(f_sin):
     total = rng.uniform(0.0, 1000.0, x.size)
     expected = advance_per_point(f_sin, x, total)
     extrema(f_sin, 0)           # certified and cached before measuring
-    tracemalloc.start()
-    try:
-        got = advance(f_sin, x, total)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: advance(f_sin, x, total))
     assert _same_bits(got, expected)
     assert peak < 2 ** 20
 

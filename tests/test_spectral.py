@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from semiflow.spectral import (CUTOFF_MARGIN_FRACTION, BoxPartition,
                                correlation, decay_fit, spectrum)
 from semiflow.smooth import step
 
-from conftest import parse_violations
+from conftest import parse_violations, traced_peak
 from oracles import advance_per_point, correlation_from_zero, dense_ulam, ulam_samples
 
 # 1.3 + 0.3 sin 2 pi x + 0.1 cos 4 pi x + 0.05 (cos + sin) 6 pi x, ell = 3
@@ -66,12 +65,8 @@ def test_ulam_memory_cap(f_sin):
 def test_ulam_assembly_holds_one_chunk_of_points(f_sin):
     # 262,144 sample points: assembled in one pass they peaked at 32.1 MiB
     build_ulam(f_sin, 2.0, 256, 16, 64, seed=0, mode="lattice")     # warm-up: imports and caches
-    tracemalloc.start()
-    try:
-        build_ulam(f_sin, 2.0, 256, 16, 64, seed=0, mode="lattice")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: build_ulam(f_sin, 2.0, 256, 16, 64, seed=0, mode="lattice"))
     assert peak < 8 * 2 ** 20
 
 
@@ -281,12 +276,7 @@ def test_correlation_flow_memory_is_linear_in_the_nodes(f_sin, nx, ns, t):
     # every node its own base point; ns = 16 groups the nodes by column
     psi = Observable(s_wave=("cos", 1.0))
     correlation(f_sin, psi, psi, [t], nx, ns)     # warm-up: imports and caches
-    tracemalloc.start()
-    try:
-        correlation(f_sin, psi, psi, [t], nx, ns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: correlation(f_sin, psi, psi, [t], nx, ns))
     assert peak < 4 * 2 ** 20
 
 
