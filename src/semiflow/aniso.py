@@ -191,10 +191,12 @@ def _masks(theta: Polarization, xi1, xi2, top: int):
     """
     r = np.hypot(xi1, xi2)
     phi = theta.phi_plus(np.arctan2(xi2, xi1) % _PI)
+    del xi1, xi2            # the caller keeps no reference to the grids
     inner = chi(r)
     half = inner / 2.0
     yield (0, "+"), half
     yield (0, "-"), half
+    del half
     for n in range(1, top + 1):
         outer = chi(r * 2.0 ** -n)
         annulus = outer - inner

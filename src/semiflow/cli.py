@@ -2,10 +2,11 @@
 
 One subcommand per experiment; a JSON config file fixes the ceiling and the
 experiment parameters, and ``--set key=value`` overrides individual entries.
-Reports are emitted in a canonical byte-stable form, so identical configs in
-the deterministic (lattice) modes reproduce identical bytes across runs and
-worker counts.  Exit codes: 0 success, 1 parse, validation or other input
-failure, 2 resource limit, 3 numerical failure.
+Reports are emitted in a canonical byte-stable form, so every config
+reproduces identical bytes across runs and worker counts, but for an Arnoldi
+eigensolve on repeated eigenvalues (f = 1 at dim 160).  Exit codes: 0
+success, 1 usage, parse, validation or other input failure, 2 resource
+limit, 3 numerical failure.
 
 Importing this module loads only what every parse needs: the ceiling, the
 flow and its branches, the errors and the canonical form.  An experiment's
@@ -116,7 +117,6 @@ _KINDS = {
     "a nonempty list of integers": _list_of(is_int, 1),
     "a list of numbers": _list_of(is_number),
     "a nonempty list of numbers": _list_of(is_number, 1),
-    "lattice or monte-carlo": lambda v: v in ("lattice", "monte-carlo"),
     "one of " + ", ".join(EXPERIMENTS): lambda v: v in EXPERIMENTS,
     "a list of [integer, number, number]": _list_of(
         lambda h: isinstance(h, list) and len(h) == 3 and is_int(h[0]) and is_number(h[1])
@@ -178,7 +178,6 @@ _SCHEMA = {
         "ns": Param(4, "an integer", ">= 1"),
         "points_per_box": Param(64, "an integer", ">= 16"),
         "k": Param(8, "an integer", ">= 1 and <= 32"),
-        "mode": Param("lattice", "lattice or monte-carlo"),
     },
     "correlations": {
         "t_values": Param([t / 2 for t in range(17)], "a nonempty list of numbers", ">= 0"),
@@ -243,6 +242,12 @@ def _probe_room(f, probe, levels):
             for n in dict.fromkeys(levels if probe else ()) if f.ell ** min(n, 64) <= p]
 
 
+def _cones(margin):
+    """The norms' plus cone |slope| <= margin and minus cone |slope| >= 2."""
+    from .aniso import ConeSpec
+    return ConeSpec(-margin, margin), ConeSpec(2.0, -2.0)
+
+
 # experiment -> the rules that relate values: (the rule as --help lists it,
 # the values it reads, check(*those values) -> violations), checked once each
 # value has passed its own rule; "ceiling" reads the parsed ceiling.  An
@@ -253,6 +258,11 @@ _RULES = {
     "transversality": [_product_cap(("nx", "ns"), MAX_GRID)],
     "spectrum": [_product_cap(("nx", "ns", "points_per_box"), MAX_NODES)],
     "correlations": [_product_cap(("nx", "ns"), MAX_NODES)],
+    # the arcs are rounded, so they meet at the 9 floats below 2 too
+    "norms": [("the cones' angle arcs [-atan(slope_margin), atan(slope_margin)] and "
+               "[atan(2), pi - atan(2)] must be disjoint mod pi", ("slope_margin",),
+               lambda m: [f"the cones' angle arcs meet at slope_margin = {m!r}"]
+               if _cones(m)[0].intersects(_cones(m)[1]) else [])],
     "genericity": [
         ("cluster_word letters must lie in 1..ell", ("ceiling", "cluster_word"),
          lambda f, word: [] if all(1 <= a <= f.ell for a in word) else
@@ -471,8 +481,7 @@ def _run_mixing(cfg: ExperimentConfig):
 def _run_spectrum(cfg: ExperimentConfig):
     from . import spectral
     p = cfg.params
-    op = spectral.build_ulam(cfg.ceiling, p["t"], p["nx"], p["ns"],
-                             p["points_per_box"], seed=cfg.seed, mode=p["mode"])
+    op = spectral.build_ulam(cfg.ceiling, p["t"], p["nx"], p["ns"], p["points_per_box"])
     report = spectral.spectrum(op, p["k"])
     payload = {
         "t": report.t,
@@ -503,9 +512,7 @@ def _run_norms(cfg: ExperimentConfig):
     from . import aniso, smooth
     p = cfg.params
     grid = aniso.make_grid(1.0, 1.0, p["grid_n"])
-    margin = p["slope_margin"]
-    polarization = aniso.Polarization(aniso.ConeSpec(-margin, margin), aniso.ConeSpec(2.0, -2.0))
-    bank = aniso.mask_bank(polarization, grid)
+    bank = aniso.mask_bank(aniso.Polarization(*_cones(p["slope_margin"])), grid)
     rng = np.random.default_rng(cfg.seed)
     X, Y = grid.coords()
     envelope = smooth.plateau(X, 0.5, 0.95) * smooth.plateau(Y, 0.5, 0.95)
@@ -666,8 +673,15 @@ def _help(heading: str, table: dict, rules=()) -> str:
         for key, param in table.items()] + [f"  {text}" for text in rules])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every rejected input does; subcommands use this class too."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semiflow", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="numerical experiments on suspension semi-flows of angle-multiplying maps",
         epilog=_help("config keys (an omitted experiment is the subcommand)", _TOP) + "\n\n"

@@ -143,59 +143,27 @@ class CorrelationCurve:
     phi_id: str
 
 
-def _sample_chunks(part: BoxPartition, points: int, seed: int, mode: str):
-    """Sample points of the boxes, in chunks of whole boxes taken in box
-    order: yields (boxes, x0, s0), the box indices of the chunk and its
-    points' coordinates, point-major: the chunk's boxes for the first
-    offset, then for the second, and so on, so the point of box b at offset
-    j sits at j * len(boxes) + b - boxes[0].  A chunk holds at most
-    CHUNK_POINTS points, or one box when a box alone holds more.
-
-    The offsets (u, v) in [0,1)^2 of a box's points are a golden-ratio
-    rank-1 lattice, the same row for every box, in the deterministic
-    default.  The ns boxes of a column then give each offset one x, which
-    point-major order puts side by side: ``advance`` makes each such run
-    one base point of its orbit store, evaluated once per level that one
-    of its points reaches.  Monte Carlo mode draws the offsets from one
-    default_rng(seed) stream, box by box; the chunks draw that stream in box
-    order, so the points are those of a single draw over all boxes.
-    """
-    if mode == "lattice":
-        k = np.arange(points)
-        u = ((k + 0.5) / points)[:, None]
-        v = (((k + 0.5) * GOLDEN_FRAC) % 1.0)[:, None]
-    else:
-        rng = np.random.default_rng(seed)
-    per_chunk = max(1, CHUNK_POINTS // points)
-    for start in range(0, part.dim, per_chunk):
-        boxes = np.arange(start, min(start + per_chunk, part.dim))
-        if mode != "lattice":
-            uv = rng.random((len(boxes), points, 2))
-            u, v = uv[:, :, 0].T, uv[:, :, 1].T
-        cols, slices = np.divmod(boxes, part.ns)
-        x0 = (cols + u) / part.nx
-        s0 = (slices + v) * (part.column_heights[cols] / part.ns)
-        yield boxes, x0.ravel(), s0.ravel()
-
-
-def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int, points_per_box: int,
-               seed: int, mode: str) -> UlamOperator:
+def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
+               points_per_box: int) -> UlamOperator:
     """Ulam matrix of the time-t map on the box partition, assembled sparse.
 
-    Sample points in a box may stick out above the true ceiling when f dips
-    below the column-midpoint height; the flow advance handles any s >= 0
-    and lands inside the domain, and landing coordinates above the landing
-    column's height are assigned to its top slice, so every sampled point is
-    accounted for and columns sum to one exactly.  An entry hit by c of a
-    box's points holds c additions of 1/points_per_box in sequence, the sum a
-    dense accumulation would make.
+    A box's sample points sit at the offsets (u, v) in [0,1)^2 of one
+    golden-ratio rank-1 lattice, the same for every box.  Points that stick
+    out above the true ceiling (f below the column-midpoint height) flow and
+    land inside the domain, and a landing point above its column's height
+    goes to the top slice, so columns sum to one exactly.  An entry hit by c
+    of a box's points holds c additions of 1/points_per_box in sequence, the
+    sum a dense accumulation would make.
 
-    The points are sampled, flowed and binned one chunk of boxes at a time
-    (``_sample_chunks``), so at most one chunk of points is held at once;
-    the chunks' entries, merged in entry order, are those of a single pass
-    over all points.  Raises ResourceLimit, before anything is built, when
-    nx*ns exceeds MAX_DIM, and before any point flows when t could cross the
-    roof more than MAX_CROSSINGS times from the tallest sample point.
+    The points are sampled, flowed and binned in chunks of whole boxes, at
+    most CHUNK_POINTS points (or one box), point-major: the chunk's boxes at
+    the first offset, then at the second, and so on, so the ns boxes of a
+    column at one offset form one base point of the orbit store of
+    ``advance``.  The chunks' entries, merged in entry order, are those of
+    one pass over all points.  Raises ResourceLimit, before anything is
+    built, when nx*ns exceeds MAX_DIM, and before any point flows when t
+    could cross the roof more than MAX_CROSSINGS times from the tallest
+    sample point.
     """
     if nx * ns > MAX_DIM:
         raise ResourceLimit(f"nx*ns = {nx * ns} exceeds the cap {MAX_DIM}", max_dim=MAX_DIM)
@@ -208,14 +176,21 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int, points_per_box: in
         # move the few points that stick out above the true ceiling
         return UlamOperator(sparse=scipy.sparse.eye_array(dim, format="csr"), t=0.0)
 
-    # the crossing cap bounds s0 + t, so a refusal's t_limit is net of the
-    # tallest s0 over all boxes, decided once before any chunk flows
-    tallest = max(float(np.max(s0)) for _, _, s0 in
-                  _sample_chunks(part, points_per_box, seed, mode))
-    check_crossings(f, t, tallest)
+    k = np.arange(points_per_box)
+    u = ((k + 0.5) / points_per_box)[:, None]
+    v = (((k + 0.5) * GOLDEN_FRAC) % 1.0)[:, None]
+    heights = part.column_heights / ns
+    # the crossing cap bounds s0 + t: the tallest s0 is the top slice's at
+    # the largest v in the tallest column, since each rounding is monotone
+    check_crossings(f, t, float((ns - 1 + v.max()) * heights.max()))
 
     keys, counts = [], []
-    for boxes, x0, s0 in _sample_chunks(part, points_per_box, seed, mode):
+    per_chunk = max(1, CHUNK_POINTS // points_per_box)
+    for start in range(0, dim, per_chunk):
+        boxes = np.arange(start, min(start + per_chunk, dim))
+        cols, slices = np.divmod(boxes, ns)
+        x0 = ((cols + u) / nx).ravel()
+        s0 = ((slices + v) * heights[cols]).ravel()
         x1, s1, _, _ = advance(f, x0, s0 + t)
         land_col = np.minimum((x1 * nx).astype(int), nx - 1)
         land_slice = np.minimum((s1 * ns / part.column_heights[land_col]).astype(int), ns - 1)
@@ -240,11 +215,10 @@ def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int, points_per_box: in
 def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
     """Top-k eigenvalues of the Ulam matrix by modulus.
 
-    Small problems (dim <= 128) go through the dense LAPACK path on the
-    matrix's dense copy; larger ones run the implicitly restarted Arnoldi
-    iteration with a fixed start vector on the CSR matrix itself, so the
-    result is deterministic given the matrix and a matrix-vector product
-    costs O(nonzeros), not O(dim^2).
+    Small problems (dim <= 128), and any k >= dim - 1, go through the dense
+    LAPACK path on the matrix's dense copy; the rest run the implicitly
+    restarted Arnoldi iteration with a fixed start vector on the CSR matrix
+    itself, where a matrix-vector product costs O(nonzeros), not O(dim^2).
     """
     import scipy.linalg
     import scipy.sparse.linalg

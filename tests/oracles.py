@@ -304,18 +304,14 @@ def correlation_from_zero(f, psi, phi, t_list, nx, ns, margin):
     return out
 
 
-def ulam_samples(part, points_per_box, seed=0, mode="lattice"):
+def ulam_samples(part, points_per_box):
     """Every Ulam sample point at once, box-major: the golden-ratio lattice
-    tiled over the boxes, or one default_rng(seed) draw for all of them."""
+    tiled over the boxes."""
     dim = part.dim
-    if mode == "lattice":
-        k = np.arange(points_per_box)
-        golden = (math.sqrt(5.0) - 1.0) / 2.0
-        u = np.tile((k + 0.5) / points_per_box, (dim, 1))
-        v = np.tile(((k + 0.5) * golden) % 1.0, (dim, 1))
-    else:
-        pts = np.random.default_rng(seed).random((dim, points_per_box, 2))
-        u, v = pts[:, :, 0], pts[:, :, 1]
+    k = np.arange(points_per_box)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    u = np.tile((k + 0.5) / points_per_box, (dim, 1))
+    v = np.tile(((k + 0.5) * golden) % 1.0, (dim, 1))
     cols = np.repeat(np.arange(part.nx), part.ns)
     slices = np.tile(np.arange(part.ns), part.nx)
     heights = part.column_heights[cols]
@@ -324,7 +320,7 @@ def ulam_samples(part, points_per_box, seed=0, mode="lattice"):
     return x0.ravel(), s0.ravel()
 
 
-def dense_ulam(f, t, nx, ns, points_per_box, seed=0, mode="lattice"):
+def dense_ulam(f, t, nx, ns, points_per_box):
     """The Ulam matrix of ``spectral.build_ulam`` assembled densely in one
     pass: every sample point (``ulam_samples``) flowed at once by the
     library's advance, then ``np.add.at`` adds 1/points_per_box into a
@@ -333,7 +329,7 @@ def dense_ulam(f, t, nx, ns, points_per_box, seed=0, mode="lattice"):
     dim = part.dim
     if t == 0.0:
         return np.eye(dim)
-    x0, s0 = ulam_samples(part, points_per_box, seed, mode)
+    x0, s0 = ulam_samples(part, points_per_box)
     x1, s1, _, _ = advance(f, x0, s0 + t)
     land_col = np.minimum((x1 * nx).astype(int), nx - 1)
     land_slice = np.minimum((s1 * ns / part.column_heights[land_col]).astype(int), ns - 1)

@@ -1,9 +1,9 @@
+import ast
 import collections
 import inspect
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -295,8 +295,7 @@ def test_empty_payload_valid_json():
 def test_determinism_byte_identical():
     cfg_text = json.dumps(_config(
         experiment="spectrum",
-        params={"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 32, "k": 4,
-                "mode": "lattice"}))
+        params={"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 32, "k": 4}))
     a = emit(run(parse_config(cfg_text)), "json")
     b = emit(run(parse_config(cfg_text)), "json")
     assert a == b
@@ -329,7 +328,7 @@ def test_transversality_bytes_independent_of_worker_count(harmonics):
 def test_caveat_strings_appear_verbatim():
     spec_cfg = _config(experiment="spectrum",
                        params={"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 32,
-                               "k": 4, "mode": "lattice"})
+                               "k": 4})
     report = run(parse_config(json.dumps(spec_cfg)))
     assert "discretized spectrum" in report.caveats
 
@@ -422,6 +421,36 @@ def test_cli_main_parse_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
+    pytest.param(["branches", "--workers", "x"], "argument --workers: invalid int value: 'x'",
+                 id="workers-not-an-integer"),
+    pytest.param(["branches", "--format", "xml"], "argument --format: invalid choice: 'xml'",
+                 id="unknown-format"),
+    pytest.param(["ulam"], "argument experiment: invalid choice: 'ulam'",
+                 id="unknown-subcommand"),
+    pytest.param(["branches", "--seed"], "unrecognized arguments: --seed",
+                 id="unknown-flag"),
+    pytest.param([], "the following arguments are required: experiment",
+                 id="missing-subcommand"),
+])
+def test_cli_usage_errors_exit_1(argv, message, capsys):
+    # exit 2 is the resource limit's alone; a usage error is rejected input
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: semiflow") and f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [pytest.param(["--help"], id="semiflow"),
+                                  pytest.param(["branches", "--help"], id="subcommand")])
+def test_cli_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: semiflow")
+
+
+@pytest.mark.parametrize("argv, message", [
     # the probe family's bumps reach below a ceiling of height 0.01
     pytest.param(["genericity", "--set", "ceiling.mean=0.01", "--set", "params.probe=true"],
                  "error: family leaves the positive ceilings", id="genericity-probe-family"),
@@ -455,7 +484,6 @@ _NOT_OF_KIND = {
     "a list of numbers": [5, ["a"], [True], [math.nan]],
     "a nonempty list of numbers": [[], [True], "3", [0, 1, "a"], [math.inf], [math.nan],
                                    [10 ** 400]],
-    "lattice or monte-carlo": ["x", "Lattice"],
     "one of transversality, mixing, spectrum, correlations, norms, genericity, branches":
         [[1], "ulam"],
     "a list of [integer, number, number]": [5, [1], [[1, 0.0]], [[1, "a", 0]], [[1.5, 0, 0.1]]],
@@ -587,6 +615,10 @@ _BAD_PARAMS = [
      "nx*ns*points_per_box must be <= 4194304"),
     ("argv36-validation error: nx*ns must be <= 4194304", "nx*ns must be <= 4194304",
      "correlations", ["params.nx=524289"], "nx*ns must be <= 4194304"),
+    # cli._RULES: the norms' cones, whose rounded angle arcs meet just below 2
+    ("norms-cones-meet", "the cones' angle arcs", "norms",
+     ["params.slope_margin=1.9999999999999998"],
+     "the cones' angle arcs meet at slope_margin = 1.9999999999999998"),
     # cli._RULES that read the ceiling, past the cases above
     ("argv69-validation error: cluster_word letters must lie in 1..2",
      "cluster_word letters must lie in", "genericity", ["params.cluster_word=[3]"],
@@ -639,13 +671,16 @@ _BAD_PARAMS = [
     ("top-gamma0-interval-above", None, "branches", ["gamma0=1.0"],
      "gamma0 must lie in (1/ell, 1) = (1/2, 1), got 1.0"),
     # removed knobs stay refused: the mixing verdict has no thresholds,
-    # the spectrum's essential bound was never certified, and no other has an effect
+    # the spectrum's essential bound was never certified, its one sampler is
+    # the lattice, and no other has an effect
     ("argv12-validation error: unknown spectrum parameter 'bound_ns'", None, "spectrum",
      ["params.bound_ns=0"], "unknown spectrum parameter 'bound_ns'"),
     ("argv46-validation error: unknown spectrum parameter 'bound_nx'", None, "spectrum",
      ["params.bound_nx=100000"], "unknown spectrum parameter 'bound_nx'"),
     ("argv54-validation error: unknown spectrum parameter 'with_bound'", None, "spectrum",
      ["params.with_bound=true"], "unknown spectrum parameter 'with_bound'"),
+    ("spectrum-mode-removed", None, "spectrum", ['params.mode="lattice"'],
+     "unknown spectrum parameter 'mode'"),
     ("argv57-validation error: unknown mixing parameter 'tol_strict'", None, "mixing",
      ["params.tol_strict=5"], "unknown mixing parameter 'tol_strict'"),
     ("argv58-validation error: unknown mixing parameter 'tol_clear'", None, "mixing",
@@ -793,13 +828,19 @@ def test_cli_main_csv_keeps_every_record_key(capsys):
 
 def test_slope_margin_schema_admits_exactly_the_disjoint_cones(capsys):
     # the plus cone |slope| <= margin and the minus cone |slope| >= 2 meet
-    # only at the origin exactly for margins in [0, 2), whose ends the
-    # table's bound cases cross
-    for margin in (0, 1.99):
-        argv = ["norms", "--set", f"params.slope_margin={margin}", "--set", "params.grid_n=32",
+    # only at the origin for margins in [0, 2), whose ends the table's bound
+    # cases cross; but the cones' angle arcs are rounded, and at the 9
+    # floats below 2 they meet, which parse refuses before any run
+    def argv(margin):
+        return ["norms", "--set", f"params.slope_margin={margin!r}", "--set", "params.grid_n=32",
                 "--set", "params.num_functions=1"]
-        assert main(argv) == 0
+    for margin in (0, 1.99, 1.9999999999999978):
+        assert main(argv(margin)) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["functions"]
+    for margin in (1.999999999999998, 1.999999999999999, 1.9999999999999998):
+        assert main(argv(margin)) == 1
+        assert capsys.readouterr().err == ("validation error: the cones' angle arcs meet at "
+                                           f"slope_margin = {margin!r}\n")
 
 
 def test_cli_main_norms_renders_its_function_records(capsys):
@@ -974,7 +1015,7 @@ def test_observable_frequencies_at_the_bound_give_finite_samples(capsys):
 
 @pytest.mark.parametrize("function, names", [
     pytest.param(mixing.weak_mixing_test, ("grid", "depth"), id="weak_mixing_test"),
-    pytest.param(spectral.build_ulam, ("seed", "mode"), id="build_ulam"),
+    pytest.param(spectral.build_ulam, ("points_per_box",), id="build_ulam"),
     pytest.param(genericity.slope_clusters, ("window_factor",), id="slope_clusters"),
     pytest.param(genericity.bad_set_probe, ("combos",), id="bad_set_probe"),
     pytest.param(transversality.grid_estimates, ("certified", "workers"), id="grid_estimates"),
@@ -991,8 +1032,12 @@ def test_every_schema_parameter_is_read_by_its_runner():
     # a parameter that its runner never reads cannot change a result; it
     # only lets a config claim a setting the run ignored
     for experiment, table in cli._SCHEMA.items():
-        source = inspect.getsource(getattr(cli, f"_run_{experiment}"))
-        assert set(table) - set(re.findall(r'p\["(\w+)"\]', source)) == set(), experiment
+        tree = ast.parse(inspect.getsource(cli._RUNNERS[experiment]))
+        read = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "p"
+                and isinstance(node.slice, ast.Constant)}
+        assert set(table) - read == set(), experiment
 
 
 def test_every_table_entry_is_well_formed():
@@ -1466,8 +1511,7 @@ def test_csv_seventeen_digit_floats():
 def test_spectrum_deterministic_eigenvalues():
     cfg_text = json.dumps(_config(
         experiment="spectrum",
-        params={"t": 2.0, "nx": 24, "ns": 4, "points_per_box": 32, "k": 6,
-                "mode": "lattice"}))
+        params={"t": 2.0, "nx": 24, "ns": 4, "points_per_box": 32, "k": 6}))
     a = run(parse_config(cfg_text)).payload["eigenvalues"]
     b = run(parse_config(cfg_text)).payload["eigenvalues"]
     assert a == b

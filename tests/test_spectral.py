@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiflow import ResourceLimit, TrigPolynomial, ceiling, spectral
+from semiflow.canon import canonical_json
 from semiflow.ceiling import extrema
+from semiflow.cli import main
 from semiflow.dynamics import MAX_CROSSINGS
 from semiflow.spectral import (CUTOFF_MARGIN_FRACTION, BoxPartition,
                                Observable, UlamOperator, build_ulam,
                                correlation, decay_fit, spectrum)
 from semiflow.smooth import step
 
-from conftest import parse_violations, traced_peak
+from conftest import parse_violations, random_positive_ceiling, traced_peak
 from oracles import advance_per_point, correlation_from_zero, dense_ulam, ulam_samples
 
 # 1.3 + 0.3 sin 2 pi x + 0.1 cos 4 pi x + 0.05 (cos + sin) 6 pi x, ell = 3
@@ -29,13 +34,13 @@ def test_partition_measure(f_generic):
 
 
 def test_ulam_identity_at_t0(f_generic):
-    op = build_ulam(f_generic, 0.0, 8, 4, 32, seed=0, mode="lattice")
+    op = build_ulam(f_generic, 0.0, 8, 4, 32)
     assert np.array_equal(op.matrix, np.eye(32))
 
 
 def test_ulam_doubling_map_closed_form(f_const):
     nx, ppb = 16, 256
-    op = build_ulam(f_const, 1.0, nx, 1, ppb, seed=0, mode="lattice")
+    op = build_ulam(f_const, 1.0, nx, 1, ppb)
     ref = np.zeros((nx, nx))
     for j in range(nx):
         ref[(2 * j) % nx, j] += 0.5
@@ -44,14 +49,14 @@ def test_ulam_doubling_map_closed_form(f_const):
 
 
 def test_ulam_columns_sum_to_one(f_sin):
-    op = build_ulam(f_sin, 3.0, 16, 4, 64, seed=0, mode="lattice")
+    op = build_ulam(f_sin, 3.0, 16, 4, 64)
     sums = op.matrix.sum(axis=0)
     assert np.max(np.abs(sums - 1.0)) <= 2.0 / np.sqrt(64)
     assert np.all(op.matrix >= 0.0)
 
 
 def test_ulam_mass_conservation(f_sin):
-    op = build_ulam(f_sin, 2.0, 16, 4, 64, seed=0, mode="lattice")
+    op = build_ulam(f_sin, 2.0, 16, 4, 64)
     masses = np.repeat(BoxPartition.build(f_sin, 16, 4).column_heights / (16 * 4), 4)
     pushed = op.matrix @ masses
     assert pushed.sum() == pytest.approx(masses.sum(), rel=1e-12)
@@ -59,65 +64,61 @@ def test_ulam_mass_conservation(f_sin):
 
 def test_ulam_memory_cap(f_sin):
     with pytest.raises(ResourceLimit):
-        build_ulam(f_sin, 1.0, 512, 256, 16, seed=0, mode="lattice")
+        build_ulam(f_sin, 1.0, 512, 256, 16)
 
 
 def test_ulam_assembly_holds_one_chunk_of_points(f_sin):
     # 262,144 sample points: assembled in one pass they peaked at 32.1 MiB
-    build_ulam(f_sin, 2.0, 256, 16, 64, seed=0, mode="lattice")     # warm-up: imports and caches
+    build_ulam(f_sin, 2.0, 256, 16, 64)     # warm-up: imports and caches
     _, peak = traced_peak(
-        lambda: build_ulam(f_sin, 2.0, 256, 16, 64, seed=0, mode="lattice"))
+        lambda: build_ulam(f_sin, 2.0, 256, 16, 64))
     assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("mode", ["lattice", "monte-carlo"])
-def test_ulam_crossing_cap_refuses_before_any_point_flows(mode, f_sin, monkeypatch):
-    part = BoxPartition.build(f_sin, 256, 16)
-    _, s0 = ulam_samples(part, 64, seed=3, mode=mode)
-    t_limit = MAX_CROSSINGS * extrema(f_sin, 0)[0] - float(np.max(s0))
-    if mode == "lattice":
-        assert t_limit == 13106.00031995401
-    calls = []
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(f=st.integers(0, 2 ** 32 - 1).map(
+           lambda seed: random_positive_ceiling(np.random.default_rng(seed))),
+       nx=st.integers(1, 64), ns=st.integers(1, 16), ppb=st.integers(16, 100),
+       pinned=st.none())
+@example(f=TrigPolynomial(1.0, ((1, 0.0, 0.2),), 2), nx=256, ns=16, ppb=64,
+         pinned=13106.00031995401)
+def test_ulam_crossing_cap_refuses_before_any_point_flows(f, nx, ns, ppb, pinned):
+    # the limit is net of the tallest sample point over all boxes, whatever the chunk
+    _, s0 = ulam_samples(BoxPartition.build(f, nx, ns), ppb)
+    t_limit = MAX_CROSSINGS * extrema(f, 0)[0] - float(np.max(s0))
+    assert pinned is None or t_limit == pinned
 
-    def counted_advance(*args, **kwargs):
-        calls.append(args)
+    def no_advance(*args, **kwargs):
         raise AssertionError("a chunk flowed before the crossing cap was decided")
-    monkeypatch.setattr(spectral, "advance", counted_advance)
-    details = []
-    for chunk in (spectral.CHUNK_POINTS, 64):
-        monkeypatch.setattr(spectral, "CHUNK_POINTS", chunk)
-        with pytest.raises(ResourceLimit) as exc:
-            build_ulam(f_sin, np.nextafter(t_limit, np.inf), 256, 16, 64, seed=3, mode=mode)
-        details.append(exc.value.details)
-    # the limit is net of the tallest s0 over all boxes, whatever the chunk
-    assert details[0]["t_limit"] == t_limit
-    assert details[1] == details[0]
-    assert calls == []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "advance", no_advance)
+        for chunk in (spectral.CHUNK_POINTS, 64):
+            patch.setattr(spectral, "CHUNK_POINTS", chunk)
+            with pytest.raises(ResourceLimit) as exc:
+                build_ulam(f, np.nextafter(t_limit, np.inf), nx, ns, ppb)
+            assert exc.value.details == {"t_limit": t_limit, "max_crossings": MAX_CROSSINGS}
 
 
-def test_ulam_lattice_deterministic(f_sin):
-    a = build_ulam(f_sin, 2.0, 8, 4, 32, seed=1, mode="lattice")
-    b = build_ulam(f_sin, 2.0, 8, 4, 32, seed=99, mode="lattice")
-    assert np.array_equal(a.matrix, b.matrix)
-
-
-def test_ulam_monte_carlo_mode(f_sin):
-    a = build_ulam(f_sin, 2.0, 8, 4, 32, seed=5, mode="monte-carlo")
-    b = build_ulam(f_sin, 2.0, 8, 4, 32, seed=5, mode="monte-carlo")
-    c = build_ulam(f_sin, 2.0, 8, 4, 32, seed=6, mode="monte-carlo")
-    assert np.array_equal(a.matrix, b.matrix)
-    assert not np.array_equal(a.matrix, c.matrix)
-    assert np.max(np.abs(a.matrix.sum(axis=0) - 1.0)) <= 1e-12
+def test_ulam_lattice_deterministic(capsys):
+    # the lattice draws nothing, so the config seed cannot move the spectrum
+    payloads = []
+    for seed in (1, 99):
+        argv = ["spectrum", "--set", 'ceiling={"ell":2,"mean":1.0,"harmonics":[[1,0.0,0.2]]}',
+                "--set", "params.nx=40", "--set", "params.points_per_box=32",
+                "--set", f"seed={seed}"]
+        assert main(argv) == 0
+        payloads.append(canonical_json(json.loads(capsys.readouterr().out)["payload"]))
+    assert payloads[0] == payloads[1]
 
 
 def test_spectrum_identity(f_const):
-    op = build_ulam(f_const, 0.0, 4, 2, 16, seed=0, mode="lattice")
+    op = build_ulam(f_const, 0.0, 4, 2, 16)
     rep = spectrum(op, 3)
     assert all(abs(v - 1.0) <= 1e-12 for v in rep.eigenvalues)
 
 
 def test_spectrum_leading_eigenvalue_flat(f_const):
-    op = build_ulam(f_const, 1.0, 64, 1, 64, seed=0, mode="lattice")
+    op = build_ulam(f_const, 1.0, 64, 1, 64)
     rep = spectrum(op, 4)
     assert abs(rep.eigenvalues[0] - 1.0) <= 1e-8
     # flat invariant density: eigenvector of the doubling Ulam matrix
@@ -129,7 +130,7 @@ def test_spectrum_leading_eigenvalue_flat(f_const):
 
 
 def test_spectrum_matches_dense_oracle(f_sin):
-    op = build_ulam(f_sin, 4.0, 64, 8, 64, seed=0, mode="lattice")
+    op = build_ulam(f_sin, 4.0, 64, 8, 64)
     rep = spectrum(op, 8)
     dense = np.linalg.eigvals(op.matrix)
     dense = dense[np.argsort(-np.abs(dense))]
@@ -146,7 +147,7 @@ def _multiplicities(vals, tol=1e-8):
 @pytest.mark.parametrize("nx, ns", [(64, 8), (128, 8)])
 def test_sparse_arnoldi_matches_dense_eigvals(ceiling, nx, ns, f_sin):
     f = f_sin if ceiling == "sin" else F_GEN3
-    op = build_ulam(f, 2.0 if ceiling == "sin" else 1.0, nx, ns, 64, seed=0, mode="lattice")
+    op = build_ulam(f, 2.0 if ceiling == "sin" else 1.0, nx, ns, 64)
     rep = spectrum(op, 8)
     dense = scipy.linalg.eigvals(op.matrix)
     top = dense[np.argsort(-np.abs(dense), kind="stable")][:8]
@@ -158,25 +159,36 @@ def test_sparse_arnoldi_matches_dense_eigvals(ceiling, nx, ns, f_sin):
     assert list(rep.multiplicities) == _multiplicities(list(top))
 
 
-def test_spectrum_takes_arnoldi_values_once_k_converged(capsys):
-    # ARPACK stops with 8 of the 10 values it iterates on converged; the 8
-    # reported ones are LAPACK's top 8 of the dense copy
-    from semiflow.cli import main
+def test_spectrum_takes_arnoldi_values_once_k_converged(capsys, monkeypatch):
+    # ARPACK stops with some of the k + 2 = 10 values it iterates on
+    # converged: the report takes them once 8 did, and exit 3 names the
+    # count when fewer did
     argv = ["spectrum", "--set",
             'ceiling={"ell":3,"mean":1.3,"harmonics":[[1,0.0,0.3],[2,0.1,0.0],[3,0.05,0.05]]}',
             "--set", "params.t=1.5", "--set", "params.nx=50", "--set", "params.ns=4",
-            "--set", "params.points_per_box=16", "--set", 'params.mode="monte-carlo"',
-            "--set", "seed=3"]
+            "--set", "params.points_per_box=16"]
+    dense = scipy.linalg.eigvals(build_ulam(F_GEN3, 1.5, 50, 4, 16).matrix)
+    top = dense[np.argsort(-np.abs(dense), kind="stable")]
+    count = 8
+
+    def partial_eigs(a, k, **kwargs):
+        assert k == 10
+        # the converged values, in an order the report must not keep
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", top[:count][::-1], None)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", partial_eigs)
     assert main(argv) == 0
     got = [complex(*v) for v in json.loads(capsys.readouterr().out)["payload"]["eigenvalues"]]
-    op = build_ulam(F_GEN3, 1.5, 50, 4, 16, seed=3, mode="monte-carlo")
-    dense = scipy.linalg.eigvals(op.matrix)
-    top = dense[np.argsort(-np.abs(dense), kind="stable")][:8]
-    assert len(got) == 8
-    for v in got:
-        assert np.min(np.abs(top - v)) <= 1e-10
-    for v in top:
-        assert min(abs(w - v) for w in got) <= 1e-10
+    assert sorted(got, key=_re_im) == sorted(top[:8], key=_re_im)
+    assert [abs(v) for v in got] == sorted((abs(v) for v in got), reverse=True)
+    count = 7
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "numerical-failure"
+    assert (doc["converged"], doc["requested"]) == (7, 8)
+
+
+def _re_im(z):
+    return z.real, z.imag
 
 
 def test_spectrum_k_cap():
@@ -244,7 +256,7 @@ def test_flow_advance_evaluates_f_once_per_shared_base_point(f_sin, monkeypatch)
     t_list = [float(t) for t in range(9)]
 
     def ulam():
-        return build_ulam(f_sin, 3.0, 16, 8, 32, seed=0, mode="lattice").matrix.tobytes()
+        return build_ulam(f_sin, 3.0, 16, 8, 32).matrix.tobytes()
     runs = {"correlation": lambda: correlation(f_sin, psi, psi, t_list, 64, 8), "ulam": ulam}
     for name, run in runs.items():
         shared, points = _evaluated_points(monkeypatch, run)
@@ -355,25 +367,21 @@ def test_decay_fit_masks_zeros():
 # one box per chunk, chunks of 27 boxes (1000 points: a size dividing neither
 # dim nor points_per_box) and boxes larger than the chunk.
 _DENSE_CASES = [
-    pytest.param(ceiling, nx, ns, ppb, mode, None, id=f"{ceiling}-{nx}-{ns}-{ppb}-{mode}")
-    for ceiling in ("sin", "gen3") for nx, ns in ((30, 4), (50, 4))
-    for ppb in (16, 37, 100) for mode in ("lattice", "monte-carlo")
+    pytest.param(ceiling, nx, ns, ppb, None, id=f"{ceiling}-{nx}-{ns}-{ppb}-lattice")
+    for ceiling in ("sin", "gen3") for nx, ns in ((30, 4), (50, 4)) for ppb in (16, 37, 100)
 ] + [
-    pytest.param(ceiling, 50, 4, ppb, mode, chunk,
-                 id=f"{ceiling}-50-4-{ppb}-{mode}-chunk{chunk}")
+    pytest.param(ceiling, 50, 4, ppb, chunk, id=f"{ceiling}-50-4-{ppb}-lattice-chunk{chunk}")
     for ceiling in ("sin", "gen3") for ppb, chunk in ((37, 1), (37, 1000), (100, 64))
-    for mode in ("lattice", "monte-carlo")
 ]
 
 
-@pytest.mark.parametrize("ceiling, nx, ns, ppb, mode, chunk", _DENSE_CASES)
-def test_sparse_ulam_equals_dense_assembly(ceiling, nx, ns, ppb, mode, chunk, f_sin,
-                                           monkeypatch):
+@pytest.mark.parametrize("ceiling, nx, ns, ppb, chunk", _DENSE_CASES)
+def test_sparse_ulam_equals_dense_assembly(ceiling, nx, ns, ppb, chunk, f_sin, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(spectral, "CHUNK_POINTS", chunk)
     f, t = (f_sin, 2.5) if ceiling == "sin" else (F_GEN3, 1.0)
-    op = build_ulam(f, t, nx, ns, ppb, seed=3, mode=mode)
-    dense = dense_ulam(f, t, nx, ns, ppb, seed=3, mode=mode)
+    op = build_ulam(f, t, nx, ns, ppb)
+    dense = dense_ulam(f, t, nx, ns, ppb)
     assert np.array_equal(op.matrix, dense)
     assert op.sparse.nnz == np.count_nonzero(dense)
     reference = scipy.sparse.csr_array(dense)
@@ -385,7 +393,7 @@ def test_sparse_ulam_equals_dense_assembly(ceiling, nx, ns, ppb, mode, chunk, f_
 
 @pytest.mark.parametrize("nx, ns", [(30, 4), (50, 4)])
 def test_sparse_ulam_at_t0_equals_dense_assembly(nx, ns, f_sin):
-    op = build_ulam(f_sin, 0.0, nx, ns, 37, seed=0, mode="lattice")
+    op = build_ulam(f_sin, 0.0, nx, ns, 37)
     dense = dense_ulam(f_sin, 0.0, nx, ns, 37)
     assert np.array_equal(op.matrix, dense)
     assert spectrum(op, 4) == spectrum(UlamOperator(scipy.sparse.csr_array(dense), 0.0), 4)

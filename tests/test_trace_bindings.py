@@ -52,7 +52,7 @@ def test_traced_ulam_counters_read_the_matrix_the_eigensolve_uses():
     f = TrigPolynomial(1.0, ((1, 0.0, 0.3), (2, 0.1, 0.0)), 2)
     tracer = spans.Tracer()
     with tracer.patched():
-        op = spectral.build_ulam(f, 2.0, 32, 8, 37, seed=4, mode="monte-carlo")
+        op = spectral.build_ulam(f, 2.0, 32, 8, 37)
     csr = op.sparse
     assert tracer.counters["spectral.ulam_dim"] == csr.shape[0]
     assert tracer.counters["spectral.ulam_nnz"] == csr.nnz
