@@ -3,8 +3,7 @@
 One subcommand per experiment; a JSON config file fixes the ceiling and the
 experiment parameters, and ``--set key=value`` overrides individual entries.
 Reports are emitted in a canonical byte-stable form, so every config
-reproduces identical bytes across runs and worker counts, but for an Arnoldi
-eigensolve on repeated eigenvalues (f = 1 at dim 160).  Exit codes: 0
+reproduces identical bytes across runs and worker counts.  Exit codes: 0
 success, 1 usage, parse, validation or other input failure, 2 resource
 limit, 3 numerical failure.
 
@@ -494,17 +493,12 @@ def _run_spectrum(cfg: ExperimentConfig):
 def _run_correlations(cfg: ExperimentConfig):
     from . import spectral
     p = cfg.params
-    curve = spectral.correlation(cfg.ceiling, p["psi"], p["phi"],
-                                 [float(t) for t in p["t_values"]], p["nx"], p["ns"])
+    samples = spectral.correlation(cfg.ceiling, p["psi"], p["phi"],
+                                   [float(t) for t in p["t_values"]], p["nx"], p["ns"])
     payload = {
-        "psi_id": curve.psi_id, "phi_id": curve.phi_id,
-        "samples": [[t, v, 0.0] for t, v in curve.samples],
+        "psi_id": p["psi"].id, "phi_id": p["phi"].id,
+        "samples": [[t, v, 0.0] for t, v in samples],
     }
-    try:
-        rate, residual = spectral.decay_fit(curve)
-        payload["decay"] = {"rate": rate, "log_residual": residual}
-    except InvalidArgument:
-        payload["decay"] = None
     return payload, []
 
 

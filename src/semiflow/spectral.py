@@ -29,7 +29,6 @@ from .ceiling import TrigPolynomial, extrema
 from .dynamics import advance, advance_through, check_crossings
 from .errors import NumericalFailure, ResourceLimit
 from .smooth import step
-from .transversality import exponent_fit
 
 DISCRETIZED_SPECTRUM_CAVEAT = "discretized spectrum"
 
@@ -136,13 +135,6 @@ class Observable:
         return v
 
 
-@dataclass(frozen=True)
-class CorrelationCurve:
-    samples: tuple              # of (t, value)
-    psi_id: str
-    phi_id: str
-
-
 def build_ulam(f: TrigPolynomial, t: float, nx: int, ns: int,
                points_per_box: int) -> UlamOperator:
     """Ulam matrix of the time-t map on the box partition, assembled sparse.
@@ -219,6 +211,9 @@ def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
     LAPACK path on the matrix's dense copy; the rest run the implicitly
     restarted Arnoldi iteration with a fixed start vector on the CSR matrix
     itself, where a matrix-vector product costs O(nonzeros), not O(dim^2).
+    The generator ARPACK draws a new vector from when its basis meets an
+    invariant subspace (a low-rank matrix, such as f = 1's) is seeded too, so
+    the eigenvalues repeat bit for bit from run to run.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -231,7 +226,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
         try:
             vals = scipy.sparse.linalg.eigs(
                 op.sparse, k=min(k + 2, dim - 2), which="LM",
-                v0=v0, return_eigenvectors=False)
+                v0=v0, return_eigenvectors=False, rng=0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             # the report keeps k values, so k converged ones are enough
             if len(exc.eigenvalues) < k:
@@ -271,15 +266,15 @@ def _quadrature_nodes(f: TrigPolynomial, nx: int, ns: int):
 
 
 def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
-                t_list, nx: int, ns: int) -> CorrelationCurve:
+                t_list, nx: int, ns: int) -> tuple:
     """Correlation of two observables along the flow by midpoint quadrature
     on the box grid.
 
-    The nodes are sampled in increasing time, each sample flowed on from the
-    previous one (``advance_through``); the curve lists the samples in the
-    order, and with the repeats, of ``t_list``.  The heights f at the nodes
-    and at every sample come from the flow advance.  The nodes are
-    column-major, so the ns nodes of a column start at one x and form one
+    Returns the (t, value) samples in the order, and with the repeats, of
+    ``t_list``.  The nodes are sampled in increasing time, each sample
+    flowed on from the previous one (``advance_through``).  The heights f
+    at the nodes and at every sample come from the flow advance.  The nodes
+    are column-major, so the ns nodes of a column start at one x and form one
     base point of the orbit store that ``advance_through`` builds once for
     all the samples: f is evaluated once per column and level that one of
     its nodes reaches, and the store's ring of levels keeps the flow's
@@ -297,12 +292,5 @@ def correlation(f: TrigPolynomial, psi: Observable, phi: Observable,
         cor_at[t] = float(np.sum(np.multiply(w_psi, phi_vals, out=product))
                           - mean_phi * mean_psi)
         del x1, s1, fx1, phi_vals       # before the next step (``advance_through``)
-    samples = tuple((float(t), cor_at[float(t)]) for t in t_list)
-    return CorrelationCurve(samples=samples, psi_id=psi.id, phi_id=phi.id)
-
-
-def decay_fit(curve: CorrelationCurve) -> tuple:
-    """Fitted exponential rate of |Cor_t| with zero values masked."""
-    pts = [(t, abs(v)) for t, v in curve.samples if abs(v) > 1e-15]
-    return exponent_fit(pts)
+    return tuple((float(t), cor_at[float(t)]) for t in t_list)
 

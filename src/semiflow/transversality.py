@@ -20,7 +20,7 @@ Grid maxima come from one pass (``grid_estimates``; ``m_of_t`` and
 put in (level, slope) order.  For each t, the validity masks of a block of
 flow coordinates keep the words valid at some s of the block, and one pass
 over those words serves every s of it.  The overlap count searches each
-reference's window of target slopes once and counts the branches of each s
+reference's window on every target level and counts the branches of each s
 in it by a prefix sum of that s's mask; the n sweep orders the events of
 all the words by one stable argsort and sums each s's masked weights along
 it.  A masked sublist of a sorted list counts what a search of the sublist
@@ -80,31 +80,29 @@ def _overlap_maxima(ell: int, levels, counts, slopes, valid, theta: float,
     ``levels``, ``counts`` and ``slopes`` list the words valid at some flow
     coordinate of the block, each level's slopes ascending and the levels
     concatenated, and ``valid`` is their (word, flow coordinate) validity
-    mask.  For each pair of levels valid together somewhere in the block, one
-    search finds every level-n1 reference's window [lo, hi) of the level-n2
-    slopes within the pair threshold theta*(ell^-n1 + ell^-n2) + widen.  The
-    words valid at one flow coordinate are a sorted sublist, so the window
-    holds P[hi] - P[lo] of them, P being the cumulative sum of the mask: what
-    a search of that sublist alone counts.  The counts are summed by Horner's
-    rule in exact integer units, of ell^-n2 once level n2 is added, so the
-    final sums count units of ell^-n_max and are divided once.  The branches
-    of one flow coordinate form a prefix-free word set, so any sum of their
-    weights is at most ell^n_max units, which the scan keeps within int64.
-    The references are taken CHUNK_WORDS at a time.
+    mask.  For every target level n2, one search finds each reference's
+    window [lo, hi) of the level-n2 slopes within the pair threshold
+    theta*(ell^-n1 + ell^-n2) + widen.  The words valid at one flow
+    coordinate are a sorted sublist, so the window holds P[hi] - P[lo] of
+    them, P being the cumulative sum of the mask: what a search of that
+    sublist alone counts.  As in the sweep, a level-n2 branch weighs
+    ell^(n_max - n2) units of ell^-n_max, n_max the deepest level of the
+    block, and the sums are divided once.  Every entry, a masked-out
+    reference's too, sums branches valid at one flow coordinate, a
+    prefix-free word set, so it is at most ell^n_max units, within int64
+    since the scan keeps ell^n_max <= MAX_WORD_INDEX.  The references are
+    taken CHUNK_WORDS at a time.
     """
     ns = valid.shape[1]
     if not levels:
         return [0.0] * ns
     n_max = levels[-1]
     el = float(ell)
-    # the per-level quantities are Python floats, the same IEEE operations
-    # as numpy's at a fraction of the call cost on the few levels of a block
-    widths = [el ** -n for n in levels]
+    w = np.array([el ** -n for n in levels])
+    pair_thr = theta * (w[:, None] + w[None, :]) + widen
     ends = list(itertools.accumulate(counts))
     starts = [end - count for end, count in zip(ends, counts)]
     level_of = np.repeat(np.arange(len(levels)), counts)
-    present = np.logical_or.reduceat(valid, starts, axis=0)
-    shares = (present[:, None] & present[None]).any(axis=2)
     # P counts words of one scan: at most BRANCH_CAP per level over at most
     # 63 levels, well within int32
     P = np.zeros((len(slopes) + 1, ns), dtype=np.int32)
@@ -112,28 +110,22 @@ def _overlap_maxima(ell: int, levels, counts, slopes, valid, theta: float,
     best = np.zeros(ns, dtype=np.int64)
     for lo in range(0, len(slopes), CHUNK_WORDS):
         ref = level_of[lo:lo + CHUNK_WORDS]
+        needles = slopes[lo:lo + CHUNK_WORDS]
         sums = np.zeros((len(ref), ns), dtype=np.int64)
-        unit = levels[0]  # sums count in units of ell^-unit
-        for j, (w2, start, end, n2) in enumerate(zip(widths, starts, ends, levels)):
-            keep = shares[ref[0]:ref[-1] + 1, j]
-            if not keep.any():
-                continue
-            rows = slice(None) if keep.all() else np.flatnonzero(shares[ref, j])
-            thr = np.array([theta * (w1 + w2) + widen for w1 in widths])[ref[rows]]
-            needles = slopes[lo:lo + CHUNK_WORDS][rows]
+        for j, (start, end, n2) in enumerate(zip(starts, ends, levels)):
+            thr = pair_thr[ref, j]
             a = slopes[start:end]
             first = np.searchsorted(a, needles - thr, side="left") + start
             last = np.searchsorted(a, needles + thr, side="right") + start
             hits = np.take(P, last, axis=0)
             hits -= np.take(P, first, axis=0)
-            if n2 > unit:
-                sums *= ell ** (n2 - unit)
-                unit = n2
-            sums[rows] += hits
+            # an np.int64 weight: with a Python int, NumPy 2 would keep P's
+            # int32 and overflow
+            sums += hits * np.int64(ell ** (n_max - n2))
         sums *= valid[lo:lo + CHUNK_WORDS]
         # the maximum over words, on a transposed copy: numpy reduces a long
         # contiguous axis several times faster than across short rows
-        np.maximum(best, sums.T.copy().max(axis=1) * ell ** (n_max - unit), out=best)
+        np.maximum(best, sums.T.copy().max(axis=1), out=best)
     return [v / ell ** n_max for v in best.tolist()]
 
 

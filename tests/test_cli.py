@@ -1064,6 +1064,22 @@ def _semiflow(argv, timeout=120):
                           capture_output=True, env=env, timeout=timeout)
 
 
+def test_arnoldi_spectrum_repeats_across_runs_and_processes(capsys):
+    # f = 1 at dim 160: the Ulam matrix has rank 40, so ARPACK's basis meets
+    # an invariant subspace and it draws a new vector, from a seeded
+    # generator: two fresh processes and two runs in this one emit the same
+    # bytes
+    argv = ["spectrum", "--set", "params.nx=40", "--set", "params.points_per_box=32"]
+    reports = []
+    for _ in range(2):
+        proc = _semiflow(argv)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert main(argv) == 0
+        reports += [proc.stdout, capsys.readouterr().out.encode()]
+    assert len(set(reports)) == 1
+    assert json.loads(reports[0])["payload"]["multiplicities"][:4] == [4, 4, 4, 4]
+
+
 @pytest.mark.parametrize("argv, code", [
     # min f = 1e-12 admits only 2^14 * 1e-12 of flow time; an advance for
     # 1e-5 would take 10^7 roof crossings
@@ -1412,8 +1428,9 @@ _OWN_MODULES = {
     "transversality": ({"t_values": [2.0], "nx": 8, "ns": 8},
                        {"spectral", "aniso", "genericity", "mixing", "smooth"}),
     "spectrum": ({"t": 1.0, "nx": 8, "ns": 2, "points_per_box": 16, "k": 4},
-                 {"aniso", "genericity"}),
-    "correlations": ({"t_values": [0.0, 0.5], "nx": 8, "ns": 1}, {"aniso", "genericity"}),
+                 {"aniso", "genericity", "transversality", "parallel"}),
+    "correlations": ({"t_values": [0.0, 0.5], "nx": 8, "ns": 1},
+                     {"aniso", "genericity", "transversality", "parallel"}),
     "mixing": ({"grid": 256, "depth": 4}, {"aniso", "genericity"}),
     "norms": ({"grid_n": 32, "num_functions": 1}, {"spectral", "genericity", "mixing"}),
     "genericity": ({"cluster_n_values": [4], "probe": True, "probe_n_values": [4],

@@ -31,6 +31,10 @@ imports to its definition, which must be reached or ``ALLOWED``:
 a concept no subcommand runs cannot stay public.  Independent reference
 paths and paper constructions that no subcommand runs belong in
 ``tests/oracles.py``.
+
+No library call draws OS entropy: every ``default_rng`` call passes a seed,
+and every ``eigs`` call passes ``rng``, from which ARPACK draws a new
+vector when its basis meets an invariant subspace.
 """
 
 import ast
@@ -188,6 +192,64 @@ def unreached_exports(package=PACKAGE):
         if name is not None and (module, name) not in reached:
             out.append(f"{module}.{name}")
     return sorted(out)
+
+
+# call name -> (the keyword that seeds it, the position it may also take
+# among the arguments, or None when only the keyword can)
+SEEDED_CALLS = {"default_rng": ("seed", 0), "eigs": ("rng", None)}
+
+
+def _is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def random_calls(package=PACKAGE):
+    """(seeded, unseeded) calls of ``SEEDED_CALLS`` in the package's
+    modules, ``__init__`` and ``__main__`` included, as "module:line name"."""
+    seeded, unseeded = [], []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(package, name), encoding="utf-8").read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            call = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if call not in SEEDED_CALLS:
+                continue
+            keyword, position = SEEDED_CALLS[call]
+            seeds = [k.value for k in node.keywords if k.arg == keyword]
+            if position is not None and len(node.args) > position:
+                seeds.append(node.args[position])
+            where = f"{name[:-3]}:{node.lineno} {call}"
+            (seeded if seeds and not any(map(_is_none, seeds)) else unseeded).append(where)
+    return seeded, unseeded
+
+
+def test_no_library_call_draws_os_entropy():
+    seeded, unseeded = random_calls()
+    assert unseeded == []
+    # the scan sees the known call sites
+    sites = {(where.split(":")[0], where.split()[1]) for where in seeded}
+    assert {("spectral", "eigs"), ("genericity", "default_rng"),
+            ("cli", "default_rng")} <= sites
+
+
+def test_random_call_scan_flags_missing_and_none_seeds(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "from scipy.sparse.linalg import eigs\n"
+        "a = np.random.default_rng(3)\n"
+        "b = default_rng(seed=None)\n"
+        "c = np.random.default_rng()\n"
+        "d = eigs(m, k=2, rng=0)\n"
+        "e = scipy.sparse.linalg.eigs(m, 2)\n"
+        "f = eigs(m, k=2, rng=None)\n")
+    assert random_calls(str(tmp_path)) == (
+        ["model:4 default_rng", "model:7 eigs"],
+        ["model:5 default_rng", "model:6 default_rng", "model:8 eigs", "model:9 eigs"])
 
 
 def test_every_definition_is_reached_from_the_cli():

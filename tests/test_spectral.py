@@ -15,7 +15,7 @@ from semiflow.cli import main
 from semiflow.dynamics import MAX_CROSSINGS
 from semiflow.spectral import (CUTOFF_MARGIN_FRACTION, BoxPartition,
                                Observable, UlamOperator, build_ulam,
-                               correlation, decay_fit, spectrum)
+                               correlation, spectrum)
 from semiflow.smooth import step
 
 from conftest import parse_violations, random_positive_ceiling, traced_peak
@@ -201,21 +201,21 @@ def test_correlation_mean_zero_against_one(f_sin):
     psi = Observable(s_wave=("cos", 1.0))
     one = Observable(cutoff=False)
     curve = correlation(f_sin, psi, one, [0.5, 1.5, 3.0], 64, 8)
-    assert all(abs(v) <= 1e-12 for _, v in curve.samples)
+    assert all(abs(v) <= 1e-12 for _, v in curve)
 
 
 def test_correlation_zero_time_variance(f_generic):
     psi = Observable(x_wave=("cos", 1), s_wave=("cos", 1.0))
     curve = correlation(f_generic, psi, psi, [0.0], 128, 8)
-    assert curve.samples[0][1] >= 0.0
+    assert curve[0][1] >= 0.0
 
 
 def test_correlation_periodic_nondecay_constant(f_const):
     psi = Observable(s_wave=("cos", 1.0))
     early = correlation(f_const, psi, psi, [0.1 * k for k in range(11)], 64, 16)
     late = correlation(f_const, psi, psi, [10.0 + 0.1 * k for k in range(11)], 64, 16)
-    m_early = max(abs(v) for _, v in early.samples)
-    m_late = max(abs(v) for _, v in late.samples)
+    m_early = max(abs(v) for _, v in early)
+    m_late = max(abs(v) for _, v in late)
     assert m_late >= 0.9 * m_early
 
 
@@ -227,8 +227,8 @@ def test_correlation_matches_from_zero_oracle(cutoff, f_sin):
     curve = correlation(f_sin, psi, phi, t_list, 64, 8)
     margin = CUTOFF_MARGIN_FRACTION * 0.8    # min f_sin = f_sin(3/4)
     ref = correlation_from_zero(f_sin, psi, phi, t_list, 64, 8, margin)
-    assert [t for t, _ in curve.samples] == t_list
-    for (_, v), (_, r) in zip(curve.samples, ref):
+    assert [t for t, _ in curve] == t_list
+    for (_, v), (_, r) in zip(curve, ref):
         assert abs(v - r) <= 1e-12
 
 
@@ -331,35 +331,8 @@ def test_correlation_weakly_mixing_decays(f_sin):
     psi = Observable(x_wave=("cos", 1))
     ts = [0.5 * k for k in range(17)]
     curve = correlation(f_sin, psi, psi, ts, 8192, 8)
-    assert abs(curve.samples[0][1]) > 0.1
-    assert all(abs(v) < 1e-2 for t, v in curve.samples if t >= 6.0)
-
-
-def test_decay_fit_exact_geometric():
-    from semiflow.spectral import CorrelationCurve
-    cc = CorrelationCurve(
-        samples=tuple((float(t), 3.0 * 0.7 ** t) for t in range(1, 7)),
-        psi_id="a", phi_id="b")
-    rate, residual = decay_fit(cc)
-    assert rate == pytest.approx(0.7, rel=1e-12)
-    assert residual <= 1e-12
-
-
-def test_decay_fit_constant_curve():
-    from semiflow.spectral import CorrelationCurve
-    cc = CorrelationCurve(samples=tuple((float(t), 0.25) for t in range(5)),
-                          psi_id="a", phi_id="b")
-    rate, _ = decay_fit(cc)
-    assert rate == pytest.approx(1.0, abs=1e-12)
-
-
-def test_decay_fit_masks_zeros():
-    from semiflow.spectral import CorrelationCurve
-    samples = [(0.0, 0.5), (1.0, 0.0), (2.0, 0.125), (3.0, 0.0), (4.0, 0.03125)]
-    cc = CorrelationCurve(samples=tuple(samples), psi_id="a", phi_id="b")
-    rate, _ = decay_fit(cc)
-    assert rate == pytest.approx(0.5, rel=1e-9)
-
+    assert abs(curve[0][1]) > 0.1
+    assert all(abs(v) < 1e-2 for t, v in curve if t >= 6.0)
 
 
 # dim 120 takes the LAPACK path, 200 Arnoldi.  The default chunk splits the

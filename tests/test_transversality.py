@@ -545,3 +545,34 @@ def test_block_denominator_may_exceed_every_flow_coordinates(monkeypatch):
     valid = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, 0, 0], [0, 0, 0]],
                      dtype=bool)
     _check_block(3, rows, valid, 0.1, 0.0, monkeypatch)
+
+
+def test_levels_never_valid_together_match_pair_scan(monkeypatch):
+    # two levels valid at complementary flow coordinates: every search of
+    # the other level's slopes falls on words that are masked out there and
+    # counts nothing, and each flow coordinate gets its own level's value
+    rng = np.random.default_rng(14)
+    for ell, theta in ((2, 0.3), (3, 0.1)):
+        rows = ([(1, float(x)) for x in rng.uniform(-0.5, 0.5, size=5)]
+                + [(3, float(x)) for x in rng.uniform(-0.5, 0.5, size=9)])
+        first = np.array([n == 1 for n, _ in rows])
+        valid = np.column_stack([first, ~first, ~first, first])
+        for widen in (0.0, 0.2):
+            _check_block(ell, rows, valid, theta, widen, monkeypatch)
+
+
+def test_masked_references_over_sixty_levels_match_pair_scan(monkeypatch):
+    # the branches on levels 3..60 of test_weight_sums_exact_over_sixty_levels
+    # under random masks, every third word masked out at every flow
+    # coordinate: each masked entry still sums the counts of one flow
+    # coordinate's words in units of 2^-60, within int64 only as int64
+    # products of the int32 prefix counts
+    f = TrigPolynomial(1.0, ((1, -0.95, 0.0),), 2)
+    table = branch_table(f, FlowPoint(0.0, 0.0), 3.0)
+    levels, counts, slopes = slope_profile(table.scan, 0.0, 3.0)
+    assert (levels[0], levels[-1]) == (3, 60)
+    rows = [(int(n), float(x)) for n, x in zip(np.repeat(levels, counts), slopes)]
+    valid = _masks(np.random.default_rng(60), len(rows))
+    valid[::3] = False
+    for theta in (1e9, 0.05):
+        _check_block(2, rows, valid, theta, 0.0, monkeypatch)
