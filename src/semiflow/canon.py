@@ -31,8 +31,20 @@ def _escape(s: str) -> str:
     return '"' + s.translate(_ESCAPES) + '"'
 
 
-# the formatter of a column whose values all have one of these exact types
-_COLUMN_FORMATS = {float: _fmt_float, int: str, str: _escape}
+def _float_column(values: list) -> list:
+    """``_fmt_float`` of each value of a list of floats, from one "%.17g"
+    format of the whole list, which is format(x, ".17g") of each value: a
+    value printed without a point or an exponent (an integral value, nan or
+    an infinity) goes through ``_fmt_float``, and every other text is
+    already its ".17g" form."""
+    texts = ("%.17g," * len(values) % tuple(values)).split(",")
+    return [text if "." in text or "e" in text else _fmt_float(x)
+            for text, x in zip(texts, values)]
+
+
+# the formatter of a column whose values all have one of these exact types;
+# a column of floats goes through ``_float_column``
+_COLUMN_FORMATS = {int: str, str: _escape}
 
 
 def _column_json(values: list) -> list:
@@ -40,8 +52,10 @@ def _column_json(values: list) -> list:
     when every value has the same exact type float, int or str, and the
     per-value path otherwise (bools, numpy scalars, containers, mixes)."""
     kinds = set(map(type, values))
-    render = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(render or canonical_json, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return _float_column(values)
+    return list(map(_COLUMN_FORMATS.get(kind) or canonical_json, values))
 
 
 def _rows_json(rows) -> str:

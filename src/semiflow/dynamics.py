@@ -271,15 +271,20 @@ class _BranchTable:
     ``fy`` = f(y), its flow coordinate ``s`` and the slope.
     ``branch_table`` lists the branches level ascending and then by word
     index, ``inverse_branches`` in lexicographic word order.  ``scan`` is
-    the column scan the table was masked from.
+    the column scan the table was masked from, and ``scans`` holds it
+    followed by the scans of any other columns of the same level loop.
     """
 
-    __slots__ = ("n", "k", "y", "fy", "s", "slopes", "ell", "scan")
+    __slots__ = ("n", "k", "y", "fy", "s", "slopes", "ell", "scans")
 
-    def __init__(self, n, k, y, fy, s, slopes, ell, scan):
+    def __init__(self, n, k, y, fy, s, slopes, ell, *scans):
         self.n, self.k, self.y, self.fy, self.s, self.slopes = n, k, y, fy, s, slopes
         self.ell = ell
-        self.scan = scan
+        self.scans = scans
+
+    @property
+    def scan(self):
+        return self.scans[0]
 
     @property
     def levels(self) -> list:
@@ -301,7 +306,8 @@ def _max_admissible_t(f: TrigPolynomial, s: float) -> float:
 
 class _ColumnScan:
     """Every word of one fiber column that some (s, t) pair of a grid can take
-    as a branch, from one pruned level scan (see ``_column_scan``).
+    as a branch: the column's share of one pruned level scan (see
+    ``_column_scan``).
 
     Flat arrays, one entry per kept word, grouped by level (``levels[i]``
     owns ``starts[i]:starts[i+1]``) and sorted by word index k within a
@@ -312,13 +318,12 @@ class _ColumnScan:
 
     __slots__ = ("ell", "levels", "starts", "n", "k", "y", "fy", "S", "S_parent", "slopes")
 
-    def __init__(self, ell, levels, blocks):
+    def __init__(self, ell, levels, counts, k, y, fy, S, S_parent, slopes):
         self.ell = ell
         self.levels = levels
-        self.starts = np.cumsum([0] + [len(block[0]) for block in blocks])
-        self.n = np.repeat(np.array(levels, dtype=np.int64), np.diff(self.starts))
-        self.k, self.y, self.fy, self.S, self.S_parent, self.slopes = (
-            np.concatenate(column) for column in zip(*blocks))
+        self.starts = np.cumsum([0] + counts)
+        self.n = np.repeat(np.array(levels, dtype=np.int64), counts)
+        self.k, self.y, self.fy, self.S, self.S_parent, self.slopes = k, y, fy, S, S_parent, slopes
 
     def table(self, s: float, t: float) -> _BranchTable:
         """The branch table at (x, s) for time t, as ``branch_table`` builds it."""
@@ -338,67 +343,91 @@ def _valid(s: float, t: float, S, S_parent) -> tuple:
     return (d >= -ROOF_TOL) & (s + S_parent - t < -ROOF_TOL), d
 
 
-def _column_scan(f: TrigPolynomial, x: float, s_values, ts) -> _ColumnScan:
-    """One pruned level scan of the column over x, shared by every pair
-    (s, t) with s in ``s_values`` and t in ``ts``.
+def _column_scan(f: TrigPolynomial, columns, ts) -> list:
+    """One pruned level scan of several fiber columns, given as (x, s_values)
+    pairs: for each column, the ``_ColumnScan`` shared by every pair (s, t)
+    with s in its ``s_values`` and t in ``ts``.
 
     A word's index, preimage, Birkhoff sum S and slope depend on x alone;
     s and t enter only through its flow defect d = s + S - t, which grows
-    along a chain.  The scan therefore runs at the most permissive pair
-    (smallest s, largest t): its frontier holds the words still open there
-    (d < 0), and level n is built from their children k + j*ell^(n-1), so
-    the little-endian word index keeps every level sorted by k.  A level
-    keeps only the words that some t can accept: d >= 0 at the largest s and
-    the parent open at the smallest s.  Float addition is monotone, so these
-    tests are exact supersets of every pair's own.  Raises ResourceLimit,
-    naming the largest t, when one level would hold more than BRANCH_CAP
-    candidate words or words too long for an int64 index.
+    along a chain.  Each column is therefore scanned at its most permissive
+    pair (its smallest s, the largest t): the frontier holds the words still
+    open there (d < 0), each with its column's index, and level n is built
+    from their children k + j*ell^(n-1), j-major, so the little-endian word
+    index keeps every column's words of a level sorted by k.  A level keeps
+    only the words that some t can accept: d >= 0 at the column's largest s
+    and the parent open at its smallest.  Float addition is monotone, so
+    these tests are exact supersets of every pair's own, and they are the
+    elementwise float operations of a column scanned alone: a column's scan
+    does not depend on the others.  A stable sort on the column index splits
+    the kept words into the columns, level ascending and by k within a
+    level.  Raises ResourceLimit, naming the largest t, when one level of a
+    column would hold more than BRANCH_CAP candidate words or words too long
+    for an int64 index.
     """
     cap = BRANCH_CAP
     ts = np.asarray(ts, dtype=float)
-    s_lo, s_hi = float(min(s_values)), float(max(s_values))
     t_hi = float(ts.max())
     ell = f.ell
+    x = np.array([float(c[0]) for c in columns])
+    s_lo = np.array([float(min(c[1])) for c in columns])
+    s_hi = np.array([float(max(c[1])) for c in columns])
+    size = len(columns)
+    # level 0, the empty word of every column, then one entry per level
+    col = np.arange(size)
+    k = np.zeros(size, dtype=np.int64)
+    S = np.zeros(size)
+    sl = np.zeros(size)
     levels = [0]
-    blocks = [(np.array([0], dtype=np.int64), np.array([x]), np.array([f(x)]),
-               np.array([0.0]), np.array([-np.inf]), np.array([0.0]))]
-    if s_lo - t_hi >= -ROOF_TOL:
-        return _ColumnScan(ell, levels, blocks)
-
-    # the frontier: index, Birkhoff sum and slope of every word open at (s_lo, t_hi)
-    k = np.zeros(1, dtype=np.int64)
-    S = np.zeros(1)
-    sl = np.zeros(1)
+    kept = [(col, k, x, f(x), S, np.full(size, -np.inf), sl)]
+    # the frontier: column, index, Birkhoff sum and slope of every word open
+    # at its column's (s_lo, t_hi)
+    open_ = s_lo + S - t_hi < -ROOF_TOL
+    col, k, S, sl = col[open_], k[open_], S[open_], sl[open_]
     n = 0
     while len(k):
         n += 1
-        if len(k) * ell > cap:
+        over = np.flatnonzero(np.bincount(col, minlength=size) * ell > cap)
+        if over.size:
             raise ResourceLimit(
                 f"branch enumeration at t={t_hi} would exceed the cap of {cap} words per level",
-                t_limit=_max_admissible_t(f, s_lo), cap=cap)
+                t_limit=_max_admissible_t(f, float(s_lo[over[0]])), cap=cap)
         if ell ** n > MAX_WORD_INDEX:
             raise ResourceLimit(
                 f"branch enumeration at t={t_hi} would need words of more than {n - 1} "
                 f"letters, beyond 64-bit word indices",
-                t_limit=_max_admissible_t(f, s_lo), max_length=n - 1)
+                t_limit=_max_admissible_t(f, float(s_lo[col.min()])), max_length=n - 1)
         k = (k + ell ** (n - 1) * np.arange(ell, dtype=np.int64)[:, None]).ravel()
-        y = (x + k) / ell ** n
+        col = np.concatenate([col] * ell)
+        y = (x[col] + k) / ell ** n
         fy = f(y)
-        S_parent = np.tile(S, ell)
+        S_parent = np.concatenate([S] * ell)
         S = S_parent + fy
-        sl = np.tile(sl, ell) + ell ** float(-n) * f(y, 1)
-        keep = np.any((s_hi + S - ts[:, None] >= -ROOF_TOL)
-                      & (s_lo + S_parent - ts[:, None] < -ROOF_TOL), axis=0)
+        sl = np.concatenate([sl] * ell) + ell ** float(-n) * f(y, 1)
+        keep = np.any((s_hi[col] + S - ts[:, None] >= -ROOF_TOL)
+                      & (s_lo[col] + S_parent - ts[:, None] < -ROOF_TOL), axis=0)
         if np.any(keep):
             levels.append(n)
-            blocks.append((k[keep], y[keep], fy[keep], S[keep], S_parent[keep], sl[keep]))
-        open_ = s_lo + S - t_hi < -ROOF_TOL
-        k, S, sl = k[open_], S[open_], sl[open_]
-    return _ColumnScan(ell, levels, blocks)
+            kept.append((col[keep], k[keep], y[keep], fy[keep], S[keep], S_parent[keep],
+                         sl[keep]))
+        open_ = s_lo[col] + S - t_hi < -ROOF_TOL
+        col, k, S, sl = col[open_], k[open_], S[open_], sl[open_]
+    # each level's words of one column per (level, column) cell; the stable
+    # sort keeps the levels ascending and each level sorted by k
+    cells = np.array([np.bincount(block[0], minlength=size) for block in kept]).T.tolist()
+    order = np.concatenate([block[0] for block in kept]).argsort(kind="stable")
+    arrays = [np.concatenate(a)[order] for a in list(zip(*kept))[1:]]
+    scans, lo = [], 0
+    for counts in cells:
+        hi = lo + sum(counts)
+        scans.append(_ColumnScan(ell, [m for m, c in zip(levels, counts) if c],
+                                 [c for c in counts if c], *(a[lo:hi] for a in arrays)))
+        lo = hi
+    return scans
 
 
 def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
-                 t_values=()) -> _BranchTable:
+                 t_values=(), columns=()) -> _BranchTable:
     """Every time-t inverse branch at z.
 
     A word is a branch iff its flow defect d = s + S_n - t is at least 0
@@ -408,12 +437,19 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
     add flow coordinates and times of the same column, and then
     ``table.scan.table(s, t)`` gives the table of every pair (s, t) of the
     grid without a second scan, bit for bit as a scan at that pair alone:
-    ``_valid`` on the scan's arrays is each pair's mask.  The times are >= 0
-    and the flow coordinates under the roof.  Raises ResourceLimit, naming
-    the largest t, when one level would hold more than BRANCH_CAP candidate
-    words or words too long for an int64 index.
+    ``_valid`` on the scan's arrays is each pair's mask.  ``columns``
+    adds further fiber columns as (x, s_values) pairs, scanned in the same
+    level loop for the same times: ``table.scans`` holds one scan per
+    column, z's first, each bit for bit the scan of that column alone, so
+    a single column is the one-column case of the same loop.  The times are
+    >= 0 and the flow coordinates under the roof.  Raises ResourceLimit,
+    naming the largest t, when one level of a column would hold more than
+    BRANCH_CAP candidate words or words too long for an int64 index.
     """
-    return _column_scan(f, z.x, [z.s, *s_values], [t, *t_values]).table(z.s, t)
+    scans = _column_scan(f, [(z.x, [z.s, *s_values]), *columns], [t, *t_values])
+    table = scans[0].table(z.s, t)
+    table.scans = tuple(scans)
+    return table
 
 
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:

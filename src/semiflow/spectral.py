@@ -237,18 +237,13 @@ def spectrum(op: UlamOperator, k: int) -> SpectrumReport:
     order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
     vals = vals[order][:k]
 
-    mults = []
+    # each value's multiplicity counts the listed values within tol of it,
+    # wherever rounding put them in the modulus order
     tol = 1e-8
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[i]) <= tol * max(1.0, abs(vals[i])):
-            j += 1
-        mults.extend([j - i] * (j - i))
-        i = j
+    near = np.abs(vals[:, None] - vals[None, :]) <= tol * np.maximum(1.0, np.abs(vals))[:, None]
     return SpectrumReport(
         eigenvalues=tuple(complex(v) for v in vals),
-        multiplicities=tuple(mults), t=op.t)
+        multiplicities=tuple(near.sum(axis=1).tolist()), t=op.t)
 
 
 def _quadrature_nodes(f: TrigPolynomial, nx: int, ns: int):

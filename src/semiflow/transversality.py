@@ -15,26 +15,29 @@ functions of closed slope intervals, so its exact maximum is attained at an
 interval boundary, and the sweep below computes it exactly.
 
 Grid maxima come from one pass (``grid_estimates``; ``m_of_t`` and
-``n_of_t`` are views over it).  Each fiber column is scanned once, by one
-``branch_table`` call that serves every (s, t) of the run, and its words are
-put in (level, slope) order.  For each t, the validity masks of a block of
-flow coordinates keep the words valid at some s of the block, and one pass
-over those words serves every s of it.  The overlap count searches each
-reference's window on every target level and counts the branches of each s
-in it by a prefix sum of that s's mask; the n sweep orders the events of
-all the words by one stable argsort and sums each s's masked weights along
-it.  A masked sublist of a sorted list counts what a search of the sublist
-counts, and a stable order restricted to a subset is the subset's own
-stable order, so each grid point gets the value of a pass over its own
-table.  Branch weights ell^-n are summed as exact integer multiples of
-ell^-n_max, n_max the deepest level of the block, and divided once: Python
-divides integers with correct rounding, so m and n are the correctly
-rounded values whichever common power of ell the count uses, and the
-identity n <= 1 holds in floating point too.  The passes hold CHUNK_WORDS
-words of a block at a time.  The certified value is reported clamped to 1,
-the bound of the branch-sum identity, so the widened pass of a t stops at
-the first column where its running maximum reaches 1; each chunk of columns
-stops on its own, and the report does not depend on the worker count.
+``n_of_t`` are views over it).  Each fiber column is scanned once, for every
+(s, t) of the run, in a group of columns that one ``branch_table`` call
+scans in one level loop: the first column alone, then as many as fit
+GROUP_WORDS kept words by the widest column of the group before.  Each
+column's words are then put in (level, slope) order.  For each t, the
+validity masks of a block of flow coordinates keep the words valid at some s
+of the block, and one pass over those words serves every s of it.  The
+overlap count searches each reference's window on every target level and
+counts the branches of each s in it by a prefix sum of that s's mask; the n
+sweep orders the events of all the words by one stable argsort and sums each
+s's masked weights along it.  A masked sublist of a sorted list counts what
+a search of the sublist counts, and a stable order restricted to a subset is
+the subset's own stable order, so each grid point gets the value of a pass
+over its own table.  Branch weights ell^-n are summed as exact integer
+multiples of ell^-n_max, n_max the deepest level of the block, and divided
+once: Python divides integers with correct rounding, so m and n are the
+correctly rounded values whichever common power of ell the count uses, and
+the identity n <= 1 holds in floating point too.  The passes hold
+CHUNK_WORDS words of a block at a time.  The certified value is reported
+clamped to 1, the bound of the branch-sum identity, so the widened pass of a
+t stops at the first column where its running maximum reaches 1; each chunk
+of columns stops on its own, and the report does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ GRID_LOWER_BOUND_CAVEAT = "grid lower bound"
 # a temporary holds one integer per word and flow coordinate of a block
 MASK_BLOCK = 8
 CHUNK_WORDS = 2 ** 12
+
+# kept words of the column scans of one group (``_column_maxima``): a group
+# holds its scans until its last column is absorbed
+GROUP_WORDS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -237,30 +244,47 @@ def _column_maxima(f, ts, nx, ns, cls, widen, columns) -> list:
     points of the given columns: x = i/nx and ns flow coordinates scaled
     to the fiber, always including the base section s = 0.
 
-    The widened pass of a t stops once its running maximum reaches 1:
-    ``grid_estimates`` reports it clamped to 1, so no later point can change
-    the report, whichever chunk of columns the point falls in."""
+    The columns are scanned in groups, each by one ``branch_table`` call at
+    the group's first column that serves every (s, t) of the group, and then
+    absorbed one by one.  The first column is scanned alone, and each later
+    group holds GROUP_WORDS // (the largest kept-word count of the group
+    before) columns, at least one.  The widened pass of a t stops once its
+    running maximum reaches 1: ``grid_estimates`` reports it clamped to 1,
+    so no later point can change the report, whichever chunk of columns the
+    point falls in."""
     best = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in ts]
-    for i in columns:
-        _absorb_column(best, f, i / nx, ns, ts, cls, widen)
+    columns = list(columns)
+    size = 1
+    while columns:
+        group, columns = columns[:size], columns[size:]
+        points = []
+        for i in group:
+            x = i / nx
+            height = f(x)
+            points.append((x, [j * height / ns for j in range(ns)]))
+        (x, s_values), *rest = points
+        # the table at the most permissive pair of the first column (s = 0,
+        # largest t), whose level loop scans every column of the group
+        scans = list(branch_table(f, FlowPoint(x, 0.0), max(ts), s_values=s_values,
+                                  t_values=ts, columns=rest).scans)
+        size = max(1, GROUP_WORDS // max(len(scan.k) for scan in scans))
+        # each scan leaves the list as its column is absorbed, so that
+        # ``_absorb_column`` holds the last reference to it
+        for x, s_values in points:
+            _absorb_column(best, scans.pop(0), x, s_values, ts, cls, widen)
     return best
 
 
-def _absorb_column(best, f, x, ns, ts, cls, widen) -> None:
-    """Fold the grid points of the column over x into ``best``.
+def _absorb_column(best, scan, x, s_values, ts, cls, widen) -> None:
+    """Fold the grid points (x, s), s in ``s_values``, of one scanned column
+    into ``best``.
 
-    The column is scanned once and its words put in (level, slope) order.
-    For each t and each block of MASK_BLOCK flow coordinates, the block's
-    validity masks (``_valid``, bit for bit a scan at each pair alone) keep
-    the words valid at some flow coordinate of it, and one overlap pass and
-    one sweep over those words serve the whole block.  The points are
-    absorbed in s order within each t, so the first argmax wins as it would
-    point by point.  Nothing of the column outlives the call."""
-    height = f(x)
-    s_values = [j * height / ns for j in range(ns)]
-    # the table at the most permissive pair (s = 0, largest t), whose scan
-    # serves every (s, t) of the column
-    scan = branch_table(f, FlowPoint(x, 0.0), max(ts), s_values=s_values, t_values=ts).scan
+    The column's words are put in (level, slope) order.  For each t and each
+    block of MASK_BLOCK flow coordinates, the block's validity masks
+    (``_valid``, bit for bit a scan at each pair alone) keep the words valid
+    at some flow coordinate of it, and one overlap pass and one sweep over
+    those words serve the whole block.  The points are absorbed in s order
+    within each t, so the first argmax wins as it would point by point."""
     ell, levels, starts = scan.ell, scan.levels, scan.starts
     # each level's words by slope (the order of equal slopes changes no
     # count), in copies that replace the scan
@@ -268,7 +292,7 @@ def _absorb_column(best, f, x, ns, ts, cls, widen) -> None:
                             for a, b in itertools.pairwise(starts.tolist())])
     slopes, S, S_parent = (a[order] for a in (scan.slopes, scan.S, scan.S_parent))
     del scan, order
-    for lo in range(0, ns, MASK_BLOCK):
+    for lo in range(0, len(s_values), MASK_BLOCK):
         block = s_values[lo:lo + MASK_BLOCK]
         valid = np.empty((len(slopes), len(block)), dtype=bool)
         for b, t in zip(best, ts):

@@ -329,13 +329,22 @@ _SPECTRUM_PARAMS = {"t": 2.0, "nx": 16, "ns": 4, "points_per_box": 32, "k": 6}
                              "certified": False}},
                  "4d29c3e539edc895c2c4abd553d16081e6d9a7177f24e8f005e42508b91b2d1e",
                  id="transversality-base-three"),
+    pytest.param({"ceiling": _SIN, "experiment": "branches",
+                  "params": {"x": 0.3, "s": 0.1, "t": 4.0}},
+                 "2b22b3da52b7ce98eaa928a20869f5818310be99e6209c892ca9d9e9d3f969d5",
+                 id="branches"),
+    pytest.param({"ceiling": _GEN3, "experiment": "branches",
+                  "params": {"x": 0.7, "s": 0.6, "t": 3.5}},
+                 "74702f2fa6a05855146a5e63fc134c8f837a67abdc669582d267cb01ff76815a",
+                 id="branches-base-three"),
 ])
 def test_acceptance_10_pinned_report_bytes(config, digest):
     """Frozen: the sha256 of short correlations and spectrum reports, recorded
-    when the flow advance still evaluated f at every point and crossing, and
-    of two transversality reports, recorded when every grid point still ran
-    its own overlap and sweep passes, so any later change to the floats on
-    their way shows here."""
+    when the flow advance still evaluated f at every point and crossing, of
+    two transversality reports, recorded when every grid point still ran
+    its own overlap and sweep passes, and of two branches reports, recorded
+    when every float of a row column was formatted on its own, so any later
+    change to the floats on their way shows here."""
     data = emit(run(parse_config(json.dumps(config))))
     assert hashlib.sha256(data).hexdigest() == digest
     print(f"\nACCEPTANCE 10 PASS: {config['experiment']} report bytes pinned ({len(data)} bytes)")

@@ -513,6 +513,86 @@ def test_column_scan_tables_equal_branch_table(f_sin, f_generic):
                         or [np.zeros(0)]))
 
 
+_SCAN_ARRAYS = ("starts", "n", "k", "y", "fy", "S", "S_parent", "slopes")
+
+
+def _assert_same_scan(got, want):
+    """Two column scans hold the same levels and the same arrays, bit for bit."""
+    assert got.ell == want.ell and got.levels == want.levels
+    for name in _SCAN_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _scan_alone(f, column, ts):
+    """The scan of one column, requested alone through ``branch_table``."""
+    x, s_values = column
+    return branch_table(f, FlowPoint(x, s_values[0]), ts[0], s_values=s_values[1:],
+                        t_values=ts[1:]).scan
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_grouped_column_scans_equal_each_column_alone(ell):
+    # random ceilings and columns, each with its own flow coordinates: the
+    # columns scanned in one level loop give each column the scan it gets
+    # alone, and the table of the group's request is its first column's
+    rng = np.random.default_rng(40 + ell)
+    for _ in range(4):
+        g = random_positive_ceiling(rng)
+        f = TrigPolynomial(g.mean_coeff, g.harmonics, ell)
+        ts = sorted(float(t) for t in rng.uniform(0.5, 4.0, size=3))
+        columns = []
+        for x in rng.random(int(rng.integers(2, 6))).tolist():
+            height = f(x)
+            columns.append((x, sorted(float(s) for s in rng.uniform(0.0, height, size=3))))
+        z = FlowPoint(columns[0][0], columns[0][1][0])
+        table = branch_table(f, z, ts[0], s_values=columns[0][1][1:], t_values=ts[1:],
+                             columns=columns[1:])
+        assert len(table.scans) == len(columns) and table.scan is table.scans[0]
+        for column, got in zip(columns, table.scans):
+            _assert_same_scan(got, _scan_alone(f, column, ts))
+        alone = branch_table(f, z, ts[0], s_values=columns[0][1][1:], t_values=ts[1:])
+        for name in _TABLE_COLUMNS:
+            assert getattr(table, name).tobytes() == getattr(alone, name).tobytes()
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_grouped_scan_mixes_level_zero_shallow_and_deep_columns(ell):
+    # f = 1 - 0.95 cos 2 pi x is 0.05 at x = 0 and 1.95 at x = 1/2: one group
+    # holds a column whose flow coordinates lie above every time (level 0
+    # alone), shallow columns and columns 38 levels deep
+    f = TrigPolynomial(1.0, ((1, -0.95, 0.0),), ell)
+    ts = [0.5, 1.9]
+    columns = [(0.0, [0.0, 0.01]), (0.5, [1.9, 1.94]), (0.5, [1.2, 1.5]), (0.3, [0.0, 0.5]),
+               (0.02, [0.0])]
+    scans = dynamics._column_scan(f, columns, ts)
+    depths = [max(scan.levels) for scan in scans]
+    assert depths[0] == depths[4] == 38 and depths[1] == 0 and 1 <= depths[2] <= 4
+    assert scans[1].levels == [0] and scans[1].S_parent.tolist() == [-np.inf]
+    for column, got in zip(columns, scans):
+        _assert_same_scan(got, _scan_alone(f, column, ts))
+    # and in any order of the columns
+    for column, got in zip(columns[::-1], dynamics._column_scan(f, columns[::-1], ts)):
+        _assert_same_scan(got, _scan_alone(f, column, ts))
+
+
+def test_grouped_scan_caps_each_column_on_its_own(f_sin, monkeypatch):
+    # at t = 5 a cap of 16 words per level holds the column over 0.3 from
+    # s = 1.1 but not the one over 0.7 from s = 0: the cap counts each
+    # column's own words, so two columns under it scan together, and the
+    # column over it raises as it does alone, naming its own largest time
+    monkeypatch.setattr(dynamics, "BRANCH_CAP", 16)
+    under, over = (0.3, [1.1]), (0.7, [0.0])
+    with pytest.raises(ResourceLimit) as alone:
+        _scan_alone(f_sin, over, [5.0])
+    with pytest.raises(ResourceLimit) as grouped:
+        dynamics._column_scan(f_sin, [under, over], [5.0])
+    assert str(grouped.value) == str(alone.value)
+    assert grouped.value.details == alone.value.details
+    for got in dynamics._column_scan(f_sin, [under, under], [5.0]):
+        _assert_same_scan(got, _scan_alone(f_sin, under, [5.0]))
+
+
 def test_branch_table_grid_pairs_validated(f_sin):
     # branch_table takes its pairs on trust: the times are refused at parse
     # when negative, and the transversality grid's flow coordinates lie

@@ -9,7 +9,7 @@ from semiflow import (FlowPoint, InvalidArgument, ResourceLimit, TrigPolynomial,
 from semiflow.ceiling import CeilingClass
 from semiflow.transversality import grid_estimates
 
-from conftest import parse_violations, random_positive_ceiling
+from conftest import parse_violations, random_positive_ceiling, traced_peak
 from oracles import (enumerate_branches, line_scan_n, pair_scan_m, per_point_grid,
                      periodic_beta_max, point_m, slope_profile, sweep_max)
 
@@ -316,21 +316,39 @@ def test_grid_cap_error_comes_before_any_column_finishes(f_sin, monkeypatch):
     assert "t_limit" in info.value.details
 
 
-@pytest.mark.parametrize("chunk, block", [(1, 1), (7, 3), (None, None)])
-def test_grid_estimates_bit_equal_at_any_chunk_size(chunk, block, f_sin, monkeypatch):
-    # one word (or seven, or the default) per temporary and one flow
-    # coordinate (or three, or the default) per mask block: the same maxima,
-    # argmax and certified bound as one table per grid point
+@pytest.mark.parametrize("chunk, block, group", [
+    pytest.param(1, 1, 1, id="1-1"),
+    pytest.param(7, 3, 2 ** 62, id="7-3"),
+    pytest.param(None, None, None, id="None-None"),
+])
+def test_grid_estimates_bit_equal_at_any_chunk_size(chunk, block, group, f_sin, monkeypatch):
+    # one word (or seven, or the default) per temporary, one flow
+    # coordinate (or three, or the default) per mask block, and a scan group
+    # of one word (every column scanned alone), of no bound (every column
+    # after the first in one group) or the default: the same maxima, argmax
+    # and certified bound as one table per grid point, at one worker and at
+    # two
     t_values = [2.5, 4.0, 5.5]
     if chunk is not None:
         monkeypatch.setattr(transversality, "CHUNK_WORDS", chunk)
         monkeypatch.setattr(transversality, "MASK_BLOCK", block)
+        monkeypatch.setattr(transversality, "GROUP_WORDS", group)
     for f in (f_sin, GEN3):
         cls = classify(f, 0.9)
-        got = grid_estimates(f, t_values, 3, 5, cls, True, 1)
-        assert [(est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s)
-                for est, n_value in got] == [per_point_grid(f, t, 3, 5, cls, True)
-                                             for t in t_values]
+        want = [per_point_grid(f, t, 3, 5, cls, True) for t in t_values]
+        for workers in (1, 2):
+            got = grid_estimates(f, t_values, 3, 5, cls, True, workers)
+            assert [(est.m_value, est.m_upper, n_value, est.argmax_x, est.argmax_s)
+                    for est, n_value in got] == want
+
+
+def test_grid_scan_groups_keep_the_branch_scan_grid_small(f_sin):
+    # the branch-scan job's grid: its columns keep about 12,000 words each,
+    # so GROUP_WORDS scans them one at a time and the pass peaks at about
+    # 1.8 MiB; a budget four times as wide groups them and peaks at about 7
+    cls = classify(f_sin, 0.9)
+    _, peak = traced_peak(lambda: grid_estimates(f_sin, [8.0, 10.0, 12.0], 16, 8, cls, True, 1))
+    assert peak < 4 * 2 ** 20
 
 
 def _roof_edge_times(f, x, s, rng):
