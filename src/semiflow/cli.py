@@ -447,9 +447,8 @@ def _run_transversality(cfg: ExperimentConfig):
         workers=cfg.workers)
     records = [{
         "t": est.t, "m_value": est.m_value, "m_upper": est.m_upper,
-        "n_value": nv, "grid": [p["nx"], p["ns"]], "slack": est.slack,
-        "argmax": {"x": est.argmax_x, "s": est.argmax_s,
-                   "on_section": est.argmax_on_section},
+        "n_value": nv, "slack": est.slack,
+        "argmax": {"x": est.argmax_x, "s": est.argmax_s},
     } for est, nv in estimates]
     fitted_rate = fit_residual = None
     positive = [(r["t"], r["m_value"]) for r in records if r["m_value"] > 0]
@@ -560,12 +559,10 @@ def _run_branches(cfg: ExperimentConfig):
     table, words = inverse_branches(cfg.ceiling, FlowPoint(p["x"], p["s"]), p["t"])
     ell = float(table.ell)
     levels = table.n.tolist()
-    expansions = [ell ** n for n in levels]
-    rows = [{"word": word, "n": n, "y": y, "s_prime": s_prime, "E": e, "slope": slope}
-            for word, n, y, s_prime, e, slope in zip(words, levels, table.y.tolist(),
-                                                     table.s.tolist(), expansions,
-                                                     table.slopes.tolist())]
-    payload = {"rows": rows, "weight_sum": sum(1.0 / e for e in expansions)}
+    rows = [{"word": word, "n": n, "y": y, "s_prime": s_prime, "slope": slope}
+            for word, n, y, s_prime, slope in zip(words, levels, table.y.tolist(),
+                                                  table.s.tolist(), table.slopes.tolist())]
+    payload = {"rows": rows, "weight_sum": sum(1.0 / ell ** n for n in levels)}
     return payload, []
 
 
@@ -604,11 +601,14 @@ def _payload_rows(payload):
 
 
 def emit(report: RunReport, format: str = "json") -> bytes:
-    """Serialize a report canonically.
+    """Serialize a report canonically, through ``canonical_json`` (looked up
+    in this module, so a wrapper bound here sees every call).
 
     json renders the whole document; jsonl renders one record per line,
     without the config echo and caveats; csv renders the same records as
-    rows, one column per scalar key of any record, in first-seen order.
+    rows, one column per scalar key of any record, in first-seen order, each
+    cell a scalar's JSON text.  A non-finite number anywhere raises
+    ``NumericalFailure``.
     """
     if format == "json":
         doc = {

@@ -74,7 +74,6 @@ class TransversalityEstimate:
     slack: float
     argmax_x: float = 0.0
     argmax_s: float = 0.0
-    argmax_on_section: bool = True
 
 
 def _overlap_maxima(ell: int, levels, counts, slopes, valid, theta: float,
@@ -225,7 +224,7 @@ def grid_estimates(f: TrigPolynomial, t_values, nx: int, ns: int, cls: CeilingCl
         m_upper = min(m_upper, 1.0) if certified else 1.0
         est = TransversalityEstimate(
             t=t, m_value=m_value, m_upper=m_upper, slack=(widen if certified else 0.0),
-            argmax_x=x, argmax_s=s, argmax_on_section=(s == 0.0))
+            argmax_x=x, argmax_s=s)
         out.append((est, n_value))
     return out
 

@@ -18,11 +18,10 @@ stable argsort (``sweep_max``), where the library serves a block of flow
 coordinates with each pass (``point_m`` is its single-point case),
 ``per_letter_g_matrix`` makes one scalar ``bump_deriv`` call per word,
 letter and direction, ``per_bracket_roots`` bisects one bracket at a time,
-``branches_payload`` builds a ``Word`` per branch row, ``per_value_json``
-renders one value at a time, ``dense_ulam`` accumulates the Ulam matrix
-into a dense array with ``np.add.at`` and ``exp_step`` evaluates both
-exponentials of the
-smooth step at every point, ``eval_full`` evaluates both transcendentals
+``branches_payload`` builds a ``Word`` per branch row, ``dense_ulam``
+accumulates the Ulam matrix into a dense array with ``np.add.at`` and
+``exp_step`` evaluates both exponentials of the smooth step at every
+point, ``eval_full`` evaluates both transcendentals
 of every harmonic and ``advance_per_point`` evaluates f at every point and
 roof crossing.  ``birkhoff`` and ``per_letter_g_matrix`` read
 a word letter by letter but place prefix i at (x + k_i)/ell^i, k_i being
@@ -427,49 +426,11 @@ def branches_payload(f, z, t):
                                        table.s.tolist(), table.slopes.tolist()):
         word = Word.from_index(k, n, table.ell)
         keyed.append((word.letters, {"word": str(word), "n": n, "y": y, "s_prime": s_prime,
-                                     "E": float(table.ell) ** n, "slope": slope}))
+                                     "slope": slope}))
     keyed.sort(key=lambda item: item[0])
     rows = [row for _, row in keyed]
-    return {"rows": rows, "weight_sum": sum(1.0 / row["E"] for row in rows)}
-
-
-def per_value_json(obj):
-    """Canonical JSON one value at a time, escaping character by character:
-    the reference for ``canon.canonical_json``'s column path."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        return "".join(out) + '"'
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "null"
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        if obj == int(obj) and abs(obj) < 1e16:
-            return f"{obj:.1f}"
-        return format(obj, ".17g")
-    if isinstance(obj, complex):
-        return per_value_json([obj.real, obj.imag])
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{per_value_json(str(k))}:{per_value_json(v)}"
-                              for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(per_value_json(v) for v in obj) + "]"
-    return per_value_json(obj.item())  # numpy scalars
+    return {"rows": rows,
+            "weight_sum": sum(1.0 / float(table.ell) ** row["n"] for row in rows)}
 
 
 def line_scan_n(branches, theta, ell):

@@ -304,46 +304,50 @@ _GEN3 = {"ell": 3, "mean": 1.3,
 _SPECTRUM_PARAMS = {"t": 2.0, "nx": 16, "ns": 4, "points_per_box": 32, "k": 6}
 
 
+# Every digest was re-recorded when reports moved to one json.dumps call:
+# floats print as their shortest round-trip repr instead of 17 significant
+# digits, and the derived fields left the rows (a branch row's "E", a
+# transversality record's "grid" and "argmax.on_section").  Each report
+# equals the previous one parsed, with those fields deleted, and re-encoded,
+# so no value moved.
 @pytest.mark.parametrize("config, digest", [
-    # re-recorded only when the payload lost its "decay" fit; the report
-    # equals the frozen one with that entry deleted
+    # re-recorded before only when the payload lost its "decay" fit
     pytest.param({"ceiling": _SIN, "experiment": "correlations",
                   "params": {"t_values": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0],
                              "nx": 64, "ns": 8, "psi": {"x": ["cos", 1], "s": ["cos", 1.0]},
                              "phi": {"s": ["cos", 1.0]}}},
-                 "ccd27d1970844b82384ca288ec9f912dde8f389af7cca0c23287780025d27f5d",
+                 "6da047852fcc5a2116082ae39c060f3bc737c1501b59dbe20bfaae7c312fc8bf",
                  id="correlations"),
-    # re-recorded only when the config stopped echoing a "mode" entry; the
-    # payload's bytes are the frozen ones
+    # re-recorded before only when the config stopped echoing a "mode" entry
     pytest.param({"ceiling": _GEN, "experiment": "spectrum", "seed": 3,
                   "params": _SPECTRUM_PARAMS},
-                 "e03bd42e4e09396187eb3a087e664dd3b20415690c2337794eca5ce55fab641f",
+                 "474aefa0c6a40205a9375ab227eea7c44edafb3363a0718ed28a2fe816014354",
                  id="spectrum-lattice"),
     pytest.param({"ceiling": _SIN, "experiment": "transversality", "gamma0": 0.9,
                   "params": {"t_values": [3.0, 4.5, 6.0], "nx": 16, "ns": 8,
                              "certified": True}},
-                 "d5d73b8d05b25f177e415e133a1f04e01690d9cd51e7608e74e4d19b15dc7f68",
+                 "b5fae88c6611c46a003bb937263a12ed53b16afc24ee101cf0bf5b3d6d417b22",
                  id="transversality-certified"),
     pytest.param({"ceiling": _GEN3, "experiment": "transversality",
                   "params": {"t_values": [2.0, 3.5, 5.0], "nx": 8, "ns": 8,
                              "certified": False}},
-                 "4d29c3e539edc895c2c4abd553d16081e6d9a7177f24e8f005e42508b91b2d1e",
+                 "262a40a35508aaf2c79292fe8c4e9bc23a1a2c834ec9380c234c57c1a128dfa4",
                  id="transversality-base-three"),
     pytest.param({"ceiling": _SIN, "experiment": "branches",
                   "params": {"x": 0.3, "s": 0.1, "t": 4.0}},
-                 "2b22b3da52b7ce98eaa928a20869f5818310be99e6209c892ca9d9e9d3f969d5",
+                 "74344b3aa512cd4979229079d118002cccbe98cefba4aa132d0e77ba8c20544a",
                  id="branches"),
     pytest.param({"ceiling": _GEN3, "experiment": "branches",
                   "params": {"x": 0.7, "s": 0.6, "t": 3.5}},
-                 "74702f2fa6a05855146a5e63fc134c8f837a67abdc669582d267cb01ff76815a",
+                 "afb7e3c38d479b5d8bf8172801c52728a76b0bd65ce5154f2d99103c821fec3d",
                  id="branches-base-three"),
 ])
 def test_acceptance_10_pinned_report_bytes(config, digest):
-    """Frozen: the sha256 of short correlations and spectrum reports, recorded
-    when the flow advance still evaluated f at every point and crossing, of
-    two transversality reports, recorded when every grid point still ran
-    its own overlap and sweep passes, and of two branches reports, recorded
-    when every float of a row column was formatted on its own, so any later
+    """Frozen: the sha256 of short correlations and spectrum reports, of two
+    transversality reports and of two branches reports, whose values were
+    recorded when the flow advance still evaluated f at every point and
+    crossing, every grid point still ran its own overlap and sweep passes
+    and every float of a row column was formatted on its own, so any later
     change to the floats on their way shows here."""
     data = emit(run(parse_config(json.dumps(config))))
     assert hashlib.sha256(data).hexdigest() == digest

@@ -1,5 +1,4 @@
 import ast
-import collections
 import inspect
 import json
 import math
@@ -9,17 +8,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from semiflow import (FlowPoint, canon, cli, genericity, mixing, parallel, spectral,
+from semiflow import (FlowPoint, cli, genericity, mixing, parallel, spectral,
                       transversality)
 from semiflow.canon import canonical_csv, canonical_json
 from semiflow.cli import (ParseError, ValidationError, emit, main,
                           parse_config, run)
-from semiflow.errors import InvalidArgument
+from semiflow.errors import InvalidArgument, NumericalFailure
 
-from oracles import branches_payload, per_value_json
+from oracles import branches_payload
 
 
 def _config(**over):
@@ -137,8 +136,8 @@ def test_emit_json_round_trip():
     assert doc["payload"]["verdict"] == "NotWeaklyMixing"
     assert doc["config_hash"] == report.config_hash
     assert "wall_time_s" not in doc
-    # the parsed payload reproduces the in-memory payload exactly (floats
-    # round-trip at 17 significant digits)
+    # the parsed payload reproduces the in-memory payload exactly (each
+    # float's shortest repr round-trips it)
     assert doc["payload"] == json.loads(json.dumps(report.payload))
 
 
@@ -168,30 +167,29 @@ def test_emit_csv_branch_schema():
     report = run(cfg)
     text = emit(report, "csv").decode()
     header = text.splitlines()[0]
-    assert header == "word,n,y,s_prime,E,slope"
+    assert header == "word,n,y,s_prime,slope"
     assert len(text.splitlines()) == 1 + 8  # eight level-3 branches
 
 
 BRANCH_CASES = [
     # ell = 2; t = 0 leaves only the empty word ""
     pytest.param({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
-                 {"x": 0.3, "s": 0.0, "t": 6.0}, id="ceiling0-params0"),
+                 {"x": 0.3, "s": 0.0, "t": 6.0}, id="sin-t6"),
     pytest.param({"ell": 2, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
-                 {"x": 0.3, "s": 0.0, "t": 0.0}, id="ceiling1-params1"),
+                 {"x": 0.3, "s": 0.0, "t": 0.0}, id="sin-t0-empty-word"),
     pytest.param({"ell": 3, "mean": 1.3, "harmonics": [[1, 0.0, 0.3], [2, 0.1, 0.0]]},
-                 {"x": 0.42, "s": 0.1, "t": 4.0}, id="ceiling2-params2"),
+                 {"x": 0.42, "s": 0.1, "t": 4.0}, id="base-three-t4"),
     # ell = 12: the letters 10, 11 and 12 print as two digits
     pytest.param({"ell": 12, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]},
-                 {"x": 0.7, "s": 0.0, "t": 2.5}, id="ceiling3-params3"),
+                 {"x": 0.7, "s": 0.0, "t": 2.5}, id="base-twelve-two-digit-letters"),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
 @pytest.mark.parametrize("ceiling, params", BRANCH_CASES)
 def test_branches_report_bytes_equal_per_row_oracle(ceiling, params, fmt):
-    # the rows built from the table's columns and rendered column by column
-    # are the rows of a Word per branch, sorted by letters and rendered one
-    # value at a time
+    # the rows built from the table's columns are the rows of a Word per
+    # branch, sorted by letters
     cfg = parse_config(json.dumps(_config(experiment="branches", params=params,
                                           ceiling=ceiling)))
     report = run(cfg)
@@ -202,82 +200,37 @@ def test_branches_report_bytes_equal_per_row_oracle(ceiling, params, fmt):
     if ceiling["ell"] == 12:
         assert {"10", "11", "12"} <= {row["word"][:2] for row in rows}
     if fmt == "json":
-        want = per_value_json({"config": report.config, "config_hash": report.config_hash,
+        want = canonical_json({"config": report.config, "config_hash": report.config_hash,
                                "caveats": report.caveats, "payload": payload}) + "\n"
     elif fmt == "jsonl":
-        want = "\n".join(per_value_json(row) for row in rows) + "\n"
+        want = "\n".join(canonical_json(row) for row in rows) + "\n"
     else:
         want = canonical_csv(rows, list(rows[0]))
     assert emit(report, fmt) == want.encode()
 
 
-class _Key(str):
-    """A dict key that is not exactly a str."""
-
-
-COLUMN_CASES = {
-    "floats": [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 2.0 ** 53, 0.1, -3.0],
-    "ints": [0, -1, 2 ** 53, 2 ** 64, 7, 1, 3, 10 ** 20],
-    "strings": ['a"b', "back\\slash", "line\nbreak", "\x00\x1f\x7f", "pct %s %d",
-                "", "caf\u00e9", "{}"],
-    "bools": [True, False, True, True, False, False, True, False],
-    "numpy": [np.float64(0.1), np.float64(2.0), np.int64(5), np.float32(0.5),
-              np.bool_(True), np.int32(-2), np.float64("nan"), np.uint8(255)],
-    "mixed": [1, 1.0, True, None, "1", np.float64(1.0), 2 ** 53, -0.0],
-    "dicts": [{"a": 1.0, "b": [1, {"c": "d"}]}, {}, {"x": None}, {"a": 1.0, "b": []},
-              {"n": {"m": {"k": float("inf")}}}, {"q": 'q"'}, {"a": 2}, {"z": 0.1}],
-    "lists": [[{"a": 1}, {"a": 2}], [], [1, 2.5], [{"a": 1}, {"b": 2}], (0.1, "x"),
-              [[]], [None], [{"k": True}]],
-}
-
-
-def test_canonical_json_column_path_matches_per_value_path(monkeypatch):
-    # rows sharing one key order go column by column; keys that need escapes,
-    # hold a % or are not strings are escaped once; every column kind gives
-    # the per-value bytes
-    tabled = []
-    real = canon._rows_json
-    monkeypatch.setattr(canon, "_rows_json", lambda rows: tabled.append(1) or real(rows))
-    keys = list(COLUMN_CASES) + ['k"ey', "ctl\n", "%s%%", 3, _Key("sub")]
-    extra = {'k"ey': 1.5, "ctl\n": "v", "%s%%": "%s", 3: 4, _Key("sub"): -0.0}
-    rows = [{**{k: COLUMN_CASES[k][i] for k in COLUMN_CASES}, **extra} for i in range(8)]
-    assert list(rows[0]) == keys
-    for obj in (rows, rows[:1], tuple(rows), {"payload": {"rows": rows}}):
-        tabled.clear()
-        assert canonical_json(obj) == per_value_json(obj)
-        assert tabled
-    # one row per column kind, so every column is also a single-type list
-    for name, column in COLUMN_CASES.items():
-        assert canonical_json([{name: v} for v in column]) == per_value_json(
-            [{name: v} for v in column])
-
-
-def test_float_column_formats_each_value_as_fmt_float():
-    # one "%.17g" pass over a column; the integral values below 1e16, nan and
-    # the infinities take the per-value path, which 1e16 and 1e17 agree with
-    values = [0.0, -0.0, 1e16, -1e16, 1e17, 5e-324, 0.1, float("nan"), float("inf"),
-              float("-inf"), 3.0, 2.5, 1e15 + 1, -7.0, 1.0 / 3.0]
-    want = [canon._fmt_float(x) for x in values]
-    assert canon._float_column(values) == want
-    assert canon._column_json(values) == want
-    assert want[:3] == ["0.0", "-0.0", "10000000000000000"]
-    assert want[4:10] == ["1e+17", "4.9406564584124654e-324", "0.10000000000000001", "null",
-                          '"inf"', '"-inf"']
-
-
-@pytest.mark.parametrize("rows", [
-    pytest.param([{"a": 1, "b": 2}, {"b": 2, "a": 1}], id="rows0"),  # keys in another order
-    pytest.param([{"a": 1, "b": 2}, {"a": 1}], id="rows1"),  # a key missing
-    pytest.param([{"a": 1}, {"a": 1, "b": 2}], id="rows2"),  # a key more
-    pytest.param([{"a": 1}, {"b": 1}], id="rows3"),  # other keys
-    pytest.param([{"a": 1}, [1]], id="rows4"),  # not every item a dict
-    pytest.param([{"a": 1}, collections.OrderedDict(a=1)], id="rows5"),  # a dict subclass
-    pytest.param([1.0, "x", None], id="rows6"),  # no dicts
-    pytest.param([], id="rows7"),
-])
-def test_canonical_json_other_lists_keep_per_value_path(rows, monkeypatch):
-    monkeypatch.setattr(canon, "_rows_json", None)  # any call would fail
-    assert canonical_json(rows) == per_value_json(rows)
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=2.2250738585072009e-308)
+@example(x=0.05)
+def test_canonical_json_contract(x):
+    # every finite float, -0.0 and the subnormals included, comes back bit
+    # for bit
+    assert float.hex(json.loads(canonical_json(x))) == float.hex(x)
+    # a complex is [re, im], a numpy scalar its Python value; keys keep
+    # their insertion order and no whitespace is added
+    obj = {"z": complex(x, -x), "b": np.float64(x),
+           "a": [np.int64(3), np.bool_(True), np.float32(0.5), None], "s": 'q"\n'}
+    assert canonical_json(obj) == (f'{{"z":[{x!r},{-x!r}],"b":{x!r},'
+                                   f'"a":[3,true,0.5,null],"s":"q\\"\\n"}}')
+    # a report holds only finite numbers
+    for bad in (math.nan, math.inf, -math.inf, complex(x, math.inf), np.float64(math.nan)):
+        with pytest.raises(NumericalFailure):
+            canonical_json({"payload": [x, bad]})
+    with pytest.raises(InvalidArgument):
+        canonical_json({"payload": object()})
 
 
 def test_canonical_json_stability():
@@ -288,9 +241,12 @@ def test_canonical_json_stability():
     assert json.loads(one) == json.loads(two)
 
 
-def test_canonical_json_17_digits():
-    assert canonical_json(0.2) == "0.20000000000000001"
+def test_canonical_json_shortest_repr():
+    # each float prints as its shortest round-trip repr, no longer at 17
+    # significant digits ("0.20000000000000001"); both parse to the same bits
+    assert canonical_json(0.2) == "0.2"
     assert canonical_json(1.0) == "1.0"
+    assert canonical_json(1e16) == "1e+16"
 
 
 def test_canonical_csv_no_locale():
@@ -335,7 +291,7 @@ def test_transversality_bytes_independent_of_worker_count(harmonics):
     assert one == two
     if not harmonics:
         for rec in json.loads(one)["payload"]["records"]:
-            assert rec["argmax"] == {"x": 0.0, "s": 0.0, "on_section": True}
+            assert rec["argmax"] == {"x": 0.0, "s": 0.0}
 
 
 def test_caveat_strings_appear_verbatim():
@@ -357,10 +313,12 @@ def test_transversality_records_schema():
         experiment="transversality",
         params={"t_values": [2.5, 3.5, 4.5], "nx": 8, "ns": 8})))
     report = run(cfg)
+    # no derived fields: the grid is the config's nx and ns, and the argmax
+    # lies on the section exactly when its s is 0
     for rec in report.payload["records"]:
-        assert set(rec) >= {"t", "m_value", "m_upper", "n_value", "grid",
-                            "slack", "fitted_rate"}
-        assert rec["grid"] == [8, 8]
+        assert list(rec) == ["t", "m_value", "m_upper", "n_value", "slack", "argmax",
+                             "fitted_rate"]
+        assert list(rec["argmax"]) == ["x", "s"]
     assert report.payload["fitted_rate"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -378,14 +336,17 @@ def test_cli_main_resource_limit_exit_code(tmp_path, capsys):
 def test_cli_main_branch_cap_refusal_stays_small():
     # f = 1 at t = 60 needs a level of 2^60 words; the scan builds at most
     # one level of 2^20 candidate words before it refuses, so the refusal
-    # peaks below 200 MiB.  A fresh interpreter, so that ru_maxrss is this
-    # run's own peak
+    # peaks below 200 MiB.  A fresh interpreter, which reads its own peak
+    # resident size VmHWM: its ru_maxrss would carry the pytest parent's
+    # peak over the fork and exec of subprocess.run
     script = """
-import resource, sys
+import sys
 from semiflow.cli import main
 code = main(["transversality", "--set", "params.t_values=[60.0]",
              "--set", "params.nx=8", "--set", "params.ns=8"])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, peak, file=sys.stderr)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -867,7 +828,7 @@ def test_cli_main_norms_renders_its_function_records(capsys):
     assert header == "id,strong_norm,weak_norm,embedding_ratio,weak_le_strong"
     # an id holds a comma, so its cell is quoted
     assert [row.split('",')[0] for row in rows] == ['"' + r["id"] for r in functions]
-    assert all(row.endswith(",True") for row in rows)
+    assert all(row.endswith(",true") for row in rows)
     # the spectrum payload has no record list: it keeps its refusal
     assert main(["spectrum", "--set", "params.nx=8", "--set", "params.ns=2",
                  "--format", "jsonl"]) == 1
@@ -1502,7 +1463,6 @@ print(json.dumps(loaded()))
 
 def test_cli_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     from semiflow import cli as climod
-    from semiflow.errors import NumericalFailure
 
     def boom(cfg):
         raise NumericalFailure("solver diverged", iterations=7)
@@ -1524,8 +1484,7 @@ def test_emit_jsonl_record_lines():
     assert len(lines) == 3
     for line in lines:
         rec = json.loads(line)
-        assert set(rec) >= {"t", "m_value", "m_upper", "n_value", "grid",
-                            "slack", "fitted_rate"}
+        assert set(rec) >= {"t", "m_value", "m_upper", "n_value", "slack", "fitted_rate"}
 
 
 def test_csv_seventeen_digit_floats():
@@ -1534,8 +1493,8 @@ def test_csv_seventeen_digit_floats():
         params={"x": 0.1, "s": 0.0, "t": 3.0})))
     report = run(cfg)
     text = emit(report, "csv").decode()
-    # y = 0.1/8 = 0.0125 has an inexact binary expansion; 17 significant
-    # digits round-trip it exactly
+    # y = 0.1/8 = 0.0125 has an inexact binary expansion; its shortest repr
+    # round-trips it exactly
     row = text.splitlines()[1].split(",")
     assert float(row[2]) == 0.1 / 8
 

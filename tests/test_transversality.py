@@ -213,7 +213,7 @@ def test_exponent_fit_rejects_bad_input():
 def test_argmax_location_reported(f_sin):
     est = m_of_t(f_sin, 6.0, 8, 4, classify(f_sin, 0.9), certified=False)
     assert 0.0 <= est.argmax_x < 1.0
-    assert est.argmax_on_section == (est.argmax_s == 0.0)
+    assert 0.0 <= est.argmax_s < f_sin(est.argmax_x)
 
 
 def test_m_sum_frozen_value_at_origin(f_sin):
