@@ -32,7 +32,7 @@ import numpy as np
 from . import ceiling
 from .canon import canonical_csv, canonical_json
 from .ceiling import MAX_HARMONIC, MAX_WORD_INDEX, TrigPolynomial, classify, extrema
-from .dynamics import ROOF_TOL, FlowPoint, inverse_branches
+from .dynamics import ROOF_TOL, FlowPoint, inverse_branches, word_strings
 from .errors import (InvalidArgument, NumericalFailure, ParseError,
                      ResourceLimit, SemiflowError, ValidationError)
 
@@ -531,11 +531,12 @@ def _run_genericity(cfg: ExperimentConfig):
     f = cfg.ceiling
     cls = classify(f, cfg.gamma0)
     letters = p["cluster_word"]
+    base_word, = word_strings([letters], f.ell)
     records = []
     for n in p["cluster_n_values"]:
         rep = genericity.slope_clusters(f, n, letters, cls, window_factor=p["window_factor"])
         records.append({
-            "kind": "cluster", "n": n, "base_word": "".join(map(str, letters)),
+            "kind": "cluster", "n": n, "base_word": base_word,
             "window": rep.window, "max_cluster": rep.max_cluster,
             "growth_rate": rep.max_cluster ** (1.0 / n),
         })
@@ -557,13 +558,11 @@ def _run_genericity(cfg: ExperimentConfig):
 def _run_branches(cfg: ExperimentConfig):
     p = cfg.params
     table, words = inverse_branches(cfg.ceiling, FlowPoint(p["x"], p["s"]), p["t"])
-    ell = float(table.ell)
-    levels = table.n.tolist()
     rows = [{"word": word, "n": n, "y": y, "s_prime": s_prime, "slope": slope}
-            for word, n, y, s_prime, slope in zip(words, levels, table.y.tolist(),
+            for word, n, y, s_prime, slope in zip(words, table.n.tolist(), table.y.tolist(),
                                                   table.s.tolist(), table.slopes.tolist())]
-    payload = {"rows": rows, "weight_sum": sum(1.0 / ell ** n for n in levels)}
-    return payload, []
+    # inverse_branches raises unless the weights ell^-n sum to exactly 1
+    return {"rows": rows, "weight_sum": 1.0}, []
 
 
 _RUNNERS = {
@@ -592,12 +591,11 @@ def run(cfg: ExperimentConfig) -> RunReport:
                      wall_time_s=elapsed)
 
 
-def _payload_rows(payload):
-    if isinstance(payload, dict):
-        for key in ("rows", "records", "samples", "functions"):
-            if key in payload and isinstance(payload[key], list) and payload[key]:
-                return payload[key]
-    return None
+def _payload_rows(payload, refusal):
+    for key in ("rows", "records", "samples", "functions"):
+        if key in payload:
+            return payload[key]
+    raise InvalidArgument(f"payload has no {refusal}")
 
 
 def emit(report: RunReport, format: str = "json") -> bytes:
@@ -607,8 +605,8 @@ def emit(report: RunReport, format: str = "json") -> bytes:
     json renders the whole document; jsonl renders one record per line,
     without the config echo and caveats; csv renders the same records as
     rows, one column per scalar key of any record, in first-seen order, each
-    cell a scalar's JSON text.  A non-finite number anywhere raises
-    ``NumericalFailure``.
+    cell a scalar's JSON text; an empty record list renders as no bytes.  A
+    non-finite number anywhere raises ``NumericalFailure``.
     """
     if format == "json":
         doc = {
@@ -619,14 +617,12 @@ def emit(report: RunReport, format: str = "json") -> bytes:
         }
         return (canonical_json(doc) + "\n").encode()
     if format == "jsonl":
-        rows = _payload_rows(report.payload)
-        if rows is None:
-            raise InvalidArgument("payload has no record section to render as JSON lines")
-        return ("\n".join(canonical_json(r) for r in rows) + "\n").encode()
+        rows = _payload_rows(report.payload, "record section to render as JSON lines")
+        return "".join(canonical_json(r) + "\n" for r in rows).encode()
     if format == "csv":
-        rows = _payload_rows(report.payload)
-        if rows is None:
-            raise InvalidArgument("payload has no tabular section to render as CSV")
+        rows = _payload_rows(report.payload, "tabular section to render as CSV")
+        if not rows:
+            return b""
         if isinstance(rows[0], list):
             header = ["t", "re", "im"]
             rows = [dict(zip(header, r)) for r in rows]

@@ -452,12 +452,23 @@ def branch_table(f: TrigPolynomial, z: FlowPoint, t: float, *, s_values=(),
     return table
 
 
+def word_strings(letters, ell: int) -> list:
+    """Each row of a letter matrix (letters in 1..ell, then 0 past the word's
+    end; one column or more) as its word: every letter as len(str(ell))
+    zero-padded digits, so (1, 10) reads "0110" at ell = 12.  A padding
+    letter's digits are NUL, at the end of its row: the bytes dtype drops them."""
+    letters = np.asarray(letters)[:, :, None]
+    tens = (10 ** np.arange(len(str(ell)) - 1, -1, -1)).astype(letters.dtype)
+    chars = np.where(letters > 0, letters // tens % 10 + ord("0"), 0).astype(np.uint8)
+    return chars.reshape(len(chars), -1).view(f"S{chars[0].size}").ravel().astype(str).tolist()
+
+
 def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     """All time-t inverse branches of the flow at z: ``(table, words)``, the
     ``branch_table`` reordered lexicographically by word, and each row's
-    word as its letters' decimal digits run together.
+    word as ``word_strings`` prints it.
 
-    Both come from one digit matrix of the word indices, letter p of a row
+    Both come from one letter matrix of the word indices, letter p of a row
     being (k // ell^p) % ell + 1 and 0 past the word's end, so a word sorts
     after its prefixes, as tuples of letters do.
 
@@ -482,16 +493,6 @@ def inverse_branches(f: TrigPolynomial, z: FlowPoint, t: float) -> tuple:
     for p in range(n_max):
         letters[p] = np.where(table.n > p, table.k // ell ** p % ell + 1, 0)
     order = np.lexsort(letters[::-1])
-    letters = letters[:, order]
-    # each letter as `width` characters, its leading zeros (and a padding
-    # letter's every digit) as NUL; a stable sort moves the NULs to the end
-    # of the row, where the bytes dtype drops them
-    width = len(str(ell))
-    tens = (10 ** np.arange(width - 1, -1, -1)).astype(letters.dtype)
-    grid = letters.T[:, :, None]
-    chars = np.where(grid >= tens, grid // tens % 10 + ord("0"), 0).astype(np.uint8)
-    chars = chars.reshape(table.count, n_max * width)
-    chars = np.take_along_axis(chars, np.argsort(chars == 0, axis=1, kind="stable"), axis=1)
-    words = chars.view(f"S{n_max * width}").ravel().astype(str).tolist()
+    words = word_strings(letters[:, order].T, ell)
     return _BranchTable(table.n[order], table.k[order], table.y[order], table.fy[order],
                         table.s[order], table.slopes[order], ell, table.scan), words

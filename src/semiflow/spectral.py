@@ -34,8 +34,9 @@ DISCRETIZED_SPECTRUM_CAVEAT = "discretized spectrum"
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Ulam dimension nx*ns, refused at run time with a ResourceLimit; the dense
-# float64 copy of a matrix this size (``UlamOperator.matrix``) takes 2 GiB
+# Ulam dimension nx*ns, refused with a ResourceLimit.  The library densifies
+# only at dim <= 128 (LAPACK); the value stays for the bench tracer, which
+# densifies each traced matrix, and bench/test_bench.py (nx=256, ns=128 exits 2)
 MAX_DIM = 2 ** 14
 # Ulam sample points sampled, flowed and binned at once, in whole boxes (one
 # box when a box holds more): bounds the assembly's working arrays

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -191,7 +192,9 @@ class Word:
         return sum((a - 1) * self.ell ** i for i, a in enumerate(self.letters))
 
     def __str__(self):
-        return "".join(str(a) for a in self.letters)
+        """The letters run together, each zero-padded to the digits of ell."""
+        width = len(str(self.ell))
+        return "".join(f"{a:0{width}d}" for a in self.letters)
 
 
 def branch_point(a, x):
@@ -419,7 +422,7 @@ def pair_scan_m(branches, theta, ell, widen=0.0):
 def branches_payload(f, z, t):
     """The ``branches`` report payload built row by row: a validated
     ``Word`` per branch of ``branch_table``, rows sorted by the word's
-    letters, and the weight sum taken in that order."""
+    letters, and the weight sum added exactly, as fractions."""
     table = branch_table(f, z, t)
     keyed = []
     for n, k, y, s_prime, slope in zip(table.n.tolist(), table.k.tolist(), table.y.tolist(),
@@ -430,7 +433,7 @@ def branches_payload(f, z, t):
     keyed.sort(key=lambda item: item[0])
     rows = [row for _, row in keyed]
     return {"rows": rows,
-            "weight_sum": sum(1.0 / float(table.ell) ** row["n"] for row in rows)}
+            "weight_sum": float(sum(Fraction(1, table.ell ** row["n"]) for row in rows))}
 
 
 def line_scan_n(branches, theta, ell):

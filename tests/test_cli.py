@@ -16,9 +16,10 @@ from semiflow import (FlowPoint, cli, genericity, mixing, parallel, spectral,
 from semiflow.canon import canonical_csv, canonical_json
 from semiflow.cli import (ParseError, ValidationError, emit, main,
                           parse_config, run)
+from semiflow.dynamics import word_strings
 from semiflow.errors import InvalidArgument, NumericalFailure
 
-from oracles import branches_payload
+from oracles import Word, branch_point, branches_payload
 
 
 def _config(**over):
@@ -195,6 +196,10 @@ def test_branches_report_bytes_equal_per_row_oracle(ceiling, params, fmt):
     report = run(cfg)
     payload = branches_payload(cfg.ceiling, FlowPoint(params["x"], params["s"]), params["t"])
     rows = payload["rows"]
+    # the oracle adds the weights as fractions, and the report states the
+    # identity inverse_branches checks; a float sum of the rows' ell^-n read
+    # 1.0000000000000333 at ell = 12
+    assert payload["weight_sum"] == report.payload["weight_sum"] == 1.0
     if params["t"] == 0.0:
         assert [row["word"] for row in rows] == [""]
     if ceiling["ell"] == 12:
@@ -207,6 +212,40 @@ def test_branches_report_bytes_equal_per_row_oracle(ceiling, params, fmt):
     else:
         want = canonical_csv(rows, list(rows[0]))
     assert emit(report, fmt) == want.encode()
+
+
+@pytest.mark.parametrize("ell, params", [
+    pytest.param(11, {"x": 0.3, "s": 0.0, "t": 2.5}, id="base-eleven"),
+    pytest.param(12, {"x": 0.7, "s": 0.0, "t": 2.5}, id="base-twelve"),
+])
+def test_two_digit_branch_words_are_distinct_and_decode_to_their_rows(ell, params):
+    # every letter prints as two digits; unpadded, (1, 1, 11), (1, 11, 1) and
+    # (11, 1, 1) all read "1111"
+    ceiling = {"ell": ell, "mean": 1.0, "harmonics": [[1, 0.0, 0.2]]}
+    cfg = parse_config(json.dumps(_config(experiment="branches", params=params,
+                                          ceiling=ceiling)))
+    rows = run(cfg).payload["rows"]
+    assert len({row["word"] for row in rows}) == len(rows) > 1000
+    for row in rows:
+        text = row["word"]
+        word = Word([int(text[i:i + 2]) for i in range(0, len(text), 2)], ell)
+        assert len(word) == row["n"]
+        assert branch_point(word, params["x"]) == pytest.approx(row["y"], rel=1e-14)
+
+
+def test_word_strings_pad_each_letter_to_the_width_of_ell(capsys):
+    # a zero letter ends its row's word; below ell = 10 a letter is one digit
+    assert word_strings([[1, 10, 0], [10, 12, 3]], 12) == ["0110", "101203"]
+    assert word_strings([[1, 2, 3], [9, 0, 0]], 9) == ["123", "9"]
+    # genericity's base_word is printed the same way; unpadded, [1, 11] and
+    # [11, 1] both read "111"
+    words = []
+    for letters in ("[1,11]", "[11,1]"):
+        assert main(["genericity", "--set", "ceiling.ell=12", "--set",
+                     f"params.cluster_word={letters}", "--set", "params.cluster_n_values=[3]",
+                     "--format", "jsonl"]) == 0
+        words.append(json.loads(capsys.readouterr().out)["base_word"])
+    assert words == ["0111", "1101"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -724,11 +763,11 @@ def test_every_kind_entry_and_rule_has_its_refusal_cases():
 @pytest.mark.parametrize("argv, code, error", [
     # at this size s + S - t rounds to S, so no word is a branch
     pytest.param(["branches", "--set", "ceiling.mean=1e77"], 3, "numerical-failure",
-                 id="argv0-3-numerical-failure"),
+                 id="branches-mean-1e77-numerical-failure"),
     pytest.param(["spectrum", "--set", "params.t=1e6"], 2, "resource-limit",
-                 id="argv1-2-resource-limit"),
+                 id="spectrum-t-1e6-resource-limit"),
     pytest.param(["mixing", "--set", "params.eigenfunction_times=[1e300]"], 2, "resource-limit",
-                 id="argv2-2-resource-limit"),
+                 id="mixing-eigenfunction-time-1e300-resource-limit"),
 ])
 def test_cli_main_runaway_inputs_end_in_their_exit_code(argv, code, error, capsys):
     assert main(argv) == code
@@ -815,6 +854,16 @@ def test_slope_margin_schema_admits_exactly_the_disjoint_cones(capsys):
         assert main(argv(margin)) == 1
         assert capsys.readouterr().err == ("validation error: the cones' angle arcs meet at "
                                            f"slope_margin = {margin!r}\n")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_cli_main_empty_record_list_prints_nothing(fmt, capsys):
+    # the json report holds "records": [], so there is no line to print
+    argv = ["genericity", "--set", "params.cluster_n_values=[]"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["records"] == []
+    assert main(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cli_main_norms_renders_its_function_records(capsys):
@@ -964,10 +1013,10 @@ def test_cli_main_reports_every_nested_spec_violation(argv, lines, capsys):
 
 
 @pytest.mark.parametrize("spec", [
-    pytest.param({"s": ["cos", 1e308]}, id="spec0"),
-    pytest.param({"s": ["sin", -1024.5]}, id="spec1"),
-    pytest.param({"x": ["cos", 1025]}, id="spec2"),
-    pytest.param({"x": ["sin", -10 ** 300]}, id="spec3"),
+    pytest.param({"s": ["cos", 1e308]}, id="s-cos-1e308"),
+    pytest.param({"s": ["sin", -1024.5]}, id="s-sin-minus-1024.5"),
+    pytest.param({"x": ["cos", 1025]}, id="x-cos-1025"),
+    pytest.param({"x": ["sin", -10 ** 300]}, id="x-sin-minus-1e300"),
 ])
 def test_observable_frequencies_are_bounded(spec):
     # 2 pi a s overflowed to inf at a = 1e308, and every sample read nan
